@@ -17,6 +17,7 @@ import numpy as np
 from .fastbp import CosetBP
 from .models import MemorylessSource, rate_quantities, reverse_model
 from .sampler import (
+    DeadEndError,
     EncodingError,
     ExactStepper,
     SamplerConfig,
@@ -27,13 +28,12 @@ from .sampler import (
 )
 from .sparsemat import (
     EchelonForm,
+    EnsembleSpec,
     SparseMatrix,
     all_vectors,
     column_space_basis,
-    kernel_basis,
-    left_inverse_of_generator,
     row_reduce,
-    solve_particular,
+    sample_sparse_matrix,
 )
 from .stats import wilson_interval
 from .streams import stream
@@ -57,14 +57,15 @@ class ChannelCodeSpec:
             raise ValueError("c length must equal the row count of A")
         if self.prior.n != self.A.cols or self.prior.q != q:
             raise ValueError("prior shape must match the code domain")
+        ech_a = row_reduce(self.A)     # kept only for its rank and the check on c
+        if ech_a.solve(self.c) is None:
+            raise ValueError("c is not in Im A")
+        self.rank_a = ech_a.rank
+        del ech_a
         self.stacked = self.A.stack(self.B)
         self.ech_stacked: EchelonForm = row_reduce(self.stacked)
-        self.rank_a = row_reduce(self.A).rank
-        if solve_particular(self.A, self.c) is None:
-            raise ValueError("c is not in Im A")
         self.msg_rank = self.ech_stacked.rank - self.rank_a
         self.msg_basis = column_space_basis(self.B)   # basis of Im B
-        self.kernel_stacked = kernel_basis(self.stacked)
         n, logq = self.A.cols, math.log2(q)
         self.rate_r = self.rank_a / n * logq
         self.rate_R = self.msg_rank / n * logq
@@ -85,7 +86,7 @@ class ChannelCodeSpec:
         return z @ self.msg_basis % self.q
 
     def message_in_im_b(self, m) -> bool:
-        return solve_particular(self.B, m) is not None
+        return row_reduce(self.B).solve(m) is not None
 
     def all_messages(self) -> np.ndarray:
         """Every element of Im B (oracle scale)."""
@@ -100,7 +101,6 @@ class ChannelCodeSpec:
 def sample_code(n: int, l: int, k: int, tau: int, field, prior: MemorylessSource,
                 seed: int) -> ChannelCodeSpec:
     """Draw A, B independently from the tau ensemble and c uniform on Im A."""
-    from .sparsemat import EnsembleSpec, sample_sparse_matrix
     A = sample_sparse_matrix(EnsembleSpec(n=n, l=l, field=field, tau=tau),
                              stream(seed, 1))
     B = sample_sparse_matrix(EnsembleSpec(n=n, l=k, field=field, tau=tau),
@@ -118,10 +118,7 @@ class ChannelEncoder:
         self.cfg = cfg
         self.q = spec.q
         self.uniform = cfg.uniform_shortcut and _is_uniform(spec.prior.pmfs)
-        if self.uniform:
-            self._ech = spec.ech_stacked
-            self._kernel = spec.kernel_stacked
-        elif cfg.method == "exact":
+        if not self.uniform and cfg.method == "exact":
             self._stepper = ExactStepper(spec.stacked, spec.prior.pmfs,
                                          cfg.exact_cap_states)
             self._kstar = _early_stop_index(spec.stacked, cfg.early_stop)
@@ -133,16 +130,10 @@ class ChannelEncoder:
             raise ValueError("message length mismatch")
         target = np.concatenate([spec.c, m])
         if self.uniform:
-            ech = self._ech
-            d = ech.transform @ target % q
-            if np.any(d[ech.rank:]):
+            x = spec.ech_stacked.random_member(target, rng)
+            if x is None:
                 raise EncodingError("C_AB(c, m) is empty")
-            x0 = np.zeros(spec.n, dtype=np.int64)
-            x0[ech.pivots] = d[: ech.rank]
-            if self._kernel.shape[0]:
-                z = rng.integers(0, q, size=self._kernel.shape[0])
-                x0 = (x0 + z @ self._kernel) % q
-            return x0
+            return x
         if self.cfg.method == "exact":
             eng = _ExactEngine(spec.stacked, target, spec.prior.pmfs, self.cfg,
                                stepper=self._stepper, kstar=self._kstar)
@@ -172,39 +163,18 @@ class DecodeOutcome:
         return self.m_hat is not None
 
 
-def _coset_array(A: SparseMatrix, c, cap: int) -> np.ndarray:
-    """Members of C_A(c) (no particular order), refusing above cap members."""
-    x0 = solve_particular(A, c)
-    if x0 is None:
-        return np.zeros((0, A.cols), dtype=np.int64)
-    K = kernel_basis(A)
-    size = A.field.q ** K.shape[0]
-    if size > cap:
-        raise ValueError(f"coset size {size} exceeds cap {cap}")
-    if K.shape[0] == 0:
-        return x0[None, :]
-    combos = all_vectors(A.field.q, K.shape[0])
-    return (x0[None, :] + combos @ K) % A.field.q
-
-
 def decode_map(spec: ChannelCodeSpec, y, channel, cap: int = 2 ** 20) -> DecodeOutcome:
-    """Exhaustive posterior argmax over C_A(c); ties go lexicographically."""
-    members = _coset_array(spec.A, spec.c, cap)
-    if members.shape[0] == 0:
+    """Exhaustive posterior argmax over C_A(c); ties go lexicographically.
+
+    Fails when the coset is empty or every member has zero posterior.
+    """
+    members = row_reduce(spec.A).members(spec.c, cap)
+    scores = np.array([spec.prior.log_prob(x) + channel.log_lik(y, x) for x in members])
+    if not scores.size or scores.max() == -np.inf:
         return DecodeOutcome(None, "map-exhaustive")
-    order = np.lexsort(members.T[::-1])
-    members = members[order]
-    best, best_score, tie = None, -np.inf, False
-    for x in members:
-        score = spec.prior.log_prob(x) + channel.log_lik(y, x)
-        if score > best_score:
-            best, best_score, tie = x, score, False
-        elif score == best_score and best is not None:
-            tie = True
-    if best is None or best_score == -np.inf:
-        # zero posterior everywhere on the coset: fall back to the first member
-        best, tie = members[0], members.shape[0] > 1
-    return DecodeOutcome(spec.B.mat_vec(best), "map-exhaustive", tie=tie)
+    best = int(np.argmax(scores))
+    tie = int((scores == scores[best]).sum()) > 1
+    return DecodeOutcome(spec.B.mat_vec(members[best]), "map-exhaustive", tie=tie)
 
 
 def decode_bp(spec: ChannelCodeSpec, y, channel, iters: int = 100,
@@ -236,7 +206,6 @@ class ErrorStats:
     encoding_errors: int
     decode_failures: int
     bp_converged: int
-    exact_error: float | None = None
 
     def as_dict(self) -> dict:
         return {
@@ -248,17 +217,16 @@ class ErrorStats:
             "encoding_errors": self.encoding_errors,
             "decode_failures": self.decode_failures,
             "bp_converged": self.bp_converged,
-            "exact_error": self.exact_error,
         }
 
 
 def simulate(spec: ChannelCodeSpec, channel, trials: int, cfg: SamplerConfig,
              seed: int, decoder: str = "bp", bp_iters: int = 100,
-             map_cap: int = 2 ** 20, threads: int = 1) -> ErrorStats:
+             map_cap: int = 2 ** 20) -> ErrorStats:
     """Monte-Carlo error rate: uniform message, encode, transmit, decode.
 
-    Per-trial randomness comes from counter-derived substreams of `seed`,
-    so results are identical for any thread count.
+    Trial t draws from its own counter-derived substream of `seed`.  An
+    empty or massless coset and a sampler dead end count as encoding errors.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -269,7 +237,7 @@ def simulate(spec: ChannelCodeSpec, channel, trials: int, cfg: SamplerConfig,
         m = spec.random_message(rng)
         try:
             x = encoder.encode(m, rng)
-        except EncodingError:
+        except (EncodingError, DeadEndError):
             return (1, 1, 0, 0)
         y = channel.sample(x, rng)
         if decoder == "map":
@@ -281,21 +249,13 @@ def simulate(spec: ChannelCodeSpec, channel, trials: int, cfg: SamplerConfig,
             return (1, 0, 1, conv)
         return (0 if np.array_equal(out.m_hat, m) else 1, 0, 0, conv)
 
-    results = _run_trials(run_trial, trials, threads)
+    results = [run_trial(t) for t in range(trials)]
     errors = sum(r[0] for r in results)
     enc_err = sum(r[1] for r in results)
     dec_fail = sum(r[2] for r in results)
     conv = sum(r[3] for r in results)
     return ErrorStats(trials, errors, errors / trials,
                       wilson_interval(errors, trials), enc_err, dec_fail, conv)
-
-
-def _run_trials(fn, trials: int, threads: int):
-    if threads <= 1:
-        return [fn(t) for t in range(trials)]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(trials)))
 
 
 def exact_error(spec: ChannelCodeSpec, channel, cap: int = 2 ** 20) -> float:
@@ -317,7 +277,7 @@ def exact_error(spec: ChannelCodeSpec, channel, cap: int = 2 ** 20) -> float:
     total = 0.0
     for m in msgs:
         target = np.concatenate([spec.c, m])
-        members = _coset_array(spec.stacked, target, cap)
+        members = spec.ech_stacked.members(target, cap)
         if members.shape[0] == 0:
             total += 1.0 / n_msgs
             continue
@@ -349,15 +309,16 @@ class LinearCodeSpec:
     def __post_init__(self):
         q = self.A.field.q
         self.c = np.asarray(self.c, dtype=np.int64) % q
-        self.x_c = solve_particular(self.A, self.c)
+        self.ech = row_reduce(self.A)
+        self.x_c = self.ech.solve(self.c)
         if self.x_c is None:
             raise ValueError("c is not in Im A")
-        self.gen = kernel_basis(self.A)          # rows span C_A(0)
+        self.gen = self.ech.kernel               # rows span C_A(0)
         self.msg_dim = self.gen.shape[0]
-        if self.msg_dim:
-            self.left_inv = left_inverse_of_generator(self.gen.T, self.A.field)
-        else:
-            self.left_inv = np.zeros((0, self.A.cols), dtype=np.int64)
+        # generator row j is 1 on the j-th free column and 0 on the others,
+        # so reading the free columns inverts m -> m G
+        free = np.setdiff1d(np.arange(self.A.cols), self.ech.pivots)
+        self.left_inv = np.eye(self.A.cols, dtype=np.int64)[free]
 
     @property
     def q(self) -> int:
@@ -376,16 +337,11 @@ def linear_decode(spec: LinearCodeSpec, y, channel, prior: MemorylessSource,
     """MAP over the coset, then strip the offset and invert the generator."""
     if not _is_uniform(prior.pmfs):
         raise ValueError("the deterministic special case assumes a uniform prior")
-    members = _coset_array(spec.A, spec.c, cap)
-    order = np.lexsort(members.T[::-1])
-    members = members[order]
-    best, best_score = None, -np.inf
-    for x in members:
-        score = channel.log_lik(y, x)
-        if score > best_score:
-            best, best_score = x, score
-    if best is None:
+    members = spec.ech.members(spec.c, cap)
+    scores = np.array([channel.log_lik(y, x) for x in members])
+    if scores.max() == -np.inf:
         return None
+    best = members[int(np.argmax(scores))]
     return spec.left_inv @ ((best - spec.x_c) % spec.q) % spec.q
 
 

@@ -26,6 +26,7 @@ from .sparsemat import (
     all_vectors,
     row_reduce,
     sample_sparse_matrix,
+    vec_to_index,
 )
 from .stats import wilson_interval
 
@@ -394,7 +395,7 @@ def alpha_beta_direct(ens, h_hat, im_size: int) -> AlphaBeta:
     zero_idx = 0  # all_vectors puts the zero vector first
     for t in types:
         rep = _representative(t, n)
-        iu = _lex_index(rep, q)
+        iu = vec_to_index(rep, q)
         p_at[t] = scan.collision_prob(iu, zero_idx)
     alpha = max((Fraction(im_size) * p_at[t] for t in h_hat), default=Fraction(0))
     beta = sum((Fraction(type_class_size(t, n)) * p_at[t]
@@ -408,13 +409,6 @@ def _representative(t: tuple, n: int) -> np.ndarray:
         u.extend([sym] * count)
     u.extend([0] * (n - len(u)))
     return np.asarray(u, dtype=np.int64)
-
-
-def _lex_index(u, q: int) -> int:
-    r = 0
-    for v in np.asarray(u).tolist():
-        r = r * q + int(v)
-    return r
 
 
 # -- pairwise collision API --------------------------------------------------------
@@ -433,8 +427,8 @@ def collision_prob(ens, u, v, rng=None, samples: int = 0):
         raise ValueError("collision probability needs two distinct inputs")
     if ens.exact:
         scan = ExactScan(ens)
-        return scan.collision_prob(_lex_index(u, ens.field.q),
-                                   _lex_index(v, ens.field.q))
+        return scan.collision_prob(vec_to_index(u, ens.field.q),
+                                   vec_to_index(v, ens.field.q))
     if isinstance(ens, SparseTauEnsemble):
         return ens.collision_prob_algebraic((u - v) % ens.field.q)
     if not samples or rng is None:
@@ -462,7 +456,7 @@ def check_h3(ens, u, alpha, beta, scan: ExactScan | None = None,
         raise ValueError("the tail condition is only checkable on exact ensembles")
     scan = scan or ExactScan(ens)
     im = im_size if im_size is not None else scan.im_size()
-    iu = _lex_index(u, ens.field.q)
+    iu = vec_to_index(u, ens.field.q)
     nums = scan.collision_row_numerators(iu)
     # strict comparison num/total > alpha/im done in integers
     a = Fraction(alpha)
@@ -478,8 +472,8 @@ def check_h3prime(ens, T, Tp, alpha, beta, scan: ExactScan | None = None):
     scan = scan or ExactScan(ens)
     im = scan.im_size()
     q = ens.field.q
-    Ti = [_lex_index(u, q) for u in T]
-    Tpi = np.asarray([_lex_index(u, q) for u in Tp], dtype=np.int64)
+    Ti = [vec_to_index(u, q) for u in T]
+    Tpi = np.asarray([vec_to_index(u, q) for u in Tp], dtype=np.int64)
     num = 0
     for iu in Ti:
         num += int(scan.collision_row_numerators(iu)[Tpi].sum())
@@ -496,8 +490,8 @@ def check_crp(ens, G, u, alpha, beta, scan: ExactScan | None = None):
     scan = scan or ExactScan(ens)
     q = ens.field.q
     im = scan.im_size()
-    iu = _lex_index(u, q)
-    Gi = np.asarray([_lex_index(g, q) for g in G], dtype=np.int64)
+    iu = vec_to_index(u, q)
+    Gi = np.asarray([vec_to_index(g, q) for g in G], dtype=np.int64)
     others = Gi[Gi != iu]
     if others.size:
         eq = scan.codes[:, others] == scan.codes[:, iu][:, None]
@@ -520,7 +514,7 @@ def check_bcp(ens, Q, T, alpha, beta, scan: ExactScan | None = None):
     scan = scan or ExactScan(ens)
     q = ens.field.q
     im = scan.im_size()
-    Ti = np.asarray([_lex_index(u, q) for u in T], dtype=np.int64)
+    Ti = np.asarray([vec_to_index(u, q) for u in T], dtype=np.int64)
     if Ti.size == 0:
         raise ValueError("T must be nonempty")
     Qfrac = [Fraction(v) if isinstance(v, (int, np.integer, Fraction))

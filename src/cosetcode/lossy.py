@@ -15,15 +15,14 @@ import numpy as np
 
 from .fastbp import CosetBP
 from .models import DiscreteChannel, DistortionSpec, MemorylessSource
-from .sampler import EncodingError, SamplerConfig, make_engine
-from .sparsemat import (
-    SparseMatrix,
-    all_vectors,
-    complement_bijection,
-    kernel_basis,
-    row_reduce,
-    solve_particular,
+from .sampler import (
+    DeadEndError,
+    EncodingError,
+    SamplerConfig,
+    exact_coset_law,
+    make_engine,
 )
+from .sparsemat import ComplementBijection, SparseMatrix, all_vectors, row_reduce
 from .stats import entropy_bits, wilson_interval
 from .streams import stream
 
@@ -46,8 +45,11 @@ class LossyCodeSpec:
         self.c = np.asarray(self.c, dtype=np.int64) % q
         if self.A.cols != self.B.cols or self.A.field != self.B.field:
             raise ValueError("A and B must share the domain")
-        if solve_particular(self.A, self.c) is None:
+        ech_a = row_reduce(self.A)     # kept only for its rank and the check on c
+        if ech_a.solve(self.c) is None:
             raise ValueError("c is not in Im A")
+        self.rank_a = ech_a.rank
+        del ech_a
         n = self.A.cols
         if self.test_channel.n != n or self.test_channel.ny != q:
             raise ValueError("test channel must map the source alphabet to GF(q)")
@@ -60,7 +62,6 @@ class LossyCodeSpec:
                                      self.test_channel.kernels)
         self.stacked = self.A.stack(self.B)
         self.ech_stacked = row_reduce(self.stacked)
-        self.rank_a = row_reduce(self.A).rank
         self.rank_b = row_reduce(self.B).rank
         logq = math.log2(q)
         self.rate_r = self.rank_a / n * logq
@@ -106,16 +107,10 @@ def decode(spec: LossyCodeSpec, m, cap: int = 2 ** 20,
         raise ValueError("message length mismatch")
     target = np.concatenate([spec.c, m])
     ech = spec.ech_stacked
-    d = ech.transform @ target % q
-    if np.any(d[ech.rank:]):
-        return None
-    if ech.rank == spec.n:
-        x = np.zeros(spec.n, dtype=np.int64)
-        x[ech.pivots] = d[: ech.rank]
+    x = ech.solve(target)
+    if x is None or ech.rank == spec.n:
         return x
-    K = kernel_basis(spec.stacked)
-    size = q ** K.shape[0]
-    if mode == "bp" or (mode == "auto" and size > cap):
+    if mode == "bp" or (mode == "auto" and q ** (spec.n - ech.rank) > cap):
         bp = CosetBP(spec.stacked, target, spec.x_marginals)
         bp.run(bp_iters, 1e-8)
         if bp.failed:
@@ -123,19 +118,10 @@ def decode(spec: LossyCodeSpec, m, cap: int = 2 ** 20,
         x_hat = np.argmax(bp.marginals(), axis=1)
         ok = np.array_equal(spec.stacked.mat_vec(x_hat), target)
         return x_hat if ok else None
-    x0 = np.zeros(spec.n, dtype=np.int64)
-    x0[ech.pivots] = d[: ech.rank]
-    combos = all_vectors(q, K.shape[0])
-    members = (x0[None, :] + combos @ K) % q
-    order = np.lexsort(members.T[::-1])
-    members = members[order]
-    logp = np.full(members.shape[0], -np.inf)
-    marg = spec.x_marginals
-    idx = np.arange(spec.n)
+    members = ech.members(target, cap)
     with np.errstate(divide="ignore"):
-        lp = np.log2(marg)
-    for i, x in enumerate(members):
-        logp[i] = lp[idx, x].sum()
+        lp = np.log2(spec.x_marginals)
+    logp = lp[np.arange(spec.n), members].sum(axis=1)
     return members[int(np.argmax(logp))]
 
 
@@ -143,7 +129,7 @@ def linear_decode(spec: LossyCodeSpec, m) -> np.ndarray:
     """Deterministic special case: invert (c, m) through the pairing bijection."""
     if not np.allclose(spec.x_marginals, 1.0 / spec.q):
         raise ValueError("the deterministic special case assumes uniform marginals")
-    xab = complement_bijection(spec.A, spec.B)
+    xab = ComplementBijection(spec.A, spec.B)
     return xab(spec.c, np.asarray(m, dtype=np.int64) % spec.q)
 
 
@@ -157,7 +143,6 @@ class DistortionStats:
     decode_failures: int
     mean_per_letter: float           # over trials with finite distortion
     histogram: dict                  # per-letter distortion -> count
-    exact_error: float | None = None
 
     def as_dict(self) -> dict:
         return {
@@ -169,14 +154,16 @@ class DistortionStats:
             "encoding_errors": self.encoding_errors,
             "decode_failures": self.decode_failures,
             "mean_per_letter_distortion": self.mean_per_letter,
-            "exact_error": self.exact_error,
         }
 
 
 def simulate(spec: LossyCodeSpec, trials: int, cfg: SamplerConfig, seed: int,
              target_d: float | None = None, decode_cap: int = 2 ** 20,
-             bp_iters: int = 100, threads: int = 1) -> DistortionStats:
-    """Monte-Carlo estimate of P(d_n > n D); encoding errors score infinity."""
+             bp_iters: int = 100) -> DistortionStats:
+    """Monte-Carlo estimate of P(d_n > n D); encoding errors score infinity.
+
+    An empty or massless coset and a sampler dead end count as encoding errors.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     D = spec.target_d if target_d is None else target_d
@@ -187,7 +174,7 @@ def simulate(spec: LossyCodeSpec, trials: int, cfg: SamplerConfig, seed: int,
         y = spec.source.sample(rng)
         try:
             x_tilde = encode_reproduction(spec, y, cfg, rng)
-        except EncodingError:
+        except (EncodingError, DeadEndError):
             return (math.inf, 1, 0)
         m = spec.B.mat_vec(x_tilde)
         x_hat = decode(spec, m, cap=decode_cap, bp_iters=bp_iters)
@@ -195,8 +182,7 @@ def simulate(spec: LossyCodeSpec, trials: int, cfg: SamplerConfig, seed: int,
             return (math.inf, 0, 1)
         return (spec.distortion.total(x_hat, y), 0, 0)
 
-    from .channel import _run_trials
-    results = _run_trials(run_trial, trials, threads)
+    results = [run_trial(t) for t in range(trials)]
     dists = np.array([r[0] for r in results])
     enc_err = sum(r[1] for r in results)
     dec_fail = sum(r[2] for r in results)
@@ -215,12 +201,12 @@ def simulate(spec: LossyCodeSpec, trials: int, cfg: SamplerConfig, seed: int,
 def exact_error(spec: LossyCodeSpec, target_d: float | None = None,
                 cap: int = 2 ** 20) -> float:
     """Exact P(d_n > n D) by summing over source words and encoder outputs."""
-    from .sampler import exact_coset_law
     D = spec.target_d if target_d is None else target_d
     n, q, ny = spec.n, spec.q, spec.source.q
     if ny ** n > cap:
         raise ValueError("source space exceeds the cap")
     total = 0.0
+    decoded = {}                     # decode is a function of m alone
     for y in all_vectors(ny, n):
         py = 2.0 ** spec.source.log_prob(y)
         if py == 0:
@@ -235,7 +221,10 @@ def exact_error(spec: LossyCodeSpec, target_d: float | None = None,
             if p == 0:
                 continue
             m = spec.B.mat_vec(x_tilde)
-            x_hat = decode(spec, m, cap=cap)
+            key = m.tobytes()
+            if key not in decoded:
+                decoded[key] = decode(spec, m, cap=cap)
+            x_hat = decoded[key]
             if x_hat is None or spec.distortion.total(x_hat, y) > n * D:
                 total += py * p
     return total

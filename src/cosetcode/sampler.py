@@ -29,13 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from .fastbp import CosetBP
-from .sparsemat import (
-    SparseMatrix,
-    coset_members,
-    kernel_basis,
-    solve_particular,
-    suffix_ranks,
-)
+from .sparsemat import SparseMatrix, row_reduce, suffix_ranks, unique_completion
 from .stats import entropy_bits
 from .streams import sample_pmf
 
@@ -195,7 +189,6 @@ def _early_stop_index(A: SparseMatrix, enabled: bool) -> int:
 
 def _complete_suffix(A: SparseMatrix, c, x, k):
     """Solve for the unique suffix of a length-k prefix; None if inconsistent."""
-    from .sparsemat import unique_completion
     status, suffix = unique_completion(A, c, x[:k])
     if status != "unique":
         return None
@@ -208,19 +201,14 @@ class _UniformEngine:
 
     def __init__(self, A, c):
         self.A = A
-        self.q = A.field.q
         self.n = A.cols
-        self.x0 = solve_particular(A, c)
-        if self.x0 is None:
+        self.c = c
+        self.ech = row_reduce(A)
+        if self.ech.solve(c) is None:
             raise EncodingError("coset is empty: c is outside Im A")
-        self.kernel = kernel_basis(A)
 
     def draw(self, rng) -> GeneratedSample:
-        if self.kernel.shape[0] == 0:
-            x = self.x0.copy()
-        else:
-            z = rng.integers(0, self.q, size=self.kernel.shape[0])
-            x = (self.x0 + z @ self.kernel) % self.q
+        x = self.ech.random_member(self.c, rng)
         return GeneratedSample(x, "full", self.n, [], [], None)
 
 
@@ -443,7 +431,7 @@ def generate_interval(A: SparseMatrix, c, priors, cfg: SamplerConfig,
 def exact_coset_law(A: SparseMatrix, c, priors, cap: int = 2 ** 20):
     """Full restricted law: (members, probabilities); the law oracle."""
     priors = np.asarray(priors, dtype=float)
-    members = coset_members(A, c, cap=cap)
+    members = row_reduce(A).members(c, cap)
     if members.shape[0] == 0:
         raise EncodingError("coset is empty: c is outside Im A")
     idx = np.arange(A.cols)
@@ -468,7 +456,7 @@ def path_tree_law(A: SparseMatrix, c, priors, cfg: SamplerConfig, cap: int = 2 *
     stepper = ExactStepper(A, priors, cfg.exact_cap_states)
     if stepper.mass_of(c_arr) <= 0:
         raise EncodingError("coset has zero prior mass")
-    members = coset_members(A, c, cap=cap)
+    members = row_reduce(A).members(c, cap)
     kstar = _early_stop_index(A, cfg.early_stop)
     probs = np.zeros(members.shape[0])
     for row, x in enumerate(members):

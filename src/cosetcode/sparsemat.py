@@ -4,9 +4,15 @@ Matrices are immutable after construction and stored CSR-style with
 canonical rows (ascending columns, no zero coefficients), so equality is
 structural.  Echelon work happens on a dense mirror, which is only
 produced for l*n <= 2**20; everything here is desk scale by design.
+
+`row_reduce` eliminates a matrix once and returns an `EchelonForm`, the
+one object that solves A x = t, holds the kernel and enumerates or
+samples the coset {x : A x = t}; callers keep the echelon of a matrix
+they reuse instead of eliminating it again.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -172,12 +178,64 @@ def sample_sparse_matrix(spec: EnsembleSpec, rng: np.random.Generator) -> Sparse
 
 @dataclass
 class EchelonForm:
-    """Reduced row echelon form R of A plus the transform T with T A = R."""
+    """Reduced row echelon form R of A plus the transform T with T A = R.
+
+    The one place that turns an elimination into answers about cosets
+    C_A(t) = {x : A x = t}: a particular solution, the kernel, every
+    member, or a uniformly random member.
+    """
 
     reduced: np.ndarray
     transform: np.ndarray
     pivots: np.ndarray
     rank: int
+    field: GF
+
+    @property
+    def n(self) -> int:
+        return self.reduced.shape[1]
+
+    def solve(self, target):
+        """Any x with A x = target, free variables set to 0; None when target is not in Im A."""
+        q = self.field.q
+        t = np.asarray(target, dtype=np.int64) % q
+        if t.shape != (self.transform.shape[0],):
+            raise ValueError("target length does not match row count")
+        d = self.transform @ t % q
+        if np.any(d[self.rank:]):
+            return None
+        x = np.zeros(self.n, dtype=np.int64)
+        x[self.pivots] = d[: self.rank]
+        return x
+
+    @cached_property
+    def kernel(self) -> np.ndarray:
+        """Basis of {x : A x = 0} as a (n - rank, n) array, built on first use."""
+        free = np.setdiff1d(np.arange(self.n), self.pivots)
+        basis = np.zeros((free.size, self.n), dtype=np.int64)
+        basis[np.arange(free.size), free] = 1
+        basis[:, self.pivots] = (-self.reduced[: self.rank, free].T) % self.field.q
+        return basis
+
+    def members(self, target, cap: int = DENSE_CAP) -> np.ndarray:
+        """All of C_A(target) in lexicographic order, empty when target is not in
+        Im A; refuses when the coset has more than cap members."""
+        x0 = self.solve(target)
+        if x0 is None:
+            return np.zeros((0, self.n), dtype=np.int64)
+        q, dim = self.field.q, self.n - self.rank
+        if q ** dim > cap:
+            raise ValueError(f"coset size {q ** dim} exceeds cap {cap}")
+        members = (x0[None, :] + all_vectors(q, dim) @ self.kernel) % q
+        return members[np.lexsort(members.T[::-1])]
+
+    def random_member(self, target, rng: np.random.Generator):
+        """Uniform draw x0 + z K from C_A(target); None when target is not in Im A."""
+        x = self.solve(target)
+        if x is None or self.rank == self.n:
+            return x
+        z = rng.integers(0, self.field.q, size=self.n - self.rank)
+        return (x + z @ self.kernel) % self.field.q
 
 
 def _as_dense(A, field=None):
@@ -223,36 +281,7 @@ def row_reduce(A, field: GF | None = None) -> EchelonForm:
             T = (T - f[:, None] * T[r][None, :]) % q
         pivots.append(col)
         r += 1
-    return EchelonForm(R, T, np.asarray(pivots, dtype=np.int64), r)
-
-
-def solve_particular(A, c, field: GF | None = None):
-    """Any x with A x = c, free variables set to 0; None when c is not in Im A."""
-    D, field = _as_dense(A, field)
-    c = np.asarray(c, dtype=np.int64) % field.q
-    if c.shape != (D.shape[0],):
-        raise ValueError("target length does not match row count")
-    ech = row_reduce(D, field)
-    d = ech.transform @ c % field.q
-    if np.any(d[ech.rank:]):
-        return None
-    x = np.zeros(D.shape[1], dtype=np.int64)
-    x[ech.pivots] = d[: ech.rank]
-    return x
-
-
-def kernel_basis(A, field: GF | None = None) -> np.ndarray:
-    """Basis of {x : A x = 0} as a (n - rank, n) array (empty for injective A)."""
-    D, field = _as_dense(A, field)
-    q = field.q
-    ech = row_reduce(D, field)
-    n = D.shape[1]
-    free = np.setdiff1d(np.arange(n), ech.pivots)
-    basis = np.zeros((free.size, n), dtype=np.int64)
-    for k, f in enumerate(free):
-        basis[k, f] = 1
-        basis[k, ech.pivots] = (-ech.reduced[: ech.rank, f]) % q
-    return basis
+    return EchelonForm(R, T, np.asarray(pivots, dtype=np.int64), r, field)
 
 
 def left_inverse_of_generator(G, field: GF | None = None) -> np.ndarray:
@@ -286,19 +315,13 @@ class ComplementBijection:
                             np.asarray(m, dtype=np.int64) % q])
         if t.shape != (self.A.rows + self.B.rows,):
             raise ValueError("target lengths do not match (l, k)")
-        d = self._ech.transform @ t % q
-        if np.any(d[self._ech.rank:]):
+        x = self._ech.solve(t)
+        if x is None:
             raise ValueError("(c, m) is outside the image of the stacked map")
-        x = np.zeros(self.A.cols, dtype=np.int64)
-        x[self._ech.pivots] = d[: self._ech.rank]
         return x
 
     def split(self, x):
         return self.A.mat_vec(x), self.B.mat_vec(x)
-
-
-def complement_bijection(A: SparseMatrix, B: SparseMatrix) -> ComplementBijection:
-    return ComplementBijection(A, B)
 
 
 def unique_completion(A, c, prefix, field: GF | None = None):
@@ -315,33 +338,13 @@ def unique_completion(A, c, prefix, field: GF | None = None):
     if k > n:
         raise ValueError("prefix longer than n")
     resid = (c - D[:, :k] @ prefix) % q
-    suf = D[:, k:]
-    ech = row_reduce(suf, field)
-    d = ech.transform @ resid % q
-    if np.any(d[ech.rank:]):
+    ech = row_reduce(D[:, k:], field)
+    x = ech.solve(resid)
+    if x is None:
         return ("none", None)
     if ech.rank < n - k:
         return ("multiple", None)
-    x = np.zeros(n - k, dtype=np.int64)
-    x[ech.pivots] = d[: ech.rank]
     return ("unique", x)
-
-
-def coset_members(A, c, cap: int = DENSE_CAP, field: GF | None = None) -> np.ndarray:
-    """All members of C_A(c) in lexicographic order; refuses when q**n > cap."""
-    D, field = _as_dense(A, field)
-    q = field.q
-    n = D.shape[1]
-    if q ** n > cap:
-        raise ValueError(f"coset enumeration refused: q**n = {q**n} exceeds cap {cap}")
-    x0 = solve_particular(D, c, field)
-    if x0 is None:
-        return np.zeros((0, n), dtype=np.int64)
-    K = kernel_basis(D, field)
-    combos = all_vectors(q, K.shape[0])
-    members = (x0[None, :] + combos @ K) % q if K.shape[0] else x0[None, :].copy()
-    order = np.lexsort(members.T[::-1])
-    return members[order]
 
 
 # -- enumeration and encoding helpers -----------------------------------------

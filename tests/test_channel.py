@@ -19,7 +19,7 @@ from cosetcode.channel import (
 from cosetcode.gf import GF
 from cosetcode.models import bsc, uniform_source, MemorylessSource
 from cosetcode.sampler import EncodingError, SamplerConfig
-from cosetcode.sparsemat import SparseMatrix, all_vectors, coset_members, row_reduce
+from cosetcode.sparsemat import SparseMatrix, all_vectors, row_reduce
 from cosetcode.stats import binary_entropy, chi2_quantile, chi_square_stat
 from cosetcode.streams import stream
 
@@ -62,7 +62,7 @@ def test_encode_uniform_law_chi_square():
     spec = small_spec(n=8, l=3, k=4, seed=5)
     m = spec.random_message(stream(3, 9))
     target = np.concatenate([spec.c, m])
-    members = coset_members(spec.stacked, target)
+    members = row_reduce(spec.stacked).members(target)
     assert members.shape[0] >= 2
     keys = {tuple(x): 0 for x in members}
     rng = stream(4, 0)
@@ -143,6 +143,16 @@ def test_decode_map_tie_flag_at_half():
     assert np.array_equal(out.m_hat, [0])  # lexicographically smallest wins
 
 
+def test_decode_map_fails_on_zero_posterior():
+    # odd parity required, the noiseless channel saw even parity: no member of
+    # the coset can have produced y
+    A = dense([[1, 1]])
+    B = dense([[1, 0]])
+    spec = ChannelCodeSpec(A, B, [1], uniform_source(2, 2))
+    out = decode_map(spec, np.array([0, 0]), bsc(0.0, 2))
+    assert not out.success and not out.tie
+
+
 # ---------------------------------------------------------------------------
 # BP decoding
 # ---------------------------------------------------------------------------
@@ -220,12 +230,23 @@ def test_simulate_single_message_code():
     assert stats.errors == 0
 
 
-def test_simulate_threads_deterministic():
+def test_simulate_same_seed_deterministic():
     spec = small_spec(n=6, l=2, k=3, seed=23)
     ch = bsc(0.1, 6)
-    r1 = simulate(spec, ch, 300, EXACT, seed=55, decoder="map", threads=1)
-    r2 = simulate(spec, ch, 300, EXACT, seed=55, decoder="map", threads=4)
+    r1 = simulate(spec, ch, 300, EXACT, seed=55, decoder="map")
+    r2 = simulate(spec, ch, 300, EXACT, seed=55, decoder="map")
     assert r1.as_dict() == r2.as_dict()
+
+
+def test_simulate_counts_dead_end_as_encoding_error():
+    # the sum-product sampler dead-ends on this code under a skewed prior
+    prior = MemorylessSource(np.tile([0.95, 0.05], (24, 1)))
+    spec = sample_code(24, 10, 8, 4, GF2, prior, seed=2)
+    cfg = SamplerConfig(method="sum-product", retries=4)
+    stats = simulate(spec, bsc(0.05, 24), 5, cfg, seed=1)
+    assert stats.trials == 5
+    assert stats.encoding_errors >= 1
+    assert stats.errors >= stats.encoding_errors
 
 
 # ---------------------------------------------------------------------------

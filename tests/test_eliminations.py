@@ -1,0 +1,73 @@
+"""Each matrix is eliminated once: specs keep their echelons and the per-call
+paths that have one (uniform encoding, lossy decoding) eliminate nothing."""
+
+import numpy as np
+import pytest
+
+from cosetcode import channel, lossy, sampler, sparsemat
+from cosetcode.gf import GF
+from cosetcode.models import bernoulli_source, bsc, hamming_distortion, uniform_source
+from cosetcode.sparsemat import EnsembleSpec, sample_sparse_matrix
+from cosetcode.streams import stream
+
+GF2 = GF(2)
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """Counts row_reduce calls under every name the package imported it by."""
+    calls = []
+    real = sparsemat.row_reduce
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    for module in (sparsemat, channel, lossy, sampler):
+        if getattr(module, "row_reduce", None) is real:
+            monkeypatch.setattr(module, "row_reduce", counting)
+    return calls
+
+
+def lossy_spec(seed, n=10, l=4, k=4):
+    A = sample_sparse_matrix(EnsembleSpec(n=n, l=l, field=GF2, tau=2), stream(seed, 1))
+    B = sample_sparse_matrix(EnsembleSpec(n=n, l=k, field=GF2, tau=2), stream(seed, 2))
+    c = A.mat_vec(stream(seed, 3).integers(0, 2, size=n))
+    return lossy.LossyCodeSpec(A, B, c, bernoulli_source(0.3, n), bsc(0.11, n),
+                               hamming_distortion(2), 0.2)
+
+
+def test_channel_spec_and_uniform_encoder(eliminations):
+    spec = channel.sample_code(16, 4, 4, 2, GF2, uniform_source(16, 2), seed=3)
+    assert len(eliminations) == 3              # stacked map, A and B^T
+    assert spec.msg_rank == spec.msg_basis.shape[0]   # every message encodes
+    encoder = channel.ChannelEncoder(spec, sampler.SamplerConfig())
+    assert encoder.uniform
+    rng = stream(5, 0)
+    for _ in range(5):
+        m = spec.random_message(rng)
+        x = encoder.encode(m, rng)
+        assert np.array_equal(spec.stacked.mat_vec(x), np.concatenate([spec.c, m]))
+    assert len(eliminations) == 3
+
+
+def test_lossy_spec_and_decoder(eliminations):
+    specs = [lossy_spec(seed) for seed in range(6)]
+    assert len(eliminations) == 3 * len(specs)  # A, B and the stacked map
+    assert any(s.ech_stacked.rank < s.n for s in specs)
+    rng = stream(6, 0)
+    messages = [[spec.B.mat_vec(sparsemat.row_reduce(spec.A).random_member(spec.c, rng))
+                 for _ in range(4)] for spec in specs]
+    before = len(eliminations)
+    for spec, ms in zip(specs, messages):
+        for m in ms:
+            x_hat = lossy.decode(spec, m)
+            assert np.array_equal(spec.stacked.mat_vec(x_hat), np.concatenate([spec.c, m]))
+    assert len(eliminations) == before
+
+
+def test_linear_spec(eliminations):
+    A = sparsemat.SparseMatrix.from_dense(
+        np.array([[1, 1, 0, 1], [0, 1, 1, 1]]), GF2)
+    channel.LinearCodeSpec(A, [1, 0])
+    assert len(eliminations) == 1

@@ -4,7 +4,7 @@ import pytest
 from cosetcode.factorgraph import build_coset_graph, exact_marginals, sum_product
 from cosetcode.fastbp import CosetBP
 from cosetcode.gf import GF
-from cosetcode.sparsemat import SparseMatrix, sample_sparse_matrix, EnsembleSpec
+from cosetcode.sparsemat import SparseMatrix, sample_sparse_matrix, EnsembleSpec, row_reduce
 from cosetcode.streams import stream
 
 
@@ -63,8 +63,7 @@ def test_conditioning_matches_conditioned_exact_marginals():
         n, l = 6, 2
         A, c, priors = random_instance(rng, q, n, l)
         # condition x_0 on a value with positive mass under the coset law
-        from cosetcode.sparsemat import coset_members
-        members = coset_members(A, c)
+        members = row_reduce(A).members(c)
         if members.shape[0] == 0:
             continue
         v0 = int(members[0, 0])

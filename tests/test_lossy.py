@@ -1,0 +1,82 @@
+import numpy as np
+import pytest
+
+from cosetcode import lossy
+from cosetcode.gf import GF
+from cosetcode.models import MemorylessSource, bernoulli_source, bsc, hamming_distortion
+from cosetcode.sampler import DeadEndError, SamplerConfig
+from cosetcode.sparsemat import EnsembleSpec, all_vectors, sample_sparse_matrix
+from cosetcode.streams import stream
+
+GF2 = GF(2)
+EXACT = SamplerConfig(method="exact")
+
+
+def small_spec(n=8, l=3, k=4, target_d=0.25, seed=3):
+    """Bernoulli(1/2) source, BSC(0.11) test channel, Hamming distortion."""
+    A = sample_sparse_matrix(EnsembleSpec(n=n, l=l, field=GF2, tau=2), stream(seed, 1))
+    B = sample_sparse_matrix(EnsembleSpec(n=n, l=k, field=GF2, tau=2), stream(seed, 2))
+    c = A.mat_vec(stream(seed, 3).integers(0, 2, size=n))
+    return lossy.LossyCodeSpec(A, B, c, bernoulli_source(0.5, n), bsc(0.11, n),
+                               hamming_distortion(2), target_d)
+
+
+def test_simulate_matches_exact_error_within_wilson():
+    spec = small_spec()
+    assert spec.ech_stacked.rank < spec.n    # decoding searches a joint coset
+    exact = lossy.exact_error(spec)
+    stats = lossy.simulate(spec, 1500, EXACT, seed=2)
+    lo, hi = stats.wilson
+    assert lo <= exact <= hi
+    assert 0 < exact < 1
+    assert stats.encoding_errors == 0 and stats.decode_failures == 0
+
+
+@pytest.mark.parametrize("source", ["uniform", "per-index"])
+def test_decode_matches_bruteforce_on_rank_deficient_stack(source):
+    spec = small_spec()
+    n = spec.n
+    if source == "per-index":
+        # distinct marginals per index, so the argmax is not all ties
+        pmfs = stream(4, 0).dirichlet([1.0, 1.0], size=n)
+        spec = lossy.LossyCodeSpec(spec.A, spec.B, spec.c, MemorylessSource(pmfs),
+                                   spec.test_channel, spec.distortion, spec.target_d)
+    assert spec.ech_stacked.rank < n
+    V = all_vectors(2, n)
+    on_a = [v for v in V if np.array_equal(spec.A.mat_vec(v), spec.c)]
+    with np.errstate(divide="ignore"):
+        lp = np.log2(spec.x_marginals)
+    for m in all_vectors(2, spec.B.rows):
+        # independent full-space scan: the first (lexicographic) maximum wins
+        best, best_score = None, -np.inf
+        for v in on_a:
+            if not np.array_equal(spec.B.mat_vec(v), m):
+                continue
+            score = lp[np.arange(n), v].sum()
+            if best is None or score > best_score:
+                best, best_score = v, score
+        got = lossy.decode(spec, m)
+        if best is None:
+            assert got is None
+        else:
+            assert np.array_equal(got, best)
+
+
+def test_simulate_counts_dead_end_as_encoding_error(monkeypatch):
+    spec = small_spec()
+
+    def dead_end(spec, y, cfg, rng):
+        raise DeadEndError("zero continuation mass")
+
+    monkeypatch.setattr(lossy, "encode_reproduction", dead_end)
+    stats = lossy.simulate(spec, 5, EXACT, seed=1)
+    assert stats.encoding_errors == 5 and stats.errors == 5
+    assert stats.mean_per_letter == float("inf")
+
+
+def test_simulate_same_seed_deterministic():
+    spec = small_spec()
+    r1 = lossy.simulate(spec, 50, EXACT, seed=9)
+    r2 = lossy.simulate(spec, 50, EXACT, seed=9)
+    assert r1.as_dict() == r2.as_dict()
+    assert r1.histogram == r2.histogram

@@ -19,7 +19,7 @@ from cosetcode.sampler import (
     path_tree_law,
     step_conditional,
 )
-from cosetcode.sparsemat import SparseMatrix, all_vectors, coset_members
+from cosetcode.sparsemat import SparseMatrix, all_vectors, row_reduce
 from cosetcode.stats import chi2_quantile, chi_square_stat
 from cosetcode.streams import stream
 
@@ -363,7 +363,7 @@ def test_stepper_total_mass_matches_enumeration():
         c = A.mat_vec(rng.integers(0, q, size=n))
         priors = rng.dirichlet(np.ones(q), size=n)
         st = ExactStepper(A, priors)
-        members = coset_members(A, c)
+        members = row_reduce(A).members(c)
         want = sum(
             np.prod(priors[np.arange(n), m]) for m in members
         )

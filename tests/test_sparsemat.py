@@ -8,15 +8,12 @@ from cosetcode.sparsemat import (
     EnsembleSpec,
     SparseMatrix,
     all_vectors,
+    ComplementBijection,
     column_space_basis,
-    complement_bijection,
-    coset_members,
-    kernel_basis,
     left_inverse_of_generator,
     read_gfmat,
     row_reduce,
     sample_sparse_matrix,
-    solve_particular,
     suffix_ranks,
     unique_completion,
     vec_to_index,
@@ -170,9 +167,9 @@ def test_row_reduce_transform_identity():
 def test_solve_particular_identity_and_free_vars():
     I = dense(np.eye(3, dtype=int), GF5)
     c = np.array([4, 0, 2])
-    assert np.array_equal(solve_particular(I, c), c)
+    assert np.array_equal(row_reduce(I).solve(c), c)
     A = dense([[1, 1]], GF2)
-    assert np.array_equal(solve_particular(A, [1]), [1, 0])
+    assert np.array_equal(row_reduce(A).solve([1]), [1, 0])
 
 
 def test_solve_particular_no_solution_confirmed_by_scan():
@@ -181,7 +178,7 @@ def test_solve_particular_no_solution_confirmed_by_scan():
     for _ in range(40):
         D = rng.integers(0, 2, size=(3, 4))
         c = rng.integers(0, 2, size=3)
-        x = solve_particular(D, c, GF2)
+        x = row_reduce(D, GF2).solve(c)
         brute = brute_coset(D, c, 2)
         if x is None:
             assert brute.shape[0] == 0
@@ -197,8 +194,8 @@ def test_solve_particular_no_solution_confirmed_by_scan():
 # ---------------------------------------------------------------------------
 
 def test_kernel_trivial():
-    assert kernel_basis(dense(np.eye(3, dtype=int), GF2)).shape == (0, 3)
-    K = kernel_basis(dense([[1, 1]], GF2))
+    assert row_reduce(dense(np.eye(3, dtype=int), GF2)).kernel.shape == (0, 3)
+    K = row_reduce(dense([[1, 1]], GF2)).kernel
     assert np.array_equal(K, [[1, 1]])
 
 
@@ -206,7 +203,7 @@ def test_kernel_span_equals_bruteforce():
     rng = np.random.default_rng(9)
     for _ in range(10):
         D = rng.integers(0, 2, size=(3, 6))
-        K = kernel_basis(D, GF2)
+        K = row_reduce(D, GF2).kernel
         brute = {tuple(x) for x in all_vectors(2, 6) if not np.any(D @ x % 2)}
         spanned = {
             tuple(z @ K % 2) for z in all_vectors(2, K.shape[0])
@@ -246,7 +243,7 @@ def test_left_inverse_exhaustive_roundtrip():
 def test_complement_bijection_small():
     A = dense([[1, 1]], GF2)
     B = dense([[1, 0]], GF2)
-    xab = complement_bijection(A, B)
+    xab = ComplementBijection(A, B)
     for x in all_vectors(2, 2):
         c, m = xab.split(x)
         assert np.array_equal(xab(c, m), x)
@@ -262,7 +259,7 @@ def test_complement_bijection_random_exhaustive():
         D2 = rng.integers(0, 2, size=(n - l + 1, n))
         A, B = dense(D1, GF2), dense(D2, GF2)
         try:
-            xab = complement_bijection(A, B)
+            xab = ComplementBijection(A, B)
         except ValueError:
             continue
         for x in all_vectors(2, n):
@@ -274,7 +271,7 @@ def test_complement_bijection_rejects_noninjective():
     A = dense([[1, 1]], GF2)
     B = dense([[1, 1]], GF2)
     with pytest.raises(ValueError):
-        complement_bijection(A, B)
+        ComplementBijection(A, B)
 
 
 # ---------------------------------------------------------------------------
@@ -328,10 +325,10 @@ def test_unique_completion_matches_suffix_enumeration():
 
 def test_coset_members_trivial():
     A = dense([[1, 1]], GF2)
-    got = coset_members(A, [0])
+    got = row_reduce(A).members([0])
     assert np.array_equal(got, [[0, 0], [1, 1]])
     I = dense(np.eye(3, dtype=int), GF2)
-    assert np.array_equal(coset_members(I, [1, 0, 1]), [[1, 0, 1]])
+    assert np.array_equal(row_reduce(I).members([1, 0, 1]), [[1, 0, 1]])
 
 
 def test_coset_size_formula_exhaustive():
@@ -341,10 +338,11 @@ def test_coset_size_formula_exhaustive():
         n = int(rng.integers(1, 8 if q == 2 else 6))
         l = int(rng.integers(1, 5))
         D = rng.integers(0, q, size=(l, n))
-        rank = row_reduce(D, field).rank
+        ech = row_reduce(D, field)
+        rank = ech.rank
         x = rng.integers(0, q, size=n)
         c = D @ x % q  # guaranteed in Im A
-        got = coset_members(D, c, field=field)
+        got = ech.members(c)
         assert got.shape[0] == q ** (n - rank)
         assert np.array_equal(got, brute_coset(D, c, q))
         # lexicographic ordering
@@ -355,7 +353,7 @@ def test_coset_size_formula_exhaustive():
 def test_coset_members_cap_refused():
     A = dense(np.zeros((1, 30), dtype=int), GF2)
     with pytest.raises(ValueError):
-        coset_members(A, [0], cap=2 ** 20)
+        row_reduce(A).members([0], cap=2 ** 20)
 
 
 # ---------------------------------------------------------------------------
