@@ -11,6 +11,7 @@ prior) is also provided.
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 
@@ -85,8 +86,20 @@ class ChannelCodeSpec:
         z = rng.integers(0, self.q, size=self.msg_basis.shape[0])
         return z @ self.msg_basis % self.q
 
+    @cached_property
+    def ech_a(self) -> EchelonForm:
+        """Echelon of A for the exhaustive decoder, built on first use."""
+        return row_reduce(self.A)
+
     def message_in_im_b(self, m) -> bool:
-        return row_reduce(self.B).solve(m) is not None
+        """Reduce m against the RREF basis of Im B; m is in Im B iff nothing is left."""
+        m = np.asarray(m, dtype=np.int64) % self.q
+        if m.shape != (self.B.rows,):
+            raise ValueError("message length mismatch")
+        if self.msg_basis.shape[0] == 0:
+            return not np.any(m)
+        leads = np.argmax(self.msg_basis != 0, axis=1)
+        return not np.any((m - m[leads] @ self.msg_basis) % self.q)
 
     def all_messages(self) -> np.ndarray:
         """Every element of Im B (oracle scale)."""
@@ -168,7 +181,7 @@ def decode_map(spec: ChannelCodeSpec, y, channel, cap: int = 2 ** 20) -> DecodeO
 
     Fails when the coset is empty or every member has zero posterior.
     """
-    members = row_reduce(spec.A).members(spec.c, cap)
+    members = spec.ech_a.members(spec.c, cap)
     scores = np.array([spec.prior.log_prob(x) + channel.log_lik(y, x) for x in members])
     if not scores.size or scores.max() == -np.inf:
         return DecodeOutcome(None, "map-exhaustive")

@@ -115,20 +115,28 @@ class BiAwgnChannel:
         s = 1.0 - 2.0 * x
         return s + self.sigma * rng.standard_normal(self.n)
 
-    def density(self, y: np.ndarray) -> np.ndarray:
-        """(n, 2) per-index densities of y_i under x_i = 0, 1."""
+    def log_density(self, y: np.ndarray) -> np.ndarray:
+        """(n, 2) per-index natural-log densities of y_i under x_i = 0, 1."""
         y = np.asarray(y, dtype=float)
         s = np.array([1.0, -1.0])
         z = (y[:, None] - s[None, :]) / self.sigma
-        return np.exp(-0.5 * z * z) / (self.sigma * np.sqrt(2 * np.pi))
+        return -0.5 * z * z - np.log(self.sigma * np.sqrt(2 * np.pi))
+
+    def density(self, y: np.ndarray) -> np.ndarray:
+        """(n, 2) per-index densities of y_i under x_i = 0, 1."""
+        return np.exp(self.log_density(y))
 
     def log_lik(self, y, x) -> float:
         x = np.asarray(x, dtype=np.int64)
-        d = self.density(y)[np.arange(self.n), x]
-        return float(np.log2(d).sum())
+        ld = self.log_density(y)[np.arange(self.n), x]
+        return float(ld.sum() / np.log(2))
 
     def lik_rows(self, y) -> np.ndarray:
-        return self.density(y)
+        """Densities with each row scaled by its maximum (taken in the log
+        domain), so a row never underflows to all zeros; the per-index
+        posteriors do not depend on the scale."""
+        ld = self.log_density(y)
+        return np.exp(ld - ld.max(axis=1, keepdims=True))
 
 
 @dataclass

@@ -45,9 +45,7 @@ class DeadEndError(RuntimeError):
 @dataclass
 class SamplerConfig:
     method: str = "exact"            # "exact" | "sum-product"
-    exact_cap: int = 2 ** 16         # per-step suffix enumeration budget
     exact_cap_states: int = 2 ** 20  # syndrome-table budget q**l
-    oracle_cap: int = 2 ** 20        # whole-sequence enumeration budget q**n
     sp_init_iters: int = 50
     sp_step_iters: int = 2
     sp_damping: float = 0.0
@@ -59,8 +57,8 @@ class SamplerConfig:
     def __post_init__(self):
         if self.method not in ("exact", "sum-product"):
             raise ValueError(f"unknown method {self.method!r}")
-        if min(self.exact_cap, self.exact_cap_states, self.oracle_cap) <= 0:
-            raise ValueError("caps must be positive")
+        if self.exact_cap_states <= 0:
+            raise ValueError("exact_cap_states must be positive")
 
 
 @dataclass
@@ -104,10 +102,12 @@ class ExactStepper:
                 if p == 0:
                     continue
                 shifted = nxt
-                if self.l:
+                if self.l and xv:
+                    # one roll over every axis of col_k; xv = 0 shifts nothing
                     col = dense_cols[k]
-                    for axis in np.nonzero(col)[0]:
-                        shifted = np.roll(shifted, xv * int(col[axis]) % q, axis=axis)
+                    axes = np.nonzero(col)[0]
+                    if axes.size:
+                        shifted = np.roll(nxt, tuple(xv * col[axes] % q), axis=tuple(axes))
                 acc = acc + p * shifted
             tables[k] = acc
         self.tables = tables

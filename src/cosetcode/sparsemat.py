@@ -2,8 +2,11 @@
 
 Matrices are immutable after construction and stored CSR-style with
 canonical rows (ascending columns, no zero coefficients), so equality is
-structural.  Echelon work happens on a dense mirror, which is only
-produced for l*n <= 2**20; everything here is desk scale by design.
+structural.  Elimination returns dense int64 echelon fields and is
+refused above l*n = DENSE_CAP = 2**20, so everything here is desk scale
+by design.  Over GF(2) it runs on rows bit-packed into 64-bit words,
+packed straight from the CSR entries, so no int64 copy of the matrix is
+made; over GF(q > 2) it works on the dense mirror `to_dense`.
 
 `row_reduce` eliminates a matrix once and returns an `EchelonForm`, the
 one object that solves A x = t, holds the kernel and enumerates or
@@ -26,48 +29,60 @@ class SparseMatrix:
 
     def __init__(self, rows: int, cols: int, field: GF, entries):
         """entries: iterable of per-row lists of (col, coeff) pairs."""
+        entries = [list(row) for row in entries]
+        if rows >= 0 and len(entries) != rows:
+            raise ValueError(f"expected {rows} rows of entries, got {len(entries)}")
+        pairs = np.array([p for row in entries for p in row], dtype=np.int64).reshape(-1, 2)
+        row_idx = np.repeat(np.arange(len(entries)), [len(row) for row in entries])
+        self._set(rows, cols, field, row_idx, pairs[:, 0], pairs[:, 1])
+
+    def _set(self, rows, cols, field, row_idx, col_idx, coeffs):
+        """Store entries (row_idx[t], col_idx[t]) = coeffs[t] as canonical CSR."""
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
         self.rows = int(rows)
         self.cols = int(cols)
         self.field = field
-        entries = list(entries)
-        if len(entries) != rows:
-            raise ValueError(f"expected {rows} rows of entries, got {len(entries)}")
-        indptr = np.zeros(rows + 1, dtype=np.int64)
-        all_cols, all_coeffs = [], []
-        for i, row in enumerate(entries):
-            row = sorted((int(c), int(a) % field.q) for c, a in row)
-            last = -1
-            for c, a in row:
-                if not (0 <= c < cols):
-                    raise ValueError(f"column index {c} out of range in row {i}")
-                if c == last:
-                    raise ValueError(f"duplicate column {c} in row {i}")
-                last = c
-                if a == 0:
-                    continue
-                all_cols.append(c)
-                all_coeffs.append(a)
-            indptr[i + 1] = len(all_cols)
-        self.indptr = indptr
-        self.col_idx = np.asarray(all_cols, dtype=np.int64)
-        self.coeffs = np.asarray(all_coeffs, dtype=np.int64)
-        self.row_of = np.repeat(np.arange(rows), np.diff(indptr))
+        row_idx, col_idx, coeffs = (np.asarray(a, dtype=np.int64)
+                                    for a in (row_idx, col_idx, coeffs))
+        if row_idx.size and (row_idx.min() < 0 or row_idx.max() >= rows):
+            raise ValueError("row index out of range")
+        order = np.lexsort((col_idx, row_idx))
+        row_idx, col_idx, coeffs = row_idx[order], col_idx[order], coeffs[order] % field.q
+        # the first fault in (row, column) order is the one reported
+        out_of_range = (col_idx < 0) | (col_idx >= cols)
+        repeated = np.zeros(col_idx.size, dtype=bool)
+        repeated[1:] = (row_idx[1:] == row_idx[:-1]) & (col_idx[1:] == col_idx[:-1])
+        faults = np.flatnonzero(out_of_range | repeated)
+        if faults.size:
+            t = faults[0]
+            what = "column index {} out of range" if out_of_range[t] else "duplicate column {}"
+            raise ValueError(what.format(col_idx[t]) + f" in row {row_idx[t]}")
+        keep = coeffs != 0
+        self.row_of = row_idx[keep]
+        self.col_idx = col_idx[keep]
+        self.coeffs = coeffs[keep]
+        self.indptr = np.zeros(rows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.row_of, minlength=rows), out=self.indptr[1:])
         self._dense = None
 
     # -- construction helpers ----------------------------------------------
+
+    @classmethod
+    def from_coo(cls, rows: int, cols: int, field: GF,
+                 row_idx, col_idx, coeffs) -> "SparseMatrix":
+        """Matrix with entries (row_idx[t], col_idx[t]) = coeffs[t], checked as in __init__."""
+        self = cls.__new__(cls)
+        self._set(rows, cols, field, row_idx, col_idx, coeffs)
+        return self
 
     @classmethod
     def from_dense(cls, arr, field: GF) -> "SparseMatrix":
         arr = np.asarray(arr, dtype=np.int64) % field.q
         if arr.ndim != 2:
             raise ValueError("dense input must be 2-d")
-        entries = [
-            [(int(c), int(arr[i, c])) for c in np.nonzero(arr[i])[0]]
-            for i in range(arr.shape[0])
-        ]
-        return cls(arr.shape[0], arr.shape[1], field, entries)
+        rows, cols = np.nonzero(arr)
+        return cls.from_coo(arr.shape[0], arr.shape[1], field, rows, cols, arr[rows, cols])
 
     def row(self, i: int):
         s, e = self.indptr[i], self.indptr[i + 1]
@@ -77,18 +92,24 @@ class SparseMatrix:
     def nnz(self) -> int:
         return int(self.indptr[-1])
 
+    def check_dense_cap(self) -> None:
+        """Refuse work that needs an l x n dense array above DENSE_CAP entries."""
+        if self.rows * self.cols > DENSE_CAP:
+            raise ValueError(
+                f"dense mirror refused: {self.rows}x{self.cols} exceeds cap {DENSE_CAP}"
+            )
+
     def to_dense(self) -> np.ndarray:
         if self._dense is None:
-            if self.rows * self.cols > DENSE_CAP:
-                raise ValueError(
-                    f"dense mirror refused: {self.rows}x{self.cols} exceeds cap {DENSE_CAP}"
-                )
+            self.check_dense_cap()
             d = np.zeros((self.rows, self.cols), dtype=np.int64)
-            for i in range(self.rows):
-                cols, coeffs = self.row(i)
-                d[i, cols] = coeffs
+            d[self.row_of, self.col_idx] = self.coeffs
             self._dense = d
         return self._dense
+
+    def transpose(self) -> "SparseMatrix":
+        return SparseMatrix.from_coo(self.cols, self.rows, self.field,
+                                     self.col_idx, self.row_of, self.coeffs)
 
     # -- algebra -------------------------------------------------------------
 
@@ -111,9 +132,11 @@ class SparseMatrix:
         """Rows of self followed by rows of other (the map x -> (Ax, Bx))."""
         if other.cols != self.cols or other.field != self.field:
             raise ValueError("stack requires same column count and field")
-        entries = [list(zip(*self.row(i))) for i in range(self.rows)]
-        entries += [list(zip(*other.row(i))) for i in range(other.rows)]
-        return SparseMatrix(self.rows + other.rows, self.cols, self.field, entries)
+        return SparseMatrix.from_coo(
+            self.rows + other.rows, self.cols, self.field,
+            np.concatenate([self.row_of, other.row_of + self.rows]),
+            np.concatenate([self.col_idx, other.col_idx]),
+            np.concatenate([self.coeffs, other.coeffs]))
 
     def column_weights(self) -> np.ndarray:
         w = np.zeros(self.cols, dtype=np.int64)
@@ -165,12 +188,15 @@ def sample_sparse_matrix(spec: EnsembleSpec, rng: np.random.Generator) -> Sparse
     may cancel to zero, in which case the entry is dropped from storage.
     """
     q, n, l, tau = spec.field.q, spec.n, spec.l, spec.tau
-    acc = np.zeros((l, n), dtype=np.int64)
+    js = np.empty((n, tau), dtype=np.int64)
+    avals = np.empty((n, tau), dtype=np.int64)
     for i in range(n):
-        js = rng.integers(0, l, size=tau)
-        avals = rng.integers(1, q, size=tau)
-        np.add.at(acc[:, i], js, avals)
-    return SparseMatrix.from_dense(acc % q, spec.field)
+        js[i] = rng.integers(0, l, size=tau)
+        avals[i] = rng.integers(1, q, size=tau)
+    pos, slot = np.unique((js * n + np.arange(n)[:, None]).ravel(), return_inverse=True)
+    sums = np.zeros(pos.size, dtype=np.int64)
+    np.add.at(sums, slot.ravel(), avals.ravel())
+    return SparseMatrix.from_coo(l, n, spec.field, pos // n, pos % n, sums)
 
 
 # -- echelon forms and solving ------------------------------------------------
@@ -248,40 +274,88 @@ def _as_dense(A, field=None):
 
 
 def row_reduce(A, field: GF | None = None) -> EchelonForm:
-    """Gauss-Jordan elimination over GF(q) on a dense mirror."""
-    D, field = _as_dense(A, field)
-    q = field.q
-    R = D.copy()
-    l, n = R.shape
-    T = np.eye(l, dtype=np.int64)
+    """Gauss-Jordan elimination of [A | I] over GF(q).
+
+    The pivot of each column is the first row at or below the current one
+    with a nonzero there; it is swapped into place, scaled to 1 and
+    cleared from every other row.  For q = 2 the rows are packed into
+    64-bit words and never held as an int64 array before the result; for
+    a SparseMatrix they are packed straight from its entries.
+    """
+    if isinstance(A, SparseMatrix) and A.field.q == 2:
+        A.check_dense_cap()
+        R, T, pivots = _gauss_jordan_gf2(A.rows, A.cols, A.row_of, A.col_idx)
+        field = A.field
+    else:
+        D, field = _as_dense(A, field)
+        if field.q == 2:
+            R, T, pivots = _gauss_jordan_gf2(*D.shape, *np.nonzero(D))
+        else:
+            R, T, pivots = _gauss_jordan_gfq(D, field)
+    return EchelonForm(R, T, np.asarray(pivots, dtype=np.int64), len(pivots), field)
+
+
+def _gauss_jordan_gf2(l: int, n: int, rows, cols):
+    """(R, T, pivots) for the l x n GF(2) matrix with ones at (rows[t], cols[t]).
+
+    Row i of [D | I] is held as little-endian uint64 words, bit j of the
+    row in bit j % 64 of word j // 64, so clearing a column is one XOR of
+    the pivot row's words into each row that has the bit.
+    """
+    words = (n + l + 63) // 64
+    P = np.zeros((l, words), dtype="<u8")
+    one = np.uint64(1)
+    rows = np.concatenate([rows, np.arange(l)])
+    cols = np.concatenate([cols, n + np.arange(l)]).astype(np.uint64)
+    np.bitwise_or.at(P, (rows, cols >> np.uint64(6)), one << (cols & np.uint64(63)))
     pivots = []
-    r = 0
     for col in range(n):
+        r = len(pivots)
         if r == l:
             break
-        hits = np.nonzero(R[r:, col])[0]
+        w = col >> 6
+        hits = np.flatnonzero((P[:, w] >> np.uint64(col & 63)) & one)
+        k = int(np.searchsorted(hits, r))
+        if k == hits.size:
+            continue
+        p = int(hits[k])
+        if p != r:
+            P[[r, p]] = P[[p, r]]
+        # after the swap row p holds row r's old bit, which was 0 when p > r;
+        # words before w are zero in the pivot row
+        others = hits[hits != p]
+        if others.size:
+            P[others, w:] ^= P[r, w:]
+        pivots.append(col)
+    bits = np.unpackbits(P.view(np.uint8), axis=1, count=n + l, bitorder="little")
+    return bits[:, :n].astype(np.int64), bits[:, n:].astype(np.int64), pivots
+
+
+def _gauss_jordan_gfq(D: np.ndarray, field: GF):
+    """(R, T, pivots) for a dense matrix over GF(q); updates only the rows
+    with a nonzero in the pivot column, from that column on."""
+    q = field.q
+    l, n = D.shape
+    M = np.concatenate([D, np.eye(l, dtype=np.int64)], axis=1)
+    pivots = []
+    for col in range(n):
+        r = len(pivots)
+        if r == l:
+            break
+        hits = np.flatnonzero(M[r:, col])
         if hits.size == 0:
             continue
         p = r + int(hits[0])
         if p != r:
-            R[[r, p]] = R[[p, r]]
-            T[[r, p]] = T[[p, r]]
-        if q == 2:
-            mask = R[:, col] == 1
-            mask[r] = False
-            R[mask] ^= R[r]
-            T[mask] ^= T[r]
-        else:
-            piv_inv = int(field.inv_table[R[r, col]])
-            R[r] = R[r] * piv_inv % q
-            T[r] = T[r] * piv_inv % q
-            f = R[:, col].copy()
-            f[r] = 0
-            R = (R - f[:, None] * R[r][None, :]) % q
-            T = (T - f[:, None] * T[r][None, :]) % q
+            M[[r, p]] = M[[p, r]]
+        M[r, col:] = M[r, col:] * int(field.inv_table[M[r, col]]) % q
+        others = np.flatnonzero(M[:, col])
+        others = others[others != r]
+        if others.size:
+            f = M[others, col][:, None]
+            M[others, col:] = (M[others, col:] - f * M[r, col:]) % q
         pivots.append(col)
-        r += 1
-    return EchelonForm(R, T, np.asarray(pivots, dtype=np.int64), r, field)
+    return M[:, :n].copy(), M[:, n:].copy(), pivots
 
 
 def left_inverse_of_generator(G, field: GF | None = None) -> np.ndarray:
@@ -371,7 +445,7 @@ def vec_to_index(x, q: int) -> int:
 
 def column_space_basis(M: SparseMatrix) -> np.ndarray:
     """Basis of Im M = {M x} as a (rank, l) array."""
-    ech = row_reduce(M.to_dense().T, M.field)
+    ech = row_reduce(M.transpose())
     return ech.reduced[: ech.rank].copy()
 
 

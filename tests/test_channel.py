@@ -17,7 +17,7 @@ from cosetcode.channel import (
     simulate,
 )
 from cosetcode.gf import GF
-from cosetcode.models import bsc, uniform_source, MemorylessSource
+from cosetcode.models import biawgn, bsc, uniform_source, MemorylessSource
 from cosetcode.sampler import EncodingError, SamplerConfig
 from cosetcode.sparsemat import SparseMatrix, all_vectors, row_reduce
 from cosetcode.stats import binary_entropy, chi2_quantile, chi_square_stat
@@ -98,6 +98,25 @@ def test_encode_rejects_message_outside_im_b():
     spec = ChannelCodeSpec(A, B, [0], uniform_source(3, 2))
     with pytest.raises(ValueError, match="Im B"):
         encode(spec, [1, 0], EXACT, stream(0, 0))
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_message_in_im_b_matches_solve(q):
+    field = GF(q)
+    for seed in range(4):
+        spec = sample_code(8, 3, 4, 2, field, uniform_source(8, q), seed)
+        ech_b = row_reduce(spec.B)
+        for m in all_vectors(q, 4):
+            assert spec.message_in_im_b(m) == (ech_b.solve(m) is not None)
+    with pytest.raises(ValueError, match="length"):
+        spec.message_in_im_b([0, 0, 0])
+
+
+def test_message_in_im_b_rank_zero():
+    spec = ChannelCodeSpec(dense([[1, 1, 0]]), SparseMatrix(2, 3, GF2, [[], []]), [0],
+                           uniform_source(3, 2))
+    assert spec.message_in_im_b([0, 0])
+    assert not spec.message_in_im_b([0, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +204,17 @@ def test_decode_bp_agrees_with_map_on_tree():
             assert np.array_equal(got.m_hat, want.m_hat)
             agree += 1
     assert agree > 0
+
+
+def test_decode_bp_biawgn_far_outputs():
+    # y far from +-1 at sigma = 0.05 used to underflow to zero evidence
+    spec = small_spec(n=6, l=3, k=3, seed=11)
+    x = spec.ech_stacked.random_member(
+        np.concatenate([spec.c, spec.random_message(stream(2, 0))]), stream(2, 1))
+    ch = biawgn(0.05, spec.n)
+    out = decode_bp(spec, 5.0 * (1 - 2 * x), ch)
+    assert out.success
+    assert np.array_equal(out.m_hat, spec.B.mat_vec(x))
 
 
 def test_decode_bp_failure_on_contradiction():

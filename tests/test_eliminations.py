@@ -1,5 +1,6 @@
 """Each matrix is eliminated once: specs keep their echelons and the per-call
-paths that have one (uniform encoding, lossy decoding) eliminate nothing."""
+paths that have one (uniform encoding, message checks, MAP and lossy
+decoding) eliminate nothing."""
 
 import numpy as np
 import pytest
@@ -49,6 +50,30 @@ def test_channel_spec_and_uniform_encoder(eliminations):
         x = encoder.encode(m, rng)
         assert np.array_equal(spec.stacked.mat_vec(x), np.concatenate([spec.c, m]))
     assert len(eliminations) == 3
+
+
+def test_channel_encode_checks_messages_without_eliminating(eliminations):
+    spec = channel.sample_code(16, 4, 6, 2, GF2, uniform_source(16, 2), seed=4)
+    assert spec.msg_rank < spec.B.rows        # some messages lie outside Im B
+    before = len(eliminations)
+    rng = stream(8, 0)
+    for _ in range(5):
+        m = spec.random_message(rng)
+        x = channel.encode(spec, m, sampler.SamplerConfig(), rng)
+        assert np.array_equal(spec.B.mat_vec(x), m)
+    outside = next(m for m in sparsemat.all_vectors(2, spec.B.rows)
+                   if not spec.message_in_im_b(m))
+    with pytest.raises(ValueError, match="Im B"):
+        channel.encode(spec, outside, sampler.SamplerConfig(), rng)
+    assert len(eliminations) == before
+
+
+def test_exact_error_eliminates_a_once(eliminations):
+    spec = channel.sample_code(6, 3, 3, 2, GF2, uniform_source(6, 2), seed=19)
+    before = len(eliminations)
+    channel.exact_error(spec, bsc(0.1, 6))
+    channel.decode_map(spec, np.zeros(6, dtype=np.int64), bsc(0.1, 6))
+    assert eliminations[before:] == [spec.A]
 
 
 def test_lossy_spec_and_decoder(eliminations):

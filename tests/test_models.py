@@ -92,6 +92,32 @@ def test_biawgn_density_reference_point():
     assert d[0, 1] == pytest.approx(math.exp(-2.0) / math.sqrt(2 * math.pi))
 
 
+def test_biawgn_far_outputs_do_not_underflow():
+    # at sigma = 0.05 both densities of y = +-5 are below the smallest double
+    ch = BiAwgnChannel(0.05, 4)
+    x = np.array([0, 1, 0, 1])
+    y = 5.0 * (1 - 2 * x)
+    assert np.all(ch.density(y) == 0)
+    ll = ch.log_lik(y, x)
+    assert math.isfinite(ll)
+    # log2 of the density of y = 5 under s = +1, per index
+    want = 4 * (-0.5 * (4 / 0.05) ** 2 - math.log(0.05 * math.sqrt(2 * math.pi))) / math.log(2)
+    assert ll == pytest.approx(want)
+    assert ch.log_lik(y, 1 - x) < ll
+    rm = reverse_model(np.full((4, 2), 0.5), ch, y)
+    assert np.array_equal(np.argmax(rm.posteriors, axis=1), x)
+    assert np.all(np.isfinite(rm.posteriors))
+
+
+def test_biawgn_lik_rows_scale_each_row_to_one():
+    ch = BiAwgnChannel(0.8, 3)
+    y = np.array([0.3, -1.2, 2.0])
+    rows = ch.lik_rows(y)
+    assert np.allclose(rows.max(axis=1), 1.0)
+    d = ch.density(y)
+    assert np.allclose(rows, d / d.max(axis=1, keepdims=True))
+
+
 def test_channel_sampling_frequencies():
     ch = bsc(0.2, 4000)
     x = np.zeros(4000, dtype=int)

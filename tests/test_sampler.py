@@ -59,6 +59,15 @@ def oracle_step_pmf(A, c, priors, prefix, k):
 # exact coset law
 # ---------------------------------------------------------------------------
 
+def test_config_validation():
+    with pytest.raises(ValueError, match="exact_cap_states"):
+        SamplerConfig(exact_cap_states=0)
+    with pytest.raises(ValueError, match="method"):
+        SamplerConfig(method="gibbs")
+    with pytest.raises(TypeError):
+        SamplerConfig(exact_cap=10)        # removed: nothing read it
+
+
 def test_exact_coset_law_uniform():
     A = dense([[1, 1, 0], [0, 1, 1]], GF2)
     members, probs = exact_coset_law(A, [0, 0], np.full((3, 2), 0.5))
@@ -368,6 +377,41 @@ def test_stepper_total_mass_matches_enumeration():
             np.prod(priors[np.arange(n), m]) for m in members
         )
         assert st.mass_of(c) == pytest.approx(float(want), abs=1e-12)
+
+
+def per_axis_roll_tables(D, priors, q):
+    """Reference suffix-mass tables: one np.roll per nonzero entry of each
+    column, for every symbol including 0."""
+    l, n = D.shape
+    last = np.zeros((q,) * l)
+    last[(0,) * l] = 1.0
+    tables = [last]
+    for k in range(n - 1, -1, -1):
+        acc = np.zeros_like(last)
+        for xv in range(q):
+            if priors[k, xv] == 0:
+                continue
+            shifted = tables[-1]
+            for axis in np.nonzero(D[:, k])[0]:
+                shifted = np.roll(shifted, xv * int(D[axis, k]) % q, axis=axis)
+            acc = acc + priors[k, xv] * shifted
+        tables.append(acc)
+    return tables[::-1]
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_stepper_tables_match_per_axis_rolls(q):
+    rng = np.random.default_rng(q)
+    for _ in range(4):
+        n, l = 7, 4 if q < 5 else 3
+        D = rng.integers(0, q, size=(l, n)) * (rng.random((l, n)) < 0.5)
+        D[:, 2] = 0                                   # an all-zero column
+        priors = rng.dirichlet(np.ones(q), size=n)
+        priors[1, 0] = 0                              # a symbol the prior excludes
+        priors[1] /= priors[1].sum()
+        st = ExactStepper(SparseMatrix.from_dense(D, GF(q)), priors)
+        for got, want in zip(st.tables, per_axis_roll_tables(D, priors, q), strict=True):
+            assert np.array_equal(got, want)
 
 
 def test_stepper_cap_refused():

@@ -5,6 +5,7 @@ import pytest
 
 from cosetcode.gf import GF
 from cosetcode.sparsemat import (
+    DENSE_CAP,
     EnsembleSpec,
     SparseMatrix,
     all_vectors,
@@ -48,6 +49,51 @@ def brute_rank(D, q):
     return r
 
 
+def dense_gauss_jordan(D, q):
+    """Reference elimination: Gauss-Jordan on int64 copies of D and I, every
+    row updated at every pivot.  Returns (R, T, pivots, rank)."""
+    R = np.asarray(D, dtype=np.int64) % q
+    l, n = R.shape
+    T = np.eye(l, dtype=np.int64)
+    inv = [0] + [pow(a, q - 2, q) for a in range(1, q)]
+    pivots = []
+    r = 0
+    for col in range(n):
+        if r == l:
+            break
+        hits = np.nonzero(R[r:, col])[0]
+        if hits.size == 0:
+            continue
+        p = r + int(hits[0])
+        if p != r:
+            R[[r, p]] = R[[p, r]]
+            T[[r, p]] = T[[p, r]]
+        piv_inv = inv[R[r, col]]
+        R[r] = R[r] * piv_inv % q
+        T[r] = T[r] * piv_inv % q
+        f = R[:, col].copy()
+        f[r] = 0
+        R = (R - f[:, None] * R[r][None, :]) % q
+        T = (T - f[:, None] * T[r][None, :]) % q
+        pivots.append(col)
+        r += 1
+    return R, T, np.asarray(pivots, dtype=np.int64), r
+
+
+def dense_accumulator_sample(spec, rng):
+    """Reference tau-ensemble draw: add each column's draws into a dense l x n
+    array, then build the matrix from per-row entry lists."""
+    q = spec.field.q
+    acc = np.zeros((spec.l, spec.n), dtype=np.int64)
+    for i in range(spec.n):
+        js = rng.integers(0, spec.l, size=spec.tau)
+        avals = rng.integers(1, q, size=spec.tau)
+        np.add.at(acc[:, i], js, avals)
+    acc %= q
+    entries = [[(c, acc[j, c]) for c in np.nonzero(acc[j])[0]] for j in range(spec.l)]
+    return SparseMatrix(spec.l, spec.n, spec.field, entries)
+
+
 def brute_coset(D, c, q):
     n = D.shape[1]
     out = [x for x in all_vectors(q, n) if np.array_equal(D @ x % q, c % q)]
@@ -84,6 +130,15 @@ def test_sample_reproducible_and_column_weight_bound():
     assert A1 != A3  # different stream, overwhelmingly different draw
 
 
+@pytest.mark.parametrize("field", [GF2, GF3])
+def test_sample_matches_dense_accumulator(field):
+    for seed in range(6):
+        spec = EnsembleSpec(n=40 + 13 * seed, l=3 + 4 * seed, field=field,
+                            tau=2 + 2 * (seed % 3))
+        assert sample_sparse_matrix(spec, stream(seed, 4)) == \
+            dense_accumulator_sample(spec, stream(seed, 4))
+
+
 def test_sample_cancellation_to_zero_column():
     # q=2, tau=2: both draws on the same (j, a) cancel since 1+1=0
     spec = EnsembleSpec(n=200, l=1, field=GF2, tau=2)
@@ -97,6 +152,40 @@ def test_tau_validation():
         EnsembleSpec(n=4, l=2, field=GF2, tau=3)
     with pytest.raises(ValueError):
         EnsembleSpec(n=4, l=0, field=GF2, tau=2)
+
+
+def test_construction_validation():
+    with pytest.raises(ValueError, match="negative"):
+        SparseMatrix(-1, 2, GF2, [])
+    with pytest.raises(ValueError, match="expected 2 rows"):
+        SparseMatrix(2, 2, GF2, [[]])
+    with pytest.raises(ValueError, match="column index 5 out of range in row 1"):
+        SparseMatrix(2, 3, GF2, [[(0, 1)], [(5, 1), (1, 1)]])
+    with pytest.raises(ValueError, match="duplicate column 1 in row 0"):
+        SparseMatrix(2, 3, GF3, [[(1, 1), (1, 2)], []])
+    with pytest.raises(ValueError, match="row index"):
+        SparseMatrix.from_coo(2, 3, GF2, [2], [0], [1])
+    with pytest.raises(ValueError, match="duplicate column 2 in row 1"):
+        SparseMatrix.from_coo(2, 3, GF2, [1, 0, 1], [2, 2, 2], [1, 1, 1])
+
+
+def test_coo_construction_is_canonical():
+    # unsorted input, coefficients outside [0, q) and a zero are normalised
+    A = SparseMatrix.from_coo(2, 4, GF3, [1, 0, 1, 0], [3, 2, 0, 1], [4, 3, -1, 2])
+    assert A == dense([[0, 2, 0, 0], [2, 0, 0, 1]], GF3)
+    assert np.array_equal(A.row_of, [0, 1, 1])
+    assert A.nnz == 3
+
+
+def test_stack_and_transpose_match_dense():
+    rng = np.random.default_rng(21)
+    for field in (GF2, GF5):
+        D1 = rng.integers(0, field.q, size=(4, 7)) * (rng.random((4, 7)) < 0.4)
+        D2 = rng.integers(0, field.q, size=(3, 7)) * (rng.random((3, 7)) < 0.4)
+        A, B = dense(D1, field), dense(D2, field)
+        assert A.stack(B) == dense(np.vstack([D1, D2]), field)
+        assert A.transpose() == dense(D1.T, field)
+        assert np.array_equal(A.transpose().to_dense(), D1.T)
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +247,64 @@ def test_row_reduce_transform_identity():
         ech = row_reduce(D, field)
         assert np.array_equal(ech.transform @ D % q, ech.reduced)
         assert np.all(np.diff(ech.pivots) > 0)
+
+
+# (l, n): n + l just below, at and above 64 and 128, l > n, a single row,
+# a single column, and one 256 x 512 case
+GF2_SHAPES = [(20, 43), (20, 44), (20, 45), (50, 77), (50, 78), (50, 79),
+              (40, 10), (90, 40), (1, 70), (1, 1), (70, 1), (256, 512)]
+
+
+def assert_echelon_matches(ech, ref):
+    R, T, pivots, rank = ref
+    assert ech.reduced.dtype == ech.transform.dtype == np.int64
+    assert np.array_equal(ech.reduced, R)
+    assert np.array_equal(ech.transform, T)
+    assert np.array_equal(ech.pivots, pivots)
+    assert ech.rank == rank
+
+
+@pytest.mark.parametrize("shape", GF2_SHAPES)
+@pytest.mark.parametrize("density", [0.0, 0.05, 0.5])
+def test_row_reduce_gf2_matches_dense_reference(shape, density):
+    rng = np.random.default_rng([shape[0], shape[1], int(100 * density)])
+    D = (rng.random(shape) < density).astype(np.int64)
+    ref = dense_gauss_jordan(D, 2)
+    assert_echelon_matches(row_reduce(D, GF2), ref)
+    assert_echelon_matches(row_reduce(dense(D, GF2)), ref)
+    # raw entries outside {0, 1} are reduced mod 2 first
+    assert_echelon_matches(row_reduce(D + 2 * rng.integers(-3, 3, size=shape), GF2), ref)
+
+
+def test_row_reduce_gf2_rank_deficient_and_repeated_rows():
+    rng = np.random.default_rng(31)
+    base = rng.integers(0, 2, size=(6, 130))
+    D = np.vstack([base, base[::-1], rng.integers(0, 2, size=(4, 6)) @ base % 2])
+    assert_echelon_matches(row_reduce(dense(D, GF2)), dense_gauss_jordan(D, 2))
+
+
+@pytest.mark.parametrize("field", [GF3, GF5])
+def test_row_reduce_gfq_matches_dense_reference(field):
+    rng = np.random.default_rng(field.q)
+    for shape in [(1, 1), (5, 9), (9, 5), (30, 60), (0, 4), (4, 0)]:
+        D = rng.integers(0, field.q, size=shape) * (rng.random(shape) < 0.3)
+        ref = dense_gauss_jordan(D, field.q)
+        assert_echelon_matches(row_reduce(D, field), ref)
+        assert_echelon_matches(row_reduce(dense(D, field)), ref)
+
+
+def test_row_reduce_empty_gf2():
+    for shape in [(0, 5), (5, 0), (0, 0)]:
+        D = np.zeros(shape, dtype=np.int64)
+        assert_echelon_matches(row_reduce(D, GF2), dense_gauss_jordan(D, 2))
+
+
+def test_row_reduce_refuses_above_dense_cap():
+    A = SparseMatrix(DENSE_CAP // 512 + 1, 512, GF2, [[]] * (DENSE_CAP // 512 + 1))
+    with pytest.raises(ValueError, match="exceeds cap"):
+        row_reduce(A)
+    with pytest.raises(ValueError, match="exceeds cap"):
+        column_space_basis(A)
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +512,14 @@ def test_column_space_basis():
     basis = column_space_basis(B)
     assert basis.shape == (1, 2)
     assert np.array_equal(basis, [[1, 0]])
+
+
+def test_column_space_basis_is_rref_of_transpose():
+    rng = np.random.default_rng(23)
+    for field, shape in [(GF2, (70, 150)), (GF3, (8, 20))]:
+        D = rng.integers(0, field.q, size=shape) * (rng.random(shape) < 0.2)
+        R, _, _, rank = dense_gauss_jordan(D.T, field.q)
+        assert np.array_equal(column_space_basis(dense(D, field)), R[:rank])
 
 
 def test_suffix_ranks_against_row_reduce():
