@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fastbp import CosetBP
+from .fastbp import CosetBP, CosetGraph
 from .models import MemorylessSource, rate_quantities, reverse_model
 from .sampler import (
     DeadEndError,
@@ -91,6 +91,11 @@ class ChannelCodeSpec:
         """Echelon of A for the exhaustive decoder, built on first use."""
         return row_reduce(self.A)
 
+    @cached_property
+    def graph_a(self) -> CosetGraph:
+        """Factor graph of A for the BP decoder, built on first use."""
+        return CosetGraph(self.A)
+
     def message_in_im_b(self, m) -> bool:
         """Reduce m against the RREF basis of Im B; m is in Im B iff nothing is left."""
         m = np.asarray(m, dtype=np.int64) % self.q
@@ -131,9 +136,12 @@ class ChannelEncoder:
         self.cfg = cfg
         self.q = spec.q
         self.uniform = cfg.uniform_shortcut and _is_uniform(spec.prior.pmfs)
-        if not self.uniform and cfg.method == "exact":
-            self._stepper = ExactStepper(spec.stacked, spec.prior.pmfs,
-                                         cfg.exact_cap_states)
+        if not self.uniform:
+            if cfg.method == "exact":
+                self._stepper = ExactStepper(spec.stacked, spec.prior.pmfs,
+                                             cfg.exact_cap_states)
+            else:
+                self._graph = CosetGraph(spec.stacked)
             self._kstar = _early_stop_index(spec.stacked, cfg.early_stop)
 
     def encode(self, m, rng) -> np.ndarray:
@@ -151,7 +159,8 @@ class ChannelEncoder:
             eng = _ExactEngine(spec.stacked, target, spec.prior.pmfs, self.cfg,
                                stepper=self._stepper, kstar=self._kstar)
             return eng.draw(rng).x
-        eng = _SumProductEngine(spec.stacked, target, spec.prior.pmfs, self.cfg)
+        eng = _SumProductEngine(spec.stacked, target, spec.prior.pmfs, self.cfg,
+                                graph=self._graph, kstar=self._kstar)
         return eng.draw(rng).x
 
 
@@ -197,7 +206,7 @@ def decode_bp(spec: ChannelCodeSpec, y, channel, iters: int = 100,
         rm = reverse_model(spec.prior.pmfs, channel, y)
     except ValueError:
         return DecodeOutcome(None, "bp-then-B")
-    bp = CosetBP(spec.A, spec.c, rm.posteriors, damping=damping)
+    bp = CosetBP(spec.graph_a, spec.c, rm.posteriors, damping=damping)
     converged = bp.run(iters, tol)
     if bp.failed:
         return DecodeOutcome(None, "bp-then-B", converged=False,
@@ -362,14 +371,15 @@ def linear_decode(spec: LinearCodeSpec, y, channel, prior: MemorylessSource,
 
 
 def rate_check(spec: ChannelCodeSpec, channel) -> dict:
-    """Achievability conditions (advisory at finite n)."""
+    """Achievability conditions (advisory at finite n), as plain floats and bools."""
     rq = rate_quantities(spec.prior.pmfs, channel)
-    r, R = spec.rate_r, spec.rate_R
+    r, R = float(spec.rate_r), float(spec.rate_R)
+    h_x, h_xy = float(rq.h_x), float(rq.h_x_given_y)
     return {
         "r": r,
         "R": R,
-        "h_x": rq.h_x,
-        "h_x_given_y": rq.h_x_given_y,
-        "cond_r": r > rq.h_x_given_y,        # r > H(X|Y)
-        "cond_rR": r + R < rq.h_x,           # r + R < H(X)
+        "h_x": h_x,
+        "h_x_given_y": h_xy,
+        "cond_r": r > h_xy,        # r > H(X|Y)
+        "cond_rR": r + R < h_x,    # r + R < H(X)
     }

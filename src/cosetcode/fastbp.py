@@ -3,13 +3,33 @@
 Same fixed point as factorgraph.sum_product on graphs made of per-index
 priors plus affine checks, but all factor updates run as batched array
 ops: check messages go through a DFT over Z_q so the per-factor
-convolutions become products, and exclusive products use padded
-prefix/suffix cumulative products.
+convolutions become products, and exclusive products come from
+prefix/suffix products.
+
+The work is split in two.  `CosetGraph` holds what depends on the matrix
+alone: the edges in CSR (check-major) order, the gather indices of both
+sides, the DFT matrices and scratch buffers.  A code builds it once per
+matrix, and every decode or draw on that matrix reuses it.  `CosetBP`
+holds one run's state: targets, priors, messages and what conditioning
+has fixed.  States that share a graph share its scratch, so they run one
+at a time.
+
+Messages are stored symbol-major, as (q, E) arrays over the edges in CSR
+order, so every per-symbol operation reads a contiguous row of E values.
+Each side (checks, variables) gathers them by one `take` into a table
+where groups are ranked by degree and the j-th message of every group
+sits in plane j; each step of the prefix and of the suffix scan then
+multiplies one contiguous run, and one more `take` reads each edge's
+exclusive product back in CSR order (see `_GroupProducts`).  Products
+are taken in the order of a per-group left-to-right and right-to-left
+scan, so over GF(2) the messages are the same bit for bit as with any
+other layout.
 
 Supports in-place conditioning (fix x_i = v): the symbol is folded into
 the residual targets and the variable's edges go inactive, which is what
-the sequential sampler needs.  Inactive edges contribute delta_0, whose
-transform is all-ones, so the padded products need no masking.
+the sequential sampler needs.  An inactive edge sends delta_0 to its
+check, whose transform is all-ones, and a neutral message to its
+variable.
 """
 
 import numpy as np
@@ -18,12 +38,135 @@ from .gf import GF
 from .sparsemat import SparseMatrix
 
 
+class _GroupProducts:
+    """Per edge, the product of the other messages of its group (its check,
+    or its variable), for messages given as (q, E) in CSR edge order.
+
+    Groups are ranked by degree, most edges first, and the j-th message of
+    every group of degree >= j sits in plane j of a flat table, a
+    (count_j, q) block, so the groups one scan step covers are a contiguous
+    run of it.  `before` holds, per entry, the product of the group's
+    earlier messages, left to right, and `after` that of its later ones,
+    right to left; both start as ones and are never written where a group
+    has no earlier or no later message.  The products therefore come out
+    as a per-group prefix/suffix scan makes them, whatever the layout.
+    """
+
+    def __init__(self, groups, size: int, q: int, dtype):
+        E = groups.size
+        order = np.argsort(groups, kind="stable")       # each group's edges, in edge order
+        deg = np.bincount(groups, minlength=size)
+        start = np.zeros(size + 1, dtype=np.int64)
+        np.cumsum(deg, out=start[1:])
+        slot = np.empty(E, dtype=np.int64)              # 1-based position in its group
+        slot[order] = 1 + np.arange(E) - start[groups[order]]
+        rank = np.empty(size, dtype=np.int64)
+        rank[np.argsort(-deg, kind="stable")] = np.arange(size)
+        D = int(deg.max()) if E else 0
+        count = np.zeros(D + 2, dtype=np.int64)         # count[j]: groups of degree >= j
+        count[1:D + 1] = np.cumsum(np.bincount(deg, minlength=D + 1)[::-1])[::-1][1:]
+        offset = np.zeros(D + 2, dtype=np.int64)        # plane j starts at offset[j]
+        np.cumsum(q * count[1:D + 1], out=offset[2:])
+
+        # at[k, e]: flat table index of symbol k of edge e
+        self.at = offset[slot] + rank[groups] * q + np.arange(q)[:, None]
+        self.src = np.empty(q * E, dtype=np.int64)      # table entry -> flat message index
+        self.src[self.at] = np.arange(q)[:, None] * E + np.arange(E)
+        self.order, self.start, self.size = order, start, size
+        self.last = order[start[1:][deg > 0] - 1]       # each group's last edge
+        self.has_edges = np.flatnonzero(deg > 0)
+        self.table = np.empty(q * E, dtype=dtype)
+        self.before = np.ones(q * E, dtype=dtype)
+        self.after = np.ones(q * E, dtype=dtype)
+
+        def plane(buf, j, rows):
+            """The first `rows` groups of plane j."""
+            return buf[offset[j]:offset[j] + q * rows]
+
+        self.before_steps = [(plane(self.before, j - 1, count[j]),
+                              plane(self.table, j - 1, count[j]),
+                              plane(self.before, j, count[j])) for j in range(2, D + 1)]
+        self.after_steps = [(plane(self.after, j + 1, count[j + 1]),
+                             plane(self.table, j + 1, count[j + 1]),
+                             plane(self.after, j, count[j + 1])) for j in range(D - 1, 0, -1)]
+
+    def __call__(self, messages):
+        """(q, E): per edge, the product of the other messages of its group."""
+        np.take(messages, self.src, out=self.table, mode="clip")
+        for run, here, out in self.before_steps:
+            np.multiply(run, here, out=out)
+        for run, here, out in self.after_steps:
+            np.multiply(run, here, out=out)
+        return (self.before * self.after).take(self.at)
+
+    def members(self, group: int) -> np.ndarray:
+        """The group's edges, in increasing edge order."""
+        return self.order[self.start[group]:self.start[group + 1]]
+
+    def products(self, messages) -> np.ndarray:
+        """(q, groups): the product of all of each group's messages, left to
+        right; one for a group without edges."""
+        out = np.ones((messages.shape[0], self.size), dtype=messages.dtype)
+        out[:, self.has_edges] = self(messages)[:, self.last] * messages[:, self.last]
+        return out
+
+
+class CosetGraph:
+    """Factor graph of {x : A x = c} for every c: edges, indices and scratch."""
+
+    def __init__(self, A: SparseMatrix):
+        q, l, n = A.field.q, A.rows, A.cols
+        self.q, self.l, self.n = q, l, n
+        # edges in CSR (check-major) order; A is not modified after construction
+        self.e_var, self.e_factor, self.e_coeff = A.col_idx, A.row_of, A.coeffs
+        self.indptr = A.indptr
+        E = self.E = int(self.e_var.size)
+        self.f_deg = np.diff(A.indptr)
+
+        # DFT matrices; real Hadamard for q = 2, complex roots of unity otherwise
+        if q == 2:
+            self.W = np.array([[1.0, 1.0], [1.0, -1.0]])
+            self.Winv = self.W / 2.0
+            self.cdtype = np.float64
+        else:
+            j, k = np.meshgrid(np.arange(q), np.arange(q), indexing="ij")
+            w = np.exp(-2j * np.pi / q)
+            self.W = w ** (j * k)
+            self.Winv = np.conj(self.W) / q
+            self.cdtype = np.complex128
+        sym = np.arange(q)[:, None]
+        # scaled[v, e] = pi[coeff_e^-1 * v, e], read at flat index in_idx[v, e];
+        # None when every coefficient is 1 (always for q = 2)
+        invc = GF(q).inv_table[self.e_coeff]
+        self.in_idx = None if np.all(self.e_coeff == 1) else \
+            (invc * sym) % q * E + np.arange(E)
+        self.neg_cx = (-self.e_coeff * sym) % q
+        self.residue = np.arange(2 * q - 1) % q      # t + neg_cx lies in 0..2q-2
+
+        self.checks = _GroupProducts(self.e_factor, l, q, self.cdtype)
+        self.variables = _GroupProducts(self.e_var, n, q, np.float64)
+
+    def out_index(self, targets, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Flat index into conv of sigma[v, e] = conv[t_f - a_e v, e], edges lo..hi."""
+        hi = self.E if hi is None else hi
+        cols = np.arange(lo, hi)
+        sym = self.residue.take(targets[self.e_factor[lo:hi]] + self.neg_cx[:, lo:hi])
+        return sym * self.E + cols
+
+
 class CosetBP:
-    def __init__(self, A: SparseMatrix, c, priors, damping: float = 0.0):
-        q = A.field.q
-        self.q = q
-        self.n = A.cols
-        self.l = A.rows
+    """One sum-product run on a coset graph: targets, priors and messages.
+
+    A is a SparseMatrix, whose graph is then built for this run alone, or
+    a CosetGraph shared with other runs on the same matrix.  Messages are
+    (q, E) arrays over the graph's edges in CSR order: pi from variables to
+    checks, sigma from checks to variables.
+    """
+
+    def __init__(self, A: "SparseMatrix | CosetGraph", c, priors, damping: float = 0.0):
+        g = self.graph = A if isinstance(A, CosetGraph) else CosetGraph(A)
+        q = self.q = g.q
+        self.n, self.l, self.E = g.n, g.l, g.E
         self.damping = float(damping)
         priors = np.asarray(priors, dtype=float)
         if priors.shape != (self.n, q):
@@ -34,62 +177,21 @@ class CosetBP:
             raise ValueError("target length mismatch")
         self.targets = c.copy()
 
-        # flat edge arrays in CSR (factor-major) order
-        self.e_var = A.col_idx.copy()
-        self.e_factor = A.row_of.copy()
-        self.e_coeff = A.coeffs.copy()
-        self.E = int(self.e_var.size)
-        deg = np.diff(A.indptr)
-        self.e_pos = np.concatenate([np.arange(d) for d in deg]) if self.E else \
-            np.zeros(0, dtype=np.int64)
-        self.f_deg = deg
-        self.active_deg = deg.copy()
-        self.D = int(deg.max()) if self.l else 0
-
-        # variable-side grouping
-        order = np.argsort(self.e_var, kind="stable")
-        self.v_edges = order
-        self.v_deg = np.bincount(self.e_var, minlength=self.n)
-        self.Dv = int(self.v_deg.max()) if self.E else 0
-        self.ve_pos = np.concatenate([np.arange(d) for d in self.v_deg]) if self.E else \
-            np.zeros(0, dtype=np.int64)
-        self.ve_var = self.e_var[order]
-        bounds = np.concatenate([[0], np.cumsum(self.v_deg)])
-        self.var_edge_list = [order[bounds[v]:bounds[v + 1]] for v in range(self.n)]
-
-        # DFT matrices; real Hadamard for q = 2, complex roots of unity otherwise
-        if q == 2:
-            self.W = np.array([[1.0, 1.0], [1.0, -1.0]])
-            self.Winv = self.W / 2.0
-            self._cdtype = np.float64
-        else:
-            j, k = np.meshgrid(np.arange(q), np.arange(q), indexing="ij")
-            w = np.exp(-2j * np.pi / q)
-            self.W = w ** (j * k)
-            self.Winv = np.conj(self.W) / q
-            self._cdtype = np.complex128
-        inv_table = GF(q).inv_table
-        # IDX_IN[e, v] = coeff^-1 * v: scaled[e, a*x] = pi[e, x]
-        invc = inv_table[self.e_coeff]
-        self.idx_in = (invc[:, None] * np.arange(q)[None, :]) % q
-        self.neg_cx = (-self.e_coeff[:, None] * np.arange(q)[None, :]) % q
-
         self.active = np.ones(self.E, dtype=bool)
+        self.active_deg = g.f_deg.copy()
         self.fixed = np.full(self.n, -1, dtype=np.int64)
-        self.pi = self.priors[self.e_var].copy()
-        self.sigma = np.full((self.E, q), 1.0 / q)
-        self.failed = False
+        self.prior_e = priors.T.take(g.e_var, axis=1)
+        self.pi = self.prior_e.copy()
+        self.sigma = np.full((q, self.E), 1.0 / q)
+        self.out_idx = g.out_index(self.targets)
+        self.failed = bool(np.any((g.f_deg == 0) & (self.targets != 0)))
         self.iterations = 0
 
-        bad = np.nonzero((self.f_deg == 0) & (self.targets != 0))[0]
-        if bad.size:
-            self.failed = True
-
     def clone(self) -> "CosetBP":
-        """Copy of the mutable message state; structure arrays are shared."""
+        """Copy of the mutable message state; the graph and priors are shared."""
         other = object.__new__(CosetBP)
         other.__dict__.update(self.__dict__)
-        for name in ("targets", "active", "active_deg", "fixed", "pi", "sigma"):
+        for name in ("targets", "active", "active_deg", "fixed", "pi", "sigma", "out_idx"):
             setattr(other, name, getattr(self, name).copy())
         return other
 
@@ -100,18 +202,19 @@ class CosetBP:
         if self.fixed[v] >= 0:
             raise ValueError(f"variable {v} already fixed")
         self.fixed[v] = value
+        g, q = self.graph, self.q
         ok = True
-        for e in self.var_edge_list[v]:
-            if not self.active[e]:
-                continue
-            f = self.e_factor[e]
-            self.targets[f] = (self.targets[f] - self.e_coeff[e] * value) % self.q
+        for e in g.variables.members(v):
+            f = g.e_factor[e]
+            self.targets[f] = (self.targets[f] - g.e_coeff[e] * value) % q
             self.active[e] = False
-            self.pi[e] = 0.0
-            self.pi[e, value] = 1.0
+            self.pi[:, e] = 0.0
+            self.pi[value, e] = 1.0
             self.active_deg[f] -= 1
             if self.active_deg[f] == 0 and self.targets[f] != 0:
                 ok = False
+            lo, hi = g.indptr[f], g.indptr[f + 1]
+            self.out_idx[:, lo:hi] = g.out_index(self.targets, lo, hi)
         if not ok:
             self.failed = True
         return ok
@@ -124,68 +227,46 @@ class CosetBP:
             return False
         if self.E == 0:
             return True
-        q, E = self.q, self.E
+        g, q = self.graph, self.q
+        idle = np.flatnonzero(~self.active)
         for _ in range(iters):
             self.iterations += 1
             # factor side: sigma from pi
-            scaled = np.take_along_axis(self.pi, self.idx_in, axis=1)
-            scaled[~self.active] = 0.0
-            scaled[~self.active, 0] = 1.0
-            F = scaled.astype(self._cdtype) @ self.W.T
-            P = np.ones((self.l, self.D, q), dtype=self._cdtype)
-            P[self.e_factor, self.e_pos] = F
-            cp = np.cumprod(P, axis=1)
-            prefix = np.ones_like(P)
-            prefix[:, 1:] = cp[:, :-1]
-            rcp = np.cumprod(P[:, ::-1], axis=1)[:, ::-1]
-            suffix = np.ones_like(P)
-            suffix[:, :-1] = rcp[:, 1:]
-            excl = prefix * suffix
-            G = excl[self.e_factor, self.e_pos]
-            conv = (G @ self.Winv).real if self._cdtype is np.complex128 else G @ self.Winv
+            scaled = self.pi if g.in_idx is None else self.pi.take(g.in_idx)
+            F = g.W @ scaled.astype(g.cdtype, copy=False)
+            F[:, idle] = 1.0                # delta_0 transforms to all-ones
+            conv = g.Winv @ g.checks(F)
+            if g.cdtype is not np.float64:
+                conv = conv.real
             np.clip(conv, 0.0, None, out=conv)
-            idx_out = (self.targets[self.e_factor][:, None] + self.neg_cx) % q
-            sig_new = np.take_along_axis(conv, idx_out, axis=1)
-            sums = sig_new.sum(axis=1)
-            dead = (sums <= 0) & self.active
+            sig_new = conv.take(self.out_idx)
+            sums = sig_new.sum(axis=0)
+            dead = sums <= 0
+            dead[idle] = False
             if np.any(dead):
                 self.failed = True
                 return False
-            safe = np.where(sums > 0, sums, 1.0)
-            sig_new = sig_new / safe[:, None]
-            sig_new[~self.active] = 1.0 / q
+            sig_new /= np.where(sums > 0, sums, 1.0)
+            sig_new[:, idle] = 1.0 / q
             if self.damping:
                 sig_new = (1 - self.damping) * sig_new + self.damping * self.sigma
-            delta = float(np.abs(sig_new - self.sigma)[self.active].max()) \
-                if np.any(self.active) else 0.0
+            diff = np.abs(sig_new - self.sigma)
+            diff[:, idle] = 0.0
+            delta = float(diff.max())
             self.sigma = sig_new
 
             # variable side: pi from sigma
-            V = np.ones((self.n, self.Dv, q))
-            sig_by_var = self.sigma[self.v_edges]
-            act_by_var = self.active[self.v_edges]
-            sig_by_var = np.where(act_by_var[:, None], sig_by_var, 1.0)
-            V[self.ve_var, self.ve_pos] = sig_by_var
-            cp = np.cumprod(V, axis=1)
-            prefix = np.ones_like(V)
-            prefix[:, 1:] = cp[:, :-1]
-            rcp = np.cumprod(V[:, ::-1], axis=1)[:, ::-1]
-            suffix = np.ones_like(V)
-            suffix[:, :-1] = rcp[:, 1:]
-            excl = (prefix * suffix)[self.ve_var, self.ve_pos]
-            pi_new = self.priors[self.ve_var] * excl
-            sums = pi_new.sum(axis=1)
-            dead = (sums <= 0) & act_by_var
+            incoming = np.where(self.active, sig_new, 1.0) if idle.size else sig_new
+            pi_new = self.prior_e * g.variables(incoming)
+            sums = pi_new.sum(axis=0)
+            dead = sums <= 0
+            dead[idle] = False
             if np.any(dead):
                 self.failed = True
                 return False
-            safe = np.where(sums > 0, sums, 1.0)
-            pi_new = pi_new / safe[:, None]
-            upd = np.zeros_like(self.pi)
-            upd[self.v_edges] = pi_new
-            keep = ~self.active
-            upd[keep] = self.pi[keep]
-            self.pi = upd
+            pi_new /= np.where(sums > 0, sums, 1.0)
+            pi_new[:, idle] = self.pi[:, idle]
+            self.pi = pi_new
             if delta < tol:
                 return True
         return False
@@ -199,26 +280,23 @@ class CosetBP:
             out[self.fixed[v]] = 1.0
             return out
         g = self.priors[v].copy()
-        for e in self.var_edge_list[v]:
+        for e in self.graph.variables.members(v):
             if self.active[e]:
-                g = g * self.sigma[e]
+                g = g * self.sigma[:, e]
         s = g.sum()
         if s <= 0:
             return None
         return g / s
 
     def marginals(self) -> np.ndarray:
-        V = np.ones((self.n, max(self.Dv, 1), self.q))
-        if self.E:
-            sig_by_var = np.where(self.active[self.v_edges][:, None],
-                                  self.sigma[self.v_edges], 1.0)
-            V[self.ve_var, self.ve_pos] = sig_by_var
-        g = self.priors * V.prod(axis=1)
-        sums = g.sum(axis=1)
+        """(n, q) beliefs; an all-zero belief reads as uniform."""
+        incoming = np.where(self.active, self.sigma, 1.0)
+        g = self.priors.T * self.graph.variables.products(incoming)
+        sums = g.sum(axis=0)
         zero = sums <= 0
-        g[zero] = 1.0 / self.q
-        sums = np.where(zero, 1.0, sums)
-        out = g / sums[:, None]
+        g[:, zero] = 1.0 / self.q
+        sums[zero] = 1.0
+        out = (g / sums).T.copy()
         for v in np.nonzero(self.fixed >= 0)[0]:
             out[v] = 0.0
             out[v, self.fixed[v]] = 1.0

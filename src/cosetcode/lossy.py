@@ -10,10 +10,11 @@ the deterministic special case through the pairing bijection.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .fastbp import CosetBP
+from .fastbp import CosetBP, CosetGraph
 from .models import DiscreteChannel, DistortionSpec, MemorylessSource
 from .sampler import (
     DeadEndError,
@@ -75,6 +76,11 @@ class LossyCodeSpec:
     def q(self) -> int:
         return self.A.field.q
 
+    @cached_property
+    def graph_stacked(self) -> CosetGraph:
+        """Factor graph of the stacked map for BP decoding, built on first use."""
+        return CosetGraph(self.stacked)
+
     def posteriors(self, y) -> np.ndarray:
         """(n, q) per-index reproduction posteriors for the observed word."""
         y = np.asarray(y, dtype=np.int64)
@@ -111,7 +117,7 @@ def decode(spec: LossyCodeSpec, m, cap: int = 2 ** 20,
     if x is None or ech.rank == spec.n:
         return x
     if mode == "bp" or (mode == "auto" and q ** (spec.n - ech.rank) > cap):
-        bp = CosetBP(spec.stacked, target, spec.x_marginals)
+        bp = CosetBP(spec.graph_stacked, target, spec.x_marginals)
         bp.run(bp_iters, 1e-8)
         if bp.failed:
             return None
@@ -154,6 +160,7 @@ class DistortionStats:
             "encoding_errors": self.encoding_errors,
             "decode_failures": self.decode_failures,
             "mean_per_letter_distortion": self.mean_per_letter,
+            "histogram": {str(d): count for d, count in self.histogram.items()},
         }
 
 
@@ -231,7 +238,8 @@ def exact_error(spec: LossyCodeSpec, target_d: float | None = None,
 
 
 def rate_check(spec: LossyCodeSpec) -> dict:
-    """Achievability conditions for the lossy construction (advisory)."""
+    """Achievability conditions for the lossy construction (advisory), as plain
+    floats and bools."""
     n = spec.n
     h_x = float(np.mean([entropy_bits(spec.x_marginals[i]) for i in range(n)]))
     h_xy = 0.0
@@ -240,8 +248,8 @@ def rate_check(spec: LossyCodeSpec) -> dict:
             py = spec.source.pmfs[i, yv]
             if py > 0:
                 h_xy += py * entropy_bits(spec.test_channel.kernels[i, yv])
-    h_xy /= n
-    r, R = spec.rate_r, spec.rate_R
+    h_xy = float(h_xy / n)
+    r, R = float(spec.rate_r), float(spec.rate_R)
     return {
         "r": r,
         "R": R,

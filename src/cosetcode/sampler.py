@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fastbp import CosetBP
+from .fastbp import CosetBP, CosetGraph
 from .sparsemat import SparseMatrix, row_reduce, suffix_ranks, unique_completion
 from .stats import entropy_bits
 from .streams import sample_pmf
@@ -245,18 +245,19 @@ class _ExactEngine:
 
 
 class _SumProductEngine:
-    def __init__(self, A, c, priors, cfg):
+    def __init__(self, A, c, priors, cfg, graph: CosetGraph | None = None,
+                 kstar: int | None = None):
         self.A, self.cfg = A, cfg
         self.q, self.n = A.field.q, A.cols
         self.c = np.asarray(c, dtype=np.int64) % self.q
-        base = CosetBP(A, c, priors, damping=cfg.sp_damping)
+        base = CosetBP(graph if graph is not None else A, c, priors, damping=cfg.sp_damping)
         if base.failed:
             raise EncodingError("coset is empty: a constraint is unsatisfiable")
         self.converged = base.run(cfg.sp_init_iters, cfg.sp_tol)
         if base.failed:
             raise EncodingError("coset has zero prior mass")
         self.base = base
-        self.kstar = _early_stop_index(A, cfg.early_stop)
+        self.kstar = kstar if kstar is not None else _early_stop_index(A, cfg.early_stop)
 
     def draw(self, rng) -> GeneratedSample:
         cfg, n = self.cfg, self.n

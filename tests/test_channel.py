@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -361,3 +362,10 @@ def test_rate_check_violations():
     rep2 = rate_check(spec2, ch)
     assert rep2["r"] + rep2["R"] >= 1.0 - 1e-12
     assert not rep2["cond_rR"]
+
+def test_rate_check_is_plain_json():
+    spec = small_spec()
+    rep = rate_check(spec, bsc(0.1, spec.n))
+    assert json.loads(json.dumps(rep)) == rep
+    assert {type(v) for v in rep.values()} <= {bool, float}
+    assert type(rep["cond_r"]) is bool and type(rep["cond_rR"]) is bool

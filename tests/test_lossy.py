@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -80,3 +82,27 @@ def test_simulate_same_seed_deterministic():
     r2 = lossy.simulate(spec, 50, EXACT, seed=9)
     assert r1.as_dict() == r2.as_dict()
     assert r1.histogram == r2.histogram
+
+
+def test_rate_check_is_plain_json():
+    rep = lossy.rate_check(small_spec())
+    assert json.loads(json.dumps(rep)) == rep
+    assert {type(v) for v in rep.values()} <= {bool, float}
+    assert type(rep["cond_r"]) is bool and type(rep["cond_rR"]) is bool
+
+
+def test_as_dict_carries_the_histogram(monkeypatch):
+    spec = small_spec()
+    stats = lossy.simulate(spec, 40, EXACT, seed=5)
+    out = json.loads(json.dumps(stats.as_dict()))
+    hist = out["histogram"]
+    assert sum(hist.values()) == 40
+    assert hist == {str(d): count for d, count in stats.histogram.items()}
+    assert {float(d) for d in hist} == set(stats.histogram)
+
+    def dead_end(spec, y, cfg, rng):
+        raise DeadEndError("zero continuation mass")
+
+    monkeypatch.setattr(lossy, "encode_reproduction", dead_end)
+    failed = json.loads(json.dumps(lossy.simulate(spec, 3, EXACT, seed=1).as_dict()))
+    assert failed["histogram"] == {"inf": 3}
