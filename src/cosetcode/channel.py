@@ -10,23 +10,14 @@ prior) is also provided.
 """
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .fastbp import CosetBP, CosetGraph
 from .models import MemorylessSource, rate_quantities, reverse_model
-from .sampler import (
-    DeadEndError,
-    EncodingError,
-    ExactStepper,
-    SamplerConfig,
-    _ExactEngine,
-    _SumProductEngine,
-    _early_stop_index,
-    _is_uniform,
-)
+from .sampler import CosetSampler, DeadEndError, EncodingError, SamplerConfig, is_uniform
 from .sparsemat import (
     EchelonForm,
     EnsembleSpec,
@@ -96,6 +87,11 @@ class ChannelCodeSpec:
         """Factor graph of A for the BP decoder, built on first use."""
         return CosetGraph(self.A)
 
+    @cached_property
+    def sampler(self) -> CosetSampler:
+        """Sampling structure of the stacked map for the encoder, built on first use."""
+        return CosetSampler(self.stacked)
+
     def message_in_im_b(self, m) -> bool:
         """Reduce m against the RREF basis of Im B; m is in Im B iff nothing is left."""
         m = np.asarray(m, dtype=np.int64) % self.q
@@ -129,20 +125,14 @@ def sample_code(n: int, l: int, k: int, tau: int, field, prior: MemorylessSource
 
 
 class ChannelEncoder:
-    """Reusable encoder: shares the expensive structures across messages."""
+    """Reusable encoder: one sampling engine for the prior serves every message."""
 
     def __init__(self, spec: ChannelCodeSpec, cfg: SamplerConfig):
         self.spec = spec
-        self.cfg = cfg
         self.q = spec.q
-        self.uniform = cfg.uniform_shortcut and _is_uniform(spec.prior.pmfs)
+        self.uniform = cfg.uniform_shortcut and is_uniform(spec.prior.pmfs)
         if not self.uniform:
-            if cfg.method == "exact":
-                self._stepper = ExactStepper(spec.stacked, spec.prior.pmfs,
-                                             cfg.exact_cap_states)
-            else:
-                self._graph = CosetGraph(spec.stacked)
-            self._kstar = _early_stop_index(spec.stacked, cfg.early_stop)
+            self._engine = spec.sampler.engine(spec.prior.pmfs, cfg)
 
     def encode(self, m, rng) -> np.ndarray:
         spec, q = self.spec, self.q
@@ -155,13 +145,7 @@ class ChannelEncoder:
             if x is None:
                 raise EncodingError("C_AB(c, m) is empty")
             return x
-        if self.cfg.method == "exact":
-            eng = _ExactEngine(spec.stacked, target, spec.prior.pmfs, self.cfg,
-                               stepper=self._stepper, kstar=self._kstar)
-            return eng.draw(rng).x
-        eng = _SumProductEngine(spec.stacked, target, spec.prior.pmfs, self.cfg,
-                                graph=self._graph, kstar=self._kstar)
-        return eng.draw(rng).x
+        return self._engine.draw(target, rng).x
 
 
 def encode(spec: ChannelCodeSpec, m, cfg: SamplerConfig, rng,
@@ -357,7 +341,7 @@ def linear_encode(spec: LinearCodeSpec, m) -> np.ndarray:
 def linear_decode(spec: LinearCodeSpec, y, channel, prior: MemorylessSource,
                   cap: int = 2 ** 20) -> np.ndarray | None:
     """MAP over the coset, then strip the offset and invert the generator."""
-    if not _is_uniform(prior.pmfs):
+    if not is_uniform(prior.pmfs):
         raise ValueError("the deterministic special case assumes a uniform prior")
     members = spec.ech.members(spec.c, cap)
     scores = np.array([channel.log_lik(y, x) for x in members])

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gf import GF
 from .sparsemat import SparseMatrix, all_vectors
 
 
@@ -155,7 +156,6 @@ def sum_product(graph: FactorGraph, max_iters: int = 100, damping: float = 0.0,
             return _normalize(t.sum(axis=axes), "factor")
         # affine check: distribution of the partial sums via circular convolution
         if f.q not in inv_tables:
-            from .gf import GF
             inv_tables[f.q] = GF(f.q).inv_table
         inv = inv_tables[f.q]
         w = len(f.scope)

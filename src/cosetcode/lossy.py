@@ -16,13 +16,7 @@ import numpy as np
 
 from .fastbp import CosetBP, CosetGraph
 from .models import DiscreteChannel, DistortionSpec, MemorylessSource
-from .sampler import (
-    DeadEndError,
-    EncodingError,
-    SamplerConfig,
-    exact_coset_law,
-    make_engine,
-)
+from .sampler import CosetSampler, DeadEndError, EncodingError, SamplerConfig, exact_coset_law
 from .sparsemat import ComplementBijection, SparseMatrix, all_vectors, row_reduce
 from .stats import entropy_bits, wilson_interval
 from .streams import stream
@@ -81,6 +75,11 @@ class LossyCodeSpec:
         """Factor graph of the stacked map for BP decoding, built on first use."""
         return CosetGraph(self.stacked)
 
+    @cached_property
+    def sampler(self) -> CosetSampler:
+        """Sampling structure of A for the encoder, built on first use."""
+        return CosetSampler(self.A)
+
     def posteriors(self, y) -> np.ndarray:
         """(n, q) per-index reproduction posteriors for the observed word."""
         y = np.asarray(y, dtype=np.int64)
@@ -94,9 +93,7 @@ def encode(spec: LossyCodeSpec, y, cfg: SamplerConfig, rng) -> np.ndarray:
 
 
 def encode_reproduction(spec: LossyCodeSpec, y, cfg: SamplerConfig, rng) -> np.ndarray:
-    posts = spec.posteriors(y)
-    engine = make_engine(spec.A, spec.c, posts, cfg)
-    return engine.draw(rng).x
+    return spec.sampler.engine(spec.posteriors(y), cfg).draw(spec.c, rng).x
 
 
 def decode(spec: LossyCodeSpec, m, cap: int = 2 ** 20,

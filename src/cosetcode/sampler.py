@@ -1,36 +1,36 @@
 """Constrained sampling: x ~ product prior restricted to the coset C_A(c).
 
-Sequential sampling of x_1..x_n where each step draws from the exact (or
-sum-product-approximated) conditional of the coset-restricted law given
-the prefix.  Residual constraint state is kept as an adjusted target per
-check row, so nothing is rebuilt between steps.  An interval-algorithm
-variant consumes a lazily expanded binary omega instead of a PRNG, which
-makes the whole encoder a deterministic function of omega.
-
-Engines
-  exact        suffix-mass tables over the residual syndrome group;
-               feasible while q**l fits the state cap.  Conditionals are
-               exact, so generation never dead-ends after a positive
-               start (asserted).
-  sum-product  belief-propagation conditionals on the residual graph;
-               the scaled path.  Approximate on loopy graphs; zero-mass
-               steps trigger a bounded number of restarts.
-
-With uniform priors and a linear map the restricted law is uniform on
-the coset, so `generate` short-circuits to a particular solution plus a
-random kernel combination; that is the same law with none of the
-sequential work.
+x_1..x_n are drawn in turn, each from the conditional of the restricted
+law given the prefix, until the prefix pins the suffix, which is then
+solved for (the early stop).  The work has three lifetimes:
+  per matrix  `CosetSampler(A)`: the early-stop index (from the suffix
+              ranks of A), the sum-product `CosetGraph` and the echelon
+              form, each built on first use;
+  per prior   `CosetSampler.engine(priors, cfg)`: exact (`ExactStepper`
+              suffix-mass tables while q**l fits the state cap; never
+              dead-ends after a positive start), sum-product (BP
+              conditionals, the scaled path; approximate on loopy graphs,
+              so a dead end restarts the draw) or uniform (uniform priors
+              make the law uniform on the coset: a solution plus a random
+              kernel combination, with no sequential work);
+  per target  `engine.draw(c, rng)`.
+`_drive` is the one step loop.  A per-draw state gives the step pmf
+(`pmf(k)`) and takes the chosen symbol (`commit(k, v)`); a selector
+`choose(pmf)` picks it: a PRNG (`draw`), the interval algorithm over a
+lazily expanded binary omega, which makes the encoder a deterministic
+function of omega (`generate_interval`), or a forced path that multiplies
+its step probabilities (`path_tree_law`).  The driver then completes the
+suffix at the early stop and checks A x = c.
 """
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, partial
 
 import numpy as np
 
 from .fastbp import CosetBP, CosetGraph
-from .sparsemat import SparseMatrix, row_reduce, suffix_ranks, unique_completion
-from .stats import entropy_bits
+from .sparsemat import EchelonForm, SparseMatrix, row_reduce, suffix_ranks, unique_completion
 from .streams import sample_pmf
 
 
@@ -59,16 +59,18 @@ class SamplerConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.exact_cap_states <= 0:
             raise ValueError("exact_cap_states must be positive")
+        if self.retries < 1:
+            raise ValueError("retries must be >= 1")
+        if not 0 <= self.sp_damping < 1:
+            raise ValueError("sp_damping must lie in [0, 1)")
 
 
 @dataclass
 class GeneratedSample:
     x: np.ndarray
     termination: str                 # "full" | "early"
-    steps: int
-    step_log2_probs: list = field(default_factory=list)
-    step_entropies: list = field(default_factory=list)
-    converged: bool | None = None    # BP flag; None for exact engine
+    steps: int                       # symbols drawn before the suffix was pinned
+    converged: bool | None = None    # initial BP run's flag; None for other engines
 
 
 class ExactStepper:
@@ -140,8 +142,191 @@ class ExactStepper:
         return out / s
 
 
-def _is_uniform(priors: np.ndarray) -> bool:
+def is_uniform(priors: np.ndarray) -> bool:
+    """True when every index has the same uniform pmf."""
     return bool(np.all(priors == priors[0, 0]))
+
+
+class CosetSampler:
+    """Sampling structure of one matrix, shared by every prior and target."""
+
+    def __init__(self, A: SparseMatrix):
+        self.A = A
+
+    @cached_property
+    def early_stop_index(self) -> int:
+        """First prefix length at which the suffix is pinned for every prefix."""
+        sr = suffix_ranks(self.A)
+        n = self.A.cols
+        return next((k for k in range(1, n + 1) if sr[k] == n - k), n)
+
+    @cached_property
+    def graph(self) -> CosetGraph:
+        """Factor graph for the sum-product engine."""
+        return CosetGraph(self.A)
+
+    @cached_property
+    def echelon(self) -> EchelonForm:
+        """Echelon form for the uniform engine and coset enumeration."""
+        return row_reduce(self.A)
+
+    def target(self, c) -> np.ndarray:
+        return np.asarray(c, dtype=np.int64) % self.A.field.q
+
+    def engine(self, priors, cfg: SamplerConfig):
+        """Sampling engine for one prior; its `draw(c, rng)` serves every target."""
+        priors = np.asarray(priors, dtype=float)
+        if cfg.uniform_shortcut and is_uniform(priors):
+            return _UniformEngine(self)
+        return _STEPWISE[cfg.method](self, priors, cfg)
+
+
+# -- the driver -------------------------------------------------------------------
+
+
+def _require_mass(pmf: np.ndarray, k: int) -> np.ndarray:
+    if pmf.sum() <= 0:
+        if k == 0:
+            raise EncodingError("coset has zero prior mass")
+        raise DeadEndError(f"zero continuation mass at step {k + 1}")
+    return pmf
+
+
+def _drive(sampler: CosetSampler, c: np.ndarray, state, choose,
+           early_stop: bool) -> GeneratedSample:
+    """The step loop: x_k = choose(pmf_k) until the prefix pins the suffix."""
+    A, n = sampler.A, sampler.A.cols
+    stop = sampler.early_stop_index if early_stop else n
+    x = np.zeros(n, dtype=np.int64)
+    for k in range(stop):
+        x[k] = v = choose(_require_mass(state.pmf(k), k))
+        state.commit(k, v)
+    if stop < n:
+        status, suffix = unique_completion(A, c, x[:stop])
+        if status != "unique":
+            raise DeadEndError("unique completion inconsistent")
+        x[stop:] = suffix
+    if not np.array_equal(A.mat_vec(x), c):
+        raise DeadEndError("generated sequence violates the constraint")
+    return GeneratedSample(x, "early" if stop < n else "full", stop)
+
+
+class _ExactState:
+    """Per-draw state of the exact engine: the residual target."""
+
+    def __init__(self, stepper: ExactStepper, c: np.ndarray):
+        self.stepper, self.residual = stepper, c
+
+    def pmf(self, k: int) -> np.ndarray:
+        return self.stepper.step_pmf(k, self.residual)
+
+    def commit(self, k: int, v: int) -> None:
+        st = self.stepper
+        if st.l:
+            self.residual = (self.residual - v * st.cols[k]) % st.q
+
+
+class _BeliefState:
+    """Per-draw state of the sum-product engine: BP conditioned on the prefix.
+
+    A commit fixes the symbol; the next pmf read first runs `iters`
+    iterations, so a draw that stops early runs no wasted BP.
+    """
+
+    def __init__(self, bp: CosetBP, iters: int, tol: float, stale: bool = False):
+        self.bp, self.iters, self.tol, self.stale = bp, iters, tol, stale
+
+    def pmf(self, k: int) -> np.ndarray:
+        if self.stale:
+            self.bp.run(self.iters, self.tol)
+            self.stale = False
+        belief = self.bp.marginal(k)
+        return belief if belief is not None else np.zeros(self.bp.q)
+
+    def commit(self, k: int, v: int) -> None:
+        if not self.bp.condition(k, v):
+            raise DeadEndError(f"contradiction after fixing step {k + 1}")
+        self.stale = True
+
+
+class _UniformEngine:
+    """Uniform priors + linear map: the restricted law is uniform on the coset."""
+
+    def __init__(self, sampler: CosetSampler):
+        self.sampler = sampler
+
+    def draw(self, c, rng) -> GeneratedSample:
+        x = self.sampler.echelon.random_member(c, rng)
+        if x is None:
+            raise EncodingError("coset is empty: c is outside Im A")
+        return GeneratedSample(x, "full", self.sampler.A.cols)
+
+
+class _ExactEngine:
+    """Exact conditionals from the suffix-mass tables of one prior."""
+
+    def __init__(self, sampler: CosetSampler, priors, cfg: SamplerConfig):
+        self.sampler, self.cfg = sampler, cfg
+        self.stepper = ExactStepper(sampler.A, priors, cfg.exact_cap_states)
+
+    def walk(self, c, choose) -> GeneratedSample:
+        """One pass of the driver with the given selector."""
+        c = self.sampler.target(c)
+        return _drive(self.sampler, c, _ExactState(self.stepper, c), choose,
+                      self.cfg.early_stop)
+
+    def draw(self, c, rng) -> GeneratedSample:
+        return self.walk(c, partial(sample_pmf, rng))
+
+
+class _SumProductEngine:
+    """BP conditionals on the matrix's graph; a dead end restarts the draw."""
+
+    def __init__(self, sampler: CosetSampler, priors, cfg: SamplerConfig):
+        self.sampler, self.priors, self.cfg = sampler, priors, cfg
+
+    def _start(self, c):
+        """BP on the target after its initial run, and that run's convergence flag."""
+        cfg = self.cfg
+        bp = CosetBP(self.sampler.graph, c, self.priors, damping=cfg.sp_damping)
+        if bp.failed:
+            raise EncodingError("coset is empty: a constraint is unsatisfiable")
+        converged = bp.run(cfg.sp_init_iters, cfg.sp_tol)
+        if bp.failed:
+            raise EncodingError("coset has zero prior mass")
+        return bp, converged
+
+    def _pass(self, c, bp, choose) -> GeneratedSample:
+        cfg = self.cfg
+        return _drive(self.sampler, c, _BeliefState(bp, cfg.sp_step_iters, cfg.sp_tol),
+                      choose, cfg.early_stop)
+
+    def walk(self, c, choose) -> GeneratedSample:
+        """One pass of the driver with the given selector, without restarts."""
+        c = self.sampler.target(c)
+        return self._pass(c, self._start(c)[0], choose)
+
+    def draw(self, c, rng) -> GeneratedSample:
+        c = self.sampler.target(c)
+        base, converged = self._start(c)
+        choose = partial(sample_pmf, rng)
+        for _ in range(self.cfg.retries):
+            try:
+                sample = self._pass(c, base.clone(), choose)
+            except DeadEndError:
+                continue
+            sample.converged = converged
+            return sample
+        raise DeadEndError(f"sum-product engine failed after {self.cfg.retries} restarts")
+
+
+_STEPWISE = {"exact": _ExactEngine, "sum-product": _SumProductEngine}
+
+
+def generate(A: SparseMatrix, c, priors, cfg: SamplerConfig,
+             rng: np.random.Generator) -> GeneratedSample:
+    """Steps 1-6: sequential conditional sampling with optional early stop."""
+    return CosetSampler(A).engine(priors, cfg).draw(c, rng)
 
 
 def step_conditional(A: SparseMatrix, c, priors, prefix, cfg: SamplerConfig):
@@ -151,169 +336,17 @@ def step_conditional(A: SparseMatrix, c, priors, prefix, cfg: SamplerConfig):
     k = prefix.shape[0]
     if k >= A.cols:
         raise ValueError("prefix already covers the whole sequence")
+    sampler = CosetSampler(A)
+    c = sampler.target(c)
     if cfg.method == "exact":
-        stepper = ExactStepper(A, priors, cfg.exact_cap_states)
-        residual = np.asarray(c, dtype=np.int64) % stepper.q
-        for j in range(k):
-            if stepper.l:
-                residual = (residual - prefix[j] * stepper.cols[j]) % stepper.q
-        pmf = stepper.step_pmf(k, residual)
+        state = _ExactState(ExactStepper(A, priors, cfg.exact_cap_states), c)
     else:
-        bp = CosetBP(A, c, priors, damping=cfg.sp_damping)
-        for j in range(k):
-            if not bp.condition(j, int(prefix[j])):
-                pmf = np.zeros(A.field.q)
-                break
-        else:
-            bp.run(cfg.sp_init_iters, cfg.sp_tol)
-            m = bp.marginal(k)
-            pmf = m if m is not None else np.zeros(A.field.q)
-    if pmf.sum() <= 0:
-        if k == 0:
-            raise EncodingError("coset has zero prior mass")
-        raise DeadEndError(f"zero continuation mass at step {k + 1}")
-    return pmf
-
-
-def _early_stop_index(A: SparseMatrix, enabled: bool) -> int:
-    """First prefix length at which the suffix is pinned for every prefix."""
-    if not enabled:
-        return A.cols
-    sr = suffix_ranks(A)
-    n = A.cols
-    for k in range(1, n + 1):
-        if sr[k] == n - k:
-            return k
-    return n
-
-
-def _complete_suffix(A: SparseMatrix, c, x, k):
-    """Solve for the unique suffix of a length-k prefix; None if inconsistent."""
-    status, suffix = unique_completion(A, c, x[:k])
-    if status != "unique":
-        return None
-    x[k:] = suffix
-    return x
-
-
-class _UniformEngine:
-    """Uniform priors + linear map: the restricted law is uniform on the coset."""
-
-    def __init__(self, A, c):
-        self.A = A
-        self.n = A.cols
-        self.c = c
-        self.ech = row_reduce(A)
-        if self.ech.solve(c) is None:
-            raise EncodingError("coset is empty: c is outside Im A")
-
-    def draw(self, rng) -> GeneratedSample:
-        x = self.ech.random_member(self.c, rng)
-        return GeneratedSample(x, "full", self.n, [], [], None)
-
-
-class _ExactEngine:
-    def __init__(self, A, c, priors, cfg, stepper: ExactStepper | None = None,
-                 kstar: int | None = None):
-        self.A, self.cfg = A, cfg
-        self.q, self.n = A.field.q, A.cols
-        self.c = np.asarray(c, dtype=np.int64) % self.q
-        self.stepper = stepper or ExactStepper(A, priors, cfg.exact_cap_states)
-        if self.stepper.mass_of(self.c) <= 0:
-            raise EncodingError("coset has zero prior mass")
-        self.kstar = kstar if kstar is not None else _early_stop_index(A, cfg.early_stop)
-
-    def draw(self, rng) -> GeneratedSample:
-        st, q, n = self.stepper, self.q, self.n
-        residual = self.c.copy()
-        x = np.zeros(n, dtype=np.int64)
-        logs, ents = [], []
-        for k in range(n):
-            pmf = st.step_pmf(k, residual)
-            assert pmf.sum() > 0, "exact engine cannot dead-end after a positive start"
-            xv = sample_pmf(rng, pmf)
-            x[k] = xv
-            logs.append(math.log2(pmf[xv]))
-            ents.append(entropy_bits(pmf))
-            if st.l:
-                residual = (residual - xv * st.cols[k]) % q
-            if k + 1 >= self.kstar and k + 1 < n:
-                done = _complete_suffix(self.A, self.c, x, k + 1)
-                assert done is not None, "unique completion must exist for the exact engine"
-                return GeneratedSample(x, "early", k + 1, logs, ents, None)
-        return GeneratedSample(x, "full", n, logs, ents, None)
-
-
-class _SumProductEngine:
-    def __init__(self, A, c, priors, cfg, graph: CosetGraph | None = None,
-                 kstar: int | None = None):
-        self.A, self.cfg = A, cfg
-        self.q, self.n = A.field.q, A.cols
-        self.c = np.asarray(c, dtype=np.int64) % self.q
-        base = CosetBP(graph if graph is not None else A, c, priors, damping=cfg.sp_damping)
-        if base.failed:
-            raise EncodingError("coset is empty: a constraint is unsatisfiable")
-        self.converged = base.run(cfg.sp_init_iters, cfg.sp_tol)
-        if base.failed:
-            raise EncodingError("coset has zero prior mass")
-        self.base = base
-        self.kstar = kstar if kstar is not None else _early_stop_index(A, cfg.early_stop)
-
-    def draw(self, rng) -> GeneratedSample:
-        cfg, n = self.cfg, self.n
-        first_pmf_seen = False
-        for _ in range(cfg.retries):
-            bp = self.base.clone()
-            x = np.zeros(n, dtype=np.int64)
-            logs, ents = [], []
-            ok = True
-            for k in range(n):
-                pmf = bp.marginal(k)
-                if pmf is None or pmf.sum() <= 0:
-                    if k == 0 and not first_pmf_seen:
-                        raise EncodingError("coset has zero prior mass")
-                    ok = False
-                    break
-                first_pmf_seen = True
-                xv = sample_pmf(rng, pmf)
-                x[k] = xv
-                logs.append(math.log2(pmf[xv]) if pmf[xv] > 0 else float("-inf"))
-                ents.append(entropy_bits(pmf))
-                if not bp.condition(k, xv):
-                    ok = False
-                    break
-                if k + 1 >= self.kstar and k + 1 < n:
-                    done = _complete_suffix(self.A, self.c, x, k + 1)
-                    if done is None:
-                        ok = False
-                    break
-                if k + 1 < n:
-                    bp.run(cfg.sp_step_iters, cfg.sp_tol)
-            if ok and np.array_equal(self.A.mat_vec(x), self.c):
-                term = "early" if cfg.early_stop and len(logs) < n else "full"
-                return GeneratedSample(x, term, len(logs), logs, ents, self.converged)
-        raise DeadEndError(f"sum-product engine failed after {cfg.retries} restarts")
-
-
-def make_engine(A: SparseMatrix, c, priors, cfg: SamplerConfig):
-    """Prebuild a sampling engine; reuse it when (A, c, priors) repeat."""
-    priors = np.asarray(priors, dtype=float)
-    if cfg.uniform_shortcut and _is_uniform(priors):
-        return _UniformEngine(A, c)
-    if cfg.method == "exact":
-        return _ExactEngine(A, c, priors, cfg)
-    return _SumProductEngine(A, c, priors, cfg)
-
-
-def generate(A: SparseMatrix, c, priors, cfg: SamplerConfig,
-             rng: np.random.Generator, engine=None) -> GeneratedSample:
-    """Steps 1-6: sequential conditional sampling with optional early stop."""
-    if engine is None:
-        engine = make_engine(A, c, priors, cfg)
-    return engine.draw(rng)
-
-
-# -- interval-algorithm variant -------------------------------------------------
+        # the whole prefix is fixed before BP's first run
+        bp = CosetBP(sampler.graph, c, priors, damping=cfg.sp_damping)
+        state = _BeliefState(bp, cfg.sp_init_iters, cfg.sp_tol, stale=True)
+    for j, v in enumerate(prefix):
+        state.commit(j, int(v))
+    return _require_mass(state.pmf(k), k)
 
 
 class BitStream:
@@ -348,6 +381,34 @@ class BitStream:
         return cls.from_bits(bits)
 
 
+class _Interval:
+    """Interval-algorithm selector: each symbol narrows [lo, hi) to its share."""
+
+    def __init__(self, omega: BitStream):
+        self.omega = omega
+        self.lo, self.hi = Fraction(0), Fraction(1)
+        self.w_lo = self.w_depth = 0  # omega lies in [w_lo, w_lo + 1) / 2**w_depth
+
+    def __call__(self, pmf) -> int:
+        fr = [Fraction(float(p)) for p in pmf]
+        s = sum(fr)
+        width = self.hi - self.lo
+        bounds = [self.lo]
+        acc = Fraction(0)
+        for p in fr:
+            acc += p
+            bounds.append(self.lo + width * acc / s)
+        while True:
+            om_lo = Fraction(self.w_lo, 1 << self.w_depth)
+            om_hi = Fraction(self.w_lo + 1, 1 << self.w_depth)
+            for xv in range(len(fr)):
+                if bounds[xv] <= om_lo and om_hi <= bounds[xv + 1]:
+                    self.lo, self.hi = bounds[xv], bounds[xv + 1]
+                    return xv
+            self.w_lo = (self.w_lo << 1) | self.omega.bit()
+            self.w_depth += 1
+
+
 def generate_interval(A: SparseMatrix, c, priors, cfg: SamplerConfig,
                       omega: BitStream):
     """Nested-interval selection driven by omega; law identical to generate.
@@ -356,77 +417,8 @@ def generate_interval(A: SparseMatrix, c, priors, cfg: SamplerConfig,
     bit, so a fixed omega gives a bit-reproducible deterministic encoder.
     Returns (GeneratedSample, bits_consumed).
     """
-    priors = np.asarray(priors, dtype=float)
-    q, n = A.field.q, A.cols
-    c_arr = np.asarray(c, dtype=np.int64) % q
-    stepper = bp = None
-    if cfg.method == "exact":
-        stepper = ExactStepper(A, priors, cfg.exact_cap_states)
-        if stepper.mass_of(c_arr) <= 0:
-            raise EncodingError("coset has zero prior mass")
-        residual = c_arr.copy()
-    else:
-        bp = CosetBP(A, c, priors, damping=cfg.sp_damping)
-        if bp.failed:
-            raise EncodingError("coset is empty: a constraint is unsatisfiable")
-        bp.run(cfg.sp_init_iters, cfg.sp_tol)
-    kstar = _early_stop_index(A, cfg.early_stop)
-
-    lo, hi = Fraction(0), Fraction(1)
-    w_lo, w_depth = 0, 0  # omega known to lie in [w_lo, w_lo + 1) / 2**w_depth
-    x = np.zeros(n, dtype=np.int64)
-    logs, ents = [], []
-    for k in range(n):
-        if cfg.method == "exact":
-            pmf = stepper.step_pmf(k, residual)
-        else:
-            m = bp.marginal(k)
-            pmf = m if m is not None else np.zeros(q)
-        total = pmf.sum()
-        if total <= 0:
-            if k == 0:
-                raise EncodingError("coset has zero prior mass")
-            raise DeadEndError(f"zero continuation mass at step {k + 1}")
-        fr = [Fraction(float(p)) for p in pmf]
-        s = sum(fr)
-        width = hi - lo
-        bounds = [lo]
-        acc = Fraction(0)
-        for p in fr:
-            acc += p
-            bounds.append(lo + width * acc / s)
-        choice = None
-        while choice is None:
-            om_lo = Fraction(w_lo, 1 << w_depth) if w_depth else Fraction(0)
-            om_hi = Fraction(w_lo + 1, 1 << w_depth) if w_depth else Fraction(1)
-            for xv in range(q):
-                if bounds[xv] <= om_lo and om_hi <= bounds[xv + 1]:
-                    choice = xv
-                    break
-            else:
-                w_lo = (w_lo << 1) | omega.bit()
-                w_depth += 1
-        lo, hi = bounds[choice], bounds[choice + 1]
-        x[k] = choice
-        logs.append(math.log2(pmf[choice]))
-        ents.append(entropy_bits(pmf))
-        if cfg.method == "exact":
-            if stepper.l:
-                residual = (residual - choice * stepper.cols[k]) % q
-        else:
-            if not bp.condition(k, choice):
-                raise DeadEndError(f"contradiction after fixing step {k + 1}")
-            if k + 1 < n:
-                bp.run(cfg.sp_step_iters, cfg.sp_tol)
-        if k + 1 >= kstar and k + 1 < n:
-            done = _complete_suffix(A, c, x, k + 1)
-            if done is None:
-                raise DeadEndError("unique completion inconsistent")
-            sample = GeneratedSample(x, "early", k + 1, logs, ents, None)
-            return sample, omega.consumed
-    if not np.array_equal(A.mat_vec(x), np.asarray(c, dtype=np.int64) % q):
-        raise DeadEndError("generated sequence violates the constraint")
-    return GeneratedSample(x, "full", n, logs, ents, None), omega.consumed
+    engine = _STEPWISE[cfg.method](CosetSampler(A), np.asarray(priors, dtype=float), cfg)
+    return engine.walk(c, _Interval(omega)), omega.consumed
 
 
 def exact_coset_law(A: SparseMatrix, c, priors, cap: int = 2 ** 20):
@@ -443,6 +435,20 @@ def exact_coset_law(A: SparseMatrix, c, priors, cap: int = 2 ** 20):
     return members, w / z
 
 
+class _ForcedPath:
+    """Selector that follows a given sequence and multiplies its step probabilities."""
+
+    def __init__(self, path):
+        self.path = iter(path)
+        self.prob = 1.0
+
+    def __call__(self, pmf) -> int:
+        assert abs(pmf.sum() - 1.0) < 1e-12
+        v = int(next(self.path))
+        self.prob *= pmf[v]
+        return v
+
+
 def path_tree_law(A: SparseMatrix, c, priors, cfg: SamplerConfig, cap: int = 2 ** 20):
     """Law induced by the exact sequential engine, by full path-tree expansion.
 
@@ -451,29 +457,18 @@ def path_tree_law(A: SparseMatrix, c, priors, cfg: SamplerConfig, cap: int = 2 *
     of the coset members covers the whole tree.  Honors cfg.early_stop the
     same way generate does.  Returns (members, path_probabilities).
     """
-    priors = np.asarray(priors, dtype=float)
-    q, n = A.field.q, A.cols
-    c_arr = np.asarray(c, dtype=np.int64) % q
-    stepper = ExactStepper(A, priors, cfg.exact_cap_states)
-    if stepper.mass_of(c_arr) <= 0:
+    sampler = CosetSampler(A)
+    engine = _ExactEngine(sampler, np.asarray(priors, dtype=float), cfg)
+    if engine.stepper.mass_of(c) <= 0:
         raise EncodingError("coset has zero prior mass")
-    members = row_reduce(A).members(c, cap)
-    kstar = _early_stop_index(A, cfg.early_stop)
+    members = sampler.echelon.members(c, cap)
     probs = np.zeros(members.shape[0])
     for row, x in enumerate(members):
-        residual = c_arr.copy()
-        p = 1.0
-        for k in range(n):
-            pmf = stepper.step_pmf(k, residual)
-            assert abs(pmf.sum() - 1.0) < 1e-12
-            p *= pmf[x[k]]
-            if p == 0.0:
-                break
-            if stepper.l:
-                residual = (residual - int(x[k]) * stepper.cols[k]) % q
-            if k + 1 >= kstar and k + 1 < n:
-                completed = _complete_suffix(A, c, x.copy(), k + 1)
-                assert completed is not None and np.array_equal(completed, x)
-                break
-        probs[row] = p
+        path = _ForcedPath(x)
+        try:
+            sample = engine.walk(c, path)
+        except DeadEndError:      # a zero-probability prefix ran out of mass
+            continue
+        assert np.array_equal(sample.x, x)
+        probs[row] = path.prob
     return members, probs

@@ -560,3 +560,22 @@ def test_sum_product_encoder_reuses_its_graph_and_early_stop(graph_builds, monke
         assert np.array_equal(spec.stacked.mat_vec(x), np.concatenate([spec.c, m]))
     assert graph_builds == [spec.stacked]
     assert ranks == [spec.stacked]
+
+
+@pytest.mark.parametrize("method", ["exact", "sum-product"])
+def test_lossy_encoder_reuses_its_early_stop_and_graph(graph_builds, monkeypatch, method):
+    ranks = []
+    real = sampler.suffix_ranks
+    monkeypatch.setattr(sampler, "suffix_ranks", lambda A: ranks.append(A) or real(A))
+    spec = lossy_spec(20, 8, 6, seed=1)
+    cfg = sampler.SamplerConfig(method=method)
+    rng = stream(5, 0)
+    for _ in range(5):
+        y = spec.source.sample(rng)
+        try:
+            x = lossy.encode_reproduction(spec, y, cfg, rng)
+        except sampler.DeadEndError:          # ROADMAP item 2's sampler defect
+            continue
+        assert np.array_equal(spec.A.mat_vec(x), spec.c)
+    assert ranks == [spec.A]
+    assert graph_builds == ([spec.A] if method == "sum-product" else [])

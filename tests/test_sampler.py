@@ -1,25 +1,35 @@
+import hashlib
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from cosetcode import lossy
+from cosetcode.channel import ChannelCodeSpec, ChannelEncoder, sample_code
 from cosetcode.gf import GF
+from cosetcode.models import MemorylessSource, hamming_distortion, qsc, uniform_source
 from cosetcode.sampler import (
     BitStream,
     DeadEndError,
     EncodingError,
+    CosetSampler,
     ExactStepper,
     GeneratedSample,
     SamplerConfig,
     exact_coset_law,
     generate,
     generate_interval,
-    make_engine,
     path_tree_law,
     step_conditional,
 )
-from cosetcode.sparsemat import SparseMatrix, all_vectors, row_reduce
+from cosetcode.sparsemat import (
+    EnsembleSpec,
+    SparseMatrix,
+    all_vectors,
+    row_reduce,
+    sample_sparse_matrix,
+)
 from cosetcode.stats import chi2_quantile, chi_square_stat
 from cosetcode.streams import stream
 
@@ -66,6 +76,16 @@ def test_config_validation():
         SamplerConfig(method="gibbs")
     with pytest.raises(TypeError):
         SamplerConfig(exact_cap=10)        # removed: nothing read it
+
+
+def test_config_validation_retries_and_damping():
+    with pytest.raises(ValueError, match="retries"):
+        SamplerConfig(retries=0)
+    for damping in (-0.1, 1.0, 1.5):
+        with pytest.raises(ValueError, match="sp_damping"):
+            SamplerConfig(method="sum-product", sp_damping=damping)
+    SamplerConfig(retries=1, sp_damping=0.0)
+    SamplerConfig(sp_damping=0.99)
 
 
 def test_exact_coset_law_uniform():
@@ -172,11 +192,11 @@ def test_generate_two_point_law_chi_square():
     A = dense([[1, 1]], GF2)
     priors = np.array([[0.7, 0.3], [0.7, 0.3]])
     rng = stream(12, 0)
-    engine = make_engine(A, [0], priors, NO_EARLY)
+    engine = CosetSampler(A).engine(priors, NO_EARLY)
     counts = np.zeros(2)
     trials = 10 ** 5
     for _ in range(trials):
-        out = generate(A, [0], priors, NO_EARLY, rng, engine=engine)
+        out = engine.draw([0], rng)
         counts[out.x[0]] += 1
     expected = np.array([49 / 58, 9 / 58]) * trials
     stat = chi_square_stat(counts, expected)
@@ -207,10 +227,10 @@ def test_generate_uniform_shortcut_law():
     members, probs = exact_coset_law(A, c, np.full((3, 2), 0.5))
     counts = {tuple(m): 0 for m in members}
     rng = stream(5, 0)
-    engine = make_engine(A, c, np.full((3, 2), 0.5), cfg)
+    engine = CosetSampler(A).engine(np.full((3, 2), 0.5), cfg)
     trials = 20000
     for _ in range(trials):
-        out = generate(A, c, np.full((3, 2), 0.5), cfg, rng, engine=engine)
+        out = engine.draw(c, rng)
         counts[tuple(out.x)] += 1
     expected = np.full(len(counts), trials / len(counts))
     stat = chi_square_stat(np.array(list(counts.values())), expected)
@@ -242,10 +262,10 @@ def test_generate_sum_product_law_close_on_tree():
     keys = [tuple(m) for m in members]
     counts = dict.fromkeys(keys, 0)
     rng = stream(77, 0)
-    engine = make_engine(A, c, priors, cfg)
+    engine = CosetSampler(A).engine(priors, cfg)
     trials = 6000
     for _ in range(trials):
-        out = generate(A, c, priors, cfg, rng, engine=engine)
+        out = engine.draw(c, rng)
         counts[tuple(out.x)] += 1
     expected = probs * trials
     stat = chi_square_stat(np.array([counts[k] for k in keys]), expected)
@@ -418,3 +438,146 @@ def test_stepper_cap_refused():
     A = SparseMatrix.from_dense(np.zeros((25, 4), dtype=int), GF3)
     with pytest.raises(ValueError):
         ExactStepper(A, np.full((4, 3), 1 / 3), cap_states=2 ** 20)
+
+
+# ---------------------------------------------------------------------------
+# same-seed outputs pinned across refactors
+# ---------------------------------------------------------------------------
+
+def _digest(items) -> str:
+    """SHA-256 over arrays (dtype, shape, bytes), floats (hex) and nested values."""
+    h = hashlib.sha256()
+
+    def feed(v):
+        if isinstance(v, np.ndarray):
+            h.update(f"a{v.dtype.str}{v.shape}".encode())
+            h.update(np.ascontiguousarray(v).tobytes())
+        elif isinstance(v, dict):
+            h.update(b"d")
+            for key in sorted(v):
+                feed(key)
+                feed(v[key])
+        elif isinstance(v, (list, tuple)):
+            h.update(f"l{len(v)}".encode())
+            for item in v:
+                feed(item)
+        elif isinstance(v, (float, np.floating)):
+            h.update(f"f{float(v).hex()}".encode())
+        else:
+            h.update(f"{type(v).__name__}{v!r}".encode())
+
+    feed(items)
+    return h.hexdigest()
+
+
+def _pinned_channel_spec(q):
+    if q == 2:
+        prior = MemorylessSource(np.tile([0.7, 0.3], (16, 1)))
+        return sample_code(16, 6, 4, 4, GF2, prior, seed=1)
+    prior = MemorylessSource(np.tile([0.6, 0.25, 0.15], (12, 1)))
+    return sample_code(12, 4, 3, 4, GF3, prior, seed=2)
+
+
+def _pinned_lossy_spec(q):
+    n = 14 if q == 2 else 10
+    field = GF(q)
+    A = sample_sparse_matrix(EnsembleSpec(n=n, l=4, field=field, tau=2), stream(q, 1))
+    B = sample_sparse_matrix(EnsembleSpec(n=n, l=4, field=field, tau=2), stream(q, 2))
+    c = A.mat_vec(stream(q, 3).integers(0, q, size=n))
+    source = MemorylessSource(stream(q, 4).dirichlet(np.full(q, 2.0), size=n))
+    return lossy.LossyCodeSpec(A, B, c, source, qsc(q, 0.15, n), hamming_distortion(q), 0.2)
+
+
+def _pinned_encodes(encode, rng, draws, message):
+    out = []
+    for _ in range(draws):
+        m = message(rng)
+        try:
+            out.append((m, encode(m, rng)))
+        except (EncodingError, DeadEndError) as exc:
+            out.append((m, type(exc).__name__))
+        out.append(rng.bit_generator.state)
+    return out
+
+
+PINNED_CONFIGS = {
+    "exact": SamplerConfig(method="exact"),
+    "exact-no-early": SamplerConfig(method="exact", early_stop=False),
+    "sum-product": SamplerConfig(method="sum-product"),
+}
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("case", ["exact", "exact-no-early", "sum-product", "uniform",
+                                  "lossy-exact", "lossy-sum-product", "interval",
+                                  "step", "path-tree"])
+def test_same_seed_outputs_pinned(q, case):
+    """Outputs for fixed seeds, recorded before the sampler became one driver."""
+    assert _digest(_pinned_outputs(q, case)) == PINNED_DIGESTS[(q, case)]
+
+
+def _pinned_outputs(q, case):
+    field = GF(q)
+    if case in PINNED_CONFIGS or case == "uniform":
+        spec = _pinned_channel_spec(q)
+        if case == "uniform":
+            spec = ChannelCodeSpec(spec.A, spec.B, spec.c, uniform_source(spec.n, q))
+            cfg = SamplerConfig()
+        else:
+            cfg = PINNED_CONFIGS[case]
+        encoder = ChannelEncoder(spec, cfg)
+        got = _pinned_encodes(encoder.encode, stream(10 + q, 0), 6,
+                              spec.random_message)
+    elif case.startswith("lossy"):
+        spec = _pinned_lossy_spec(q)
+        cfg = PINNED_CONFIGS[case.removeprefix("lossy-")]
+
+        def encode(y, rng):
+            return lossy.encode_reproduction(spec, y, cfg, rng)
+
+        got = _pinned_encodes(encode, stream(20 + q, 0), 6, spec.source.sample)
+    else:
+        rng = np.random.default_rng(30 + q)
+        got = []
+        for _ in range(4):
+            n, l = int(rng.integers(4, 8)), int(rng.integers(1, 4))
+            A = SparseMatrix.from_dense(rng.integers(0, q, size=(l, n)), field)
+            x_star = rng.integers(0, q, size=n)
+            c = A.mat_vec(x_star)
+            priors = rng.dirichlet(np.full(q, 1.5), size=n)
+            for cfg in (EXACT, NO_EARLY, SamplerConfig(method="sum-product",
+                                                       uniform_shortcut=False)):
+                if case == "interval":
+                    bits = rng.integers(0, 2, size=256).tolist()
+                    out, used = generate_interval(A, c, priors, cfg,
+                                                  BitStream.from_bits(bits))
+                    got.append((out.x, out.termination, out.steps, used))
+                elif case == "step":
+                    for k in range(n):
+                        got.append(step_conditional(A, c, priors, x_star[:k], cfg))
+                elif cfg.method == "exact":
+                    got.append(path_tree_law(A, c, priors, cfg))
+    return got
+
+
+# recorded at the commit before the sampler became one driver
+PINNED_DIGESTS = {
+    (2, 'exact'): "6f8af57c94d10bc24589f13f6202663265cce57626f27849486f27ed75e02d79",
+    (2, 'exact-no-early'): "4e209032769aa47fe55e02a9573752d630dbf5953021f5a8d5a766389ca5b8da",
+    (2, 'sum-product'): "7db4242e3418bcb9b7a67baf2c2a2e59302bda8a25f7bfcdbae2f308474abd4a",
+    (2, 'uniform'): "928e40fed37843ebbda5e41874ba226b5be0d5dca68593d554feefc3ac086b31",
+    (2, 'lossy-exact'): "e1fb555866e5db047125dc4bb6d763e58a6e40bb36df0d5767c958fd5b7b5d53",
+    (2, 'lossy-sum-product'): "636893a0fe97753584357b0203baaeacf6dcc7ac732babd1acb1a53a2e59366b",
+    (2, 'interval'): "fab91722865c4acf5d4bd39f8c9a03f5c4b70ab16443eefcb480ca94c8ce8df5",
+    (2, 'step'): "0302a35fef5d4270778b44b8001045ca0614598e43d8f8dc2112f1a9f70c66d4",
+    (2, 'path-tree'): "dedc75b6261c36e884349a25ef3ec632b915866f3ec491a369c32e750467310e",
+    (3, 'exact'): "4ac2e2845caf1f6074f43280c829a0eb1ed5f680241a07fe97f98171517bd54e",
+    (3, 'exact-no-early'): "b241509f2581c5c55eb9cf9c0b1e4cc4af7ae104064260be4e19647c6076538d",
+    (3, 'sum-product'): "2a7264806b9aea6c0d88a19148fe56b9b795f225c821f1abf346f03743c11e34",
+    (3, 'uniform'): "29186aaa156519420eeb1571f2e780ad8797d91732c3bdc2a48cdff714c5ae5e",
+    (3, 'lossy-exact'): "272abbb0d8bb3f8c8a63055fd21a9780652a0ea62b78d92e04dbc01de742c456",
+    (3, 'lossy-sum-product'): "bdac3da66ee333bea6ac318c0b9f07186d1ba8391ef1dc6c8fee7bbb40305585",
+    (3, 'interval'): "f71103e0d38edacb09a87064383f5b9a5a8cf8047fcfcb70e566b5ab906abf78",
+    (3, 'step'): "8cef7532e2a9554afe92c60320b6e982518a0581de33e8697bee39f97cebd7ef",
+    (3, 'path-tree'): "8e37a73b3252b26d87043ec86305db14cca2c85b4a10adc4af1aeeacc9d9efc0",
+}
