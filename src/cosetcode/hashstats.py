@@ -24,7 +24,6 @@ from .sparsemat import (
     EnsembleSpec,
     SparseMatrix,
     all_vectors,
-    row_reduce,
     sample_sparse_matrix,
     vec_to_index,
 )

@@ -16,7 +16,7 @@ import numpy as np
 
 from .fastbp import CosetBP, CosetGraph
 from .models import DiscreteChannel, DistortionSpec, MemorylessSource
-from .sampler import CosetSampler, DeadEndError, EncodingError, SamplerConfig, exact_coset_law
+from .sampler import CosetSampler, DeadEndError, EncodingError, SamplerConfig, member_law
 from .sparsemat import ComplementBijection, SparseMatrix, all_vectors, row_reduce
 from .stats import entropy_bits, wilson_interval
 from .streams import stream
@@ -211,13 +211,13 @@ def exact_error(spec: LossyCodeSpec, target_d: float | None = None,
         raise ValueError("source space exceeds the cap")
     total = 0.0
     decoded = {}                     # decode is a function of m alone
+    members = spec.sampler.echelon.members(spec.c, cap)   # c is in Im A
     for y in all_vectors(ny, n):
         py = 2.0 ** spec.source.log_prob(y)
         if py == 0:
             continue
-        posts = spec.posteriors(y)
         try:
-            members, probs = exact_coset_law(spec.A, spec.c, posts, cap=cap)
+            probs = member_law(members, spec.posteriors(y))
         except EncodingError:
             total += py
             continue

@@ -2,10 +2,10 @@
 
 x_1..x_n are drawn in turn, each from the conditional of the restricted
 law given the prefix, until the prefix pins the suffix, which is then
-solved for (the early stop).  The work has three lifetimes:
-  per matrix  `CosetSampler(A)`: the early-stop index (from the suffix
-              ranks of A), the sum-product `CosetGraph` and the echelon
-              form, each built on first use;
+read off (the early stop).  The work has three lifetimes:
+  per matrix  `CosetSampler(A)`: the reverse-column echelon, the
+              sum-product `CosetGraph` and the echelon form, each built
+              on first use;
   per prior   `CosetSampler.engine(priors, cfg)`: exact (`ExactStepper`
               suffix-mass tables while q**l fits the state cap; never
               dead-ends after a positive start), sum-product (BP
@@ -15,14 +15,17 @@ solved for (the early stop).  The work has three lifetimes:
               kernel combination, with no sequential work);
   per target  `engine.draw(c, rng)`.
 `_drive` is the one step loop.  A per-draw state gives the step pmf
-(`pmf(k)`) and takes the chosen symbol (`commit(k, v)`); a selector
+(`pmf(k)`), which the driver narrows to a point mass wherever the prefix
+forces x_k, and takes the chosen symbol (`commit(k, v)`); a selector
 `choose(pmf)` picks it: a PRNG (`draw`), the interval algorithm over a
 lazily expanded binary omega, which makes the encoder a deterministic
 function of omega (`generate_interval`), or a forced path that multiplies
-its step probabilities (`path_tree_law`).  The driver then completes the
-suffix at the early stop and checks A x = c.
+its step probabilities (`path_tree_law`).  The driver then reads the
+suffix off the reverse echelon at the early stop and checks A x = c.
 """
 
+import itertools
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
@@ -30,7 +33,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .fastbp import CosetBP, CosetGraph
-from .sparsemat import EchelonForm, SparseMatrix, row_reduce, suffix_ranks, unique_completion
+from .sparsemat import EchelonForm, SparseMatrix, row_reduce, suffix_ranks
 from .streams import sample_pmf
 
 
@@ -39,7 +42,8 @@ class EncodingError(RuntimeError):
 
 
 class DeadEndError(RuntimeError):
-    """Zero continuation mass mid-sequence (sum-product engine, post-start)."""
+    """The engine found no mass on a nonempty coset: a zero step pmf
+    mid-sequence, or a failed initial BP run under positive priors."""
 
 
 @dataclass
@@ -73,6 +77,23 @@ class GeneratedSample:
     converged: bool | None = None    # initial BP run's flag; None for other engines
 
 
+# One spare table block per shape: a stepper takes it and hands it back when
+# it is collected, so building a stepper per source word reuses one block
+# instead of allocating n + 1 tables that the heap may trim after each word.
+_SPARE_BLOCKS: dict = {}
+
+
+def _roll_into(out: np.ndarray, a: np.ndarray, shifts, axes) -> None:
+    """out[...] = np.roll(a, shifts, axes) for shifts in (0, size), copied
+    piecewise as np.roll does, without allocating the result."""
+    pieces = [[(slice(None), slice(None))]] * a.ndim
+    for ax, sh in zip(axes, shifts):
+        pieces[ax] = [(slice(-sh), slice(sh, None)), (slice(-sh, None), slice(sh))]
+    for combo in itertools.product(*pieces):
+        src, dst = zip(*combo)
+        out[dst] = a[src]
+
+
 class ExactStepper:
     """Backward suffix-mass tables M_k(t) = mass of suffixes hitting syndrome t.
 
@@ -80,6 +101,8 @@ class ExactStepper:
     the step conditional is mu_k(x) * M_{k+1}[target - x * col_k],
     normalized, which is the defining suffix sum evaluated exactly.  The
     tables do not depend on the target, so one stepper serves every c.
+    They are views of a block that returns to a spare pool when the
+    stepper is collected, so they are valid while the stepper lives.
     """
 
     def __init__(self, A: SparseMatrix, priors, cap_states: int = 2 ** 20):
@@ -90,15 +113,17 @@ class ExactStepper:
                 f"exact engine refused: q**l = {q ** self.l} exceeds state cap {cap_states}")
         self.priors = np.asarray(priors, dtype=float)
         dense_cols = [A.to_dense()[:, k] for k in range(self.n)] if self.l else None
-        shape = (q,) * self.l
-        tables = [None] * (self.n + 1)
-        last = np.zeros(shape) if self.l else np.array(1.0)
-        if self.l:
-            last[(0,) * self.l] = 1.0
-        tables[self.n] = last
+        # tables 0..n and a scratch slot, in a block reused across steppers
+        shape = (self.n + 2,) + (q,) * self.l
+        block = _SPARE_BLOCKS.pop(shape) if shape in _SPARE_BLOCKS else np.empty(shape)
+        weakref.finalize(self, _SPARE_BLOCKS.__setitem__, shape, block)
+        scratch = block[self.n + 1, ...]
+        last = block[self.n, ...]
+        last.fill(0.0)
+        last[(0,) * self.l] = 1.0
         for k in range(self.n - 1, -1, -1):
-            nxt = tables[k + 1]
-            acc = np.zeros_like(nxt)
+            nxt, acc = block[k + 1, ...], block[k, ...]
+            acc.fill(0.0)
             for xv in range(q):
                 p = self.priors[k, xv]
                 if p == 0:
@@ -109,10 +134,11 @@ class ExactStepper:
                     col = dense_cols[k]
                     axes = np.nonzero(col)[0]
                     if axes.size:
-                        shifted = np.roll(nxt, tuple(xv * col[axes] % q), axis=tuple(axes))
-                acc = acc + p * shifted
-            tables[k] = acc
-        self.tables = tables
+                        _roll_into(scratch, nxt, xv * col[axes] % q, axes)
+                        shifted = scratch
+                np.multiply(shifted, p, out=scratch)
+                acc += scratch
+        self.tables = block[: self.n + 1]
         self.cols = dense_cols
 
     def mass_of(self, c) -> float:
@@ -148,17 +174,47 @@ def is_uniform(priors: np.ndarray) -> bool:
 
 
 class CosetSampler:
-    """Sampling structure of one matrix, shared by every prior and target."""
+    """Sampling structure of one matrix, shared by every prior and target.
+
+    `reverse` eliminates A with its columns reversed: T A' = R'.  Read
+    back in original column order, row i of R has support ending at a
+    distinct pivot column e_i, and its other entries lie on free columns.
+    With s = T (c - A[:, :k] x) for a prefix x of length k, the coset is
+    empty iff s[rank:] != 0, the only feasible symbol at a pivot column
+    k = e_i is s[i], every symbol is feasible at a free column, and once
+    no free column is left x[e_i] = s[i] completes the member.
+    """
 
     def __init__(self, A: SparseMatrix):
         self.A = A
 
     @cached_property
+    def reverse(self) -> EchelonForm:
+        """Echelon form of A with its columns reversed."""
+        return row_reduce(self.A.reversed())
+
+    @cached_property
+    def pivot_row(self) -> np.ndarray:
+        """pivot_row[k] = the row of `reverse` whose pivot is column k; -1 at free columns."""
+        rev, n = self.reverse, self.A.cols
+        rows = np.full(n, -1, dtype=np.int64)
+        rows[n - 1 - rev.pivots] = np.arange(rev.rank)
+        return rows
+
+    @cached_property
     def early_stop_index(self) -> int:
-        """First prefix length at which the suffix is pinned for every prefix."""
-        sr = suffix_ranks(self.A)
+        """First prefix length k >= 1 with only pivot columns after it."""
+        sr = suffix_ranks(self.reverse)
         n = self.A.cols
         return next((k for k in range(1, n + 1) if sr[k] == n - k), n)
+
+    def reduced_target(self, c) -> np.ndarray:
+        """s = T c for the empty prefix; EncodingError when C_A(c) is empty."""
+        rev = self.reverse
+        s = rev.transform @ c % self.A.field.q
+        if np.any(s[rev.rank:]):
+            raise EncodingError("coset is empty: c is outside Im A")
+        return s
 
     @cached_property
     def graph(self) -> CosetGraph:
@@ -195,17 +251,21 @@ def _require_mass(pmf: np.ndarray, k: int) -> np.ndarray:
 def _drive(sampler: CosetSampler, c: np.ndarray, state, choose,
            early_stop: bool) -> GeneratedSample:
     """The step loop: x_k = choose(pmf_k) until the prefix pins the suffix."""
-    A, n = sampler.A, sampler.A.cols
+    A, n, q = sampler.A, sampler.A.cols, sampler.A.field.q
+    s, rows = sampler.reduced_target(c), sampler.pivot_row
+    R = sampler.reverse.reduced[:, ::-1]
     stop = sampler.early_stop_index if early_stop else n
     x = np.zeros(n, dtype=np.int64)
     for k in range(stop):
-        x[k] = v = choose(_require_mass(state.pmf(k), k))
+        pmf = state.pmf(k)
+        if rows[k] >= 0:    # a point mass on the one feasible symbol, if pmf gives it mass
+            v = s[rows[k]]
+            pmf = float(pmf[v] > 0) * (np.arange(q) == v)
+        x[k] = v = choose(_require_mass(pmf, k))
         state.commit(k, v)
-    if stop < n:
-        status, suffix = unique_completion(A, c, x[:stop])
-        if status != "unique":
-            raise DeadEndError("unique completion inconsistent")
-        x[stop:] = suffix
+        if v:
+            s = (s - v * R[:, k]) % q
+    x[stop:] = s[rows[stop:]]
     if not np.array_equal(A.mat_vec(x), c):
         raise DeadEndError("generated sequence violates the constraint")
     return GeneratedSample(x, "early" if stop < n else "full", stop)
@@ -288,12 +348,13 @@ class _SumProductEngine:
     def _start(self, c):
         """BP on the target after its initial run, and that run's convergence flag."""
         cfg = self.cfg
+        self.sampler.reduced_target(c)
         bp = CosetBP(self.sampler.graph, c, self.priors, damping=cfg.sp_damping)
-        if bp.failed:
-            raise EncodingError("coset is empty: a constraint is unsatisfiable")
         converged = bp.run(cfg.sp_init_iters, cfg.sp_tol)
         if bp.failed:
-            raise EncodingError("coset has zero prior mass")
+            if np.all(self.priors > 0):      # the coset is nonempty, so it has mass
+                raise DeadEndError("initial BP run failed on a nonempty coset")
+            raise EncodingError("initial BP run failed: the coset may have zero prior mass")
         return bp, converged
 
     def _pass(self, c, bp, choose) -> GeneratedSample:
@@ -423,16 +484,20 @@ def generate_interval(A: SparseMatrix, c, priors, cfg: SamplerConfig,
 
 def exact_coset_law(A: SparseMatrix, c, priors, cap: int = 2 ** 20):
     """Full restricted law: (members, probabilities); the law oracle."""
-    priors = np.asarray(priors, dtype=float)
     members = row_reduce(A).members(c, cap)
     if members.shape[0] == 0:
         raise EncodingError("coset is empty: c is outside Im A")
-    idx = np.arange(A.cols)
-    w = priors[idx[None, :], members].prod(axis=1)
+    return members, member_law(members, priors)
+
+
+def member_law(members: np.ndarray, priors) -> np.ndarray:
+    """The product prior restricted to the given coset members, normalized."""
+    priors = np.asarray(priors, dtype=float)
+    w = priors[np.arange(members.shape[1])[None, :], members].prod(axis=1)
     z = w.sum()
     if z <= 0:
         raise EncodingError("coset has zero prior mass")
-    return members, w / z
+    return w / z
 
 
 class _ForcedPath:

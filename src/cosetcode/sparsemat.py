@@ -11,7 +11,8 @@ made; over GF(q > 2) it works on the dense mirror `to_dense`.
 `row_reduce` eliminates a matrix once and returns an `EchelonForm`, the
 one object that solves A x = t, holds the kernel and enumerates or
 samples the coset {x : A x = t}; callers keep the echelon of a matrix
-they reuse instead of eliminating it again.
+they reuse instead of eliminating it again.  The echelon of `A.reversed()`
+answers for the column suffixes of A (`suffix_ranks`, `sampler`).
 """
 
 from dataclasses import dataclass
@@ -106,6 +107,11 @@ class SparseMatrix:
             d[self.row_of, self.col_idx] = self.coeffs
             self._dense = d
         return self._dense
+
+    def reversed(self) -> "SparseMatrix":
+        """The same matrix with its columns in reverse order."""
+        return SparseMatrix.from_coo(self.rows, self.cols, self.field,
+                                     self.row_of, self.cols - 1 - self.col_idx, self.coeffs)
 
     def transpose(self) -> "SparseMatrix":
         return SparseMatrix.from_coo(self.cols, self.rows, self.field,
@@ -264,35 +270,21 @@ class EchelonForm:
         return (x + z @ self.kernel) % self.field.q
 
 
-def _as_dense(A, field=None):
-    if isinstance(A, SparseMatrix):
-        return A.to_dense(), A.field
-    arr = np.asarray(A, dtype=np.int64)
-    if field is None:
-        raise ValueError("field required for raw arrays")
-    return arr % field.q, field
-
-
-def row_reduce(A, field: GF | None = None) -> EchelonForm:
+def row_reduce(A: SparseMatrix) -> EchelonForm:
     """Gauss-Jordan elimination of [A | I] over GF(q).
 
     The pivot of each column is the first row at or below the current one
     with a nonzero there; it is swapped into place, scaled to 1 and
     cleared from every other row.  For q = 2 the rows are packed into
-    64-bit words and never held as an int64 array before the result; for
-    a SparseMatrix they are packed straight from its entries.
+    64-bit words straight from the entries and never held as an int64
+    array before the result.
     """
-    if isinstance(A, SparseMatrix) and A.field.q == 2:
+    if A.field.q == 2:
         A.check_dense_cap()
         R, T, pivots = _gauss_jordan_gf2(A.rows, A.cols, A.row_of, A.col_idx)
-        field = A.field
     else:
-        D, field = _as_dense(A, field)
-        if field.q == 2:
-            R, T, pivots = _gauss_jordan_gf2(*D.shape, *np.nonzero(D))
-        else:
-            R, T, pivots = _gauss_jordan_gfq(D, field)
-    return EchelonForm(R, T, np.asarray(pivots, dtype=np.int64), len(pivots), field)
+        R, T, pivots = _gauss_jordan_gfq(A.to_dense(), A.field)
+    return EchelonForm(R, T, np.asarray(pivots, dtype=np.int64), len(pivots), A.field)
 
 
 def _gauss_jordan_gf2(l: int, n: int, rows, cols):
@@ -358,17 +350,6 @@ def _gauss_jordan_gfq(D: np.ndarray, field: GF):
     return M[:, :n].copy(), M[:, n:].copy(), pivots
 
 
-def left_inverse_of_generator(G, field: GF | None = None) -> np.ndarray:
-    """B with B(G m) = m for all m; requires G of full column rank."""
-    D, field = _as_dense(G, field)
-    n, k = D.shape
-    ech = row_reduce(D, field)
-    if ech.rank != k:
-        raise ValueError("generator is rank deficient; no left inverse exists")
-    # T G = [I_k; 0], so the first k rows of T invert G from the left
-    return ech.transform[:k].copy()
-
-
 class ComplementBijection:
     """Invertible pairing between x and (A x, B x) when the stacked map is injective."""
 
@@ -396,29 +377,6 @@ class ComplementBijection:
 
     def split(self, x):
         return self.A.mat_vec(x), self.B.mat_vec(x)
-
-
-def unique_completion(A, c, prefix, field: GF | None = None):
-    """Decide how many suffixes complete prefix to a member of C_A(c).
-
-    Returns ("unique", suffix), ("multiple", None) or ("none", None).
-    """
-    D, field = _as_dense(A, field)
-    q = field.q
-    c = np.asarray(c, dtype=np.int64) % q
-    prefix = np.asarray(prefix, dtype=np.int64) % q
-    k = prefix.shape[0]
-    n = D.shape[1]
-    if k > n:
-        raise ValueError("prefix longer than n")
-    resid = (c - D[:, :k] @ prefix) % q
-    ech = row_reduce(D[:, k:], field)
-    x = ech.solve(resid)
-    if x is None:
-        return ("none", None)
-    if ech.rank < n - k:
-        return ("multiple", None)
-    return ("unique", x)
 
 
 # -- enumeration and encoding helpers -----------------------------------------
@@ -449,36 +407,12 @@ def column_space_basis(M: SparseMatrix) -> np.ndarray:
     return ech.reduced[: ech.rank].copy()
 
 
-def suffix_ranks(A: SparseMatrix) -> np.ndarray:
-    """sr[k] = rank of columns k..n-1; sr[n] = 0.
-
-    Used to locate the first position where a generated prefix pins the
-    rest of the coset member uniquely (rank of the suffix block equals its
-    width).
-    """
-    D = A.to_dense()
-    q = A.field.q
-    l, n = D.shape
-    basis = np.zeros((0, l), dtype=np.int64)
-    piv = []
-    sr = np.zeros(n + 1, dtype=np.int64)
-    for k in range(n - 1, -1, -1):
-        v = D[:, k].copy()
-        if basis.shape[0]:
-            v = (v - v[piv] @ basis) % q
-        nz = np.nonzero(v)[0]
-        if nz.size:
-            p = int(nz[0])
-            if q != 2:
-                v = v * int(A.field.inv_table[v[p]]) % q
-            # keep the basis reduced so lookups stay O(rank)
-            if basis.shape[0]:
-                f = basis[:, p].copy()
-                basis = (basis - f[:, None] * v[None, :]) % q
-            basis = np.vstack([basis, v])
-            piv.append(p)
-        sr[k] = basis.shape[0]
-    return sr
+def suffix_ranks(reverse: EchelonForm) -> np.ndarray:
+    """sr[k] = rank of columns k..n-1 of A (sr[n] = 0), from the echelon of
+    A reversed: a column is a pivot there iff it is independent of the
+    columns after it, so sr[k] counts the pivots at reversed positions < n - k."""
+    n = reverse.n
+    return np.searchsorted(reverse.pivots, n - np.arange(n + 1))
 
 
 # -- text format ---------------------------------------------------------------

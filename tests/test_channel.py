@@ -6,6 +6,7 @@ import pytest
 
 from cosetcode.channel import (
     ChannelCodeSpec,
+    ChannelEncoder,
     LinearCodeSpec,
     decode_bp,
     decode_map,
@@ -19,7 +20,7 @@ from cosetcode.channel import (
 )
 from cosetcode.gf import GF
 from cosetcode.models import biawgn, bsc, uniform_source, MemorylessSource
-from cosetcode.sampler import EncodingError, SamplerConfig
+from cosetcode.sampler import DeadEndError, EncodingError, SamplerConfig
 from cosetcode.sparsemat import SparseMatrix, all_vectors, row_reduce
 from cosetcode.stats import binary_entropy, chi2_quantile, chi_square_stat
 from cosetcode.streams import stream
@@ -269,15 +270,36 @@ def test_simulate_same_seed_deterministic():
     assert r1.as_dict() == r2.as_dict()
 
 
-def test_simulate_counts_dead_end_as_encoding_error():
-    # the sum-product sampler dead-ends on this code under a skewed prior
+def test_simulate_counts_dead_end_as_encoding_error(monkeypatch):
+    prior = MemorylessSource(np.tile([0.9, 0.1], (6, 1)))
+    spec = small_spec(prior=prior)
+    real = ChannelEncoder.encode
+    calls = []
+
+    def every_other_dead_end(self, m, rng):
+        calls.append(m)
+        if len(calls) % 2:
+            raise DeadEndError("zero continuation mass")
+        return real(self, m, rng)
+
+    monkeypatch.setattr(ChannelEncoder, "encode", every_other_dead_end)
+    stats = simulate(spec, bsc(0.05, 6), 5, SamplerConfig(method="sum-product"), seed=1)
+    assert stats.trials == 5 and len(calls) == 5
+    assert stats.encoding_errors == 3
+    assert stats.errors >= stats.encoding_errors
+
+
+def test_failed_initial_bp_on_a_nonempty_coset_is_a_dead_end():
+    # BP's messages underflow to exact zeros on this coset of 256 members
     prior = MemorylessSource(np.tile([0.95, 0.05], (24, 1)))
     spec = sample_code(24, 10, 8, 4, GF2, prior, seed=2)
-    cfg = SamplerConfig(method="sum-product", retries=4)
-    stats = simulate(spec, bsc(0.05, 24), 5, cfg, seed=1)
-    assert stats.trials == 5
-    assert stats.encoding_errors >= 1
-    assert stats.errors >= stats.encoding_errors
+    m = np.array([1, 1, 0, 1, 0, 0, 1, 0])
+    assert spec.ech_stacked.members(np.concatenate([spec.c, m])).shape[0] == 256
+    encoder = ChannelEncoder(spec, SamplerConfig(method="sum-product", retries=4))
+    with pytest.raises(DeadEndError, match="initial BP run failed"):
+        encoder.encode(m, np.random.default_rng(2))
+    x = ChannelEncoder(spec, SamplerConfig(method="exact")).encode(m, np.random.default_rng(2))
+    assert np.array_equal(spec.B.mat_vec(x), m)
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +326,27 @@ def test_linear_roundtrip_all_messages():
             x = linear_encode(lin, m)
             m_hat = linear_decode(lin, x, ch, uniform_source(6, 2))
             assert np.array_equal(m_hat, m)
+
+
+def test_linear_left_inverse_identity_and_repetition():
+    free = LinearCodeSpec(SparseMatrix(0, 3, GF(3), []), np.zeros(0))
+    assert np.array_equal(free.gen, np.eye(3, dtype=int))
+    assert np.array_equal(free.left_inv, np.eye(3, dtype=int))
+    rep = LinearCodeSpec(dense([[1, 1]]), [0])
+    assert np.array_equal(rep.gen, [[1, 1]])
+    assert np.array_equal(rep.left_inv @ rep.gen.T % 2, [[1]])
+
+
+def test_linear_left_inverse_exhaustive_roundtrip():
+    rng = np.random.default_rng(10)
+    for q in (2, 3):
+        for _ in range(10):
+            n = int(rng.integers(1, 6))
+            A = dense(rng.integers(0, q, size=(int(rng.integers(1, n + 1)), n)), GF(q))
+            lin = LinearCodeSpec(A, np.zeros(A.rows))
+            assert lin.msg_dim == n - row_reduce(A).rank
+            for m in all_vectors(q, lin.msg_dim):
+                assert np.array_equal(lin.left_inv @ (m @ lin.gen % q) % q, m)
 
 
 def test_stochastic_and_linear_same_error_probability():

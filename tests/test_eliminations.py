@@ -91,6 +91,13 @@ def test_lossy_spec_and_decoder(eliminations):
     assert len(eliminations) == before
 
 
+def test_lossy_exact_error_eliminates_a_once(eliminations):
+    spec = lossy_spec(7, n=8, l=3)
+    before = len(eliminations)
+    lossy.exact_error(spec)
+    assert eliminations[before:] == [spec.A]
+
+
 def test_linear_spec(eliminations):
     A = sparsemat.SparseMatrix.from_dense(
         np.array([[1, 1, 0, 1], [0, 1, 1, 1]]), GF2)

@@ -545,7 +545,7 @@ def test_lossy_decode_builds_a_graph_only_for_bp(graph_builds):
 def test_sum_product_encoder_reuses_its_graph_and_early_stop(graph_builds, monkeypatch):
     ranks = []
     real = sampler.suffix_ranks
-    monkeypatch.setattr(sampler, "suffix_ranks", lambda A: ranks.append(A) or real(A))
+    monkeypatch.setattr(sampler, "suffix_ranks", lambda rev: ranks.append(rev) or real(rev))
     n, q = 32, 3
     prior = MemorylessSource(np.tile([0.7, 0.15, 0.15], (n, 1)))
     spec = channel.sample_code(n, 12, 4, 6, GF(q), prior, seed=3)
@@ -553,29 +553,23 @@ def test_sum_product_encoder_reuses_its_graph_and_early_stop(graph_builds, monke
     rng = stream(4, 0)
     for _ in range(5):
         m = spec.random_message(rng)
-        try:
-            x = encoder.encode(m, rng)
-        except sampler.DeadEndError:          # ROADMAP item 2's sampler defect
-            continue
+        x = encoder.encode(m, rng)
         assert np.array_equal(spec.stacked.mat_vec(x), np.concatenate([spec.c, m]))
     assert graph_builds == [spec.stacked]
-    assert ranks == [spec.stacked]
+    assert len(ranks) == 1 and ranks[0] is spec.sampler.reverse
 
 
 @pytest.mark.parametrize("method", ["exact", "sum-product"])
 def test_lossy_encoder_reuses_its_early_stop_and_graph(graph_builds, monkeypatch, method):
     ranks = []
     real = sampler.suffix_ranks
-    monkeypatch.setattr(sampler, "suffix_ranks", lambda A: ranks.append(A) or real(A))
+    monkeypatch.setattr(sampler, "suffix_ranks", lambda rev: ranks.append(rev) or real(rev))
     spec = lossy_spec(20, 8, 6, seed=1)
     cfg = sampler.SamplerConfig(method=method)
     rng = stream(5, 0)
     for _ in range(5):
         y = spec.source.sample(rng)
-        try:
-            x = lossy.encode_reproduction(spec, y, cfg, rng)
-        except sampler.DeadEndError:          # ROADMAP item 2's sampler defect
-            continue
+        x = lossy.encode_reproduction(spec, y, cfg, rng)
         assert np.array_equal(spec.A.mat_vec(x), spec.c)
-    assert ranks == [spec.A]
+    assert len(ranks) == 1 and ranks[0] is spec.sampler.reverse
     assert graph_builds == ([spec.A] if method == "sum-product" else [])

@@ -11,12 +11,10 @@ from cosetcode.sparsemat import (
     all_vectors,
     ComplementBijection,
     column_space_basis,
-    left_inverse_of_generator,
     read_gfmat,
     row_reduce,
     sample_sparse_matrix,
     suffix_ranks,
-    unique_completion,
     vec_to_index,
     write_gfmat,
 )
@@ -236,7 +234,7 @@ def test_row_reduce_matches_row_space_enumeration():
     rng = np.random.default_rng(5)
     for _ in range(10):
         D = rng.integers(0, 3, size=(4, 8))
-        got = row_reduce(D, GF3).rank
+        got = row_reduce(dense(D, GF3)).rank
         assert got == brute_rank(D, 3)
 
 
@@ -244,7 +242,7 @@ def test_row_reduce_transform_identity():
     rng = np.random.default_rng(6)
     for q, field in [(2, GF2), (5, GF5)]:
         D = rng.integers(0, q, size=(5, 9))
-        ech = row_reduce(D, field)
+        ech = row_reduce(dense(D, field))
         assert np.array_equal(ech.transform @ D % q, ech.reduced)
         assert np.all(np.diff(ech.pivots) > 0)
 
@@ -270,10 +268,9 @@ def test_row_reduce_gf2_matches_dense_reference(shape, density):
     rng = np.random.default_rng([shape[0], shape[1], int(100 * density)])
     D = (rng.random(shape) < density).astype(np.int64)
     ref = dense_gauss_jordan(D, 2)
-    assert_echelon_matches(row_reduce(D, GF2), ref)
     assert_echelon_matches(row_reduce(dense(D, GF2)), ref)
-    # raw entries outside {0, 1} are reduced mod 2 first
-    assert_echelon_matches(row_reduce(D + 2 * rng.integers(-3, 3, size=shape), GF2), ref)
+    # entries outside {0, 1} are reduced mod 2 first
+    assert_echelon_matches(row_reduce(dense(D + 2 * rng.integers(-3, 3, size=shape), GF2)), ref)
 
 
 def test_row_reduce_gf2_rank_deficient_and_repeated_rows():
@@ -289,14 +286,13 @@ def test_row_reduce_gfq_matches_dense_reference(field):
     for shape in [(1, 1), (5, 9), (9, 5), (30, 60), (0, 4), (4, 0)]:
         D = rng.integers(0, field.q, size=shape) * (rng.random(shape) < 0.3)
         ref = dense_gauss_jordan(D, field.q)
-        assert_echelon_matches(row_reduce(D, field), ref)
         assert_echelon_matches(row_reduce(dense(D, field)), ref)
 
 
 def test_row_reduce_empty_gf2():
     for shape in [(0, 5), (5, 0), (0, 0)]:
         D = np.zeros(shape, dtype=np.int64)
-        assert_echelon_matches(row_reduce(D, GF2), dense_gauss_jordan(D, 2))
+        assert_echelon_matches(row_reduce(dense(D, GF2)), dense_gauss_jordan(D, 2))
 
 
 def test_row_reduce_refuses_above_dense_cap():
@@ -325,7 +321,7 @@ def test_solve_particular_no_solution_confirmed_by_scan():
     for _ in range(40):
         D = rng.integers(0, 2, size=(3, 4))
         c = rng.integers(0, 2, size=3)
-        x = row_reduce(D, GF2).solve(c)
+        x = row_reduce(dense(D, GF2)).solve(c)
         brute = brute_coset(D, c, 2)
         if x is None:
             assert brute.shape[0] == 0
@@ -350,7 +346,7 @@ def test_kernel_span_equals_bruteforce():
     rng = np.random.default_rng(9)
     for _ in range(10):
         D = rng.integers(0, 2, size=(3, 6))
-        K = row_reduce(D, GF2).kernel
+        K = row_reduce(dense(D, GF2)).kernel
         brute = {tuple(x) for x in all_vectors(2, 6) if not np.any(D @ x % 2)}
         spanned = {
             tuple(z @ K % 2) for z in all_vectors(2, K.shape[0])
@@ -359,33 +355,8 @@ def test_kernel_span_equals_bruteforce():
 
 
 # ---------------------------------------------------------------------------
-# left inverse / complement bijection
+# complement bijection
 # ---------------------------------------------------------------------------
-
-def test_left_inverse_identity_and_repetition():
-    I = dense(np.eye(3, dtype=int), GF3)
-    B = left_inverse_of_generator(I)
-    assert np.array_equal(B, np.eye(3, dtype=int))
-    G = dense([[1], [1]], GF2)
-    B = left_inverse_of_generator(G)
-    assert np.array_equal(B @ G.to_dense() % 2, [[1]])
-
-
-def test_left_inverse_exhaustive_roundtrip():
-    rng = np.random.default_rng(10)
-    for q, field in [(2, GF2), (3, GF3)]:
-        for _ in range(10):
-            k = int(rng.integers(1, 4))
-            n = k + int(rng.integers(0, 3))
-            D = rng.integers(0, q, size=(n, k))
-            if row_reduce(D, field).rank < k:
-                with pytest.raises(ValueError):
-                    left_inverse_of_generator(D, field)
-                continue
-            B = left_inverse_of_generator(D, field)
-            for m in all_vectors(q, k):
-                assert np.array_equal(B @ (D @ m % q) % q, m)
-
 
 def test_complement_bijection_small():
     A = dense([[1, 1]], GF2)
@@ -422,51 +393,6 @@ def test_complement_bijection_rejects_noninjective():
 
 
 # ---------------------------------------------------------------------------
-# unique completion
-# ---------------------------------------------------------------------------
-
-def test_unique_completion_identity():
-    I = dense(np.eye(4, dtype=int), GF3)
-    c = np.array([2, 1, 0, 2])
-    status, suffix = unique_completion(I, c, [2, 1])
-    assert status == "unique"
-    assert np.array_equal(suffix, [0, 2])
-
-
-def test_unique_completion_tiny():
-    A = dense([[1, 1]], GF2)
-    status, suffix = unique_completion(A, [0], [1])
-    assert status == "unique"
-    assert np.array_equal(suffix, [1])
-
-
-def test_unique_completion_matches_suffix_enumeration():
-    rng = np.random.default_rng(13)
-    statuses = set()
-    for _ in range(300):
-        n = int(rng.integers(2, 10))
-        l = int(rng.integers(1, 5))
-        D = rng.integers(0, 2, size=(l, n))
-        c = rng.integers(0, 2, size=l)
-        k = int(rng.integers(0, n))
-        prefix = rng.integers(0, 2, size=k)
-        status, suffix = unique_completion(D, c, prefix, GF2)
-        matches = [
-            s for s in all_vectors(2, n - k)
-            if np.array_equal(D @ np.concatenate([prefix, s]) % 2, c)
-        ]
-        if status == "none":
-            assert len(matches) == 0
-        elif status == "unique":
-            assert len(matches) == 1
-            assert np.array_equal(suffix, matches[0])
-        else:
-            assert len(matches) > 1
-        statuses.add(status)
-    assert statuses == {"none", "unique", "multiple"}
-
-
-# ---------------------------------------------------------------------------
 # coset enumeration
 # ---------------------------------------------------------------------------
 
@@ -485,7 +411,7 @@ def test_coset_size_formula_exhaustive():
         n = int(rng.integers(1, 8 if q == 2 else 6))
         l = int(rng.integers(1, 5))
         D = rng.integers(0, q, size=(l, n))
-        ech = row_reduce(D, field)
+        ech = row_reduce(dense(D, field))
         rank = ech.rank
         x = rng.integers(0, q, size=n)
         c = D @ x % q  # guaranteed in Im A
@@ -522,6 +448,31 @@ def test_column_space_basis_is_rref_of_transpose():
         assert np.array_equal(column_space_basis(dense(D, field)), R[:rank])
 
 
+def dense_suffix_ranks(D, field):
+    """sr[k] = rank of columns k..n-1, by a right-to-left sweep that keeps a
+    reduced basis of the columns seen so far (the library's former loop)."""
+    q = field.q
+    l, n = D.shape
+    basis = np.zeros((0, l), dtype=np.int64)
+    piv = []
+    sr = np.zeros(n + 1, dtype=np.int64)
+    for k in range(n - 1, -1, -1):
+        v = D[:, k].copy()
+        if basis.shape[0]:
+            v = (v - v[piv] @ basis) % q
+        nz = np.nonzero(v)[0]
+        if nz.size:
+            p = int(nz[0])
+            v = v * int(field.inv_table[v[p]]) % q
+            if basis.shape[0]:
+                f = basis[:, p].copy()
+                basis = (basis - f[:, None] * v[None, :]) % q
+            basis = np.vstack([basis, v])
+            piv.append(p)
+        sr[k] = basis.shape[0]
+    return sr
+
+
 def test_suffix_ranks_against_row_reduce():
     rng = np.random.default_rng(15)
     for _ in range(20):
@@ -529,10 +480,17 @@ def test_suffix_ranks_against_row_reduce():
         n, l = int(rng.integers(1, 9)), int(rng.integers(1, 6))
         D = rng.integers(0, q, size=(l, n))
         A = dense(D, field)
-        sr = suffix_ranks(A)
+        sr = suffix_ranks(row_reduce(A.reversed()))
+        assert np.array_equal(sr, dense_suffix_ranks(D, field))
         for k in range(n + 1):
-            want = row_reduce(D[:, k:], field).rank if k < n else 0
+            want = row_reduce(dense(D[:, k:], field)).rank if k < n else 0
             assert sr[k] == want
+
+
+def test_reversed_matches_dense():
+    rng = np.random.default_rng(16)
+    D = rng.integers(0, 3, size=(4, 7)) * (rng.random((4, 7)) < 0.5)
+    assert np.array_equal(dense(D, GF3).reversed().to_dense(), D[:, ::-1])
 
 
 def test_all_vectors_lex_order():
