@@ -17,7 +17,8 @@ import numpy as np
 
 from .fastbp import CosetBP, CosetGraph
 from .models import MemorylessSource, rate_quantities, reverse_model
-from .sampler import CosetSampler, DeadEndError, EncodingError, SamplerConfig, is_uniform
+from .sampler import (CosetSampler, DeadEndError, EncodingError, SamplerConfig,
+                      is_uniform, member_law)
 from .sparsemat import (
     EchelonForm,
     EnsembleSpec,
@@ -169,17 +170,24 @@ class DecodeOutcome:
         return self.m_hat is not None
 
 
+def _argmax(scores: np.ndarray):
+    """(index of the first maximum, whether another score equals it); the
+    index is None when there is no score above -inf."""
+    if not scores.size or scores.max() == -np.inf:
+        return None, False
+    best = int(np.argmax(scores))
+    return best, int((scores == scores[best]).sum()) > 1
+
+
 def decode_map(spec: ChannelCodeSpec, y, channel, cap: int = 2 ** 20) -> DecodeOutcome:
     """Exhaustive posterior argmax over C_A(c); ties go lexicographically.
 
     Fails when the coset is empty or every member has zero posterior.
     """
     members = spec.ech_a.members(spec.c, cap)
-    scores = np.array([spec.prior.log_prob(x) + channel.log_lik(y, x) for x in members])
-    if not scores.size or scores.max() == -np.inf:
+    best, tie = _argmax(spec.prior.log_prob(members) + channel.log_lik(y, members))
+    if best is None:
         return DecodeOutcome(None, "map-exhaustive")
-    best = int(np.argmax(scores))
-    tie = int((scores == scores[best]).sum()) > 1
     return DecodeOutcome(spec.B.mat_vec(members[best]), "map-exhaustive", tie=tie)
 
 
@@ -189,7 +197,8 @@ def decode_bp(spec: ChannelCodeSpec, y, channel, iters: int = 100,
     try:
         rm = reverse_model(spec.prior.pmfs, channel, y)
     except ValueError:
-        return DecodeOutcome(None, "bp-then-B")
+        channel.lik_rows(y)    # raises again for a y the channel cannot emit
+        return DecodeOutcome(None, "bp-then-B")    # zero evidence
     bp = CosetBP(spec.graph_a, spec.c, rm.posteriors, damping=damping)
     converged = bp.run(iters, tol)
     if bp.failed:
@@ -267,38 +276,36 @@ def simulate(spec: ChannelCodeSpec, channel, trials: int, cfg: SamplerConfig,
 def exact_error(spec: ChannelCodeSpec, channel, cap: int = 2 ** 20) -> float:
     """Full summation of the stochastic-code error probability.
 
-    Sums over every message in Im B, every x in its joint coset and every
-    channel output; needs a finite-output channel at oracle scale.
+    Each message of Im B is sent with probability 1/|Im B| as a draw from
+    the prior restricted to its joint coset (`member_law`); an empty or
+    massless joint coset is an error.  The joint cosets partition C_A(c),
+    so one batched likelihood over C_A(c) per channel output gives both
+    the MAP decision and the error mass.  Needs a finite-output channel at
+    oracle scale.
     """
     if channel.continuous:
         raise ValueError("exact summation needs a finite output alphabet")
-    q, n = spec.q, spec.n
-    msgs = spec.all_messages()
-    n_msgs = msgs.shape[0]
-    ny = channel.ny
-    if ny ** n > cap:
+    if channel.ny ** spec.n > cap:
         raise ValueError("output space exceeds the cap")
-    ys = all_vectors(ny, n)
-    decoded = [decode_map(spec, y, channel, cap=cap).m_hat for y in ys]
+    msgs = spec.all_messages()
+    members = spec.ech_a.members(spec.c, cap)
+    sent = spec.B.mat_mat(members)            # the message of each member
+    weight = np.zeros(members.shape[0])
     total = 0.0
     for m in msgs:
-        target = np.concatenate([spec.c, m])
-        members = spec.ech_stacked.members(target, cap)
-        if members.shape[0] == 0:
-            total += 1.0 / n_msgs
-            continue
-        mass = sum(2.0 ** spec.prior.log_prob(x) for x in members)
-        if mass == 0:
-            total += 1.0 / n_msgs
-            continue
-        for x in members:
-            px = 2.0 ** spec.prior.log_prob(x)
-            if px == 0:
-                continue
-            for iy, y in enumerate(ys):
-                if decoded[iy] is not None and np.array_equal(decoded[iy], m):
-                    continue
-                total += (2.0 ** channel.log_lik(y, x)) * px / (n_msgs * mass)
+        joint = np.all(sent == m, axis=1)
+        try:
+            weight[joint] = member_law(members[joint], spec.prior.pmfs) / msgs.shape[0]
+        except EncodingError:
+            total += 1.0 / msgs.shape[0]
+    log_prior = spec.prior.log_prob(members)
+    for y in all_vectors(channel.ny, spec.n):
+        log_lik = channel.log_lik(y, members)
+        best, _ = _argmax(log_prior + log_lik)
+        lik = 2.0 ** log_lik
+        if best is not None:              # members of the decoded message's coset
+            lik[np.all(sent == sent[best], axis=1)] = 0.0
+        total += float(weight @ lik)
     return total
 
 
@@ -344,11 +351,10 @@ def linear_decode(spec: LinearCodeSpec, y, channel, prior: MemorylessSource,
     if not is_uniform(prior.pmfs):
         raise ValueError("the deterministic special case assumes a uniform prior")
     members = spec.ech.members(spec.c, cap)
-    scores = np.array([channel.log_lik(y, x) for x in members])
-    if scores.max() == -np.inf:
+    best, _ = _argmax(channel.log_lik(y, members))
+    if best is None:
         return None
-    best = members[int(np.argmax(scores))]
-    return spec.left_inv @ ((best - spec.x_c) % spec.q) % spec.q
+    return spec.left_inv @ ((members[best] - spec.x_c) % spec.q) % spec.q
 
 
 # -- rate conditions ---------------------------------------------------------------

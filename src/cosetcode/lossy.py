@@ -4,8 +4,9 @@ The encoder builds per-index reproduction posteriors for the observed
 source word, samples a coset member from them, and transmits its image
 under B; the decoder returns the highest-prior member of the joint coset
 pinned by (c, m).  When the stacked map has full column rank the joint
-coset is a single point and decoding is a linear solve, which is also
-the deterministic special case through the pairing bijection.
+coset is a single point and decoding is a linear solve through the
+stacked map's echelon; under uniform marginals that solve is the
+deterministic special case.
 """
 
 import math
@@ -15,9 +16,9 @@ from functools import cached_property
 import numpy as np
 
 from .fastbp import CosetBP, CosetGraph
-from .models import DiscreteChannel, DistortionSpec, MemorylessSource
+from .models import DiscreteChannel, DistortionSpec, MemorylessSource, rate_quantities
 from .sampler import CosetSampler, DeadEndError, EncodingError, SamplerConfig, member_law
-from .sparsemat import ComplementBijection, SparseMatrix, all_vectors, row_reduce
+from .sparsemat import SparseMatrix, all_vectors, row_reduce
 from .stats import entropy_bits, wilson_interval
 from .streams import stream
 
@@ -40,11 +41,10 @@ class LossyCodeSpec:
         self.c = np.asarray(self.c, dtype=np.int64) % q
         if self.A.cols != self.B.cols or self.A.field != self.B.field:
             raise ValueError("A and B must share the domain")
-        ech_a = row_reduce(self.A)     # kept only for its rank and the check on c
-        if ech_a.solve(self.c) is None:
+        self.sampler = CosetSampler(self.A)    # its echelon of A also serves exact_error
+        if self.sampler.echelon.solve(self.c) is None:
             raise ValueError("c is not in Im A")
-        self.rank_a = ech_a.rank
-        del ech_a
+        self.rank_a = self.sampler.echelon.rank
         n = self.A.cols
         if self.test_channel.n != n or self.test_channel.ny != q:
             raise ValueError("test channel must map the source alphabet to GF(q)")
@@ -74,11 +74,6 @@ class LossyCodeSpec:
     def graph_stacked(self) -> CosetGraph:
         """Factor graph of the stacked map for BP decoding, built on first use."""
         return CosetGraph(self.stacked)
-
-    @cached_property
-    def sampler(self) -> CosetSampler:
-        """Sampling structure of A for the encoder, built on first use."""
-        return CosetSampler(self.A)
 
     def posteriors(self, y) -> np.ndarray:
         """(n, q) per-index reproduction posteriors for the observed word."""
@@ -129,11 +124,16 @@ def decode(spec: LossyCodeSpec, m, cap: int = 2 ** 20,
 
 
 def linear_decode(spec: LossyCodeSpec, m) -> np.ndarray:
-    """Deterministic special case: invert (c, m) through the pairing bijection."""
+    """Deterministic special case: the one x with (A x, B x) = (c, m), solved
+    through the stacked map's echelon, which must have full column rank."""
     if not np.allclose(spec.x_marginals, 1.0 / spec.q):
         raise ValueError("the deterministic special case assumes uniform marginals")
-    xab = ComplementBijection(spec.A, spec.B)
-    return xab(spec.c, np.asarray(m, dtype=np.int64) % spec.q)
+    if spec.ech_stacked.rank != spec.n:
+        raise ValueError("stacked map (A, B) is not injective")
+    x = decode(spec, m)
+    if x is None:
+        raise ValueError("(c, m) is outside the image of the stacked map")
+    return x
 
 
 @dataclass
@@ -204,14 +204,22 @@ def simulate(spec: LossyCodeSpec, trials: int, cfg: SamplerConfig, seed: int,
 
 def exact_error(spec: LossyCodeSpec, target_d: float | None = None,
                 cap: int = 2 ** 20) -> float:
-    """Exact P(d_n > n D) by summing over source words and encoder outputs."""
+    """Exact P(d_n > n D) by summing over source words and encoder outputs.
+
+    The encoder's law on C_A(c) is `member_law` of the word's posteriors;
+    the decoder is a function of m = B x alone, so each message is decoded
+    once and each source word is scored against every member at once.
+    """
     D = spec.target_d if target_d is None else target_d
-    n, q, ny = spec.n, spec.q, spec.source.q
+    n, ny = spec.n, spec.source.q
     if ny ** n > cap:
         raise ValueError("source space exceeds the cap")
-    total = 0.0
-    decoded = {}                     # decode is a function of m alone
     members = spec.sampler.echelon.members(spec.c, cap)   # c is in Im A
+    msgs, msg_of = np.unique(spec.B.mat_mat(members), axis=0, return_inverse=True)
+    decoded = [decode(spec, m, cap=cap) for m in msgs]
+    failed = np.array([x is None for x in decoded])
+    x_hats = np.array([np.zeros(n, dtype=np.int64) if x is None else x for x in decoded])
+    total = 0.0
     for y in all_vectors(ny, n):
         py = 2.0 ** spec.source.log_prob(y)
         if py == 0:
@@ -221,31 +229,17 @@ def exact_error(spec: LossyCodeSpec, target_d: float | None = None,
         except EncodingError:
             total += py
             continue
-        for x_tilde, p in zip(members, probs):
-            if p == 0:
-                continue
-            m = spec.B.mat_vec(x_tilde)
-            key = m.tobytes()
-            if key not in decoded:
-                decoded[key] = decode(spec, m, cap=cap)
-            x_hat = decoded[key]
-            if x_hat is None or spec.distortion.total(x_hat, y) > n * D:
-                total += py * p
+        wrong = failed | (spec.distortion.total(x_hats, y) > n * D)
+        total += py * float(probs[wrong[msg_of]].sum())
     return total
 
 
 def rate_check(spec: LossyCodeSpec) -> dict:
     """Achievability conditions for the lossy construction (advisory), as plain
     floats and bools."""
-    n = spec.n
-    h_x = float(np.mean([entropy_bits(spec.x_marginals[i]) for i in range(n)]))
-    h_xy = 0.0
-    for i in range(n):
-        for yv in range(spec.source.q):
-            py = spec.source.pmfs[i, yv]
-            if py > 0:
-                h_xy += py * entropy_bits(spec.test_channel.kernels[i, yv])
-    h_xy = float(h_xy / n)
+    h_x = float(np.mean([entropy_bits(p) for p in spec.x_marginals]))
+    # H(X|Y) = H(X) - I(X;Y), with I from the source through the test channel
+    h_xy = h_x - float(rate_quantities(spec.source.pmfs, spec.test_channel).i_xy)
     r, R = float(spec.rate_r), float(spec.rate_R)
     return {
         "r": r,

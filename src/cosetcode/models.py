@@ -29,6 +29,25 @@ def _check_pmfs(pmfs: np.ndarray, what: str) -> np.ndarray:
     return pmfs
 
 
+def _words(v, n: int, size: int, what: str, batch: bool = False) -> np.ndarray:
+    """v as int64, checked to be one length-n word over range(size), or with
+    batch an (M, n) array of them."""
+    v = np.asarray(v, dtype=np.int64)
+    if v.ndim not in ((1, 2) if batch else (1,)) or v.shape[-1] != n:
+        raise ValueError(f"{what} length mismatch")
+    if v.size and (v.min() < 0 or v.max() >= size):
+        raise ValueError(f"{what} symbol outside the alphabet")
+    return v
+
+
+def _log2_product(p: np.ndarray):
+    """Sum of log2 p along the last axis: -inf where a factor is 0, and a
+    float for one word.  A row sum is the same float as the 1-D sum."""
+    with np.errstate(divide="ignore"):
+        s = np.log2(p).sum(axis=-1)
+    return float(s) if p.ndim == 1 else s
+
+
 class MemorylessSource:
     """Product law on X^n given per-index pmfs over an alphabet of size q."""
 
@@ -36,16 +55,10 @@ class MemorylessSource:
         self.pmfs = _check_pmfs(pmfs, "source pmfs")
         self.n, self.q = self.pmfs.shape
 
-    def log_prob(self, x) -> float:
-        x = np.asarray(x, dtype=np.int64)
-        if x.shape != (self.n,):
-            raise ValueError("sequence length mismatch")
-        if x.min() < 0 or x.max() >= self.q:
-            raise ValueError("symbol outside the source alphabet")
-        p = self.pmfs[np.arange(self.n), x]
-        if np.any(p == 0):
-            return float("-inf")
-        return float(np.log2(p).sum())
+    def log_prob(self, x):
+        """log2 of the probability of x; an (M, n) batch gives one value per row."""
+        x = _words(x, self.n, self.q, "sequence", batch=True)
+        return _log2_product(self.pmfs[np.arange(self.n), x])
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         cdf = np.cumsum(self.pmfs, axis=1)
@@ -68,32 +81,22 @@ class DiscreteChannel:
         self.n, self.q, self.ny = kernels.shape
 
     def sample(self, x, rng: np.random.Generator) -> np.ndarray:
-        x = self._check_input(x)
+        x = _words(x, self.n, self.q, "input")
         rows = self.kernels[np.arange(self.n), x]
         cdf = np.cumsum(rows, axis=1)
         u = rng.random(self.n)
         return np.minimum((u[:, None] >= cdf).sum(axis=1), self.ny - 1).astype(np.int64)
 
-    def log_lik(self, y, x) -> float:
-        x = self._check_input(x)
-        y = np.asarray(y, dtype=np.int64)
-        if y.shape != (self.n,) or y.min() < 0 or y.max() >= self.ny:
-            raise ValueError("output outside the channel alphabet")
-        p = self.kernels[np.arange(self.n), x, y]
-        if np.any(p == 0):
-            return float("-inf")
-        return float(np.log2(p).sum())
+    def log_lik(self, y, x):
+        """log2 mu(y|x); an (M, n) batch of inputs gives one value per row."""
+        x = _words(x, self.n, self.q, "input", batch=True)
+        y = _words(y, self.n, self.ny, "output")
+        return _log2_product(self.kernels[np.arange(self.n), x, y])
 
     def lik_rows(self, y) -> np.ndarray:
         """(n, q) array of mu_{Y_i|X_i}(y_i|.) for an observed y."""
-        y = np.asarray(y, dtype=np.int64)
+        y = _words(y, self.n, self.ny, "output")
         return self.kernels[np.arange(self.n), :, y]
-
-    def _check_input(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.int64)
-        if x.shape != (self.n,) or x.min() < 0 or x.max() >= self.q:
-            raise ValueError("input outside the channel alphabet")
-        return x
 
 
 class BiAwgnChannel:
@@ -109,15 +112,15 @@ class BiAwgnChannel:
         self.q = 2
 
     def sample(self, x, rng: np.random.Generator) -> np.ndarray:
-        x = np.asarray(x, dtype=np.int64)
-        if x.shape != (self.n,):
-            raise ValueError("input length mismatch")
+        x = _words(x, self.n, 2, "input")
         s = 1.0 - 2.0 * x
         return s + self.sigma * rng.standard_normal(self.n)
 
     def log_density(self, y: np.ndarray) -> np.ndarray:
         """(n, 2) per-index natural-log densities of y_i under x_i = 0, 1."""
         y = np.asarray(y, dtype=float)
+        if y.shape != (self.n,) or not np.all(np.isfinite(y)):
+            raise ValueError("output must be n finite reals")
         s = np.array([1.0, -1.0])
         z = (y[:, None] - s[None, :]) / self.sigma
         return -0.5 * z * z - np.log(self.sigma * np.sqrt(2 * np.pi))
@@ -126,10 +129,12 @@ class BiAwgnChannel:
         """(n, 2) per-index densities of y_i under x_i = 0, 1."""
         return np.exp(self.log_density(y))
 
-    def log_lik(self, y, x) -> float:
-        x = np.asarray(x, dtype=np.int64)
+    def log_lik(self, y, x):
+        """log2 density of y given x; an (M, n) batch of inputs gives one value per row."""
+        x = _words(x, self.n, 2, "input", batch=True)
         ld = self.log_density(y)[np.arange(self.n), x]
-        return float(ld.sum() / np.log(2))
+        ll = ld.sum(axis=-1) / np.log(2)
+        return float(ll) if x.ndim == 1 else ll
 
     def lik_rows(self, y) -> np.ndarray:
         """Densities with each row scaled by its maximum (taken in the log
@@ -220,12 +225,14 @@ class DistortionSpec:
             raise ValueError("distortion table must be finite and nonnegative")
         self.table = table
 
-    def total(self, x, y) -> float:
+    def total(self, x, y):
+        """Summed distortion of x against y; an (M, n) batch of x gives one value per row."""
         x = np.asarray(x, dtype=np.int64)
         y = np.asarray(y, dtype=np.int64)
-        if x.shape != y.shape:
+        if y.ndim != 1 or x.ndim not in (1, 2) or x.shape[-1] != y.size:
             raise ValueError("length mismatch")
-        return float(self.table[x, y].sum())
+        d = self.table[x, y].sum(axis=-1)
+        return float(d) if x.ndim == 1 else d
 
 
 def hamming_distortion(q: int) -> DistortionSpec:

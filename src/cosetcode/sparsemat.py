@@ -350,35 +350,6 @@ def _gauss_jordan_gfq(D: np.ndarray, field: GF):
     return M[:, :n].copy(), M[:, n:].copy(), pivots
 
 
-class ComplementBijection:
-    """Invertible pairing between x and (A x, B x) when the stacked map is injective."""
-
-    def __init__(self, A: SparseMatrix, B: SparseMatrix):
-        if A.cols != B.cols or A.field != B.field:
-            raise ValueError("A and B must share the domain")
-        self.A, self.B = A, B
-        self.field = A.field
-        stacked = A.stack(B)
-        ech = row_reduce(stacked)
-        if ech.rank != A.cols:
-            raise ValueError("stacked map (A, B) is not injective")
-        self._ech = ech
-
-    def __call__(self, c, m) -> np.ndarray:
-        q = self.field.q
-        t = np.concatenate([np.asarray(c, dtype=np.int64) % q,
-                            np.asarray(m, dtype=np.int64) % q])
-        if t.shape != (self.A.rows + self.B.rows,):
-            raise ValueError("target lengths do not match (l, k)")
-        x = self._ech.solve(t)
-        if x is None:
-            raise ValueError("(c, m) is outside the image of the stacked map")
-        return x
-
-    def split(self, x):
-        return self.A.mat_vec(x), self.B.mat_vec(x)
-
-
 # -- enumeration and encoding helpers -----------------------------------------
 
 

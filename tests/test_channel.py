@@ -19,7 +19,7 @@ from cosetcode.channel import (
     simulate,
 )
 from cosetcode.gf import GF
-from cosetcode.models import biawgn, bsc, uniform_source, MemorylessSource
+from cosetcode.models import MemorylessSource, bac, bernoulli_source, biawgn, bsc, qsc, uniform_source
 from cosetcode.sampler import DeadEndError, EncodingError, SamplerConfig
 from cosetcode.sparsemat import SparseMatrix, all_vectors, row_reduce
 from cosetcode.stats import binary_entropy, chi2_quantile, chi_square_stat
@@ -174,6 +174,66 @@ def test_decode_map_fails_on_zero_posterior():
     assert not out.success and not out.tie
 
 
+def map_by_member(spec, y, ch):
+    """(m_hat, tie) from scoring each member of C_A(c) on its own, the way
+    decode_map did before its scores were batched."""
+    members = spec.ech_a.members(spec.c)
+    scores = np.array([spec.prior.log_prob(x) + ch.log_lik(y, x) for x in members])
+    if not scores.size or scores.max() == -np.inf:
+        return None, False
+    best = int(np.argmax(scores))
+    return spec.B.mat_vec(members[best]), int((scores == scores[best]).sum()) > 1
+
+
+@pytest.mark.parametrize("case", ["bsc", "bsc-noiseless", "bac", "qsc3", "biawgn"])
+def test_decode_map_matches_per_member_scores(case):
+    n, q = 8, 3 if case == "qsc3" else 2
+    prior, ch = {
+        "bsc": (uniform_source(n, 2), bsc(0.1, n)),
+        "bsc-noiseless": (uniform_source(n, 2), bsc(0.0, n)),
+        "bac": (bernoulli_source(0.3, n), bac(0.05, 0.2, n)),
+        "qsc3": (MemorylessSource(np.tile([0.6, 0.2, 0.2], (n, 1))), qsc(3, 0.1, n)),
+        "biawgn": (bernoulli_source(0.3, n), biawgn(0.8, n)),
+    }[case]
+    for seed in range(6):
+        spec = sample_code(n, 3, 3, 2, GF(q), prior, seed)
+        rng = stream(seed, 40)
+        for _ in range(12):
+            x = rng.integers(0, q, size=n)
+            y = ch.sample(x, rng) if ch.continuous else rng.integers(0, ch.ny, size=n)
+            out = decode_map(spec, y, ch)
+            m_hat, tie = map_by_member(spec, y, ch)
+            assert out.tie == tie
+            assert (out.m_hat is None and m_hat is None) or np.array_equal(out.m_hat, m_hat)
+
+
+@pytest.mark.parametrize("y", [[-1, 0, 0, 0, 0, 0], [2, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0]],
+                         ids=["negative", "past-alphabet", "short"])
+def test_decoders_reject_outputs_the_channel_cannot_emit(y):
+    spec = small_spec()
+    with pytest.raises(ValueError, match="output"):
+        decode_bp(spec, y, bsc(0.1, 6))
+    with pytest.raises(ValueError, match="output"):
+        decode_map(spec, y, bsc(0.1, 6))
+
+
+def test_decoders_reject_wrong_length_biawgn_output():
+    spec = small_spec()
+    with pytest.raises(ValueError, match="output"):
+        decode_bp(spec, np.ones(5), biawgn(0.5, 6))
+    with pytest.raises(ValueError, match="output"):
+        decode_map(spec, np.ones(5), biawgn(0.5, 6))
+
+
+def test_zero_evidence_is_a_failed_decode():
+    # x_0 = 1 has zero prior and the noiseless channel saw y_0 = 1
+    prior = MemorylessSource(np.vstack([[1.0, 0.0], np.full((5, 2), 0.5)]))
+    spec = small_spec(prior=prior)
+    y = np.array([1, 0, 0, 0, 0, 0])
+    assert not decode_bp(spec, y, bsc(0.0, 6)).success
+    assert not decode_map(spec, y, bsc(0.0, 6)).success
+
+
 # ---------------------------------------------------------------------------
 # BP decoding
 # ---------------------------------------------------------------------------
@@ -248,6 +308,38 @@ def test_simulate_matches_exact_error_within_wilson():
     lo, hi = stats.wilson
     assert lo <= exact <= hi
     assert 0 < exact < 1
+
+
+def test_exact_error_matches_full_space_sum_gf3_qsc():
+    # independent of every echelon: messages, joint cosets and MAP decisions
+    # come from scanning all of GF(3)^n
+    n, q = 5, 3
+    prior = MemorylessSource(stream(6, 0).dirichlet(np.ones(q), size=n))
+    ch = qsc(3, 0.15, n)
+    for seed in range(3):
+        spec = sample_code(n, 2, 2, 2, GF(q), prior, seed)
+        V = all_vectors(q, n)
+        on_a = V[[np.array_equal(spec.A.mat_vec(v), spec.c) for v in V]]
+        sent = np.array([spec.B.mat_vec(v) for v in on_a])
+        msgs = np.unique([spec.B.mat_vec(v) for v in V], axis=0)   # Im B
+        px = np.array([2.0 ** spec.prior.log_prob(v) for v in on_a])
+        lik = ch.kernels[np.arange(n), on_a[:, None, :], V[None, :, :]].prod(axis=2)
+        # MAP decisions: the first maximum in lexicographic order
+        decoded = [sent[int(np.argmax([spec.prior.log_prob(v) + ch.log_lik(y, v)
+                                       for v in on_a]))] for y in V]
+        total = 0.0
+        for m in msgs:
+            joint = np.all(sent == m, axis=1)
+            mass = px[joint].sum()
+            if mass == 0:                   # m cannot be encoded
+                total += 1.0 / len(msgs)
+                continue
+            for iy in range(len(V)):
+                if not np.array_equal(decoded[iy], m):
+                    total += (px[joint] @ lik[joint, iy]) / mass / len(msgs)
+        got = exact_error(spec, ch)
+        assert type(got) is float
+        assert abs(got - total) < 1e-12
 
 
 def test_simulate_single_message_code():

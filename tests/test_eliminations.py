@@ -92,10 +92,25 @@ def test_lossy_spec_and_decoder(eliminations):
 
 
 def test_lossy_exact_error_eliminates_a_once(eliminations):
+    # the spec keeps the echelon of A it builds, and exact_error reuses it
     spec = lossy_spec(7, n=8, l=3)
+    assert eliminations.count(spec.A) == 1
     before = len(eliminations)
     lossy.exact_error(spec)
-    assert eliminations[before:] == [spec.A]
+    assert eliminations[before:] == []
+
+
+def test_lossy_linear_decode_eliminates_nothing(eliminations):
+    n = 6
+    A = sample_sparse_matrix(EnsembleSpec(n=n, l=3, field=GF2, tau=2), stream(9, 1))
+    spec = lossy.LossyCodeSpec(A, sparsemat.SparseMatrix.from_dense(np.eye(n), GF2),
+                               A.mat_vec(np.ones(n, dtype=np.int64)), uniform_source(n, 2),
+                               bsc(0.11, n), hamming_distortion(2), 0.2)
+    before = len(eliminations)
+    for x in sparsemat.all_vectors(2, n):
+        if np.array_equal(A.mat_vec(x), spec.c):
+            assert np.array_equal(lossy.linear_decode(spec, x), x)
+    assert len(eliminations) == before
 
 
 def test_linear_spec(eliminations):

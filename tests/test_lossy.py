@@ -5,9 +5,18 @@ import pytest
 
 from cosetcode import lossy
 from cosetcode.gf import GF
-from cosetcode.models import MemorylessSource, bernoulli_source, bsc, hamming_distortion
+from cosetcode.models import (
+    DiscreteChannel,
+    DistortionSpec,
+    MemorylessSource,
+    bernoulli_source,
+    bsc,
+    hamming_distortion,
+    uniform_source,
+)
 from cosetcode.sampler import DeadEndError, SamplerConfig
-from cosetcode.sparsemat import EnsembleSpec, all_vectors, sample_sparse_matrix
+from cosetcode.sparsemat import EnsembleSpec, SparseMatrix, all_vectors, sample_sparse_matrix
+from cosetcode.stats import entropy_bits
 from cosetcode.streams import stream
 
 GF2 = GF(2)
@@ -82,6 +91,92 @@ def test_simulate_same_seed_deterministic():
     r2 = lossy.simulate(spec, 50, EXACT, seed=9)
     assert r1.as_dict() == r2.as_dict()
     assert r1.histogram == r2.histogram
+
+
+def dense(arr, field=GF2):
+    return SparseMatrix.from_dense(np.array(arr), field)
+
+
+def uniform_spec(A, B, c):
+    """Uniform source through a BSC test channel: the reproduction marginals
+    are uniform, the deterministic special case."""
+    n = A.cols
+    return lossy.LossyCodeSpec(A, B, c, uniform_source(n, 2), bsc(0.11, n),
+                               hamming_distortion(2), 0.2)
+
+
+def test_linear_decode_roundtrip_small():
+    A, B = dense([[1, 1]]), dense([[1, 0]])
+    for x in all_vectors(2, 2):
+        spec = uniform_spec(A, B, A.mat_vec(x))
+        assert np.array_equal(lossy.linear_decode(spec, B.mat_vec(x)), x)
+
+
+def test_linear_decode_roundtrip_random_exhaustive():
+    rng = np.random.default_rng(12)
+    done = 0
+    while done < 8:
+        n = int(rng.integers(2, 7))
+        l = int(rng.integers(1, n))
+        A = dense(rng.integers(0, 2, size=(l, n)))
+        B = dense(rng.integers(0, 2, size=(n - l + 1, n)))
+        specs = {}
+        for x in all_vectors(2, n):
+            c = A.mat_vec(x)
+            if c.tobytes() not in specs:
+                specs[c.tobytes()] = uniform_spec(A, B, c)
+            spec = specs[c.tobytes()]
+            if spec.ech_stacked.rank < n:
+                break
+            assert np.array_equal(lossy.linear_decode(spec, B.mat_vec(x)), x)
+        else:
+            done += 1
+
+
+def test_linear_decode_rejects_noninjective():
+    A, B = dense([[1, 1]]), dense([[1, 1]])
+    with pytest.raises(ValueError, match="not injective"):
+        lossy.linear_decode(uniform_spec(A, B, [0]), [0])
+
+
+def test_linear_decode_rejects_target_outside_image():
+    A, B = dense([[1, 1]]), dense(np.eye(2, dtype=int))
+    spec = uniform_spec(A, B, [0])
+    assert np.array_equal(lossy.linear_decode(spec, [1, 1]), [1, 1])
+    with pytest.raises(ValueError, match="outside the image"):
+        lossy.linear_decode(spec, [1, 0])      # A x = 1 for x = (1, 0)
+
+
+def summed_rate_check_entropies(spec):
+    """(H(X), H(X|Y)) per letter as lossy.rate_check summed them by hand."""
+    n = spec.n
+    h_x = float(np.mean([entropy_bits(spec.x_marginals[i]) for i in range(n)]))
+    h_xy = 0.0
+    for i in range(n):
+        for yv in range(spec.source.q):
+            py = spec.source.pmfs[i, yv]
+            if py > 0:
+                h_xy += py * entropy_bits(spec.test_channel.kernels[i, yv])
+    return h_x, float(h_xy / n)
+
+
+def test_rate_check_matches_summed_entropies():
+    rng = np.random.default_rng(20)
+    for t in range(20):
+        q = (2, 3)[t % 2]
+        n, ny = int(rng.integers(2, 7)), int(rng.integers(2, 4))
+        A = sample_sparse_matrix(EnsembleSpec(n=n, l=1, field=GF(q), tau=2), stream(t, 1))
+        B = sample_sparse_matrix(EnsembleSpec(n=n, l=2, field=GF(q), tau=2), stream(t, 2))
+        source = rng.dirichlet(np.ones(ny), size=n)
+        source[0] = np.eye(ny)[0]           # a source letter of zero mass
+        spec = lossy.LossyCodeSpec(A, B, A.mat_vec(rng.integers(0, q, size=n)),
+                                   MemorylessSource(source),
+                                   DiscreteChannel(rng.dirichlet(np.ones(q), size=(n, ny))),
+                                   DistortionSpec(np.ones((q, ny))), 0.2)
+        rep = lossy.rate_check(spec)
+        h_x, h_xy = summed_rate_check_entropies(spec)
+        assert rep["h_x"] == h_x
+        assert abs(rep["h_x_given_y"] - h_xy) < 1e-12
 
 
 def test_rate_check_is_plain_json():

@@ -126,6 +126,36 @@ def test_channel_sampling_frequencies():
     assert abs(y.mean() - 0.2) < 4 * sigma
 
 
+@pytest.mark.parametrize("n", [3, 20, 300])
+def test_batched_rows_equal_single_word_calls(n):
+    # 300 > 128 takes numpy's blocked pairwise sum; the source and the
+    # channel have zeros, so some of their rows are -inf
+    rng = stream(n, 0)
+    pmfs = rng.dirichlet(np.ones(3), size=n)
+    pmfs[0, 2] = 0.0
+    pmfs[0] /= pmfs[0].sum()
+    kernels = rng.dirichlet(np.ones(4), size=(n, 3))
+    kernels[1, 1, 0] = 0.0
+    kernels[1, 1] /= kernels[1, 1].sum()
+    src, ch, awgn = MemorylessSource(pmfs), DiscreteChannel(kernels), BiAwgnChannel(0.7, n)
+    dist = DistortionSpec(rng.random((3, 4)))
+    X = rng.integers(0, 3, size=(40, n))
+    y = rng.integers(0, 4, size=n)
+    y[1] = 0
+    y_real = awgn.sample(X[0] % 2, rng)
+    for batch, single in [(src.log_prob(X), src.log_prob),
+                          (ch.log_lik(y, X), lambda x: ch.log_lik(y, x)),
+                          (awgn.log_lik(y_real, X % 2), lambda x: awgn.log_lik(y_real, x % 2)),
+                          (dist.total(X, y), lambda x: dist.total(x, y))]:
+        rows = [single(x) for x in X]
+        assert {type(v) for v in rows} == {float}
+        assert batch.shape == (40,)
+        assert batch.tobytes() == np.array(rows).tobytes()
+    assert np.isneginf(src.log_prob(X)).any() and np.isfinite(src.log_prob(X)).any()
+    assert np.isneginf(ch.log_lik(y, X)).any() and np.isfinite(ch.log_lik(y, X)).any()
+    assert src.log_prob(X[:0]).shape == (0,)
+
+
 # ---------------------------------------------------------------------------
 # reverse model
 # ---------------------------------------------------------------------------

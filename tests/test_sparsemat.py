@@ -9,7 +9,6 @@ from cosetcode.sparsemat import (
     EnsembleSpec,
     SparseMatrix,
     all_vectors,
-    ComplementBijection,
     column_space_basis,
     read_gfmat,
     row_reduce,
@@ -352,44 +351,6 @@ def test_kernel_span_equals_bruteforce():
             tuple(z @ K % 2) for z in all_vectors(2, K.shape[0])
         } if K.shape[0] else {tuple(np.zeros(6, dtype=int))}
         assert spanned == brute
-
-
-# ---------------------------------------------------------------------------
-# complement bijection
-# ---------------------------------------------------------------------------
-
-def test_complement_bijection_small():
-    A = dense([[1, 1]], GF2)
-    B = dense([[1, 0]], GF2)
-    xab = ComplementBijection(A, B)
-    for x in all_vectors(2, 2):
-        c, m = xab.split(x)
-        assert np.array_equal(xab(c, m), x)
-
-
-def test_complement_bijection_random_exhaustive():
-    rng = np.random.default_rng(12)
-    done = 0
-    while done < 8:
-        n = int(rng.integers(2, 7))
-        l = int(rng.integers(1, n))
-        D1 = rng.integers(0, 2, size=(l, n))
-        D2 = rng.integers(0, 2, size=(n - l + 1, n))
-        A, B = dense(D1, GF2), dense(D2, GF2)
-        try:
-            xab = ComplementBijection(A, B)
-        except ValueError:
-            continue
-        for x in all_vectors(2, n):
-            assert np.array_equal(xab(A.mat_vec(x), B.mat_vec(x)), x)
-        done += 1
-
-
-def test_complement_bijection_rejects_noninjective():
-    A = dense([[1, 1]], GF2)
-    B = dense([[1, 1]], GF2)
-    with pytest.raises(ValueError):
-        ComplementBijection(A, B)
 
 
 # ---------------------------------------------------------------------------
