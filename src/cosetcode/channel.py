@@ -50,11 +50,10 @@ class ChannelCodeSpec:
             raise ValueError("c length must equal the row count of A")
         if self.prior.n != self.A.cols or self.prior.q != q:
             raise ValueError("prior shape must match the code domain")
-        ech_a = row_reduce(self.A)     # kept only for its rank and the check on c
-        if ech_a.solve(self.c) is None:
+        self.ech_a: EchelonForm = row_reduce(self.A)   # also serves decode_map
+        if self.ech_a.solve(self.c) is None:
             raise ValueError("c is not in Im A")
-        self.rank_a = ech_a.rank
-        del ech_a
+        self.rank_a = self.ech_a.rank
         self.stacked = self.A.stack(self.B)
         self.ech_stacked: EchelonForm = row_reduce(self.stacked)
         self.msg_rank = self.ech_stacked.rank - self.rank_a
@@ -77,11 +76,6 @@ class ChannelCodeSpec:
             return np.zeros(self.B.rows, dtype=np.int64)
         z = rng.integers(0, self.q, size=self.msg_basis.shape[0])
         return z @ self.msg_basis % self.q
-
-    @cached_property
-    def ech_a(self) -> EchelonForm:
-        """Echelon of A for the exhaustive decoder, built on first use."""
-        return row_reduce(self.A)
 
     @cached_property
     def graph_a(self) -> CosetGraph:
@@ -194,6 +188,8 @@ def decode_map(spec: ChannelCodeSpec, y, channel, cap: int = 2 ** 20) -> DecodeO
 def decode_bp(spec: ChannelCodeSpec, y, channel, iters: int = 100,
               damping: float = 0.0, tol: float = 1e-8) -> DecodeOutcome:
     """BP marginals on the coset graph with per-index posteriors as priors."""
+    if channel.n != spec.n:
+        raise ValueError("input length mismatch: the channel and the code differ in length")
     try:
         rm = reverse_model(spec.prior.pmfs, channel, y)
     except ValueError:
@@ -330,8 +326,7 @@ class LinearCodeSpec:
         self.msg_dim = self.gen.shape[0]
         # generator row j is 1 on the j-th free column and 0 on the others,
         # so reading the free columns inverts m -> m G
-        free = np.setdiff1d(np.arange(self.A.cols), self.ech.pivots)
-        self.left_inv = np.eye(self.A.cols, dtype=np.int64)[free]
+        self.left_inv = np.eye(self.A.cols, dtype=np.int64)[self.ech.free]
 
     @property
     def q(self) -> int:

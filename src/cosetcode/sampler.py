@@ -211,7 +211,7 @@ class CosetSampler:
     def reduced_target(self, c) -> np.ndarray:
         """s = T c for the empty prefix; EncodingError when C_A(c) is empty."""
         rev = self.reverse
-        s = rev.transform @ c % self.A.field.q
+        s = rev.transformed(c)
         if np.any(s[rev.rank:]):
             raise EncodingError("coset is empty: c is outside Im A")
         return s
@@ -252,8 +252,7 @@ def _drive(sampler: CosetSampler, c: np.ndarray, state, choose,
            early_stop: bool) -> GeneratedSample:
     """The step loop: x_k = choose(pmf_k) until the prefix pins the suffix."""
     A, n, q = sampler.A, sampler.A.cols, sampler.A.field.q
-    s, rows = sampler.reduced_target(c), sampler.pivot_row
-    R = sampler.reverse.reduced[:, ::-1]
+    s, rows, rev = sampler.reduced_target(c), sampler.pivot_row, sampler.reverse
     stop = sampler.early_stop_index if early_stop else n
     x = np.zeros(n, dtype=np.int64)
     for k in range(stop):
@@ -264,7 +263,7 @@ def _drive(sampler: CosetSampler, c: np.ndarray, state, choose,
         x[k] = v = choose(_require_mass(pmf, k))
         state.commit(k, v)
         if v:
-            s = (s - v * R[:, k]) % q
+            s = (s - v * rev.column(n - 1 - k)) % q
     x[stop:] = s[rows[stop:]]
     if not np.array_equal(A.mat_vec(x), c):
         raise DeadEndError("generated sequence violates the constraint")

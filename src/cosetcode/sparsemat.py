@@ -2,11 +2,15 @@
 
 Matrices are immutable after construction and stored CSR-style with
 canonical rows (ascending columns, no zero coefficients), so equality is
-structural.  Elimination returns dense int64 echelon fields and is
-refused above l*n = DENSE_CAP = 2**20, so everything here is desk scale
-by design.  Over GF(2) it runs on rows bit-packed into 64-bit words,
-packed straight from the CSR entries, so no int64 copy of the matrix is
-made; over GF(q > 2) it works on the dense mirror `to_dense`.
+structural.  Over GF(2) elimination runs on the rows of [A | I]
+bit-packed into 64-bit words, packed straight from the CSR entries, and
+the echelon keeps them packed: solves and uniform coset draws are
+XOR/popcount parities on those words, and no int64 copy of the matrix or
+of its echelon is made unless a caller reads one.  The packed [A | I]
+may take at most 8 * DENSE_CAP bytes (8 MiB), about l*(n + l) <= 2**26
+bits.  Over GF(q > 2) elimination works on the dense int64 mirror
+`to_dense`, refused above l*n = DENSE_CAP = 2**20 entries, so that path
+is desk scale by design.
 
 `row_reduce` eliminates a matrix once and returns an `EchelonForm`, the
 one object that solves A x = t, holds the kernel and enumerates or
@@ -93,16 +97,12 @@ class SparseMatrix:
     def nnz(self) -> int:
         return int(self.indptr[-1])
 
-    def check_dense_cap(self) -> None:
-        """Refuse work that needs an l x n dense array above DENSE_CAP entries."""
-        if self.rows * self.cols > DENSE_CAP:
-            raise ValueError(
-                f"dense mirror refused: {self.rows}x{self.cols} exceeds cap {DENSE_CAP}"
-            )
-
     def to_dense(self) -> np.ndarray:
+        """The l x n int64 mirror, refused above DENSE_CAP entries."""
         if self._dense is None:
-            self.check_dense_cap()
+            if self.rows * self.cols > DENSE_CAP:
+                raise ValueError(f"dense mirror refused: {self.rows}x{self.cols} "
+                                 f"exceeds cap {DENSE_CAP}")
             d = np.zeros((self.rows, self.cols), dtype=np.int64)
             d[self.row_of, self.col_idx] = self.coeffs
             self._dense = d
@@ -215,25 +215,72 @@ class EchelonForm:
     The one place that turns an elimination into answers about cosets
     C_A(t) = {x : A x = t}: a particular solution, the kernel, every
     member, or a uniformly random member.
+
+    `rt` holds [R | T], the l rows of the eliminated [A | I].  Over GF(2)
+    they stay bit-packed as little-endian uint64 words, bit j of a row in
+    bit j % 64 of word j // 64, and products with R and T are the parity
+    of a word-wise AND; over GF(q > 2) they are int64.  `reduced` and
+    `transform` are dense int64 copies, unpacked on first read.
     """
 
-    reduced: np.ndarray
-    transform: np.ndarray
+    rt: np.ndarray
+    n: int
     pivots: np.ndarray
-    rank: int
     field: GF
 
     @property
-    def n(self) -> int:
-        return self.reduced.shape[1]
+    def rank(self) -> int:
+        return self.pivots.size
+
+    @cached_property
+    def reduced(self) -> np.ndarray:
+        return self._dense(0, self.n)
+
+    @cached_property
+    def transform(self) -> np.ndarray:
+        return self._dense(self.n, self.n + self.rt.shape[0])
+
+    @cached_property
+    def free(self) -> np.ndarray:
+        """The non-pivot columns, ascending."""
+        return np.setdiff1d(np.arange(self.n), self.pivots)
+
+    def _dense(self, lo: int, hi: int, nrows=None) -> np.ndarray:
+        """Columns lo..hi-1 of the first nrows rows of [R | T] as a new int64 array."""
+        rt = self.rt[:nrows]
+        if self.field.q != 2:
+            return rt[:, lo:hi].copy()
+        w = lo >> 6
+        bits = np.unpackbits(np.ascontiguousarray(rt[:, w:]).view(np.uint8), axis=1,
+                             count=hi - 64 * w, bitorder="little")
+        return bits[:, lo - 64 * w:].astype(np.int64)
+
+    def _product(self, lo: int, v: np.ndarray) -> np.ndarray:
+        """Columns lo..lo+len(v)-1 of [R | T] times v over GF(q): R x from lo = 0,
+        T t from lo = n."""
+        if self.field.q != 2:
+            return self.rt[:, lo:lo + v.size] @ v % self.field.q
+        w0, w1 = lo >> 6, (lo + v.size + 63) >> 6
+        bits = np.zeros(64 * (w1 - w0), dtype=np.uint8)
+        bits[lo - 64 * w0:lo - 64 * w0 + v.size] = v
+        packed = np.packbits(bits, bitorder="little").view("<u8")
+        acc = np.bitwise_xor.reduce(self.rt[:, w0:w1] & packed, axis=1)
+        return (np.bitwise_count(acc) & 1).astype(np.int64)
+
+    def transformed(self, target) -> np.ndarray:
+        """T target over GF(q); its entries past `rank` are zero iff target is in Im A."""
+        t = np.asarray(target, dtype=np.int64) % self.field.q
+        if t.shape != (self.rt.shape[0],):
+            raise ValueError("target length does not match row count")
+        return self._product(self.n, t)
+
+    def column(self, j: int) -> np.ndarray:
+        """Column j of R."""
+        return self._product(j, np.ones(1, dtype=np.int64))
 
     def solve(self, target):
         """Any x with A x = target, free variables set to 0; None when target is not in Im A."""
-        q = self.field.q
-        t = np.asarray(target, dtype=np.int64) % q
-        if t.shape != (self.transform.shape[0],):
-            raise ValueError("target length does not match row count")
-        d = self.transform @ t % q
+        d = self.transformed(target)
         if np.any(d[self.rank:]):
             return None
         x = np.zeros(self.n, dtype=np.int64)
@@ -243,10 +290,10 @@ class EchelonForm:
     @cached_property
     def kernel(self) -> np.ndarray:
         """Basis of {x : A x = 0} as a (n - rank, n) array, built on first use."""
-        free = np.setdiff1d(np.arange(self.n), self.pivots)
+        free = self.free
         basis = np.zeros((free.size, self.n), dtype=np.int64)
         basis[np.arange(free.size), free] = 1
-        basis[:, self.pivots] = (-self.reduced[: self.rank, free].T) % self.field.q
+        basis[:, self.pivots] = (-self._dense(0, self.n, self.rank)[:, free].T) % self.field.q
         return basis
 
     def members(self, target, cap: int = DENSE_CAP) -> np.ndarray:
@@ -262,12 +309,18 @@ class EchelonForm:
         return members[np.lexsort(members.T[::-1])]
 
     def random_member(self, target, rng: np.random.Generator):
-        """Uniform draw x0 + z K from C_A(target); None when target is not in Im A."""
+        """Uniform draw x0 + z K from C_A(target); None when target is not in Im A.
+
+        z K is the kernel member with z on the free columns; its pivot
+        entries are minus R times its free part, so no basis is built."""
         x = self.solve(target)
         if x is None or self.rank == self.n:
             return x
-        z = rng.integers(0, self.field.q, size=self.n - self.rank)
-        return (x + z @ self.kernel) % self.field.q
+        q = self.field.q
+        zk = np.zeros(self.n, dtype=np.int64)
+        zk[self.free] = rng.integers(0, q, size=self.n - self.rank)
+        zk[self.pivots] = -self._product(0, zk)[: self.rank]
+        return (x + zk) % q
 
 
 def row_reduce(A: SparseMatrix) -> EchelonForm:
@@ -276,19 +329,25 @@ def row_reduce(A: SparseMatrix) -> EchelonForm:
     The pivot of each column is the first row at or below the current one
     with a nonzero there; it is swapped into place, scaled to 1 and
     cleared from every other row.  For q = 2 the rows are packed into
-    64-bit words straight from the entries and never held as an int64
-    array before the result.
+    64-bit words straight from the entries and stay packed in the result;
+    the packed [A | I] may take at most 8 * DENSE_CAP bytes.
     """
     if A.field.q == 2:
-        A.check_dense_cap()
-        R, T, pivots = _gauss_jordan_gf2(A.rows, A.cols, A.row_of, A.col_idx)
+        nbytes = 8 * A.rows * ((A.cols + A.rows + 63) // 64)
+        if nbytes > 8 * DENSE_CAP:
+            raise ValueError(f"packed elimination refused: {A.rows}x{A.cols} with its "
+                             f"identity takes {nbytes} bytes, exceeds cap {8 * DENSE_CAP}")
+        rt, pivots = _gauss_jordan_gf2(A.rows, A.cols, A.row_of, A.col_idx)
+        # column-major: a product ANDs and XOR-reduces contiguous word columns
+        rt = np.asfortranarray(rt)
     else:
-        R, T, pivots = _gauss_jordan_gfq(A.to_dense(), A.field)
-    return EchelonForm(R, T, np.asarray(pivots, dtype=np.int64), len(pivots), A.field)
+        rt, pivots = _gauss_jordan_gfq(A.to_dense(), A.field)
+    return EchelonForm(rt, A.cols, np.asarray(pivots, dtype=np.int64), A.field)
 
 
 def _gauss_jordan_gf2(l: int, n: int, rows, cols):
-    """(R, T, pivots) for the l x n GF(2) matrix with ones at (rows[t], cols[t]).
+    """(P, pivots) for the l x n GF(2) matrix with ones at (rows[t], cols[t]),
+    where P holds the eliminated [D | I] as packed rows.
 
     Row i of [D | I] is held as little-endian uint64 words, bit j of the
     row in bit j % 64 of word j // 64, so clearing a column is one XOR of
@@ -319,13 +378,13 @@ def _gauss_jordan_gf2(l: int, n: int, rows, cols):
         if others.size:
             P[others, w:] ^= P[r, w:]
         pivots.append(col)
-    bits = np.unpackbits(P.view(np.uint8), axis=1, count=n + l, bitorder="little")
-    return bits[:, :n].astype(np.int64), bits[:, n:].astype(np.int64), pivots
+    return P, pivots
 
 
 def _gauss_jordan_gfq(D: np.ndarray, field: GF):
-    """(R, T, pivots) for a dense matrix over GF(q); updates only the rows
-    with a nonzero in the pivot column, from that column on."""
+    """(M, pivots) with M the eliminated [D | I] for a dense matrix over GF(q);
+    updates only the rows with a nonzero in the pivot column, from that
+    column on."""
     q = field.q
     l, n = D.shape
     M = np.concatenate([D, np.eye(l, dtype=np.int64)], axis=1)
@@ -347,7 +406,7 @@ def _gauss_jordan_gfq(D: np.ndarray, field: GF):
             f = M[others, col][:, None]
             M[others, col:] = (M[others, col:] - f * M[r, col:]) % q
         pivots.append(col)
-    return M[:, :n].copy(), M[:, n:].copy(), pivots
+    return M, pivots
 
 
 # -- enumeration and encoding helpers -----------------------------------------
@@ -375,7 +434,7 @@ def vec_to_index(x, q: int) -> int:
 def column_space_basis(M: SparseMatrix) -> np.ndarray:
     """Basis of Im M = {M x} as a (rank, l) array."""
     ech = row_reduce(M.transpose())
-    return ech.reduced[: ech.rank].copy()
+    return ech._dense(0, ech.n, ech.rank)
 
 
 def suffix_ranks(reverse: EchelonForm) -> np.ndarray:

@@ -234,9 +234,43 @@ def test_zero_evidence_is_a_failed_decode():
     assert not decode_map(spec, y, bsc(0.0, 6)).success
 
 
+def test_decoders_reject_a_channel_of_another_length():
+    # y is a valid output of the 5-symbol channel, but the code has n = 6
+    spec = small_spec()
+    y = np.zeros(5, dtype=np.int64)
+    with pytest.raises(ValueError, match="length mismatch"):
+        decode_bp(spec, y, bsc(0.1, 5))
+    with pytest.raises(ValueError, match="length mismatch"):
+        decode_map(spec, y, bsc(0.1, 5))
+
+
 # ---------------------------------------------------------------------------
 # BP decoding
 # ---------------------------------------------------------------------------
+
+def test_uniform_trial_path_keeps_the_stacked_echelon_packed():
+    spec = sample_code(1024, 512, 256, 6, GF2, uniform_source(1024, 2), seed=3)
+    encoder, ch, rng = ChannelEncoder(spec, EXACT), bsc(0.025, 1024), stream(4, 0)
+    assert encoder.uniform
+    for _ in range(20):
+        m = spec.random_message(rng)
+        x = encoder.encode(m, rng)
+        assert np.array_equal(spec.stacked.mat_vec(x), np.concatenate([spec.c, m]))
+        decode_bp(spec, ch.sample(x, rng), ch)
+    assert not {"kernel", "reduced", "transform"} & set(vars(spec.ech_stacked))
+    assert spec.ech_stacked.rt.dtype == np.uint64
+
+
+def test_code_past_the_former_dense_cap_encodes_and_decodes():
+    # 768 x 2048 stacked: l*n = 1.5 * 2**20, refused while echelons were dense
+    spec = sample_code(2048, 512, 256, 6, GF2, uniform_source(2048, 2), seed=1)
+    rng, ch = stream(2, 0), bsc(0.01, 2048)
+    m = spec.random_message(rng)
+    x = ChannelEncoder(spec, EXACT).encode(m, rng)
+    assert np.array_equal(spec.stacked.mat_vec(x), np.concatenate([spec.c, m]))
+    out = decode_bp(spec, ch.sample(x, rng), ch)
+    assert out.success and np.array_equal(out.m_hat, m)
+
 
 def test_decode_bp_noiseless():
     spec = small_spec()

@@ -295,7 +295,17 @@ def test_row_reduce_empty_gf2():
 
 
 def test_row_reduce_refuses_above_dense_cap():
-    A = SparseMatrix(DENSE_CAP // 512 + 1, 512, GF2, [[]] * (DENSE_CAP // 512 + 1))
+    # over GF(2) the packed [A | I] may take 8 * DENSE_CAP bytes: l words of
+    # (n + l) / 64 each, at most DENSE_CAP words in all
+    tall = DENSE_CAP // 512 + 1                       # l*n just over DENSE_CAP
+    assert row_reduce(SparseMatrix(tall, 512, GF2, [[]] * tall)).rank == 0
+    wide = SparseMatrix(1, 2 ** 13, GF2, [[]])
+    assert row_reduce(wide).rank == 0
+    with pytest.raises(ValueError, match="exceeds cap"):
+        column_space_basis(wide)                      # 8192 rows of 129 words
+    assert column_space_basis(SparseMatrix(0, 2 ** 13, GF2, [])).shape == (0, 0)
+    # over GF(q > 2) the dense mirror may hold DENSE_CAP entries
+    A = SparseMatrix(tall, 512, GF3, [[]] * tall)
     with pytest.raises(ValueError, match="exceeds cap"):
         row_reduce(A)
     with pytest.raises(ValueError, match="exceeds cap"):
@@ -329,6 +339,99 @@ def test_solve_particular_no_solution_confirmed_by_scan():
             assert np.array_equal(D @ x % 2, c)
             assert brute.shape[0] > 0
     assert found_none > 0  # the suite actually exercised the no-solution path
+
+
+def dense_solve(ref, target, q):
+    """The former int64 solve: d = T t, None unless d vanishes past the rank."""
+    R, T, pivots, rank = ref
+    d = T @ (np.asarray(target) % q) % q
+    if np.any(d[rank:]):
+        return None
+    x = np.zeros(R.shape[1], dtype=np.int64)
+    x[pivots] = d[:rank]
+    return x
+
+
+def dense_random_member(ref, target, q, rng):
+    """The former int64 uniform draw x0 + z K through a dense kernel basis."""
+    R, _, pivots, rank = ref
+    n = R.shape[1]
+    x = dense_solve(ref, target, q)
+    if x is None or rank == n:
+        return x
+    free = np.setdiff1d(np.arange(n), pivots)
+    kernel = np.zeros((free.size, n), dtype=np.int64)
+    kernel[np.arange(free.size), free] = 1
+    kernel[:, pivots] = (-R[:rank, free].T) % q
+    z = rng.integers(0, q, size=n - rank)
+    return (x + z @ kernel) % q
+
+
+# (l, n) with n and n + l on both sides of the word boundaries 64 and 128,
+# l > n among them
+PACKED_SHAPES = [(1, 63), (1, 64), (64, 63), (2, 127), (65, 64), (129, 65),
+                 (63, 129), (2, 65), (62, 65)]
+
+
+@pytest.mark.parametrize("shape", PACKED_SHAPES)
+@pytest.mark.parametrize("kind", ["dense", "low-rank", "full-rank"])
+def test_packed_solve_and_draw_match_int64_formulas(shape, kind):
+    l, n = shape
+    rng = np.random.default_rng([l, n, len(kind)])
+    if kind == "dense":
+        D = rng.integers(0, 2, size=shape)
+    elif kind == "low-rank":
+        D = rng.integers(0, 2, size=(l, 3)) @ rng.integers(0, 2, size=(3, n)) % 2
+    else:                    # a k x k identity block makes the rank k = min(l, n)
+        D = rng.integers(0, 2, size=shape)
+        k = min(shape)
+        D[:k, :k] = np.eye(k, dtype=np.int64)
+        D = D[rng.permutation(l)][:, rng.permutation(n)]
+    ref = dense_gauss_jordan(D, 2)
+    ech = row_reduce(dense(D, GF2))
+    assert ech.rank == ref[3]
+    empty = 0
+    for trial in range(12):
+        t = D @ rng.integers(0, 2, size=n) % 2
+        if trial % 2 and ref[3] < l:         # off a left-null row: outside Im A
+            null = ref[1][ref[3]]
+            t[np.flatnonzero(null)[rng.integers(0, null.sum())]] ^= 1
+        want = dense_solve(ref, t, 2)
+        got = ech.solve(t)
+        assert (got is None) == (want is None)
+        empty += want is None
+        if want is not None:
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+        r1, r2 = np.random.default_rng(trial), np.random.default_rng(trial)
+        for _ in range(3):
+            want = dense_random_member(ref, t, 2, r1)
+            got = ech.random_member(t, r2)
+            assert r1.bit_generator.state == r2.bit_generator.state
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert got.dtype == np.int64 and np.array_equal(got, want)
+                assert np.array_equal(D @ got % 2, t)
+    assert empty == (6 if ref[3] < l else 0)
+    assert "reduced" not in vars(ech) and "transform" not in vars(ech) \
+        and "kernel" not in vars(ech)
+
+
+@pytest.mark.parametrize("field", [GF3, GF5])
+def test_gfq_solve_and_draw_match_int64_formulas(field):
+    q = field.q
+    rng = np.random.default_rng(q + 40)
+    for shape in [(3, 7), (7, 3), (6, 6)]:
+        D = rng.integers(0, q, size=shape) * (rng.random(shape) < 0.5)
+        ref = dense_gauss_jordan(D, q)
+        ech = row_reduce(dense(D, field))
+        for trial in range(6):
+            t = rng.integers(0, q, size=shape[0]) if trial % 2 else \
+                D @ rng.integers(0, q, size=shape[1]) % q
+            r1, r2 = np.random.default_rng(trial), np.random.default_rng(trial)
+            want, got = dense_random_member(ref, t, q, r1), ech.random_member(t, r2)
+            assert r1.bit_generator.state == r2.bit_generator.state
+            assert (got is None) == (want is None)
+            assert want is None or np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
