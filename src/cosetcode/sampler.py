@@ -6,9 +6,14 @@ read off (the early stop).  The work has three lifetimes:
   per matrix  `CosetSampler(A)`: the reverse-column echelon, the
               sum-product `CosetGraph` and the echelon form, each built
               on first use;
-  per prior   `CosetSampler.engine(priors, cfg)`: exact (`ExactStepper`
-              suffix-mass tables while q**l fits the state cap; never
-              dead-ends after a positive start), sum-product (BP
+  per prior   `CosetSampler.engine(priors, cfg)`, which refuses priors
+              that are not an (n, q) array of finite non-negative
+              numbers: exact (`ExactStepper` suffix-mass tables while q**l
+              fits the state cap, only tables 0..stop for a draw that
+              stops early at `stop`: M_stop comes from the one completion
+              of each syndrome, the rest from the backward recursion, whose
+              GF(2) shifts are flipped views; never dead-ends after a
+              positive start), sum-product (BP
               conditionals, the scaled path; approximate on loopy graphs,
               so a dead end restarts the draw) or uniform (uniform priors
               make the law uniform on the coset: a solution plus a random
@@ -80,6 +85,7 @@ class GeneratedSample:
 # One spare table block per shape: a stepper takes it and hands it back when
 # it is collected, so building a stepper per source word reuses one block
 # instead of allocating n + 1 tables that the heap may trim after each word.
+# The shape does not depend on the stop, so one matrix shape keeps one block.
 _SPARE_BLOCKS: dict = {}
 
 
@@ -101,45 +107,93 @@ class ExactStepper:
     the step conditional is mu_k(x) * M_{k+1}[target - x * col_k],
     normalized, which is the defining suffix sum evaluated exactly.  The
     tables do not depend on the target, so one stepper serves every c.
-    They are views of a block that returns to a spare pool when the
+
+    Only tables 0..stop are built (stop = n by default), since a draw that
+    stops early at `stop` never reads past M_stop.  Columns stop..n-1 must
+    be independent: then each syndrome in their span is hit by exactly one
+    suffix, so M_stop is that suffix's prior product and 0 off the span,
+    filled by enumerating the q**(n - stop) suffixes.  The recursion
+    M_k(t) = sum_x mu_k(x) M_{k+1}(t - x col_k) gives the rest; over GF(2)
+    the shift by col_k reverses the axes of its support, so it is a
+    flipped view of M_{k+1}, while GF(q > 2) rolls into a scratch table.
+    Both give the tables the full recursion gives, bit for bit.
+
+    The tables are views of a block that returns to a spare pool when the
     stepper is collected, so they are valid while the stepper lives.
     """
 
-    def __init__(self, A: SparseMatrix, priors, cap_states: int = 2 ** 20):
+    def __init__(self, A: SparseMatrix, priors, cap_states: int = 2 ** 20,
+                 stop: int | None = None):
         q = A.field.q
         self.q, self.n, self.l = q, A.cols, A.rows
         if q ** self.l > cap_states:
             raise ValueError(
                 f"exact engine refused: q**l = {q ** self.l} exceeds state cap {cap_states}")
+        stop = self.n if stop is None else stop
+        if not 0 <= stop <= self.n:
+            raise ValueError(f"stop {stop} lies outside 0..{self.n}")
         self.priors = np.asarray(priors, dtype=float)
-        dense_cols = [A.to_dense()[:, k] for k in range(self.n)] if self.l else None
-        # tables 0..n and a scratch slot, in a block reused across steppers
+        dense = A.to_dense()
+        self.cols = [dense[:, k] for k in range(self.n)]
+        # tables 0..n and a scratch slot, in a block reused across steppers;
+        # tables past the stop are left unwritten
         shape = (self.n + 2,) + (q,) * self.l
         block = _SPARE_BLOCKS.pop(shape) if shape in _SPARE_BLOCKS else np.empty(shape)
         weakref.finalize(self, _SPARE_BLOCKS.__setitem__, shape, block)
         scratch = block[self.n + 1, ...]
-        last = block[self.n, ...]
-        last.fill(0.0)
-        last[(0,) * self.l] = 1.0
-        for k in range(self.n - 1, -1, -1):
+        self._fill_suffix_table(block[stop, ...], stop)
+        for k in range(stop - 1, -1, -1):
             nxt, acc = block[k + 1, ...], block[k, ...]
-            acc.fill(0.0)
+            first = True
             for xv in range(q):
                 p = self.priors[k, xv]
                 if p == 0:
                     continue
-                shifted = nxt
-                if self.l and xv:
-                    # one roll over every axis of col_k; xv = 0 shifts nothing
-                    col = dense_cols[k]
-                    axes = np.nonzero(col)[0]
-                    if axes.size:
-                        _roll_into(scratch, nxt, xv * col[axes] % q, axes)
-                        shifted = scratch
-                np.multiply(shifted, p, out=scratch)
-                acc += scratch
-        self.tables = block[: self.n + 1]
-        self.cols = dense_cols
+                shifted = self._shifted(nxt, scratch, k, xv)
+                if first:           # 0 + p M == p M exactly, so no zero fill
+                    np.multiply(shifted, p, out=acc)
+                    first = False
+                else:
+                    np.multiply(shifted, p, out=scratch)
+                    acc += scratch
+            if first:
+                acc.fill(0.0)
+        self.tables = block[: stop + 1]
+
+    def _fill_suffix_table(self, table: np.ndarray, stop: int) -> None:
+        """table = M_stop, from the one suffix x_stop..x_{n-1} per syndrome.
+
+        Each mass is mu_j(x_j) times the mass of the suffix after j, the
+        product the recursion forms; its other terms are exact zeros."""
+        q, l = self.q, self.l
+        weights = q ** np.arange(l - 1, -1, -1, dtype=np.int64)
+        idx, mass = np.zeros(1, dtype=np.int64), np.ones(1)
+        for j in range(self.n - 1, stop - 1, -1):
+            idx = np.concatenate([_translate(idx, xv * self.cols[j] % q, q, weights)
+                                  for xv in range(q)])
+            mass = np.concatenate([self.priors[j, xv] * mass for xv in range(q)])
+        if np.bincount(idx).max() > 1:
+            raise ValueError(f"columns {stop}..{self.n - 1} are dependent: "
+                             f"stop {stop} does not pin the suffix")
+        flat = table.reshape(-1)
+        flat.fill(0.0)
+        flat[idx] = mass
+
+    def _shifted(self, nxt: np.ndarray, scratch: np.ndarray, k: int, xv: int) -> np.ndarray:
+        """np.roll of nxt by xv * col_k over the syndrome axes: a flipped view
+        over GF(2), where a roll by 1 reverses a size-2 axis, else rolled
+        into scratch."""
+        col = self.cols[k]
+        axes = np.nonzero(col)[0]
+        if not xv or not axes.size:
+            return nxt
+        if self.q == 2:
+            flips = [slice(None)] * self.l
+            for ax in axes:
+                flips[ax] = slice(None, None, -1)
+            return nxt[tuple(flips)]
+        _roll_into(scratch, nxt, xv * col[axes] % self.q, axes)
+        return scratch
 
     def mass_of(self, c) -> float:
         if self.l == 0:
@@ -148,24 +202,25 @@ class ExactStepper:
         return float(self.tables[0][tuple(c)])
 
     def step_pmf(self, k: int, residual) -> np.ndarray:
-        """Unnormalized then normalized conditional of x_k given the residual target."""
-        q = self.q
-        out = np.empty(q)
-        nxt = self.tables[k + 1]
-        for xv in range(q):
-            p = self.priors[k, xv]
-            if p == 0:
-                out[xv] = 0.0
-                continue
-            if self.l:
-                t = (residual - xv * self.cols[k]) % q
-                out[xv] = p * nxt[tuple(t)]
-            else:
-                out[xv] = p * float(nxt)
+        """Conditional of x_k given the residual target, normalized unless massless."""
+        q, p = self.q, self.priors[k]
+        t = (residual - np.arange(q)[:, None] * self.cols[k]) % q
+        out = p * self.tables[k + 1][tuple(t.T)]      # one gather for the q symbols
         s = out.sum()
         if s <= 0:
             return out
         return out / s
+
+
+def _translate(idx: np.ndarray, shift: np.ndarray, q: int, weights: np.ndarray) -> np.ndarray:
+    """Flat indices of the syndromes t + shift, for t at the flat indices idx."""
+    if q == 2:
+        return idx ^ (shift @ weights)
+    out = idx.copy()
+    for i in np.nonzero(shift)[0]:
+        digit = idx // weights[i] % q
+        out += ((digit + shift[i]) % q - digit) * weights[i]
+    return out
 
 
 def is_uniform(priors: np.ndarray) -> bool:
@@ -229,9 +284,19 @@ class CosetSampler:
     def target(self, c) -> np.ndarray:
         return np.asarray(c, dtype=np.int64) % self.A.field.q
 
+    def checked_priors(self, priors) -> np.ndarray:
+        """priors as an (n, q) float array; ValueError unless finite and non-negative."""
+        priors = np.asarray(priors, dtype=float)
+        want = (self.A.cols, self.A.field.q)
+        if priors.shape != want:
+            raise ValueError(f"priors have shape {priors.shape}, expected {want}")
+        if not np.all(np.isfinite(priors)) or np.any(priors < 0):
+            raise ValueError("priors must be finite and non-negative")
+        return priors
+
     def engine(self, priors, cfg: SamplerConfig):
         """Sampling engine for one prior; its `draw(c, rng)` serves every target."""
-        priors = np.asarray(priors, dtype=float)
+        priors = self.checked_priors(priors)
         if cfg.uniform_shortcut and is_uniform(priors):
             return _UniformEngine(self)
         return _STEPWISE[cfg.method](self, priors, cfg)
@@ -281,8 +346,7 @@ class _ExactState:
 
     def commit(self, k: int, v: int) -> None:
         st = self.stepper
-        if st.l:
-            self.residual = (self.residual - v * st.cols[k]) % st.q
+        self.residual = (self.residual - v * st.cols[k]) % st.q
 
 
 class _BeliefState:
@@ -326,7 +390,9 @@ class _ExactEngine:
 
     def __init__(self, sampler: CosetSampler, priors, cfg: SamplerConfig):
         self.sampler, self.cfg = sampler, cfg
-        self.stepper = ExactStepper(sampler.A, priors, cfg.exact_cap_states)
+        # a draw never reads a table past the early stop
+        stop = sampler.early_stop_index if cfg.early_stop else None
+        self.stepper = ExactStepper(sampler.A, priors, cfg.exact_cap_states, stop)
 
     def walk(self, c, choose) -> GeneratedSample:
         """One pass of the driver with the given selector."""
@@ -391,12 +457,12 @@ def generate(A: SparseMatrix, c, priors, cfg: SamplerConfig,
 
 def step_conditional(A: SparseMatrix, c, priors, prefix, cfg: SamplerConfig):
     """Exact or BP conditional pmf of x_{k} given prefix x_1^{k-1}."""
-    priors = np.asarray(priors, dtype=float)
+    sampler = CosetSampler(A)
+    priors = sampler.checked_priors(priors)
     prefix = np.asarray(prefix, dtype=np.int64)
     k = prefix.shape[0]
     if k >= A.cols:
         raise ValueError("prefix already covers the whole sequence")
-    sampler = CosetSampler(A)
     c = sampler.target(c)
     if cfg.method == "exact":
         state = _ExactState(ExactStepper(A, priors, cfg.exact_cap_states), c)
@@ -477,7 +543,8 @@ def generate_interval(A: SparseMatrix, c, priors, cfg: SamplerConfig,
     bit, so a fixed omega gives a bit-reproducible deterministic encoder.
     Returns (GeneratedSample, bits_consumed).
     """
-    engine = _STEPWISE[cfg.method](CosetSampler(A), np.asarray(priors, dtype=float), cfg)
+    sampler = CosetSampler(A)
+    engine = _STEPWISE[cfg.method](sampler, sampler.checked_priors(priors), cfg)
     return engine.walk(c, _Interval(omega)), omega.consumed
 
 
@@ -522,7 +589,7 @@ def path_tree_law(A: SparseMatrix, c, priors, cfg: SamplerConfig, cap: int = 2 *
     same way generate does.  Returns (members, path_probabilities).
     """
     sampler = CosetSampler(A)
-    engine = _ExactEngine(sampler, np.asarray(priors, dtype=float), cfg)
+    engine = _ExactEngine(sampler, sampler.checked_priors(priors), cfg)
     if engine.stepper.mass_of(c) <= 0:
         raise EncodingError("coset has zero prior mass")
     members = sampler.echelon.members(c, cap)

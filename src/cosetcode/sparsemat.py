@@ -275,8 +275,10 @@ class EchelonForm:
         return self._product(self.n, t)
 
     def column(self, j: int) -> np.ndarray:
-        """Column j of R."""
-        return self._product(j, np.ones(1, dtype=np.int64))
+        """Column j of R, read straight from its word over GF(2)."""
+        if self.field.q != 2:
+            return self.rt[:, j].copy()
+        return ((self.rt[:, j >> 6] >> (j & 63)) & 1).astype(np.int64)
 
     def solve(self, target):
         """Any x with A x = target, free variables set to 0; None when target is not in Im A."""

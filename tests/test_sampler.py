@@ -17,6 +17,7 @@ from cosetcode.sampler import (
     ExactStepper,
     GeneratedSample,
     SamplerConfig,
+    _SPARE_BLOCKS,
     exact_coset_law,
     generate,
     generate_interval,
@@ -535,6 +536,98 @@ def test_stepper_tables_match_per_axis_rolls(q):
         st = ExactStepper(SparseMatrix.from_dense(D, GF(q)), priors)
         for got, want in zip(st.tables, per_axis_roll_tables(D, priors, q), strict=True):
             assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_stepper_tables_from_the_early_stop_match_per_axis_rolls(q):
+    rng = np.random.default_rng(q + 10)
+    stops = set()
+    for _ in range(6):
+        n, l = 7, 4 if q < 5 else 3
+        D = rng.integers(0, q, size=(l, n)) * (rng.random((l, n)) < 0.5)
+        D[:, 1] = 0                                   # an all-zero column
+        priors = rng.dirichlet(np.ones(q), size=n)
+        priors[0, 0] = 0                              # a symbol the prior excludes
+        priors[0] /= priors[0].sum()
+        A = SparseMatrix.from_dense(D, GF(q))
+        stop = CosetSampler(A).early_stop_index
+        assert stop > 1                               # both lie before the stop
+        massless = priors.copy()
+        massless[0] = 0                               # no symbol at all: M_0 = 0
+        for pri in (priors, massless):
+            st = ExactStepper(A, pri, stop=stop)
+            want = per_axis_roll_tables(D, pri, q)[:stop + 1]
+            assert len(st.tables) == stop + 1
+            for got, ref in zip(st.tables, want, strict=True):
+                assert np.array_equal(got, ref)
+        stops.add(stop)
+    assert min(stops) < 7                             # some draws do stop early
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_stepper_refuses_a_stop_with_dependent_suffix_columns(q):
+    D = np.array([[1, 0, 1, q - 1], [0, 1, 1, q - 1]])   # col 3 = (q - 1) col 2
+    A = SparseMatrix.from_dense(D, GF(q))
+    priors = np.full((4, q), 1 / q)
+    assert CosetSampler(A).early_stop_index == 3
+    with pytest.raises(ValueError, match="dependent"):
+        ExactStepper(A, priors, stop=2)
+    for stop in (-1, 5):
+        with pytest.raises(ValueError, match="outside"):
+            ExactStepper(A, priors, stop=stop)
+    assert len(ExactStepper(A, priors, stop=3).tables) == 4
+
+
+def test_stepper_keeps_one_block_per_shape_whatever_the_stop():
+    D1 = np.array([[1, 1, 0, 1, 0], [0, 1, 1, 0, 1]])
+    D2 = np.array([[1, 0, 1, 1, 1], [0, 1, 1, 1, 1]])  # equal last columns
+    A1, A2 = (SparseMatrix.from_dense(D, GF2) for D in (D1, D2))
+    s1, s2 = CosetSampler(A1), CosetSampler(A2)
+    assert (s1.early_stop_index, s2.early_stop_index) == (3, 4)
+    priors = np.full((5, 2), 0.5)
+    shape, before, blocks = (7, 2, 2), set(_SPARE_BLOCKS), set()
+    for sampler in (s1, s2, s1):
+        st = ExactStepper(sampler.A, priors, stop=sampler.early_stop_index)
+        del st                                        # hands its block back
+        blocks.add(id(_SPARE_BLOCKS[shape]))
+    assert len(blocks) == 1 and set(_SPARE_BLOCKS) - before <= {shape}
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_step_pmf_matches_the_per_symbol_loop(q):
+    rng = np.random.default_rng(q + 20)
+    n, l = 6, 3
+    D = rng.integers(0, q, size=(l, n))
+    priors = rng.dirichlet(np.ones(q), size=n)
+    priors[2, 1] = 0                                  # a symbol the prior excludes
+    st = ExactStepper(SparseMatrix.from_dense(D, GF(q)), priors)
+    for k in range(n):
+        for residual in all_vectors(q, l):
+            want = np.empty(q)
+            for xv in range(q):                       # the former per-symbol loop
+                t = (residual - xv * D[:, k]) % q
+                want[xv] = 0.0 if priors[k, xv] == 0 else \
+                    priors[k, xv] * st.tables[k + 1][tuple(t)]
+            s = want.sum()
+            want = want / s if s > 0 else want
+            got = st.step_pmf(k, residual)
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad, match", [
+    (np.full((4, 3), 1 / 3), "shape"),
+    (np.full((3, 2), 0.5), "shape"),
+    (np.array([[1.2, -0.2]] + [[0.5, 0.5]] * 3), "non-negative"),
+    (np.array([[np.nan, 0.5]] + [[0.5, 0.5]] * 3), "finite"),
+], ids=["three-symbols", "short", "negative", "nan"])
+def test_engine_refuses_bad_priors(bad, match):
+    A = dense([[1, 1, 0, 1], [0, 1, 1, 1]], GF2)
+    sampler = CosetSampler(A)
+    for method in ("exact", "sum-product"):
+        with pytest.raises(ValueError, match=match):
+            sampler.engine(bad, SamplerConfig(method=method))
+    with pytest.raises(ValueError, match=match):
+        generate_interval(A, [0, 0], bad, EXACT, BitStream.from_bits([0] * 64))
 
 
 def test_stepper_blocks_are_reused_without_aliasing():

@@ -434,6 +434,19 @@ def test_gfq_solve_and_draw_match_int64_formulas(field):
             assert want is None or np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("field", [GF2, GF3])
+def test_column_matches_the_dense_reduced_form(field):
+    rng = np.random.default_rng(field.q + 60)
+    l, n = 20, 130
+    D = rng.integers(0, field.q, size=(l, n)) * (rng.random((l, n)) < 0.3)
+    ech = row_reduce(dense(D, field))
+    for j in (0, 63, 64, 65, n - 1):
+        got = ech.column(j)
+        assert got.dtype == np.int64 and np.array_equal(got, ech.reduced[:, j])
+    got[:] = field.q - 1                   # a copy: R itself is untouched
+    assert np.array_equal(ech.column(n - 1), ech.reduced[:, n - 1])
+
+
 # ---------------------------------------------------------------------------
 # kernel
 # ---------------------------------------------------------------------------
