@@ -15,11 +15,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .fastbp import CosetBP, CosetGraph
+from .fastbp import DECODE_ITERS, DECODE_TOL, CosetBP, CosetGraph
 from .models import MemorylessSource, rate_quantities, reverse_model
 from .sampler import (CosetSampler, DeadEndError, EncodingError, SamplerConfig,
                       is_uniform, member_law)
 from .sparsemat import (
+    DENSE_CAP,
     EchelonForm,
     EnsembleSpec,
     SparseMatrix,
@@ -97,15 +98,6 @@ class ChannelCodeSpec:
         leads = np.argmax(self.msg_basis != 0, axis=1)
         return not np.any((m - m[leads] @ self.msg_basis) % self.q)
 
-    def all_messages(self) -> np.ndarray:
-        """Every element of Im B (oracle scale)."""
-        d = self.msg_basis.shape[0]
-        if self.q ** d > 2 ** 20:
-            raise ValueError("message space too large to enumerate")
-        if d == 0:
-            return np.zeros((1, self.B.rows), dtype=np.int64)
-        return all_vectors(self.q, d) @ self.msg_basis % self.q
-
 
 def sample_code(n: int, l: int, k: int, tau: int, field, prior: MemorylessSource,
                 seed: int) -> ChannelCodeSpec:
@@ -125,7 +117,7 @@ class ChannelEncoder:
     def __init__(self, spec: ChannelCodeSpec, cfg: SamplerConfig):
         self.spec = spec
         self.q = spec.q
-        self.uniform = cfg.uniform_shortcut and is_uniform(spec.prior.pmfs)
+        self.uniform = is_uniform(spec.prior.pmfs)
         if not self.uniform:
             self._engine = spec.sampler.engine(spec.prior.pmfs, cfg)
 
@@ -173,20 +165,19 @@ def _argmax(scores: np.ndarray):
     return best, int((scores == scores[best]).sum()) > 1
 
 
-def decode_map(spec: ChannelCodeSpec, y, channel, cap: int = 2 ** 20) -> DecodeOutcome:
+def decode_map(spec: ChannelCodeSpec, y, channel) -> DecodeOutcome:
     """Exhaustive posterior argmax over C_A(c); ties go lexicographically.
 
     Fails when the coset is empty or every member has zero posterior.
     """
-    members = spec.ech_a.members(spec.c, cap)
+    members = spec.ech_a.members(spec.c)
     best, tie = _argmax(spec.prior.log_prob(members) + channel.log_lik(y, members))
     if best is None:
         return DecodeOutcome(None, "map-exhaustive")
     return DecodeOutcome(spec.B.mat_vec(members[best]), "map-exhaustive", tie=tie)
 
 
-def decode_bp(spec: ChannelCodeSpec, y, channel, iters: int = 100,
-              damping: float = 0.0, tol: float = 1e-8) -> DecodeOutcome:
+def decode_bp(spec: ChannelCodeSpec, y, channel) -> DecodeOutcome:
     """BP marginals on the coset graph with per-index posteriors as priors."""
     if channel.n != spec.n:
         raise ValueError("input length mismatch: the channel and the code differ in length")
@@ -195,8 +186,8 @@ def decode_bp(spec: ChannelCodeSpec, y, channel, iters: int = 100,
     except ValueError:
         channel.lik_rows(y)    # raises again for a y the channel cannot emit
         return DecodeOutcome(None, "bp-then-B")    # zero evidence
-    bp = CosetBP(spec.graph_a, spec.c, rm.posteriors, damping=damping)
-    converged = bp.run(iters, tol)
+    bp = CosetBP(spec.graph_a, spec.c, rm.posteriors)
+    converged = bp.run(DECODE_ITERS, DECODE_TOL)
     if bp.failed:
         return DecodeOutcome(None, "bp-then-B", converged=False,
                              iterations=bp.iterations)
@@ -232,8 +223,7 @@ class ErrorStats:
 
 
 def simulate(spec: ChannelCodeSpec, channel, trials: int, cfg: SamplerConfig,
-             seed: int, decoder: str = "bp", bp_iters: int = 100,
-             map_cap: int = 2 ** 20) -> ErrorStats:
+             seed: int, decoder: str = "bp") -> ErrorStats:
     """Monte-Carlo error rate: uniform message, encode, transmit, decode.
 
     Trial t draws from its own counter-derived substream of `seed`.  An
@@ -241,6 +231,8 @@ def simulate(spec: ChannelCodeSpec, channel, trials: int, cfg: SamplerConfig,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if decoder not in ("bp", "map"):
+        raise ValueError(f"unknown decoder {decoder!r}: expected 'bp' or 'map'")
     encoder = ChannelEncoder(spec, cfg)
 
     def run_trial(t: int):
@@ -252,9 +244,9 @@ def simulate(spec: ChannelCodeSpec, channel, trials: int, cfg: SamplerConfig,
             return (1, 1, 0, 0)
         y = channel.sample(x, rng)
         if decoder == "map":
-            out = decode_map(spec, y, channel, cap=map_cap)
+            out = decode_map(spec, y, channel)
         else:
-            out = decode_bp(spec, y, channel, iters=bp_iters)
+            out = decode_bp(spec, y, channel)
         conv = 1 if out.converged else 0
         if not out.success:
             return (1, 0, 1, conv)
@@ -269,7 +261,7 @@ def simulate(spec: ChannelCodeSpec, channel, trials: int, cfg: SamplerConfig,
                       wilson_interval(errors, trials), enc_err, dec_fail, conv)
 
 
-def exact_error(spec: ChannelCodeSpec, channel, cap: int = 2 ** 20) -> float:
+def exact_error(spec: ChannelCodeSpec, channel) -> float:
     """Full summation of the stochastic-code error probability.
 
     Each message of Im B is sent with probability 1/|Im B| as a draw from
@@ -281,26 +273,26 @@ def exact_error(spec: ChannelCodeSpec, channel, cap: int = 2 ** 20) -> float:
     """
     if channel.continuous:
         raise ValueError("exact summation needs a finite output alphabet")
-    if channel.ny ** spec.n > cap:
+    if channel.ny ** spec.n > DENSE_CAP:
         raise ValueError("output space exceeds the cap")
-    msgs = spec.all_messages()
-    members = spec.ech_a.members(spec.c, cap)
-    sent = spec.B.mat_mat(members)            # the message of each member
+    members = spec.ech_a.members(spec.c)
+    msgs, msg_of = np.unique(spec.B.mat_mat(members), axis=0, return_inverse=True)
+    im_b = spec.q ** spec.msg_basis.shape[0]
+    total = (im_b - msgs.shape[0]) / im_b     # messages with an empty joint coset
     weight = np.zeros(members.shape[0])
-    total = 0.0
-    for m in msgs:
-        joint = np.all(sent == m, axis=1)
+    for i in range(msgs.shape[0]):
+        joint = msg_of == i
         try:
-            weight[joint] = member_law(members[joint], spec.prior.pmfs) / msgs.shape[0]
+            weight[joint] = member_law(members[joint], spec.prior.pmfs) / im_b
         except EncodingError:
-            total += 1.0 / msgs.shape[0]
+            total += 1.0 / im_b
     log_prior = spec.prior.log_prob(members)
     for y in all_vectors(channel.ny, spec.n):
         log_lik = channel.log_lik(y, members)
         best, _ = _argmax(log_prior + log_lik)
         lik = 2.0 ** log_lik
         if best is not None:              # members of the decoded message's coset
-            lik[np.all(sent == sent[best], axis=1)] = 0.0
+            lik[msg_of == msg_of[best]] = 0.0
         total += float(weight @ lik)
     return total
 
@@ -340,12 +332,12 @@ def linear_encode(spec: LinearCodeSpec, m) -> np.ndarray:
     return (m @ spec.gen + spec.x_c) % spec.q
 
 
-def linear_decode(spec: LinearCodeSpec, y, channel, prior: MemorylessSource,
-                  cap: int = 2 ** 20) -> np.ndarray | None:
+def linear_decode(spec: LinearCodeSpec, y, channel,
+                  prior: MemorylessSource) -> np.ndarray | None:
     """MAP over the coset, then strip the offset and invert the generator."""
     if not is_uniform(prior.pmfs):
         raise ValueError("the deterministic special case assumes a uniform prior")
-    members = spec.ech.members(spec.c, cap)
+    members = spec.ech.members(spec.c)
     best, _ = _argmax(channel.log_lik(y, members))
     if best is None:
         return None

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import GF
-from .sparsemat import SparseMatrix, all_vectors
+from .sparsemat import DENSE_CAP, SparseMatrix, all_vectors
 
 
 class InconsistencyError(RuntimeError):
@@ -212,11 +212,12 @@ def sum_product(graph: FactorGraph, max_iters: int = 100, damping: float = 0.0,
     return SumProductResult(marginals, converged, iters)
 
 
-def exact_marginals(graph: FactorGraph, cap: int = 2 ** 20) -> np.ndarray:
+def exact_marginals(graph: FactorGraph) -> np.ndarray:
     """Marginals by exhaustive weighted enumeration (the oracle)."""
     total = graph.q ** graph.n
-    if total > cap:
-        raise ValueError(f"exact marginalization refused: q**n = {total} exceeds cap {cap}")
+    if total > DENSE_CAP:
+        raise ValueError(f"exact marginalization refused: q**n = {total} "
+                         f"exceeds cap {DENSE_CAP}")
     X = all_vectors(graph.q, graph.n)
     w = np.ones(total)
     for f in graph.factors:

@@ -154,6 +154,10 @@ class CosetGraph:
         return sym * self.E + cols
 
 
+# iterations and tolerance of the BP decoders, `channel.decode_bp` and `lossy.decode`
+DECODE_ITERS, DECODE_TOL = 100, 1e-8
+
+
 class CosetBP:
     """One sum-product run on a coset graph: targets, priors and messages.
 

@@ -21,6 +21,7 @@ import numpy as np
 
 from .gf import GF
 from .sparsemat import (
+    DENSE_CAP,
     EnsembleSpec,
     SparseMatrix,
     all_vectors,
@@ -30,7 +31,6 @@ from .sparsemat import (
 from .stats import wilson_interval
 
 ENSEMBLE_CAP = 2 ** 24
-KERNEL_CAP = 2 ** 20
 
 
 # -- types (compositions) -------------------------------------------------------
@@ -242,7 +242,7 @@ class ExactScan:
         if not ens.exact:
             raise ValueError("exact scan requires an exact ensemble")
         q = ens.field.q
-        if q ** ens.n > KERNEL_CAP:
+        if q ** ens.n > DENSE_CAP:
             raise ValueError("input space exceeds the enumeration cap")
         if ens.total_weight >= 2 ** 62:
             raise ValueError("ensemble weight denominator too large for exact scan")
@@ -300,7 +300,7 @@ def avg_spectrum(ens, sample_budget: int | None = None,
                  rng: np.random.Generator | None = None) -> SpectrumTable:
     """Expected number of kernel vectors per nonzero type."""
     q, n = ens.field.q, ens.n
-    if q ** n > KERNEL_CAP:
+    if q ** n > DENSE_CAP:
         raise ValueError("kernel enumeration refused: q**n exceeds the cap")
     types = all_types(n, q)
     sizes = {t: type_class_size(t, n) for t in types}

@@ -15,10 +15,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .fastbp import CosetBP, CosetGraph
+from .fastbp import DECODE_ITERS, DECODE_TOL, CosetBP, CosetGraph
 from .models import DiscreteChannel, DistortionSpec, MemorylessSource, rate_quantities
 from .sampler import CosetSampler, DeadEndError, EncodingError, SamplerConfig, member_law
-from .sparsemat import SparseMatrix, all_vectors, row_reduce
+from .sparsemat import DENSE_CAP, SparseMatrix, all_vectors, row_reduce
 from .stats import entropy_bits, wilson_interval
 from .streams import stream
 
@@ -91,14 +91,16 @@ def encode_reproduction(spec: LossyCodeSpec, y, cfg: SamplerConfig, rng) -> np.n
     return spec.sampler.engine(spec.posteriors(y), cfg).draw(spec.c, rng).x
 
 
-def decode(spec: LossyCodeSpec, m, cap: int = 2 ** 20,
-           mode: str = "auto", bp_iters: int = 100) -> np.ndarray | None:
+def decode(spec: LossyCodeSpec, m, mode: str = "auto") -> np.ndarray | None:
     """Highest-prior member of {x : Ax = c, Bx = m}; None when it is empty.
 
     Full-column-rank stacked maps decode by a linear solve; otherwise an
     exhaustive argmax under the marginal prior (lexicographic ties) or,
-    above the cap, BP argmax with a final constraint check.
+    with mode "bp" or above DENSE_CAP members, BP argmax with a final
+    constraint check.
     """
+    if mode not in ("auto", "bp"):
+        raise ValueError(f"unknown mode {mode!r}: expected 'auto' or 'bp'")
     q = spec.q
     m = np.asarray(m, dtype=np.int64) % q
     if m.shape != (spec.B.rows,):
@@ -108,15 +110,15 @@ def decode(spec: LossyCodeSpec, m, cap: int = 2 ** 20,
     x = ech.solve(target)
     if x is None or ech.rank == spec.n:
         return x
-    if mode == "bp" or (mode == "auto" and q ** (spec.n - ech.rank) > cap):
+    if mode == "bp" or q ** (spec.n - ech.rank) > DENSE_CAP:
         bp = CosetBP(spec.graph_stacked, target, spec.x_marginals)
-        bp.run(bp_iters, 1e-8)
+        bp.run(DECODE_ITERS, DECODE_TOL)
         if bp.failed:
             return None
         x_hat = np.argmax(bp.marginals(), axis=1)
         ok = np.array_equal(spec.stacked.mat_vec(x_hat), target)
         return x_hat if ok else None
-    members = ech.members(target, cap)
+    members = ech.members(target)
     with np.errstate(divide="ignore"):
         lp = np.log2(spec.x_marginals)
     logp = lp[np.arange(spec.n), members].sum(axis=1)
@@ -161,17 +163,15 @@ class DistortionStats:
         }
 
 
-def simulate(spec: LossyCodeSpec, trials: int, cfg: SamplerConfig, seed: int,
-             target_d: float | None = None, decode_cap: int = 2 ** 20,
-             bp_iters: int = 100) -> DistortionStats:
+def simulate(spec: LossyCodeSpec, trials: int, cfg: SamplerConfig,
+             seed: int) -> DistortionStats:
     """Monte-Carlo estimate of P(d_n > n D); encoding errors score infinity.
 
     An empty or massless coset and a sampler dead end count as encoding errors.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    D = spec.target_d if target_d is None else target_d
-    n = spec.n
+    D, n = spec.target_d, spec.n
 
     def run_trial(t: int):
         rng = stream(seed, 202, t)
@@ -181,7 +181,7 @@ def simulate(spec: LossyCodeSpec, trials: int, cfg: SamplerConfig, seed: int,
         except (EncodingError, DeadEndError):
             return (math.inf, 1, 0)
         m = spec.B.mat_vec(x_tilde)
-        x_hat = decode(spec, m, cap=decode_cap, bp_iters=bp_iters)
+        x_hat = decode(spec, m)
         if x_hat is None:
             return (math.inf, 0, 1)
         return (spec.distortion.total(x_hat, y), 0, 0)
@@ -202,21 +202,19 @@ def simulate(spec: LossyCodeSpec, trials: int, cfg: SamplerConfig, seed: int,
                            mean_pl, hist)
 
 
-def exact_error(spec: LossyCodeSpec, target_d: float | None = None,
-                cap: int = 2 ** 20) -> float:
+def exact_error(spec: LossyCodeSpec) -> float:
     """Exact P(d_n > n D) by summing over source words and encoder outputs.
 
     The encoder's law on C_A(c) is `member_law` of the word's posteriors;
     the decoder is a function of m = B x alone, so each message is decoded
     once and each source word is scored against every member at once.
     """
-    D = spec.target_d if target_d is None else target_d
-    n, ny = spec.n, spec.source.q
-    if ny ** n > cap:
+    D, n, ny = spec.target_d, spec.n, spec.source.q
+    if ny ** n > DENSE_CAP:
         raise ValueError("source space exceeds the cap")
-    members = spec.sampler.echelon.members(spec.c, cap)   # c is in Im A
+    members = spec.sampler.echelon.members(spec.c)   # c is in Im A
     msgs, msg_of = np.unique(spec.B.mat_mat(members), axis=0, return_inverse=True)
-    decoded = [decode(spec, m, cap=cap) for m in msgs]
+    decoded = [decode(spec, m) for m in msgs]
     failed = np.array([x is None for x in decoded])
     x_hats = np.array([np.zeros(n, dtype=np.int64) if x is None else x for x in decoded])
     total = 0.0

@@ -175,7 +175,7 @@ class RateQuantities:
     i_xy: float
 
 
-def rate_quantities(prior_pmfs, channel, quad_nodes: int = 101) -> RateQuantities:
+def rate_quantities(prior_pmfs, channel) -> RateQuantities:
     priors = _check_pmfs(prior_pmfs, "prior pmfs")
     n = priors.shape[0]
     h_x = float(np.mean([entropy_bits(priors[i]) for i in range(n)]))
@@ -189,13 +189,13 @@ def rate_quantities(prior_pmfs, channel, quad_nodes: int = 101) -> RateQuantitie
                     h_xy += p_y[yv] * entropy_bits(joint[:, yv] / p_y[yv])
         h_xy /= n
     else:
-        h_xy = _h_x_given_y_biawgn(priors, channel, quad_nodes) / n
+        h_xy = _h_x_given_y_biawgn(priors, channel) / n
     return RateQuantities(h_x, h_xy, h_x - h_xy)
 
 
-def _h_x_given_y_biawgn(priors, channel: BiAwgnChannel, quad_nodes: int) -> float:
-    # Gauss-Hermite (probabilists') quadrature over y = s_x + sigma z
-    nodes, weights = np.polynomial.hermite_e.hermegauss(quad_nodes)
+def _h_x_given_y_biawgn(priors, channel: BiAwgnChannel) -> float:
+    # Gauss-Hermite (probabilists') quadrature over y = s_x + sigma z, 101 nodes
+    nodes, weights = np.polynomial.hermite_e.hermegauss(101)
     weights = weights / np.sqrt(2 * np.pi)
     s = np.array([1.0, -1.0])
     total = 0.0

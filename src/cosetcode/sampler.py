@@ -9,7 +9,7 @@ read off (the early stop).  The work has three lifetimes:
   per prior   `CosetSampler.engine(priors, cfg)`, which refuses priors
               that are not an (n, q) array of finite non-negative
               numbers: exact (`ExactStepper` suffix-mass tables while q**l
-              fits the state cap, only tables 0..stop for a draw that
+              fits DENSE_CAP, only tables 0..stop for a draw that
               stops early at `stop`: M_stop comes from the one completion
               of each syndrome, the rest from the backward recursion, whose
               GF(2) shifts are flipped views; never dead-ends after a
@@ -29,7 +29,6 @@ its step probabilities (`path_tree_law`).  The driver then reads the
 suffix off the reverse echelon at the early stop and checks A x = c.
 """
 
-import itertools
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,7 +37,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .fastbp import CosetBP, CosetGraph
-from .sparsemat import EchelonForm, SparseMatrix, row_reduce, suffix_ranks
+from .sparsemat import DENSE_CAP, EchelonForm, SparseMatrix, row_reduce, suffix_ranks
 from .streams import sample_pmf
 
 
@@ -53,21 +52,20 @@ class DeadEndError(RuntimeError):
 
 @dataclass
 class SamplerConfig:
+    """Settings of the stepwise engines; uniform priors take the uniform
+    engine whatever the method."""
+
     method: str = "exact"            # "exact" | "sum-product"
-    exact_cap_states: int = 2 ** 20  # syndrome-table budget q**l
     sp_init_iters: int = 50
     sp_step_iters: int = 2
     sp_damping: float = 0.0
     sp_tol: float = 1e-8
     early_stop: bool = True          # Step-5 unique-completion shortcut
     retries: int = 16
-    uniform_shortcut: bool = True
 
     def __post_init__(self):
         if self.method not in ("exact", "sum-product"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.exact_cap_states <= 0:
-            raise ValueError("exact_cap_states must be positive")
         if self.retries < 1:
             raise ValueError("retries must be >= 1")
         if not 0 <= self.sp_damping < 1:
@@ -89,17 +87,6 @@ class GeneratedSample:
 _SPARE_BLOCKS: dict = {}
 
 
-def _roll_into(out: np.ndarray, a: np.ndarray, shifts, axes) -> None:
-    """out[...] = np.roll(a, shifts, axes) for shifts in (0, size), copied
-    piecewise as np.roll does, without allocating the result."""
-    pieces = [[(slice(None), slice(None))]] * a.ndim
-    for ax, sh in zip(axes, shifts):
-        pieces[ax] = [(slice(-sh), slice(sh, None)), (slice(-sh, None), slice(sh))]
-    for combo in itertools.product(*pieces):
-        src, dst = zip(*combo)
-        out[dst] = a[src]
-
-
 class ExactStepper:
     """Backward suffix-mass tables M_k(t) = mass of suffixes hitting syndrome t.
 
@@ -115,26 +102,27 @@ class ExactStepper:
     filled by enumerating the q**(n - stop) suffixes.  The recursion
     M_k(t) = sum_x mu_k(x) M_{k+1}(t - x col_k) gives the rest; over GF(2)
     the shift by col_k reverses the axes of its support, so it is a
-    flipped view of M_{k+1}, while GF(q > 2) rolls into a scratch table.
+    flipped view of M_{k+1}, while GF(q > 2) gathers it into a scratch table.
     Both give the tables the full recursion gives, bit for bit.
 
     The tables are views of a block that returns to a spare pool when the
     stepper is collected, so they are valid while the stepper lives.
     """
 
-    def __init__(self, A: SparseMatrix, priors, cap_states: int = 2 ** 20,
-                 stop: int | None = None):
+    def __init__(self, A: SparseMatrix, priors, stop: int | None = None):
         q = A.field.q
         self.q, self.n, self.l = q, A.cols, A.rows
-        if q ** self.l > cap_states:
+        if q ** self.l > DENSE_CAP:
             raise ValueError(
-                f"exact engine refused: q**l = {q ** self.l} exceeds state cap {cap_states}")
+                f"exact engine refused: q**l = {q ** self.l} exceeds state cap {DENSE_CAP}")
         stop = self.n if stop is None else stop
         if not 0 <= stop <= self.n:
             raise ValueError(f"stop {stop} lies outside 0..{self.n}")
         self.priors = np.asarray(priors, dtype=float)
         dense = A.to_dense()
         self.cols = [dense[:, k] for k in range(self.n)]
+        # the flat index of syndrome t is t @ weights, axis 0 most significant
+        self.weights = q ** np.arange(self.l - 1, -1, -1, dtype=np.int64)
         # tables 0..n and a scratch slot, in a block reused across steppers;
         # tables past the stop are left unwritten
         shape = (self.n + 2,) + (q,) * self.l
@@ -165,11 +153,10 @@ class ExactStepper:
 
         Each mass is mu_j(x_j) times the mass of the suffix after j, the
         product the recursion forms; its other terms are exact zeros."""
-        q, l = self.q, self.l
-        weights = q ** np.arange(l - 1, -1, -1, dtype=np.int64)
+        q = self.q
         idx, mass = np.zeros(1, dtype=np.int64), np.ones(1)
         for j in range(self.n - 1, stop - 1, -1):
-            idx = np.concatenate([_translate(idx, xv * self.cols[j] % q, q, weights)
+            idx = np.concatenate([_translate(idx, xv * self.cols[j] % q, q, self.weights)
                                   for xv in range(q)])
             mass = np.concatenate([self.priors[j, xv] * mass for xv in range(q)])
         if np.bincount(idx).max() > 1:
@@ -181,8 +168,8 @@ class ExactStepper:
 
     def _shifted(self, nxt: np.ndarray, scratch: np.ndarray, k: int, xv: int) -> np.ndarray:
         """np.roll of nxt by xv * col_k over the syndrome axes: a flipped view
-        over GF(2), where a roll by 1 reverses a size-2 axis, else rolled
-        into scratch."""
+        over GF(2), where a roll by 1 reverses a size-2 axis, else gathered
+        into scratch from the flat indices t - xv * col_k."""
         col = self.cols[k]
         axes = np.nonzero(col)[0]
         if not xv or not axes.size:
@@ -192,7 +179,8 @@ class ExactStepper:
             for ax in axes:
                 flips[ax] = slice(None, None, -1)
             return nxt[tuple(flips)]
-        _roll_into(scratch, nxt, xv * col[axes] % self.q, axes)
+        src = _translate(np.arange(scratch.size), -xv * col % self.q, self.q, self.weights)
+        np.take(nxt.reshape(-1), src, out=scratch.reshape(-1))
         return scratch
 
     def mass_of(self, c) -> float:
@@ -297,7 +285,7 @@ class CosetSampler:
     def engine(self, priors, cfg: SamplerConfig):
         """Sampling engine for one prior; its `draw(c, rng)` serves every target."""
         priors = self.checked_priors(priors)
-        if cfg.uniform_shortcut and is_uniform(priors):
+        if is_uniform(priors):
             return _UniformEngine(self)
         return _STEPWISE[cfg.method](self, priors, cfg)
 
@@ -392,7 +380,7 @@ class _ExactEngine:
         self.sampler, self.cfg = sampler, cfg
         # a draw never reads a table past the early stop
         stop = sampler.early_stop_index if cfg.early_stop else None
-        self.stepper = ExactStepper(sampler.A, priors, cfg.exact_cap_states, stop)
+        self.stepper = ExactStepper(sampler.A, priors, stop)
 
     def walk(self, c, choose) -> GeneratedSample:
         """One pass of the driver with the given selector."""
@@ -465,7 +453,7 @@ def step_conditional(A: SparseMatrix, c, priors, prefix, cfg: SamplerConfig):
         raise ValueError("prefix already covers the whole sequence")
     c = sampler.target(c)
     if cfg.method == "exact":
-        state = _ExactState(ExactStepper(A, priors, cfg.exact_cap_states), c)
+        state = _ExactState(ExactStepper(A, priors), c)
     else:
         # the whole prefix is fixed before BP's first run
         bp = CosetBP(sampler.graph, c, priors, damping=cfg.sp_damping)
@@ -548,9 +536,9 @@ def generate_interval(A: SparseMatrix, c, priors, cfg: SamplerConfig,
     return engine.walk(c, _Interval(omega)), omega.consumed
 
 
-def exact_coset_law(A: SparseMatrix, c, priors, cap: int = 2 ** 20):
+def exact_coset_law(A: SparseMatrix, c, priors):
     """Full restricted law: (members, probabilities); the law oracle."""
-    members = row_reduce(A).members(c, cap)
+    members = row_reduce(A).members(c)
     if members.shape[0] == 0:
         raise EncodingError("coset is empty: c is outside Im A")
     return members, member_law(members, priors)
@@ -580,7 +568,7 @@ class _ForcedPath:
         return v
 
 
-def path_tree_law(A: SparseMatrix, c, priors, cfg: SamplerConfig, cap: int = 2 ** 20):
+def path_tree_law(A: SparseMatrix, c, priors, cfg: SamplerConfig):
     """Law induced by the exact sequential engine, by full path-tree expansion.
 
     Every positive-probability path ends on the coset (step pmfs are
@@ -592,7 +580,7 @@ def path_tree_law(A: SparseMatrix, c, priors, cfg: SamplerConfig, cap: int = 2 *
     engine = _ExactEngine(sampler, sampler.checked_priors(priors), cfg)
     if engine.stepper.mass_of(c) <= 0:
         raise EncodingError("coset has zero prior mass")
-    members = sampler.echelon.members(c, cap)
+    members = sampler.echelon.members(c)
     probs = np.zeros(members.shape[0])
     for row, x in enumerate(members):
         path = _ForcedPath(x)

@@ -6,11 +6,14 @@ structural.  Over GF(2) elimination runs on the rows of [A | I]
 bit-packed into 64-bit words, packed straight from the CSR entries, and
 the echelon keeps them packed: solves and uniform coset draws are
 XOR/popcount parities on those words, and no int64 copy of the matrix or
-of its echelon is made unless a caller reads one.  The packed [A | I]
-may take at most 8 * DENSE_CAP bytes (8 MiB), about l*(n + l) <= 2**26
-bits.  Over GF(q > 2) elimination works on the dense int64 mirror
-`to_dense`, refused above l*n = DENSE_CAP = 2**20 entries, so that path
-is desk scale by design.
+of its echelon is made unless a caller reads one.  Over GF(q > 2)
+elimination works on the dense int64 mirror `to_dense`.
+
+DENSE_CAP = 2**20 is the library's one desk-scale budget, read by every
+refusal where it happens: dense mirror entries (l*n), packed words (the
+packed [A | I] of l*(n + l) bits), coset members, enumerated channel
+outputs and source words, exact-engine states, factor-graph assignments
+and hash-scan inputs.
 
 `row_reduce` eliminates a matrix once and returns an `EchelonForm`, the
 one object that solves A x = t, holds the kernel and enumerates or
@@ -298,15 +301,15 @@ class EchelonForm:
         basis[:, self.pivots] = (-self._dense(0, self.n, self.rank)[:, free].T) % self.field.q
         return basis
 
-    def members(self, target, cap: int = DENSE_CAP) -> np.ndarray:
+    def members(self, target) -> np.ndarray:
         """All of C_A(target) in lexicographic order, empty when target is not in
-        Im A; refuses when the coset has more than cap members."""
+        Im A; refuses when the coset has more than DENSE_CAP members."""
         x0 = self.solve(target)
         if x0 is None:
             return np.zeros((0, self.n), dtype=np.int64)
         q, dim = self.field.q, self.n - self.rank
-        if q ** dim > cap:
-            raise ValueError(f"coset size {q ** dim} exceeds cap {cap}")
+        if q ** dim > DENSE_CAP:
+            raise ValueError(f"coset size {q ** dim} exceeds cap {DENSE_CAP}")
         members = (x0[None, :] + all_vectors(q, dim) @ self.kernel) % q
         return members[np.lexsort(members.T[::-1])]
 

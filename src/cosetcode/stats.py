@@ -17,10 +17,11 @@ def binary_entropy(p: float) -> float:
     return -p * math.log2(p) - (1 - p) * math.log2(1 - p)
 
 
-def wilson_interval(successes: int, trials: int, z: float = 2.5758293035489004):
-    """Wilson score interval; default z is the two-sided 99% quantile."""
+def wilson_interval(successes: int, trials: int):
+    """Two-sided 99% Wilson score interval for successes out of trials."""
     if trials <= 0:
         raise ValueError("trials must be positive")
+    z = 2.5758293035489004      # the two-sided 99% normal quantile
     phat = successes / trials
     z2 = z * z
     denom = 1 + z2 / trials

@@ -82,7 +82,7 @@ def test_encode_uniform_law_chi_square():
 def test_encode_support_postcondition_nonuniform():
     prior = MemorylessSource(np.broadcast_to([0.8, 0.2], (6, 2)).copy())
     spec = small_spec(n=6, l=2, k=3, seed=21, prior=prior)
-    cfg = SamplerConfig(method="exact", uniform_shortcut=False)
+    cfg = SamplerConfig(method="exact")
     for t in range(30):
         rng = stream(50, t)
         m = spec.random_message(rng)
@@ -344,36 +344,61 @@ def test_simulate_matches_exact_error_within_wilson():
     assert 0 < exact < 1
 
 
+def full_space_error(spec, ch):
+    """Error probability of the stochastic code by scanning all of GF(q)^n,
+    independent of every echelon: messages, joint cosets and MAP decisions."""
+    n, q = spec.n, spec.q
+    V = all_vectors(q, n)
+    on_a = V[[np.array_equal(spec.A.mat_vec(v), spec.c) for v in V]]
+    sent = np.array([spec.B.mat_vec(v) for v in on_a])
+    msgs = np.unique([spec.B.mat_vec(v) for v in V], axis=0)   # Im B
+    px = np.array([2.0 ** spec.prior.log_prob(v) for v in on_a])
+    lik = ch.kernels[np.arange(n), on_a[:, None, :], V[None, :, :]].prod(axis=2)
+    # MAP decisions: the first maximum in lexicographic order
+    decoded = [sent[int(np.argmax([spec.prior.log_prob(v) + ch.log_lik(y, v)
+                                   for v in on_a]))] for y in V]
+    total = 0.0
+    for m in msgs:
+        joint = np.all(sent == m, axis=1)
+        mass = px[joint].sum()
+        if mass == 0:                   # m cannot be encoded
+            total += 1.0 / len(msgs)
+            continue
+        for iy in range(len(V)):
+            if not np.array_equal(decoded[iy], m):
+                total += (px[joint] @ lik[joint, iy]) / mass / len(msgs)
+    return total
+
+
 def test_exact_error_matches_full_space_sum_gf3_qsc():
-    # independent of every echelon: messages, joint cosets and MAP decisions
-    # come from scanning all of GF(3)^n
     n, q = 5, 3
     prior = MemorylessSource(stream(6, 0).dirichlet(np.ones(q), size=n))
     ch = qsc(3, 0.15, n)
     for seed in range(3):
         spec = sample_code(n, 2, 2, 2, GF(q), prior, seed)
-        V = all_vectors(q, n)
-        on_a = V[[np.array_equal(spec.A.mat_vec(v), spec.c) for v in V]]
-        sent = np.array([spec.B.mat_vec(v) for v in on_a])
-        msgs = np.unique([spec.B.mat_vec(v) for v in V], axis=0)   # Im B
-        px = np.array([2.0 ** spec.prior.log_prob(v) for v in on_a])
-        lik = ch.kernels[np.arange(n), on_a[:, None, :], V[None, :, :]].prod(axis=2)
-        # MAP decisions: the first maximum in lexicographic order
-        decoded = [sent[int(np.argmax([spec.prior.log_prob(v) + ch.log_lik(y, v)
-                                       for v in on_a]))] for y in V]
-        total = 0.0
-        for m in msgs:
-            joint = np.all(sent == m, axis=1)
-            mass = px[joint].sum()
-            if mass == 0:                   # m cannot be encoded
-                total += 1.0 / len(msgs)
-                continue
-            for iy in range(len(V)):
-                if not np.array_equal(decoded[iy], m):
-                    total += (px[joint] @ lik[joint, iy]) / mass / len(msgs)
         got = exact_error(spec, ch)
         assert type(got) is float
-        assert abs(got - total) < 1e-12
+        assert abs(got - full_space_error(spec, ch)) < 1e-12
+
+
+def test_exact_error_counts_messages_no_member_reaches():
+    # rank B = 2 but B maps C_A(c) onto one line of Im B: half of the
+    # messages have an empty joint coset and are errors
+    n = 6
+    prior = MemorylessSource(stream(6, 2).dirichlet(np.ones(2), size=n))
+    spec = sample_code(n, 3, 3, 2, GF2, prior, seed=1)
+    assert spec.msg_rank == 1 and spec.msg_basis.shape[0] == 2
+    ch = bsc(0.1, n)
+    got = exact_error(spec, ch)
+    assert 0.5 < got < 1
+    assert abs(got - full_space_error(spec, ch)) < 1e-12
+
+
+@pytest.mark.parametrize("decoder", ["MAP", "nonsense"])
+def test_simulate_rejects_an_unknown_decoder(decoder):
+    spec = small_spec()
+    with pytest.raises(ValueError, match="unknown decoder"):
+        simulate(spec, bsc(0.1, spec.n), 1, EXACT, seed=0, decoder=decoder)
 
 
 def test_simulate_single_message_code():

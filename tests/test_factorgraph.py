@@ -79,7 +79,7 @@ def test_exact_marginals_contradiction():
 def test_exact_marginals_cap():
     g = FactorGraph(30, 2, [])
     with pytest.raises(ValueError):
-        exact_marginals(g, cap=2 ** 20)
+        exact_marginals(g)
 
 
 # ---------------------------------------------------------------------------

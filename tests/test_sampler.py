@@ -37,8 +37,8 @@ from cosetcode.streams import sample_pmf, stream
 GF2 = GF(2)
 GF3 = GF(3)
 
-EXACT = SamplerConfig(method="exact", uniform_shortcut=False)
-NO_EARLY = SamplerConfig(method="exact", early_stop=False, uniform_shortcut=False)
+EXACT = SamplerConfig(method="exact")
+NO_EARLY = SamplerConfig(method="exact", early_stop=False)
 
 
 def dense(arr, field):
@@ -71,12 +71,13 @@ def oracle_step_pmf(A, c, priors, prefix, k):
 # ---------------------------------------------------------------------------
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="exact_cap_states"):
-        SamplerConfig(exact_cap_states=0)
     with pytest.raises(ValueError, match="method"):
         SamplerConfig(method="gibbs")
-    with pytest.raises(TypeError):
-        SamplerConfig(exact_cap=10)        # removed: nothing read it
+    # not fields: the state budget is DENSE_CAP, and uniform priors pick
+    # their own engine
+    for removed in ("exact_cap", "exact_cap_states", "uniform_shortcut"):
+        with pytest.raises(TypeError):
+            SamplerConfig(**{removed: 10})
 
 
 def test_config_validation_retries_and_damping():
@@ -175,7 +176,7 @@ def test_step_conditional_error_taxonomy():
 def test_generate_identity_matrix_is_deterministic():
     I = dense(np.eye(4, dtype=int), GF2)
     c = np.array([1, 0, 1, 1])
-    priors = np.array([[0.5, 0.5]] * 4)
+    priors = np.array([[0.6, 0.4]] * 4)      # non-uniform: the exact engine runs
     out = generate(I, c, priors, NO_EARLY, stream(0, 0))
     assert np.array_equal(out.x, c)
 
@@ -217,14 +218,16 @@ def test_generate_postcondition_and_encoding_error():
         out = generate(A, c, priors, EXACT, stream(1000 + t, 0))
         assert np.array_equal(A.mat_vec(out.x), c)
     A = dense([[1, 1], [1, 1]], GF2)
-    with pytest.raises(EncodingError):
-        generate(A, [0, 1], np.full((2, 2), 0.5), EXACT, stream(0, 0))
+    for priors in (np.array([[0.6, 0.4]] * 2),       # the exact engine
+                   np.full((2, 2), 0.5)):            # the uniform engine
+        with pytest.raises(EncodingError):
+            generate(A, [0, 1], priors, EXACT, stream(0, 0))
 
 
 def test_generate_uniform_shortcut_law():
     A = dense([[1, 1, 0], [0, 1, 1]], GF2)
     c = [1, 0]
-    cfg = SamplerConfig(method="exact")  # shortcut enabled
+    cfg = SamplerConfig(method="exact")  # uniform priors take the uniform engine
     members, probs = exact_coset_law(A, c, np.full((3, 2), 0.5))
     counts = {tuple(m): 0 for m in members}
     rng = stream(5, 0)
@@ -240,8 +243,7 @@ def test_generate_uniform_shortcut_law():
 
 def test_generate_sum_product_respects_constraint():
     rng_master = np.random.default_rng(8)
-    cfg = SamplerConfig(method="sum-product", uniform_shortcut=False,
-                        sp_init_iters=30, sp_step_iters=2)
+    cfg = SamplerConfig(method="sum-product", sp_init_iters=30, sp_step_iters=2)
     for t in range(20):
         n, l = 8, 3
         D = rng_master.integers(0, 2, size=(l, n))
@@ -257,8 +259,8 @@ def test_generate_sum_product_law_close_on_tree():
     A = dense([[1, 1, 0], [0, 1, 1]], GF2)
     c = [1, 1]
     priors = np.array([[0.6, 0.4], [0.3, 0.7], [0.8, 0.2]])
-    cfg = SamplerConfig(method="sum-product", uniform_shortcut=False,
-                        sp_init_iters=10, sp_step_iters=5, early_stop=False)
+    cfg = SamplerConfig(method="sum-product", sp_init_iters=10, sp_step_iters=5,
+                        early_stop=False)
     members, probs = exact_coset_law(A, c, priors)
     keys = [tuple(m) for m in members]
     counts = dict.fromkeys(keys, 0)
@@ -646,7 +648,7 @@ def test_stepper_blocks_are_reused_without_aliasing():
 def test_stepper_cap_refused():
     A = SparseMatrix.from_dense(np.zeros((25, 4), dtype=int), GF3)
     with pytest.raises(ValueError):
-        ExactStepper(A, np.full((4, 3), 1 / 3), cap_states=2 ** 20)
+        ExactStepper(A, np.full((4, 3), 1 / 3))
 
 
 # ---------------------------------------------------------------------------
@@ -754,8 +756,7 @@ def _pinned_outputs(q, case):
             x_star = rng.integers(0, q, size=n)
             c = A.mat_vec(x_star)
             priors = rng.dirichlet(np.full(q, 1.5), size=n)
-            for cfg in (EXACT, NO_EARLY, SamplerConfig(method="sum-product",
-                                                       uniform_shortcut=False)):
+            for cfg in (EXACT, NO_EARLY, SamplerConfig(method="sum-product")):
                 if case == "interval":
                     bits = rng.integers(0, 2, size=256).tolist()
                     out, used = generate_interval(A, c, priors, cfg,
