@@ -59,6 +59,7 @@ class ChannelCodeSpec:
         self.ech_stacked: EchelonForm = row_reduce(self.stacked)
         self.msg_rank = self.ech_stacked.rank - self.rank_a
         self.msg_basis = column_space_basis(self.B)   # basis of Im B
+        self._msg_basis_f = self.msg_basis.astype(float)
         n, logq = self.A.cols, math.log2(q)
         self.rate_r = self.rank_a / n * logq
         self.rate_R = self.msg_rank / n * logq
@@ -76,7 +77,8 @@ class ChannelCodeSpec:
         if self.msg_basis.shape[0] == 0:
             return np.zeros(self.B.rows, dtype=np.int64)
         z = rng.integers(0, self.q, size=self.msg_basis.shape[0])
-        return z @ self.msg_basis % self.q
+        # float64 BLAS: sums of rank products below q**2 are exact below 2**53
+        return (z @ self._msg_basis_f).astype(np.int64) % self.q
 
     @cached_property
     def graph_a(self) -> CosetGraph:

@@ -123,6 +123,9 @@ class ExactStepper:
         self.cols = [dense[:, k] for k in range(self.n)]
         # the flat index of syndrome t is t @ weights, axis 0 most significant
         self.weights = q ** np.arange(self.l - 1, -1, -1, dtype=np.int64)
+        # _digit_weights[i, s, d] = weight of digit d - s on axis i
+        digits = np.arange(q)
+        self._digit_weights = (digits - digits[:, None]) % q * self.weights[:, None, None]
         # tables 0..n and a scratch slot, in a block reused across steppers;
         # tables past the stop are left unwritten
         shape = (self.n + 2,) + (q,) * self.l
@@ -169,7 +172,7 @@ class ExactStepper:
     def _shifted(self, nxt: np.ndarray, scratch: np.ndarray, k: int, xv: int) -> np.ndarray:
         """np.roll of nxt by xv * col_k over the syndrome axes: a flipped view
         over GF(2), where a roll by 1 reverses a size-2 axis, else gathered
-        into scratch from the flat indices t - xv * col_k."""
+        into scratch from the flat indices t - xv * col_k, built axis by axis."""
         col = self.cols[k]
         axes = np.nonzero(col)[0]
         if not xv or not axes.size:
@@ -179,7 +182,10 @@ class ExactStepper:
             for ax in axes:
                 flips[ax] = slice(None, None, -1)
             return nxt[tuple(flips)]
-        src = _translate(np.arange(scratch.size), -xv * col % self.q, self.q, self.weights)
+        shift = xv * col % self.q
+        src = self._digit_weights[-1, shift[-1]]
+        for i in range(self.l - 2, -1, -1):
+            src = (self._digit_weights[i, shift[i], :, None] + src).ravel()
         np.take(nxt.reshape(-1), src, out=scratch.reshape(-1))
         return scratch
 

@@ -2,18 +2,18 @@
 
 Matrices are immutable after construction and stored CSR-style with
 canonical rows (ascending columns, no zero coefficients), so equality is
-structural.  Over GF(2) elimination runs on the rows of [A | I]
-bit-packed into 64-bit words, packed straight from the CSR entries, and
-the echelon keeps them packed: solves and uniform coset draws are
-XOR/popcount parities on those words, and no int64 copy of the matrix or
-of its echelon is made unless a caller reads one.  Over GF(q > 2)
-elimination works on the dense int64 mirror `to_dense`.
+structural.  Over GF(2) elimination runs on rows bit-packed into 64-bit
+words straight from the CSR entries, one word of columns at a time: its
+pivots are found on that word, then all rows are updated from tables of
+XOR combinations of 8 pivot rows (the method of Four Russians).  The echelon
+stays packed: solves and uniform coset draws are XOR/popcount parities on
+its words.  Over GF(q > 2) elimination works on the dense mirror `to_dense`.
 
 DENSE_CAP = 2**20 is the library's one desk-scale budget, read by every
-refusal where it happens: dense mirror entries (l*n), packed words (the
-packed [A | I] of l*(n + l) bits), coset members, enumerated channel
-outputs and source words, exact-engine states, factor-graph assignments
-and hash-scan inputs.
+refusal where it happens: dense mirror entries (l*n), packed words (of
+[A | I] in `row_reduce`, of M^T alone in `column_space_basis`), coset
+members, enumerated channel outputs and source words, exact-engine
+states, factor-graph assignments and hash-scan inputs.
 
 `row_reduce` eliminates a matrix once and returns an `EchelonForm`, the
 one object that solves A x = t, holds the kernel and enumerates or
@@ -30,6 +30,7 @@ import numpy as np
 from .gf import GF
 
 DENSE_CAP = 2 ** 20
+_BIT = np.uint64(1) << np.arange(64, dtype=np.uint64)
 
 
 class SparseMatrix:
@@ -148,9 +149,7 @@ class SparseMatrix:
             np.concatenate([self.coeffs, other.coeffs]))
 
     def column_weights(self) -> np.ndarray:
-        w = np.zeros(self.cols, dtype=np.int64)
-        np.add.at(w, self.col_idx, 1)
-        return w
+        return np.bincount(self.col_idx, minlength=self.cols)
 
     def __eq__(self, other):
         return (
@@ -195,16 +194,17 @@ def sample_sparse_matrix(spec: EnsembleSpec, rng: np.random.Generator) -> Sparse
     For each column, tau draws of (row j, nonzero a) are made uniformly
     and a is *added* into entry (j, i); coincident draws accumulate and
     may cancel to zero, in which case the entry is dropped from storage.
+    The draws go column by column, rows then values; over GF(2) the values
+    take no random bits, so one call draws all rows as that loop would.
     """
     q, n, l, tau = spec.field.q, spec.n, spec.l, spec.tau
-    js = np.empty((n, tau), dtype=np.int64)
-    avals = np.empty((n, tau), dtype=np.int64)
-    for i in range(n):
-        js[i] = rng.integers(0, l, size=tau)
-        avals[i] = rng.integers(1, q, size=tau)
+    if q == 2:
+        js, avals = rng.integers(0, l, size=(n, tau)), np.ones((n, tau), dtype=np.int64)
+    else:
+        js, avals = np.array([(rng.integers(0, l, size=tau), rng.integers(1, q, size=tau))
+                              for _ in range(n)]).transpose(1, 0, 2)
     pos, slot = np.unique((js * n + np.arange(n)[:, None]).ravel(), return_inverse=True)
-    sums = np.zeros(pos.size, dtype=np.int64)
-    np.add.at(sums, slot.ravel(), avals.ravel())
+    sums = np.bincount(slot.ravel(), avals.ravel()).astype(np.int64)
     return SparseMatrix.from_coo(l, n, spec.field, pos // n, pos % n, sums)
 
 
@@ -251,12 +251,7 @@ class EchelonForm:
     def _dense(self, lo: int, hi: int, nrows=None) -> np.ndarray:
         """Columns lo..hi-1 of the first nrows rows of [R | T] as a new int64 array."""
         rt = self.rt[:nrows]
-        if self.field.q != 2:
-            return rt[:, lo:hi].copy()
-        w = lo >> 6
-        bits = np.unpackbits(np.ascontiguousarray(rt[:, w:]).view(np.uint8), axis=1,
-                             count=hi - 64 * w, bitorder="little")
-        return bits[:, lo - 64 * w:].astype(np.int64)
+        return _unpack(rt, lo, hi) if self.field.q == 2 else rt[:, lo:hi].copy()
 
     def _product(self, lo: int, v: np.ndarray) -> np.ndarray:
         """Columns lo..lo+len(v)-1 of [R | T] times v over GF(q): R x from lo = 0,
@@ -335,64 +330,115 @@ def row_reduce(A: SparseMatrix) -> EchelonForm:
     with a nonzero there; it is swapped into place, scaled to 1 and
     cleared from every other row.  For q = 2 the rows are packed into
     64-bit words straight from the entries and stay packed in the result;
-    the packed [A | I] may take at most 8 * DENSE_CAP bytes.
+    the packed [A | I] may take at most 8 * DENSE_CAP bytes, and the rows
+    are updated once per 64-column word, to the same [R | T].
     """
     if A.field.q == 2:
-        nbytes = 8 * A.rows * ((A.cols + A.rows + 63) // 64)
-        if nbytes > 8 * DENSE_CAP:
-            raise ValueError(f"packed elimination refused: {A.rows}x{A.cols} with its "
-                             f"identity takes {nbytes} bytes, exceeds cap {8 * DENSE_CAP}")
-        rt, pivots = _gauss_jordan_gf2(A.rows, A.cols, A.row_of, A.col_idx)
+        l, n = A.rows, A.cols
+        rt = _pack_gf2(l, n + l, np.r_[A.row_of, :l], np.r_[A.col_idx, n:n + l])
+        pivots = _gauss_jordan_gf2(rt, n)
         # column-major: a product ANDs and XOR-reduces contiguous word columns
         rt = np.asfortranarray(rt)
     else:
-        rt, pivots = _gauss_jordan_gfq(A.to_dense(), A.field)
+        rt = np.concatenate([A.to_dense(), np.eye(A.rows, dtype=np.int64)], axis=1)
+        pivots = _gauss_jordan_gfq(rt, A.cols, A.field)
     return EchelonForm(rt, A.cols, np.asarray(pivots, dtype=np.int64), A.field)
 
 
-def _gauss_jordan_gf2(l: int, n: int, rows, cols):
-    """(P, pivots) for the l x n GF(2) matrix with ones at (rows[t], cols[t]),
-    where P holds the eliminated [D | I] as packed rows.
-
-    Row i of [D | I] is held as little-endian uint64 words, bit j of the
-    row in bit j % 64 of word j // 64, so clearing a column is one XOR of
-    the pivot row's words into each row that has the bit.
-    """
-    words = (n + l + 63) // 64
+def _pack_gf2(l: int, width: int, rows, cols) -> np.ndarray:
+    """l rows of `width` bits with ones at (rows[t], cols[t]), bit j of a row in bit
+    j % 64 of its little-endian uint64 word j // 64; refused above 8 * DENSE_CAP bytes."""
+    words = (width + 63) // 64
+    if 8 * l * words > 8 * DENSE_CAP:
+        raise ValueError(f"packed elimination refused: {l} rows of {width} bits take "
+                         f"{8 * l * words} bytes, exceeds cap {8 * DENSE_CAP}")
     P = np.zeros((l, words), dtype="<u8")
-    one = np.uint64(1)
-    rows = np.concatenate([rows, np.arange(l)])
-    cols = np.concatenate([cols, n + np.arange(l)]).astype(np.uint64)
-    np.bitwise_or.at(P, (rows, cols >> np.uint64(6)), one << (cols & np.uint64(63)))
+    np.bitwise_or.at(P, (rows, cols >> 6), _BIT[cols & 63])
+    return P
+
+
+def _unpack(P: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Bits lo..hi-1 of the packed rows P as a new int64 array."""
+    w = lo >> 6
+    bits = np.unpackbits(np.ascontiguousarray(P[:, w:]).view(np.uint8), axis=1,
+                         count=hi - 64 * w, bitorder="little")
+    return bits[:, lo - 64 * w:].astype(np.int64)
+
+
+def _gauss_jordan_gf2(P: np.ndarray, n: int) -> list:
+    """Eliminate columns 0..n-1 of the packed rows P in place; returns the pivots.
+
+    Per 64-column word w, the one-pivot-at-a-time rule runs on word w of the
+    rows below the pivots so far (XORs into rows above change no choice), and
+    K records which of the word's pivot rows each row absorbs.  A final row is
+    its start row plus the one combination of pivot rows that clears the pivot
+    columns, so all rows are updated at once from tables of XOR combinations of
+    8 start rows, looked up by the bytes of K or, above, of the pivot bits.
+    """
+    l = P.shape[0]
     pivots = []
-    for col in range(n):
-        r = len(pivots)
-        if r == l:
+    for w in range((n + 63) // 64):
+        r0 = len(pivots)
+        if r0 == l:
             break
-        w = col >> 6
-        hits = np.flatnonzero((P[:, w] >> np.uint64(col & 63)) & one)
-        k = int(np.searchsorted(hits, r))
-        if k == hits.size:
+        W = P[r0:, w].copy()
+        K = np.zeros(l - r0, dtype="<u8")
+        perm = np.arange(r0, l)
+        k = 0
+        for b in range(min(n - 64 * w, 64)):
+            hits = (W & _BIT[b]).nonzero()[0]
+            i = hits.searchsorted(k)
+            if i == hits.size:
+                continue
+            p = hits[i]
+            W[k], W[p] = W[p], W[k]
+            K[k], K[p] = K[p], K[k]
+            perm[k], perm[p] = perm[p], perm[k]
+            # row p now holds row k's old word, which lacks bit b when p > k
+            hits[i] = k
+            v, kv = W[k], K[k] | _BIT[k]
+            W[hits] ^= v
+            K[hits] ^= kv
+            W[k], K[k] = v, kv
+            pivots.append(64 * w + b)
+            k += 1
+        if k == 0:
             continue
-        p = int(hits[k])
-        if p != r:
-            P[[r, p]] = P[[p, r]]
-        # after the swap row p holds row r's old bit, which was 0 when p > r;
-        # words before w are zero in the pivot row
-        others = hits[hits != p]
-        if others.size:
-            P[others, w:] ^= P[r, w:]
-        pivots.append(col)
-    return P, pivots
+        S = P[perm, w:]         # words before w are zero in the rows below r0
+        tables = _xor_tables(S[:k])
+        if r0:      # a row above absorbs the pivot rows at whose pivots it has bits
+            at_pivot = np.zeros((64, 1), dtype="<u8")
+            at_pivot[np.asarray(pivots[r0:]) - 64 * w, 0] = K[:k]
+            above = P[:r0, w:]
+            above ^= _xor_lookup(tables, _xor_lookup(_xor_tables(at_pivot), above[:, 0])[:, 0])
+        S[:k] = 0
+        P[r0:, w:] = S ^ _xor_lookup(tables, K)
+    return pivots
 
 
-def _gauss_jordan_gfq(D: np.ndarray, field: GF):
-    """(M, pivots) with M the eliminated [D | I] for a dense matrix over GF(q);
-    updates only the rows with a nonzero in the pivot column, from that
-    column on."""
-    q = field.q
-    l, n = D.shape
-    M = np.concatenate([D, np.eye(l, dtype=np.int64)], axis=1)
+def _xor_tables(rows: np.ndarray) -> np.ndarray:
+    """t[g, m] = XOR of the rows 8g + j of `rows` with bit j set in the byte m."""
+    k, width = rows.shape
+    src = np.zeros(((k + 7) // 8, 8, width), dtype="<u8")
+    src.reshape(-1, width)[:k] = rows
+    tables = np.zeros((src.shape[0], 256, width), dtype="<u8")
+    for j in range(8):
+        np.bitwise_xor(tables[:, :1 << j], src[:, j, None], out=tables[:, 1 << j:2 << j])
+    return tables
+
+
+def _xor_lookup(tables: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """XOR of the rows that the bits of each mask select, from `_xor_tables`."""
+    out = tables[0][masks & np.uint64(255)]
+    for g in range(1, tables.shape[0]):
+        out ^= tables[g][(masks >> np.uint64(8 * g)) & np.uint64(255)]
+    return out
+
+
+def _gauss_jordan_gfq(M: np.ndarray, n: int, field: GF) -> list:
+    """Eliminate columns 0..n-1 of the dense rows M over GF(q) in place; returns the
+    pivots.  Updates only the rows with a nonzero in the pivot column, from it on."""
+    q, l = field.q, M.shape[0]
     pivots = []
     for col in range(n):
         r = len(pivots)
@@ -411,7 +457,7 @@ def _gauss_jordan_gfq(D: np.ndarray, field: GF):
             f = M[others, col][:, None]
             M[others, col:] = (M[others, col:] - f * M[r, col:]) % q
         pivots.append(col)
-    return M, pivots
+    return pivots
 
 
 # -- enumeration and encoding helpers -----------------------------------------
@@ -437,9 +483,13 @@ def vec_to_index(x, q: int) -> int:
 
 
 def column_space_basis(M: SparseMatrix) -> np.ndarray:
-    """Basis of Im M = {M x} as a (rank, l) array."""
-    ech = row_reduce(M.transpose())
-    return ech._dense(0, ech.n, ech.rank)
+    """Basis of Im M as a (rank, l) array: the nonzero rows of the RREF of M^T, which
+    is unique, so no transform is kept; the packed M^T may take 8 * DENSE_CAP bytes."""
+    if M.field.q == 2:
+        P = _pack_gf2(M.cols, M.rows, M.col_idx, M.row_of)
+        return _unpack(P[:len(_gauss_jordan_gf2(P, M.rows))], 0, M.rows)
+    R = M.transpose().to_dense().copy()
+    return R[:len(_gauss_jordan_gfq(R, M.rows, M.field))]
 
 
 def suffix_ranks(reverse: EchelonForm) -> np.ndarray:

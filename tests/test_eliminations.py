@@ -16,17 +16,20 @@ GF2 = GF(2)
 
 @pytest.fixture
 def eliminations(monkeypatch):
-    """Counts row_reduce calls under every name the package imported it by."""
+    """Records the matrix of every row_reduce and column_space_basis call (the
+    latter eliminates M^T without a transform) under every name the package
+    imported them by."""
     calls = []
-    real = sparsemat.row_reduce
+    for name in ("row_reduce", "column_space_basis"):
+        real = getattr(sparsemat, name)
 
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return real(*args, **kwargs)
+        def counting(*args, real=real, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
 
-    for module in (sparsemat, channel, lossy, sampler):
-        if getattr(module, "row_reduce", None) is real:
-            monkeypatch.setattr(module, "row_reduce", counting)
+        for module in (sparsemat, channel, lossy, sampler):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counting)
     return calls
 
 

@@ -136,6 +136,20 @@ def test_sample_matches_dense_accumulator(field):
             dense_accumulator_sample(spec, stream(seed, 4))
 
 
+@pytest.mark.parametrize("field", [GF2, GF3])
+def test_sample_replays_the_column_loop_and_its_generator_state(field):
+    # the GF(2) draw is one batched call of the row indices; it gives the
+    # documented column-by-column draw and leaves the generator where that
+    # loop leaves it, since callers go on drawing from it
+    for n, l, tau in [(1024, 512, 6), (1500, 7, 4), (1024, 1, 2), (2000, 101, 2)]:
+        spec = EnsembleSpec(n=n, l=l, field=field, tau=tau)
+        r1, r2 = stream(n, l), stream(n, l)
+        assert sample_sparse_matrix(spec, r1) == dense_accumulator_sample(spec, r2)
+        # Philox states hold arrays; their repr compares every word
+        assert repr(r1.bit_generator.state) == repr(r2.bit_generator.state)
+        assert r1.integers(0, 7, size=5).tolist() == r2.integers(0, 7, size=5).tolist()
+
+
 def test_sample_cancellation_to_zero_column():
     # q=2, tau=2: both draws on the same (j, a) cancel since 1+1=0
     spec = EnsembleSpec(n=200, l=1, field=GF2, tau=2)
@@ -247,9 +261,10 @@ def test_row_reduce_transform_identity():
 
 
 # (l, n): n + l just below, at and above 64 and 128, l > n, a single row,
-# a single column, and one 256 x 512 case
+# a single column, one 256 x 512 case, and l > n past one word of columns
 GF2_SHAPES = [(20, 43), (20, 44), (20, 45), (50, 77), (50, 78), (50, 79),
-              (40, 10), (90, 40), (1, 70), (1, 1), (70, 1), (256, 512)]
+              (40, 10), (90, 40), (1, 70), (1, 1), (70, 1), (256, 512),
+              (100, 70), (200, 130)]
 
 
 def assert_echelon_matches(ech, ref):
@@ -279,6 +294,26 @@ def test_row_reduce_gf2_rank_deficient_and_repeated_rows():
     assert_echelon_matches(row_reduce(dense(D, GF2)), dense_gauss_jordan(D, 2))
 
 
+@pytest.mark.parametrize("shape,rank", [((12, 40), 10), ((30, 60), 20), ((64, 64), 40),
+                                        ((40, 200), 30)])
+def test_row_reduce_gf2_many_pivots_and_rank_deficiency_in_one_word(shape, rank):
+    # more than the 8 pivots of one table and fewer pivots than rows inside
+    # one 64-column word, and dependent rows spread among independent ones
+    rng = np.random.default_rng(list(shape) + [rank])
+    D = rng.integers(0, 2, size=(shape[0], rank)) @ rng.integers(0, 2, size=(rank, shape[1])) % 2
+    ref = dense_gauss_jordan(D, 2)
+    assert ref[3] > 8 and ref[3] < shape[0]
+    assert_echelon_matches(row_reduce(dense(D, GF2)), ref)
+
+
+def test_row_reduce_gf2_ensemble_matrix():
+    A = sample_sparse_matrix(EnsembleSpec(n=700, l=300, field=GF2, tau=6), stream(12, 1))
+    assert_echelon_matches(row_reduce(A), dense_gauss_jordan(A.to_dense(), 2))
+    B = sample_sparse_matrix(EnsembleSpec(n=700, l=100, field=GF2, tau=6), stream(12, 2))
+    R, _, _, rank = dense_gauss_jordan(B.to_dense().T, 2)
+    assert np.array_equal(column_space_basis(B), R[:rank])
+
+
 @pytest.mark.parametrize("field", [GF3, GF5])
 def test_row_reduce_gfq_matches_dense_reference(field):
     rng = np.random.default_rng(field.q)
@@ -301,9 +336,15 @@ def test_row_reduce_refuses_above_dense_cap():
     assert row_reduce(SparseMatrix(tall, 512, GF2, [[]] * tall)).rank == 0
     wide = SparseMatrix(1, 2 ** 13, GF2, [[]])
     assert row_reduce(wide).rank == 0
-    with pytest.raises(ValueError, match="exceeds cap"):
-        column_space_basis(wide)                      # 8192 rows of 129 words
+    # column_space_basis eliminates M^T without an identity: 8192 rows of one
+    # word here, where [M^T | I] would be 8192 rows of 129 words
+    assert column_space_basis(wide).shape == (0, 1)
+    assert np.array_equal(column_space_basis(SparseMatrix(1, 2 ** 13, GF2, [[(5, 1)]])), [[1]])
     assert column_space_basis(SparseMatrix(0, 2 ** 13, GF2, [])).shape == (0, 0)
+    # ... and refuses when M^T's own words pass the budget: n rows of 2 words
+    assert column_space_basis(SparseMatrix(65, DENSE_CAP // 2, GF2, [[]] * 65)).shape == (0, 65)
+    with pytest.raises(ValueError, match="exceeds cap"):
+        column_space_basis(SparseMatrix(65, DENSE_CAP // 2 + 1, GF2, [[]] * 65))
     # over GF(q > 2) the dense mirror may hold DENSE_CAP entries
     A = SparseMatrix(tall, 512, GF3, [[]] * tall)
     with pytest.raises(ValueError, match="exceeds cap"):
