@@ -4,16 +4,17 @@ x_1..x_n are drawn in turn, each from the conditional of the restricted
 law given the prefix, until the prefix pins the suffix, which is then
 read off (the early stop).  The work has three lifetimes:
   per matrix  `CosetSampler(A)`: the reverse-column echelon, the
-              sum-product `CosetGraph` and the echelon form, each built
-              on first use;
+              sum-product `CosetGraph`, the echelon form and, per stop,
+              the exact engine's `TablePlan`, each built on first use;
   per prior   `CosetSampler.engine(priors, cfg)`, which refuses priors
               that are not an (n, q) array of finite non-negative
               numbers: exact (`ExactStepper` suffix-mass tables while q**l
-              fits DENSE_CAP, only tables 0..stop for a draw that
+              fits DENSE_CAP, only tables 1..stop for a draw that
               stops early at `stop`: M_stop comes from the one completion
-              of each syndrome, the rest from the backward recursion, whose
-              GF(2) shifts are flipped views; never dead-ends after a
-              positive start), sum-product (BP
+              of each syndrome, the rest from the backward recursion; over
+              GF(2) each table is kept in a per-block syndrome basis in
+              which every shift flips only leading axes; never dead-ends
+              after a positive start), sum-product (BP
               conditionals, the scaled path; approximate on loopy graphs,
               so a dead end restarts the draw) or uniform (uniform priors
               make the law uniform on the coset: a solution plus a random
@@ -87,134 +88,301 @@ class GeneratedSample:
 _SPARE_BLOCKS: dict = {}
 
 
+def _apply(images, x: int) -> int:
+    """The GF(2) linear map with images[j] the image of bit j, applied to x."""
+    y = 0
+    for img in images:
+        if x & 1:
+            y ^= img
+        x >>= 1
+    return y
+
+
+def _xor_span(images, out: np.ndarray) -> np.ndarray:
+    """out[w] = _apply(images, w) for every w < 2**len(images), by doubling."""
+    out[0] = 0
+    for j, img in enumerate(images):
+        np.bitwise_xor(out[:1 << j], img, out=out[1 << j:2 << j])
+    return out
+
+
+def _coordinates(span: dict, l: int):
+    """A basis of GF(2)^l led by an echelon `span` {leading bit: vector}.
+
+    Returns (to_t, to_u): the images of each bit of u = B t under B^-1 and
+    of each bit of t under B.  The span vectors take the leading axes of u
+    (its top bits), in the order of their leading bits; the unit vectors of
+    the other bits follow, so a vector of the span has only leading axes."""
+    pivots = sorted(span, reverse=True)
+    rest = [j for j in range(l - 1, -1, -1) if j not in span]
+    axis_bits = [1 << (l - 1 - a) for a in range(l)]
+
+    def coords(t: int) -> int:
+        u = 0
+        for a, p in enumerate(pivots):
+            if t >> p & 1:
+                t ^= span[p]
+                u |= axis_bits[a]
+        for a, j in enumerate(rest, start=len(pivots)):
+            if t >> j & 1:
+                u |= axis_bits[a]
+        return u
+
+    to_t = ([span[p] for p in pivots] + [1 << j for j in rest])[::-1]
+    return to_t, [coords(1 << j) for j in range(l)]
+
+
+class TablePlan:
+    """What the suffix tables of one matrix and stop share across priors.
+
+    Over GF(2) a syndrome is a flat index (axis 0 most significant) and
+    column k shifts a table by XOR with its image.  The columns stop - 1,
+    stop - 2, ..., 0 are cut into blocks of consecutive columns whose span
+    has rank at most d = min(8, ceil(l / 2)).  Each block has a basis
+    u = B t in which its columns touch only the first d axes, so that
+    inside the block a shift flips leading axes of a (2,)*d + (2**(l-d),)
+    view and numpy runs over 2**(l - d) contiguous values.  Table k is kept
+    in the basis of column k - 1, whose step reads it.  Where the bases of
+    columns k - 1 and k differ, `cross[k]` maps coordinates in the first to
+    coordinates in the second: table k is re-laid to hold at u what it held
+    at cross u, and a draw's residual moves to cross u after step k - 1.
+    Over GF(q > 2) the tables stay in syndrome coordinates and shifts
+    gather from `source_index`.
+    """
+
+    def __init__(self, A: SparseMatrix, stop: int | None = None):
+        q = self.q = A.field.q
+        self.l, self.n = A.rows, A.cols
+        if q ** self.l > DENSE_CAP:
+            raise ValueError(
+                f"exact engine refused: q**l = {q ** self.l} exceeds state cap {DENSE_CAP}")
+        self.stop = self.n if stop is None else stop
+        if not 0 <= self.stop <= self.n:
+            raise ValueError(f"stop {self.stop} lies outside 0..{self.n}")
+        dense = A.to_dense()
+        self.cols = [dense[:, k] for k in range(self.n)]
+        # the flat index of syndrome t is t @ weights, axis 0 most significant
+        self.weights = q ** np.arange(self.l - 1, -1, -1, dtype=np.int64)
+        if q == 2:
+            self._plan_blocks([int(col @ self.weights) for col in self.cols])
+        else:                               # syndrome coordinates throughout
+            self.shape, self.cross = (q,) * self.l, {}
+            # _digit_weights[i, s, d] = weight of digit d - s on axis i
+            digits = np.arange(q)
+            self._digit_weights = (digits - digits[:, None]) % q * self.weights[:, None, None]
+
+    def _plan_blocks(self, flat_cols: list) -> None:
+        """The GF(2) blocks, their bases and each column's shift in its block."""
+        l, stop = self.l, self.stop
+        # more leading axes give fewer re-layouts but shorter contiguous runs;
+        # at l = 16, d = 8 leaves runs of 256 values
+        d = min(8, (l + 1) // 2)
+        self.shape = (2,) * d + (1 << (l - d),)
+        spans, lows, k = [], [], stop - 1
+        while k >= 0:                      # greedy blocks from column stop - 1 down
+            span = {}                      # leading bit -> vector: the block's span
+            while k >= 0:
+                v = flat_cols[k]
+                for p in sorted(span, reverse=True):
+                    if v >> p & 1:
+                        v ^= span[p]
+                if v:
+                    if len(span) == d:
+                        break
+                    span[v.bit_length() - 1] = v
+                k -= 1
+            spans.append(span)
+            lows.append(k + 1)
+        bases = [_coordinates(span, l) for span in spans] or [_coordinates({}, l)]
+        self.to_u = [to_u for _, to_u in bases]    # per block: bit j of t -> u
+        self.block_of = [0] * max(stop, 1)         # column -> block; basis 0 if stop = 0
+        for b, (lo, hi) in enumerate(zip(lows, [stop] + lows[:-1])):
+            self.block_of[lo:hi] = [b] * (hi - lo)
+        self.cross = {lo: [_apply(self.to_u[b], t) for t in bases[b + 1][0]]
+                      for b, lo in enumerate(lows[:-1])}
+        self.shifts = [_apply(self.to_u[self.block_of[k]], flat_cols[k]) for k in range(stop)]
+        self.flips = [tuple(slice(None, None, -1) if s >> (l - 1 - a) & 1 else slice(None)
+                            for a in range(d)) for s in self.shifts]
+        # the suffix columns in the basis of table stop, that of column stop - 1
+        fill_basis = self.to_u[self.block_of[stop - 1] if stop else 0]
+        self.fill_shifts = [_apply(fill_basis, col) for col in flat_cols[stop:]]
+
+    def table_basis(self, k: int) -> list:
+        """to_u of the basis that table k is kept in (that of column k - 1)."""
+        return self.to_u[self.block_of[max(k - 1, 0)]]
+
+    def source_index(self, shift: np.ndarray) -> np.ndarray:
+        """src[flat t] = flat index of t - shift, for every syndrome t; GF(q > 2)."""
+        src = np.zeros(1, dtype=np.int64)
+        for i in range(self.l - 1, -1, -1):
+            src = (self._digit_weights[i, shift[i], :, None] + src).ravel()
+        return src
+
+
 class ExactStepper:
     """Backward suffix-mass tables M_k(t) = mass of suffixes hitting syndrome t.
 
-    M_k lives on the full syndrome group U^l as an l-dimensional array;
-    the step conditional is mu_k(x) * M_{k+1}[target - x * col_k],
-    normalized, which is the defining suffix sum evaluated exactly.  The
-    tables do not depend on the target, so one stepper serves every c.
+    M_k lives on the full syndrome group U^l; the step conditional is
+    mu_k(x) * M_{k+1}[target - x * col_k], normalized, which is the
+    defining suffix sum evaluated exactly.  The tables do not depend on
+    the target, so one stepper serves every c.
 
-    Only tables 0..stop are built (stop = n by default), since a draw that
-    stops early at `stop` never reads past M_stop.  Columns stop..n-1 must
-    be independent: then each syndrome in their span is hit by exactly one
-    suffix, so M_stop is that suffix's prior product and 0 off the span,
-    filled by enumerating the q**(n - stop) suffixes.  The recursion
-    M_k(t) = sum_x mu_k(x) M_{k+1}(t - x col_k) gives the rest; over GF(2)
-    the shift by col_k reverses the axes of its support, so it is a
-    flipped view of M_{k+1}, while GF(q > 2) gathers it into a scratch table.
-    Both give the tables the full recursion gives, bit for bit.
+    Only tables 1..stop are built (stop = n by default): a draw that stops
+    early at `stop` never reads past M_stop, and M_0 is formed on demand
+    (`mass_of`, `table(0)`).  Columns stop..n-1 must be independent: then
+    each syndrome in their span is hit by exactly one suffix, so M_stop is
+    that suffix's prior product and 0 off the span, filled by enumerating
+    the q**(n - stop) suffixes.  The recursion
+    M_k(t) = sum_x mu_k(x) M_{k+1}(t - x col_k) gives the rest.  Over GF(2)
+    each table is kept in its block's basis (see `TablePlan`), where the
+    shift by col_k flips leading axes of a view of M_{k+1}; GF(q > 2)
+    gathers the shift into a scratch table.  Both give the tables the full
+    recursion gives, bit for bit; `table(k)` reads one in syndrome
+    coordinates.  A draw's residual target is held in the coordinates of
+    its step: `locate` gives it, `advance` moves it past a symbol.
 
     The tables are views of a block that returns to a spare pool when the
     stepper is collected, so they are valid while the stepper lives.
     """
 
-    def __init__(self, A: SparseMatrix, priors, stop: int | None = None):
-        q = A.field.q
-        self.q, self.n, self.l = q, A.cols, A.rows
-        if q ** self.l > DENSE_CAP:
-            raise ValueError(
-                f"exact engine refused: q**l = {q ** self.l} exceeds state cap {DENSE_CAP}")
-        stop = self.n if stop is None else stop
-        if not 0 <= stop <= self.n:
-            raise ValueError(f"stop {stop} lies outside 0..{self.n}")
+    def __init__(self, A: SparseMatrix, priors, stop: int | None = None,
+                 plan: TablePlan | None = None):
+        """plan: the `TablePlan` of A and stop when the caller keeps one."""
+        self.plan = plan = TablePlan(A, stop) if plan is None else plan
+        q, n, self.stop = plan.q, plan.n, plan.stop
+        self.q, self.n, self.l = q, n, plan.l
         self.priors = np.asarray(priors, dtype=float)
-        dense = A.to_dense()
-        self.cols = [dense[:, k] for k in range(self.n)]
-        # the flat index of syndrome t is t @ weights, axis 0 most significant
-        self.weights = q ** np.arange(self.l - 1, -1, -1, dtype=np.int64)
-        # _digit_weights[i, s, d] = weight of digit d - s on axis i
-        digits = np.arange(q)
-        self._digit_weights = (digits - digits[:, None]) % q * self.weights[:, None, None]
-        # tables 0..n and a scratch slot, in a block reused across steppers;
-        # tables past the stop are left unwritten
-        shape = (self.n + 2,) + (q,) * self.l
+        # slots 1..n hold tables 1..n, slot 0 a level's output before it is
+        # re-laid, slot n + 1 scratch (and a re-layout's index); slots past
+        # the stop are left unwritten
+        shape = (n + 2,) + (q,) * self.l
         block = _SPARE_BLOCKS.pop(shape) if shape in _SPARE_BLOCKS else np.empty(shape)
         weakref.finalize(self, _SPARE_BLOCKS.__setitem__, shape, block)
-        scratch = block[self.n + 1, ...]
-        self._fill_suffix_table(block[stop, ...], stop)
-        for k in range(stop - 1, -1, -1):
-            nxt, acc = block[k + 1, ...], block[k, ...]
-            first = True
-            for xv in range(q):
-                p = self.priors[k, xv]
-                if p == 0:
-                    continue
-                shifted = self._shifted(nxt, scratch, k, xv)
-                if first:           # 0 + p M == p M exactly, so no zero fill
-                    np.multiply(shifted, p, out=acc)
-                    first = False
-                else:
-                    np.multiply(shifted, p, out=scratch)
-                    acc += scratch
-            if first:
-                acc.fill(0.0)
-        self.tables = block[: stop + 1]
+        self._tables = block.reshape((n + 2,) + plan.shape)
+        self._flat = block.reshape(n + 2, -1)
+        self._scratch = self._tables[n + 1, ...]
+        self._fill_suffix_table(self._flat[self.stop])
+        for k in range(self.stop - 1, 0, -1):
+            cross = plan.cross.get(k)
+            if cross is None:
+                self._level(k, self._tables[k, ...])
+            else:                   # step k - 1 reads table k in another basis
+                self._level(k, self._tables[0, ...])
+                idx = _xor_span(cross, self._flat[n + 1].view(np.int64))
+                np.take(self._flat[0], idx, out=self._flat[k], mode="clip")
 
-    def _fill_suffix_table(self, table: np.ndarray, stop: int) -> None:
-        """table = M_stop, from the one suffix x_stop..x_{n-1} per syndrome.
+    def _fill_suffix_table(self, flat: np.ndarray) -> None:
+        """flat = M_stop, from the one suffix x_stop..x_{n-1} per syndrome.
 
         Each mass is mu_j(x_j) times the mass of the suffix after j, the
         product the recursion forms; its other terms are exact zeros."""
-        q = self.q
+        q, plan, stop = self.q, self.plan, self.stop
         idx, mass = np.zeros(1, dtype=np.int64), np.ones(1)
         for j in range(self.n - 1, stop - 1, -1):
-            idx = np.concatenate([_translate(idx, xv * self.cols[j] % q, q, self.weights)
-                                  for xv in range(q)])
+            if q == 2:
+                shifted = [idx, idx ^ plan.fill_shifts[j - stop]]
+            else:                   # t + x col_j = t - (-x col_j)
+                shifted = [idx] + [plan.source_index(-xv * plan.cols[j] % q)[idx]
+                                   for xv in range(1, q)]
+            idx = np.concatenate(shifted)
             mass = np.concatenate([self.priors[j, xv] * mass for xv in range(q)])
         if np.bincount(idx).max() > 1:
             raise ValueError(f"columns {stop}..{self.n - 1} are dependent: "
                              f"stop {stop} does not pin the suffix")
-        flat = table.reshape(-1)
         flat.fill(0.0)
         flat[idx] = mass
 
-    def _shifted(self, nxt: np.ndarray, scratch: np.ndarray, k: int, xv: int) -> np.ndarray:
-        """np.roll of nxt by xv * col_k over the syndrome axes: a flipped view
-        over GF(2), where a roll by 1 reverses a size-2 axis, else gathered
-        into scratch from the flat indices t - xv * col_k, built axis by axis."""
-        col = self.cols[k]
-        axes = np.nonzero(col)[0]
-        if not xv or not axes.size:
+    def _level(self, k: int, acc: np.ndarray) -> None:
+        """acc = M_k from M_{k+1}: the x = 0 term first, zero priors skipped.
+
+        M_{k+1} shifted by col_k is, over GF(2), a view of it that flips
+        leading axes; GF(q > 2) gathers each shift into scratch."""
+        nxt, scratch = self._tables[k + 1, ...], self._scratch
+        first = True
+        for xv in range(self.q):
+            p = self.priors[k, xv]
+            if p == 0:
+                continue
+            if not xv:
+                shifted = nxt
+            elif self.q == 2:
+                shifted = nxt[self.plan.flips[k]]
+            else:
+                shifted = self._gathered(nxt, k, xv)
+            if first:           # 0 + p M == p M exactly, so no zero fill
+                np.multiply(shifted, p, out=acc)
+                first = False
+            else:
+                np.multiply(shifted, p, out=scratch)
+                acc += scratch
+        if first:
+            acc.fill(0.0)
+
+    def _gathered(self, nxt: np.ndarray, k: int, xv: int) -> np.ndarray:
+        """M_{k+1} shifted by xv * col_k over GF(q > 2): gathered into scratch
+        from the flat indices t - xv * col_k."""
+        col = self.plan.cols[k]
+        if not col.any():
             return nxt
+        src = self.plan.source_index(xv * col % self.q)
+        np.take(nxt.reshape(-1), src, out=self._scratch.reshape(-1), mode="clip")
+        return self._scratch
+
+    def table(self, k: int) -> np.ndarray:
+        """A copy of M_k in syndrome coordinates, for k in 0..stop."""
+        if not 0 <= k <= self.stop:
+            raise ValueError(f"table {k} lies outside 0..{self.stop}")
+        if k == 0 < self.stop:
+            own = np.empty(self.plan.shape)
+            self._level(0, own)
+        else:
+            own = self._tables[k, ...]
+        if self.q != 2:
+            return own.copy()
+        idx = _xor_span(self.plan.table_basis(k), np.empty(1 << self.l, dtype=np.int64))
+        return own.reshape(-1)[idx].reshape((2,) * self.l)
+
+    def locate(self, k: int, t):
+        """The residual that step k reads for the syndrome t: over GF(2) its flat
+        index in the basis of column k, else t itself."""
+        t = np.asarray(t, dtype=np.int64) % self.q
+        if self.q != 2:
+            return t
+        return _apply(self.plan.table_basis(k + 1), int(t @ self.plan.weights))
+
+    def advance(self, k: int, residual, v: int):
+        """The residual after x_k = v, in the coordinates of step k + 1."""
+        if self.q != 2:
+            return (residual - v * self.plan.cols[k]) % self.q
+        if v:
+            residual ^= self.plan.shifts[k]
+        cross = self.plan.cross.get(k + 1)
+        return residual if cross is None else _apply(cross, residual)
+
+    def _terms(self, k: int, residual):
+        """mu_k(x) M_{k+1}(residual - x col_k) for each symbol x."""
         if self.q == 2:
-            flips = [slice(None)] * self.l
-            for ax in axes:
-                flips[ax] = slice(None, None, -1)
-            return nxt[tuple(flips)]
-        shift = xv * col % self.q
-        src = self._digit_weights[-1, shift[-1]]
-        for i in range(self.l - 2, -1, -1):
-            src = (self._digit_weights[i, shift[i], :, None] + src).ravel()
-        np.take(nxt.reshape(-1), src, out=scratch.reshape(-1))
-        return scratch
+            flat, (p0, p1) = self._flat[k + 1], self.priors[k]
+            return np.array((p0 * flat[residual], p1 * flat[residual ^ self.plan.shifts[k]]))
+        t = (residual - np.arange(self.q)[:, None] * self.plan.cols[k]) % self.q
+        return self.priors[k] * self._tables[k + 1, ...][tuple(t.T)]    # one gather
 
     def mass_of(self, c) -> float:
-        if self.l == 0:
-            return 1.0
-        c = np.asarray(c, dtype=np.int64) % self.q
-        return float(self.tables[0][tuple(c)])
+        """M_0(c), the prior mass of C_A(c), summed in the recursion's order."""
+        if self.stop == 0:
+            return float(self.table(0)[tuple(np.asarray(c, dtype=np.int64) % self.q)])
+        mass = 0.0
+        for term in self._terms(0, self.locate(0, c)):
+            mass += term
+        return float(mass)
 
     def step_pmf(self, k: int, residual) -> np.ndarray:
         """Conditional of x_k given the residual target, normalized unless massless."""
-        q, p = self.q, self.priors[k]
-        t = (residual - np.arange(q)[:, None] * self.cols[k]) % q
-        out = p * self.tables[k + 1][tuple(t.T)]      # one gather for the q symbols
+        out = self._terms(k, residual)
         s = out.sum()
         if s <= 0:
             return out
         return out / s
-
-
-def _translate(idx: np.ndarray, shift: np.ndarray, q: int, weights: np.ndarray) -> np.ndarray:
-    """Flat indices of the syndromes t + shift, for t at the flat indices idx."""
-    if q == 2:
-        return idx ^ (shift @ weights)
-    out = idx.copy()
-    for i in np.nonzero(shift)[0]:
-        digit = idx // weights[i] % q
-        out += ((digit + shift[i]) % q - digit) * weights[i]
-    return out
 
 
 def is_uniform(priors: np.ndarray) -> bool:
@@ -236,6 +404,13 @@ class CosetSampler:
 
     def __init__(self, A: SparseMatrix):
         self.A = A
+        self._plans = {}
+
+    def table_plan(self, stop: int) -> TablePlan:
+        """The `ExactStepper` plan for draws that stop at `stop`, built on first use."""
+        if stop not in self._plans:
+            self._plans[stop] = TablePlan(self.A, stop)
+        return self._plans[stop]
 
     @cached_property
     def reverse(self) -> EchelonForm:
@@ -330,17 +505,17 @@ def _drive(sampler: CosetSampler, c: np.ndarray, state, choose,
 
 
 class _ExactState:
-    """Per-draw state of the exact engine: the residual target."""
+    """Per-draw state of the exact engine: the residual target, in the
+    coordinates of the next step."""
 
     def __init__(self, stepper: ExactStepper, c: np.ndarray):
-        self.stepper, self.residual = stepper, c
+        self.stepper, self.residual = stepper, stepper.locate(0, c)
 
     def pmf(self, k: int) -> np.ndarray:
         return self.stepper.step_pmf(k, self.residual)
 
     def commit(self, k: int, v: int) -> None:
-        st = self.stepper
-        self.residual = (self.residual - v * st.cols[k]) % st.q
+        self.residual = self.stepper.advance(k, self.residual, v)
 
 
 class _BeliefState:
@@ -385,8 +560,8 @@ class _ExactEngine:
     def __init__(self, sampler: CosetSampler, priors, cfg: SamplerConfig):
         self.sampler, self.cfg = sampler, cfg
         # a draw never reads a table past the early stop
-        stop = sampler.early_stop_index if cfg.early_stop else None
-        self.stepper = ExactStepper(sampler.A, priors, stop)
+        stop = sampler.early_stop_index if cfg.early_stop else sampler.A.cols
+        self.stepper = ExactStepper(sampler.A, priors, stop, sampler.table_plan(stop))
 
     def walk(self, c, choose) -> GeneratedSample:
         """One pass of the driver with the given selector."""

@@ -528,6 +528,7 @@ def per_axis_roll_tables(D, priors, q):
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_stepper_tables_match_per_axis_rolls(q):
     rng = np.random.default_rng(q)
+    crossings = 0
     for _ in range(4):
         n, l = 7, 4 if q < 5 else 3
         D = rng.integers(0, q, size=(l, n)) * (rng.random((l, n)) < 0.5)
@@ -536,14 +537,17 @@ def test_stepper_tables_match_per_axis_rolls(q):
         priors[1, 0] = 0                              # a symbol the prior excludes
         priors[1] /= priors[1].sum()
         st = ExactStepper(SparseMatrix.from_dense(D, GF(q)), priors)
-        for got, want in zip(st.tables, per_axis_roll_tables(D, priors, q), strict=True):
-            assert np.array_equal(got, want)
+        got = [st.table(k) for k in range(st.stop + 1)]
+        for got_k, want in zip(got, per_axis_roll_tables(D, priors, q), strict=True):
+            assert np.array_equal(got_k, want)
+        crossings += len(st.plan.cross)
+    assert crossings > 0 if q == 2 else crossings == 0    # GF(2) re-lays some table
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_stepper_tables_from_the_early_stop_match_per_axis_rolls(q):
     rng = np.random.default_rng(q + 10)
-    stops = set()
+    stops, crossings = set(), 0
     for _ in range(6):
         n, l = 7, 4 if q < 5 else 3
         D = rng.integers(0, q, size=(l, n)) * (rng.random((l, n)) < 0.5)
@@ -559,11 +563,15 @@ def test_stepper_tables_from_the_early_stop_match_per_axis_rolls(q):
         for pri in (priors, massless):
             st = ExactStepper(A, pri, stop=stop)
             want = per_axis_roll_tables(D, pri, q)[:stop + 1]
-            assert len(st.tables) == stop + 1
-            for got, ref in zip(st.tables, want, strict=True):
+            assert st.stop == stop
+            with pytest.raises(ValueError, match="outside"):
+                st.table(stop + 1)
+            for got, ref in zip([st.table(k) for k in range(stop + 1)], want, strict=True):
                 assert np.array_equal(got, ref)
         stops.add(stop)
+        crossings += len(st.plan.cross)
     assert min(stops) < 7                             # some draws do stop early
+    assert crossings > 0 if q == 2 else crossings == 0
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -577,7 +585,7 @@ def test_stepper_refuses_a_stop_with_dependent_suffix_columns(q):
     for stop in (-1, 5):
         with pytest.raises(ValueError, match="outside"):
             ExactStepper(A, priors, stop=stop)
-    assert len(ExactStepper(A, priors, stop=3).tables) == 4
+    assert ExactStepper(A, priors, stop=3).table(3).shape == (q, q)
 
 
 def test_stepper_keeps_one_block_per_shape_whatever_the_stop():
@@ -603,16 +611,17 @@ def test_step_pmf_matches_the_per_symbol_loop(q):
     priors = rng.dirichlet(np.ones(q), size=n)
     priors[2, 1] = 0                                  # a symbol the prior excludes
     st = ExactStepper(SparseMatrix.from_dense(D, GF(q)), priors)
+    tables = [st.table(k) for k in range(n + 1)]
     for k in range(n):
         for residual in all_vectors(q, l):
             want = np.empty(q)
             for xv in range(q):                       # the former per-symbol loop
                 t = (residual - xv * D[:, k]) % q
                 want[xv] = 0.0 if priors[k, xv] == 0 else \
-                    priors[k, xv] * st.tables[k + 1][tuple(t)]
+                    priors[k, xv] * tables[k + 1][tuple(t)]
             s = want.sum()
             want = want / s if s > 0 else want
-            got = st.step_pmf(k, residual)
+            got = st.step_pmf(k, st.locate(k, residual))
             assert got.tobytes() == want.tobytes()
 
 
@@ -637,18 +646,79 @@ def test_stepper_blocks_are_reused_without_aliasing():
     A = SparseMatrix.from_dense(rng.integers(0, 3, size=(3, 6)), GF3)
     p1, p2 = (rng.dirichlet(np.ones(3), size=6) for _ in range(2))
     st1, st2 = ExactStepper(A, p1), ExactStepper(A, p2)
-    assert not np.shares_memory(st1.tables, st2.tables)
-    want1, want2 = st1.tables.copy(), st2.tables.copy()
+    assert not np.shares_memory(st1._tables, st2._tables)
+    want1, want2 = ([st.table(k) for k in range(7)] for st in (st1, st2))
     del st1
     st3 = ExactStepper(A, p1)                         # takes the block st1 gave back
-    assert np.array_equal(st3.tables, want1)
-    assert np.array_equal(st2.tables, want2)
+    for k in range(7):
+        assert np.array_equal(st3.table(k), want1[k])
+        assert np.array_equal(st2.table(k), want2[k])
 
 
 def test_stepper_cap_refused():
     A = SparseMatrix.from_dense(np.zeros((25, 4), dtype=int), GF3)
     with pytest.raises(ValueError):
         ExactStepper(A, np.full((4, 3), 1 / 3))
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_mass_of_is_m0_for_massless_and_unnormalised_priors(q):
+    rng = np.random.default_rng(q + 57)
+    for l in (0, 2):
+        D = rng.integers(0, q, size=(l, 4))
+        A = SparseMatrix.from_dense(D, GF(q))
+        massless = np.full((4, q), 0.5)
+        massless[1] = 0                               # no symbol at all: M_0 = 0
+        unnormalised = rng.random((4, q)) * 3
+        for priors in (massless, unnormalised):
+            st = ExactStepper(A, priors)
+            want = per_axis_roll_tables(D, priors, q)[0]
+            assert np.array_equal(st.table(0), want)
+            for c in all_vectors(q, l):
+                assert st.mass_of(c) == want[tuple(c)]  # summed in the recursion's order
+        assert ExactStepper(A, massless).mass_of(np.zeros(l, dtype=np.int64)) == 0.0
+
+
+def test_gf2_block_bases_keep_tables_and_step_pmfs_across_basis_changes():
+    rng = np.random.default_rng(58)
+    n, l = 28, 10
+    D = (rng.random((l, n)) < 0.3).astype(np.int64)
+    A = SparseMatrix.from_dense(D, GF2)
+    priors = rng.dirichlet(np.ones(2), size=n)
+    priors[5, 1] = 0                                  # a symbol the prior excludes
+    st = ExactStepper(A, priors)
+    assert len(st.plan.cross) >= 2
+    want = per_axis_roll_tables(D, priors, 2)
+    for k in range(n + 1):
+        assert np.array_equal(st.table(k), want[k])
+    for _ in range(5):      # a residual carried by `advance` through every basis change
+        x = rng.integers(0, 2, size=n)
+        x[5] = 0
+        t = A.mat_vec(x)
+        residual = st.locate(0, t)
+        for k in range(n):
+            ref = np.array([priors[k, xv] * want[k + 1][tuple((t - xv * D[:, k]) % 2)]
+                            for xv in range(2)])
+            ref = ref / ref.sum()
+            assert st.step_pmf(k, residual).tobytes() == ref.tobytes()
+            t = (t - x[k] * D[:, k]) % 2
+            residual = st.advance(k, residual, x[k])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_gf2_shifts_flip_only_leading_axes_at_the_lossy_exact_shape(seed):
+    n, l, d = 40, 16, 8
+    A = sample_sparse_matrix(EnsembleSpec(n=n, l=l, field=GF2, tau=6), stream(seed, 1))
+    sampler = CosetSampler(A)
+    stop = sampler.early_stop_index
+    plan = sampler.table_plan(stop)
+    assert sampler.table_plan(stop) is plan           # built once per matrix and stop
+    assert plan.shape == (2,) * d + (1 << (l - d),)   # shifts run over 256 contiguous values
+    assert len(plan.shifts) == stop and plan.cross
+    for shift, flips in zip(plan.shifts, plan.flips, strict=True):
+        assert shift % (1 << (l - d)) == 0            # only the leading d axes move
+        assert len(flips) == d
+        assert sum(f.step == -1 for f in flips) == bin(shift).count("1")
 
 
 # ---------------------------------------------------------------------------
