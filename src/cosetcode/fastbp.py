@@ -1,10 +1,12 @@
 """Vectorized sum-product for coset-shaped graphs.
 
-Same fixed point as factorgraph.sum_product on graphs made of per-index
-priors plus affine checks, but all factor updates run as batched array
-ops: check messages go through a DFT over Z_q so the per-factor
-convolutions become products, and exclusive products come from
-prefix/suffix products.
+Flooding sum-product on graphs made of per-index priors plus affine
+checks over GF(q), with all factor updates run as batched array ops:
+check messages go through a DFT over Z_q so the per-factor convolutions
+become products, and exclusive products come from prefix/suffix
+products.  The tests hold it to an edge-major flooding kernel
+(`FloodingReference`, message for message) and, on trees, to the coset
+marginals of `sampler.exact_coset_law`.
 
 The work is split in two.  `CosetGraph` holds what depends on the matrix
 alone: the edges in CSR (check-major) order, the gather indices of both

@@ -1,7 +1,7 @@
 """Prime field GF(q) arithmetic.
 
-Elements are plain ints in [0, q) handled through a GF context object.
-Vectors are numpy integer arrays reduced mod q; the context carries the
+Elements are plain ints in [0, q) and vectors are numpy integer arrays,
+reduced mod q where they are used; the GF context object carries the
 modulus and an inverse table.
 """
 
@@ -35,31 +35,6 @@ class GF:
         self.q = q
         self._inv = None  # inverse table, built on first use
 
-    # -- scalar ops -------------------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.q
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.q
-
-    def inv(self, a: int) -> int:
-        a = a % self.q
-        if a == 0:
-            raise ZeroDivisionError("0 has no inverse in GF(%d)" % self.q)
-        return int(self.inv_table[a])
-
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return pow(self.inv(a), -e, self.q)
-        return pow(a % self.q, e, self.q)
-
     @property
     def inv_table(self) -> np.ndarray:
         """table[a] = a^-1 for a in 1..q-1 (table[0] = 0, never a valid inverse)."""
@@ -70,21 +45,6 @@ class GF:
                 t[a] = pow(a, q - 2, q)
             self._inv = t
         return self._inv
-
-    def elements(self) -> range:
-        return range(self.q)
-
-    # -- vector helpers ---------------------------------------------------
-
-    def vec(self, values) -> np.ndarray:
-        """Validate and return a vector with entries in [0, q)."""
-        v = np.asarray(values, dtype=np.int64)
-        if v.size and (v.min() < 0 or v.max() >= self.q):
-            raise ValueError("vector entries must lie in [0, %d)" % self.q)
-        return v
-
-    def reduce(self, values) -> np.ndarray:
-        return np.asarray(values, dtype=np.int64) % self.q
 
     # -- identity ---------------------------------------------------------
 

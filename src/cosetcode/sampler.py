@@ -386,8 +386,8 @@ class ExactStepper:
 
 
 def is_uniform(priors: np.ndarray) -> bool:
-    """True when every index has the same uniform pmf."""
-    return bool(np.all(priors == priors[0, 0]))
+    """True when every index has the same uniform pmf of positive mass."""
+    return bool(priors[0, 0] > 0 and np.all(priors == priors[0, 0]))
 
 
 class CosetSampler:

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from cosetcode import channel, fastbp, lossy, sampler
-from cosetcode.factorgraph import build_coset_graph, exact_marginals, sum_product
 from cosetcode.fastbp import CosetBP, CosetGraph
 from cosetcode.gf import GF
 from cosetcode.models import MemorylessSource, bernoulli_source, bsc, hamming_distortion
+from cosetcode.sampler import EncodingError, exact_coset_law
 from cosetcode.sparsemat import SparseMatrix, sample_sparse_matrix, EnsembleSpec, row_reduce
 from cosetcode.streams import stream
 
@@ -23,6 +23,17 @@ def random_instance(rng, q, n, l):
     return A, c, priors
 
 
+def coset_marginals(A, c, priors) -> np.ndarray:
+    """Exact (n, q) marginals of the product prior restricted to C_A(c)."""
+    members, law = exact_coset_law(A, c, priors)
+    return np.stack([np.bincount(members[:, v], weights=law, minlength=A.field.q)
+                     for v in range(A.cols)])
+
+
+def dense(arr, field):
+    return SparseMatrix.from_dense(np.array(arr), field)
+
+
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_matches_reference_engine_trajectory(q):
     rng = np.random.default_rng(200 + q)
@@ -32,8 +43,9 @@ def test_matches_reference_engine_trajectory(q):
         A, c, priors = random_instance(rng, q, n, l)
         fast = CosetBP(A, c, priors)
         fast.run(iters=12, tol=0.0)
-        ref = sum_product(build_coset_graph(A, c, priors), max_iters=12, tol=0.0)
-        assert np.max(np.abs(fast.marginals() - ref.marginals)) < 1e-10
+        ref = FloodingReference(A, c, priors)
+        ref.run(iters=12, tol=0.0)
+        assert np.max(np.abs(fast.marginals() - ref.marginals())) < 1e-10
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -54,8 +66,7 @@ def test_exact_on_trees(q):
         priors = rng.dirichlet(np.ones(q), size=n)
         fast = CosetBP(A, c, priors)
         fast.run(iters=n, tol=0.0)
-        graph = build_coset_graph(A, c, priors)
-        assert np.max(np.abs(fast.marginals() - exact_marginals(graph))) < 1e-10
+        assert np.max(np.abs(fast.marginals() - coset_marginals(A, c, priors))) < 1e-10
 
 
 def test_conditioning_matches_conditioned_exact_marginals():
@@ -77,8 +88,7 @@ def test_conditioning_matches_conditioned_exact_marginals():
         pinned = priors.copy()
         pinned[0] = 0.0
         pinned[0, v0] = 1.0
-        graph = build_coset_graph(A, c, pinned)
-        want = exact_marginals(graph)
+        want = coset_marginals(A, c, pinned)
         # compare only where BP is exact-ish: use loose tolerance on loopy graphs
         assert got.shape == want.shape
         assert np.allclose(got[0], want[0], atol=1e-12)
@@ -123,6 +133,140 @@ def test_scaled_instance_runs():
     assert bp.run(iters=60, tol=1e-9)
     m = bp.marginals()
     assert np.allclose(m.sum(axis=1), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# small graphs against the coset law
+# ---------------------------------------------------------------------------
+
+
+def test_coset_marginals_hand_enumeration():
+    # priors Bern(0.3) iid, check x1 + x2 = 0 over GF(2): support {00, 11}
+    A = dense([[1, 1]], GF(2))
+    m = coset_marginals(A, [0], np.array([[0.7, 0.3], [0.7, 0.3]]))
+    assert m[0, 0] == pytest.approx(0.49 / 0.58)
+    assert m[1, 0] == pytest.approx(0.49 / 0.58)
+
+
+def test_coset_marginals_uniform_symmetry():
+    A = dense([[1, 1]], GF(2))
+    assert np.allclose(coset_marginals(A, [0], np.full((2, 2), 0.5)), 0.5)
+
+
+def test_chain_tree_matches_oracle():
+    # chain of 3 vars with 2 pairwise checks: cycle-free
+    priors = np.array([[0.6, 0.4], [0.2, 0.8], [0.5, 0.5]])
+    A = dense([[1, 1, 0], [0, 1, 1]], GF(2))
+    bp = CosetBP(A, [1, 0], priors)
+    assert bp.run(iters=10)
+    assert np.max(np.abs(bp.marginals() - coset_marginals(A, [1, 0], priors))) < 1e-12
+
+
+def test_no_checks_marginals_equal_priors():
+    priors = np.array([[0.25, 0.75], [0.9, 0.1]])
+    bp = CosetBP(SparseMatrix(0, 2, GF(2), []), [], priors)
+    assert bp.run(iters=3)
+    assert np.allclose(bp.marginals(), priors)
+
+
+def test_identity_checks_point_mass():
+    for q, c in ((2, [1, 0]), (3, [2, 0, 1])):
+        I = dense(np.eye(len(c), dtype=int), GF(q))
+        bp = CosetBP(I, c, np.full((len(c), q), 1 / q))
+        bp.run(iters=5)
+        assert np.allclose(bp.marginals(), np.eye(q)[c])
+
+
+def test_no_checks_and_identity_checks_on_shared_priors():
+    # l = 0 leaves the priors; GF(2) identity checks override them
+    priors = np.array([[0.2, 0.8], [0.7, 0.3]])
+    bp = CosetBP(SparseMatrix(0, 2, GF(2), []), [], priors)
+    assert bp.run(iters=3)
+    assert np.allclose(bp.marginals(), priors)
+    bp = CosetBP(dense(np.eye(2, dtype=int), GF(2)), [1, 0], priors)
+    bp.run(iters=5)
+    assert np.allclose(bp.marginals(), [[0, 1], [1, 0]])
+
+
+def random_tree(rng, field):
+    """Random cycle-free (A, c, priors): each check brings in fresh variables
+    and maybe one old one; None past 10 variables."""
+    q = field.q
+    n = int(rng.integers(1, 3))
+    rows = []
+    for _ in range(int(rng.integers(1, 4))):
+        w = int(rng.integers(1, 4))
+        anchor = [int(rng.integers(0, n))] if rng.integers(2) else []
+        rows.append([(v, int(rng.integers(1, q))) for v in anchor + list(range(n, n + w))])
+        n += w
+    if n > 10:
+        return None
+    A = SparseMatrix(len(rows), n, field, rows)
+    return A, A.mat_vec(rng.integers(0, q, size=n)), rng.dirichlet(np.ones(q), size=n)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_random_trees_exact_within_n_iterations(q):
+    rng = np.random.default_rng(100 + q)
+    done = 0
+    while done < 25:
+        tree = random_tree(rng, GF(q))
+        if tree is None:
+            continue
+        A, c, priors = tree
+        bp = CosetBP(A, c, priors)
+        bp.run(iters=A.cols, tol=0.0)
+        assert not bp.failed
+        assert np.max(np.abs(bp.marginals() - coset_marginals(A, c, priors))) < 1e-10
+        done += 1
+
+
+def test_damping_zero_reproduces_fixed_point_iteration():
+    priors = np.array([[0.6, 0.4], [0.2, 0.8], [0.5, 0.5]])
+    A = dense([[1, 1, 0], [0, 1, 1]], GF(2))
+    runs = [CosetBP(A, [1, 0], priors), CosetBP(A, [1, 0], priors, damping=0.0)]
+    for bp in runs:
+        bp.run(iters=7, tol=0.0)
+    assert np.array_equal(runs[0].marginals(), runs[1].marginals())
+
+
+def test_relabeling_invariance():
+    rng = np.random.default_rng(42)
+    q = 3
+    priors = rng.dirichlet(np.ones(q), size=5)
+    rows = [[(0, 1), (2, 2)], [(1, 1), (3, 1), (4, 2)]]
+    c = [1, 2]
+    base = CosetBP(SparseMatrix(2, 5, GF(q), rows), c, priors)
+    base.run(iters=20, tol=0.0)
+    perm = np.array([3, 0, 4, 1, 2])  # new index of each old variable
+    rows_p = [[(int(perm[v]), a) for v, a in row] for row in rows]
+    moved = CosetBP(SparseMatrix(2, 5, GF(q), rows_p), c, priors[np.argsort(perm)])
+    moved.run(iters=20, tol=0.0)
+    assert np.allclose(moved.marginals()[perm], base.marginals(), atol=1e-12)
+
+
+def test_contradictory_checks_zero_the_marginal():
+    # x_0 = 0 and x_0 = 1: BP converges with no failure flag, and the
+    # contradiction shows as an all-zero belief
+    A = SparseMatrix(2, 2, GF(2), [[(0, 1)], [(0, 1)]])
+    bp = CosetBP(A, [0, 1], np.full((2, 2), 0.5))
+    assert bp.run(iters=5) and not bp.failed
+    assert bp.marginal(0) is None
+
+
+def test_exact_coset_law_refuses_contradictory_checks():
+    A = SparseMatrix(2, 2, GF(2), [[(0, 1)], [(0, 1)]])
+    with pytest.raises(EncodingError, match="coset is empty"):
+        exact_coset_law(A, [0, 1], np.full((2, 2), 0.5))
+
+
+def test_messages_stay_normalized():
+    # indirect check: marginals from a loopy graph still sum to one
+    rng = np.random.default_rng(7)
+    A = dense(rng.integers(0, 2, size=(4, 6)), GF(2))
+    bp = CosetBP(A, A.mat_vec(rng.integers(0, 2, size=6)), rng.dirichlet(np.ones(2), size=6))
+    bp.run(iters=50)
+    assert np.allclose(bp.marginals().sum(axis=1), 1.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -304,3 +304,15 @@ def test_parse_presets(tmp_path):
         parse_channel("laplace(1)", 4)
     assert qsc(2, 0.1, 1).kernels[0, 0, 1] == pytest.approx(0.1)
     assert bac(0.1, 0.3, 1).kernels[0, 1, 0] == pytest.approx(0.3)
+
+
+@pytest.mark.parametrize("text, match", [
+    ("# pmfs of x_1, x_2\n\n   \n# none yet\n", "no pmfs"),
+    ("0.5 0.5\n0.1 0.9\n0.3 0.7\n", "lists 3 pmfs, expected 2"),
+    ("0.2 0.3 0.5\n0.1 0.1 0.8\n", "pmf width does not match q"),
+], ids=["only-comments", "wrong-row-count", "wrong-width"])
+def test_parse_nonstationary_source_refusals(tmp_path, text, match):
+    f = tmp_path / "pmfs.txt"
+    f.write_text(text)
+    with pytest.raises(ValueError, match=match):
+        parse_source(f"nonstationary({f})", 2, 2)

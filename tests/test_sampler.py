@@ -117,6 +117,24 @@ def test_exact_coset_law_errors():
         exact_coset_law(B, [1], priors)
 
 
+def test_exact_coset_law_refuses_above_dense_cap():
+    A = SparseMatrix(0, 30, GF2, [])
+    with pytest.raises(ValueError, match="exceeds cap"):
+        exact_coset_law(A, [], np.full((30, 2), 0.5))
+
+
+@pytest.mark.parametrize("method", ["exact", "sum-product"])
+@pytest.mark.parametrize("early_stop", [True, False])
+def test_all_zero_priors_have_zero_mass(method, early_stop):
+    # an all-zero prior is constant but not uniform: it must reach a stepwise
+    # engine, which finds the coset massless, as it does for one zero row
+    A = dense([[1, 1, 0], [0, 1, 1]], GF2)
+    cfg = SamplerConfig(method=method, early_stop=early_stop)
+    for priors in (np.zeros((3, 2)), np.array([[0.5, 0.5], [0.0, 0.0], [0.5, 0.5]])):
+        with pytest.raises(EncodingError, match="zero prior mass"):
+            generate(A, [1, 0], priors, cfg, stream(0))
+
+
 # ---------------------------------------------------------------------------
 # step conditionals
 # ---------------------------------------------------------------------------
