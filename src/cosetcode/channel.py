@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fastbp import DECODE_ITERS, DECODE_TOL, CosetBP, CosetGraph
+from .fastbp import DECODE_ITERS, CosetBP, CosetGraph
 from .models import MemorylessSource, rate_quantities, reverse_model
 from .sampler import (CosetSampler, DeadEndError, EncodingError, SamplerConfig,
                       is_uniform, member_law)
@@ -137,10 +137,9 @@ class ChannelEncoder:
         return self._engine.draw(target, rng).x
 
 
-def encode(spec: ChannelCodeSpec, m, cfg: SamplerConfig, rng,
-           check_message: bool = True) -> np.ndarray:
-    """Draw x ~ prior restricted to {x : Ax = c, Bx = m}."""
-    if check_message and not spec.message_in_im_b(np.asarray(m) % spec.q):
+def encode(spec: ChannelCodeSpec, m, cfg: SamplerConfig, rng) -> np.ndarray:
+    """Draw x ~ prior restricted to {x : Ax = c, Bx = m}; m must lie in Im B."""
+    if not spec.message_in_im_b(np.asarray(m) % spec.q):
         raise ValueError("message is not in Im B")
     return ChannelEncoder(spec, cfg).encode(m, rng)
 
@@ -189,7 +188,7 @@ def decode_bp(spec: ChannelCodeSpec, y, channel) -> DecodeOutcome:
         channel.lik_rows(y)    # raises again for a y the channel cannot emit
         return DecodeOutcome(None, "bp-then-B")    # zero evidence
     bp = CosetBP(spec.graph_a, spec.c, rm.posteriors)
-    converged = bp.run(DECODE_ITERS, DECODE_TOL)
+    converged = bp.run(DECODE_ITERS)
     if bp.failed:
         return DecodeOutcome(None, "bp-then-B", converged=False,
                              iterations=bp.iterations)

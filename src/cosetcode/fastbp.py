@@ -32,6 +32,10 @@ the residual targets and the variable's edges go inactive, which is what
 the sequential sampler needs.  An inactive edge sends delta_0 to its
 check, whose transform is all-ones, and a neutral message to its
 variable.
+
+Every run floods undamped and stops at one tolerance, `TOL`; the decoders
+run `DECODE_ITERS` iterations at most and the sampler sets its own
+schedule (`sampler.INIT_ITERS`, `sampler.STEP_ITERS`).
 """
 
 import numpy as np
@@ -156,8 +160,10 @@ class CosetGraph:
         return sym * self.E + cols
 
 
-# iterations and tolerance of the BP decoders, `channel.decode_bp` and `lossy.decode`
-DECODE_ITERS, DECODE_TOL = 100, 1e-8
+# a run has converged once no check-to-variable message moves by TOL or more
+TOL = 1e-8
+# iterations of the BP decoders, `channel.decode_bp` and `lossy.decode`
+DECODE_ITERS = 100
 
 
 class CosetBP:
@@ -166,14 +172,15 @@ class CosetBP:
     A is a SparseMatrix, whose graph is then built for this run alone, or
     a CosetGraph shared with other runs on the same matrix.  Messages are
     (q, E) arrays over the graph's edges in CSR order: pi from variables to
-    checks, sigma from checks to variables.
+    checks, sigma from checks to variables.  `run(iters)` floods them
+    until they settle to within TOL; `iterations` counts every
+    iteration this state and the state it was cloned from have run.
     """
 
-    def __init__(self, A: "SparseMatrix | CosetGraph", c, priors, damping: float = 0.0):
+    def __init__(self, A: "SparseMatrix | CosetGraph", c, priors):
         g = self.graph = A if isinstance(A, CosetGraph) else CosetGraph(A)
         q = self.q = g.q
         self.n, self.l, self.E = g.n, g.l, g.E
-        self.damping = float(damping)
         priors = np.asarray(priors, dtype=float)
         if priors.shape != (self.n, q):
             raise ValueError("priors must be (n, q)")
@@ -227,8 +234,8 @@ class CosetBP:
 
     # -- message passing ---------------------------------------------------
 
-    def run(self, iters: int, tol: float = 1e-8) -> bool:
-        """Flooding iterations; returns the convergence flag."""
+    def run(self, iters: int) -> bool:
+        """Up to `iters` flooding iterations; True once no message moves by TOL."""
         if self.failed:
             return False
         if self.E == 0:
@@ -254,8 +261,6 @@ class CosetBP:
                 return False
             sig_new /= np.where(sums > 0, sums, 1.0)
             sig_new[:, idle] = 1.0 / q
-            if self.damping:
-                sig_new = (1 - self.damping) * sig_new + self.damping * self.sigma
             diff = np.abs(sig_new - self.sigma)
             diff[:, idle] = 0.0
             delta = float(diff.max())
@@ -273,7 +278,7 @@ class CosetBP:
             pi_new /= np.where(sums > 0, sums, 1.0)
             pi_new[:, idle] = self.pi[:, idle]
             self.pi = pi_new
-            if delta < tol:
+            if delta < TOL:
                 return True
         return False
 

@@ -216,10 +216,6 @@ def _column_law(l: int, q: int, tau: int):
     return vectors, weights, denom
 
 
-def product_ensemble(ens_a, ens_b) -> ProductEnsemble:
-    return ProductEnsemble(ens_a, ens_b)
-
-
 # -- exact ensemble scans --------------------------------------------------------
 
 
@@ -276,9 +272,6 @@ class ExactScan:
         """Integer numerators of p(A u = A u') over all u' (denominator: total)."""
         eq = self.codes == self.codes[:, iu][:, None]
         return self.weights @ eq
-
-    def collision_row(self, iu: int) -> list:
-        return [Fraction(int(v), self.total) for v in self.collision_row_numerators(iu)]
 
 
 # -- spectrum and (alpha, beta) ---------------------------------------------------
@@ -340,8 +333,7 @@ def avg_spectrum(ens, sample_budget: int | None = None,
 def spectrum_to_csv(table: SpectrumTable) -> str:
     lines = ["type_composition,C_t,S_exact_or_mean,stderr"]
     for t in table.types:
-        s = table.values[t]
-        sval = repr(float(s)) if not isinstance(s, Fraction) else repr(float(s))
+        sval = repr(float(table.values[t]))
         err = "" if table.stderr is None else repr(table.stderr[t])
         comp = ";".join(str(v) for v in t)
         lines.append(f"{comp},{table.class_sizes[t]},{sval},{err}")

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fastbp import DECODE_ITERS, DECODE_TOL, CosetBP, CosetGraph
+from .fastbp import DECODE_ITERS, CosetBP, CosetGraph
 from .models import DiscreteChannel, DistortionSpec, MemorylessSource, rate_quantities
 from .sampler import CosetSampler, DeadEndError, EncodingError, SamplerConfig, member_law
 from .sparsemat import DENSE_CAP, SparseMatrix, all_vectors, row_reduce
@@ -91,16 +91,14 @@ def encode_reproduction(spec: LossyCodeSpec, y, cfg: SamplerConfig, rng) -> np.n
     return spec.sampler.engine(spec.posteriors(y), cfg).draw(spec.c, rng).x
 
 
-def decode(spec: LossyCodeSpec, m, mode: str = "auto") -> np.ndarray | None:
+def decode(spec: LossyCodeSpec, m) -> np.ndarray | None:
     """Highest-prior member of {x : Ax = c, Bx = m}; None when it is empty.
 
-    Full-column-rank stacked maps decode by a linear solve; otherwise an
-    exhaustive argmax under the marginal prior (lexicographic ties) or,
-    with mode "bp" or above DENSE_CAP members, BP argmax with a final
-    constraint check.
+    Full-column-rank stacked maps decode by a linear solve.  Otherwise the
+    size of the joint coset picks the search: up to DENSE_CAP members, an
+    exhaustive argmax under the marginal prior (lexicographic ties); above
+    it, BP argmax on the stacked graph with a final constraint check.
     """
-    if mode not in ("auto", "bp"):
-        raise ValueError(f"unknown mode {mode!r}: expected 'auto' or 'bp'")
     q = spec.q
     m = np.asarray(m, dtype=np.int64) % q
     if m.shape != (spec.B.rows,):
@@ -110,9 +108,9 @@ def decode(spec: LossyCodeSpec, m, mode: str = "auto") -> np.ndarray | None:
     x = ech.solve(target)
     if x is None or ech.rank == spec.n:
         return x
-    if mode == "bp" or q ** (spec.n - ech.rank) > DENSE_CAP:
+    if q ** (spec.n - ech.rank) > DENSE_CAP:
         bp = CosetBP(spec.graph_stacked, target, spec.x_marginals)
-        bp.run(DECODE_ITERS, DECODE_TOL)
+        bp.run(DECODE_ITERS)
         if bp.failed:
             return None
         x_hat = np.argmax(bp.marginals(), axis=1)

@@ -15,8 +15,10 @@ read off (the early stop).  The work has three lifetimes:
               GF(2) each table is kept in a per-block syndrome basis in
               which every shift flips only leading axes; never dead-ends
               after a positive start), sum-product (BP
-              conditionals, the scaled path; approximate on loopy graphs,
-              so a dead end restarts the draw) or uniform (uniform priors
+              conditionals, the scaled path: INIT_ITERS iterations on the
+              target, then at most STEP_ITERS after each commit before the
+              next read; approximate on loopy graphs, so a dead end restarts
+              the draw, up to RETRIES passes) or uniform (uniform priors
               make the law uniform on the coset: a solution plus a random
               kernel combination, with no sequential work);
   per target  `engine.draw(c, rng)`.
@@ -51,26 +53,23 @@ class DeadEndError(RuntimeError):
     mid-sequence, or a failed initial BP run under positive priors."""
 
 
+# the sum-product schedule: BP iterations on the target before the first
+# step, BP iterations before each read after a commit, and passes per draw
+INIT_ITERS, STEP_ITERS, RETRIES = 50, 2, 16
+
+
 @dataclass
 class SamplerConfig:
-    """Settings of the stepwise engines; uniform priors take the uniform
-    engine whatever the method."""
+    """Which stepwise engine draws, and whether it stops early; uniform
+    priors take the uniform engine whatever the method.  The sum-product
+    schedule is INIT_ITERS, STEP_ITERS and RETRIES."""
 
     method: str = "exact"            # "exact" | "sum-product"
-    sp_init_iters: int = 50
-    sp_step_iters: int = 2
-    sp_damping: float = 0.0
-    sp_tol: float = 1e-8
     early_stop: bool = True          # Step-5 unique-completion shortcut
-    retries: int = 16
 
     def __post_init__(self):
         if self.method not in ("exact", "sum-product"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.retries < 1:
-            raise ValueError("retries must be >= 1")
-        if not 0 <= self.sp_damping < 1:
-            raise ValueError("sp_damping must lie in [0, 1)")
 
 
 @dataclass
@@ -521,16 +520,16 @@ class _ExactState:
 class _BeliefState:
     """Per-draw state of the sum-product engine: BP conditioned on the prefix.
 
-    A commit fixes the symbol; the next pmf read first runs `iters`
+    A commit fixes the symbol; the next pmf read first runs STEP_ITERS
     iterations, so a draw that stops early runs no wasted BP.
     """
 
-    def __init__(self, bp: CosetBP, iters: int, tol: float, stale: bool = False):
-        self.bp, self.iters, self.tol, self.stale = bp, iters, tol, stale
+    def __init__(self, bp: CosetBP):
+        self.bp, self.stale = bp, False
 
     def pmf(self, k: int) -> np.ndarray:
         if self.stale:
-            self.bp.run(self.iters, self.tol)
+            self.bp.run(STEP_ITERS)
             self.stale = False
         belief = self.bp.marginal(k)
         return belief if belief is not None else np.zeros(self.bp.q)
@@ -581,10 +580,9 @@ class _SumProductEngine:
 
     def _start(self, c):
         """BP on the target after its initial run, and that run's convergence flag."""
-        cfg = self.cfg
         self.sampler.reduced_target(c)
-        bp = CosetBP(self.sampler.graph, c, self.priors, damping=cfg.sp_damping)
-        converged = bp.run(cfg.sp_init_iters, cfg.sp_tol)
+        bp = CosetBP(self.sampler.graph, c, self.priors)
+        converged = bp.run(INIT_ITERS)
         if bp.failed:
             if np.all(self.priors > 0):      # the coset is nonempty, so it has mass
                 raise DeadEndError("initial BP run failed on a nonempty coset")
@@ -592,9 +590,7 @@ class _SumProductEngine:
         return bp, converged
 
     def _pass(self, c, bp, choose) -> GeneratedSample:
-        cfg = self.cfg
-        return _drive(self.sampler, c, _BeliefState(bp, cfg.sp_step_iters, cfg.sp_tol),
-                      choose, cfg.early_stop)
+        return _drive(self.sampler, c, _BeliefState(bp), choose, self.cfg.early_stop)
 
     def walk(self, c, choose) -> GeneratedSample:
         """One pass of the driver with the given selector, without restarts."""
@@ -605,14 +601,14 @@ class _SumProductEngine:
         c = self.sampler.target(c)
         base, converged = self._start(c)
         choose = partial(sample_pmf, rng)
-        for _ in range(self.cfg.retries):
+        for _ in range(RETRIES):
             try:
                 sample = self._pass(c, base.clone(), choose)
             except DeadEndError:
                 continue
             sample.converged = converged
             return sample
-        raise DeadEndError(f"sum-product engine failed after {self.cfg.retries} restarts")
+        raise DeadEndError(f"sum-product engine failed after {RETRIES} restarts")
 
 
 _STEPWISE = {"exact": _ExactEngine, "sum-product": _SumProductEngine}
@@ -622,26 +618,6 @@ def generate(A: SparseMatrix, c, priors, cfg: SamplerConfig,
              rng: np.random.Generator) -> GeneratedSample:
     """Steps 1-6: sequential conditional sampling with optional early stop."""
     return CosetSampler(A).engine(priors, cfg).draw(c, rng)
-
-
-def step_conditional(A: SparseMatrix, c, priors, prefix, cfg: SamplerConfig):
-    """Exact or BP conditional pmf of x_{k} given prefix x_1^{k-1}."""
-    sampler = CosetSampler(A)
-    priors = sampler.checked_priors(priors)
-    prefix = np.asarray(prefix, dtype=np.int64)
-    k = prefix.shape[0]
-    if k >= A.cols:
-        raise ValueError("prefix already covers the whole sequence")
-    c = sampler.target(c)
-    if cfg.method == "exact":
-        state = _ExactState(ExactStepper(A, priors), c)
-    else:
-        # the whole prefix is fixed before BP's first run
-        bp = CosetBP(sampler.graph, c, priors, damping=cfg.sp_damping)
-        state = _BeliefState(bp, cfg.sp_init_iters, cfg.sp_tol, stale=True)
-    for j, v in enumerate(prefix):
-        state.commit(j, int(v))
-    return _require_mass(state.pmf(k), k)
 
 
 class BitStream:

@@ -179,7 +179,6 @@ class EnsembleSpec:
     l: int
     field: GF
     tau: int
-    seed: int = 0
 
     def __post_init__(self):
         if self.n < 1 or self.l < 1:

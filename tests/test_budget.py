@@ -1,11 +1,20 @@
 """Budget hygiene of the library: `sparsemat.DENSE_CAP` is the one
 desk-scale budget, so no function takes a cap of its own and no module but
-`sparsemat` spells out its value."""
+`sparsemat` spells out its value.  Likewise the sum-product schedule is
+constants (`sampler.INIT_ITERS`, `STEP_ITERS`, `RETRIES`, `fastbp.TOL`)
+and no setting exists that only tests would turn."""
 
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from cosetcode import channel, lossy, sampler
+from cosetcode.fastbp import CosetBP
+from cosetcode.gf import GF
+from cosetcode.models import bernoulli_source, bsc, hamming_distortion
+from cosetcode.sparsemat import EnsembleSpec, SparseMatrix
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "cosetcode"
 MODULES = sorted(SRC.glob("*.py"))
@@ -51,3 +60,49 @@ def test_the_budget_is_spelled_out_only_in_sparsemat(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     found = [f"line {node.lineno}" for node in ast.walk(tree) if _is_two_to_the_twenty(node)]
     assert not found, f"{path.name} spells out 2 ** 20 instead of DENSE_CAP: {found}"
+
+
+# parameter names of settings that only tests turned: BP damping and
+# tolerance, restarts, a decoder mode, an opt-out of the message check
+SCHEDULE_NAMES = {"damping", "tol", "retries", "mode", "check_message"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_schedule_parameters(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [f"line {line}: {name}" for line, name in _parameters(tree)
+             if name in SCHEDULE_NAMES or name.startswith("sp_")]
+    assert not found, f"{path.name} takes a setting that only tests turn: {found}"
+
+
+def _tiny_codes():
+    A = SparseMatrix.from_dense(np.array([[1, 1, 0], [0, 1, 1]]), GF(2))
+    B = SparseMatrix.from_dense(np.array([[1, 0, 0]]), GF(2))
+    prior = bernoulli_source(0.3, 3)
+    return (channel.ChannelCodeSpec(A, B, [0, 0], prior),
+            lossy.LossyCodeSpec(A, B, [0, 0], prior, bsc(0.1, 3), hamming_distortion(2), 0.2))
+
+
+KEYWORD_REFUSED = "unexpected keyword argument '{}'"
+
+# each call with the TypeError message that names the removed setting
+REMOVED_SETTINGS = {
+    "CosetBP-damping": (lambda ch, lo: CosetBP(ch.A, ch.c, ch.prior.pmfs, damping=0.5),
+                        KEYWORD_REFUSED.format("damping")),
+    "run-tol": (lambda ch, lo: CosetBP(ch.A, ch.c, ch.prior.pmfs).run(5, 1e-3),
+                r"takes 2 positional arguments but 3 were given"),
+    "decode-mode": (lambda ch, lo: lossy.decode(lo, [0], mode="bp"),
+                    KEYWORD_REFUSED.format("mode")),
+    "encode-check_message": (lambda ch, lo: channel.encode(
+        ch, [0], sampler.SamplerConfig(), np.random.default_rng(0), check_message=False),
+        KEYWORD_REFUSED.format("check_message")),
+    "EnsembleSpec-seed": (lambda ch, lo: EnsembleSpec(n=4, l=2, field=GF(2), tau=2, seed=1),
+                          KEYWORD_REFUSED.format("seed")),
+}
+
+
+@pytest.mark.parametrize("call, message", REMOVED_SETTINGS.values(), ids=REMOVED_SETTINGS.keys())
+def test_removed_settings_are_refused(call, message):
+    codes = _tiny_codes()
+    with pytest.raises(TypeError, match=message):
+        call(*codes)

@@ -446,7 +446,7 @@ def test_failed_initial_bp_on_a_nonempty_coset_is_a_dead_end():
     spec = sample_code(24, 10, 8, 4, GF2, prior, seed=2)
     m = np.array([1, 1, 0, 1, 0, 0, 1, 0])
     assert spec.ech_stacked.members(np.concatenate([spec.c, m])).shape[0] == 256
-    encoder = ChannelEncoder(spec, SamplerConfig(method="sum-product", retries=4))
+    encoder = ChannelEncoder(spec, SamplerConfig(method="sum-product"))
     with pytest.raises(DeadEndError, match="initial BP run failed"):
         encoder.encode(m, np.random.default_rng(2))
     x = ChannelEncoder(spec, SamplerConfig(method="exact")).encode(m, np.random.default_rng(2))

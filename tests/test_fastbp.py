@@ -6,7 +6,8 @@ from cosetcode.fastbp import CosetBP, CosetGraph
 from cosetcode.gf import GF
 from cosetcode.models import MemorylessSource, bernoulli_source, bsc, hamming_distortion
 from cosetcode.sampler import EncodingError, exact_coset_law
-from cosetcode.sparsemat import SparseMatrix, sample_sparse_matrix, EnsembleSpec, row_reduce
+from cosetcode.sparsemat import (DENSE_CAP, EnsembleSpec, SparseMatrix, row_reduce,
+                                 sample_sparse_matrix)
 from cosetcode.streams import stream
 
 
@@ -41,10 +42,10 @@ def test_matches_reference_engine_trajectory(q):
         n = int(rng.integers(3, 8))
         l = int(rng.integers(1, 4))
         A, c, priors = random_instance(rng, q, n, l)
-        fast = CosetBP(A, c, priors)
-        fast.run(iters=12, tol=0.0)
-        ref = FloodingReference(A, c, priors)
-        ref.run(iters=12, tol=0.0)
+        fast, ref = CosetBP(A, c, priors), FloodingReference(A, c, priors)
+        for _ in range(12):         # twelve iterations whether or not they converge
+            fast.run(1)
+            ref.run(1)
         assert np.max(np.abs(fast.marginals() - ref.marginals())) < 1e-10
 
 
@@ -65,7 +66,8 @@ def test_exact_on_trees(q):
         c = A.mat_vec(x_star)
         priors = rng.dirichlet(np.ones(q), size=n)
         fast = CosetBP(A, c, priors)
-        fast.run(iters=n, tol=0.0)
+        for _ in range(n):
+            fast.run(1)
         assert np.max(np.abs(fast.marginals() - coset_marginals(A, c, priors))) < 1e-10
 
 
@@ -82,7 +84,8 @@ def test_conditioning_matches_conditioned_exact_marginals():
         v0 = int(members[0, 0])
         fast = CosetBP(A, c, priors)
         assert fast.condition(0, v0)
-        fast.run(iters=30, tol=1e-12)
+        for _ in range(30):
+            fast.run(1)
         got = fast.marginals()
         # reference: exact marginals with x_0 pinned by its prior
         pinned = priors.copy()
@@ -130,7 +133,7 @@ def test_scaled_instance_runs():
     c = A.mat_vec(x_star)
     priors = np.full((96, 2), 0.5)
     bp = CosetBP(A, c, priors)
-    assert bp.run(iters=60, tol=1e-9)
+    assert bp.run(iters=60)
     m = bp.marginals()
     assert np.allclose(m.sum(axis=1), 1.0)
 
@@ -215,19 +218,11 @@ def test_random_trees_exact_within_n_iterations(q):
             continue
         A, c, priors = tree
         bp = CosetBP(A, c, priors)
-        bp.run(iters=A.cols, tol=0.0)
+        for _ in range(A.cols):
+            bp.run(1)
         assert not bp.failed
         assert np.max(np.abs(bp.marginals() - coset_marginals(A, c, priors))) < 1e-10
         done += 1
-
-
-def test_damping_zero_reproduces_fixed_point_iteration():
-    priors = np.array([[0.6, 0.4], [0.2, 0.8], [0.5, 0.5]])
-    A = dense([[1, 1, 0], [0, 1, 1]], GF(2))
-    runs = [CosetBP(A, [1, 0], priors), CosetBP(A, [1, 0], priors, damping=0.0)]
-    for bp in runs:
-        bp.run(iters=7, tol=0.0)
-    assert np.array_equal(runs[0].marginals(), runs[1].marginals())
 
 
 def test_relabeling_invariance():
@@ -237,11 +232,12 @@ def test_relabeling_invariance():
     rows = [[(0, 1), (2, 2)], [(1, 1), (3, 1), (4, 2)]]
     c = [1, 2]
     base = CosetBP(SparseMatrix(2, 5, GF(q), rows), c, priors)
-    base.run(iters=20, tol=0.0)
     perm = np.array([3, 0, 4, 1, 2])  # new index of each old variable
     rows_p = [[(int(perm[v]), a) for v, a in row] for row in rows]
     moved = CosetBP(SparseMatrix(2, 5, GF(q), rows_p), c, priors[np.argsort(perm)])
-    moved.run(iters=20, tol=0.0)
+    for _ in range(20):
+        base.run(1)
+        moved.run(1)
     assert np.allclose(moved.marginals()[perm], base.marginals(), atol=1e-12)
 
 
@@ -277,12 +273,11 @@ def test_messages_stay_normalized():
 class FloodingReference:
     """The (E, q) edge-major flooding kernel the symbol-major CosetBP replaced."""
 
-    def __init__(self, A: SparseMatrix, c, priors, damping: float = 0.0):
+    def __init__(self, A: SparseMatrix, c, priors):
         q = A.field.q
         self.q = q
         self.n = A.cols
         self.l = A.rows
-        self.damping = float(damping)
         priors = np.asarray(priors, dtype=float)
         if priors.shape != (self.n, q):
             raise ValueError("priors must be (n, q)")
@@ -376,8 +371,8 @@ class FloodingReference:
 
     # -- message passing ---------------------------------------------------
 
-    def run(self, iters: int, tol: float = 1e-8) -> bool:
-        """Flooding iterations; returns the convergence flag."""
+    def run(self, iters: int) -> bool:
+        """Up to `iters` flooding iterations; True once no message moves by TOL."""
         if self.failed:
             return False
         if self.E == 0:
@@ -412,8 +407,6 @@ class FloodingReference:
             safe = np.where(sums > 0, sums, 1.0)
             sig_new = sig_new / safe[:, None]
             sig_new[~self.active] = 1.0 / q
-            if self.damping:
-                sig_new = (1 - self.damping) * sig_new + self.damping * self.sigma
             delta = float(np.abs(sig_new - self.sigma)[self.active].max()) \
                 if np.any(self.active) else 0.0
             self.sigma = sig_new
@@ -444,7 +437,7 @@ class FloodingReference:
             keep = ~self.active
             upd[keep] = self.pi[keep]
             self.pi = upd
-            if delta < tol:
+            if delta < fastbp.TOL:
                 return True
         return False
 
@@ -503,20 +496,22 @@ def oracle_instance(rng, q, n, l, density, pinned):
 def drive(bp, rng, x_star, q, readouts):
     """Condition variables in a random order, sometimes off x_star, running
     between; yields (what, outputs...) for every call along the way."""
-    def run(iters, tol):
+    def run(iters):
         before = bp.failed
-        return "run", before, bp.run(iters, tol), bp.failed
+        return "run", before, bp.run(iters), bp.failed
 
     def readout():
         return ("read", bp.marginals(), [bp.marginal(v) for v in range(bp.n)]) \
             if readouts else ("read",)
 
-    yield run(int(rng.integers(1, 8)), float(rng.choice([0.0, 1e-8, 1e-3])))
+    yield run(int(rng.integers(1, 8)))
+    rng.integers(3)                 # a run tolerance was drawn here; runs now read TOL
     yield readout()
     for v in rng.permutation(bp.n)[: int(rng.integers(1, bp.n + 1))]:
         value = int(x_star[v]) if rng.random() < 0.8 else int(rng.integers(q))
         yield "condition", bp.condition(int(v), value)
-        yield run(int(rng.integers(1, 5)), float(rng.choice([0.0, 1e-8])))
+        yield run(int(rng.integers(1, 5)))
+        rng.integers(2)
         yield readout()
 
 
@@ -561,7 +556,7 @@ def assert_same_output(got, want, atol):
 def test_matches_flooding_reference(q, atol):
     """GF(2) bit for bit, GF(q > 2) within round-off; same flags and counts.
 
-    Covers damping, checks of degree 0 and 1, conditioning (inactive edges,
+    Covers checks of degree 0 and 1, conditioning (inactive edges,
     contradictions, dead ends) and clones run apart from their base.  Over
     GF(q > 2) the DFT leaks ~1e-16 mass onto infeasible symbols (ROADMAP
     item 2), and a message or belief made only of such mass normalises to
@@ -574,10 +569,10 @@ def test_matches_flooding_reference(q, atol):
         n, l = int(rng.integers(2, 12)), int(rng.integers(1, 8))
         A, x_star, c, priors = oracle_instance(rng, q, n, l, rng.choice([0.2, 0.5, 0.9]),
                                                pinned=q == 2)
-        damping = float(rng.choice([0.0, 0.0, 0.3]))
+        rng.integers(3)             # a damping was drawn here; no kernel damps
         seed = int(rng.integers(2 ** 32))
         graph = CosetGraph(A)
-        new, ref = CosetBP(graph, c, priors, damping), FloodingReference(A, c, priors, damping)
+        new, ref = CosetBP(graph, c, priors), FloodingReference(A, c, priors)
         assert new.E == ref.E
         for got, want in zip(drive(new, np.random.default_rng(seed), x_star, q, q == 2),
                              drive(ref, np.random.default_rng(seed), x_star, q, q == 2)):
@@ -587,7 +582,8 @@ def test_matches_flooding_reference(q, atol):
             outcomes.add(outcome(got))
         # a clone of a conditioned state runs apart from its base
         new_c, ref_c = new.clone(), ref.clone()
-        assert new_c.run(3, 0.0) == ref_c.run(3, 0.0)
+        for _ in range(3):
+            assert new_c.run(1) == ref_c.run(1)
         assert_agree(new_c, ref_c, atol)
         assert_agree(new, ref, atol)
     assert steps > 300
@@ -596,7 +592,7 @@ def test_matches_flooding_reference(q, atol):
 
 
 def test_matches_flooding_reference_on_decoder_sized_graph():
-    """Decodes of a rate-1/2 ensemble code over a BSC, with and without damping."""
+    """Decodes of a rate-1/2 ensemble code over a BSC."""
     spec = EnsembleSpec(n=256, l=128, field=GF(2), tau=6)
     A = sample_sparse_matrix(spec, stream(41, 0))
     graph = CosetGraph(A)
@@ -605,10 +601,9 @@ def test_matches_flooding_reference_on_decoder_sized_graph():
         x = rng.integers(0, 2, size=256)
         flips = rng.random(256) < 0.06
         priors = np.where((x ^ flips)[:, None] == np.arange(2), 0.94, 0.06)
-        damping = 0.2 if t % 3 == 2 else 0.0
-        new = CosetBP(graph, A.mat_vec(x), priors, damping)
-        ref = FloodingReference(A, A.mat_vec(x), priors, damping)
-        assert new.run(100, 1e-8) == ref.run(100, 1e-8)
+        new = CosetBP(graph, A.mat_vec(x), priors)
+        ref = FloodingReference(A, A.mat_vec(x), priors)
+        assert new.run(fastbp.DECODE_ITERS) == ref.run(fastbp.DECODE_ITERS)
         assert_agree(new, ref, 0.0)
         assert np.array_equal(new.marginals(), ref.marginals())
 
@@ -669,21 +664,43 @@ def lossy_spec(n, l, k, seed):
                                hamming_distortion(2), 0.2)
 
 
+def searched_lossy_spec():
+    """A small lossy code whose stacked map is rank deficient."""
+    return next(s for s in (lossy_spec(10, 4, 4, seed) for seed in range(50))
+                if s.ech_stacked.rank < s.n)
+
+
 def test_lossy_decode_builds_a_graph_only_for_bp(graph_builds):
     solved = next(s for s in (lossy_spec(8, 4, 6, seed) for seed in range(50))
                   if s.ech_stacked.rank == s.n)
-    searched = next(s for s in (lossy_spec(10, 4, 4, seed) for seed in range(50))
-                    if s.ech_stacked.rank < s.n)
+    searched = searched_lossy_spec()
     rng = stream(3, 0)
     for spec in (solved, searched):
         for _ in range(3):
             x = row_reduce(spec.A).random_member(spec.c, rng)
             assert lossy.decode(spec, spec.B.mat_vec(x)) is not None
     assert graph_builds == []                 # solves and enumeration run no BP
-    for _ in range(3):
-        x = row_reduce(searched.A).random_member(searched.c, rng)
-        lossy.decode(searched, searched.B.mat_vec(x), mode="bp")
-    assert graph_builds == [searched.stacked]
+    big = lossy_spec(48, 12, 12, seed=0)      # stacked rank <= 24: >= 2**24 joint members
+    assert big.q ** (big.n - big.ech_stacked.rank) > DENSE_CAP
+    for _ in range(3):                        # refused before any enumeration
+        x = row_reduce(big.A).random_member(big.c, rng)
+        lossy.decode(big, big.B.mat_vec(x))
+    assert graph_builds == [big.stacked]
+
+
+def test_lossy_decode_takes_bp_only_above_the_dense_cap(graph_builds, monkeypatch):
+    spec = searched_lossy_spec()
+    size = spec.q ** (spec.n - spec.ech_stacked.rank)
+    x = row_reduce(spec.A).random_member(spec.c, stream(3, 1))
+    m = spec.B.mat_vec(x)
+    monkeypatch.setattr(lossy, "DENSE_CAP", size)         # at the cap: enumeration
+    members = spec.ech_stacked.members(np.concatenate([spec.c, m]))
+    assert members.shape[0] == size
+    assert any(np.array_equal(lossy.decode(spec, m), row) for row in members)
+    assert graph_builds == []
+    monkeypatch.setattr(lossy, "DENSE_CAP", size - 1)     # one member past it: BP
+    lossy.decode(spec, m)
+    assert graph_builds == [spec.stacked]
 
 
 def test_sum_product_encoder_reuses_its_graph_and_early_stop(graph_builds, monkeypatch):

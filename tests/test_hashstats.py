@@ -9,6 +9,7 @@ from cosetcode.hashstats import (
     AllLinearEnsemble,
     ExactScan,
     ExplicitEnsemble,
+    ProductEnsemble,
     SparseTauEnsemble,
     all_types,
     alpha_beta,
@@ -21,7 +22,6 @@ from cosetcode.hashstats import (
     collision_prob,
     compose_alpha_beta,
     default_h_hat,
-    product_ensemble,
     spectrum_to_csv,
     type_class_size,
     type_of,
@@ -343,7 +343,7 @@ def test_bcp_rejects_zero_mass():
 def test_product_of_all_linear_is_two_universal():
     ea = AllLinearEnsemble(3, 1, GF2)
     eb = AllLinearEnsemble(3, 1, GF2)
-    prod = product_ensemble(ea, eb)
+    prod = ProductEnsemble(ea, eb)
     scan = ExactScan(prod)
     V = all_vectors(2, 3)
     for iu, iv in itertools.combinations(range(8), 2):
@@ -376,7 +376,7 @@ def test_product_of_sparse_tau_passes_h3_with_composed_pair():
     im_a = ExactScan(ea).im_size()
     ab_a = alpha_beta(avg_spectrum(ea), h_hat, im_a)
     ab_b = alpha_beta(avg_spectrum(eb), h_hat, im_a)
-    prod = product_ensemble(ea, eb)
+    prod = ProductEnsemble(ea, eb)
     scan = ExactScan(prod)
     ab = compose_alpha_beta(ab_a, ab_b)
     V = all_vectors(2, 4)

@@ -133,20 +133,6 @@ def test_linear_decode_roundtrip_random_exhaustive():
             done += 1
 
 
-@pytest.mark.parametrize("mode", ["BP", "nonsense"])
-def test_decode_rejects_an_unknown_mode(mode):
-    # checked before the full-column-rank solve, which would ignore the mode
-    A, B = dense([[1, 1]]), dense([[1, 0]])
-    spec = uniform_spec(A, B, [0])
-    assert spec.ech_stacked.rank == spec.n
-    with pytest.raises(ValueError, match="unknown mode"):
-        lossy.decode(spec, [0], mode=mode)
-    deficient = small_spec()
-    assert deficient.ech_stacked.rank < deficient.n
-    with pytest.raises(ValueError, match="unknown mode"):
-        lossy.decode(deficient, np.zeros(deficient.B.rows, dtype=np.int64), mode=mode)
-
-
 def test_linear_decode_rejects_noninjective():
     A, B = dense([[1, 1]]), dense([[1, 1]])
     with pytest.raises(ValueError, match="not injective"):

@@ -7,9 +7,13 @@ import pytest
 
 from cosetcode import lossy
 from cosetcode.channel import ChannelCodeSpec, ChannelEncoder, sample_code
+from cosetcode.fastbp import CosetBP
 from cosetcode.gf import GF
 from cosetcode.models import MemorylessSource, hamming_distortion, qsc, uniform_source
 from cosetcode.sampler import (
+    INIT_ITERS,
+    RETRIES,
+    STEP_ITERS,
     BitStream,
     DeadEndError,
     EncodingError,
@@ -22,7 +26,6 @@ from cosetcode.sampler import (
     generate,
     generate_interval,
     path_tree_law,
-    step_conditional,
 )
 from cosetcode.sparsemat import (
     EnsembleSpec,
@@ -73,21 +76,13 @@ def oracle_step_pmf(A, c, priors, prefix, k):
 def test_config_validation():
     with pytest.raises(ValueError, match="method"):
         SamplerConfig(method="gibbs")
-    # not fields: the state budget is DENSE_CAP, and uniform priors pick
-    # their own engine
-    for removed in ("exact_cap", "exact_cap_states", "uniform_shortcut"):
+    # not fields: the state budget is DENSE_CAP, uniform priors pick their
+    # own engine, and the sum-product schedule is INIT_ITERS, STEP_ITERS,
+    # RETRIES and fastbp.TOL, without damping
+    for removed in ("exact_cap", "exact_cap_states", "uniform_shortcut", "sp_init_iters",
+                    "sp_step_iters", "sp_damping", "sp_tol", "retries"):
         with pytest.raises(TypeError):
             SamplerConfig(**{removed: 10})
-
-
-def test_config_validation_retries_and_damping():
-    with pytest.raises(ValueError, match="retries"):
-        SamplerConfig(retries=0)
-    for damping in (-0.1, 1.0, 1.5):
-        with pytest.raises(ValueError, match="sp_damping"):
-            SamplerConfig(method="sum-product", sp_damping=damping)
-    SamplerConfig(retries=1, sp_damping=0.0)
-    SamplerConfig(sp_damping=0.99)
 
 
 def test_exact_coset_law_uniform():
@@ -136,24 +131,33 @@ def test_all_zero_priors_have_zero_mass(method, early_stop):
 
 
 # ---------------------------------------------------------------------------
-# step conditionals
+# step conditionals, read off the exact stepper
 # ---------------------------------------------------------------------------
+
+def stepper_pmf(A, c, priors, prefix):
+    """The exact conditional of x_k given the prefix x_0..x_{k-1}, k = len(prefix)."""
+    st = ExactStepper(A, priors)
+    residual = st.locate(0, c)
+    for j, v in enumerate(prefix):
+        residual = st.advance(j, residual, int(v))
+    return st.step_pmf(len(prefix), residual)
+
 
 def test_step_conditional_first_step_hand_value():
     A = dense([[1, 1]], GF2)
     priors = np.array([[0.7, 0.3], [0.7, 0.3]])
-    pmf = step_conditional(A, [0], priors, [], EXACT)
+    pmf = stepper_pmf(A, [0], priors, [])
     assert pmf[0] == pytest.approx(0.49 / 0.58)
 
 
 def test_step_conditional_identity_and_unconstrained():
     I = dense(np.eye(3, dtype=int), GF3)
     priors = np.full((3, 3), 1 / 3)
-    pmf = step_conditional(I, [2, 0, 1], priors, [], EXACT)
+    pmf = stepper_pmf(I, [2, 0, 1], priors, [])
     assert np.allclose(pmf, [0, 0, 1])
     A0 = SparseMatrix(0, 2, GF2, [])
     priors = np.array([[0.2, 0.8], [0.6, 0.4]])
-    pmf = step_conditional(A0, [], priors, [0], EXACT)
+    pmf = stepper_pmf(A0, [], priors, [0])
     assert np.allclose(pmf, [0.6, 0.4])
 
 
@@ -171,20 +175,23 @@ def test_step_conditional_matches_verbatim_suffix_sum(q):
         priors = rng.dirichlet(np.full(q, 1.5), size=n)
         k = int(rng.integers(0, n))
         prefix = x_star[:k]  # consistent by construction
-        got = step_conditional(A, c, priors, prefix, EXACT)
+        got = stepper_pmf(A, c, priors, prefix)
         want = oracle_step_pmf(A, c, priors, prefix, k)
         assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_step_conditional_error_taxonomy():
+    priors = np.array([[0.6, 0.4], [0.6, 0.4]])       # non-uniform: the exact engine runs
     A = dense([[1, 1], [1, 1]], GF2)
-    priors = np.full((2, 2), 0.5)
+    assert not stepper_pmf(A, [0, 1], priors, []).any()    # an empty coset has no mass
     with pytest.raises(EncodingError):
-        step_conditional(A, [0, 1], priors, [], EXACT)
-    # dead prefix (only reachable by feeding an off-coset prefix)
+        CosetSampler(A).engine(priors, NO_EARLY).walk([0, 1], lambda pmf: 0)
+    # dead prefix (only reachable by forcing an off-coset symbol)
     B = dense([[1, 0]], GF2)
-    with pytest.raises(DeadEndError):
-        step_conditional(B, [1], priors, [0], EXACT)
+    assert not stepper_pmf(B, [1], priors, [0]).any()
+    path = iter([0, 0])
+    with pytest.raises(DeadEndError, match="step 2"):
+        CosetSampler(B).engine(priors, NO_EARLY).walk([1], lambda pmf: next(path))
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +268,7 @@ def test_generate_uniform_shortcut_law():
 
 def test_generate_sum_product_respects_constraint():
     rng_master = np.random.default_rng(8)
-    cfg = SamplerConfig(method="sum-product", sp_init_iters=30, sp_step_iters=2)
+    cfg = SamplerConfig(method="sum-product")
     for t in range(20):
         n, l = 8, 3
         D = rng_master.integers(0, 2, size=(l, n))
@@ -277,8 +284,7 @@ def test_generate_sum_product_law_close_on_tree():
     A = dense([[1, 1, 0], [0, 1, 1]], GF2)
     c = [1, 1]
     priors = np.array([[0.6, 0.4], [0.3, 0.7], [0.8, 0.2]])
-    cfg = SamplerConfig(method="sum-product", sp_init_iters=10, sp_step_iters=5,
-                        early_stop=False)
+    cfg = SamplerConfig(method="sum-product", early_stop=False)
     members, probs = exact_coset_law(A, c, priors)
     keys = [tuple(m) for m in members]
     counts = dict.fromkeys(keys, 0)
@@ -394,6 +400,53 @@ def test_sum_product_pivot_steps_are_point_masses(q, early_stop):
     for _ in range(8):                          # restarts absorb the rest
         m = spec.random_message(rng)
         assert np.array_equal(spec.B.mat_vec(engine.draw(np.concatenate([spec.c, m]), rng).x), m)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_sum_product_schedule(q, monkeypatch):
+    """A draw runs INIT_ITERS on its target once, then at most STEP_ITERS
+    before each read that follows a commit, over at most RETRIES passes."""
+    runs = []                                   # (iters asked, iterations run)
+    real = CosetBP.run
+
+    def counting(bp, iters):
+        before = bp.iterations
+        flag = real(bp, iters)
+        runs.append((iters, bp.iterations - before))
+        return flag
+
+    monkeypatch.setattr(CosetBP, "run", counting)
+    prior = MemorylessSource(np.tile([0.7, 0.3] if q == 2 else [0.7, 0.15, 0.15], (24, 1)))
+    spec = sample_code(24, 8, 4, 4, GF(q), prior, seed=0)
+    rng = stream(70 + q, 0)
+    for early_stop in (True, False):
+        engine = spec.sampler.engine(prior.pmfs, SamplerConfig("sum-product", early_stop))
+        walked = 0
+        for _ in range(6):
+            target = np.concatenate([spec.c, spec.random_message(rng)])
+            runs.clear()
+            reads = []
+            try:
+                out = engine.walk(target, lambda pmf: reads.append(pmf) or sample_pmf(rng, pmf))
+            except DeadEndError:
+                out = None
+            assert runs[0][0] == INIT_ITERS and 1 <= runs[0][1] <= INIT_ITERS
+            # one run per read after a commit; a dead end may come at a read
+            # that reaches no choice
+            assert len(reads) <= len(runs) <= len(reads) + (out is None)
+            assert all(it == STEP_ITERS and ran <= STEP_ITERS for it, ran in runs[1:])
+            if out is not None:
+                walked += 1
+                assert len(reads) == out.steps
+            runs.clear()
+            try:
+                engine.draw(target, rng)
+            except DeadEndError:
+                pass
+            assert [it for it, _ in runs].count(INIT_ITERS) == 1
+            assert runs[0][0] == INIT_ITERS     # the initial run is shared by every pass
+            assert len(runs) <= 1 + RETRIES * (spec.n - 1)
+        assert walked > 0
 
 
 # ---------------------------------------------------------------------------
@@ -809,7 +862,7 @@ PINNED_CONFIGS = {
 @pytest.mark.parametrize("q", [2, 3])
 @pytest.mark.parametrize("case", ["exact", "exact-no-early", "sum-product", "uniform",
                                   "lossy-exact", "lossy-sum-product", "interval",
-                                  "step", "path-tree"])
+                                  "path-tree"])
 def test_same_seed_outputs_pinned(q, case):
     """Outputs for fixed seeds, recorded before the sampler became one driver."""
     assert _digest(_pinned_outputs(q, case)) == PINNED_DIGESTS[(q, case)]
@@ -850,9 +903,6 @@ def _pinned_outputs(q, case):
                     out, used = generate_interval(A, c, priors, cfg,
                                                   BitStream.from_bits(bits))
                     got.append((out.x, out.termination, out.steps, used))
-                elif case == "step":
-                    for k in range(n):
-                        got.append(step_conditional(A, c, priors, x_star[:k], cfg))
                 elif cfg.method == "exact":
                     got.append(path_tree_law(A, c, priors, cfg))
     return got
@@ -869,7 +919,6 @@ PINNED_DIGESTS = {
     (2, 'lossy-exact'): "e1fb555866e5db047125dc4bb6d763e58a6e40bb36df0d5767c958fd5b7b5d53",
     (2, 'lossy-sum-product'): "636893a0fe97753584357b0203baaeacf6dcc7ac732babd1acb1a53a2e59366b",
     (2, 'interval'): "fab91722865c4acf5d4bd39f8c9a03f5c4b70ab16443eefcb480ca94c8ce8df5",
-    (2, 'step'): "0302a35fef5d4270778b44b8001045ca0614598e43d8f8dc2112f1a9f70c66d4",
     (2, 'path-tree'): "dedc75b6261c36e884349a25ef3ec632b915866f3ec491a369c32e750467310e",
     (3, 'exact'): "4ac2e2845caf1f6074f43280c829a0eb1ed5f680241a07fe97f98171517bd54e",
     (3, 'exact-no-early'): "b241509f2581c5c55eb9cf9c0b1e4cc4af7ae104064260be4e19647c6076538d",
@@ -880,6 +929,5 @@ PINNED_DIGESTS = {
     # after 16 restarts now encode
     (3, 'lossy-sum-product'): "a7eb293afa20a7d8b7fd8a7074d53bcefb6b39b850813787a4e04dc6afca85cb",
     (3, 'interval'): "f71103e0d38edacb09a87064383f5b9a5a8cf8047fcfcb70e566b5ab906abf78",
-    (3, 'step'): "8cef7532e2a9554afe92c60320b6e982518a0581de33e8697bee39f97cebd7ef",
     (3, 'path-tree'): "8e37a73b3252b26d87043ec86305db14cca2c85b4a10adc4af1aeeacc9d9efc0",
 }
