@@ -97,7 +97,8 @@ def decode(spec: LossyCodeSpec, m) -> np.ndarray | None:
     Full-column-rank stacked maps decode by a linear solve.  Otherwise the
     size of the joint coset picks the search: up to DENSE_CAP members, an
     exhaustive argmax under the marginal prior (lexicographic ties); above
-    it, BP argmax on the stacked graph with a final constraint check.
+    it, the member that agrees with the BP argmax on the stacked graph at the
+    free columns of the stacked echelon.
     """
     q = spec.q
     m = np.asarray(m, dtype=np.int64) % q
@@ -113,9 +114,7 @@ def decode(spec: LossyCodeSpec, m) -> np.ndarray | None:
         bp.run(DECODE_ITERS)
         if bp.failed:
             return None
-        x_hat = np.argmax(bp.marginals(), axis=1)
-        ok = np.array_equal(spec.stacked.mat_vec(x_hat), target)
-        return x_hat if ok else None
+        return ech.member_like(target, np.argmax(bp.marginals(), axis=1))
     members = ech.members(target)
     with np.errstate(divide="ignore"):
         lp = np.log2(spec.x_marginals)

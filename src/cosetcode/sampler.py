@@ -8,19 +8,19 @@ read off (the early stop).  The work has three lifetimes:
               the exact engine's `TablePlan`, each built on first use;
   per prior   `CosetSampler.engine(priors, cfg)`, which refuses priors
               that are not an (n, q) array of finite non-negative
-              numbers: exact (`ExactStepper` suffix-mass tables while q**l
-              fits DENSE_CAP, only tables 1..stop for a draw that
-              stops early at `stop`: M_stop comes from the one completion
-              of each syndrome, the rest from the backward recursion; over
-              GF(2) each table is kept in a per-block syndrome basis in
-              which every shift flips only leading axes; never dead-ends
-              after a positive start), sum-product (BP
-              conditionals, the scaled path: INIT_ITERS iterations on the
-              target, then at most STEP_ITERS after each commit before the
-              next read; approximate on loopy graphs, so a dead end restarts
-              the draw, up to RETRIES passes) or uniform (uniform priors
-              make the law uniform on the coset: a solution plus a random
-              kernel combination, with no sequential work);
+              numbers: exact (`ExactStepper` suffix-mass tables on Im A,
+              q**rank entries while that fits DENSE_CAP, only tables
+              1..stop for a draw that stops early at `stop`: M_stop comes
+              from the one completion of each syndrome, the rest from the
+              backward recursion; over GF(2) each table is kept in a
+              per-block syndrome basis in which every shift flips only
+              leading axes; never dead-ends after a positive start),
+              sum-product (BP conditionals, the scaled path: INIT_ITERS
+              iterations on the target, then at most STEP_ITERS after each
+              commit before the next read; approximate on loopy graphs, so a
+              dead end restarts the draw, up to RETRIES passes) or uniform
+              (uniform priors make the law uniform on the coset: a solution
+              plus a random kernel combination, with no sequential work);
   per target  `engine.draw(c, rng)`.
 `_drive` is the one step loop.  A per-draw state gives the step pmf
 (`pmf(k)`), which the driver narrows to a point mass wherever the prefix
@@ -132,7 +132,9 @@ def _coordinates(span: dict, l: int):
 
 
 class TablePlan:
-    """What the suffix tables of one matrix and stop share across priors.
+    """What the suffix tables of one matrix and stop share across priors: the
+    layout, the shifts and each suffix's syndrome.  Its l coordinates are the
+    matrix's rows; an engine's (`CosetSampler.table_plan`) span Im A alone.
 
     Over GF(2) a syndrome is a flat index (axis 0 most significant) and
     column k shifts a table by XOR with its image.  The columns stop - 1,
@@ -145,16 +147,16 @@ class TablePlan:
     columns k - 1 and k differ, `cross[k]` maps coordinates in the first to
     coordinates in the second: table k is re-laid to hold at u what it held
     at cross u, and a draw's residual moves to cross u after step k - 1.
-    Over GF(q > 2) the tables stay in syndrome coordinates and shifts
-    gather from `source_index`.
+    Over GF(q > 2) the tables stay in syndrome coordinates, and the shift
+    by xv * col_k gathers through `shift_index[k]` composed xv times.
     """
 
     def __init__(self, A: SparseMatrix, stop: int | None = None):
         q = self.q = A.field.q
         self.l, self.n = A.rows, A.cols
         if q ** self.l > DENSE_CAP:
-            raise ValueError(
-                f"exact engine refused: q**l = {q ** self.l} exceeds state cap {DENSE_CAP}")
+            raise ValueError(f"exact engine refused: {q}**{self.l} syndromes "
+                             f"exceed state cap {DENSE_CAP}")
         self.stop = self.n if stop is None else stop
         if not 0 <= self.stop <= self.n:
             raise ValueError(f"stop {self.stop} lies outside 0..{self.n}")
@@ -168,13 +170,18 @@ class TablePlan:
             self.shape, self.cross = (q,) * self.l, {}
             # _digit_weights[i, s, d] = weight of digit d - s on axis i
             digits = np.arange(q)
-            self._digit_weights = (digits - digits[:, None]) % q * self.weights[:, None, None]
+            self._digit_weights = ((digits - digits[:, None]) % q
+                                   * self.weights[:, None, None]).astype(np.int32)
+            # gathering at t - col_k shifts a table by col_k; None for a zero column
+            self.shift_index = [self.source_index(col) if col.any() else None
+                                for col in self.cols[:self.stop]]
+        self.suffix_index = self._suffix_index()
 
     def _plan_blocks(self, flat_cols: list) -> None:
         """The GF(2) blocks, their bases and each column's shift in its block."""
         l, stop = self.l, self.stop
         # more leading axes give fewer re-layouts but shorter contiguous runs;
-        # at l = 16, d = 8 leaves runs of 256 values
+        # at lossy-exact's rank l = 15, d = 8 leaves runs of 128 values
         d = min(8, (l + 1) // 2)
         self.shape = (2,) * d + (1 << (l - d),)
         spans, lows, k = [], [], stop - 1
@@ -212,16 +219,34 @@ class TablePlan:
 
     def source_index(self, shift: np.ndarray) -> np.ndarray:
         """src[flat t] = flat index of t - shift, for every syndrome t; GF(q > 2)."""
-        src = np.zeros(1, dtype=np.int64)
+        src = np.zeros(1, dtype=np.int32)
         for i in range(self.l - 1, -1, -1):
             src = (self._digit_weights[i, shift[i], :, None] + src).ravel()
         return src
+
+    def _suffix_index(self) -> np.ndarray:
+        """Each suffix x_stop..x_{n-1}'s flat syndrome in table stop's basis, in
+        the order `ExactStepper` forms their masses; refuses dependent columns."""
+        q, stop = self.q, self.stop
+        idx = np.zeros(1, dtype=np.int32)
+        for j in range(self.n - 1, stop - 1, -1):
+            if q == 2:
+                shifted = [idx, idx ^ self.fill_shifts[j - stop]]
+            else:                   # t + x col_j = t - (-x col_j)
+                shifted = [idx] + [self.source_index(-xv * self.cols[j] % q)[idx]
+                                   for xv in range(1, q)]
+            idx = np.concatenate(shifted)
+        if np.bincount(idx).max() > 1:
+            raise ValueError(f"columns {stop}..{self.n - 1} are dependent: "
+                             f"stop {stop} does not pin the suffix")
+        return idx
 
 
 class ExactStepper:
     """Backward suffix-mass tables M_k(t) = mass of suffixes hitting syndrome t.
 
-    M_k lives on the full syndrome group U^l; the step conditional is
+    M_k lives on the plan's GF(q)^l: A's rows, or Im A in q**rank entries on
+    an engine's `CosetSampler.table_plan`.  The step conditional is
     mu_k(x) * M_{k+1}[target - x * col_k], normalized, which is the
     defining suffix sum evaluated exactly.  The tables do not depend on
     the target, so one stepper serves every c.
@@ -230,8 +255,8 @@ class ExactStepper:
     early at `stop` never reads past M_stop, and M_0 is formed on demand
     (`mass_of`, `table(0)`).  Columns stop..n-1 must be independent: then
     each syndrome in their span is hit by exactly one suffix, so M_stop is
-    that suffix's prior product and 0 off the span, filled by enumerating
-    the q**(n - stop) suffixes.  The recursion
+    that suffix's prior product and 0 off the span, put where the plan's
+    `suffix_index` says.  The recursion
     M_k(t) = sum_x mu_k(x) M_{k+1}(t - x col_k) gives the rest.  Over GF(2)
     each table is kept in its block's basis (see `TablePlan`), where the
     shift by col_k flips leading axes of a view of M_{k+1}; GF(q > 2)
@@ -275,21 +300,11 @@ class ExactStepper:
 
         Each mass is mu_j(x_j) times the mass of the suffix after j, the
         product the recursion forms; its other terms are exact zeros."""
-        q, plan, stop = self.q, self.plan, self.stop
-        idx, mass = np.zeros(1, dtype=np.int64), np.ones(1)
-        for j in range(self.n - 1, stop - 1, -1):
-            if q == 2:
-                shifted = [idx, idx ^ plan.fill_shifts[j - stop]]
-            else:                   # t + x col_j = t - (-x col_j)
-                shifted = [idx] + [plan.source_index(-xv * plan.cols[j] % q)[idx]
-                                   for xv in range(1, q)]
-            idx = np.concatenate(shifted)
-            mass = np.concatenate([self.priors[j, xv] * mass for xv in range(q)])
-        if np.bincount(idx).max() > 1:
-            raise ValueError(f"columns {stop}..{self.n - 1} are dependent: "
-                             f"stop {stop} does not pin the suffix")
+        mass = np.ones(1)
+        for j in range(self.n - 1, self.stop - 1, -1):
+            mass = np.concatenate([self.priors[j, xv] * mass for xv in range(self.q)])
         flat.fill(0.0)
-        flat[idx] = mass
+        flat[self.plan.suffix_index] = mass
 
     def _level(self, k: int, acc: np.ndarray) -> None:
         """acc = M_k from M_{k+1}: the x = 0 term first, zero priors skipped.
@@ -319,11 +334,12 @@ class ExactStepper:
 
     def _gathered(self, nxt: np.ndarray, k: int, xv: int) -> np.ndarray:
         """M_{k+1} shifted by xv * col_k over GF(q > 2): gathered into scratch
-        from the flat indices t - xv * col_k."""
-        col = self.plan.cols[k]
-        if not col.any():
+        through the plan's shift by col_k composed xv times."""
+        src = step = self.plan.shift_index[k]
+        if step is None:
             return nxt
-        src = self.plan.source_index(xv * col % self.q)
+        for _ in range(xv - 1):
+            src = step[src]
         np.take(nxt.reshape(-1), src, out=self._scratch.reshape(-1), mode="clip")
         return self._scratch
 
@@ -406,9 +422,12 @@ class CosetSampler:
         self._plans = {}
 
     def table_plan(self, stop: int) -> TablePlan:
-        """The `ExactStepper` plan for draws that stop at `stop`, built on first use."""
+        """The `ExactStepper` plan for draws that stop at `stop`, built on first use
+        over R[:rank], not A: t in Im A is held as (T t)[:rank], one-to-one there."""
         if stop not in self._plans:
-            self._plans[stop] = TablePlan(self.A, stop)
+            rev = self.reverse
+            R = SparseMatrix.from_dense(rev.reduced[:rev.rank, ::-1], self.A.field)
+            self._plans[stop] = TablePlan(R, stop)
         return self._plans[stop]
 
     @cached_property
@@ -505,10 +524,10 @@ def _drive(sampler: CosetSampler, c: np.ndarray, state, choose,
 
 class _ExactState:
     """Per-draw state of the exact engine: the residual target, in the
-    coordinates of the next step."""
+    coordinates of the next step; s is the target in the stepper's rows."""
 
-    def __init__(self, stepper: ExactStepper, c: np.ndarray):
-        self.stepper, self.residual = stepper, stepper.locate(0, c)
+    def __init__(self, stepper: ExactStepper, s: np.ndarray):
+        self.stepper, self.residual = stepper, stepper.locate(0, s)
 
     def pmf(self, k: int) -> np.ndarray:
         return self.stepper.step_pmf(k, self.residual)
@@ -565,7 +584,8 @@ class _ExactEngine:
     def walk(self, c, choose) -> GeneratedSample:
         """One pass of the driver with the given selector."""
         c = self.sampler.target(c)
-        return _drive(self.sampler, c, _ExactState(self.stepper, c), choose,
+        s = self.sampler.reduced_target(c)[:self.sampler.reverse.rank]
+        return _drive(self.sampler, c, _ExactState(self.stepper, s), choose,
                       self.cfg.early_stop)
 
     def draw(self, c, rng) -> GeneratedSample:
@@ -735,7 +755,8 @@ def path_tree_law(A: SparseMatrix, c, priors, cfg: SamplerConfig):
     """
     sampler = CosetSampler(A)
     engine = _ExactEngine(sampler, sampler.checked_priors(priors), cfg)
-    if engine.stepper.mass_of(c) <= 0:
+    s = sampler.reduced_target(c)[:sampler.reverse.rank]
+    if engine.stepper.mass_of(s) <= 0:
         raise EncodingError("coset has zero prior mass")
     members = sampler.echelon.members(c)
     probs = np.zeros(members.shape[0])

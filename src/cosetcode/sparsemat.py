@@ -308,18 +308,24 @@ class EchelonForm:
         return members[np.lexsort(members.T[::-1])]
 
     def random_member(self, target, rng: np.random.Generator):
-        """Uniform draw x0 + z K from C_A(target); None when target is not in Im A.
-
-        z K is the kernel member with z on the free columns; its pivot
-        entries are minus R times its free part, so no basis is built."""
+        """Uniform draw x0 + z K from C_A(target); None when target is not in Im A."""
         x = self.solve(target)
         if x is None or self.rank == self.n:
             return x
-        q = self.field.q
+        return self._completed(x, rng.integers(0, self.field.q, size=self.n - self.rank))
+
+    def member_like(self, target, x_hat):
+        """The member of C_A(target) agreeing with x_hat on the free columns, or None."""
+        x = self.solve(target)
+        return x if x is None else self._completed(x, np.asarray(x_hat)[self.free])
+
+    def _completed(self, x0: np.ndarray, z) -> np.ndarray:
+        """x0 + z K: z on the free columns, minus R times it on the pivots, so no
+        kernel basis is built."""
         zk = np.zeros(self.n, dtype=np.int64)
-        zk[self.free] = rng.integers(0, q, size=self.n - self.rank)
+        zk[self.free] = z
         zk[self.pivots] = -self._product(0, zk)[: self.rank]
-        return (x + zk) % q
+        return (x0 + zk) % self.field.q
 
 
 def row_reduce(A: SparseMatrix) -> EchelonForm:

@@ -703,6 +703,23 @@ def test_lossy_decode_takes_bp_only_above_the_dense_cap(graph_builds, monkeypatc
     assert graph_builds == [spec.stacked]
 
 
+def test_lossy_decode_above_the_cap_completes_the_bp_argmax_to_a_member():
+    big = lossy_spec(48, 12, 12, seed=0)
+    ech = big.ech_stacked
+    assert big.q ** (big.n - ech.rank) > DENSE_CAP
+    rng = stream(3, 0)
+    for _ in range(5):
+        m = big.B.mat_vec(row_reduce(big.A).random_member(big.c, rng))
+        target = np.concatenate([big.c, m])
+        x_hat = lossy.decode(big, m)
+        assert x_hat is not None and np.array_equal(big.stacked.mat_vec(x_hat), target)
+        bp = CosetBP(big.graph_stacked, target, big.x_marginals)
+        bp.run(fastbp.DECODE_ITERS)
+        argmax = np.argmax(bp.marginals(), axis=1)
+        assert not np.array_equal(big.stacked.mat_vec(argmax), target)   # not a member
+        assert np.array_equal(x_hat[ech.free], argmax[ech.free])
+
+
 def test_sum_product_encoder_reuses_its_graph_and_early_stop(graph_builds, monkeypatch):
     ranks = []
     real = sampler.suffix_ranks

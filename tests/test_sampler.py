@@ -21,13 +21,16 @@ from cosetcode.sampler import (
     ExactStepper,
     GeneratedSample,
     SamplerConfig,
+    TablePlan,
     _SPARE_BLOCKS,
     exact_coset_law,
     generate,
     generate_interval,
+    member_law,
     path_tree_law,
 )
 from cosetcode.sparsemat import (
+    DENSE_CAP,
     EnsembleSpec,
     SparseMatrix,
     all_vectors,
@@ -781,15 +784,107 @@ def test_gf2_shifts_flip_only_leading_axes_at_the_lossy_exact_shape(seed):
     n, l, d = 40, 16, 8
     A = sample_sparse_matrix(EnsembleSpec(n=n, l=l, field=GF2, tau=6), stream(seed, 1))
     sampler = CosetSampler(A)
+    rank = sampler.reverse.rank
+    assert rank == l - 1                              # even tau: the rows sum to zero
     stop = sampler.early_stop_index
     plan = sampler.table_plan(stop)
     assert sampler.table_plan(stop) is plan           # built once per matrix and stop
-    assert plan.shape == (2,) * d + (1 << (l - d),)   # shifts run over 256 contiguous values
+    assert plan.shape == (2,) * d + (1 << (rank - d),)   # runs of 128 contiguous values
     assert len(plan.shifts) == stop and plan.cross
     for shift, flips in zip(plan.shifts, plan.flips, strict=True):
-        assert shift % (1 << (l - d)) == 0            # only the leading d axes move
+        assert shift % (1 << (rank - d)) == 0         # only the leading d axes move
         assert len(flips) == d
         assert sum(f.step == -1 for f in flips) == bin(shift).count("1")
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_gfq_builds_on_a_kept_plan_make_no_source_index_calls(q, monkeypatch):
+    rng = np.random.default_rng(q + 70)
+    D = rng.integers(0, q, size=(3, 7))
+    D[:, 4] = 0                                       # an all-zero column
+    A = SparseMatrix.from_dense(D, GF(q))
+    calls = []
+    real = TablePlan.source_index
+    monkeypatch.setattr(TablePlan, "source_index",
+                        lambda plan, shift: calls.append(shift) or real(plan, shift))
+    plan = TablePlan(A)
+    assert calls                                      # the plan builds its indices once
+    for _ in range(2):
+        calls.clear()
+        priors = rng.dirichlet(np.ones(q), size=7)
+        st = ExactStepper(A, priors, plan=plan)
+        assert calls == []
+        for got, want in zip([st.table(k) for k in range(8)],
+                             per_axis_roll_tables(D, priors, q), strict=True):
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_exact_draws_ignore_a_dependent_row(q):
+    rng = np.random.default_rng(q + 80)
+    n, l = 10, 4
+    D = rng.integers(0, q, size=(l, n))
+    c = D @ rng.integers(0, q, size=n) % q
+    priors = rng.dirichlet(np.ones(q), size=n)
+    rank = row_reduce(dense(D, GF(q))).rank
+    # the sum of the rows appended: the same Im A in one more coordinate
+    cases = [(D, c), (np.vstack([D, D.sum(axis=0) % q]), np.append(c, c.sum() % q))]
+    for cfg in (EXACT, NO_EARLY):
+        runs = []
+        for M, t in cases:
+            engine = CosetSampler(dense(M, GF(q))).engine(priors, cfg)
+            assert math.prod(engine.stepper.plan.shape) == q ** rank   # entries per table
+            draw_rng = stream(q, 81)
+            xs = [engine.draw(t, draw_rng).x for _ in range(6)]
+            runs.append((xs, repr(draw_rng.bit_generator.state)))
+        (xs_a, state_a), (xs_dep, state_dep) = runs
+        assert state_a == state_dep
+        for x_a, x_dep in zip(xs_a, xs_dep, strict=True):
+            assert np.array_equal(x_a, x_dep) and np.array_equal(D @ x_a % q, c)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_engine_tables_are_the_direct_tables_read_on_im_a(q):
+    rng = np.random.default_rng(q + 90)
+    n, l = 7, 4 if q < 5 else 3
+    D = rng.integers(0, q, size=(l, n)) * (rng.random((l, n)) < 0.6)
+    D[-1] = (D[0] + 2 * D[1]) % q                     # a dependent row: rank < l
+    A = SparseMatrix.from_dense(D, GF(q))
+    priors = rng.dirichlet(np.ones(q), size=n)
+    priors[2, 1] = 0                                  # a symbol the prior excludes
+    sampler = CosetSampler(A)
+    rev = sampler.reverse
+    for cfg in (EXACT, NO_EARLY):
+        st = sampler.engine(priors, cfg).stepper
+        direct = ExactStepper(A, priors, st.stop)     # in A's own coordinates
+        assert st.plan.l == rev.rank < l
+        for k in range(st.stop + 1):
+            got, want = st.table(k), direct.table(k)
+            for t in all_vectors(q, l):
+                s = rev.transformed(t)                # t lies in Im A iff s[rank:] = 0
+                if s[rev.rank:].any():
+                    assert want[tuple(t)] == 0.0
+                else:                                 # the same bytes, moved
+                    assert got[tuple(s[:rev.rank])].tobytes() == want[tuple(t)].tobytes()
+
+
+def test_exact_engine_takes_a_matrix_whose_rank_fits_the_cap():
+    rng = np.random.default_rng(95)
+    n = 10
+    rows = np.eye(6, n, dtype=np.int64) + np.eye(6, n, 4, dtype=np.int64)  # rank 6
+    A = dense(np.tile(rows, (4, 1)), GF2)            # 24 rows: 2**24 syndromes
+    assert 2 ** A.rows > DENSE_CAP
+    priors = rng.dirichlet(np.ones(2), size=n)
+    with pytest.raises(ValueError, match=r"2\*\*24 syndromes"):
+        ExactStepper(A, priors)                       # A's own coordinates
+    c = A.mat_vec(rng.integers(0, 2, size=n))
+    for cfg in (EXACT, NO_EARLY):
+        members, probs = path_tree_law(A, c, priors, cfg)
+        assert np.abs(probs - member_law(members, priors)).max() < 1e-12
+        assert CosetSampler(A).engine(priors, cfg).stepper.plan.l == 6
+    wide = dense(np.hstack([np.eye(21, dtype=np.int64), np.ones((21, 1), dtype=np.int64)]), GF2)
+    with pytest.raises(ValueError, match=r"2\*\*21 syndromes"):   # the rank is 21
+        CosetSampler(wide).engine(np.full((22, 2), [0.6, 0.4]), EXACT)
 
 
 # ---------------------------------------------------------------------------

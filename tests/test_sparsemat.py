@@ -476,6 +476,31 @@ def test_gfq_solve_and_draw_match_int64_formulas(field):
 
 
 @pytest.mark.parametrize("field", [GF2, GF3])
+def test_member_like_keeps_the_free_columns_that_random_member_draws(field):
+    q = field.q
+    rng = np.random.default_rng(q + 50)
+    for shape in [(3, 7), (7, 3), (6, 6), (2, 65)]:
+        D = rng.integers(0, q, size=shape) * (rng.random(shape) < 0.5)
+        D[-1] = D[0]                                  # rank < l: some targets are outside
+        ech = row_reduce(dense(D, field))
+        n = shape[1]
+        for trial in range(4):
+            t = D @ rng.integers(0, q, size=n) % q
+            x_hat = rng.integers(0, q, size=n)
+            got = ech.member_like(t, x_hat)
+            assert np.array_equal(D @ got % q, t)
+            assert np.array_equal(got[ech.free], x_hat[ech.free])
+            assert np.array_equal(ech.member_like(t, got), got)   # a member is its own
+            r1, r2 = np.random.default_rng(trial), np.random.default_rng(trial)
+            drawn = ech.random_member(t, r1)
+            free = np.zeros(n, dtype=np.int64)
+            free[ech.free] = r2.integers(0, q, size=ech.free.size) if ech.free.size else 0
+            assert np.array_equal(drawn, ech.member_like(t, free))
+            t[-1] = (t[0] + 1) % q                    # off the dependent row
+            assert ech.member_like(t, x_hat) is None
+
+
+@pytest.mark.parametrize("field", [GF2, GF3])
 def test_column_matches_the_dense_reduced_form(field):
     rng = np.random.default_rng(field.q + 60)
     l, n = 20, 130
