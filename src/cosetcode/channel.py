@@ -146,6 +146,9 @@ def encode(spec: ChannelCodeSpec, m, cfg: SamplerConfig, rng) -> np.ndarray:
 
 @dataclass
 class DecodeOutcome:
+    """A decoder's message estimate, None on failure.  For BP, `converged`
+    means the run stopped before DECODE_ITERS iterations: at a hard decision
+    in C_A(c) or with settled messages; `iterations` is how many it ran."""
     m_hat: np.ndarray | None
     method: str
     tie: bool = False
@@ -179,7 +182,8 @@ def decode_map(spec: ChannelCodeSpec, y, channel) -> DecodeOutcome:
 
 
 def decode_bp(spec: ChannelCodeSpec, y, channel) -> DecodeOutcome:
-    """BP marginals on the coset graph with per-index posteriors as priors."""
+    """BP marginals on the coset graph with per-index posteriors as priors;
+    BP stops at the first iteration whose hard decision lies in C_A(c)."""
     if channel.n != spec.n:
         raise ValueError("input length mismatch: the channel and the code differ in length")
     try:
@@ -188,7 +192,7 @@ def decode_bp(spec: ChannelCodeSpec, y, channel) -> DecodeOutcome:
         channel.lik_rows(y)    # raises again for a y the channel cannot emit
         return DecodeOutcome(None, "bp-then-B")    # zero evidence
     bp = CosetBP(spec.graph_a, spec.c, rm.posteriors)
-    converged = bp.run(DECODE_ITERS)
+    converged = bp.run(DECODE_ITERS, until_member=True)
     if bp.failed:
         return DecodeOutcome(None, "bp-then-B", converged=False,
                              iterations=bp.iterations)
@@ -208,7 +212,7 @@ class ErrorStats:
     wilson: tuple
     encoding_errors: int
     decode_failures: int
-    bp_converged: int
+    bp_converged: int    # decodes that stopped early, at a member or settled
 
     def as_dict(self) -> dict:
         return {

@@ -33,9 +33,12 @@ the sequential sampler needs.  An inactive edge sends delta_0 to its
 check, whose transform is all-ones, and a neutral message to its
 variable.
 
-Every run floods undamped and stops at one tolerance, `TOL`; the decoders
-run `DECODE_ITERS` iterations at most and the sampler sets its own
-schedule (`sampler.INIT_ITERS`, `sampler.STEP_ITERS`).
+Every run floods undamped until its messages settle to within `TOL`.
+The decoders run `DECODE_ITERS` iterations at most and also stop at the
+first iteration whose hard decision lies in the coset (`run(...,
+until_member=True)`), read from the variable pass the iteration already
+ran; the sampler sets its own schedule (`sampler.INIT_ITERS`,
+`sampler.STEP_ITERS`) and runs until its messages settle.
 """
 
 import numpy as np
@@ -109,11 +112,12 @@ class _GroupProducts:
         """The group's edges, in increasing edge order."""
         return self.order[self.start[group]:self.start[group + 1]]
 
-    def products(self, messages) -> np.ndarray:
+    def products(self, messages, excl=None) -> np.ndarray:
         """(q, groups): the product of all of each group's messages, left to
-        right; one for a group without edges."""
+        right; one for a group without edges.  `excl`: `self(messages)`, if known."""
+        excl = self(messages) if excl is None else excl
         out = np.ones((messages.shape[0], self.size), dtype=messages.dtype)
-        out[:, self.has_edges] = self(messages)[:, self.last] * messages[:, self.last]
+        out[:, self.has_edges] = excl.take(self.last, axis=1) * messages.take(self.last, axis=1)
         return out
 
 
@@ -128,6 +132,7 @@ class CosetGraph:
         self.indptr = A.indptr
         E = self.E = int(self.e_var.size)
         self.f_deg = np.diff(A.indptr)
+        self.check_start = A.indptr[:-1][self.f_deg > 0]    # first edge of each check with edges
 
         # DFT matrices; real Hadamard for q = 2, complex roots of unity otherwise
         if q == 2:
@@ -160,7 +165,7 @@ class CosetGraph:
         return sym * self.E + cols
 
 
-# a run has converged once no check-to-variable message moves by TOL or more
+# messages have settled once no check-to-variable message moves by TOL or more
 TOL = 1e-8
 # iterations of the BP decoders, `channel.decode_bp` and `lossy.decode`
 DECODE_ITERS = 100
@@ -199,6 +204,7 @@ class CosetBP:
         self.out_idx = g.out_index(self.targets)
         self.failed = bool(np.any((g.f_deg == 0) & (self.targets != 0)))
         self.iterations = 0
+        self.kept = None    # (incoming, exclusive products) of the last variable pass
 
     def clone(self) -> "CosetBP":
         """Copy of the mutable message state; the graph and priors are shared."""
@@ -230,18 +236,21 @@ class CosetBP:
             self.out_idx[:, lo:hi] = g.out_index(self.targets, lo, hi)
         if not ok:
             self.failed = True
+        self.kept = None
         return ok
 
     # -- message passing ---------------------------------------------------
 
-    def run(self, iters: int) -> bool:
-        """Up to `iters` flooding iterations; True once no message moves by TOL."""
+    def run(self, iters: int, *, until_member: bool = False) -> bool:
+        """Up to `iters` flooding iterations; True once no message moves by
+        TOL or, with `until_member`, once the hard decision lies in the coset."""
         if self.failed:
             return False
         if self.E == 0:
             return True
         g, q = self.graph, self.q
         idle = np.flatnonzero(~self.active)
+        in_coset = self._member_test(idle) if until_member else None
         for _ in range(iters):
             self.iterations += 1
             # factor side: sigma from pi
@@ -268,7 +277,8 @@ class CosetBP:
 
             # variable side: pi from sigma
             incoming = np.where(self.active, sig_new, 1.0) if idle.size else sig_new
-            pi_new = self.prior_e * g.variables(incoming)
+            self.kept = incoming, g.variables(incoming)
+            pi_new = self.prior_e * self.kept[1]
             sums = pi_new.sum(axis=0)
             dead = sums <= 0
             dead[idle] = False
@@ -278,9 +288,34 @@ class CosetBP:
             pi_new /= np.where(sums > 0, sums, 1.0)
             pi_new[:, idle] = self.pi[:, idle]
             self.pi = pi_new
-            if delta < TOL:
+            if delta < TOL or in_coset is not None and in_coset(*self.kept):
                 return True
         return False
+
+    def _member_test(self, idle):
+        """in_coset(incoming, excl): whether the hard decision x_hat, the
+        argmax of prior times full product, satisfies every check; variables
+        without edges keep their prior's argmax.  A fixed variable keeps its
+        value: its edges are idle and the value is in the targets, so the
+        test sums the active edges alone."""
+        g, q = self.graph, self.q
+        has, last = g.variables.has_edges, g.variables.last
+        prior = self.priors.T[:, has]
+        want = self.targets[g.f_deg > 0]
+        x_hat = self.priors.argmax(axis=1)
+
+        def in_coset(incoming, excl) -> bool:
+            # argmax by one comparison per symbol; np.argmax(axis=0) pays per column
+            a = prior * (excl.take(last, axis=1) * incoming.take(last, axis=1))
+            best, top = a[0], np.zeros(a.shape[1], dtype=np.int64)
+            for k in range(1, q):
+                top[a[k] > best] = k
+                best = np.maximum(best, a[k])
+            x_hat[has] = top
+            terms = x_hat.take(g.e_var) * g.e_coeff
+            terms[idle] = 0
+            return not np.any(np.add.reduceat(terms, g.check_start) % q != want)
+        return in_coset
 
     # -- readout -------------------------------------------------------------
 
@@ -300,9 +335,10 @@ class CosetBP:
         return g / s
 
     def marginals(self) -> np.ndarray:
-        """(n, q) beliefs; an all-zero belief reads as uniform."""
-        incoming = np.where(self.active, self.sigma, 1.0)
-        g = self.priors.T * self.graph.variables.products(incoming)
+        """(n, q) beliefs; an all-zero belief reads as uniform.  After a run,
+        the products come from its last variable pass."""
+        incoming, excl = self.kept or (np.where(self.active, self.sigma, 1.0), None)
+        g = self.priors.T * self.graph.variables.products(incoming, excl)
         sums = g.sum(axis=0)
         zero = sums <= 0
         g[:, zero] = 1.0 / self.q

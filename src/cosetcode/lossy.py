@@ -111,7 +111,7 @@ def decode(spec: LossyCodeSpec, m) -> np.ndarray | None:
         return x
     if q ** (spec.n - ech.rank) > DENSE_CAP:
         bp = CosetBP(spec.graph_stacked, target, spec.x_marginals)
-        bp.run(DECODE_ITERS)
+        bp.run(DECODE_ITERS, until_member=True)
         if bp.failed:
             return None
         return ech.member_like(target, np.argmax(bp.marginals(), axis=1))

@@ -500,11 +500,12 @@ def _require_mass(pmf: np.ndarray, k: int) -> np.ndarray:
     return pmf
 
 
-def _drive(sampler: CosetSampler, c: np.ndarray, state, choose,
+def _drive(sampler: CosetSampler, c: np.ndarray, s: np.ndarray, state, choose,
            early_stop: bool) -> GeneratedSample:
-    """The step loop: x_k = choose(pmf_k) until the prefix pins the suffix."""
+    """The step loop: x_k = choose(pmf_k) until the prefix pins the suffix;
+    s is c's reduced target, `sampler.reduced_target(c)`."""
     A, n, q = sampler.A, sampler.A.cols, sampler.A.field.q
-    s, rows, rev = sampler.reduced_target(c), sampler.pivot_row, sampler.reverse
+    rows, rev = sampler.pivot_row, sampler.reverse
     stop = sampler.early_stop_index if early_stop else n
     x = np.zeros(n, dtype=np.int64)
     for k in range(stop):
@@ -584,9 +585,9 @@ class _ExactEngine:
     def walk(self, c, choose) -> GeneratedSample:
         """One pass of the driver with the given selector."""
         c = self.sampler.target(c)
-        s = self.sampler.reduced_target(c)[:self.sampler.reverse.rank]
-        return _drive(self.sampler, c, _ExactState(self.stepper, s), choose,
-                      self.cfg.early_stop)
+        s = self.sampler.reduced_target(c)
+        state = _ExactState(self.stepper, s[:self.sampler.reverse.rank])
+        return _drive(self.sampler, c, s, state, choose, self.cfg.early_stop)
 
     def draw(self, c, rng) -> GeneratedSample:
         return self.walk(c, partial(sample_pmf, rng))
@@ -599,31 +600,32 @@ class _SumProductEngine:
         self.sampler, self.priors, self.cfg = sampler, priors, cfg
 
     def _start(self, c):
-        """BP on the target after its initial run, and that run's convergence flag."""
-        self.sampler.reduced_target(c)
+        """c's reduced target, BP on c after its initial run, and that run's flag."""
+        s = self.sampler.reduced_target(c)
         bp = CosetBP(self.sampler.graph, c, self.priors)
         converged = bp.run(INIT_ITERS)
         if bp.failed:
             if np.all(self.priors > 0):      # the coset is nonempty, so it has mass
                 raise DeadEndError("initial BP run failed on a nonempty coset")
             raise EncodingError("initial BP run failed: the coset may have zero prior mass")
-        return bp, converged
+        return s, bp, converged
 
-    def _pass(self, c, bp, choose) -> GeneratedSample:
-        return _drive(self.sampler, c, _BeliefState(bp), choose, self.cfg.early_stop)
+    def _pass(self, c, s, bp, choose) -> GeneratedSample:
+        return _drive(self.sampler, c, s, _BeliefState(bp), choose, self.cfg.early_stop)
 
     def walk(self, c, choose) -> GeneratedSample:
         """One pass of the driver with the given selector, without restarts."""
         c = self.sampler.target(c)
-        return self._pass(c, self._start(c)[0], choose)
+        s, bp, _ = self._start(c)
+        return self._pass(c, s, bp, choose)
 
     def draw(self, c, rng) -> GeneratedSample:
         c = self.sampler.target(c)
-        base, converged = self._start(c)
+        s, base, converged = self._start(c)
         choose = partial(sample_pmf, rng)
         for _ in range(RETRIES):
             try:
-                sample = self._pass(c, base.clone(), choose)
+                sample = self._pass(c, s, base.clone(), choose)
             except DeadEndError:
                 continue
             sample.converged = converged

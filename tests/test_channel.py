@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from cosetcode import fastbp
 from cosetcode.channel import (
     ChannelCodeSpec,
     ChannelEncoder,
@@ -19,7 +20,9 @@ from cosetcode.channel import (
     simulate,
 )
 from cosetcode.gf import GF
-from cosetcode.models import MemorylessSource, bac, bernoulli_source, biawgn, bsc, qsc, uniform_source
+from cosetcode.fastbp import DECODE_ITERS, CosetBP
+from cosetcode.models import (MemorylessSource, bac, bernoulli_source, biawgn, bsc, qsc,
+                              reverse_model, uniform_source)
 from cosetcode.sampler import DeadEndError, EncodingError, SamplerConfig
 from cosetcode.sparsemat import SparseMatrix, all_vectors, row_reduce
 from cosetcode.stats import binary_entropy, chi2_quantile, chi_square_stat
@@ -320,6 +323,72 @@ def test_decode_bp_failure_on_contradiction():
     ch = bsc(0.0, 2)
     out = decode_bp(spec, np.array([0, 0]), ch)  # even-parity observation
     assert not out.success
+
+
+def full_run_decode(spec, y, ch):
+    """The decode without the member stop: BP until DECODE_ITERS or settled
+    messages, then the argmax of the marginals; (m_hat or None, iterations)."""
+    bp = CosetBP(spec.graph_a, spec.c, reverse_model(spec.prior.pmfs, ch, y).posteriors)
+    bp.run(DECODE_ITERS)
+    x_hat = np.argmax(bp.marginals(), axis=1)
+    member = not bp.failed and np.array_equal(spec.A.mat_vec(x_hat), spec.c)
+    return (spec.B.mat_vec(x_hat) if member else None), bp.iterations
+
+
+@pytest.fixture(scope="module")
+def bsc_bp_decodes():
+    """(decode_bp outcome, full-run m_hat, full-run iterations) for 30 words
+    of a code the size of the benchmark's bsc-bp workload."""
+    n = 1024
+    spec = sample_code(n, 512, 256, 6, GF2, bernoulli_source(0.5, n), seed=16)
+    ch, encoder = bsc(0.025, n), ChannelEncoder(spec, EXACT)
+    out = []
+    for t in range(30):
+        rng = stream(16, t)
+        y = ch.sample(encoder.encode(spec.random_message(rng), rng), rng)
+        out.append((decode_bp(spec, y, ch), *full_run_decode(spec, y, ch)))
+    return out
+
+
+def test_decode_bp_member_stop_keeps_the_full_run_message(bsc_bp_decodes):
+    for out, m_full, _ in bsc_bp_decodes:
+        assert (out.m_hat is None and m_full is None) or np.array_equal(out.m_hat, m_full)
+    assert np.median([out.iterations for out, _, _ in bsc_bp_decodes]) < \
+        np.median([iters for _, _, iters in bsc_bp_decodes])
+
+
+def test_member_stopped_decode_reports_converged(bsc_bp_decodes):
+    early = [out for out, _, iters in bsc_bp_decodes if out.iterations < iters]
+    assert early    # stopped at a member before the messages settled
+    assert all(out.converged and out.iterations < DECODE_ITERS for out in early)
+
+
+def test_member_stop_reads_non_unit_coefficients(monkeypatch):
+    """GF(3): a run that stops at a member before its messages settle has
+    a member argmax, and every decode_bp success decoded a member."""
+    n = 48
+    spec = sample_code(n, 24, 8, 4, GF(3), uniform_source(n, 3), seed=5)
+    assert np.any(spec.A.coeffs == 2)
+    read = []
+    real = fastbp.CosetBP.marginals
+    monkeypatch.setattr(fastbp.CosetBP, "marginals", lambda bp: read.append(real(bp)) or read[-1])
+    ch, encoder = qsc(3, 0.06, n), ChannelEncoder(spec, EXACT)
+    early = successes = 0
+    for t in range(40):
+        rng = stream(17, t)
+        y = ch.sample(encoder.encode(spec.random_message(rng), rng), rng)
+        posteriors = reverse_model(spec.prior.pmfs, ch, y).posteriors
+        bp = CosetBP(spec.graph_a, spec.c, posteriors)
+        bp.run(DECODE_ITERS, until_member=True)
+        _, full_iters = full_run_decode(spec, y, ch)
+        if bp.iterations < full_iters:
+            early += 1
+            assert np.array_equal(spec.A.mat_vec(np.argmax(real(bp), axis=1)), spec.c)
+        read.clear()
+        if decode_bp(spec, y, ch).success:
+            successes += 1
+            assert np.array_equal(spec.A.mat_vec(np.argmax(read[0], axis=1)), spec.c)
+    assert early > 0 and successes > 0
 
 
 # ---------------------------------------------------------------------------

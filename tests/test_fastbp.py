@@ -265,6 +265,47 @@ def test_messages_stay_normalized():
     assert np.allclose(bp.marginals().sum(axis=1), 1.0, atol=1e-12)
 
 
+def products_pass_marginals(bp) -> np.ndarray:
+    """marginals() from a fresh variables.products pass over the current messages."""
+    full = bp.priors.T * bp.graph.variables.products(np.where(bp.active, bp.sigma, 1.0))
+    sums = full.sum(axis=0)
+    full[:, sums <= 0] = 1.0 / bp.q
+    out = (full / np.where(sums > 0, sums, 1.0)).T.copy()
+    pinned = np.flatnonzero(bp.fixed >= 0)
+    out[pinned] = np.eye(bp.q)[bp.fixed[pinned]]
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_marginals_reuse_the_last_variable_pass(q):
+    """Bit for bit after a run, after condition() and on a clone.  A fixed
+    variable reads as its point mass whatever its product, so the kept pass
+    is also held to the fresh one: after condition() it must not be stale."""
+    rng = np.random.default_rng(60 + q)
+    for _ in range(8):
+        A, x_star, c, priors = oracle_instance(rng, q, 9, 5, 0.5, pinned=False)
+        bp = CosetBP(A, c, priors)
+
+        def check(state):
+            assert np.array_equal(state.marginals(), products_pass_marginals(state))
+            if state.kept is not None:
+                fresh = state.graph.variables.products(np.where(state.active, state.sigma, 1.0))
+                assert np.array_equal(state.graph.variables.products(*state.kept), fresh)
+
+        bp.run(3)
+        assert bp.kept is not None
+        check(bp)
+        other = bp.clone()
+        v = int(rng.integers(9))
+        assert bp.condition(v, int(x_star[v]))
+        check(bp)
+        check(other)
+        other.run(2)
+        check(other)
+        bp.run(2)
+        check(bp)
+
+
 # ---------------------------------------------------------------------------
 # the symbol-major kernel against the edge-major flooding kernel it replaced
 # ---------------------------------------------------------------------------
