@@ -187,7 +187,7 @@ def decode_bp(spec: ChannelCodeSpec, y, channel) -> DecodeOutcome:
     if channel.n != spec.n:
         raise ValueError("input length mismatch: the channel and the code differ in length")
     try:
-        rm = reverse_model(spec.prior.pmfs, channel, y)
+        rm = reverse_model(spec.prior, channel, y)
     except ValueError:
         channel.lik_rows(y)    # raises again for a y the channel cannot emit
         return DecodeOutcome(None, "bp-then-B")    # zero evidence

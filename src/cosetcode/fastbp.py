@@ -14,7 +14,8 @@ sides, the DFT matrices and scratch buffers.  A code builds it once per
 matrix, and every decode or draw on that matrix reuses it.  `CosetBP`
 holds one run's state: targets, priors, messages and what conditioning
 has fixed.  States that share a graph share its scratch, so they run one
-at a time.
+at a time, and states on one target share its output index until
+`condition()` copies it.
 
 Messages are stored symbol-major, as (q, E) arrays over the edges in CSR
 order, so every per-symbol operation reads a contiguous row of E values.
@@ -37,8 +38,10 @@ Every run floods undamped until its messages settle to within `TOL`.
 The decoders run `DECODE_ITERS` iterations at most and also stop at the
 first iteration whose hard decision lies in the coset (`run(...,
 until_member=True)`), read from the variable pass the iteration already
-ran; the sampler sets its own schedule (`sampler.INIT_ITERS`,
-`sampler.STEP_ITERS`) and runs until its messages settle.
+ran; that member test keeps its syndrome across iterations, and
+`marginals()` reuses the products it formed.  The sampler sets its own
+schedule (`sampler.INIT_ITERS`, `sampler.STEP_ITERS`) and runs until its
+messages settle.
 """
 
 import numpy as np
@@ -156,6 +159,25 @@ class CosetGraph:
 
         self.checks = _GroupProducts(self.e_factor, l, q, self.cdtype)
         self.variables = _GroupProducts(self.e_var, n, q, np.float64)
+        var = self.variables
+        self.bare = var.has_edges.size < n      # some variable has no edges
+        deg, of = np.diff(var.start), self.e_var[var.order]
+        # each variable's edges, padded with the index E; each edge's check
+        # among the checks with edges, and 0 for the padding
+        self.var_edges = np.full((n, int(deg.max(initial=0))), E, dtype=np.int64)
+        self.var_edges[of, np.arange(E) - var.start[of]] = var.order
+        self.e_check = np.append((np.cumsum(self.f_deg > 0) - 1).take(self.e_factor), 0)
+        self.uniform, self.diff = np.full((q, E), 1.0 / q), np.empty((q, E))
+        self._target = None     # (target, its target_state)
+
+    def target_state(self, c):
+        """(out_index(c), c at the checks with edges, whether a check without
+        edges wants a nonzero value); the graph keeps the last target's, and
+        every state on that target shares its arrays."""
+        if self._target is None or not np.array_equal(self._target[0], c):
+            self._target = c.copy(), (self.out_index(c), c[self.f_deg > 0],
+                                      bool(np.any((self.f_deg == 0) & (c != 0))))
+        return self._target[1]
 
     def out_index(self, targets, lo: int = 0, hi: int | None = None) -> np.ndarray:
         """Flat index into conv of sigma[v, e] = conv[t_f - a_e v, e], edges lo..hi."""
@@ -180,6 +202,13 @@ class CosetBP:
     checks, sigma from checks to variables.  `run(iters)` floods them
     until they settle to within TOL; `iterations` counts every
     iteration this state and the state it was cloned from have run.
+
+    States on one target share the graph's output index for it until
+    `condition()` copies it, and pi starts as the prior itself.  The
+    member test of `run(..., until_member=True)` keeps the syndrome of
+    the hard decision, updated only at the checks of the variables whose
+    decision flipped (as Gallager's bit-flipping decoders do), and
+    `marginals()` reuses the products that test formed.
     """
 
     def __init__(self, A: "SparseMatrix | CosetGraph", c, priors):
@@ -193,24 +222,26 @@ class CosetBP:
         c = np.asarray(c, dtype=np.int64) % q
         if c.shape != (self.l,):
             raise ValueError("target length mismatch")
-        self.targets = c.copy()
+        self.targets = c
 
         self.active = np.ones(self.E, dtype=bool)
         self.active_deg = g.f_deg.copy()
         self.fixed = np.full(self.n, -1, dtype=np.int64)
-        self.prior_e = priors.T.take(g.e_var, axis=1)
-        self.pi = self.prior_e.copy()
-        self.sigma = np.full((q, self.E), 1.0 / q)
-        self.out_idx = g.out_index(self.targets)
-        self.failed = bool(np.any((g.f_deg == 0) & (self.targets != 0)))
+        self.conditioned = False    # until then pi and out_idx may be shared
+        self.prior_e = self.pi = priors.T.take(g.e_var, axis=1)
+        self.sigma = g.uniform
+        self.out_idx, self.want, self.failed = g.target_state(c)
         self.iterations = 0
         self.kept = None    # (incoming, exclusive products) of the last variable pass
+        self.belief = self.syndrome = None    # the member test's, on that pass
 
     def clone(self) -> "CosetBP":
-        """Copy of the mutable message state; the graph and priors are shared."""
+        """Copy of the mutable state; the graph, priors and messages are
+        shared, and so are pi and out_idx while this state is unconditioned."""
         other = object.__new__(CosetBP)
         other.__dict__.update(self.__dict__)
-        for name in ("targets", "active", "active_deg", "fixed", "pi", "sigma", "out_idx"):
+        owned = ("pi", "out_idx") if self.conditioned else ()
+        for name in ("targets", "active", "active_deg", "fixed") + owned:
             setattr(other, name, getattr(self, name).copy())
         return other
 
@@ -220,6 +251,8 @@ class CosetBP:
         """Fix x_v = value; returns False on an immediate contradiction."""
         if self.fixed[v] >= 0:
             raise ValueError(f"variable {v} already fixed")
+        if not self.conditioned:
+            self.pi, self.out_idx, self.conditioned = self.pi.copy(), self.out_idx.copy(), True
         self.fixed[v] = value
         g, q = self.graph, self.q
         ok = True
@@ -236,7 +269,7 @@ class CosetBP:
             self.out_idx[:, lo:hi] = g.out_index(self.targets, lo, hi)
         if not ok:
             self.failed = True
-        self.kept = None
+        self.kept = self.belief = self.syndrome = None
         return ok
 
     # -- message passing ---------------------------------------------------
@@ -249,72 +282,104 @@ class CosetBP:
         if self.E == 0:
             return True
         g, q = self.graph, self.q
-        idle = np.flatnonzero(~self.active)
+        idle = np.flatnonzero(~self.active) if self.conditioned else None
         in_coset = self._member_test(idle) if until_member else None
+
+        def normalize(msg) -> bool:
+            """Scale msg's columns to sum 1; False when an active one sums to 0.
+            Idle columns are left to the caller, which overwrites them."""
+            sums = msg.sum(axis=0)
+            if idle is not None:
+                sums[idle] = 1.0
+            if sums.min() <= 0:
+                return False
+            msg /= sums
+            return True
+
         for _ in range(iters):
             self.iterations += 1
             # factor side: sigma from pi
             scaled = self.pi if g.in_idx is None else self.pi.take(g.in_idx)
             F = g.W @ scaled.astype(g.cdtype, copy=False)
-            F[:, idle] = 1.0                # delta_0 transforms to all-ones
+            if idle is not None:
+                F[:, idle] = 1.0                # delta_0 transforms to all-ones
             conv = g.Winv @ g.checks(F)
             if g.cdtype is not np.float64:
                 conv = conv.real
-            np.clip(conv, 0.0, None, out=conv)
+            np.maximum(conv, 0.0, out=conv)      # np.clip(conv, 0.0, None) without its wrapper
             sig_new = conv.take(self.out_idx)
-            sums = sig_new.sum(axis=0)
-            dead = sums <= 0
-            dead[idle] = False
-            if np.any(dead):
+            if not normalize(sig_new):
                 self.failed = True
                 return False
-            sig_new /= np.where(sums > 0, sums, 1.0)
-            sig_new[:, idle] = 1.0 / q
-            diff = np.abs(sig_new - self.sigma)
-            diff[:, idle] = 0.0
+            if idle is not None:
+                sig_new[:, idle] = 1.0 / q
+            diff = np.abs(np.subtract(sig_new, self.sigma, out=g.diff), out=g.diff)
+            if idle is not None:
+                diff[:, idle] = 0.0
             delta = float(diff.max())
             self.sigma = sig_new
 
             # variable side: pi from sigma
-            incoming = np.where(self.active, sig_new, 1.0) if idle.size else sig_new
+            incoming = sig_new if idle is None else np.where(self.active, sig_new, 1.0)
             self.kept = incoming, g.variables(incoming)
+            self.belief = self.syndrome = None
             pi_new = self.prior_e * self.kept[1]
-            sums = pi_new.sum(axis=0)
-            dead = sums <= 0
-            dead[idle] = False
-            if np.any(dead):
+            if not normalize(pi_new):
                 self.failed = True
                 return False
-            pi_new /= np.where(sums > 0, sums, 1.0)
-            pi_new[:, idle] = self.pi[:, idle]
+            if idle is not None:
+                pi_new[:, idle] = self.pi[:, idle]
             self.pi = pi_new
-            if delta < TOL or in_coset is not None and in_coset(*self.kept):
+            if in_coset is not None and in_coset(*self.kept) or delta < TOL:
                 return True
         return False
 
     def _member_test(self, idle):
         """in_coset(incoming, excl): whether the hard decision x_hat, the
-        argmax of prior times full product, satisfies every check; variables
-        without edges keep their prior's argmax.  A fixed variable keeps its
+        argmax of prior times full product, satisfies every check; a
+        variable without edges enters no check.  A fixed variable keeps its
         value: its edges are idle and the value is in the targets, so the
-        test sums the active edges alone."""
+        test sums the active edges alone.  The first call forms the syndrome
+        A x_hat - c over the checks with edges, by one `reduceat`; later
+        calls add in the checks of the variables whose decision flipped.
+        Each call leaves the syndrome in `syndrome` and the (q, n) prior
+        times full product in `belief`."""
         g, q = self.graph, self.q
-        has, last = g.variables.has_edges, g.variables.last
-        prior = self.priors.T[:, has]
-        want = self.targets[g.f_deg > 0]
-        x_hat = self.priors.argmax(axis=1)
+        has, last, prior = g.variables.has_edges, g.variables.last, self.priors.T
+        if idle is None:
+            coeff, want = g.e_coeff, self.want
+        else:
+            coeff, want = np.where(self.active, g.e_coeff, 0), self.targets[g.f_deg > 0]
+        coeff = np.append(coeff, 0)     # the padding edge E adds nothing
+        top = syndrome = None
 
         def in_coset(incoming, excl) -> bool:
+            nonlocal top, syndrome
+            full = excl.take(last, axis=1) * incoming.take(last, axis=1)
+            if g.bare:                  # a variable without edges keeps its prior
+                a = prior.copy()
+                a[:, has] = prior[:, has] * full
+            else:
+                a = prior * full
             # argmax by one comparison per symbol; np.argmax(axis=0) pays per column
-            a = prior * (excl.take(last, axis=1) * incoming.take(last, axis=1))
-            best, top = a[0], np.zeros(a.shape[1], dtype=np.int64)
+            best, new = a[0], np.zeros(a.shape[1], dtype=np.int64)
             for k in range(1, q):
-                top[a[k] > best] = k
+                new[a[k] > best] = k
                 best = np.maximum(best, a[k])
-            x_hat[has] = top
-            terms = x_hat.take(g.e_var) * g.e_coeff
-            terms[idle] = 0
-            return not np.any(np.add.reduceat(terms, g.check_start) % q != want)
+            if syndrome is None:
+                terms = new.take(g.e_var) * coeff[:-1]
+                syndrome = (np.add.reduceat(terms, g.check_start) - want) % q
+            else:
+                moved = new - top
+                flips = np.flatnonzero(moved)
+                if flips.size:
+                    edges = g.var_edges.take(flips, axis=0)
+                    step = moved.take(flips)[:, None] * coeff.take(edges) % q
+                    checks = np.repeat(g.e_check.take(edges).ravel(), step.ravel())
+                    syndrome = (syndrome + np.bincount(checks, minlength=syndrome.size)) % q
+            top = new
+            self.belief, self.syndrome = a, syndrome
+            return not syndrome.any()
         return in_coset
 
     # -- readout -------------------------------------------------------------
@@ -336,15 +401,19 @@ class CosetBP:
 
     def marginals(self) -> np.ndarray:
         """(n, q) beliefs; an all-zero belief reads as uniform.  After a run,
-        the products come from its last variable pass."""
-        incoming, excl = self.kept or (np.where(self.active, self.sigma, 1.0), None)
-        g = self.priors.T * self.graph.variables.products(incoming, excl)
+        the products come from its last variable pass, or with `until_member`
+        from the beliefs the member test formed on it."""
+        if self.belief is not None:
+            g = self.belief
+        else:
+            incoming, excl = self.kept or (np.where(self.active, self.sigma, 1.0), None)
+            g = self.priors.T * self.graph.variables.products(incoming, excl)
         sums = g.sum(axis=0)
         zero = sums <= 0
-        g[:, zero] = 1.0 / self.q
         sums[zero] = 1.0
         out = (g / sums).T.copy()
-        for v in np.nonzero(self.fixed >= 0)[0]:
-            out[v] = 0.0
-            out[v, self.fixed[v]] = 1.0
+        out[zero] = 1.0 / self.q
+        if self.conditioned:
+            pinned = np.flatnonzero(self.fixed >= 0)
+            out[pinned] = np.eye(self.q)[self.fixed[pinned]]
         return out

@@ -54,6 +54,7 @@ class MemorylessSource:
     def __init__(self, pmfs):
         self.pmfs = _check_pmfs(pmfs, "source pmfs")
         self.n, self.q = self.pmfs.shape
+        self._cdf = np.cumsum(self.pmfs, axis=1)
 
     def log_prob(self, x):
         """log2 of the probability of x; an (M, n) batch gives one value per row."""
@@ -61,9 +62,8 @@ class MemorylessSource:
         return _log2_product(self.pmfs[np.arange(self.n), x])
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
-        cdf = np.cumsum(self.pmfs, axis=1)
         u = rng.random(self.n)
-        return np.minimum((u[:, None] >= cdf).sum(axis=1), self.q - 1).astype(np.int64)
+        return np.minimum((u[:, None] >= self._cdf).sum(axis=1), self.q - 1).astype(np.int64)
 
 
 class DiscreteChannel:
@@ -79,11 +79,11 @@ class DiscreteChannel:
             raise ValueError(f"kernel rows must be pmfs within {_PMF_TOL}")
         self.kernels = kernels
         self.n, self.q, self.ny = kernels.shape
+        self._cdf = np.cumsum(kernels, axis=2)
 
     def sample(self, x, rng: np.random.Generator) -> np.ndarray:
         x = _words(x, self.n, self.q, "input")
-        rows = self.kernels[np.arange(self.n), x]
-        cdf = np.cumsum(rows, axis=1)
+        cdf = self._cdf[np.arange(self.n), x]
         u = rng.random(self.n)
         return np.minimum((u[:, None] >= cdf).sum(axis=1), self.ny - 1).astype(np.int64)
 
@@ -152,9 +152,13 @@ class ReverseModel:
     priors: np.ndarray      # (n, q)
 
 
-def reverse_model(prior_pmfs, channel, y) -> ReverseModel:
-    """Posteriors prop. to mu_{X_i} * mu_{Y_i|X_i}(y_i|.), one index at a time."""
-    priors = _check_pmfs(prior_pmfs, "prior pmfs")
+def reverse_model(prior, channel, y) -> ReverseModel:
+    """Posteriors prop. to mu_{X_i} * mu_{Y_i|X_i}(y_i|.), one index at a time.
+
+    prior: a MemorylessSource, whose pmfs were checked when it was built,
+    or an (n, q) table of pmfs, checked here."""
+    priors = prior.pmfs if isinstance(prior, MemorylessSource) else \
+        _check_pmfs(prior, "prior pmfs")
     lik = channel.lik_rows(y)
     if lik.shape != priors.shape:
         raise ValueError("prior and channel kernel shapes disagree")

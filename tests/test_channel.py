@@ -336,18 +336,50 @@ def full_run_decode(spec, y, ch):
 
 
 @pytest.fixture(scope="module")
-def bsc_bp_decodes():
-    """(decode_bp outcome, full-run m_hat, full-run iterations) for 30 words
-    of a code the size of the benchmark's bsc-bp workload."""
+def bsc_bp_words():
+    """A code the size of the benchmark's bsc-bp workload, BSC(0.025), and
+    30 channel outputs."""
     n = 1024
     spec = sample_code(n, 512, 256, 6, GF2, bernoulli_source(0.5, n), seed=16)
     ch, encoder = bsc(0.025, n), ChannelEncoder(spec, EXACT)
-    out = []
+    ys = []
     for t in range(30):
         rng = stream(16, t)
-        y = ch.sample(encoder.encode(spec.random_message(rng), rng), rng)
-        out.append((decode_bp(spec, y, ch), *full_run_decode(spec, y, ch)))
-    return out
+        ys.append(ch.sample(encoder.encode(spec.random_message(rng), rng), rng))
+    return spec, ch, ys
+
+
+@pytest.fixture(scope="module")
+def bsc_bp_decodes(bsc_bp_words):
+    """(decode_bp outcome, full-run m_hat, full-run iterations) per word."""
+    spec, ch, ys = bsc_bp_words
+    return [(decode_bp(spec, y, ch), *full_run_decode(spec, y, ch)) for y in ys]
+
+
+def member_loop_decode(spec, y, ch):
+    """decode_bp rebuilt from run(1) calls, each followed by a fresh full
+    member check of the pass's hard decision, then the argmax of the
+    marginals: (m_hat or None, converged, iterations)."""
+    bp = CosetBP(spec.graph_a, spec.c, reverse_model(spec.prior.pmfs, ch, y).posteriors)
+    converged = False
+    while bp.iterations < DECODE_ITERS and not converged:
+        settled = bp.run(1)
+        if bp.failed:
+            return None, False, bp.iterations
+        x_hat = np.argmax(bp.priors.T * bp.graph.variables.products(*bp.kept), axis=0)
+        converged = settled or np.array_equal(spec.A.mat_vec(x_hat), spec.c)
+    x_hat = np.argmax(bp.marginals(), axis=1)
+    member = np.array_equal(spec.A.mat_vec(x_hat), spec.c)
+    return (spec.B.mat_vec(x_hat) if member else None), converged, bp.iterations
+
+
+def test_decode_bp_matches_a_fresh_member_check_loop(bsc_bp_words, bsc_bp_decodes):
+    spec, ch, ys = bsc_bp_words
+    for y, (out, _, _) in zip(ys, bsc_bp_decodes):
+        m_ref, converged, iterations = member_loop_decode(spec, y, ch)
+        assert (out.m_hat is None) == (m_ref is None)
+        assert out.m_hat is None or np.array_equal(out.m_hat, m_ref)
+        assert (out.converged, out.iterations) == (converged, iterations)
 
 
 def test_decode_bp_member_stop_keeps_the_full_run_message(bsc_bp_decodes):

@@ -306,6 +306,124 @@ def test_marginals_reuse_the_last_variable_pass(q):
         check(bp)
 
 
+def noisy_instance(rng, q, n, l, p, bare=True):
+    """An ensemble matrix over GF(q), with `bare` its last column emptied, a
+    word x_star, c = A x_star, and priors of 0.85 on a copy of x_star whose
+    symbols each change with probability p."""
+    D = sample_sparse_matrix(EnsembleSpec(n=n, l=l, field=GF(q), tau=4), rng).to_dense()
+    if bare:
+        D[:, -1] = 0
+    A = SparseMatrix.from_dense(D, GF(q))
+    x_star = rng.integers(0, q, size=n)
+    noisy = (x_star + (rng.random(n) < p) * rng.integers(1, q, size=n)) % q
+    priors = np.full((n, q), 0.15 / (q - 1))
+    priors[np.arange(n), noisy] = 0.85
+    return A, x_star, A.mat_vec(x_star), priors
+
+
+def fresh_decision(bp, kept):
+    """The hard decision of a variable pass of bp, recomputed: the first
+    argmax of prior times full product, fixed variables at their value."""
+    x_hat = np.argmax(bp.priors.T * bp.graph.variables.products(*kept), axis=0)
+    pinned = bp.fixed >= 0
+    x_hat[pinned] = bp.fixed[pinned]
+    return x_hat
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_member_test_keeps_the_fresh_syndrome(q, monkeypatch):
+    """At every iteration of a member-stopped run the kept syndrome is
+    A x_hat - c at the checks with edges, for x_hat recomputed from the
+    variable pass, and the run stops where a run(1) loop with a fresh full
+    check stops.  Non-unit coefficients for q > 2, half the codes with a
+    variable without edges, and every other state conditioned on part of
+    x_star."""
+    tests = []
+    real = CosetBP._member_test
+
+    def spy(bp, idle):
+        in_coset = real(bp, idle)
+
+        def recorded(incoming, excl):
+            member = in_coset(incoming, excl)
+            tests.append((bp.kept, bp.syndrome, member))
+            return member
+        return recorded
+
+    monkeypatch.setattr(CosetBP, "_member_test", spy)
+    rng = np.random.default_rng(70 + q)
+    n, l = 60, 30
+    updates = members = 0
+    for trial in range(16):
+        A, x_star, c, priors = noisy_instance(rng, q, n, l, 0.05 + 0.05 * (trial % 3),
+                                              bare=trial % 4 < 2)
+        assert q == 2 or np.any(A.coeffs > 1)
+        graph = CosetGraph(A)
+        bp, ref = CosetBP(graph, c, priors), CosetBP(graph, c, priors)
+        if trial % 2:
+            for v in rng.choice(n - 1, size=8, replace=False):
+                assert bp.condition(v, x_star[v]) and ref.condition(v, x_star[v])
+            assert not np.all(bp.active)
+        tests.clear()
+        stopped = bp.run(fastbp.DECODE_ITERS, until_member=True)
+        assert len(tests) == bp.iterations
+        for i, (kept, syndrome, member) in enumerate(tests):
+            fresh = (A.mat_vec(fresh_decision(bp, kept)) - c) % q
+            assert np.array_equal(syndrome, fresh[graph.f_deg > 0])
+            assert member == (not fresh.any())
+            updates += i > 0 and not np.array_equal(syndrome, tests[i - 1][1])
+        members += tests[-1][2]
+
+        settled = member = False
+        while ref.iterations < fastbp.DECODE_ITERS and not (settled or member):
+            settled = ref.run(1)
+            member = not np.any((A.mat_vec(fresh_decision(ref, ref.kept)) - c) % q)
+        assert (ref.iterations, settled or member) == (bp.iterations, stopped)
+        assert np.array_equal(ref.marginals(), bp.marginals())
+    assert updates > 20 and 0 < members < 16
+
+
+def test_states_on_one_target_write_only_their_own_arrays():
+    """Two decodes and a sampler's states on one graph and one target share
+    the graph's output index, and pi starts as the state's prior; no
+    condition() or clone() on one state changes another's out_idx, pi or
+    targets, the sampler's restarts from `base.clone()` included."""
+    rng = np.random.default_rng(81)
+    A, x_star, c, priors = noisy_instance(rng, 3, 40, 20, 0.1)
+    graph = CosetGraph(A)
+    first, second, base = (CosetBP(graph, c, priors) for _ in range(3))
+    assert first.out_idx is second.out_idx is base.out_idx
+    assert first.pi is first.prior_e
+    first.run(fastbp.DECODE_ITERS, until_member=True)
+    base.run(sampler.INIT_ITERS)
+    states = [first, second, base]
+
+    def leaves_the_others(actor, action):
+        others = [s for s in states if s is not actor]
+        before = [(s.out_idx.copy(), s.pi.copy(), s.targets.copy()) for s in others]
+        action()
+        for s, (out_idx, pi, targets) in zip(others, before):
+            assert np.array_equal(s.out_idx, out_idx) and np.array_equal(s.pi, pi)
+            assert np.array_equal(s.targets, targets)
+
+    def draw(state, symbols):
+        """A sampler pass: fix symbols in order, running between them."""
+        for v in symbols:
+            assert state.condition(v, x_star[v])
+            state.run(sampler.STEP_ITERS)
+
+    for _ in range(2):                        # a draw, then a restart
+        restart = base.clone()
+        leaves_the_others(restart, lambda: draw(restart, range(12)))
+    states.append(restart)
+    leaves_the_others(None, lambda: draw(second.clone(), range(12)))
+    leaves_the_others(second, lambda: draw(second, [20]))
+    leaves_the_others(None, lambda: draw(restart.clone(), range(12, 24)))
+    fresh = CosetBP(graph, c, priors)
+    assert np.array_equal(graph.target_state(c)[0], graph.out_index(c))
+    assert all(np.array_equal(s.prior_e, fresh.prior_e) for s in states)
+
+
 # ---------------------------------------------------------------------------
 # the symbol-major kernel against the edge-major flooding kernel it replaced
 # ---------------------------------------------------------------------------

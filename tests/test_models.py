@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cosetcode import models
 from cosetcode.models import (
     BiAwgnChannel,
     DiscreteChannel,
@@ -62,6 +63,24 @@ def test_sampling_frequencies_match_pmf():
     # 4-sigma binomial bound on the empirical frequency of symbol 1
     sigma = math.sqrt(0.3 * 0.7 / 2000)
     assert abs(xs.mean() - 0.3) < 4 * sigma
+
+
+def test_draws_match_a_cdf_formed_per_call():
+    """Source and channel draws read CDFs built at construction; they equal
+    the draws from a CDF formed on every call, bit for bit."""
+    rng = np.random.default_rng(3)
+    pmfs = rng.dirichlet(np.ones(5), size=40)
+    kernels = rng.dirichlet(np.ones(4), size=(40, 5))
+    src, ch = MemorylessSource(pmfs), DiscreteChannel(kernels)
+    for t in range(5):
+        u = stream(21, t).random(40)
+        want = np.minimum((u[:, None] >= np.cumsum(pmfs, axis=1)).sum(axis=1), 4)
+        assert np.array_equal(src.sample(stream(21, t)), want)
+        x = src.sample(stream(22, t))
+        cdf = np.cumsum(kernels[np.arange(40), x], axis=1)
+        u = stream(23, t).random(40)
+        want = np.minimum((u[:, None] >= cdf).sum(axis=1), 3)
+        assert np.array_equal(ch.sample(x, stream(23, t)), want)
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +203,19 @@ def test_reverse_model_zero_evidence_names_index():
     ch = DiscreteChannel(np.broadcast_to(np.eye(2), (2, 2, 2)).copy())
     with pytest.raises(ValueError, match="index 1"):
         reverse_model([[0.5, 0.5], [1.0, 0.0]], ch, [0, 1])
+
+
+def test_reverse_model_takes_a_checked_source_as_is(monkeypatch):
+    """A MemorylessSource was checked when it was built: its posteriors are
+    those of its pmf table, and reverse_model does not check it again."""
+    rng = np.random.default_rng(19)
+    src, ch = MemorylessSource(rng.dirichlet(np.ones(3), size=6)), qsc(3, 0.2, 6)
+    y = rng.integers(0, 3, size=6)
+    want = reverse_model(src.pmfs, ch, y)
+    monkeypatch.setattr(models, "_check_pmfs", None)
+    got = reverse_model(src, ch, y)
+    assert np.array_equal(got.posteriors, want.posteriors)
+    assert np.array_equal(got.priors, want.priors)
 
 
 def test_reverse_model_bayes_consistency_randomized():
