@@ -1,9 +1,9 @@
 """Channel coding over sparse-matrix cosets.
 
 The encoder samples the channel input prior restricted to the joint
-coset {x : Ax = c, Bx = m} (the stacked map carries both the hash target
-and the message); the decoder estimates the coset member from y and
-reads the message back through B.  An exhaustive posterior-argmax
+coset C_AB(c, m) = {x : Ax = c, Bx = m} (the stacked map carries both the
+hash target and the message); the decoder estimates x on C_A(c) from y
+and reads the message back through B.  An exhaustive posterior-argmax
 decoder serves as the oracle at desk scale; the BP decoder is the
 practical one.  The deterministic generator-matrix special case (uniform
 prior) is also provided.
@@ -11,17 +11,15 @@ prior) is also provided.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .fastbp import DECODE_ITERS, CosetBP, CosetGraph
+from .fastbp import DECODE_ITERS, CosetBP
 from .models import MemorylessSource, rate_quantities, reverse_model
-from .sampler import (CosetSampler, DeadEndError, EncodingError, SamplerConfig,
-                      is_uniform, member_law)
+from .sampler import (CosetPair, DeadEndError, EncodingError, SamplerConfig, is_uniform,
+                      member_law)
 from .sparsemat import (
     DENSE_CAP,
-    EchelonForm,
     EnsembleSpec,
     SparseMatrix,
     all_vectors,
@@ -34,43 +32,19 @@ from .streams import stream
 
 
 @dataclass
-class ChannelCodeSpec:
+class ChannelCodeSpec(CosetPair):
     """One concrete code instance: (A, B, c), the input prior, and its rates."""
 
-    A: SparseMatrix
-    B: SparseMatrix
-    c: np.ndarray
     prior: MemorylessSource
 
     def __post_init__(self):
-        if self.A.cols != self.B.cols or self.A.field != self.B.field:
-            raise ValueError("A and B must share the domain")
-        q = self.A.field.q
-        self.c = np.asarray(self.c, dtype=np.int64) % q
-        if self.c.shape != (self.A.rows,):
-            raise ValueError("c length must equal the row count of A")
-        if self.prior.n != self.A.cols or self.prior.q != q:
+        super().__post_init__()
+        if self.prior.n != self.n or self.prior.q != self.q:
             raise ValueError("prior shape must match the code domain")
-        self.ech_a: EchelonForm = row_reduce(self.A)   # also serves decode_map
-        if self.ech_a.solve(self.c) is None:
-            raise ValueError("c is not in Im A")
-        self.rank_a = self.ech_a.rank
-        self.stacked = self.A.stack(self.B)
-        self.ech_stacked: EchelonForm = row_reduce(self.stacked)
         self.msg_rank = self.ech_stacked.rank - self.rank_a
         self.msg_basis = column_space_basis(self.B)   # basis of Im B
         self._msg_basis_f = self.msg_basis.astype(float)
-        n, logq = self.A.cols, math.log2(q)
-        self.rate_r = self.rank_a / n * logq
-        self.rate_R = self.msg_rank / n * logq
-
-    @property
-    def n(self) -> int:
-        return self.A.cols
-
-    @property
-    def q(self) -> int:
-        return self.A.field.q
+        self.rate_R = self.msg_rank / self.n * math.log2(self.q)
 
     def random_message(self, rng) -> np.ndarray:
         """Uniform draw from Im B."""
@@ -79,16 +53,6 @@ class ChannelCodeSpec:
         z = rng.integers(0, self.q, size=self.msg_basis.shape[0])
         # float64 BLAS: sums of rank products below q**2 are exact below 2**53
         return (z @ self._msg_basis_f).astype(np.int64) % self.q
-
-    @cached_property
-    def graph_a(self) -> CosetGraph:
-        """Factor graph of A for the BP decoder, built on first use."""
-        return CosetGraph(self.A)
-
-    @cached_property
-    def sampler(self) -> CosetSampler:
-        """Sampling structure of the stacked map for the encoder, built on first use."""
-        return CosetSampler(self.stacked)
 
     def message_in_im_b(self, m) -> bool:
         """Reduce m against the RREF basis of Im B; m is in Im B iff nothing is left."""
@@ -121,7 +85,7 @@ class ChannelEncoder:
         self.q = spec.q
         self.uniform = is_uniform(spec.prior.pmfs)
         if not self.uniform:
-            self._engine = spec.sampler.engine(spec.prior.pmfs, cfg)
+            self._engine = spec.joint.engine(spec.prior.pmfs, cfg)
 
     def encode(self, m, rng) -> np.ndarray:
         spec, q = self.spec, self.q
@@ -174,7 +138,7 @@ def decode_map(spec: ChannelCodeSpec, y, channel) -> DecodeOutcome:
 
     Fails when the coset is empty or every member has zero posterior.
     """
-    members = spec.ech_a.members(spec.c)
+    members = spec.coset_a.echelon.members(spec.c)
     best, tie = _argmax(spec.prior.log_prob(members) + channel.log_lik(y, members))
     if best is None:
         return DecodeOutcome(None, "map-exhaustive")
@@ -191,7 +155,7 @@ def decode_bp(spec: ChannelCodeSpec, y, channel) -> DecodeOutcome:
     except ValueError:
         channel.lik_rows(y)    # raises again for a y the channel cannot emit
         return DecodeOutcome(None, "bp-then-B")    # zero evidence
-    bp = CosetBP(spec.graph_a, spec.c, rm.posteriors)
+    bp = CosetBP(spec.coset_a.graph, spec.c, rm.posteriors)
     converged = bp.run(DECODE_ITERS, until_member=True)
     if bp.failed:
         return DecodeOutcome(None, "bp-then-B", converged=False,
@@ -280,8 +244,7 @@ def exact_error(spec: ChannelCodeSpec, channel) -> float:
         raise ValueError("exact summation needs a finite output alphabet")
     if channel.ny ** spec.n > DENSE_CAP:
         raise ValueError("output space exceeds the cap")
-    members = spec.ech_a.members(spec.c)
-    msgs, msg_of = np.unique(spec.B.mat_mat(members), axis=0, return_inverse=True)
+    members, msgs, msg_of = spec.members_by_message()
     im_b = spec.q ** spec.msg_basis.shape[0]
     total = (im_b - msgs.shape[0]) / im_b     # messages with an empty joint coset
     weight = np.zeros(members.shape[0])

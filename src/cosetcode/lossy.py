@@ -1,51 +1,40 @@
 """Fixed-rate lossy source coding via coset-constrained sampling.
 
 The encoder builds per-index reproduction posteriors for the observed
-source word, samples a coset member from them, and transmits its image
-under B; the decoder returns the highest-prior member of the joint coset
-pinned by (c, m).  When the stacked map has full column rank the joint
-coset is a single point and decoding is a linear solve through the
-stacked map's echelon; under uniform marginals that solve is the
-deterministic special case.
+source word, samples a member of C_A(c) from them, and transmits its
+image m under B; the decoder returns the highest-prior member of the
+joint coset C_AB(c, m) = {x : Ax = c, Bx = m}.  When the stacked map has
+full column rank the joint coset is a single point and decoding is a
+linear solve through the stacked map's echelon; under uniform marginals
+that solve is the deterministic special case.
 """
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .fastbp import DECODE_ITERS, CosetBP, CosetGraph
+from .fastbp import DECODE_ITERS, CosetBP
 from .models import DiscreteChannel, DistortionSpec, MemorylessSource, rate_quantities
-from .sampler import CosetSampler, DeadEndError, EncodingError, SamplerConfig, member_law
-from .sparsemat import DENSE_CAP, SparseMatrix, all_vectors, row_reduce
+from .sampler import CosetPair, DeadEndError, EncodingError, SamplerConfig, member_law
+from .sparsemat import DENSE_CAP, all_vectors, row_reduce
 from .stats import entropy_bits, wilson_interval
 from .streams import stream
 
 
 @dataclass
-class LossyCodeSpec:
+class LossyCodeSpec(CosetPair):
     """(A, B, c) plus the source model, the given conditional mu_{X|Y},
     the per-letter distortion table and the target level."""
 
-    A: SparseMatrix
-    B: SparseMatrix
-    c: np.ndarray
     source: MemorylessSource          # law of Y
     test_channel: DiscreteChannel     # per-index tables mu_{X_i|Y_i}: (n, ny, q)
     distortion: DistortionSpec        # table over X x Y
     target_d: float
 
     def __post_init__(self):
-        q = self.A.field.q
-        self.c = np.asarray(self.c, dtype=np.int64) % q
-        if self.A.cols != self.B.cols or self.A.field != self.B.field:
-            raise ValueError("A and B must share the domain")
-        self.sampler = CosetSampler(self.A)    # its echelon of A also serves exact_error
-        if self.sampler.echelon.solve(self.c) is None:
-            raise ValueError("c is not in Im A")
-        self.rank_a = self.sampler.echelon.rank
-        n = self.A.cols
+        super().__post_init__()
+        n, q = self.n, self.q
         if self.test_channel.n != n or self.test_channel.ny != q:
             raise ValueError("test channel must map the source alphabet to GF(q)")
         if self.source.n != n or self.source.q != self.test_channel.q:
@@ -55,25 +44,8 @@ class LossyCodeSpec:
         # mu_{X_i}(x) = sum_y mu_{Y_i}(y) mu_{X_i|Y_i}(x|y)
         self.x_marginals = np.einsum("iy,iyx->ix", self.source.pmfs,
                                      self.test_channel.kernels)
-        self.stacked = self.A.stack(self.B)
-        self.ech_stacked = row_reduce(self.stacked)
         self.rank_b = row_reduce(self.B).rank
-        logq = math.log2(q)
-        self.rate_r = self.rank_a / n * logq
-        self.rate_R = self.rank_b / n * logq
-
-    @property
-    def n(self) -> int:
-        return self.A.cols
-
-    @property
-    def q(self) -> int:
-        return self.A.field.q
-
-    @cached_property
-    def graph_stacked(self) -> CosetGraph:
-        """Factor graph of the stacked map for BP decoding, built on first use."""
-        return CosetGraph(self.stacked)
+        self.rate_R = self.rank_b / n * math.log2(q)
 
     def posteriors(self, y) -> np.ndarray:
         """(n, q) per-index reproduction posteriors for the observed word."""
@@ -88,7 +60,7 @@ def encode(spec: LossyCodeSpec, y, cfg: SamplerConfig, rng) -> np.ndarray:
 
 
 def encode_reproduction(spec: LossyCodeSpec, y, cfg: SamplerConfig, rng) -> np.ndarray:
-    return spec.sampler.engine(spec.posteriors(y), cfg).draw(spec.c, rng).x
+    return spec.coset_a.engine(spec.posteriors(y), cfg).draw(spec.c, rng).x
 
 
 def decode(spec: LossyCodeSpec, m) -> np.ndarray | None:
@@ -110,7 +82,7 @@ def decode(spec: LossyCodeSpec, m) -> np.ndarray | None:
     if x is None or ech.rank == spec.n:
         return x
     if q ** (spec.n - ech.rank) > DENSE_CAP:
-        bp = CosetBP(spec.graph_stacked, target, spec.x_marginals)
+        bp = CosetBP(spec.joint.graph, target, spec.x_marginals)
         bp.run(DECODE_ITERS, until_member=True)
         if bp.failed:
             return None
@@ -209,8 +181,7 @@ def exact_error(spec: LossyCodeSpec) -> float:
     D, n, ny = spec.target_d, spec.n, spec.source.q
     if ny ** n > DENSE_CAP:
         raise ValueError("source space exceeds the cap")
-    members = spec.sampler.echelon.members(spec.c)   # c is in Im A
-    msgs, msg_of = np.unique(spec.B.mat_mat(members), axis=0, return_inverse=True)
+    members, msgs, msg_of = spec.members_by_message()
     decoded = [decode(spec, m) for m in msgs]
     failed = np.array([x is None for x in decoded])
     x_hats = np.array([np.zeros(n, dtype=np.int64) if x is None else x for x in decoded])

@@ -48,6 +48,16 @@ def _log2_product(p: np.ndarray):
     return float(s) if p.ndim == 1 else s
 
 
+def _inverse_cdf(u: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """Per row i, the first symbol j with u[i] < cdf[i, j], the last symbol
+    if none: rows of cdf never decrease, so that is the count of the first
+    q - 1 columns with u[i] >= cdf[i, j]."""
+    x = np.zeros(u.shape, dtype=np.int64)
+    for j in range(cdf.shape[1] - 1):
+        x += u >= cdf[:, j]
+    return x
+
+
 class MemorylessSource:
     """Product law on X^n given per-index pmfs over an alphabet of size q."""
 
@@ -62,8 +72,7 @@ class MemorylessSource:
         return _log2_product(self.pmfs[np.arange(self.n), x])
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
-        u = rng.random(self.n)
-        return np.minimum((u[:, None] >= self._cdf).sum(axis=1), self.q - 1).astype(np.int64)
+        return _inverse_cdf(rng.random(self.n), self._cdf)
 
 
 class DiscreteChannel:
@@ -83,9 +92,7 @@ class DiscreteChannel:
 
     def sample(self, x, rng: np.random.Generator) -> np.ndarray:
         x = _words(x, self.n, self.q, "input")
-        cdf = self._cdf[np.arange(self.n), x]
-        u = rng.random(self.n)
-        return np.minimum((u[:, None] >= cdf).sum(axis=1), self.ny - 1).astype(np.int64)
+        return _inverse_cdf(rng.random(self.n), self._cdf[np.arange(self.n), x])
 
     def log_lik(self, y, x):
         """log2 mu(y|x); an (M, n) batch of inputs gives one value per row."""
@@ -152,13 +159,10 @@ class ReverseModel:
     priors: np.ndarray      # (n, q)
 
 
-def reverse_model(prior, channel, y) -> ReverseModel:
-    """Posteriors prop. to mu_{X_i} * mu_{Y_i|X_i}(y_i|.), one index at a time.
-
-    prior: a MemorylessSource, whose pmfs were checked when it was built,
-    or an (n, q) table of pmfs, checked here."""
-    priors = prior.pmfs if isinstance(prior, MemorylessSource) else \
-        _check_pmfs(prior, "prior pmfs")
+def reverse_model(source: MemorylessSource, channel, y) -> ReverseModel:
+    """Posteriors prop. to mu_{X_i} * mu_{Y_i|X_i}(y_i|.), one index at a time;
+    the source's pmfs were checked when it was built."""
+    priors = source.pmfs
     lik = channel.lik_rows(y)
     if lik.shape != priors.shape:
         raise ValueError("prior and channel kernel shapes disagree")

@@ -6,6 +6,8 @@ read off (the early stop).  The work has three lifetimes:
   per matrix  `CosetSampler(A)`: the reverse-column echelon, the
               sum-product `CosetGraph`, the echelon form and, per stop,
               the exact engine's `TablePlan`, each built on first use;
+              a code's `CosetPair(A, B, c)` holds one for A and one for
+              the stacked map (A; B);
   per prior   `CosetSampler.engine(priors, cfg)`, which refuses priors
               that are not an (n, q) array of finite non-negative
               numbers: exact (`ExactStepper` suffix-mass tables on Im A,
@@ -32,6 +34,7 @@ its step probabilities (`path_tree_law`).  The driver then reads the
 suffix off the reverse echelon at the early stop and checks A x = c.
 """
 
+import math
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
@@ -251,9 +254,9 @@ class ExactStepper:
     defining suffix sum evaluated exactly.  The tables do not depend on
     the target, so one stepper serves every c.
 
-    Only tables 1..stop are built (stop = n by default): a draw that stops
-    early at `stop` never reads past M_stop, and M_0 is formed on demand
-    (`mass_of`, `table(0)`).  Columns stop..n-1 must be independent: then
+    Only tables 1..stop are built, for the plan's stop (n by default): a draw
+    that stops early at `stop` never reads past M_stop, and M_0 is formed on
+    demand (`mass_of`, `table(0)`).  Columns stop..n-1 must be independent: then
     each syndrome in their span is hit by exactly one suffix, so M_stop is
     that suffix's prior product and 0 off the span, put where the plan's
     `suffix_index` says.  The recursion
@@ -269,10 +272,8 @@ class ExactStepper:
     stepper is collected, so they are valid while the stepper lives.
     """
 
-    def __init__(self, A: SparseMatrix, priors, stop: int | None = None,
-                 plan: TablePlan | None = None):
-        """plan: the `TablePlan` of A and stop when the caller keeps one."""
-        self.plan = plan = TablePlan(A, stop) if plan is None else plan
+    def __init__(self, plan: TablePlan, priors):
+        self.plan = plan
         q, n, self.stop = plan.q, plan.n, plan.stop
         self.q, self.n, self.l = q, n, plan.l
         self.priors = np.asarray(priors, dtype=float)
@@ -489,6 +490,42 @@ class CosetSampler:
         return _STEPWISE[cfg.method](self, priors, cfg)
 
 
+@dataclass
+class CosetPair:
+    """What both codes share: (A, B, c), checked once, with one `CosetSampler`
+    for C_A(c) (`coset_a`) and one for the joint cosets
+    C_AB(c, m) = {x : Ax = c, Bx = m} of the stacked map (`joint`).  The
+    channel code samples on the joint coset and decodes on C_A(c); the
+    lossy code samples on C_A(c) and decodes on the joint coset."""
+
+    A: SparseMatrix
+    B: SparseMatrix
+    c: np.ndarray
+
+    def __post_init__(self):
+        if self.A.cols != self.B.cols or self.A.field != self.B.field:
+            raise ValueError("A and B must share the domain")
+        self.n, self.q = self.A.cols, self.A.field.q
+        self.c = np.asarray(self.c, dtype=np.int64) % self.q
+        if self.c.shape != (self.A.rows,):
+            raise ValueError("c length must equal the row count of A")
+        self.coset_a = CosetSampler(self.A)
+        if self.coset_a.echelon.solve(self.c) is None:
+            raise ValueError("c is not in Im A")
+        self.rank_a = self.coset_a.echelon.rank
+        self.stacked = self.A.stack(self.B)
+        self.joint = CosetSampler(self.stacked)
+        self.ech_stacked: EchelonForm = self.joint.echelon
+        self.rate_r = self.rank_a / self.n * math.log2(self.q)
+
+    def members_by_message(self):
+        """(members of C_A(c), the distinct messages B x, each member's message
+        index): the joint cosets of the messages partition C_A(c)."""
+        members = self.coset_a.echelon.members(self.c)
+        msgs, msg_of = np.unique(self.B.mat_mat(members), axis=0, return_inverse=True)
+        return members, msgs, msg_of
+
+
 # -- the driver -------------------------------------------------------------------
 
 
@@ -580,7 +617,7 @@ class _ExactEngine:
         self.sampler, self.cfg = sampler, cfg
         # a draw never reads a table past the early stop
         stop = sampler.early_stop_index if cfg.early_stop else sampler.A.cols
-        self.stepper = ExactStepper(sampler.A, priors, stop, sampler.table_plan(stop))
+        self.stepper = ExactStepper(sampler.table_plan(stop), priors)
 
     def walk(self, c, choose) -> GeneratedSample:
         """One pass of the driver with the given selector."""

@@ -180,7 +180,7 @@ def test_decode_map_fails_on_zero_posterior():
 def map_by_member(spec, y, ch):
     """(m_hat, tie) from scoring each member of C_A(c) on its own, the way
     decode_map did before its scores were batched."""
-    members = spec.ech_a.members(spec.c)
+    members = spec.coset_a.echelon.members(spec.c)
     scores = np.array([spec.prior.log_prob(x) + ch.log_lik(y, x) for x in members])
     if not scores.size or scores.max() == -np.inf:
         return None, False
@@ -328,7 +328,7 @@ def test_decode_bp_failure_on_contradiction():
 def full_run_decode(spec, y, ch):
     """The decode without the member stop: BP until DECODE_ITERS or settled
     messages, then the argmax of the marginals; (m_hat or None, iterations)."""
-    bp = CosetBP(spec.graph_a, spec.c, reverse_model(spec.prior.pmfs, ch, y).posteriors)
+    bp = CosetBP(spec.coset_a.graph, spec.c, reverse_model(spec.prior, ch, y).posteriors)
     bp.run(DECODE_ITERS)
     x_hat = np.argmax(bp.marginals(), axis=1)
     member = not bp.failed and np.array_equal(spec.A.mat_vec(x_hat), spec.c)
@@ -360,7 +360,7 @@ def member_loop_decode(spec, y, ch):
     """decode_bp rebuilt from run(1) calls, each followed by a fresh full
     member check of the pass's hard decision, then the argmax of the
     marginals: (m_hat or None, converged, iterations)."""
-    bp = CosetBP(spec.graph_a, spec.c, reverse_model(spec.prior.pmfs, ch, y).posteriors)
+    bp = CosetBP(spec.coset_a.graph, spec.c, reverse_model(spec.prior, ch, y).posteriors)
     converged = False
     while bp.iterations < DECODE_ITERS and not converged:
         settled = bp.run(1)
@@ -409,8 +409,8 @@ def test_member_stop_reads_non_unit_coefficients(monkeypatch):
     for t in range(40):
         rng = stream(17, t)
         y = ch.sample(encoder.encode(spec.random_message(rng), rng), rng)
-        posteriors = reverse_model(spec.prior.pmfs, ch, y).posteriors
-        bp = CosetBP(spec.graph_a, spec.c, posteriors)
+        posteriors = reverse_model(spec.prior, ch, y).posteriors
+        bp = CosetBP(spec.coset_a.graph, spec.c, posteriors)
         bp.run(DECODE_ITERS, until_member=True)
         _, full_iters = full_run_decode(spec, y, ch)
         if bp.iterations < full_iters:

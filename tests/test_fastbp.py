@@ -872,7 +872,7 @@ def test_lossy_decode_above_the_cap_completes_the_bp_argmax_to_a_member():
         target = np.concatenate([big.c, m])
         x_hat = lossy.decode(big, m)
         assert x_hat is not None and np.array_equal(big.stacked.mat_vec(x_hat), target)
-        bp = CosetBP(big.graph_stacked, target, big.x_marginals)
+        bp = CosetBP(big.joint.graph, target, big.x_marginals)
         bp.run(fastbp.DECODE_ITERS)
         argmax = np.argmax(bp.marginals(), axis=1)
         assert not np.array_equal(big.stacked.mat_vec(argmax), target)   # not a member
@@ -893,7 +893,7 @@ def test_sum_product_encoder_reuses_its_graph_and_early_stop(graph_builds, monke
         x = encoder.encode(m, rng)
         assert np.array_equal(spec.stacked.mat_vec(x), np.concatenate([spec.c, m]))
     assert graph_builds == [spec.stacked]
-    assert len(ranks) == 1 and ranks[0] is spec.sampler.reverse
+    assert len(ranks) == 1 and ranks[0] is spec.joint.reverse
 
 
 @pytest.mark.parametrize("method", ["exact", "sum-product"])
@@ -908,5 +908,5 @@ def test_lossy_encoder_reuses_its_early_stop_and_graph(graph_builds, monkeypatch
         y = spec.source.sample(rng)
         x = lossy.encode_reproduction(spec, y, cfg, rng)
         assert np.array_equal(spec.A.mat_vec(x), spec.c)
-    assert len(ranks) == 1 and ranks[0] is spec.sampler.reverse
+    assert len(ranks) == 1 and ranks[0] is spec.coset_a.reverse
     assert graph_builds == ([spec.A] if method == "sum-product" else [])

@@ -56,3 +56,16 @@ def test_every_module_has_a_caller(path):
     callers = [other for other in MODULES if other != path] + sorted((ROOT / "mcbench").glob("*.py"))
     used = {stem for other in callers for stem in _imported_modules(other)}
     assert path.stem in used, f"{path.name} is imported by no other module of src/ or mcbench/"
+
+
+@pytest.mark.parametrize("name", ["channel", "lossy"])
+def test_codes_build_no_sampler_or_graph_of_their_own(name):
+    """Both codes reach C_A(c) and the joint cosets through the `CosetPair`
+    they extend, which holds one `CosetSampler` per matrix."""
+    def callee(call):        # `f(...)` or `module.f(...)`
+        return getattr(call.func, "id", getattr(call.func, "attr", None))
+
+    tree = ast.parse((SRC / f"{name}.py").read_text())
+    built = [f"line {node.lineno}: {callee(node)}" for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and callee(node) in ("CosetSampler", "CosetGraph")]
+    assert not built, f"{name}.py builds its own: {built}"

@@ -123,7 +123,7 @@ def test_biawgn_far_outputs_do_not_underflow():
     want = 4 * (-0.5 * (4 / 0.05) ** 2 - math.log(0.05 * math.sqrt(2 * math.pi))) / math.log(2)
     assert ll == pytest.approx(want)
     assert ch.log_lik(y, 1 - x) < ll
-    rm = reverse_model(np.full((4, 2), 0.5), ch, y)
+    rm = reverse_model(MemorylessSource(np.full((4, 2), 0.5)), ch, y)
     assert np.array_equal(np.argmax(rm.posteriors, axis=1), x)
     assert np.all(np.isfinite(rm.posteriors))
 
@@ -175,6 +175,38 @@ def test_batched_rows_equal_single_word_calls(n):
     assert src.log_prob(X[:0]).shape == (0,)
 
 
+@pytest.mark.parametrize("q", [1, 2, 3, 5])
+def test_inverse_cdf_draws_the_clamped_row_sum(q):
+    """A draw is min(#{j : u >= cdf[j]}, q - 1) per index, for sources and
+    channels alike, at u = 0, u just below 1, on cdf steps and on pmfs with
+    zero entries."""
+    rng = np.random.default_rng(q + 40)
+    n = 300
+    pmfs = rng.dirichlet(np.ones(q), size=n) * (rng.random((n, q)) < 0.7)
+    pmfs[pmfs.sum(axis=1) == 0, -1] = 1.0
+    pmfs[0, 0] = 0.0 if q > 1 else 1.0                # u = 0 skips a zero-mass symbol
+    pmfs[0, -1] = 1.0
+    pmfs /= pmfs.sum(axis=1, keepdims=True)
+    cdf = np.cumsum(pmfs, axis=1)
+    u = rng.random(n)
+    u[:2] = 0.0, np.nextafter(1.0, 0.0)
+    u[2:9] = cdf[np.arange(2, 9), rng.integers(0, q, size=7)]    # exactly on a step
+    want = np.minimum((u[:, None] >= cdf).sum(axis=1), q - 1)
+    assert np.array_equal(models._inverse_cdf(u, cdf), want)
+
+    class Fixed:
+        def random(self, size):
+            assert size == n
+            return u.copy()
+
+    assert MemorylessSource(pmfs).sample(Fixed()).tobytes() == want.astype(np.int64).tobytes()
+    kernels = np.stack([pmfs, pmfs[::-1]], axis=1)     # (n, 2, q): two inputs
+    x = rng.integers(0, 2, size=n)
+    ch_cdf = np.cumsum(kernels[np.arange(n), x], axis=1)
+    want = np.minimum((u[:, None] >= ch_cdf).sum(axis=1), q - 1)
+    assert DiscreteChannel(kernels).sample(x, Fixed()).tobytes() == want.astype(np.int64).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # reverse model
 # ---------------------------------------------------------------------------
@@ -182,19 +214,19 @@ def test_batched_rows_equal_single_word_calls(n):
 def test_reverse_model_uniform_prior_bsc():
     n, p = 3, 0.1
     ch = bsc(p, n)
-    rm = reverse_model(np.full((n, 2), 0.5), ch, [0, 0, 0])
+    rm = reverse_model(MemorylessSource(np.full((n, 2), 0.5)), ch, [0, 0, 0])
     assert np.allclose(rm.posteriors, [[0.9, 0.1]] * 3)
 
 
 def test_reverse_model_noiseless_point_mass():
     ch = bsc(0.0, 2)
-    rm = reverse_model(np.full((2, 2), 0.5), ch, [1, 0])
+    rm = reverse_model(MemorylessSource(np.full((2, 2), 0.5)), ch, [1, 0])
     assert np.allclose(rm.posteriors, [[0.0, 1.0], [1.0, 0.0]])
 
 
 def test_reverse_model_bayes_arithmetic():
     ch = bsc(0.1, 1)
-    rm = reverse_model([[0.3, 0.7]], ch, [1])
+    rm = reverse_model(MemorylessSource([[0.3, 0.7]]), ch, [1])
     assert np.allclose(rm.posteriors, [[0.03 / 0.66, 0.63 / 0.66]])
     assert rm.posteriors[0, 0] == pytest.approx(1 / 22)
 
@@ -202,20 +234,21 @@ def test_reverse_model_bayes_arithmetic():
 def test_reverse_model_zero_evidence_names_index():
     ch = DiscreteChannel(np.broadcast_to(np.eye(2), (2, 2, 2)).copy())
     with pytest.raises(ValueError, match="index 1"):
-        reverse_model([[0.5, 0.5], [1.0, 0.0]], ch, [0, 1])
+        reverse_model(MemorylessSource([[0.5, 0.5], [1.0, 0.0]]), ch, [0, 1])
 
 
 def test_reverse_model_takes_a_checked_source_as_is(monkeypatch):
-    """A MemorylessSource was checked when it was built: its posteriors are
-    those of its pmf table, and reverse_model does not check it again."""
+    """A MemorylessSource was checked when it was built: reverse_model does
+    not check it again, and its posteriors are Bayes' rule on its pmfs."""
     rng = np.random.default_rng(19)
     src, ch = MemorylessSource(rng.dirichlet(np.ones(3), size=6)), qsc(3, 0.2, 6)
     y = rng.integers(0, 3, size=6)
-    want = reverse_model(src.pmfs, ch, y)
+    joint = src.pmfs * ch.kernels[np.arange(6), :, y]     # mu(x) mu(y_i | x)
+    want = joint / joint.sum(axis=1, keepdims=True)
     monkeypatch.setattr(models, "_check_pmfs", None)
     got = reverse_model(src, ch, y)
-    assert np.array_equal(got.posteriors, want.posteriors)
-    assert np.array_equal(got.priors, want.priors)
+    assert np.array_equal(got.posteriors, want)
+    assert got.priors is src.pmfs
 
 
 def test_reverse_model_bayes_consistency_randomized():
@@ -226,7 +259,7 @@ def test_reverse_model_bayes_consistency_randomized():
         kern = rng.dirichlet(np.ones(4), size=(n, 3))
         ch = DiscreteChannel(kern)
         y = rng.integers(0, 4, size=n)
-        rm = reverse_model(prior, ch, y)
+        rm = reverse_model(MemorylessSource(prior), ch, y)
         lik = ch.lik_rows(y)
         evid = (prior * lik).sum(axis=1)
         for i in range(n):

@@ -139,7 +139,7 @@ def test_all_zero_priors_have_zero_mass(method, early_stop):
 
 def stepper_pmf(A, c, priors, prefix):
     """The exact conditional of x_k given the prefix x_0..x_{k-1}, k = len(prefix)."""
-    st = ExactStepper(A, priors)
+    st = ExactStepper(TablePlan(A), priors)
     residual = st.locate(0, c)
     for j, v in enumerate(prefix):
         residual = st.advance(j, residual, int(v))
@@ -375,8 +375,8 @@ def test_sum_product_pivot_steps_are_point_masses(q, early_stop):
     prior = MemorylessSource(np.tile([0.7, 0.3] if q == 2 else [0.7, 0.15, 0.15], (24, 1)))
     spec = sample_code(24, 8, 4, 4, GF(q), prior, seed=0)
     cfg = SamplerConfig(method="sum-product", early_stop=early_stop)
-    engine = spec.sampler.engine(prior.pmfs, cfg)
-    pivots = spec.sampler.pivot_row >= 0
+    engine = spec.joint.engine(prior.pmfs, cfg)
+    pivots = spec.joint.pivot_row >= 0
     rng = stream(60 + q, 0)
     passes = 0
     for _ in range(8):
@@ -423,7 +423,7 @@ def test_sum_product_schedule(q, monkeypatch):
     spec = sample_code(24, 8, 4, 4, GF(q), prior, seed=0)
     rng = stream(70 + q, 0)
     for early_stop in (True, False):
-        engine = spec.sampler.engine(prior.pmfs, SamplerConfig("sum-product", early_stop))
+        engine = spec.joint.engine(prior.pmfs, SamplerConfig("sum-product", early_stop))
         walked = 0
         for _ in range(6):
             target = np.concatenate([spec.c, spec.random_message(rng)])
@@ -571,7 +571,7 @@ def test_stepper_total_mass_matches_enumeration():
         A = SparseMatrix.from_dense(rng.integers(0, q, size=(l, n)), GF3)
         c = A.mat_vec(rng.integers(0, q, size=n))
         priors = rng.dirichlet(np.ones(q), size=n)
-        st = ExactStepper(A, priors)
+        st = ExactStepper(TablePlan(A), priors)
         members = row_reduce(A).members(c)
         want = sum(
             np.prod(priors[np.arange(n), m]) for m in members
@@ -610,7 +610,7 @@ def test_stepper_tables_match_per_axis_rolls(q):
         priors = rng.dirichlet(np.ones(q), size=n)
         priors[1, 0] = 0                              # a symbol the prior excludes
         priors[1] /= priors[1].sum()
-        st = ExactStepper(SparseMatrix.from_dense(D, GF(q)), priors)
+        st = ExactStepper(TablePlan(SparseMatrix.from_dense(D, GF(q))), priors)
         got = [st.table(k) for k in range(st.stop + 1)]
         for got_k, want in zip(got, per_axis_roll_tables(D, priors, q), strict=True):
             assert np.array_equal(got_k, want)
@@ -635,7 +635,7 @@ def test_stepper_tables_from_the_early_stop_match_per_axis_rolls(q):
         massless = priors.copy()
         massless[0] = 0                               # no symbol at all: M_0 = 0
         for pri in (priors, massless):
-            st = ExactStepper(A, pri, stop=stop)
+            st = ExactStepper(TablePlan(A, stop), pri)
             want = per_axis_roll_tables(D, pri, q)[:stop + 1]
             assert st.stop == stop
             with pytest.raises(ValueError, match="outside"):
@@ -655,11 +655,11 @@ def test_stepper_refuses_a_stop_with_dependent_suffix_columns(q):
     priors = np.full((4, q), 1 / q)
     assert CosetSampler(A).early_stop_index == 3
     with pytest.raises(ValueError, match="dependent"):
-        ExactStepper(A, priors, stop=2)
+        ExactStepper(TablePlan(A, 2), priors)
     for stop in (-1, 5):
         with pytest.raises(ValueError, match="outside"):
-            ExactStepper(A, priors, stop=stop)
-    assert ExactStepper(A, priors, stop=3).table(3).shape == (q, q)
+            ExactStepper(TablePlan(A, stop), priors)
+    assert ExactStepper(TablePlan(A, 3), priors).table(3).shape == (q, q)
 
 
 def test_stepper_keeps_one_block_per_shape_whatever_the_stop():
@@ -671,7 +671,7 @@ def test_stepper_keeps_one_block_per_shape_whatever_the_stop():
     priors = np.full((5, 2), 0.5)
     shape, before, blocks = (7, 2, 2), set(_SPARE_BLOCKS), set()
     for sampler in (s1, s2, s1):
-        st = ExactStepper(sampler.A, priors, stop=sampler.early_stop_index)
+        st = ExactStepper(TablePlan(sampler.A, sampler.early_stop_index), priors)
         del st                                        # hands its block back
         blocks.add(id(_SPARE_BLOCKS[shape]))
     assert len(blocks) == 1 and set(_SPARE_BLOCKS) - before <= {shape}
@@ -684,7 +684,7 @@ def test_step_pmf_matches_the_per_symbol_loop(q):
     D = rng.integers(0, q, size=(l, n))
     priors = rng.dirichlet(np.ones(q), size=n)
     priors[2, 1] = 0                                  # a symbol the prior excludes
-    st = ExactStepper(SparseMatrix.from_dense(D, GF(q)), priors)
+    st = ExactStepper(TablePlan(SparseMatrix.from_dense(D, GF(q))), priors)
     tables = [st.table(k) for k in range(n + 1)]
     for k in range(n):
         for residual in all_vectors(q, l):
@@ -719,11 +719,11 @@ def test_stepper_blocks_are_reused_without_aliasing():
     rng = np.random.default_rng(56)
     A = SparseMatrix.from_dense(rng.integers(0, 3, size=(3, 6)), GF3)
     p1, p2 = (rng.dirichlet(np.ones(3), size=6) for _ in range(2))
-    st1, st2 = ExactStepper(A, p1), ExactStepper(A, p2)
+    st1, st2 = ExactStepper(TablePlan(A), p1), ExactStepper(TablePlan(A), p2)
     assert not np.shares_memory(st1._tables, st2._tables)
     want1, want2 = ([st.table(k) for k in range(7)] for st in (st1, st2))
     del st1
-    st3 = ExactStepper(A, p1)                         # takes the block st1 gave back
+    st3 = ExactStepper(TablePlan(A), p1)              # takes the block st1 gave back
     for k in range(7):
         assert np.array_equal(st3.table(k), want1[k])
         assert np.array_equal(st2.table(k), want2[k])
@@ -732,7 +732,7 @@ def test_stepper_blocks_are_reused_without_aliasing():
 def test_stepper_cap_refused():
     A = SparseMatrix.from_dense(np.zeros((25, 4), dtype=int), GF3)
     with pytest.raises(ValueError):
-        ExactStepper(A, np.full((4, 3), 1 / 3))
+        ExactStepper(TablePlan(A), np.full((4, 3), 1 / 3))
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -745,12 +745,12 @@ def test_mass_of_is_m0_for_massless_and_unnormalised_priors(q):
         massless[1] = 0                               # no symbol at all: M_0 = 0
         unnormalised = rng.random((4, q)) * 3
         for priors in (massless, unnormalised):
-            st = ExactStepper(A, priors)
+            st = ExactStepper(TablePlan(A), priors)
             want = per_axis_roll_tables(D, priors, q)[0]
             assert np.array_equal(st.table(0), want)
             for c in all_vectors(q, l):
                 assert st.mass_of(c) == want[tuple(c)]  # summed in the recursion's order
-        assert ExactStepper(A, massless).mass_of(np.zeros(l, dtype=np.int64)) == 0.0
+        assert ExactStepper(TablePlan(A), massless).mass_of(np.zeros(l, dtype=np.int64)) == 0.0
 
 
 def test_gf2_block_bases_keep_tables_and_step_pmfs_across_basis_changes():
@@ -760,7 +760,7 @@ def test_gf2_block_bases_keep_tables_and_step_pmfs_across_basis_changes():
     A = SparseMatrix.from_dense(D, GF2)
     priors = rng.dirichlet(np.ones(2), size=n)
     priors[5, 1] = 0                                  # a symbol the prior excludes
-    st = ExactStepper(A, priors)
+    st = ExactStepper(TablePlan(A), priors)
     assert len(st.plan.cross) >= 2
     want = per_axis_roll_tables(D, priors, 2)
     for k in range(n + 1):
@@ -812,7 +812,7 @@ def test_gfq_builds_on_a_kept_plan_make_no_source_index_calls(q, monkeypatch):
     for _ in range(2):
         calls.clear()
         priors = rng.dirichlet(np.ones(q), size=7)
-        st = ExactStepper(A, priors, plan=plan)
+        st = ExactStepper(plan, priors)
         assert calls == []
         for got, want in zip([st.table(k) for k in range(8)],
                              per_axis_roll_tables(D, priors, q), strict=True):
@@ -856,7 +856,7 @@ def test_engine_tables_are_the_direct_tables_read_on_im_a(q):
     rev = sampler.reverse
     for cfg in (EXACT, NO_EARLY):
         st = sampler.engine(priors, cfg).stepper
-        direct = ExactStepper(A, priors, st.stop)     # in A's own coordinates
+        direct = ExactStepper(TablePlan(A, st.stop), priors)   # in A's own coordinates
         assert st.plan.l == rev.rank < l
         for k in range(st.stop + 1):
             got, want = st.table(k), direct.table(k)
@@ -876,7 +876,7 @@ def test_exact_engine_takes_a_matrix_whose_rank_fits_the_cap():
     assert 2 ** A.rows > DENSE_CAP
     priors = rng.dirichlet(np.ones(2), size=n)
     with pytest.raises(ValueError, match=r"2\*\*24 syndromes"):
-        ExactStepper(A, priors)                       # A's own coordinates
+        ExactStepper(TablePlan(A), priors)            # A's own coordinates
     c = A.mat_vec(rng.integers(0, 2, size=n))
     for cfg in (EXACT, NO_EARLY):
         members, probs = path_tree_law(A, c, priors, cfg)
@@ -885,6 +885,58 @@ def test_exact_engine_takes_a_matrix_whose_rank_fits_the_cap():
     wide = dense(np.hstack([np.eye(21, dtype=np.int64), np.ones((21, 1), dtype=np.int64)]), GF2)
     with pytest.raises(ValueError, match=r"2\*\*21 syndromes"):   # the rank is 21
         CosetSampler(wide).engine(np.full((22, 2), [0.6, 0.4]), EXACT)
+
+
+# ---------------------------------------------------------------------------
+# the core both codes share
+# ---------------------------------------------------------------------------
+
+def code_spec(kind, A, B, c):
+    """A channel or a lossy code on (A, B, c)."""
+    n, q = A.cols, A.field.q
+    if kind == "channel":
+        return ChannelCodeSpec(A, B, c, uniform_source(n, q))
+    return lossy.LossyCodeSpec(A, B, c, uniform_source(n, q), qsc(q, 0.1, n),
+                               hamming_distortion(q), 0.2)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_both_specs_refuse_bad_a_b_c_alike(q):
+    rng = np.random.default_rng(q + 100)
+    D = rng.integers(0, q, size=(4, 7))
+    D[-1] = (D[0] + D[1]) % q                         # rank < rows: Im A is not GF(q)^4
+    A, B = dense(D, GF(q)), dense(rng.integers(0, q, size=(3, 7)), GF(q))
+    c = A.mat_vec(rng.integers(0, q, size=7))
+    outside = c.copy()
+    outside[-1] = (outside[-1] + 1) % q
+    narrow = dense(rng.integers(0, q, size=(3, 6)), GF(q))
+    cases = [(B, c[:-1], "c length must equal the row count of A"),
+             (B, np.append(c, 0), "c length must equal the row count of A"),
+             (B, outside, "c is not in Im A"),
+             (narrow, c, "A and B must share the domain"),
+             (dense(B.to_dense(), GF(5 if q == 3 else 3)), c, "A and B must share the domain")]
+    for kind in ("channel", "lossy"):
+        for b, t, msg in cases:
+            with pytest.raises(ValueError, match=msg):
+                code_spec(kind, A, b, t)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_both_specs_hold_one_sampler_per_matrix(q):
+    rng = np.random.default_rng(q + 110)
+    A = dense(rng.integers(0, q, size=(3, 7)), GF(q))
+    B = dense(rng.integers(0, q, size=(2, 7)), GF(q))
+    c = A.mat_vec(rng.integers(0, q, size=7))
+    members = row_reduce(A).members(c)
+    for spec in (code_spec("channel", A, B, c), code_spec("lossy", A, B, c)):
+        assert spec.joint.echelon is spec.ech_stacked
+        assert spec.coset_a.A is spec.A and spec.joint.A is spec.stacked
+        assert (spec.n, spec.q, spec.rank_a) == (7, q, row_reduce(A).rank)
+        assert spec.rate_r == spec.rank_a / 7 * math.log2(q)
+        got, msgs, msg_of = spec.members_by_message()
+        assert np.array_equal(got, members)
+        assert np.array_equal(B.mat_mat(got), msgs[msg_of])
+        assert len(np.unique(msgs, axis=0)) == len(msgs)
 
 
 # ---------------------------------------------------------------------------
