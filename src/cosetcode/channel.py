@@ -5,8 +5,7 @@ coset C_AB(c, m) = {x : Ax = c, Bx = m} (the stacked map carries both the
 hash target and the message); the decoder estimates x on C_A(c) from y
 and reads the message back through B.  An exhaustive posterior-argmax
 decoder serves as the oracle at desk scale; the BP decoder is the
-practical one.  The deterministic generator-matrix special case (uniform
-prior) is also provided.
+practical one.
 """
 
 import math
@@ -14,17 +13,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fastbp import DECODE_ITERS, CosetBP
+from .fastbp import DECODE_ITERS, CosetBP, hard_decision
 from .models import MemorylessSource, rate_quantities, reverse_model
 from .sampler import (CosetPair, DeadEndError, EncodingError, SamplerConfig, is_uniform,
                       member_law)
 from .sparsemat import (
     DENSE_CAP,
     EnsembleSpec,
-    SparseMatrix,
     all_vectors,
     column_space_basis,
-    row_reduce,
+    # not called here: mcbench's selftest reads channel.row_reduce to check its tracer
+    row_reduce,  # noqa: F401
     sample_sparse_matrix,
 )
 from .stats import wilson_interval
@@ -151,16 +150,16 @@ def decode_bp(spec: ChannelCodeSpec, y, channel) -> DecodeOutcome:
     if channel.n != spec.n:
         raise ValueError("input length mismatch: the channel and the code differ in length")
     try:
-        rm = reverse_model(spec.prior, channel, y)
+        posteriors = reverse_model(spec.prior, channel, y)
     except ValueError:
         channel.lik_rows(y)    # raises again for a y the channel cannot emit
         return DecodeOutcome(None, "bp-then-B")    # zero evidence
-    bp = CosetBP(spec.coset_a.graph, spec.c, rm.posteriors)
+    bp = CosetBP(spec.coset_a.graph, spec.c, posteriors)
     converged = bp.run(DECODE_ITERS, until_member=True)
     if bp.failed:
         return DecodeOutcome(None, "bp-then-B", converged=False,
                              iterations=bp.iterations)
-    x_hat = np.argmax(bp.marginals(), axis=1)
+    x_hat = hard_decision(bp.marginals().T)
     if not np.array_equal(spec.A.mat_vec(x_hat), spec.c):
         return DecodeOutcome(None, "bp-then-B", converged=converged,
                              iterations=bp.iterations)
@@ -263,53 +262,6 @@ def exact_error(spec: ChannelCodeSpec, channel) -> float:
             lik[msg_of == msg_of[best]] = 0.0
         total += float(weight @ lik)
     return total
-
-
-# -- deterministic special case (uniform prior) ---------------------------------
-
-
-@dataclass
-class LinearCodeSpec:
-    """Generator-matrix form: encode m as G m + x_c, decode via a left inverse."""
-
-    A: SparseMatrix
-    c: np.ndarray
-
-    def __post_init__(self):
-        q = self.A.field.q
-        self.c = np.asarray(self.c, dtype=np.int64) % q
-        self.ech = row_reduce(self.A)
-        self.x_c = self.ech.solve(self.c)
-        if self.x_c is None:
-            raise ValueError("c is not in Im A")
-        self.gen = self.ech.kernel               # rows span C_A(0)
-        self.msg_dim = self.gen.shape[0]
-        # generator row j is 1 on the j-th free column and 0 on the others,
-        # so reading the free columns inverts m -> m G
-        self.left_inv = np.eye(self.A.cols, dtype=np.int64)[self.ech.free]
-
-    @property
-    def q(self) -> int:
-        return self.A.field.q
-
-
-def linear_encode(spec: LinearCodeSpec, m) -> np.ndarray:
-    m = np.asarray(m, dtype=np.int64) % spec.q
-    if m.shape != (spec.msg_dim,):
-        raise ValueError("message length mismatch")
-    return (m @ spec.gen + spec.x_c) % spec.q
-
-
-def linear_decode(spec: LinearCodeSpec, y, channel,
-                  prior: MemorylessSource) -> np.ndarray | None:
-    """MAP over the coset, then strip the offset and invert the generator."""
-    if not is_uniform(prior.pmfs):
-        raise ValueError("the deterministic special case assumes a uniform prior")
-    members = spec.ech.members(spec.c)
-    best, _ = _argmax(channel.log_lik(y, members))
-    if best is None:
-        return None
-    return spec.left_inv @ ((members[best] - spec.x_c) % spec.q) % spec.q
 
 
 # -- rate conditions ---------------------------------------------------------------

@@ -39,9 +39,10 @@ The decoders run `DECODE_ITERS` iterations at most and also stop at the
 first iteration whose hard decision lies in the coset (`run(...,
 until_member=True)`), read from the variable pass the iteration already
 ran; that member test keeps its syndrome across iterations, and
-`marginals()` reuses the products it formed.  The sampler sets its own
-schedule (`sampler.INIT_ITERS`, `sampler.STEP_ITERS`) and runs until its
-messages settle.
+`marginals()` reuses the products it formed.  The member test and both
+decoders read the hard decision by `hard_decision`.  The sampler sets
+its own schedule (`sampler.INIT_ITERS`, `sampler.STEP_ITERS`) and runs
+until its messages settle.
 """
 
 import numpy as np
@@ -191,6 +192,19 @@ class CosetGraph:
 TOL = 1e-8
 # iterations of the BP decoders, `channel.decode_bp` and `lossy.decode`
 DECODE_ITERS = 100
+
+
+def hard_decision(beliefs: np.ndarray) -> np.ndarray:
+    """Per column of the (q, n) beliefs, the first symbol of largest belief,
+    as np.argmax(beliefs, axis=0) reads it, by one comparison per symbol
+    where np.argmax pays per column."""
+    q = beliefs.shape[0]
+    best, x = beliefs[0], np.zeros(beliefs.shape[1], dtype=np.int64)
+    for k in range(1, q):
+        x[beliefs[k] > best] = k
+        if k + 1 < q:
+            best = np.maximum(best, beliefs[k])
+    return x
 
 
 class CosetBP:
@@ -361,11 +375,7 @@ class CosetBP:
                 a[:, has] = prior[:, has] * full
             else:
                 a = prior * full
-            # argmax by one comparison per symbol; np.argmax(axis=0) pays per column
-            best, new = a[0], np.zeros(a.shape[1], dtype=np.int64)
-            for k in range(1, q):
-                new[a[k] > best] = k
-                best = np.maximum(best, a[k])
+            new = hard_decision(a)
             if syndrome is None:
                 terms = new.take(g.e_var) * coeff[:-1]
                 syndrome = (np.add.reduceat(terms, g.check_start) - want) % q

@@ -330,16 +330,6 @@ def avg_spectrum(ens, sample_budget: int | None = None,
     return SpectrumTable(n, q, ens.l, types, sizes, values, err, False)
 
 
-def spectrum_to_csv(table: SpectrumTable) -> str:
-    lines = ["type_composition,C_t,S_exact_or_mean,stderr"]
-    for t in table.types:
-        sval = repr(float(table.values[t]))
-        err = "" if table.stderr is None else repr(table.stderr[t])
-        comp = ";".join(str(v) for v in t)
-        lines.append(f"{comp},{table.class_sizes[t]},{sval},{err}")
-    return "\n".join(lines) + "\n"
-
-
 @dataclass
 class AlphaBeta:
     alpha: Fraction

@@ -5,8 +5,7 @@ source word, samples a member of C_A(c) from them, and transmits its
 image m under B; the decoder returns the highest-prior member of the
 joint coset C_AB(c, m) = {x : Ax = c, Bx = m}.  When the stacked map has
 full column rank the joint coset is a single point and decoding is a
-linear solve through the stacked map's echelon; under uniform marginals
-that solve is the deterministic special case.
+linear solve through the stacked map's echelon.
 """
 
 import math
@@ -14,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fastbp import DECODE_ITERS, CosetBP
+from .fastbp import DECODE_ITERS, CosetBP, hard_decision
 from .models import DiscreteChannel, DistortionSpec, MemorylessSource, rate_quantities
 from .sampler import CosetPair, DeadEndError, EncodingError, SamplerConfig, member_law
 from .sparsemat import DENSE_CAP, all_vectors, row_reduce
@@ -86,25 +85,12 @@ def decode(spec: LossyCodeSpec, m) -> np.ndarray | None:
         bp.run(DECODE_ITERS, until_member=True)
         if bp.failed:
             return None
-        return ech.member_like(target, np.argmax(bp.marginals(), axis=1))
+        return ech.member_like(target, hard_decision(bp.marginals().T))
     members = ech.members(target)
     with np.errstate(divide="ignore"):
         lp = np.log2(spec.x_marginals)
     logp = lp[np.arange(spec.n), members].sum(axis=1)
     return members[int(np.argmax(logp))]
-
-
-def linear_decode(spec: LossyCodeSpec, m) -> np.ndarray:
-    """Deterministic special case: the one x with (A x, B x) = (c, m), solved
-    through the stacked map's echelon, which must have full column rank."""
-    if not np.allclose(spec.x_marginals, 1.0 / spec.q):
-        raise ValueError("the deterministic special case assumes uniform marginals")
-    if spec.ech_stacked.rank != spec.n:
-        raise ValueError("stacked map (A, B) is not injective")
-    x = decode(spec, m)
-    if x is None:
-        raise ValueError("(c, m) is outside the image of the stacked map")
-    return x
 
 
 @dataclass

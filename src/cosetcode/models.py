@@ -151,17 +151,10 @@ class BiAwgnChannel:
         return np.exp(ld - ld.max(axis=1, keepdims=True))
 
 
-@dataclass
-class ReverseModel:
-    """Per-index Bayes posteriors mu_{X_i|Y_i}(.|y_i) plus the prior marginals."""
-
-    posteriors: np.ndarray  # (n, q)
-    priors: np.ndarray      # (n, q)
-
-
-def reverse_model(source: MemorylessSource, channel, y) -> ReverseModel:
-    """Posteriors prop. to mu_{X_i} * mu_{Y_i|X_i}(y_i|.), one index at a time;
-    the source's pmfs were checked when it was built."""
+def reverse_model(source: MemorylessSource, channel, y) -> np.ndarray:
+    """(n, q) per-index Bayes posteriors mu_{X_i|Y_i}(.|y_i), prop. to
+    mu_{X_i} * mu_{Y_i|X_i}(y_i|.); the source's pmfs were checked when it
+    was built."""
     priors = source.pmfs
     lik = channel.lik_rows(y)
     if lik.shape != priors.shape:
@@ -171,7 +164,7 @@ def reverse_model(source: MemorylessSource, channel, y) -> ReverseModel:
     dead = np.nonzero(evid == 0)[0]
     if dead.size:
         raise ValueError(f"zero evidence at index {int(dead[0])}: all-zero posterior")
-    return ReverseModel(unnorm / evid[:, None], priors)
+    return unnorm / evid[:, None]
 
 
 @dataclass
@@ -276,65 +269,3 @@ def uniform_source(n: int, q: int) -> MemorylessSource:
 
 def bernoulli_source(p: float, n: int) -> MemorylessSource:
     return MemorylessSource(np.broadcast_to([1 - p, p], (n, 2)).copy())
-
-
-def nonstationary_source(path, n: int | None = None) -> MemorylessSource:
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            rows.append([float(tok) for tok in line.split()])
-    if not rows:
-        raise ValueError(f"no pmfs found in {path}")
-    pmfs = np.asarray(rows, dtype=float)
-    if n is not None and pmfs.shape[0] != n:
-        raise ValueError(f"{path} lists {pmfs.shape[0]} pmfs, expected {n}")
-    return MemorylessSource(pmfs)
-
-
-def parse_channel(text: str, n: int):
-    """Channel presets: bsc(p), bac(p01,p10), qsc(q,p), biawgn(sigma)."""
-    name, args = _parse_call(text)
-    if name == "bsc":
-        (p,) = args
-        return bsc(float(p), n)
-    if name == "bac":
-        p01, p10 = args
-        return bac(float(p01), float(p10), n)
-    if name == "qsc":
-        qv, p = args
-        return qsc(int(qv), float(p), n)
-    if name == "biawgn":
-        (sigma,) = args
-        return biawgn(float(sigma), n)
-    raise ValueError(f"unknown channel preset {text!r}")
-
-
-def parse_source(text: str, n: int, q: int) -> MemorylessSource:
-    """Source presets: uniform, bernoulli(p), nonstationary(file)."""
-    if text.strip() == "uniform":
-        return uniform_source(n, q)
-    name, args = _parse_call(text)
-    if name == "bernoulli":
-        if q != 2:
-            raise ValueError("bernoulli preset needs q = 2")
-        (p,) = args
-        return bernoulli_source(float(p), n)
-    if name == "nonstationary":
-        (path,) = args
-        src = nonstationary_source(path, n)
-        if src.q != q:
-            raise ValueError("pmf width does not match q")
-        return src
-    raise ValueError(f"unknown source preset {text!r}")
-
-
-def _parse_call(text: str):
-    text = text.strip()
-    if "(" not in text or not text.endswith(")"):
-        raise ValueError(f"expected name(args), got {text!r}")
-    name, inner = text[:-1].split("(", 1)
-    args = [a.strip() for a in inner.split(",")] if inner.strip() else []
-    return name.strip(), args

@@ -785,19 +785,24 @@ class _ForcedPath:
 
 
 def path_tree_law(A: SparseMatrix, c, priors, cfg: SamplerConfig):
-    """Law induced by the exact sequential engine, by full path-tree expansion.
+    """Single-pass law of the engine cfg.method names, by full path-tree expansion.
 
+    Each coset member's path is forced through one pass of the driver, as
+    `generate_interval` runs it, and its step probabilities multiply.
     Every positive-probability path ends on the coset (step pmfs are
-    normalized and give dead branches zero mass), so expanding the paths
-    of the coset members covers the whole tree.  Honors cfg.early_stop the
-    same way generate does.  Returns (members, path_probabilities).
+    normalized, and a pivot column is a point mass on its one feasible
+    symbol), so expanding the members' paths covers the whole tree.  The
+    exact engine's law is the restricted prior; the sum-product engine's
+    is what one pass of its draw gives, without restarts.  The missing
+    mass, 1 - sum(path_probabilities), is the pass's dead-end
+    probability, 0 for the exact engine.  Honors cfg.early_stop the same
+    way generate does.  Returns (members, path_probabilities).
     """
     sampler = CosetSampler(A)
-    engine = _ExactEngine(sampler, sampler.checked_priors(priors), cfg)
-    s = sampler.reduced_target(c)[:sampler.reverse.rank]
-    if engine.stepper.mass_of(s) <= 0:
-        raise EncodingError("coset has zero prior mass")
+    engine = _STEPWISE[cfg.method](sampler, sampler.checked_priors(priors), cfg)
     members = sampler.echelon.members(c)
+    if members.shape[0] == 0:
+        raise EncodingError("coset is empty: c is outside Im A")
     probs = np.zeros(members.shape[0])
     for row, x in enumerate(members):
         path = _ForcedPath(x)

@@ -93,10 +93,6 @@ class SparseMatrix:
         rows, cols = np.nonzero(arr)
         return cls.from_coo(arr.shape[0], arr.shape[1], field, rows, cols, arr[rows, cols])
 
-    def row(self, i: int):
-        s, e = self.indptr[i], self.indptr[i + 1]
-        return self.col_idx[s:e], self.coeffs[s:e]
-
     @property
     def nnz(self) -> int:
         return int(self.indptr[-1])
@@ -503,46 +499,3 @@ def suffix_ranks(reverse: EchelonForm) -> np.ndarray:
     columns after it, so sr[k] counts the pivots at reversed positions < n - k."""
     n = reverse.n
     return np.searchsorted(reverse.pivots, n - np.arange(n + 1))
-
-
-# -- text format ---------------------------------------------------------------
-
-
-def write_gfmat(A: SparseMatrix, path) -> None:
-    """Bit-exact text format: header then one `col:coeff ...` line per row."""
-    lines = [f"gfmat v1 q={A.field.q} l={A.rows} n={A.cols}"]
-    for i in range(A.rows):
-        cols, coeffs = A.row(i)
-        lines.append(" ".join(f"{c}:{a}" for c, a in zip(cols, coeffs)))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_gfmat(path) -> SparseMatrix:
-    with open(path) as fh:
-        text = fh.read()
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise ValueError("empty gfmat file")
-    head = lines[0].split()
-    if len(head) != 5 or head[0] != "gfmat" or head[1] != "v1":
-        raise ValueError(f"bad gfmat header: {lines[0]!r}")
-    try:
-        fields = dict(p.split("=") for p in head[2:])
-        q, l, n = int(fields["q"]), int(fields["l"]), int(fields["n"])
-    except (ValueError, KeyError):
-        raise ValueError(f"bad gfmat header: {lines[0]!r}")
-    if len(lines) - 1 != l:
-        raise ValueError(f"expected {l} rows, found {len(lines) - 1}")
-    field = GF(q)
-    entries = []
-    for line in lines[1:]:
-        row = []
-        if line.strip():
-            for tok in line.split():
-                c, a = tok.split(":")
-                row.append((int(c), int(a)))
-        entries.append(row)
-    return SparseMatrix(l, n, field, entries)

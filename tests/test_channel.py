@@ -8,13 +8,10 @@ from cosetcode import fastbp
 from cosetcode.channel import (
     ChannelCodeSpec,
     ChannelEncoder,
-    LinearCodeSpec,
     decode_bp,
     decode_map,
     encode,
     exact_error,
-    linear_decode,
-    linear_encode,
     rate_check,
     sample_code,
     simulate,
@@ -328,7 +325,7 @@ def test_decode_bp_failure_on_contradiction():
 def full_run_decode(spec, y, ch):
     """The decode without the member stop: BP until DECODE_ITERS or settled
     messages, then the argmax of the marginals; (m_hat or None, iterations)."""
-    bp = CosetBP(spec.coset_a.graph, spec.c, reverse_model(spec.prior, ch, y).posteriors)
+    bp = CosetBP(spec.coset_a.graph, spec.c, reverse_model(spec.prior, ch, y))
     bp.run(DECODE_ITERS)
     x_hat = np.argmax(bp.marginals(), axis=1)
     member = not bp.failed and np.array_equal(spec.A.mat_vec(x_hat), spec.c)
@@ -360,7 +357,7 @@ def member_loop_decode(spec, y, ch):
     """decode_bp rebuilt from run(1) calls, each followed by a fresh full
     member check of the pass's hard decision, then the argmax of the
     marginals: (m_hat or None, converged, iterations)."""
-    bp = CosetBP(spec.coset_a.graph, spec.c, reverse_model(spec.prior, ch, y).posteriors)
+    bp = CosetBP(spec.coset_a.graph, spec.c, reverse_model(spec.prior, ch, y))
     converged = False
     while bp.iterations < DECODE_ITERS and not converged:
         settled = bp.run(1)
@@ -409,7 +406,7 @@ def test_member_stop_reads_non_unit_coefficients(monkeypatch):
     for t in range(40):
         rng = stream(17, t)
         y = ch.sample(encoder.encode(spec.random_message(rng), rng), rng)
-        posteriors = reverse_model(spec.prior, ch, y).posteriors
+        posteriors = reverse_model(spec.prior, ch, y)
         bp = CosetBP(spec.coset_a.graph, spec.c, posteriors)
         bp.run(DECODE_ITERS, until_member=True)
         _, full_iters = full_run_decode(spec, y, ch)
@@ -555,75 +552,35 @@ def test_failed_initial_bp_on_a_nonempty_coset_is_a_dead_end():
 
 
 # ---------------------------------------------------------------------------
-# deterministic special case
+# the uniform prior: the generator-matrix code
 # ---------------------------------------------------------------------------
 
-def test_linear_encode_zero_offset():
-    A = dense([[1, 1, 0], [0, 1, 1]])
-    lin = LinearCodeSpec(A, [0, 0])
-    for m in all_vectors(2, lin.msg_dim):
-        x = linear_encode(lin, m)
-        assert np.array_equal(A.mat_vec(x), [0, 0])
-        assert np.array_equal(x, m @ lin.gen % 2)
-
-
-def test_linear_roundtrip_all_messages():
-    rng = np.random.default_rng(31)
-    for _ in range(10):
-        A = dense(rng.integers(0, 2, size=(3, 6)))
-        c = A.mat_vec(rng.integers(0, 2, size=6))
-        lin = LinearCodeSpec(A, c)
-        ch = bsc(0.0, 6)
-        for m in all_vectors(2, lin.msg_dim):
-            x = linear_encode(lin, m)
-            m_hat = linear_decode(lin, x, ch, uniform_source(6, 2))
-            assert np.array_equal(m_hat, m)
-
-
-def test_linear_left_inverse_identity_and_repetition():
-    free = LinearCodeSpec(SparseMatrix(0, 3, GF(3), []), np.zeros(0))
-    assert np.array_equal(free.gen, np.eye(3, dtype=int))
-    assert np.array_equal(free.left_inv, np.eye(3, dtype=int))
-    rep = LinearCodeSpec(dense([[1, 1]]), [0])
-    assert np.array_equal(rep.gen, [[1, 1]])
-    assert np.array_equal(rep.left_inv @ rep.gen.T % 2, [[1]])
-
-
-def test_linear_left_inverse_exhaustive_roundtrip():
-    rng = np.random.default_rng(10)
-    for q in (2, 3):
-        for _ in range(10):
-            n = int(rng.integers(1, 6))
-            A = dense(rng.integers(0, q, size=(int(rng.integers(1, n + 1)), n)), GF(q))
-            lin = LinearCodeSpec(A, np.zeros(A.rows))
-            assert lin.msg_dim == n - row_reduce(A).rank
-            for m in all_vectors(q, lin.msg_dim):
-                assert np.array_equal(lin.left_inv @ (m @ lin.gen % q) % q, m)
-
-
 def test_stochastic_and_linear_same_error_probability():
-    # with a uniform prior and a bijective (A, B) stack, both codes put a
-    # uniformly chosen member of C_A(c) on the channel and MAP-decode it
+    # with a uniform prior and a bijective (A, B) stack, the stochastic code
+    # puts the one x with (A x, B x) = (c, m) on the channel, as the
+    # generator-matrix code does, and MAP-decodes it over C_A(c)
     rng = np.random.default_rng(41)
     while True:
         A = dense(rng.integers(0, 2, size=(2, 4)))
         if row_reduce(A).rank == 2:
             break
-    lin = LinearCodeSpec(A, A.mat_vec(np.array([1, 0, 1, 1])))
-    B = dense(lin.left_inv)
-    spec = ChannelCodeSpec(A, B, lin.c, uniform_source(4, 2))
+    c = A.mat_vec(np.array([1, 0, 1, 1]))
+    # m reads x at the free columns, so it names one member of C_A(c)
+    B = dense(np.eye(4, dtype=int)[row_reduce(A).free])
+    spec = ChannelCodeSpec(A, B, c, uniform_source(4, 2))
     ch = bsc(0.15, 4)
-    exact_stoch = exact_error(spec, ch)
-    # independent summation for the deterministic code
+    # independent summation, by brute force over GF(2)^4
+    words = all_vectors(2, 4)
+    coset = words[[np.array_equal(A.mat_vec(x), c) for x in words]]
+    msgs = all_vectors(2, 2)
     total = 0.0
-    msgs = all_vectors(2, lin.msg_dim)
     for m in msgs:
-        x = linear_encode(lin, m)
-        for y in all_vectors(2, 4):
-            m_hat = linear_decode(lin, y, ch, uniform_source(4, 2))
-            if not np.array_equal(m_hat, m):
+        (x,) = [x for x in coset if np.array_equal(B.mat_vec(x), m)]
+        for y in words:
+            x_hat = coset[np.argmax([ch.log_lik(y, z) for z in coset])]
+            if not np.array_equal(B.mat_vec(x_hat), m):
                 total += 2.0 ** ch.log_lik(y, x) / msgs.shape[0]
-    assert exact_stoch == pytest.approx(total, abs=1e-9)
+    assert exact_error(spec, ch) == pytest.approx(total, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -331,6 +331,20 @@ def fresh_decision(bp, kept):
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
+def test_hard_decision_is_the_first_argmax(q):
+    """Ties go to the first maximum, as np.argmax reads them, also on the
+    strided transpose of an (n, q) marginals table."""
+    rng = np.random.default_rng(60 + q)
+    for n in (1, 7, 200):
+        beliefs = rng.integers(0, 3, size=(q, n)) / 2.0     # many ties, all-zero columns
+        assert np.array_equal(fastbp.hard_decision(beliefs), np.argmax(beliefs, axis=0))
+        table = rng.dirichlet(np.ones(q), size=n)
+        table[::3, -1] = table[::3, 0]
+        got = fastbp.hard_decision(table.T)
+        assert got.dtype == np.int64 and np.array_equal(got, np.argmax(table, axis=1))
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
 def test_member_test_keeps_the_fresh_syndrome(q, monkeypatch):
     """At every iteration of a member-stopped run the kept syndrome is
     A x_hat - c at the checks with edges, for x_hat recomputed from the

@@ -22,7 +22,6 @@ from cosetcode.hashstats import (
     collision_prob,
     compose_alpha_beta,
     default_h_hat,
-    spectrum_to_csv,
     type_class_size,
     type_of,
 )
@@ -166,10 +165,6 @@ def test_spectrum_total_bound_and_csv():
     table = avg_spectrum(ens)
     total = sum(table.values.values())
     assert total <= 2 ** 5 - 1
-    csv = spectrum_to_csv(table)
-    lines = csv.strip().split("\n")
-    assert lines[0] == "type_composition,C_t,S_exact_or_mean,stderr"
-    assert len(lines) == len(table.types) + 1
 
 
 # ---------------------------------------------------------------------------

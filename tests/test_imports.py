@@ -1,6 +1,6 @@
 """Import hygiene of the library: modules import each other's public names
 only, every import sits at module level where a cycle would show, and every
-module has a caller in the library or the benchmark."""
+module and every public name has a caller in the library or the benchmark."""
 
 import ast
 from pathlib import Path
@@ -13,6 +13,28 @@ MODULES = sorted(SRC.glob("*.py"))
 # hashstats is the paper's hash-property check, which ROADMAP item 2 needs;
 # only the tests run it so far
 NO_CALLER_NEEDED = {"hashstats"}
+# public names that only the tests call, one reason each
+UNCALLED_BY_DESIGN = {
+    "channel.exact_error": "oracle: exact block error at desk scale",
+    "lossy.exact_error": "oracle: exact distortion-excess probability at desk scale",
+    "sampler.exact_coset_law": "oracle: the restricted prior on the coset",
+    "sampler.path_tree_law": "oracle: a stepwise engine's single-pass law",
+    "sampler.generate": "draw entry point on a bare matrix; the pinned digests use it",
+    "sampler.generate_interval": "the deterministic encoder of omega; the pinned digests use it",
+    "channel.simulate": "Monte-Carlo error rate, checked against exact_error",
+    "lossy.simulate": "Monte-Carlo distortion excess, checked against exact_error",
+    "channel.rate_check": "the paper's achievability conditions",
+    "lossy.rate_check": "the paper's achievability conditions",
+    "channel.encode": "one-shot encode that checks m lies in Im B",
+    "lossy.encode": "the encoder's message m = B x",
+    "models.bac": "preset channel for the tests' codes",
+    "models.biawgn": "preset channel for the tests' codes",
+    "models.uniform_source": "preset source for the tests' codes",
+    "models.bernoulli_source": "preset source for the tests' codes",
+    "stats.binary_entropy": "the tests' statistical gates",
+    "stats.chi2_quantile": "the tests' statistical gates",
+    "stats.chi_square_stat": "the tests' statistical gates",
+}
 
 
 def test_the_package_has_modules():
@@ -56,6 +78,57 @@ def test_every_module_has_a_caller(path):
     callers = [other for other in MODULES if other != path] + sorted((ROOT / "mcbench").glob("*.py"))
     used = {stem for other in callers for stem in _imported_modules(other)}
     assert path.stem in used, f"{path.name} is imported by no other module of src/ or mcbench/"
+
+
+def _defined_names(tree):
+    """{public name: its definition} for the module-level functions, classes
+    and constants of a module."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        out[name.id] = node
+    return {name: node for name, node in out.items() if not name.startswith("_")}
+
+
+def _names_read_from(path, stem):
+    """Names the file takes from cosetcode module `stem`: `from ... stem import
+    name`, or `stem.name` read as an attribute."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == stem:
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            owner = node.value
+            if getattr(owner, "id", getattr(owner, "attr", None)) == stem:
+                yield node.attr
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_public_name_has_a_caller(path):
+    """A module-level public name has a caller when its own module uses it
+    outside its own definition, or another file of src/ or mcbench/ imports
+    it or reads it as `module.name`; UNCALLED_BY_DESIGN lists the rest."""
+    if path.stem in NO_CALLER_NEEDED:
+        return
+    tree = ast.parse(path.read_text(), filename=str(path))
+    defined = _defined_names(tree)
+    reads = [node for node in ast.walk(tree) if isinstance(node, ast.Name)]
+    used = set()
+    for name, node in defined.items():
+        inside = {id(inner) for inner in ast.walk(node)}
+        if any(read.id == name and id(read) not in inside for read in reads):
+            used.add(name)
+    others = [other for other in MODULES if other != path] + sorted((ROOT / "mcbench").glob("*.py"))
+    used |= {name for other in others for name in _names_read_from(other, path.stem)}
+    uncalled = {f"{path.stem}.{name}" for name in defined if name not in used}
+    exempt = {key for key in UNCALLED_BY_DESIGN if key.split(".")[0] == path.stem}
+    assert not uncalled - exempt, f"public names without a caller: {sorted(uncalled - exempt)}"
+    assert not exempt - uncalled, f"exempt names that are gone or now called: {sorted(exempt - uncalled)}"
 
 
 @pytest.mark.parametrize("name", ["channel", "lossy"])

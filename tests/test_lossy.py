@@ -99,17 +99,18 @@ def dense(arr, field=GF2):
 
 def uniform_spec(A, B, c):
     """Uniform source through a BSC test channel: the reproduction marginals
-    are uniform, the deterministic special case."""
+    are uniform."""
     n = A.cols
     return lossy.LossyCodeSpec(A, B, c, uniform_source(n, 2), bsc(0.11, n),
                                hamming_distortion(2), 0.2)
 
 
 def test_linear_decode_roundtrip_small():
+    # a bijective stack: decode is the linear solve for the one x with (A x, B x) = (c, m)
     A, B = dense([[1, 1]]), dense([[1, 0]])
     for x in all_vectors(2, 2):
         spec = uniform_spec(A, B, A.mat_vec(x))
-        assert np.array_equal(lossy.linear_decode(spec, B.mat_vec(x)), x)
+        assert np.array_equal(lossy.decode(spec, B.mat_vec(x)), x)
 
 
 def test_linear_decode_roundtrip_random_exhaustive():
@@ -128,23 +129,16 @@ def test_linear_decode_roundtrip_random_exhaustive():
             spec = specs[c.tobytes()]
             if spec.ech_stacked.rank < n:
                 break
-            assert np.array_equal(lossy.linear_decode(spec, B.mat_vec(x)), x)
+            assert np.array_equal(lossy.decode(spec, B.mat_vec(x)), x)
         else:
             done += 1
-
-
-def test_linear_decode_rejects_noninjective():
-    A, B = dense([[1, 1]]), dense([[1, 1]])
-    with pytest.raises(ValueError, match="not injective"):
-        lossy.linear_decode(uniform_spec(A, B, [0]), [0])
 
 
 def test_linear_decode_rejects_target_outside_image():
     A, B = dense([[1, 1]]), dense(np.eye(2, dtype=int))
     spec = uniform_spec(A, B, [0])
-    assert np.array_equal(lossy.linear_decode(spec, [1, 1]), [1, 1])
-    with pytest.raises(ValueError, match="outside the image"):
-        lossy.linear_decode(spec, [1, 0])      # A x = 1 for x = (1, 0)
+    assert np.array_equal(lossy.decode(spec, [1, 1]), [1, 1])
+    assert lossy.decode(spec, [1, 0]) is None      # A x = 1 for x = (1, 0)
 
 
 def summed_rate_check_entropies(spec):

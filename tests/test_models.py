@@ -11,10 +11,9 @@ from cosetcode.models import (
     MemorylessSource,
     bac,
     bernoulli_source,
+    biawgn,
     bsc,
     hamming_distortion,
-    parse_channel,
-    parse_source,
     qsc,
     rate_quantities,
     reverse_model,
@@ -123,9 +122,9 @@ def test_biawgn_far_outputs_do_not_underflow():
     want = 4 * (-0.5 * (4 / 0.05) ** 2 - math.log(0.05 * math.sqrt(2 * math.pi))) / math.log(2)
     assert ll == pytest.approx(want)
     assert ch.log_lik(y, 1 - x) < ll
-    rm = reverse_model(MemorylessSource(np.full((4, 2), 0.5)), ch, y)
-    assert np.array_equal(np.argmax(rm.posteriors, axis=1), x)
-    assert np.all(np.isfinite(rm.posteriors))
+    post = reverse_model(MemorylessSource(np.full((4, 2), 0.5)), ch, y)
+    assert np.array_equal(np.argmax(post, axis=1), x)
+    assert np.all(np.isfinite(post))
 
 
 def test_biawgn_lik_rows_scale_each_row_to_one():
@@ -214,21 +213,21 @@ def test_inverse_cdf_draws_the_clamped_row_sum(q):
 def test_reverse_model_uniform_prior_bsc():
     n, p = 3, 0.1
     ch = bsc(p, n)
-    rm = reverse_model(MemorylessSource(np.full((n, 2), 0.5)), ch, [0, 0, 0])
-    assert np.allclose(rm.posteriors, [[0.9, 0.1]] * 3)
+    post = reverse_model(MemorylessSource(np.full((n, 2), 0.5)), ch, [0, 0, 0])
+    assert np.allclose(post, [[0.9, 0.1]] * 3)
 
 
 def test_reverse_model_noiseless_point_mass():
     ch = bsc(0.0, 2)
-    rm = reverse_model(MemorylessSource(np.full((2, 2), 0.5)), ch, [1, 0])
-    assert np.allclose(rm.posteriors, [[0.0, 1.0], [1.0, 0.0]])
+    post = reverse_model(MemorylessSource(np.full((2, 2), 0.5)), ch, [1, 0])
+    assert np.allclose(post, [[0.0, 1.0], [1.0, 0.0]])
 
 
 def test_reverse_model_bayes_arithmetic():
     ch = bsc(0.1, 1)
-    rm = reverse_model(MemorylessSource([[0.3, 0.7]]), ch, [1])
-    assert np.allclose(rm.posteriors, [[0.03 / 0.66, 0.63 / 0.66]])
-    assert rm.posteriors[0, 0] == pytest.approx(1 / 22)
+    post = reverse_model(MemorylessSource([[0.3, 0.7]]), ch, [1])
+    assert np.allclose(post, [[0.03 / 0.66, 0.63 / 0.66]])
+    assert post[0, 0] == pytest.approx(1 / 22)
 
 
 def test_reverse_model_zero_evidence_names_index():
@@ -246,9 +245,7 @@ def test_reverse_model_takes_a_checked_source_as_is(monkeypatch):
     joint = src.pmfs * ch.kernels[np.arange(6), :, y]     # mu(x) mu(y_i | x)
     want = joint / joint.sum(axis=1, keepdims=True)
     monkeypatch.setattr(models, "_check_pmfs", None)
-    got = reverse_model(src, ch, y)
-    assert np.array_equal(got.posteriors, want)
-    assert got.priors is src.pmfs
+    assert np.array_equal(reverse_model(src, ch, y), want)
 
 
 def test_reverse_model_bayes_consistency_randomized():
@@ -259,13 +256,13 @@ def test_reverse_model_bayes_consistency_randomized():
         kern = rng.dirichlet(np.ones(4), size=(n, 3))
         ch = DiscreteChannel(kern)
         y = rng.integers(0, 4, size=n)
-        rm = reverse_model(MemorylessSource(prior), ch, y)
+        post = reverse_model(MemorylessSource(prior), ch, y)
         lik = ch.lik_rows(y)
         evid = (prior * lik).sum(axis=1)
         for i in range(n):
             for xv in range(3):
                 lhs = prior[i, xv] * lik[i, xv]
-                rhs = evid[i] * rm.posteriors[i, xv]
+                rhs = evid[i] * post[i, xv]
                 assert abs(lhs - rhs) < 1e-9
 
 
@@ -352,32 +349,12 @@ def test_weighted_distortion_table():
 # presets
 # ---------------------------------------------------------------------------
 
-def test_parse_presets(tmp_path):
-    assert isinstance(parse_channel("bsc(0.1)", 4), DiscreteChannel)
-    assert isinstance(parse_channel("bac(0.1, 0.2)", 4), DiscreteChannel)
-    ch = parse_channel("qsc(3, 0.2)", 4)
-    assert ch.q == 3
-    assert np.allclose(ch.kernels[0, 0], [0.8, 0.1, 0.1])
-    assert isinstance(parse_channel("biawgn(1.0)", 4), BiAwgnChannel)
-    src = parse_source("bernoulli(0.3)", 5, 2)
-    assert src.pmfs[0, 1] == pytest.approx(0.3)
-    f = tmp_path / "pmfs.txt"
-    f.write_text("0.5 0.5\n0.1 0.9\n")
-    src2 = parse_source(f"nonstationary({f})", 2, 2)
-    assert src2.pmfs[1, 1] == pytest.approx(0.9)
-    with pytest.raises(ValueError):
-        parse_channel("laplace(1)", 4)
+def test_presets():
+    for ch in (bsc(0.1, 4), bac(0.1, 0.3, 4), qsc(3, 0.2, 4)):
+        assert isinstance(ch, DiscreteChannel) and ch.n == 4
+    assert np.allclose(qsc(3, 0.2, 4).kernels[0, 0], [0.8, 0.1, 0.1])
     assert qsc(2, 0.1, 1).kernels[0, 0, 1] == pytest.approx(0.1)
     assert bac(0.1, 0.3, 1).kernels[0, 1, 0] == pytest.approx(0.3)
-
-
-@pytest.mark.parametrize("text, match", [
-    ("# pmfs of x_1, x_2\n\n   \n# none yet\n", "no pmfs"),
-    ("0.5 0.5\n0.1 0.9\n0.3 0.7\n", "lists 3 pmfs, expected 2"),
-    ("0.2 0.3 0.5\n0.1 0.1 0.8\n", "pmf width does not match q"),
-], ids=["only-comments", "wrong-row-count", "wrong-width"])
-def test_parse_nonstationary_source_refusals(tmp_path, text, match):
-    f = tmp_path / "pmfs.txt"
-    f.write_text(text)
-    with pytest.raises(ValueError, match=match):
-        parse_source(f"nonstationary({f})", 2, 2)
+    assert isinstance(biawgn(1.0, 4), BiAwgnChannel)
+    assert bernoulli_source(0.3, 5).pmfs[0, 1] == pytest.approx(0.3)
+    assert np.array_equal(uniform_source(2, 3).pmfs, np.full((2, 3), 1 / 3))

@@ -487,6 +487,52 @@ def test_early_stop_invariance_exact_equality():
         assert np.array_equal(p1, p2)  # bit-for-bit
 
 
+SUM_PRODUCT = SamplerConfig(method="sum-product")
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_sum_product_path_tree_is_exact_on_a_star(q):
+    # one check is a tree: BP's conditionals are exact, so its pass never dead-ends
+    rng = np.random.default_rng(70 + q)
+    for n in (3, 5, 6):
+        A = SparseMatrix.from_dense(rng.integers(1, q, size=(1, n)), GF(q))
+        c = A.mat_vec(rng.integers(0, q, size=n))
+        priors = rng.dirichlet(np.full(q, 1.5), size=n)
+        members, probs = path_tree_law(A, c, priors, SUM_PRODUCT)
+        _, law = exact_coset_law(A, c, priors)
+        assert np.abs(probs - law).max() <= 1e-12
+
+
+def test_sum_product_path_tree_differs_from_the_law_on_a_loopy_code():
+    # dense 6 x 12 checks: BP's step conditionals are approximate, so the
+    # sum-product engine's own law is far from the restricted prior
+    rng = np.random.default_rng(77)
+    A = SparseMatrix.from_dense(rng.integers(0, 2, size=(6, 12)), GF2)
+    c = A.mat_vec(rng.integers(0, 2, size=12))
+    priors = np.tile([0.8, 0.2], (12, 1))
+    members, probs = path_tree_law(A, c, priors, SUM_PRODUCT)
+    _, law = exact_coset_law(A, c, priors)
+    assert np.all(probs >= 0)
+    assert probs.sum() <= 1 + 1e-12          # the rest is the pass's dead-end mass
+    assert 0.5 * np.abs(probs - law).sum() > 0.1
+    exact_members, exact_probs = path_tree_law(A, c, priors, EXACT)
+    assert np.array_equal(exact_members, members)
+    assert np.abs(exact_probs - law).max() <= 1e-12
+
+
+def test_path_tree_refuses_an_empty_or_massless_coset():
+    A = dense([[1, 1, 0], [0, 1, 1]], GF2)
+    priors = np.tile([0.5, 0.5], (3, 1))
+    priors[0] = [1.0, 0.0]                    # x_0 = 0, so x = (0, 0, 0) alone on C_A(0)
+    for cfg in (EXACT, NO_EARLY, SUM_PRODUCT):
+        with pytest.raises(EncodingError, match="c is outside Im A"):
+            path_tree_law(dense([[1, 1, 0], [1, 1, 0]], GF2), [1, 0], priors, cfg)
+        with pytest.raises(EncodingError, match="zero prior mass"):
+            path_tree_law(A, [1, 0], np.tile([[1.0, 0.0]], (3, 1)), cfg)
+        members, probs = path_tree_law(A, [0, 0], priors, cfg)
+        assert members.shape[0] == 2 and probs.sum() == pytest.approx(1.0)
+
+
 # ---------------------------------------------------------------------------
 # interval algorithm
 # ---------------------------------------------------------------------------

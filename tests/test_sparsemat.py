@@ -10,12 +10,10 @@ from cosetcode.sparsemat import (
     SparseMatrix,
     all_vectors,
     column_space_basis,
-    read_gfmat,
     row_reduce,
     sample_sparse_matrix,
     suffix_ranks,
     vec_to_index,
-    write_gfmat,
 )
 from cosetcode.streams import stream
 
@@ -640,29 +638,3 @@ def test_all_vectors_lex_order():
     V = all_vectors(3, 2)
     assert np.array_equal(V[:4], [[0, 0], [0, 1], [0, 2], [1, 0]])
     assert vec_to_index([1, 0], 3) == 3
-
-
-# ---------------------------------------------------------------------------
-# text format
-# ---------------------------------------------------------------------------
-
-def test_gfmat_roundtrip(tmp_path):
-    rng = np.random.default_rng(16)
-    D = rng.integers(0, 5, size=(4, 6))
-    D[2] = 0  # force an empty row line
-    A = dense(D, GF5)
-    p = tmp_path / "a.gfmat"
-    write_gfmat(A, p)
-    B = read_gfmat(p)
-    assert A == B
-    # identical bytes when rewritten
-    p2 = tmp_path / "b.gfmat"
-    write_gfmat(B, p2)
-    assert p.read_bytes() == p2.read_bytes()
-
-
-def test_gfmat_rejects_bad_header(tmp_path):
-    p = tmp_path / "bad.gfmat"
-    p.write_text("gfmat v2 q=2 l=1 n=1\n0:1\n")
-    with pytest.raises(ValueError):
-        read_gfmat(p)
