@@ -16,7 +16,7 @@ import numpy as np
 from .fastbp import DECODE_ITERS, CosetBP, hard_decision
 from .models import DiscreteChannel, DistortionSpec, MemorylessSource, rate_quantities
 from .sampler import CosetPair, DeadEndError, EncodingError, SamplerConfig, member_law
-from .sparsemat import DENSE_CAP, all_vectors, row_reduce
+from .sparsemat import DENSE_CAP, all_vectors
 from .stats import entropy_bits, wilson_interval
 from .streams import stream
 
@@ -43,7 +43,6 @@ class LossyCodeSpec(CosetPair):
         # mu_{X_i}(x) = sum_y mu_{Y_i}(y) mu_{X_i|Y_i}(x|y)
         self.x_marginals = np.einsum("iy,iyx->ix", self.source.pmfs,
                                      self.test_channel.kernels)
-        self.rank_b = row_reduce(self.B).rank
         self.rate_R = self.rank_b / n * math.log2(q)
 
     def posteriors(self, y) -> np.ndarray:

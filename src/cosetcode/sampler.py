@@ -6,8 +6,8 @@ read off (the early stop).  The work has three lifetimes:
   per matrix  `CosetSampler(A)`: the reverse-column echelon, the
               sum-product `CosetGraph`, the echelon form and, per stop,
               the exact engine's `TablePlan`, each built on first use;
-              a code's `CosetPair(A, B, c)` holds one for A and one for
-              the stacked map (A; B);
+              a code's `CosetPair(A, B, c)` holds one for A, whose echelon
+              too waits for a first use, and one for the stacked map (A; B);
   per prior   `CosetSampler.engine(priors, cfg)`, which refuses priors
               that are not an (n, q) array of finite non-negative
               numbers: exact (`ExactStepper` suffix-mass tables on Im A,
@@ -23,7 +23,7 @@ read off (the early stop).  The work has three lifetimes:
               dead end restarts the draw, up to RETRIES passes) or uniform
               (uniform priors make the law uniform on the coset: a solution
               plus a random kernel combination, with no sequential work);
-  per target  `engine.draw(c, rng)`.
+  per target  `engine.draw(c, rng)`, or `engine.walker(c)` for many passes.
 `_drive` is the one step loop.  A per-draw state gives the step pmf
 (`pmf(k)`), which the driver narrows to a point mass wherever the prefix
 forces x_k, and takes the chosen symbol (`commit(k, v)`); a selector
@@ -43,7 +43,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .fastbp import CosetBP, CosetGraph
-from .sparsemat import DENSE_CAP, EchelonForm, SparseMatrix, row_reduce, suffix_ranks
+from .sparsemat import DENSE_CAP, EchelonForm, SparseMatrix, null_basis, row_reduce, suffix_ranks
 from .streams import sample_pmf
 
 
@@ -496,7 +496,10 @@ class CosetPair:
     for C_A(c) (`coset_a`) and one for the joint cosets
     C_AB(c, m) = {x : Ax = c, Bx = m} of the stacked map (`joint`).  The
     channel code samples on the joint coset and decodes on C_A(c); the
-    lossy code samples on C_A(c) and decodes on the joint coset."""
+    lossy code samples on C_A(c) and decodes on the joint coset.  Set-up
+    eliminates the stacked map alone and reads c in Im A, both ranks, Im B's
+    RREF basis and its constraints off that echelon's cokernel; A's echelon
+    is built on first use, to enumerate C_A(c) or draw uniformly on it."""
 
     A: SparseMatrix
     B: SparseMatrix
@@ -510,12 +513,16 @@ class CosetPair:
         if self.c.shape != (self.A.rows,):
             raise ValueError("c length must equal the row count of A")
         self.coset_a = CosetSampler(self.A)
-        if self.coset_a.echelon.solve(self.c) is None:
-            raise ValueError("c is not in Im A")
-        self.rank_a = self.coset_a.echelon.rank
         self.stacked = self.A.stack(self.B)
         self.joint = CosetSampler(self.stacked)
         self.ech_stacked: EchelonForm = self.joint.echelon
+        l, k = self.A.rows, self.B.rows
+        on_c, _ = self.ech_stacked.image_constraints(0, l)
+        if np.any(on_c @ self.c % self.q):
+            raise ValueError("c is not in Im A")
+        self.msg_constraints, pivots = self.ech_stacked.image_constraints(l, l + k)
+        self.msg_basis = null_basis(self.msg_constraints, pivots, self.q)   # RREF, of Im B
+        self.rank_a, self.rank_b = l - on_c.shape[0], self.msg_basis.shape[0]
         self.rate_r = self.rank_a / self.n * math.log2(self.q)
 
     def members_by_message(self):
@@ -619,12 +626,16 @@ class _ExactEngine:
         stop = sampler.early_stop_index if cfg.early_stop else sampler.A.cols
         self.stepper = ExactStepper(sampler.table_plan(stop), priors)
 
-    def walk(self, c, choose) -> GeneratedSample:
-        """One pass of the driver with the given selector."""
+    def walker(self, c):
+        """Passes of the step loop `_drive` on target c, one per selector."""
         c = self.sampler.target(c)
         s = self.sampler.reduced_target(c)
-        state = _ExactState(self.stepper, s[:self.sampler.reverse.rank])
-        return _drive(self.sampler, c, s, state, choose, self.cfg.early_stop)
+        state = partial(_ExactState, self.stepper, s[:self.sampler.reverse.rank])
+        return lambda choose: _drive(self.sampler, c, s, state(), choose, self.cfg.early_stop)
+
+    def walk(self, c, choose) -> GeneratedSample:
+        """One pass of the step loop with the given selector."""
+        return self.walker(c)(choose)
 
     def draw(self, c, rng) -> GeneratedSample:
         return self.walk(c, partial(sample_pmf, rng))
@@ -636,37 +647,36 @@ class _SumProductEngine:
     def __init__(self, sampler: CosetSampler, priors, cfg: SamplerConfig):
         self.sampler, self.priors, self.cfg = sampler, priors, cfg
 
-    def _start(self, c):
-        """c's reduced target, BP on c after its initial run, and that run's flag."""
+    def walker(self, c):
+        """Passes of the step loop on target c, one per selector, without restarts: each
+        runs on a clone of BP after its initial run and carries that run's flag."""
+        c = self.sampler.target(c)
         s = self.sampler.reduced_target(c)
-        bp = CosetBP(self.sampler.graph, c, self.priors)
-        converged = bp.run(INIT_ITERS)
-        if bp.failed:
+        base = CosetBP(self.sampler.graph, c, self.priors)
+        converged = base.run(INIT_ITERS)
+        if base.failed:
             if np.all(self.priors > 0):      # the coset is nonempty, so it has mass
                 raise DeadEndError("initial BP run failed on a nonempty coset")
             raise EncodingError("initial BP run failed: the coset may have zero prior mass")
-        return s, bp, converged
 
-    def _pass(self, c, s, bp, choose) -> GeneratedSample:
-        return _drive(self.sampler, c, s, _BeliefState(bp), choose, self.cfg.early_stop)
-
-    def walk(self, c, choose) -> GeneratedSample:
-        """One pass of the driver with the given selector, without restarts."""
-        c = self.sampler.target(c)
-        s, bp, _ = self._start(c)
-        return self._pass(c, s, bp, choose)
-
-    def draw(self, c, rng) -> GeneratedSample:
-        c = self.sampler.target(c)
-        s, base, converged = self._start(c)
-        choose = partial(sample_pmf, rng)
-        for _ in range(RETRIES):
-            try:
-                sample = self._pass(c, s, base.clone(), choose)
-            except DeadEndError:
-                continue
+        def one_pass(choose) -> GeneratedSample:
+            state = _BeliefState(base.clone())
+            sample = _drive(self.sampler, c, s, state, choose, self.cfg.early_stop)
             sample.converged = converged
             return sample
+        return one_pass
+
+    def walk(self, c, choose) -> GeneratedSample:
+        """One pass of the step loop with the given selector, without restarts."""
+        return self.walker(c)(choose)
+
+    def draw(self, c, rng) -> GeneratedSample:
+        walk, choose = self.walker(c), partial(sample_pmf, rng)
+        for _ in range(RETRIES):
+            try:
+                return walk(choose)
+            except DeadEndError:
+                continue
         raise DeadEndError(f"sum-product engine failed after {RETRIES} restarts")
 
 
@@ -804,10 +814,14 @@ def path_tree_law(A: SparseMatrix, c, priors, cfg: SamplerConfig):
     if members.shape[0] == 0:
         raise EncodingError("coset is empty: c is outside Im A")
     probs = np.zeros(members.shape[0])
+    try:
+        walk = engine.walker(c)
+    except DeadEndError:          # a failed initial BP run: every pass dead-ends
+        return members, probs
     for row, x in enumerate(members):
         path = _ForcedPath(x)
         try:
-            sample = engine.walk(c, path)
+            sample = walk(path)
         except DeadEndError:      # a zero-probability prefix ran out of mass
             continue
         assert np.array_equal(sample.x, x)

@@ -10,16 +10,18 @@ stays packed: solves and uniform coset draws are XOR/popcount parities on
 its words.  Over GF(q > 2) elimination works on the dense mirror `to_dense`.
 
 DENSE_CAP = 2**20 is the library's one desk-scale budget, read by every
-refusal where it happens: dense mirror entries (l*n), packed words (of
-[A | I] in `row_reduce`, of M^T alone in `column_space_basis`), coset
-members, enumerated channel outputs and source words, exact-engine
-states, factor-graph assignments and hash-scan inputs.
+refusal where it happens: dense mirror entries (l*n), packed words of
+[A | I] in `row_reduce`, coset members, enumerated channel outputs and
+source words, exact-engine states, factor-graph assignments and hash-scan
+inputs.
 
 `row_reduce` eliminates a matrix once and returns an `EchelonForm`, the
 one object that solves A x = t, holds the kernel and enumerates or
 samples the coset {x : A x = t}; callers keep the echelon of a matrix
 they reuse instead of eliminating it again.  The echelon of `A.reversed()`
-answers for the column suffixes of A (`suffix_ranks`, `sampler`).
+answers for the column suffixes of A (`suffix_ranks`, `sampler`); its cokernel,
+the rows of T past the rank, answers for the projections of a stacked map
+onto its row blocks (`image_constraints`), so no block is eliminated again.
 """
 
 from dataclasses import dataclass
@@ -112,10 +114,6 @@ class SparseMatrix:
         """The same matrix with its columns in reverse order."""
         return SparseMatrix.from_coo(self.rows, self.cols, self.field,
                                      self.row_of, self.cols - 1 - self.col_idx, self.coeffs)
-
-    def transpose(self) -> "SparseMatrix":
-        return SparseMatrix.from_coo(self.cols, self.rows, self.field,
-                                     self.col_idx, self.row_of, self.coeffs)
 
     # -- algebra -------------------------------------------------------------
 
@@ -241,11 +239,11 @@ class EchelonForm:
     @cached_property
     def free(self) -> np.ndarray:
         """The non-pivot columns, ascending."""
-        return np.setdiff1d(np.arange(self.n), self.pivots)
+        return np.delete(np.arange(self.n), self.pivots)
 
-    def _dense(self, lo: int, hi: int, nrows=None) -> np.ndarray:
-        """Columns lo..hi-1 of the first nrows rows of [R | T] as a new int64 array."""
-        rt = self.rt[:nrows]
+    def _dense(self, lo: int, hi: int, rows=slice(None)) -> np.ndarray:
+        """Columns lo..hi-1 of the rows `rows` of [R | T] as a new int64 array."""
+        rt = self.rt[rows]
         return _unpack(rt, lo, hi) if self.field.q == 2 else rt[:, lo:hi].copy()
 
     def _product(self, lo: int, v: np.ndarray) -> np.ndarray:
@@ -285,11 +283,25 @@ class EchelonForm:
     @cached_property
     def kernel(self) -> np.ndarray:
         """Basis of {x : A x = 0} as a (n - rank, n) array, built on first use."""
-        free = self.free
-        basis = np.zeros((free.size, self.n), dtype=np.int64)
-        basis[np.arange(free.size), free] = 1
-        basis[:, self.pivots] = (-self._dense(0, self.n, self.rank)[:, free].T) % self.field.q
-        return basis
+        return null_basis(self._dense(0, self.n, slice(self.rank)), self.pivots, self.field.q)
+
+    def image_constraints(self, lo: int, hi: int):
+        """(G, pivots): rows lo..hi-1 of A x range over {m : G m = 0} as x varies.
+
+        Read off the cokernel N, the rows of T past the rank (t is in Im A iff
+        N t = 0), without unpacking the rest of T: reduced row by row with the
+        other columns first and lo..hi-1 last, reversed, the rows that pivot among
+        the latter involve m alone; G is zero past each row's pivot and at the others'."""
+        N = self._dense(self.n, self.n + self.rt.shape[0], slice(self.rank, None))
+        (z, w), own, q = N.shape, hi - lo, self.field.q
+        M = N[:, np.r_[:lo, hi:w, np.arange(hi - 1, lo - 1, -1)]]
+        pivots = np.zeros(z, dtype=np.int64)
+        for i in range(z):      # N's rows are independent, so each one pivots
+            p = pivots[i] = np.flatnonzero(M[i])[0]
+            M[i] = M[i] * int(self.field.inv_table[M[i, p]]) % q
+            M = (M - np.outer(M[:, p] * (np.arange(z) != i), M[i])) % q
+        on_m = pivots >= w - own
+        return M[on_m, w - own:][:, ::-1], w - 1 - pivots[on_m]
 
     def members(self, target) -> np.ndarray:
         """All of C_A(target) in lexicographic order, empty when target is not in
@@ -336,7 +348,13 @@ def row_reduce(A: SparseMatrix) -> EchelonForm:
     """
     if A.field.q == 2:
         l, n = A.rows, A.cols
-        rt = _pack_gf2(l, n + l, np.r_[A.row_of, :l], np.r_[A.col_idx, n:n + l])
+        words = (n + l + 63) // 64
+        if l * words > DENSE_CAP:
+            raise ValueError(f"packed elimination refused: {l} rows of {n + l} bits take "
+                             f"{8 * l * words} bytes, exceeds cap {8 * DENSE_CAP}")
+        rt = np.zeros((l, words), dtype="<u8")
+        cols = np.r_[A.col_idx, n:n + l]
+        np.bitwise_or.at(rt, (np.r_[A.row_of, :l], cols >> 6), _BIT[cols & 63])
         pivots = _gauss_jordan_gf2(rt, n)
         # column-major: a product ANDs and XOR-reduces contiguous word columns
         rt = np.asfortranarray(rt)
@@ -344,18 +362,6 @@ def row_reduce(A: SparseMatrix) -> EchelonForm:
         rt = np.concatenate([A.to_dense(), np.eye(A.rows, dtype=np.int64)], axis=1)
         pivots = _gauss_jordan_gfq(rt, A.cols, A.field)
     return EchelonForm(rt, A.cols, np.asarray(pivots, dtype=np.int64), A.field)
-
-
-def _pack_gf2(l: int, width: int, rows, cols) -> np.ndarray:
-    """l rows of `width` bits with ones at (rows[t], cols[t]), bit j of a row in bit
-    j % 64 of its little-endian uint64 word j // 64; refused above 8 * DENSE_CAP bytes."""
-    words = (width + 63) // 64
-    if 8 * l * words > 8 * DENSE_CAP:
-        raise ValueError(f"packed elimination refused: {l} rows of {width} bits take "
-                         f"{8 * l * words} bytes, exceeds cap {8 * DENSE_CAP}")
-    P = np.zeros((l, words), dtype="<u8")
-    np.bitwise_or.at(P, (rows, cols >> 6), _BIT[cols & 63])
-    return P
 
 
 def _unpack(P: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -483,14 +489,14 @@ def vec_to_index(x, q: int) -> int:
     return r
 
 
-def column_space_basis(M: SparseMatrix) -> np.ndarray:
-    """Basis of Im M as a (rank, l) array: the nonzero rows of the RREF of M^T, which
-    is unique, so no transform is kept; the packed M^T may take 8 * DENSE_CAP bytes."""
-    if M.field.q == 2:
-        P = _pack_gf2(M.cols, M.rows, M.col_idx, M.row_of)
-        return _unpack(P[:len(_gauss_jordan_gf2(P, M.rows))], 0, M.rows)
-    R = M.transpose().to_dense().copy()
-    return R[:len(_gauss_jordan_gfq(R, M.rows, M.field))]
+def null_basis(R: np.ndarray, pivots: np.ndarray, q: int) -> np.ndarray:
+    """Basis of {x : R x = 0} for reduced rows R, R[i] being 1 at pivots[i] and 0
+    at the other pivots: per free column f, ascending, e_f - sum_i R[i, f] e_{pivots[i]}."""
+    free = np.delete(np.arange(R.shape[1]), pivots)
+    basis = np.zeros((free.size, R.shape[1]), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = -R[:, free].T % q
+    return basis
 
 
 def suffix_ranks(reverse: EchelonForm) -> np.ndarray:

@@ -114,6 +114,21 @@ def test_message_in_im_b_matches_solve(q):
         spec.message_in_im_b([0, 0, 0])
 
 
+def test_message_in_im_b_at_bsc_bp_shape():
+    # tau = 6 adds an even number of ones to each column, so the rows of B sum
+    # to zero: rank 255 of 256, and Im B is the even-weight messages, half of all
+    spec = sample_code(1024, 512, 256, 6, GF2, uniform_source(1024, 2), seed=5)
+    assert spec.rank_b == 255 and spec.msg_constraints.shape == (1, 256)
+    ech_b, rng = row_reduce(spec.B), stream(6, 0)
+    inside = []
+    for _ in range(64):
+        m = rng.integers(0, 2, size=256)
+        inside.append(spec.message_in_im_b(m))
+        assert inside[-1] == (ech_b.solve(m) is not None) == (m.sum() % 2 == 0)
+        assert spec.message_in_im_b(spec.random_message(rng))
+    assert 16 < sum(inside) < 48
+
+
 def test_message_in_im_b_rank_zero():
     spec = ChannelCodeSpec(dense([[1, 1, 0]]), SparseMatrix(2, 3, GF2, [[], []]), [0],
                            uniform_source(3, 2))

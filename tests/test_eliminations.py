@@ -1,5 +1,7 @@
-"""Each matrix is eliminated once: specs keep their echelons and the per-call
-paths that have one (uniform encoding, message checks, MAP and lossy
+"""Each matrix is eliminated once: a code's set-up eliminates its stacked map
+alone and reads A's rank, c in Im A, B's rank and Im B off that echelon; A is
+eliminated only by the paths that enumerate C_A(c), once; and the per-call
+paths that have an echelon (uniform encoding, message checks, MAP and lossy
 decoding) eliminate nothing."""
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 
 from cosetcode import channel, lossy, sampler, sparsemat
 from cosetcode.gf import GF
-from cosetcode.models import bernoulli_source, bsc, hamming_distortion, uniform_source
+from cosetcode.models import bernoulli_source, bsc, hamming_distortion, qsc, uniform_source
 from cosetcode.sparsemat import EnsembleSpec, sample_sparse_matrix
 from cosetcode.streams import stream
 
@@ -16,21 +18,25 @@ GF2 = GF(2)
 
 @pytest.fixture
 def eliminations(monkeypatch):
-    """Records the matrix of every row_reduce and column_space_basis call (the
-    latter eliminates M^T without a transform) under every name the package
-    imported them by."""
-    calls = []
-    for name in ("row_reduce", "column_space_basis"):
-        real = getattr(sparsemat, name)
+    """Records the matrix of every row_reduce call under every name the package
+    imported it by, and checks at the end that the Gauss-Jordan kernels ran once
+    per call: no elimination goes around row_reduce."""
+    calls, kernels = [], []
+    real = sparsemat.row_reduce
 
-        def counting(*args, real=real, **kwargs):
-            calls.append(args[0])
-            return real(*args, **kwargs)
+    def counting(A):
+        calls.append(A)
+        return real(A)
 
-        for module in (sparsemat, channel, lossy, sampler):
-            if getattr(module, name, None) is real:
-                monkeypatch.setattr(module, name, counting)
-    return calls
+    for module in (sparsemat, channel, lossy, sampler):
+        if getattr(module, "row_reduce", None) is real:
+            monkeypatch.setattr(module, "row_reduce", counting)
+    for name in ("_gauss_jordan_gf2", "_gauss_jordan_gfq"):
+        kernel = getattr(sparsemat, name)
+        monkeypatch.setattr(sparsemat, name,
+                            lambda *args, kernel=kernel: kernels.append(1) or kernel(*args))
+    yield calls
+    assert len(kernels) == len(calls)
 
 
 def lossy_spec(seed, n=10, l=4, k=4):
@@ -41,9 +47,22 @@ def lossy_spec(seed, n=10, l=4, k=4):
                                hamming_distortion(2), 0.2)
 
 
+@pytest.mark.parametrize("q", [2, 3])
+def test_spec_builds_eliminate_the_stack_alone(eliminations, q):
+    field, specs = GF(q), []
+    for seed in range(4):
+        specs.append(channel.sample_code(12, 4, 5, 2, field, uniform_source(12, q), seed))
+        A = sample_sparse_matrix(EnsembleSpec(n=12, l=4, field=field, tau=2), stream(seed, 1))
+        B = sample_sparse_matrix(EnsembleSpec(n=12, l=6, field=field, tau=2), stream(seed, 2))
+        specs.append(lossy.LossyCodeSpec(A, B, A.mat_vec(np.ones(12, dtype=np.int64)),
+                                         uniform_source(12, q), qsc(q, 0.1, 12),
+                                         hamming_distortion(q), 0.2))
+    assert eliminations == [spec.stacked for spec in specs]
+
+
 def test_channel_spec_and_uniform_encoder(eliminations):
     spec = channel.sample_code(16, 4, 4, 2, GF2, uniform_source(16, 2), seed=3)
-    assert len(eliminations) == 3              # stacked map, A and B^T
+    assert eliminations == [spec.stacked]      # nor A, nor B^T
     assert spec.msg_rank == spec.msg_basis.shape[0]   # every message encodes
     encoder = channel.ChannelEncoder(spec, sampler.SamplerConfig())
     assert encoder.uniform
@@ -52,7 +71,7 @@ def test_channel_spec_and_uniform_encoder(eliminations):
         m = spec.random_message(rng)
         x = encoder.encode(m, rng)
         assert np.array_equal(spec.stacked.mat_vec(x), np.concatenate([spec.c, m]))
-    assert len(eliminations) == 3
+    assert len(eliminations) == 1
 
 
 def test_channel_encode_checks_messages_without_eliminating(eliminations):
@@ -72,20 +91,20 @@ def test_channel_encode_checks_messages_without_eliminating(eliminations):
 
 
 def test_exact_error_eliminates_a_once(eliminations):
-    # the spec keeps the echelon of A it builds; the decoders and one
-    # uniform encode reuse the spec's echelons
+    # A is eliminated on the first enumeration of C_A(c), and kept; the
+    # other decoder and one uniform encode reuse the spec's echelons
     spec = channel.sample_code(6, 3, 3, 2, GF2, uniform_source(6, 2), seed=19)
-    assert len(eliminations) == 3 and eliminations.count(spec.A) == 1
+    assert eliminations == [spec.stacked]
     channel.exact_error(spec, bsc(0.1, 6))
     channel.decode_map(spec, np.zeros(6, dtype=np.int64), bsc(0.1, 6))
     rng = stream(2, 0)
     channel.encode(spec, spec.random_message(rng), sampler.SamplerConfig(), rng)
-    assert len(eliminations) == 3
+    assert eliminations == [spec.stacked, spec.A]
 
 
 def test_lossy_spec_and_decoder(eliminations):
     specs = [lossy_spec(seed) for seed in range(6)]
-    assert len(eliminations) == 3 * len(specs)  # A, B and the stacked map
+    assert eliminations == [spec.stacked for spec in specs]
     assert any(s.ech_stacked.rank < s.n for s in specs)
     rng = stream(6, 0)
     messages = [[spec.B.mat_vec(sparsemat.row_reduce(spec.A).random_member(spec.c, rng))
@@ -99,12 +118,12 @@ def test_lossy_spec_and_decoder(eliminations):
 
 
 def test_lossy_exact_error_eliminates_a_once(eliminations):
-    # the spec keeps the echelon of A it builds, and exact_error reuses it
+    # exact_error enumerates C_A(c) through A's echelon, built then and kept
     spec = lossy_spec(7, n=8, l=3)
-    assert eliminations.count(spec.A) == 1
-    before = len(eliminations)
+    assert eliminations == [spec.stacked]
     lossy.exact_error(spec)
-    assert eliminations[before:] == []
+    lossy.exact_error(spec)
+    assert eliminations == [spec.stacked, spec.A]
 
 
 def test_lossy_linear_decode_eliminates_nothing(eliminations):

@@ -23,6 +23,7 @@ from cosetcode.sampler import (
     SamplerConfig,
     TablePlan,
     _SPARE_BLOCKS,
+    _ForcedPath,
     exact_coset_law,
     generate,
     generate_interval,
@@ -518,6 +519,62 @@ def test_sum_product_path_tree_differs_from_the_law_on_a_loopy_code():
     exact_members, exact_probs = path_tree_law(A, c, priors, EXACT)
     assert np.array_equal(exact_members, members)
     assert np.abs(exact_probs - law).max() <= 1e-12
+
+
+def per_member_walks(A, c, priors, cfg):
+    """path_tree_law's probabilities by one `walk` per coset member, each from
+    scratch (for sum-product, its own initial BP run)."""
+    sampler = CosetSampler(A)
+    engine = sampler.engine(priors, cfg)
+    members = row_reduce(A).members(c)
+    probs = np.zeros(members.shape[0])
+    for row, x in enumerate(members):
+        path = _ForcedPath(x)
+        try:
+            engine.walk(c, path)
+        except DeadEndError:
+            continue
+        probs[row] = path.prob
+    return members, probs
+
+
+@pytest.mark.parametrize("cfg", [SUM_PRODUCT, EXACT, NO_EARLY], ids=["sum-product", "exact",
+                                                                      "exact-full"])
+def test_path_tree_law_runs_one_initial_bp_per_call(monkeypatch, cfg):
+    # each member's pass runs on a clone of one initial run: the probabilities
+    # are those of a walk per member, bit for bit, at one INIT_ITERS run per call
+    rng = np.random.default_rng(77)
+    A = SparseMatrix.from_dense(rng.integers(0, 2, size=(6, 12)), GF2)
+    c = A.mat_vec(rng.integers(0, 2, size=12))
+    priors = np.tile([0.8, 0.2], (12, 1))
+    want_members, want = per_member_walks(A, c, priors, cfg)
+    runs, real = [], CosetBP.run
+
+    def counting(bp, iters, *args, **kwargs):
+        runs.append(iters)
+        return real(bp, iters, *args, **kwargs)
+
+    monkeypatch.setattr(CosetBP, "run", counting)
+    members, probs = path_tree_law(A, c, priors, cfg)
+    assert np.array_equal(members, want_members) and members.shape[0] == 64
+    assert np.array_equal(probs, want)
+    assert runs.count(INIT_ITERS) == (cfg is SUM_PRODUCT)
+    assert probs.sum() == pytest.approx(1.0) and np.count_nonzero(probs) > 32
+
+
+def test_path_tree_law_counts_a_failed_initial_run_as_dead_end(monkeypatch):
+    # a failed initial BP run on a nonempty coset dead-ends every pass: the
+    # whole mass goes missing, where `draw` raises
+    def failing(bp, iters, *args, **kwargs):
+        bp.failed = True
+        return False
+
+    monkeypatch.setattr(CosetBP, "run", failing)
+    A, priors = dense([[1, 1, 0], [0, 1, 1]], GF2), np.tile([0.6, 0.4], (3, 1))
+    members, probs = path_tree_law(A, [0, 0], priors, SUM_PRODUCT)
+    assert members.shape[0] == 2 and not probs.any()
+    with pytest.raises(DeadEndError, match="initial BP run failed"):
+        generate(A, [0, 0], priors, SUM_PRODUCT, stream(0, 0))
 
 
 def test_path_tree_refuses_an_empty_or_massless_coset():

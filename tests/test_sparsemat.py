@@ -3,13 +3,15 @@ import itertools
 import numpy as np
 import pytest
 
+from cosetcode.channel import ChannelCodeSpec
 from cosetcode.gf import GF
+from cosetcode.models import uniform_source
+from cosetcode.sampler import CosetPair
 from cosetcode.sparsemat import (
     DENSE_CAP,
     EnsembleSpec,
     SparseMatrix,
     all_vectors,
-    column_space_basis,
     row_reduce,
     sample_sparse_matrix,
     suffix_ranks,
@@ -186,15 +188,14 @@ def test_coo_construction_is_canonical():
     assert A.nnz == 3
 
 
-def test_stack_and_transpose_match_dense():
+def test_stack_matches_dense():
     rng = np.random.default_rng(21)
     for field in (GF2, GF5):
         D1 = rng.integers(0, field.q, size=(4, 7)) * (rng.random((4, 7)) < 0.4)
         D2 = rng.integers(0, field.q, size=(3, 7)) * (rng.random((3, 7)) < 0.4)
         A, B = dense(D1, field), dense(D2, field)
         assert A.stack(B) == dense(np.vstack([D1, D2]), field)
-        assert A.transpose() == dense(D1.T, field)
-        assert np.array_equal(A.transpose().to_dense(), D1.T)
+        assert np.array_equal(A.stack(B).to_dense(), np.vstack([D1, D2]))
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +310,7 @@ def test_row_reduce_gf2_ensemble_matrix():
     assert_echelon_matches(row_reduce(A), dense_gauss_jordan(A.to_dense(), 2))
     B = sample_sparse_matrix(EnsembleSpec(n=700, l=100, field=GF2, tau=6), stream(12, 2))
     R, _, _, rank = dense_gauss_jordan(B.to_dense().T, 2)
-    assert np.array_equal(column_space_basis(B), R[:rank])
+    assert np.array_equal(CosetPair(A, B, np.zeros(300)).msg_basis, R[:rank])
 
 
 @pytest.mark.parametrize("field", [GF3, GF5])
@@ -334,21 +335,19 @@ def test_row_reduce_refuses_above_dense_cap():
     assert row_reduce(SparseMatrix(tall, 512, GF2, [[]] * tall)).rank == 0
     wide = SparseMatrix(1, 2 ** 13, GF2, [[]])
     assert row_reduce(wide).rank == 0
-    # column_space_basis eliminates M^T without an identity: 8192 rows of one
-    # word here, where [M^T | I] would be 8192 rows of 129 words
-    assert column_space_basis(wide).shape == (0, 1)
-    assert np.array_equal(column_space_basis(SparseMatrix(1, 2 ** 13, GF2, [[(5, 1)]])), [[1]])
-    assert column_space_basis(SparseMatrix(0, 2 ** 13, GF2, [])).shape == (0, 0)
-    # ... and refuses when M^T's own words pass the budget: n rows of 2 words
-    assert column_space_basis(SparseMatrix(65, DENSE_CAP // 2, GF2, [[]] * 65)).shape == (0, 65)
+    # a code's Im B comes from its stacked echelon: a 1 x 8192 B, whose
+    # transpose with its identity would pass the budget, costs no more
+    ones = SparseMatrix(1, 2 ** 13, GF2, [[(5, 1)]])
+    assert np.array_equal(CosetPair(wide, ones, [0]).msg_basis, [[1]])
+    assert CosetPair(wide, SparseMatrix(0, 2 ** 13, GF2, []), [0]).msg_basis.shape == (0, 0)
+    # ... and is refused with the stacked [A; B | I] alone: 8194 rows of 130 words
+    half = SparseMatrix(4097, 64, GF2, [[]] * 4097)
     with pytest.raises(ValueError, match="exceeds cap"):
-        column_space_basis(SparseMatrix(65, DENSE_CAP // 2 + 1, GF2, [[]] * 65))
+        CosetPair(half, half, np.zeros(half.rows))
     # over GF(q > 2) the dense mirror may hold DENSE_CAP entries
     A = SparseMatrix(tall, 512, GF3, [[]] * tall)
     with pytest.raises(ValueError, match="exceeds cap"):
         row_reduce(A)
-    with pytest.raises(ValueError, match="exceeds cap"):
-        column_space_basis(A)
 
 
 # ---------------------------------------------------------------------------
@@ -575,8 +574,9 @@ def test_coset_members_cap_refused():
 # ---------------------------------------------------------------------------
 
 def test_column_space_basis():
+    # a code's Im B basis is read off the stacked echelon's cokernel
     B = dense([[1, 0, 1], [0, 0, 0]], GF2)
-    basis = column_space_basis(B)
+    basis = CosetPair(dense([[1, 1, 0]], GF2), B, [0]).msg_basis
     assert basis.shape == (1, 2)
     assert np.array_equal(basis, [[1, 0]])
 
@@ -585,8 +585,65 @@ def test_column_space_basis_is_rref_of_transpose():
     rng = np.random.default_rng(23)
     for field, shape in [(GF2, (70, 150)), (GF3, (8, 20))]:
         D = rng.integers(0, field.q, size=shape) * (rng.random(shape) < 0.2)
+        A = dense(rng.integers(0, field.q, size=(shape[0] // 2, shape[1])), field)
         R, _, _, rank = dense_gauss_jordan(D.T, field.q)
-        assert np.array_equal(column_space_basis(dense(D, field)), R[:rank])
+        assert np.array_equal(CosetPair(A, dense(D, field), np.zeros(A.rows)).msg_basis,
+                              R[:rank])
+
+
+def pair_cases():
+    """(A, B, c) over GF(2), GF(3) and GF(5): random shapes and densities, stacks of
+    full row rank (no cokernel), B = I (a cokernel of l rows), repeated rows, a
+    zero B, and every target of GF(q)^l, in Im A and not."""
+    rng = np.random.default_rng(29)
+    for field in (GF2, GF3, GF5):
+        q = field.q
+        for _ in range(20):
+            n, l, k = (int(v) for v in rng.integers(1, 9, size=3))
+            density = rng.choice([0.2, 0.5, 0.9])
+            A, B = (rng.integers(0, q, size=(r, n)) * (rng.random((r, n)) < density)
+                    for r in (l, k))
+            if rng.random() < 0.2:
+                B[-1] = B[0]
+            c = A @ rng.integers(0, q, size=n) % q
+            yield dense(A, field), dense(B, field), c
+        n = 7
+        A = rng.integers(0, q, size=(3, n))
+        yield dense(A, field), dense(np.eye(n, dtype=np.int64), field), A[:, 0]
+        yield dense(A, field), dense(rng.integers(0, q, size=(2, n)), field), A[:, 1]
+        yield dense(A, field), dense(np.zeros((2, n), dtype=np.int64), field), A[:, 2]
+        low = (rng.integers(0, q, size=(3, 1)) @ rng.integers(0, q, size=(1, 4))) % q
+        for c in all_vectors(q, 3):             # rank A <= 1: most targets miss Im A
+            yield dense(low, field), dense(rng.integers(0, q, size=(2, 4)), field), c
+
+
+def test_cokernel_facts_match_direct_eliminations():
+    seen = {"specs": 0, "z = 0": 0, "B = I": 0, "c outside Im A": 0}
+    for A, B, c in pair_cases():
+        q, n = A.field.q, A.cols
+        ech_a = row_reduce(A)
+        if ech_a.solve(c) is None:
+            seen["c outside Im A"] += 1
+            with pytest.raises(ValueError, match="c is not in Im A"):
+                CosetPair(A, B, c)
+            continue
+        pair = ChannelCodeSpec(A, B, c, uniform_source(n, q))
+        seen["specs"] += 1
+        z = A.rows + B.rows - pair.ech_stacked.rank
+        seen["z = 0"] += z == 0
+        seen["B = I"] += B == dense(np.eye(n, dtype=np.int64), A.field)
+        R, _, _, rank_b = dense_gauss_jordan(B.to_dense().T, q)
+        assert pair.rank_a == ech_a.rank
+        assert pair.rank_b == rank_b == row_reduce(B).rank
+        assert np.array_equal(pair.msg_basis, R[:rank_b])
+        assert pair.msg_basis.dtype == np.int64
+        assert pair.msg_constraints.shape == (B.rows - rank_b, B.rows)
+        assert not np.any(pair.msg_constraints @ pair.msg_basis.T % q)
+        # the messages C_A(c) reaches span B ker A
+        reach = dense(B.to_dense() @ ech_a.kernel.T % q, A.field)
+        assert pair.msg_rank == row_reduce(reach).rank
+    assert seen["specs"] >= 60 and seen["z = 0"] and seen["B = I"] == 3
+    assert seen["c outside Im A"] >= 30
 
 
 def dense_suffix_ranks(D, field):
