@@ -11,12 +11,13 @@ read off (the early stop).  The work has three lifetimes:
   per prior   `CosetSampler.engine(priors, cfg)`, which refuses priors
               that are not an (n, q) array of finite non-negative
               numbers: exact (`ExactStepper` suffix-mass tables on Im A,
-              q**rank entries while that fits DENSE_CAP, only tables
-              1..stop for a draw that stops early at `stop`: M_stop comes
-              from the one completion of each syndrome, the rest from the
-              backward recursion; over GF(2) each table is kept in a
-              per-block syndrome basis in which every shift flips only
-              leading axes; never dead-ends after a positive start),
+              q**rank entries while that fits DENSE_CAP, tables split..stop
+              for a draw that stops early at `stop`, split = min(rank, stop),
+              the rest when read, as steps before split read a per-target
+              prefix tree; M_stop comes from the one completion of each
+              syndrome, the others from the backward recursion; over GF(2)
+              tables keep a per-block syndrome basis in which every shift
+              flips only leading axes; never dead-ends after a positive start),
               sum-product (BP conditionals, the scaled path: INIT_ITERS
               iterations on the target, then at most STEP_ITERS after each
               commit before the next read; approximate on loopy graphs, so a
@@ -90,6 +91,23 @@ class GeneratedSample:
 _SPARE_BLOCKS: dict = {}
 
 
+def _mix(prior, term, acc: np.ndarray, scratch: np.ndarray) -> None:
+    """acc = sum_x prior[x] term(x), x = 0 first and zero priors skipped: the one
+    order of every table and tree level, so that both hold the recursion's bits."""
+    live = [(xv, p) for xv, p in enumerate(prior) if p != 0]
+    for i, (xv, p) in enumerate(live):  # 0 + p M == p M exactly: the first term fills acc
+        np.multiply(term(xv), p, out=scratch if i else acc)
+        if i:
+            acc += scratch
+    if not live:
+        acc.fill(0.0)
+
+
+def _normalized(terms: np.ndarray) -> np.ndarray:
+    """A step's terms scaled to sum to 1, unless massless."""
+    return terms / s if (s := terms.sum()) > 0 else terms
+
+
 def _apply(images, x: int) -> int:
     """The GF(2) linear map with images[j] the image of bit j, applied to x."""
     y = 0
@@ -100,9 +118,9 @@ def _apply(images, x: int) -> int:
     return y
 
 
-def _xor_span(images, out: np.ndarray) -> np.ndarray:
-    """out[w] = _apply(images, w) for every w < 2**len(images), by doubling."""
-    out[0] = 0
+def _xor_span(images, out: np.ndarray, start: int = 0) -> np.ndarray:
+    """out[w] = start ^ _apply(images, w) for every w < 2**len(images), by doubling."""
+    out[0] = start
     for j, img in enumerate(images):
         np.bitwise_xor(out[:1 << j], img, out=out[1 << j:2 << j])
     return out
@@ -136,8 +154,12 @@ def _coordinates(span: dict, l: int):
 
 class TablePlan:
     """What the suffix tables of one matrix and stop share across priors: the
-    layout, the shifts and each suffix's syndrome.  Its l coordinates are the
-    matrix's rows; an engine's (`CosetSampler.table_plan`) span Im A alone.
+    layout, the shifts, the split and each suffix's syndrome.  Its l coordinates
+    are the matrix's rows; an engine's (`CosetSampler.table_plan`) span Im A alone.
+
+    Before column split = min(l, stop) (1 if l = 0 < stop) the residual
+    t - A_<k x_<k takes at most q**k values, the prefix half of the minimal
+    trellis bound, so a draw reads a prefix tree there (`prefix_index`).
 
     Over GF(2) a syndrome is a flat index (axis 0 most significant) and
     column k shifts a table by XOR with its image.  The columns stop - 1,
@@ -163,6 +185,7 @@ class TablePlan:
         self.stop = self.n if stop is None else stop
         if not 0 <= self.stop <= self.n:
             raise ValueError(f"stop {self.stop} lies outside 0..{self.n}")
+        self.split = min(max(self.l, 1), self.stop)
         dense = A.to_dense()
         self.cols = [dense[:, k] for k in range(self.n)]
         # the flat index of syndrome t is t @ weights, axis 0 most significant
@@ -182,7 +205,7 @@ class TablePlan:
 
     def _plan_blocks(self, flat_cols: list) -> None:
         """The GF(2) blocks, their bases and each column's shift in its block."""
-        l, stop = self.l, self.stop
+        l, stop, split = self.l, self.stop, self.split
         # more leading axes give fewer re-layouts but shorter contiguous runs;
         # at lossy-exact's rank l = 15, d = 8 leaves runs of 128 values
         d = min(8, (l + 1) // 2)
@@ -215,6 +238,8 @@ class TablePlan:
         # the suffix columns in the basis of table stop, that of column stop - 1
         fill_basis = self.to_u[self.block_of[stop - 1] if stop else 0]
         self.fill_shifts = [_apply(fill_basis, col) for col in flat_cols[stop:]]
+        # the prefix columns in the basis of table split, read by the prefix tree's leaves
+        self.prefix_shifts = [_apply(self.table_basis(split), v) for v in flat_cols[:split]]
 
     def table_basis(self, k: int) -> list:
         """to_u of the basis that table k is kept in (that of column k - 1)."""
@@ -226,6 +251,20 @@ class TablePlan:
         for i in range(self.l - 1, -1, -1):
             src = (self._digit_weights[i, shift[i], :, None] + src).ravel()
         return src
+
+    def prefix_index(self, t) -> np.ndarray:
+        """idx[p] = the flat index, in table split's basis, of t - A_<split x_<split
+        for each prefix, where p = sum_i x_i q**i: the newest symbol leads."""
+        q, idx = self.q, np.empty(self.q ** self.split, dtype=np.int64)
+        flat = int(np.asarray(t, dtype=np.int64) % q @ self.weights)
+        if q == 2:
+            return _xor_span(self.prefix_shifts, idx, _apply(self.table_basis(self.split), flat))
+        idx[0] = flat
+        for i, step in enumerate(self.shift_index[:self.split]):
+            rows = idx[:q ** (i + 1)].reshape(q, -1)     # rows[xv]: prefixes with x_i = xv
+            for xv in range(1, q):
+                rows[xv] = rows[xv - 1] if step is None else step[rows[xv - 1]]
+        return idx
 
     def _suffix_index(self) -> np.ndarray:
         """Each suffix x_stop..x_{n-1}'s flat syndrome in table stop's basis, in
@@ -254,13 +293,14 @@ class ExactStepper:
     defining suffix sum evaluated exactly.  The tables do not depend on
     the target, so one stepper serves every c.
 
-    Only tables 1..stop are built, for the plan's stop (n by default): a draw
-    that stops early at `stop` never reads past M_stop, and M_0 is formed on
-    demand (`mass_of`, `table(0)`).  Columns stop..n-1 must be independent: then
+    A build fills tables split..stop of the plan (stop = n by default): a draw
+    that stops early never reads past M_stop, and reads its walker's prefix
+    tree before step split.  Columns stop..n-1 must be independent: then
     each syndrome in their span is hit by exactly one suffix, so M_stop is
     that suffix's prior product and 0 off the span, put where the plan's
     `suffix_index` says.  The recursion
-    M_k(t) = sum_x mu_k(x) M_{k+1}(t - x col_k) gives the rest.  Over GF(2)
+    M_k(t) = sum_x mu_k(x) M_{k+1}(t - x col_k) gives the rest down to table
+    split, and tables 0..split-1 into their slots when first read.  Over GF(2)
     each table is kept in its block's basis (see `TablePlan`), where the
     shift by col_k flips leading axes of a view of M_{k+1}; GF(q > 2)
     gathers the shift into a scratch table.  Both give the tables the full
@@ -277,9 +317,9 @@ class ExactStepper:
         q, n, self.stop = plan.q, plan.n, plan.stop
         self.q, self.n, self.l = q, n, plan.l
         self.priors = np.asarray(priors, dtype=float)
-        # slots 1..n hold tables 1..n, slot 0 a level's output before it is
-        # re-laid, slot n + 1 scratch (and a re-layout's index); slots past
-        # the stop are left unwritten
+        # slots 1..n hold tables 1..n, slot 0 table 0 or a level's output before
+        # it is re-laid, slot n + 1 scratch (and a re-layout's index); slots past
+        # the stop are left unwritten, and those below `low` until read
         shape = (n + 2,) + (q,) * self.l
         block = _SPARE_BLOCKS.pop(shape) if shape in _SPARE_BLOCKS else np.empty(shape)
         weakref.finalize(self, _SPARE_BLOCKS.__setitem__, shape, block)
@@ -287,14 +327,18 @@ class ExactStepper:
         self._flat = block.reshape(n + 2, -1)
         self._scratch = self._tables[n + 1, ...]
         self._fill_suffix_table(self._flat[self.stop])
-        for k in range(self.stop - 1, 0, -1):
-            cross = plan.cross.get(k)
-            if cross is None:
-                self._level(k, self._tables[k, ...])
-            else:                   # step k - 1 reads table k in another basis
-                self._level(k, self._tables[0, ...])
-                idx = _xor_span(cross, self._flat[n + 1].view(np.int64))
-                np.take(self._flat[0], idx, out=self._flat[k], mode="clip")
+        self.low = self.stop
+        self._fill_down_to(plan.split)
+
+    def _fill_down_to(self, k: int) -> None:
+        """Tables low - 1 down to k, each by `_level` from the one above."""
+        for j in range(self.low - 1, k - 1, -1):
+            cross = self.plan.cross.get(j)
+            self._level(j, self._tables[j if cross is None else 0, ...])
+            if cross is not None:   # step j - 1 reads table j in another basis
+                idx = _xor_span(cross, self._flat[self.n + 1].view(np.int64))
+                np.take(self._flat[0], idx, out=self._flat[j], mode="clip")
+        self.low = min(self.low, k)
 
     def _fill_suffix_table(self, flat: np.ndarray) -> None:
         """flat = M_stop, from the one suffix x_stop..x_{n-1} per syndrome.
@@ -308,36 +352,18 @@ class ExactStepper:
         flat[self.plan.suffix_index] = mass
 
     def _level(self, k: int, acc: np.ndarray) -> None:
-        """acc = M_k from M_{k+1}: the x = 0 term first, zero priors skipped.
+        """acc = M_k from M_{k+1}, summed by `_mix`."""
+        nxt = self._tables[k + 1, ...]
+        _mix(self.priors[k], partial(self._shifted, nxt, k), acc, self._scratch)
 
-        M_{k+1} shifted by col_k is, over GF(2), a view of it that flips
-        leading axes; GF(q > 2) gathers each shift into scratch."""
-        nxt, scratch = self._tables[k + 1, ...], self._scratch
-        first = True
-        for xv in range(self.q):
-            p = self.priors[k, xv]
-            if p == 0:
-                continue
-            if not xv:
-                shifted = nxt
-            elif self.q == 2:
-                shifted = nxt[self.plan.flips[k]]
-            else:
-                shifted = self._gathered(nxt, k, xv)
-            if first:           # 0 + p M == p M exactly, so no zero fill
-                np.multiply(shifted, p, out=acc)
-                first = False
-            else:
-                np.multiply(shifted, p, out=scratch)
-                acc += scratch
-        if first:
-            acc.fill(0.0)
-
-    def _gathered(self, nxt: np.ndarray, k: int, xv: int) -> np.ndarray:
-        """M_{k+1} shifted by xv * col_k over GF(q > 2): gathered into scratch
-        through the plan's shift by col_k composed xv times."""
+    def _shifted(self, nxt: np.ndarray, k: int, xv: int) -> np.ndarray:
+        """M_{k+1} shifted by xv * col_k: over GF(2) a view of it that flips leading
+        axes, over GF(q > 2) gathered into scratch through the plan's shift by
+        col_k composed xv times."""
+        if self.q == 2:
+            return nxt[self.plan.flips[k]] if xv else nxt
         src = step = self.plan.shift_index[k]
-        if step is None:
+        if step is None or not xv:
             return nxt
         for _ in range(xv - 1):
             src = step[src]
@@ -348,15 +374,11 @@ class ExactStepper:
         """A copy of M_k in syndrome coordinates, for k in 0..stop."""
         if not 0 <= k <= self.stop:
             raise ValueError(f"table {k} lies outside 0..{self.stop}")
-        if k == 0 < self.stop:
-            own = np.empty(self.plan.shape)
-            self._level(0, own)
-        else:
-            own = self._tables[k, ...]
+        self._fill_down_to(k)
         if self.q != 2:
-            return own.copy()
+            return self._tables[k, ...].copy()
         idx = _xor_span(self.plan.table_basis(k), np.empty(1 << self.l, dtype=np.int64))
-        return own.reshape(-1)[idx].reshape((2,) * self.l)
+        return self._flat[k][idx].reshape((2,) * self.l)
 
     def locate(self, k: int, t):
         """The residual that step k reads for the syndrome t: over GF(2) its flat
@@ -377,6 +399,7 @@ class ExactStepper:
 
     def _terms(self, k: int, residual):
         """mu_k(x) M_{k+1}(residual - x col_k) for each symbol x."""
+        self._fill_down_to(k + 1)
         if self.q == 2:
             flat, (p0, p1) = self._flat[k + 1], self.priors[k]
             return np.array((p0 * flat[residual], p1 * flat[residual ^ self.plan.shifts[k]]))
@@ -394,11 +417,7 @@ class ExactStepper:
 
     def step_pmf(self, k: int, residual) -> np.ndarray:
         """Conditional of x_k given the residual target, normalized unless massless."""
-        out = self._terms(k, residual)
-        s = out.sum()
-        if s <= 0:
-            return out
-        return out / s
+        return _normalized(self._terms(k, residual))
 
 
 def is_uniform(priors: np.ndarray) -> bool:
@@ -567,20 +586,6 @@ def _drive(sampler: CosetSampler, c: np.ndarray, s: np.ndarray, state, choose,
     return GeneratedSample(x, "early" if stop < n else "full", stop)
 
 
-class _ExactState:
-    """Per-draw state of the exact engine: the residual target, in the
-    coordinates of the next step; s is the target in the stepper's rows."""
-
-    def __init__(self, stepper: ExactStepper, s: np.ndarray):
-        self.stepper, self.residual = stepper, stepper.locate(0, s)
-
-    def pmf(self, k: int) -> np.ndarray:
-        return self.stepper.step_pmf(k, self.residual)
-
-    def commit(self, k: int, v: int) -> None:
-        self.residual = self.stepper.advance(k, self.residual, v)
-
-
 class _BeliefState:
     """Per-draw state of the sum-product engine: BP conditioned on the prefix.
 
@@ -617,6 +622,42 @@ class _UniformEngine:
         return GeneratedSample(x, "full", self.sampler.A.cols)
 
 
+class _ExactWalker:
+    """Passes of the step loop `_drive` on one target, and the state of the pass
+    under way: the prefix's index p = sum_i x_i q**i and the residual target.
+    Steps before split read the target's prefix tree, whose level k holds
+    M_k(t - A_<k x_<k) at p: the leaves read table split at `prefix_index(t)`,
+    each level above sums the slices x_k = v of the one below by `_mix`."""
+
+    def __init__(self, engine: "_ExactEngine", c):
+        st = self.stepper = engine.stepper
+        self.engine, self.c = engine, engine.sampler.target(c)
+        self.s = engine.sampler.reduced_target(self.c)
+        self.t = self.s[:engine.sampler.reverse.rank]     # in the stepper's rows
+        q, split = st.q, st.plan.split
+        self.tree = [None] + [np.empty(q ** k) for k in range(1, split)]
+        self.tree += [st._flat[split][st.plan.prefix_index(self.t)]] if split else []
+        scratch = np.empty(q ** split // q)
+        for k in range(split - 1, 0, -1):
+            nxt, m = self.tree[k + 1], q ** k
+            _mix(st.priors[k], lambda v: nxt[v * m:(v + 1) * m], self.tree[k], scratch[:m])
+
+    def __call__(self, choose) -> GeneratedSample:
+        self.prefix, self.residual = 0, self.stepper.locate(0, self.t)
+        return _drive(self.engine.sampler, self.c, self.s, self, choose,
+                      self.engine.cfg.early_stop)
+
+    def pmf(self, k: int) -> np.ndarray:
+        st = self.stepper
+        if k < st.plan.split:       # mu_k(x) tree[k + 1][p + x q**k] for each symbol x
+            return _normalized(st.priors[k] * self.tree[k + 1][self.prefix::st.q ** k])
+        return st.step_pmf(k, self.residual)
+
+    def commit(self, k: int, v: int) -> None:
+        self.prefix += v * self.stepper.q ** k
+        self.residual = self.stepper.advance(k, self.residual, v)
+
+
 class _ExactEngine:
     """Exact conditionals from the suffix-mass tables of one prior."""
 
@@ -626,12 +667,9 @@ class _ExactEngine:
         stop = sampler.early_stop_index if cfg.early_stop else sampler.A.cols
         self.stepper = ExactStepper(sampler.table_plan(stop), priors)
 
-    def walker(self, c):
+    def walker(self, c) -> _ExactWalker:
         """Passes of the step loop `_drive` on target c, one per selector."""
-        c = self.sampler.target(c)
-        s = self.sampler.reduced_target(c)
-        state = partial(_ExactState, self.stepper, s[:self.sampler.reverse.rank])
-        return lambda choose: _drive(self.sampler, c, s, state(), choose, self.cfg.early_stop)
+        return _ExactWalker(self, c)
 
     def walk(self, c, choose) -> GeneratedSample:
         """One pass of the step loop with the given selector."""

@@ -136,11 +136,13 @@ class SparseMatrix:
         """Rows of self followed by rows of other (the map x -> (Ax, Bx))."""
         if other.cols != self.cols or other.field != self.field:
             raise ValueError("stack requires same column count and field")
-        return SparseMatrix.from_coo(
-            self.rows + other.rows, self.cols, self.field,
-            np.concatenate([self.row_of, other.row_of + self.rows]),
-            np.concatenate([self.col_idx, other.col_idx]),
-            np.concatenate([self.coeffs, other.coeffs]))
+        out = SparseMatrix.__new__(SparseMatrix)    # both canonical CSR: no sort, no check
+        out.rows, out.cols, out.field = self.rows + other.rows, self.cols, self.field
+        out._dense = None
+        out.row_of, out.col_idx, out.coeffs, out.indptr = (np.concatenate(pair) for pair in [
+            (self.row_of, other.row_of + self.rows), (self.col_idx, other.col_idx),
+            (self.coeffs, other.coeffs), (self.indptr, other.indptr[1:] + self.nnz)])
+        return out
 
     def column_weights(self) -> np.ndarray:
         return np.bincount(self.col_idx, minlength=self.cols)

@@ -1,6 +1,8 @@
 import hashlib
 import math
 from fractions import Fraction
+from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from cosetcode.sampler import (
     SamplerConfig,
     TablePlan,
     _SPARE_BLOCKS,
+    _ExactWalker,
     _ForcedPath,
     exact_coset_law,
     generate,
@@ -988,6 +991,116 @@ def test_exact_engine_takes_a_matrix_whose_rank_fits_the_cap():
     wide = dense(np.hstack([np.eye(21, dtype=np.int64), np.ones((21, 1), dtype=np.int64)]), GF2)
     with pytest.raises(ValueError, match=r"2\*\*21 syndromes"):   # the rank is 21
         CosetSampler(wide).engine(np.full((22, 2), [0.6, 0.4]), EXACT)
+
+
+def prefix_residual(plan, t, k, p):
+    """t - A_<k x_<k for the prefix whose index is p = sum_i x_i q**i."""
+    q = plan.q
+    x = [p // q ** i % q for i in range(k)]
+    return (t - sum((xi * plan.cols[i] for i, xi in enumerate(x)), np.zeros_like(t))) % q
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_walker_trees_hold_the_tables_bits_at_each_prefix_residual(q):
+    """Every level k of a walker's prefix tree, at every prefix, is table(k) read
+    at that prefix's residual, bit for bit, whatever the stop and the split."""
+    rng = np.random.default_rng(q + 120)
+    l, n = (4, 7) if q < 5 else (3, 6)
+    deficient = rng.integers(0, q, size=(l, n))
+    deficient[-1] = (deficient[0] + deficient[1]) % q     # rank < l
+    square = np.eye(l, dtype=np.int64) + np.triu(rng.integers(0, q, size=(l, l)), 1)
+    zero = np.zeros((2, 4), dtype=np.int64)
+    seen = set()
+    for D in (deficient, rng.integers(0, q, size=(l, n)), square, zero):
+        A = dense(D, GF(q))
+        sampler = CosetSampler(A)
+        rank, cols = sampler.reverse.rank, A.cols
+        c = A.mat_vec(rng.integers(0, q, size=cols))
+        priors = rng.dirichlet(np.ones(q), size=cols)
+        priors[1, 0] = 0                              # a symbol the prior excludes
+        zero_row = priors.copy()
+        zero_row[2] = 0                               # no symbol at all: M_k = 0 for k <= 2
+        for stop in range(cols + 1):
+            try:
+                plan = sampler.table_plan(stop)
+            except ValueError:                        # columns stop.. are dependent
+                continue
+            assert plan.split == min(max(rank, 1), stop)
+            cases = {"below rank": stop < rank, "zero": stop == 0, "n": stop == cols,
+                     "split = stop": plan.split == stop, "deficient": rank < A.rows,
+                     "rank 0": rank == 0}
+            seen.update(name for name, hit in cases.items() if hit)
+            for pri in (priors, zero_row):
+                st = ExactStepper(plan, pri)
+                walker = _ExactWalker(SimpleNamespace(sampler=sampler, stepper=st, cfg=EXACT), c)
+                assert len(walker.tree) == plan.split + 1 and walker.tree[0] is None
+                for k in range(1, plan.split + 1):
+                    table = st.table(k)              # below split: filled on this read
+                    assert walker.tree[k].shape == (q ** k,)
+                    for p in range(q ** k):
+                        t = prefix_residual(plan, walker.t, k, p)
+                        assert walker.tree[k][p].tobytes() == table[tuple(t)].tobytes()
+    assert seen == {"below rank", "zero", "n", "split = stop", "deficient", "rank 0"}
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_interleaved_walkers_on_one_encoder_draw_as_fresh_engines(q):
+    """Walkers of two targets on one encoder's engine, their passes interleaved
+    with each other and with encodes, draw what fresh engines draw: no walker's
+    tree leaks into the stepper they share."""
+    spec = _pinned_channel_spec(q)
+    encoder = ChannelEncoder(spec, EXACT)
+    msgs, rng = [], stream(q, 130)
+    while len(msgs) < 2:                              # two messages with nonempty cosets
+        m = spec.random_message(rng)
+        if spec.joint.echelon.solve(np.concatenate([spec.c, m])) is not None and \
+                not any(np.array_equal(m, other) for other in msgs):
+            msgs.append(m)
+    targets = [np.concatenate([spec.c, m]) for m in msgs]
+    walkers = [encoder._engine.walker(t) for t in targets]
+    rngs = [stream(q, 131), stream(q, 132)]
+    got = [[], []]
+    for i in (0, 1, 1, 0, 0, 1):
+        got[i].append(walkers[i](partial(sample_pmf, rngs[i])).x)
+        encoder.encode(msgs[1 - i], stream(q, 133))  # a third walker in between
+    for i, t in enumerate(targets):
+        fresh = spec.joint.engine(spec.prior.pmfs, EXACT).walker(t)
+        draw_rng = stream(q, 131 + i)
+        for x in got[i]:
+            assert np.array_equal(x, fresh(partial(sample_pmf, draw_rng)).x)
+    assert not np.array_equal(targets[0], targets[1])
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_exact_builds_fill_stop_minus_split_tables_and_walkers_one_tree(q, monkeypatch):
+    """A build runs `_level` once per table split..stop-1 and a walker builds one
+    tree, however many passes it runs; steps before split read the tree."""
+    if q == 2:                                        # the lossy-exact shape
+        A = sample_sparse_matrix(EnsembleSpec(n=40, l=16, field=GF2, tau=6), stream(q, 140))
+    else:
+        A = sample_sparse_matrix(EnsembleSpec(n=24, l=8, field=GF3, tau=4), stream(q, 140))
+    calls = {"_level": 0, "prefix_index": 0, "step_pmf": 0}
+    for owner, name in ((ExactStepper, "_level"), (TablePlan, "prefix_index"),
+                        (ExactStepper, "step_pmf")):
+        def counted(*args, _real=getattr(owner, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(owner, name, counted)
+    rng = np.random.default_rng(q + 141)
+    c = A.mat_vec(rng.integers(0, q, size=A.cols))
+    sampler = CosetSampler(A)
+    for cfg in (EXACT, NO_EARLY):
+        for _ in range(2):
+            calls.update(dict.fromkeys(calls, 0))
+            engine = sampler.engine(rng.dirichlet(np.ones(q), size=A.cols), cfg)
+            plan = engine.stepper.plan
+            assert 0 < plan.split == sampler.reverse.rank < plan.stop
+            assert calls == {"_level": plan.stop - plan.split, "prefix_index": 0, "step_pmf": 0}
+            walker = engine.walker(c)
+            for _ in range(3):
+                walker(partial(sample_pmf, rng))
+            assert calls == {"_level": plan.stop - plan.split, "prefix_index": 1,
+                             "step_pmf": 3 * (plan.stop - plan.split)}
 
 
 # ---------------------------------------------------------------------------

@@ -198,6 +198,31 @@ def test_stack_matches_dense():
         assert np.array_equal(A.stack(B).to_dense(), np.vstack([D1, D2]))
 
 
+@pytest.mark.parametrize("q", [2, 3])
+def test_stack_equals_from_coo_of_the_same_entries(q):
+    """`stack` concatenates the canonical CSR arrays; it must give the matrix
+    `from_coo` builds from both entry lists, by == and by hash."""
+    field = GF(q)
+    rng = np.random.default_rng(q + 190)
+    for rows_a, rows_b in [(4, 3), (3, 0), (0, 2), (5, 5)]:
+        entries = []
+        for rows in (rows_a, rows_b):
+            mask = rng.random((rows, 6)) < 0.5
+            mask[rows // 2:rows // 2 + 1] = False     # an empty row
+            r, c = np.nonzero(mask)
+            # coefficients outside [0, q), some of them zero mod q
+            entries.append((r, c, rng.integers(-2 * q, 2 * q, size=r.size)))
+        (ra, ca, va), (rb, cb, vb) = entries
+        A = SparseMatrix.from_coo(rows_a, 6, field, ra, ca, va)
+        B = SparseMatrix.from_coo(rows_b, 6, field, rb, cb, vb)
+        want = SparseMatrix.from_coo(rows_a + rows_b, 6, field, np.concatenate([ra, rb + rows_a]),
+                                     np.concatenate([ca, cb]), np.concatenate([va, vb]))
+        got = A.stack(B)
+        assert got == want and hash(got) == hash(want)
+        assert np.array_equal(got.row_of, want.row_of)
+        assert np.array_equal(got.to_dense(), np.vstack([A.to_dense(), B.to_dense()]))
+
+
 # ---------------------------------------------------------------------------
 # mat_vec
 # ---------------------------------------------------------------------------
