@@ -40,14 +40,17 @@ class ChannelCodeSpec(CosetPair):
         if self.prior.n != self.n or self.prior.q != self.q:
             raise ValueError("prior shape must match the code domain")
         self.msg_rank = self.ech_stacked.rank - self.rank_a
-        self._msg_basis_f = self.msg_basis.astype(float)
         self.rate_R = self.msg_rank / self.n * math.log2(self.q)
 
     def random_message(self, rng) -> np.ndarray:
-        """Uniform draw from Im B."""
-        z = rng.integers(0, self.q, size=self.msg_basis.shape[0])
-        # float64 BLAS: sums of rank products below q**2 are exact below 2**53
-        return (z @ self._msg_basis_f).astype(np.int64) % self.q
+        """Uniform draw from Im B = {m : G m = 0}: z on G's free coordinates, each
+        pivot solved from them, inline so that a trial calls nothing in `sampler`."""
+        z = rng.integers(0, self.q, size=self.rank_b)
+        m, free = np.zeros(self.B.rows, dtype=np.int64), np.ones(self.B.rows, dtype=bool)
+        free[self.msg_pivots] = False
+        m[free] = z
+        m[self.msg_pivots] = -(self.msg_constraints @ m) % self.q   # m is 0 at the pivots
+        return m
 
     def message_in_im_b(self, m) -> bool:
         """m is in Im B iff it meets the pair's few constraints on messages."""

@@ -44,7 +44,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .fastbp import CosetBP, CosetGraph
-from .sparsemat import DENSE_CAP, EchelonForm, SparseMatrix, null_basis, row_reduce, suffix_ranks
+from .sparsemat import DENSE_CAP, EchelonForm, SparseMatrix, row_reduce, suffix_ranks
 from .streams import sample_pmf
 
 
@@ -516,9 +516,10 @@ class CosetPair:
     C_AB(c, m) = {x : Ax = c, Bx = m} of the stacked map (`joint`).  The
     channel code samples on the joint coset and decodes on C_A(c); the
     lossy code samples on C_A(c) and decodes on the joint coset.  Set-up
-    eliminates the stacked map alone and reads c in Im A, both ranks, Im B's
-    RREF basis and its constraints off that echelon's cokernel; A's echelon
-    is built on first use, to enumerate C_A(c) or draw uniformly on it."""
+    eliminates the stacked map alone and reads c in Im A, both ranks and
+    Im B = {m : G m = 0} (G = `msg_constraints`, reduced at `msg_pivots`)
+    off that echelon's cokernel; A's echelon is built on first use, to
+    enumerate C_A(c) or draw uniformly on it."""
 
     A: SparseMatrix
     B: SparseMatrix
@@ -539,9 +540,8 @@ class CosetPair:
         on_c, _ = self.ech_stacked.image_constraints(0, l)
         if np.any(on_c @ self.c % self.q):
             raise ValueError("c is not in Im A")
-        self.msg_constraints, pivots = self.ech_stacked.image_constraints(l, l + k)
-        self.msg_basis = null_basis(self.msg_constraints, pivots, self.q)   # RREF, of Im B
-        self.rank_a, self.rank_b = l - on_c.shape[0], self.msg_basis.shape[0]
+        self.msg_constraints, self.msg_pivots = self.ech_stacked.image_constraints(l, l + k)
+        self.rank_a, self.rank_b = l - on_c.shape[0], k - self.msg_constraints.shape[0]
         self.rate_r = self.rank_a / self.n * math.log2(self.q)
 
     def members_by_message(self):

@@ -284,8 +284,13 @@ class EchelonForm:
 
     @cached_property
     def kernel(self) -> np.ndarray:
-        """Basis of {x : A x = 0} as a (n - rank, n) array, built on first use."""
-        return null_basis(self._dense(0, self.n, slice(self.rank)), self.pivots, self.field.q)
+        """Basis of {x : A x = 0} as a (n - rank, n) array, built on first use:
+        per free column f, ascending, e_f - sum_i R[i, f] e_{pivots[i]}."""
+        free, R = self.free, self._dense(0, self.n, slice(self.rank))
+        basis = np.zeros((free.size, self.n), dtype=np.int64)
+        basis[np.arange(free.size), free] = 1
+        basis[:, self.pivots] = -R[:, free].T % self.field.q
+        return basis
 
     def image_constraints(self, lo: int, hi: int):
         """(G, pivots): rows lo..hi-1 of A x range over {m : G m = 0} as x varies.
@@ -489,16 +494,6 @@ def vec_to_index(x, q: int) -> int:
     for v in np.asarray(x).tolist():
         r = r * q + int(v)
     return r
-
-
-def null_basis(R: np.ndarray, pivots: np.ndarray, q: int) -> np.ndarray:
-    """Basis of {x : R x = 0} for reduced rows R, R[i] being 1 at pivots[i] and 0
-    at the other pivots: per free column f, ascending, e_f - sum_i R[i, f] e_{pivots[i]}."""
-    free = np.delete(np.arange(R.shape[1]), pivots)
-    basis = np.zeros((free.size, R.shape[1]), dtype=np.int64)
-    basis[np.arange(free.size), free] = 1
-    basis[:, pivots] = -R[:, free].T % q
-    return basis
 
 
 def suffix_ranks(reverse: EchelonForm) -> np.ndarray:

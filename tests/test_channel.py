@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,6 +128,30 @@ def test_message_in_im_b_at_bsc_bp_shape():
         assert inside[-1] == (ech_b.solve(m) is not None) == (m.sum() % 2 == 0)
         assert spec.message_in_im_b(spec.random_message(rng))
     assert 16 < sum(inside) < 48
+    # Im B's RREF basis is e_i + e_255, i < 255; a message draw is z times it
+    basis = row_reduce(SparseMatrix.from_dense(spec.B.to_dense().T, GF2)).reduced[:255]
+    assert np.array_equal(basis, np.c_[np.eye(255, dtype=np.int64), np.ones(255, dtype=np.int64)])
+    draws, twin = stream(6, 1), stream(6, 1)
+    for _ in range(20):
+        z = twin.integers(0, 2, size=255)
+        assert np.array_equal(spec.random_message(draws), z @ basis % 2)
+
+
+def test_spec_keeps_im_b_by_its_constraints_alone():
+    # Im B is held as {m : G m = 0}, with G of k - rank_b rows; a rank_b x k
+    # basis beside it would double what a spec at n = 4096 keeps
+    prior = uniform_source(4096, 2)
+    tracemalloc.start()
+    try:
+        spec = sample_code(4096, 1024, 512, 6, GF2, prior, seed=1)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 5e6
+    assert spec.rank_b > 500
+    arrays = {name: v for name, v in vars(spec).items() if isinstance(v, np.ndarray)}
+    assert "msg_constraints" in arrays
+    assert all(v.size < spec.rank_b * spec.B.rows for v in arrays.values())
 
 
 def test_message_in_im_b_rank_zero():
@@ -500,7 +525,7 @@ def test_exact_error_counts_messages_no_member_reaches():
     n = 6
     prior = MemorylessSource(stream(6, 2).dirichlet(np.ones(2), size=n))
     spec = sample_code(n, 3, 3, 2, GF2, prior, seed=1)
-    assert spec.msg_rank == 1 and spec.msg_basis.shape[0] == 2
+    assert spec.msg_rank == 1 and spec.rank_b == 2 == row_reduce(spec.B).rank
     ch = bsc(0.1, n)
     got = exact_error(spec, ch)
     assert 0.5 < got < 1

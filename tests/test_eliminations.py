@@ -63,7 +63,7 @@ def test_spec_builds_eliminate_the_stack_alone(eliminations, q):
 def test_channel_spec_and_uniform_encoder(eliminations):
     spec = channel.sample_code(16, 4, 4, 2, GF2, uniform_source(16, 2), seed=3)
     assert eliminations == [spec.stacked]      # nor A, nor B^T
-    assert spec.msg_rank == spec.msg_basis.shape[0]   # every message encodes
+    assert spec.msg_rank == spec.rank_b   # every message encodes
     encoder = channel.ChannelEncoder(spec, sampler.SamplerConfig())
     assert encoder.uniform
     rng = stream(5, 0)

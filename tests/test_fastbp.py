@@ -732,7 +732,7 @@ def test_matches_flooding_reference(q, atol):
     Covers checks of degree 0 and 1, conditioning (inactive edges,
     contradictions, dead ends) and clones run apart from their base.  Over
     GF(q > 2) the DFT leaks ~1e-16 mass onto infeasible symbols (ROADMAP
-    item 2), and a message or belief made only of such mass normalises to
+    item 4), and a message or belief made only of such mass normalises to
     anything in either kernel; so there priors stay strictly positive, and
     the readouts are left to the messages they are computed from.
     """

@@ -10,8 +10,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "cosetcode"
 MODULES = sorted(SRC.glob("*.py"))
-# hashstats is the paper's hash-property check, which ROADMAP item 2 needs;
-# only the tests run it so far
+# hashstats is the paper's hash-property check, which ROADMAP items 3, 7, 11
+# and 12 use to check an ensemble's (alpha, beta); only the tests run it so far
 NO_CALLER_NEEDED = {"hashstats"}
 # public names that only the tests call, one reason each
 UNCALLED_BY_DESIGN = {
@@ -139,7 +139,7 @@ def test_codes_build_no_sampler_or_graph_of_their_own(name):
     def callee(call):        # `f(...)` or `module.f(...)`
         return getattr(call.func, "id", getattr(call.func, "attr", None))
 
-    own = ("CosetSampler", "CosetGraph", "row_reduce", "column_space_basis")
+    own = ("CosetSampler", "CosetGraph", "row_reduce")
     tree = ast.parse((SRC / f"{name}.py").read_text())
     built = [f"line {node.lineno}: {callee(node)}" for node in ast.walk(tree)
              if isinstance(node, ast.Call) and callee(node) in own]

@@ -77,6 +77,18 @@ def dense_gauss_jordan(D, q):
     return R, T, np.asarray(pivots, dtype=np.int64), r
 
 
+def assert_im_b_constraints(pair, basis, q):
+    """The pair's G (`msg_constraints`) cuts out exactly the row space of
+    `basis`, a reference basis of Im B: G annihilates it, is 1 at its own
+    pivot and 0 at the others' (so its rows are independent), and has one row
+    per dimension that Im B lacks."""
+    G = pair.msg_constraints
+    assert G.dtype == np.int64
+    assert pair.rank_b == basis.shape[0] and basis.shape[0] + G.shape[0] == pair.B.rows
+    assert np.array_equal(G[:, pair.msg_pivots], np.eye(G.shape[0], dtype=np.int64))
+    assert not np.any(G @ basis.T % q)
+
+
 def dense_accumulator_sample(spec, rng):
     """Reference tau-ensemble draw: add each column's draws into a dense l x n
     array, then build the matrix from per-row entry lists."""
@@ -335,7 +347,7 @@ def test_row_reduce_gf2_ensemble_matrix():
     assert_echelon_matches(row_reduce(A), dense_gauss_jordan(A.to_dense(), 2))
     B = sample_sparse_matrix(EnsembleSpec(n=700, l=100, field=GF2, tau=6), stream(12, 2))
     R, _, _, rank = dense_gauss_jordan(B.to_dense().T, 2)
-    assert np.array_equal(CosetPair(A, B, np.zeros(300)).msg_basis, R[:rank])
+    assert_im_b_constraints(CosetPair(A, B, np.zeros(300)), R[:rank], 2)
 
 
 @pytest.mark.parametrize("field", [GF3, GF5])
@@ -363,8 +375,9 @@ def test_row_reduce_refuses_above_dense_cap():
     # a code's Im B comes from its stacked echelon: a 1 x 8192 B, whose
     # transpose with its identity would pass the budget, costs no more
     ones = SparseMatrix(1, 2 ** 13, GF2, [[(5, 1)]])
-    assert np.array_equal(CosetPair(wide, ones, [0]).msg_basis, [[1]])
-    assert CosetPair(wide, SparseMatrix(0, 2 ** 13, GF2, []), [0]).msg_basis.shape == (0, 0)
+    assert_im_b_constraints(CosetPair(wide, ones, [0]), np.ones((1, 1), dtype=np.int64), 2)
+    assert_im_b_constraints(CosetPair(wide, SparseMatrix(0, 2 ** 13, GF2, []), [0]),
+                            np.zeros((0, 0), dtype=np.int64), 2)
     # ... and is refused with the stacked [A; B | I] alone: 8194 rows of 130 words
     half = SparseMatrix(4097, 64, GF2, [[]] * 4097)
     with pytest.raises(ValueError, match="exceeds cap"):
@@ -598,22 +611,24 @@ def test_coset_members_cap_refused():
 # helpers
 # ---------------------------------------------------------------------------
 
-def test_column_space_basis():
-    # a code's Im B basis is read off the stacked echelon's cokernel
+def test_im_b_constraints_of_a_zero_row():
+    # a code's Im B constraints are read off the stacked echelon's cokernel:
+    # Im B = {(m0, 0)} is cut out by m1 = 0
     B = dense([[1, 0, 1], [0, 0, 0]], GF2)
-    basis = CosetPair(dense([[1, 1, 0]], GF2), B, [0]).msg_basis
-    assert basis.shape == (1, 2)
-    assert np.array_equal(basis, [[1, 0]])
+    pair = CosetPair(dense([[1, 1, 0]], GF2), B, [0])
+    assert np.array_equal(pair.msg_constraints, [[0, 1]])
+    assert np.array_equal(pair.msg_pivots, [1])
+    assert_im_b_constraints(pair, np.array([[1, 0]]), 2)
 
 
-def test_column_space_basis_is_rref_of_transpose():
+def test_im_b_constraints_annihilate_the_rref_of_transpose():
     rng = np.random.default_rng(23)
     for field, shape in [(GF2, (70, 150)), (GF3, (8, 20))]:
         D = rng.integers(0, field.q, size=shape) * (rng.random(shape) < 0.2)
         A = dense(rng.integers(0, field.q, size=(shape[0] // 2, shape[1])), field)
         R, _, _, rank = dense_gauss_jordan(D.T, field.q)
-        assert np.array_equal(CosetPair(A, dense(D, field), np.zeros(A.rows)).msg_basis,
-                              R[:rank])
+        assert_im_b_constraints(CosetPair(A, dense(D, field), np.zeros(A.rows)), R[:rank],
+                                field.q)
 
 
 def pair_cases():
@@ -660,10 +675,12 @@ def test_cokernel_facts_match_direct_eliminations():
         R, _, _, rank_b = dense_gauss_jordan(B.to_dense().T, q)
         assert pair.rank_a == ech_a.rank
         assert pair.rank_b == rank_b == row_reduce(B).rank
-        assert np.array_equal(pair.msg_basis, R[:rank_b])
-        assert pair.msg_basis.dtype == np.int64
-        assert pair.msg_constraints.shape == (B.rows - rank_b, B.rows)
-        assert not np.any(pair.msg_constraints @ pair.msg_basis.T % q)
+        assert_im_b_constraints(pair, R[:rank_b], q)
+        # a message draw is z times the RREF basis of Im B, bit for bit
+        draws, twin = stream(31, seen["specs"]), stream(31, seen["specs"])
+        for _ in range(5):
+            z = twin.integers(0, q, size=rank_b)
+            assert np.array_equal(pair.random_message(draws), z @ R[:rank_b] % q)
         # the messages C_A(c) reaches span B ker A
         reach = dense(B.to_dense() @ ech_a.kernel.T % q, A.field)
         assert pair.msg_rank == row_reduce(reach).rank
