@@ -219,14 +219,6 @@ def _column_law(l: int, q: int, tau: int):
 # -- exact ensemble scans --------------------------------------------------------
 
 
-def _code_of(vals: np.ndarray, q: int) -> np.ndarray:
-    """Integer encoding of rows of an (N, l) array."""
-    code = np.zeros(vals.shape[0], dtype=np.int64)
-    for j in range(vals.shape[1]):
-        code = code * q + vals[:, j]
-    return code
-
-
 class ExactScan:
     """Per-matrix hash values of every input, for exhaustive checks.
 
@@ -248,7 +240,7 @@ class ExactScan:
         codes, weights = [], []
         for D, w in ens.matrices():
             vals = self.U @ D.T % q
-            codes.append(_code_of(vals, q))
+            codes.append(vec_to_index(vals, q))
             weights.append(w)
         self.codes = np.stack(codes)            # (M, q**n)
         self.weights = np.asarray(weights, dtype=np.int64)
@@ -408,8 +400,8 @@ def collision_prob(ens, u, v, rng=None, samples: int = 0):
         raise ValueError("collision probability needs two distinct inputs")
     if ens.exact:
         scan = ExactScan(ens)
-        return scan.collision_prob(vec_to_index(u, ens.field.q),
-                                   vec_to_index(v, ens.field.q))
+        iu, iv = vec_to_index([u, v], ens.field.q)
+        return scan.collision_prob(iu, iv)
     if isinstance(ens, SparseTauEnsemble):
         return ens.collision_prob_algebraic((u - v) % ens.field.q)
     if not samples or rng is None:
@@ -453,8 +445,8 @@ def check_h3prime(ens, T, Tp, alpha, beta, scan: ExactScan | None = None):
     scan = scan or ExactScan(ens)
     im = scan.im_size()
     q = ens.field.q
-    Ti = [vec_to_index(u, q) for u in T]
-    Tpi = np.asarray([vec_to_index(u, q) for u in Tp], dtype=np.int64)
+    Ti = vec_to_index(np.reshape(T, (-1, ens.n)), q).tolist()
+    Tpi = vec_to_index(np.reshape(Tp, (-1, ens.n)), q)
     num = 0
     for iu in Ti:
         num += int(scan.collision_row_numerators(iu)[Tpi].sum())
@@ -472,7 +464,7 @@ def check_crp(ens, G, u, alpha, beta, scan: ExactScan | None = None):
     q = ens.field.q
     im = scan.im_size()
     iu = vec_to_index(u, q)
-    Gi = np.asarray([vec_to_index(g, q) for g in G], dtype=np.int64)
+    Gi = vec_to_index(np.reshape(G, (-1, ens.n)), q)
     others = Gi[Gi != iu]
     if others.size:
         eq = scan.codes[:, others] == scan.codes[:, iu][:, None]
@@ -495,7 +487,7 @@ def check_bcp(ens, Q, T, alpha, beta, scan: ExactScan | None = None):
     scan = scan or ExactScan(ens)
     q = ens.field.q
     im = scan.im_size()
-    Ti = np.asarray([vec_to_index(u, q) for u in T], dtype=np.int64)
+    Ti = vec_to_index(np.reshape(T, (-1, ens.n)), q)
     if Ti.size == 0:
         raise ValueError("T must be nonempty")
     Qfrac = [Fraction(v) if isinstance(v, (int, np.integer, Fraction))

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fastbp import DECODE_ITERS, CosetBP, hard_decision
-from .models import DiscreteChannel, DistortionSpec, MemorylessSource, rate_quantities
+from .models import (DiscreteChannel, DistortionSpec, MemorylessSource, checked_words,
+                     rate_quantities)
 from .sampler import CosetPair, DeadEndError, EncodingError, SamplerConfig, member_law
 from .sparsemat import DENSE_CAP, all_vectors
 from .stats import entropy_bits, wilson_interval
@@ -47,7 +48,7 @@ class LossyCodeSpec(CosetPair):
 
     def posteriors(self, y) -> np.ndarray:
         """(n, q) per-index reproduction posteriors for the observed word."""
-        y = np.asarray(y, dtype=np.int64)
+        y = checked_words(y, self.n, self.source.q, "source word")
         return self.test_channel.kernels[np.arange(self.n), y, :]
 
 

@@ -22,14 +22,14 @@ def _check_pmfs(pmfs: np.ndarray, what: str) -> np.ndarray:
     pmfs = np.asarray(pmfs, dtype=float)
     if pmfs.ndim != 2:
         raise ValueError(f"{what} must be a (n, q) table")
-    if np.any(pmfs < 0):
-        raise ValueError(f"{what} has negative entries")
+    if not np.all(np.isfinite(pmfs)) or np.any(pmfs < 0):
+        raise ValueError(f"{what} must be finite and non-negative")
     if np.any(np.abs(pmfs.sum(axis=1) - 1.0) > _PMF_TOL):
         raise ValueError(f"{what} rows must sum to 1 within {_PMF_TOL}")
     return pmfs
 
 
-def _words(v, n: int, size: int, what: str, batch: bool = False) -> np.ndarray:
+def checked_words(v, n: int, size: int, what: str, batch: bool = False) -> np.ndarray:
     """v as int64, checked to be one length-n word over range(size), or with
     batch an (M, n) array of them."""
     v = np.asarray(v, dtype=np.int64)
@@ -68,7 +68,7 @@ class MemorylessSource:
 
     def log_prob(self, x):
         """log2 of the probability of x; an (M, n) batch gives one value per row."""
-        x = _words(x, self.n, self.q, "sequence", batch=True)
+        x = checked_words(x, self.n, self.q, "sequence", batch=True)
         return _log2_product(self.pmfs[np.arange(self.n), x])
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
@@ -84,25 +84,26 @@ class DiscreteChannel:
         kernels = np.asarray(kernels, dtype=float)
         if kernels.ndim != 3:
             raise ValueError("kernels must be a (n, q, ny) table")
-        if np.any(kernels < 0) or np.any(np.abs(kernels.sum(axis=2) - 1.0) > _PMF_TOL):
-            raise ValueError(f"kernel rows must be pmfs within {_PMF_TOL}")
+        if (not np.all(np.isfinite(kernels)) or np.any(kernels < 0)
+                or np.any(np.abs(kernels.sum(axis=2) - 1.0) > _PMF_TOL)):
+            raise ValueError(f"kernel rows must be finite pmfs within {_PMF_TOL}")
         self.kernels = kernels
         self.n, self.q, self.ny = kernels.shape
         self._cdf = np.cumsum(kernels, axis=2)
 
     def sample(self, x, rng: np.random.Generator) -> np.ndarray:
-        x = _words(x, self.n, self.q, "input")
+        x = checked_words(x, self.n, self.q, "input")
         return _inverse_cdf(rng.random(self.n), self._cdf[np.arange(self.n), x])
 
     def log_lik(self, y, x):
         """log2 mu(y|x); an (M, n) batch of inputs gives one value per row."""
-        x = _words(x, self.n, self.q, "input", batch=True)
-        y = _words(y, self.n, self.ny, "output")
+        x = checked_words(x, self.n, self.q, "input", batch=True)
+        y = checked_words(y, self.n, self.ny, "output")
         return _log2_product(self.kernels[np.arange(self.n), x, y])
 
     def lik_rows(self, y) -> np.ndarray:
         """(n, q) array of mu_{Y_i|X_i}(y_i|.) for an observed y."""
-        y = _words(y, self.n, self.ny, "output")
+        y = checked_words(y, self.n, self.ny, "output")
         return self.kernels[np.arange(self.n), :, y]
 
 
@@ -112,14 +113,14 @@ class BiAwgnChannel:
     continuous = True
 
     def __init__(self, sigma: float, n: int):
-        if sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not (np.isfinite(sigma) and sigma > 0):
+            raise ValueError("sigma must be positive and finite")
         self.sigma = float(sigma)
         self.n = int(n)
         self.q = 2
 
     def sample(self, x, rng: np.random.Generator) -> np.ndarray:
-        x = _words(x, self.n, 2, "input")
+        x = checked_words(x, self.n, 2, "input")
         s = 1.0 - 2.0 * x
         return s + self.sigma * rng.standard_normal(self.n)
 
@@ -132,13 +133,9 @@ class BiAwgnChannel:
         z = (y[:, None] - s[None, :]) / self.sigma
         return -0.5 * z * z - np.log(self.sigma * np.sqrt(2 * np.pi))
 
-    def density(self, y: np.ndarray) -> np.ndarray:
-        """(n, 2) per-index densities of y_i under x_i = 0, 1."""
-        return np.exp(self.log_density(y))
-
     def log_lik(self, y, x):
         """log2 density of y given x; an (M, n) batch of inputs gives one value per row."""
-        x = _words(x, self.n, 2, "input", batch=True)
+        x = checked_words(x, self.n, 2, "input", batch=True)
         ld = self.log_density(y)[np.arange(self.n), x]
         ll = ld.sum(axis=-1) / np.log(2)
         return float(ll) if x.ndim == 1 else ll
@@ -228,10 +225,8 @@ class DistortionSpec:
 
     def total(self, x, y):
         """Summed distortion of x against y; an (M, n) batch of x gives one value per row."""
-        x = np.asarray(x, dtype=np.int64)
-        y = np.asarray(y, dtype=np.int64)
-        if y.ndim != 1 or x.ndim not in (1, 2) or x.shape[-1] != y.size:
-            raise ValueError("length mismatch")
+        y = checked_words(y, np.size(y), self.table.shape[1], "source word")  # 1-D, any n
+        x = checked_words(x, y.size, self.table.shape[0], "reproduction", batch=True)
         d = self.table[x, y].sum(axis=-1)
         return float(d) if x.ndim == 1 else d
 

@@ -270,7 +270,7 @@ class TablePlan:
         """Each suffix x_stop..x_{n-1}'s flat syndrome in table stop's basis, in
         the order `ExactStepper` forms their masses; refuses dependent columns."""
         q, stop = self.q, self.stop
-        idx = np.zeros(1, dtype=np.int32)
+        idx = np.zeros(1, dtype=np.intp)      # intp, so no build's scatter converts it
         for j in range(self.n - 1, stop - 1, -1):
             if q == 2:
                 shifted = [idx, idx ^ self.fill_shifts[j - stop]]
@@ -347,7 +347,7 @@ class ExactStepper:
         product the recursion forms; its other terms are exact zeros."""
         mass = np.ones(1)
         for j in range(self.n - 1, self.stop - 1, -1):
-            mass = np.concatenate([self.priors[j, xv] * mass for xv in range(self.q)])
+            mass = np.multiply.outer(self.priors[j], mass).ravel()
         flat.fill(0.0)
         flat[self.plan.suffix_index] = mass
 
@@ -405,15 +405,6 @@ class ExactStepper:
             return np.array((p0 * flat[residual], p1 * flat[residual ^ self.plan.shifts[k]]))
         t = (residual - np.arange(self.q)[:, None] * self.plan.cols[k]) % self.q
         return self.priors[k] * self._tables[k + 1, ...][tuple(t.T)]    # one gather
-
-    def mass_of(self, c) -> float:
-        """M_0(c), the prior mass of C_A(c), summed in the recursion's order."""
-        if self.stop == 0:
-            return float(self.table(0)[tuple(np.asarray(c, dtype=np.int64) % self.q)])
-        mass = 0.0
-        for term in self._terms(0, self.locate(0, c)):
-            mass += term
-        return float(mass)
 
     def step_pmf(self, k: int, residual) -> np.ndarray:
         """Conditional of x_k given the residual target, normalized unless massless."""
@@ -743,20 +734,9 @@ class BitStream:
         return int(b)
 
     @classmethod
-    def from_rng(cls, rng: np.random.Generator) -> "BitStream":
-        return cls(lambda: int(rng.integers(0, 2)))
-
-    @classmethod
     def from_bits(cls, bits) -> "BitStream":
         it = iter(bits)
         return cls(lambda: next(it, None))
-
-    @classmethod
-    def from_hex(cls, hexstr: str) -> "BitStream":
-        bits = []
-        for ch in hexstr.strip():
-            bits.extend((int(ch, 16) >> (3 - i)) & 1 for i in range(4))
-        return cls.from_bits(bits)
 
 
 class _Interval:

@@ -38,17 +38,9 @@ _BIT = np.uint64(1) << np.arange(64, dtype=np.uint64)
 class SparseMatrix:
     """Row-sparse l x n matrix over GF(q)."""
 
-    def __init__(self, rows: int, cols: int, field: GF, entries):
-        """entries: iterable of per-row lists of (col, coeff) pairs."""
-        entries = [list(row) for row in entries]
-        if rows >= 0 and len(entries) != rows:
-            raise ValueError(f"expected {rows} rows of entries, got {len(entries)}")
-        pairs = np.array([p for row in entries for p in row], dtype=np.int64).reshape(-1, 2)
-        row_idx = np.repeat(np.arange(len(entries)), [len(row) for row in entries])
-        self._set(rows, cols, field, row_idx, pairs[:, 0], pairs[:, 1])
-
-    def _set(self, rows, cols, field, row_idx, col_idx, coeffs):
-        """Store entries (row_idx[t], col_idx[t]) = coeffs[t] as canonical CSR."""
+    def __init__(self, rows: int, cols: int, field: GF, row_idx, col_idx, coeffs):
+        """Entries (row_idx[t], col_idx[t]) = coeffs[t], stored as canonical CSR;
+        out-of-range indices and repeated (row, column) pairs are refused."""
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
         self.rows = int(rows)
@@ -80,20 +72,12 @@ class SparseMatrix:
     # -- construction helpers ----------------------------------------------
 
     @classmethod
-    def from_coo(cls, rows: int, cols: int, field: GF,
-                 row_idx, col_idx, coeffs) -> "SparseMatrix":
-        """Matrix with entries (row_idx[t], col_idx[t]) = coeffs[t], checked as in __init__."""
-        self = cls.__new__(cls)
-        self._set(rows, cols, field, row_idx, col_idx, coeffs)
-        return self
-
-    @classmethod
     def from_dense(cls, arr, field: GF) -> "SparseMatrix":
         arr = np.asarray(arr, dtype=np.int64) % field.q
         if arr.ndim != 2:
             raise ValueError("dense input must be 2-d")
         rows, cols = np.nonzero(arr)
-        return cls.from_coo(arr.shape[0], arr.shape[1], field, rows, cols, arr[rows, cols])
+        return cls(arr.shape[0], arr.shape[1], field, rows, cols, arr[rows, cols])
 
     @property
     def nnz(self) -> int:
@@ -112,8 +96,8 @@ class SparseMatrix:
 
     def reversed(self) -> "SparseMatrix":
         """The same matrix with its columns in reverse order."""
-        return SparseMatrix.from_coo(self.rows, self.cols, self.field,
-                                     self.row_of, self.cols - 1 - self.col_idx, self.coeffs)
+        return SparseMatrix(self.rows, self.cols, self.field,
+                            self.row_of, self.cols - 1 - self.col_idx, self.coeffs)
 
     # -- algebra -------------------------------------------------------------
 
@@ -143,9 +127,6 @@ class SparseMatrix:
             (self.row_of, other.row_of + self.rows), (self.col_idx, other.col_idx),
             (self.coeffs, other.coeffs), (self.indptr, other.indptr[1:] + self.nnz)])
         return out
-
-    def column_weights(self) -> np.ndarray:
-        return np.bincount(self.col_idx, minlength=self.cols)
 
     def __eq__(self, other):
         return (
@@ -200,7 +181,7 @@ def sample_sparse_matrix(spec: EnsembleSpec, rng: np.random.Generator) -> Sparse
                               for _ in range(n)]).transpose(1, 0, 2)
     pos, slot = np.unique((js * n + np.arange(n)[:, None]).ravel(), return_inverse=True)
     sums = np.bincount(slot.ravel(), avals.ravel()).astype(np.int64)
-    return SparseMatrix.from_coo(l, n, spec.field, pos // n, pos % n, sums)
+    return SparseMatrix(l, n, spec.field, pos // n, pos % n, sums)
 
 
 # -- echelon forms and solving ------------------------------------------------
@@ -488,12 +469,11 @@ def all_vectors(q: int, n: int) -> np.ndarray:
     return out
 
 
-def vec_to_index(x, q: int) -> int:
-    """Lexicographic rank of x, inverse of all_vectors row order."""
-    r = 0
-    for v in np.asarray(x).tolist():
-        r = r * q + int(v)
-    return r
+def vec_to_index(x, q: int):
+    """Lexicographic rank of each vector along the last axis of x, inverse of
+    all_vectors row order: an int64 array of the other axes' shape."""
+    x = np.asarray(x, dtype=np.int64)
+    return x @ q ** np.arange(x.shape[-1] - 1, -1, -1, dtype=np.int64)
 
 
 def suffix_ranks(reverse: EchelonForm) -> np.ndarray:

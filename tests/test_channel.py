@@ -45,7 +45,7 @@ def small_spec(n=6, l=3, k=3, seed=11, prior=None):
 
 def test_encode_identity_b_no_constraints():
     n = 5
-    A = SparseMatrix(0, n, GF2, [])
+    A = SparseMatrix(0, n, GF2, [], [], [])
     B = dense(np.eye(n, dtype=int))
     spec = ChannelCodeSpec(A, B, np.zeros(0, dtype=int), uniform_source(n, 2))
     m = np.array([1, 0, 1, 1, 0])
@@ -155,7 +155,7 @@ def test_spec_keeps_im_b_by_its_constraints_alone():
 
 
 def test_message_in_im_b_rank_zero():
-    spec = ChannelCodeSpec(dense([[1, 1, 0]]), SparseMatrix(2, 3, GF2, [[], []]), [0],
+    spec = ChannelCodeSpec(dense([[1, 1, 0]]), SparseMatrix(2, 3, GF2, [], [], []), [0],
                            uniform_source(3, 2))
     assert spec.message_in_im_b([0, 0])
     assert not spec.message_in_im_b([0, 1])
@@ -324,8 +324,7 @@ def test_decode_bp_noiseless():
 
 def test_decode_bp_agrees_with_map_on_tree():
     # disjoint two-variable checks: a forest, BP is exact
-    A = SparseMatrix(3, 8, GF2, [[(0, 1), (1, 1)], [(2, 1), (3, 1)],
-                                 [(4, 1), (5, 1)]])
+    A = SparseMatrix(3, 8, GF2, [0, 0, 1, 1, 2, 2], [0, 1, 2, 3, 4, 5], [1] * 6)
     B = dense(np.eye(8, dtype=int))
     c = np.array([0, 1, 0])
     spec = ChannelCodeSpec(A, B, c, uniform_source(8, 2))
@@ -542,7 +541,7 @@ def test_simulate_rejects_an_unknown_decoder(decoder):
 def test_simulate_single_message_code():
     # R = 0: B has rank 0, a single message; errors come from leaving the coset
     A = dense([[1, 1, 0], [0, 1, 1]])
-    B = SparseMatrix(1, 3, GF2, [[]])
+    B = SparseMatrix(1, 3, GF2, [], [], [])
     spec = ChannelCodeSpec(A, B, [0, 0], uniform_source(3, 2))
     assert spec.msg_rank == 0
     ch = bsc(0.2, 3)
@@ -641,7 +640,7 @@ def test_rate_check_example_values():
 
 
 def test_rate_check_violations():
-    A = SparseMatrix(0, 4, GF2, [])       # r = 0
+    A = SparseMatrix(0, 4, GF2, [], [], [])       # r = 0
     B = dense(np.eye(4, dtype=int))
     spec = ChannelCodeSpec(A, B, np.zeros(0, dtype=int), uniform_source(4, 2))
     ch = bsc(0.1, 4)

@@ -59,9 +59,10 @@ def test_exact_on_trees(q):
         rows, used = [], 0
         while used + 2 <= n:
             w = int(rng.integers(1, 3))
-            rows.append([(used + t, int(rng.integers(1, q))) for t in range(w)])
+            rows.append(np.zeros(n, dtype=np.int64))
+            rows[-1][used:used + w] = [rng.integers(1, q) for _ in range(w)]
             used += w
-        A = SparseMatrix(len(rows), n, field, rows)
+        A = dense(rows, field)
         x_star = rng.integers(0, q, size=n)
         c = A.mat_vec(x_star)
         priors = rng.dirichlet(np.ones(q), size=n)
@@ -108,7 +109,7 @@ def test_condition_detects_contradiction():
 
 def test_immediate_failure_on_empty_violated_row():
     field = GF(2)
-    A = SparseMatrix(1, 2, field, [[]])
+    A = dense([[0, 0]], field)
     bp = CosetBP(A, [1], np.full((2, 2), 0.5))
     assert bp.failed
 
@@ -167,7 +168,7 @@ def test_chain_tree_matches_oracle():
 
 def test_no_checks_marginals_equal_priors():
     priors = np.array([[0.25, 0.75], [0.9, 0.1]])
-    bp = CosetBP(SparseMatrix(0, 2, GF(2), []), [], priors)
+    bp = CosetBP(dense(np.zeros((0, 2)), GF(2)), [], priors)
     assert bp.run(iters=3)
     assert np.allclose(bp.marginals(), priors)
 
@@ -183,7 +184,7 @@ def test_identity_checks_point_mass():
 def test_no_checks_and_identity_checks_on_shared_priors():
     # l = 0 leaves the priors; GF(2) identity checks override them
     priors = np.array([[0.2, 0.8], [0.7, 0.3]])
-    bp = CosetBP(SparseMatrix(0, 2, GF(2), []), [], priors)
+    bp = CosetBP(dense(np.zeros((0, 2)), GF(2)), [], priors)
     assert bp.run(iters=3)
     assert np.allclose(bp.marginals(), priors)
     bp = CosetBP(dense(np.eye(2, dtype=int), GF(2)), [1, 0], priors)
@@ -196,15 +197,15 @@ def random_tree(rng, field):
     and maybe one old one; None past 10 variables."""
     q = field.q
     n = int(rng.integers(1, 3))
-    rows = []
-    for _ in range(int(rng.integers(1, 4))):
+    entries, checks = [], int(rng.integers(1, 4))     # (row, column, coefficient)
+    for i in range(checks):
         w = int(rng.integers(1, 4))
         anchor = [int(rng.integers(0, n))] if rng.integers(2) else []
-        rows.append([(v, int(rng.integers(1, q))) for v in anchor + list(range(n, n + w))])
+        entries += [(i, v, int(rng.integers(1, q))) for v in anchor + list(range(n, n + w))]
         n += w
     if n > 10:
         return None
-    A = SparseMatrix(len(rows), n, field, rows)
+    A = SparseMatrix(checks, n, field, *np.array(entries).T)
     return A, A.mat_vec(rng.integers(0, q, size=n)), rng.dirichlet(np.ones(q), size=n)
 
 
@@ -229,12 +230,13 @@ def test_relabeling_invariance():
     rng = np.random.default_rng(42)
     q = 3
     priors = rng.dirichlet(np.ones(q), size=5)
-    rows = [[(0, 1), (2, 2)], [(1, 1), (3, 1), (4, 2)]]
+    D = np.array([[1, 0, 2, 0, 0], [0, 1, 0, 1, 2]])
     c = [1, 2]
-    base = CosetBP(SparseMatrix(2, 5, GF(q), rows), c, priors)
+    base = CosetBP(dense(D, GF(q)), c, priors)
     perm = np.array([3, 0, 4, 1, 2])  # new index of each old variable
-    rows_p = [[(int(perm[v]), a) for v, a in row] for row in rows]
-    moved = CosetBP(SparseMatrix(2, 5, GF(q), rows_p), c, priors[np.argsort(perm)])
+    D_p = np.zeros_like(D)
+    D_p[:, perm] = D
+    moved = CosetBP(dense(D_p, GF(q)), c, priors[np.argsort(perm)])
     for _ in range(20):
         base.run(1)
         moved.run(1)
@@ -244,14 +246,14 @@ def test_relabeling_invariance():
 def test_contradictory_checks_zero_the_marginal():
     # x_0 = 0 and x_0 = 1: BP converges with no failure flag, and the
     # contradiction shows as an all-zero belief
-    A = SparseMatrix(2, 2, GF(2), [[(0, 1)], [(0, 1)]])
+    A = dense([[1, 0], [1, 0]], GF(2))
     bp = CosetBP(A, [0, 1], np.full((2, 2), 0.5))
     assert bp.run(iters=5) and not bp.failed
     assert bp.marginal(0) is None
 
 
 def test_exact_coset_law_refuses_contradictory_checks():
-    A = SparseMatrix(2, 2, GF(2), [[(0, 1)], [(0, 1)]])
+    A = dense([[1, 0], [1, 0]], GF(2))
     with pytest.raises(EncodingError, match="coset is empty"):
         exact_coset_law(A, [0, 1], np.full((2, 2), 0.5))
 

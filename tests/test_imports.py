@@ -1,6 +1,7 @@
 """Import hygiene of the library: modules import each other's public names
 only, every import sits at module level where a cycle would show, and every
-module and every public name has a caller in the library or the benchmark."""
+module, public name and public member of a public class has a caller in the
+library or the benchmark."""
 
 import ast
 from pathlib import Path
@@ -19,7 +20,7 @@ UNCALLED_BY_DESIGN = {
     "lossy.exact_error": "oracle: exact distortion-excess probability at desk scale",
     "sampler.exact_coset_law": "oracle: the restricted prior on the coset",
     "sampler.path_tree_law": "oracle: a stepwise engine's single-pass law",
-    "sampler.generate": "draw entry point on a bare matrix; the pinned digests use it",
+    "sampler.generate": "one-shot draw on a bare matrix for the tests' postcondition, law and error checks",
     "sampler.generate_interval": "the deterministic encoder of omega; the pinned digests use it",
     "channel.simulate": "Monte-Carlo error rate, checked against exact_error",
     "lossy.simulate": "Monte-Carlo distortion excess, checked against exact_error",
@@ -34,6 +35,12 @@ UNCALLED_BY_DESIGN = {
     "stats.binary_entropy": "the tests' statistical gates",
     "stats.chi2_quantile": "the tests' statistical gates",
     "stats.chi_square_stat": "the tests' statistical gates",
+}
+# public members of public classes that only the tests call, one reason each
+UNCALLED_MEMBERS_BY_DESIGN = {
+    "channel.ErrorStats.as_dict": "a channel run's record in ROADMAP item 8's run report",
+    "lossy.DistortionStats.as_dict": "a lossy run's record in ROADMAP item 8's run report",
+    "sampler.BitStream.from_bits": "feeds omega to generate_interval in the tests and the pinned digests",
 }
 
 
@@ -129,6 +136,38 @@ def test_every_public_name_has_a_caller(path):
     exempt = {key for key in UNCALLED_BY_DESIGN if key.split(".")[0] == path.stem}
     assert not uncalled - exempt, f"public names without a caller: {sorted(uncalled - exempt)}"
     assert not exempt - uncalled, f"exempt names that are gone or now called: {sorted(exempt - uncalled)}"
+
+
+def _public_members(tree):
+    """{"Class.member": its definition} for the public methods, properties and
+    classmethods of the module's public classes."""
+    return {f"{cls.name}.{node.name}": node
+            for cls in tree.body if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+            for node in cls.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.name.startswith("_")}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_public_member_has_a_caller(path):
+    """A public member of a public class has a caller when some file of src/ or
+    mcbench/ reads an attribute of its name outside the member's own body; by
+    name, like the module-level guard.  UNCALLED_MEMBERS_BY_DESIGN lists the rest."""
+    if path.stem in NO_CALLER_NEEDED:
+        return
+    trees = {other: ast.parse(other.read_text(), filename=str(other))
+             for other in MODULES + sorted((ROOT / "mcbench").glob("*.py"))}
+    reads = [read for tree in trees.values() for read in ast.walk(tree)
+             if isinstance(read, ast.Attribute)]
+    members = _public_members(trees[path])      # the same nodes as `reads` holds
+    used = set()
+    for key, node in members.items():
+        name, inside = key.split(".")[1], {id(inner) for inner in ast.walk(node)}
+        if any(read.attr == name and id(read) not in inside for read in reads):
+            used.add(key)
+    uncalled = {f"{path.stem}.{key}" for key in members if key not in used}
+    exempt = {key for key in UNCALLED_MEMBERS_BY_DESIGN if key.split(".")[0] == path.stem}
+    assert not uncalled - exempt, f"public members without a caller: {sorted(uncalled - exempt)}"
+    assert not exempt - uncalled, f"exempt members that are gone or now called: {sorted(exempt - uncalled)}"
 
 
 @pytest.mark.parametrize("name", ["channel", "lossy"])

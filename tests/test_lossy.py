@@ -73,6 +73,19 @@ def test_decode_matches_bruteforce_on_rank_deficient_stack(source):
             assert np.array_equal(got, best)
 
 
+@pytest.mark.parametrize("y, what", [
+    ([-1, 0, 0, 0, 0, 0, 0, 0], "symbol outside"),        # would read the last symbol's row
+    ([0, 0, 0, 0, 0, 0, 0, 2], "symbol outside"),
+    ([0, 0, 0, 0, 0, 0, 0], "length"),
+])
+def test_encoder_checks_the_source_word(y, what):
+    spec = small_spec()
+    with pytest.raises(ValueError, match=what):
+        lossy.encode_reproduction(spec, y, EXACT, stream(0, 0))
+    with pytest.raises(ValueError, match=what):
+        spec.posteriors(y)
+
+
 def test_simulate_counts_dead_end_as_encoding_error(monkeypatch):
     spec = small_spec()
 

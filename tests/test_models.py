@@ -56,6 +56,18 @@ def test_source_validation():
         src.log_prob([0, 1, 2])
 
 
+@pytest.mark.parametrize("build", [
+    lambda: MemorylessSource([[math.nan, math.nan], [0.5, 0.5]]),
+    lambda: rate_quantities([[math.nan, math.nan]], bsc(0.1, 1)),
+    lambda: DiscreteChannel([[[math.nan, math.nan], [0.1, 0.9]]]),
+    lambda: BiAwgnChannel(math.nan, 3),
+    lambda: BiAwgnChannel(math.inf, 3),
+], ids=["source", "prior", "kernel", "nan-sigma", "inf-sigma"])
+def test_non_finite_model_inputs_are_refused(build):
+    with pytest.raises(ValueError, match="finite"):
+        build()
+
+
 def test_sampling_frequencies_match_pmf():
     src = bernoulli_source(0.3, 2000)
     xs = src.sample(stream(99, 0))
@@ -105,7 +117,7 @@ def test_bsc_log_lik_flip_count():
 
 def test_biawgn_density_reference_point():
     ch = BiAwgnChannel(1.0, 1)
-    d = ch.density(np.array([1.0]))
+    d = np.exp(ch.log_density(np.array([1.0])))
     assert d[0, 0] == pytest.approx(1 / math.sqrt(2 * math.pi))
     assert d[0, 1] == pytest.approx(math.exp(-2.0) / math.sqrt(2 * math.pi))
 
@@ -115,7 +127,7 @@ def test_biawgn_far_outputs_do_not_underflow():
     ch = BiAwgnChannel(0.05, 4)
     x = np.array([0, 1, 0, 1])
     y = 5.0 * (1 - 2 * x)
-    assert np.all(ch.density(y) == 0)
+    assert np.all(np.exp(ch.log_density(y)) == 0)
     ll = ch.log_lik(y, x)
     assert math.isfinite(ll)
     # log2 of the density of y = 5 under s = +1, per index
@@ -132,7 +144,7 @@ def test_biawgn_lik_rows_scale_each_row_to_one():
     y = np.array([0.3, -1.2, 2.0])
     rows = ch.lik_rows(y)
     assert np.allclose(rows.max(axis=1), 1.0)
-    d = ch.density(y)
+    d = np.exp(ch.log_density(y))
     assert np.allclose(rows, d / d.max(axis=1, keepdims=True))
 
 
@@ -336,9 +348,21 @@ def test_hamming_distortion():
     assert d.total([0, 1, 1, 0], [1, 1, 0, 0]) == 2.0
 
 
+@pytest.mark.parametrize("x, y, what", [
+    ([-1, 1], [1, 1], "reproduction symbol outside"),
+    ([1, 1], [1, 2], "source word symbol outside"),
+    ([1, 1], [1], "reproduction length"),
+    ([1], [[1]], "source word length"),
+])
+def test_distortion_total_checks_both_words(x, y, what):
+    with pytest.raises(ValueError, match=what):
+        hamming_distortion(2).total(x, y)
+
+
 def test_weighted_distortion_table():
     d = DistortionSpec([[0.0, 2.0], [1.0, 0.0]])
     assert d.total([0], [1]) == 2.0
+    assert np.array_equal(d.total([[0], [1]], [1]), [2.0, 0.0])
     with pytest.raises(ValueError):
         DistortionSpec([[np.inf, 0.0]])
     with pytest.raises(ValueError):

@@ -120,7 +120,7 @@ def test_exact_coset_law_errors():
 
 
 def test_exact_coset_law_refuses_above_dense_cap():
-    A = SparseMatrix(0, 30, GF2, [])
+    A = SparseMatrix(0, 30, GF2, [], [], [])
     with pytest.raises(ValueError, match="exceeds cap"):
         exact_coset_law(A, [], np.full((30, 2), 0.5))
 
@@ -162,7 +162,7 @@ def test_step_conditional_identity_and_unconstrained():
     priors = np.full((3, 3), 1 / 3)
     pmf = stepper_pmf(I, [2, 0, 1], priors, [])
     assert np.allclose(pmf, [0, 0, 1])
-    A0 = SparseMatrix(0, 2, GF2, [])
+    A0 = SparseMatrix(0, 2, GF2, [], [], [])
     priors = np.array([[0.2, 0.8], [0.6, 0.4]])
     pmf = stepper_pmf(A0, [], priors, [0])
     assert np.allclose(pmf, [0.6, 0.4])
@@ -655,15 +655,11 @@ def test_interval_matches_generate_law_via_rng_omega():
     counts = np.zeros(2)
     trials = 8000
     for _ in range(trials):
-        out, _ = generate_interval(A, [0], priors, NO_EARLY, BitStream.from_rng(rng))
+        omega = BitStream(lambda: int(rng.integers(0, 2)))
+        out, _ = generate_interval(A, [0], priors, NO_EARLY, omega)
         counts[out.x[0]] += 1
     expected = np.array([49 / 58, 9 / 58]) * trials
     assert chi_square_stat(counts, expected) < chi2_quantile(1, 0.999)
-
-
-def test_bitstream_from_hex():
-    bs = BitStream.from_hex("a")  # 1010
-    assert [bs.bit() for _ in range(4)] == [1, 0, 1, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -682,7 +678,7 @@ def test_stepper_total_mass_matches_enumeration():
         want = sum(
             np.prod(priors[np.arange(n), m]) for m in members
         )
-        assert st.mass_of(c) == pytest.approx(float(want), abs=1e-12)
+        assert st.table(0)[tuple(c)] == pytest.approx(float(want), abs=1e-12)
 
 
 def per_axis_roll_tables(D, priors, q):
@@ -853,10 +849,8 @@ def test_mass_of_is_m0_for_massless_and_unnormalised_priors(q):
         for priors in (massless, unnormalised):
             st = ExactStepper(TablePlan(A), priors)
             want = per_axis_roll_tables(D, priors, q)[0]
-            assert np.array_equal(st.table(0), want)
-            for c in all_vectors(q, l):
-                assert st.mass_of(c) == want[tuple(c)]  # summed in the recursion's order
-        assert ExactStepper(TablePlan(A), massless).mass_of(np.zeros(l, dtype=np.int64)) == 0.0
+            assert np.array_equal(st.table(0), want)     # summed in the recursion's order
+        assert not ExactStepper(TablePlan(A), massless).table(0).any()
 
 
 def test_gf2_block_bases_keep_tables_and_step_pmfs_across_basis_changes():

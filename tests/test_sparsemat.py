@@ -91,7 +91,7 @@ def assert_im_b_constraints(pair, basis, q):
 
 def dense_accumulator_sample(spec, rng):
     """Reference tau-ensemble draw: add each column's draws into a dense l x n
-    array, then build the matrix from per-row entry lists."""
+    array, then build the matrix from its nonzero entries."""
     q = spec.field.q
     acc = np.zeros((spec.l, spec.n), dtype=np.int64)
     for i in range(spec.n):
@@ -99,8 +99,8 @@ def dense_accumulator_sample(spec, rng):
         avals = rng.integers(1, q, size=spec.tau)
         np.add.at(acc[:, i], js, avals)
     acc %= q
-    entries = [[(c, acc[j, c]) for c in np.nonzero(acc[j])[0]] for j in range(spec.l)]
-    return SparseMatrix(spec.l, spec.n, spec.field, entries)
+    rows, cols = np.nonzero(acc)
+    return SparseMatrix(spec.l, spec.n, spec.field, rows, cols, acc[rows, cols])
 
 
 def brute_coset(D, c, q):
@@ -126,7 +126,7 @@ def test_sample_replayed_by_hand():
         for j, a in zip(js, avals):
             acc[j, i] += a
     assert np.array_equal(A.to_dense(), acc % 2)
-    assert np.all(A.column_weights() <= 2)
+    assert np.all(np.count_nonzero(A.to_dense(), axis=0) <= 2)
 
 
 def test_sample_reproducible_and_column_weight_bound():
@@ -134,7 +134,7 @@ def test_sample_reproducible_and_column_weight_bound():
     A1 = sample_sparse_matrix(spec, stream(9, 1))
     A2 = sample_sparse_matrix(spec, stream(9, 1))
     assert A1 == A2
-    assert np.all(A1.column_weights() <= 4)
+    assert np.all(np.count_nonzero(A1.to_dense(), axis=0) <= 4)
     A3 = sample_sparse_matrix(spec, stream(9, 2))
     assert A1 != A3  # different stream, overwhelmingly different draw
 
@@ -179,22 +179,20 @@ def test_tau_validation():
 
 def test_construction_validation():
     with pytest.raises(ValueError, match="negative"):
-        SparseMatrix(-1, 2, GF2, [])
-    with pytest.raises(ValueError, match="expected 2 rows"):
-        SparseMatrix(2, 2, GF2, [[]])
+        SparseMatrix(-1, 2, GF2, [], [], [])
     with pytest.raises(ValueError, match="column index 5 out of range in row 1"):
-        SparseMatrix(2, 3, GF2, [[(0, 1)], [(5, 1), (1, 1)]])
+        SparseMatrix(2, 3, GF2, [0, 1, 1], [0, 5, 1], [1, 1, 1])
     with pytest.raises(ValueError, match="duplicate column 1 in row 0"):
-        SparseMatrix(2, 3, GF3, [[(1, 1), (1, 2)], []])
+        SparseMatrix(2, 3, GF3, [0, 0], [1, 1], [1, 2])
     with pytest.raises(ValueError, match="row index"):
-        SparseMatrix.from_coo(2, 3, GF2, [2], [0], [1])
+        SparseMatrix(2, 3, GF2, [2], [0], [1])
     with pytest.raises(ValueError, match="duplicate column 2 in row 1"):
-        SparseMatrix.from_coo(2, 3, GF2, [1, 0, 1], [2, 2, 2], [1, 1, 1])
+        SparseMatrix(2, 3, GF2, [1, 0, 1], [2, 2, 2], [1, 1, 1])
 
 
 def test_coo_construction_is_canonical():
     # unsorted input, coefficients outside [0, q) and a zero are normalised
-    A = SparseMatrix.from_coo(2, 4, GF3, [1, 0, 1, 0], [3, 2, 0, 1], [4, 3, -1, 2])
+    A = SparseMatrix(2, 4, GF3, [1, 0, 1, 0], [3, 2, 0, 1], [4, 3, -1, 2])
     assert A == dense([[0, 2, 0, 0], [2, 0, 0, 1]], GF3)
     assert np.array_equal(A.row_of, [0, 1, 1])
     assert A.nnz == 3
@@ -213,7 +211,7 @@ def test_stack_matches_dense():
 @pytest.mark.parametrize("q", [2, 3])
 def test_stack_equals_from_coo_of_the_same_entries(q):
     """`stack` concatenates the canonical CSR arrays; it must give the matrix
-    `from_coo` builds from both entry lists, by == and by hash."""
+    the COO constructor builds from both entry lists, by == and by hash."""
     field = GF(q)
     rng = np.random.default_rng(q + 190)
     for rows_a, rows_b in [(4, 3), (3, 0), (0, 2), (5, 5)]:
@@ -225,10 +223,10 @@ def test_stack_equals_from_coo_of_the_same_entries(q):
             # coefficients outside [0, q), some of them zero mod q
             entries.append((r, c, rng.integers(-2 * q, 2 * q, size=r.size)))
         (ra, ca, va), (rb, cb, vb) = entries
-        A = SparseMatrix.from_coo(rows_a, 6, field, ra, ca, va)
-        B = SparseMatrix.from_coo(rows_b, 6, field, rb, cb, vb)
-        want = SparseMatrix.from_coo(rows_a + rows_b, 6, field, np.concatenate([ra, rb + rows_a]),
-                                     np.concatenate([ca, cb]), np.concatenate([va, vb]))
+        A = SparseMatrix(rows_a, 6, field, ra, ca, va)
+        B = SparseMatrix(rows_b, 6, field, rb, cb, vb)
+        want = SparseMatrix(rows_a + rows_b, 6, field, np.concatenate([ra, rb + rows_a]),
+                            np.concatenate([ca, cb]), np.concatenate([va, vb]))
         got = A.stack(B)
         assert got == want and hash(got) == hash(want)
         assert np.array_equal(got.row_of, want.row_of)
@@ -369,21 +367,21 @@ def test_row_reduce_refuses_above_dense_cap():
     # over GF(2) the packed [A | I] may take 8 * DENSE_CAP bytes: l words of
     # (n + l) / 64 each, at most DENSE_CAP words in all
     tall = DENSE_CAP // 512 + 1                       # l*n just over DENSE_CAP
-    assert row_reduce(SparseMatrix(tall, 512, GF2, [[]] * tall)).rank == 0
-    wide = SparseMatrix(1, 2 ** 13, GF2, [[]])
+    assert row_reduce(SparseMatrix(tall, 512, GF2, [], [], [])).rank == 0
+    wide = SparseMatrix(1, 2 ** 13, GF2, [], [], [])
     assert row_reduce(wide).rank == 0
     # a code's Im B comes from its stacked echelon: a 1 x 8192 B, whose
     # transpose with its identity would pass the budget, costs no more
-    ones = SparseMatrix(1, 2 ** 13, GF2, [[(5, 1)]])
+    ones = SparseMatrix(1, 2 ** 13, GF2, [0], [5], [1])
     assert_im_b_constraints(CosetPair(wide, ones, [0]), np.ones((1, 1), dtype=np.int64), 2)
-    assert_im_b_constraints(CosetPair(wide, SparseMatrix(0, 2 ** 13, GF2, []), [0]),
+    assert_im_b_constraints(CosetPair(wide, SparseMatrix(0, 2 ** 13, GF2, [], [], []), [0]),
                             np.zeros((0, 0), dtype=np.int64), 2)
     # ... and is refused with the stacked [A; B | I] alone: 8194 rows of 130 words
-    half = SparseMatrix(4097, 64, GF2, [[]] * 4097)
+    half = SparseMatrix(4097, 64, GF2, [], [], [])
     with pytest.raises(ValueError, match="exceeds cap"):
         CosetPair(half, half, np.zeros(half.rows))
     # over GF(q > 2) the dense mirror may hold DENSE_CAP entries
-    A = SparseMatrix(tall, 512, GF3, [[]] * tall)
+    A = SparseMatrix(tall, 512, GF3, [], [], [])
     with pytest.raises(ValueError, match="exceeds cap"):
         row_reduce(A)
 
@@ -597,8 +595,8 @@ def test_coset_size_formula_exhaustive():
         assert got.shape[0] == q ** (n - rank)
         assert np.array_equal(got, brute_coset(D, c, q))
         # lexicographic ordering
-        codes = [vec_to_index(row, q) for row in got]
-        assert codes == sorted(codes)
+        codes = vec_to_index(got, q)
+        assert np.all(np.diff(codes) > 0)
 
 
 def test_coset_members_cap_refused():
@@ -737,3 +735,5 @@ def test_all_vectors_lex_order():
     V = all_vectors(3, 2)
     assert np.array_equal(V[:4], [[0, 0], [0, 1], [0, 2], [1, 0]])
     assert vec_to_index([1, 0], 3) == 3
+    for q, n in [(2, 0), (2, 5), (3, 4), (5, 2)]:     # the inverse of all_vectors, row by row
+        assert np.array_equal(vec_to_index(all_vectors(q, n), q), np.arange(q ** n))
