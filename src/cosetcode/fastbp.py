@@ -210,8 +210,7 @@ def hard_decision(beliefs: np.ndarray) -> np.ndarray:
 class CosetBP:
     """One sum-product run on a coset graph: targets, priors and messages.
 
-    A is a SparseMatrix, whose graph is then built for this run alone, or
-    a CosetGraph shared with other runs on the same matrix.  Messages are
+    `graph` may be shared with other runs on the same matrix.  Messages are
     (q, E) arrays over the graph's edges in CSR order: pi from variables to
     checks, sigma from checks to variables.  `run(iters)` floods them
     until they settle to within TOL; `iterations` counts every
@@ -225,8 +224,8 @@ class CosetBP:
     `marginals()` reuses the products that test formed.
     """
 
-    def __init__(self, A: "SparseMatrix | CosetGraph", c, priors):
-        g = self.graph = A if isinstance(A, CosetGraph) else CosetGraph(A)
+    def __init__(self, graph: CosetGraph, c, priors):
+        g = self.graph = graph
         q = self.q = g.q
         self.n, self.l, self.E = g.n, g.l, g.E
         priors = np.asarray(priors, dtype=float)

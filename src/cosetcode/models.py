@@ -254,10 +254,6 @@ def qsc(q: int, p: float, n: int) -> DiscreteChannel:
     return DiscreteChannel(np.broadcast_to(k, (n, q, q)).copy())
 
 
-def biawgn(sigma: float, n: int) -> BiAwgnChannel:
-    return BiAwgnChannel(sigma, n)
-
-
 def uniform_source(n: int, q: int) -> MemorylessSource:
     return MemorylessSource(np.full((n, q), 1.0 / q))
 

@@ -36,7 +36,6 @@ suffix off the reverse echelon at the early stop and checks A x = c.
 """
 
 import math
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
@@ -82,13 +81,6 @@ class GeneratedSample:
     termination: str                 # "full" | "early"
     steps: int                       # symbols drawn before the suffix was pinned
     converged: bool | None = None    # initial BP run's flag; None for other engines
-
-
-# One spare table block per shape: a stepper takes it and hands it back when
-# it is collected, so building a stepper per source word reuses one block
-# instead of allocating n + 1 tables that the heap may trim after each word.
-# The shape does not depend on the stop, so one matrix shape keeps one block.
-_SPARE_BLOCKS: dict = {}
 
 
 def _mix(prior, term, acc: np.ndarray, scratch: np.ndarray) -> None:
@@ -308,8 +300,8 @@ class ExactStepper:
     coordinates.  A draw's residual target is held in the coordinates of
     its step: `locate` gives it, `advance` moves it past a symbol.
 
-    The tables are views of a block that returns to a spare pool when the
-    stepper is collected, so they are valid while the stepper lives.
+    The tables are views of one block that the stepper owns and that is freed
+    with it.
     """
 
     def __init__(self, plan: TablePlan, priors):
@@ -317,15 +309,13 @@ class ExactStepper:
         q, n, self.stop = plan.q, plan.n, plan.stop
         self.q, self.n, self.l = q, n, plan.l
         self.priors = np.asarray(priors, dtype=float)
-        # slots 1..n hold tables 1..n, slot 0 table 0 or a level's output before
-        # it is re-laid, slot n + 1 scratch (and a re-layout's index); slots past
-        # the stop are left unwritten, and those below `low` until read
-        shape = (n + 2,) + (q,) * self.l
-        block = _SPARE_BLOCKS.pop(shape) if shape in _SPARE_BLOCKS else np.empty(shape)
-        weakref.finalize(self, _SPARE_BLOCKS.__setitem__, shape, block)
-        self._tables = block.reshape((n + 2,) + plan.shape)
-        self._flat = block.reshape(n + 2, -1)
-        self._scratch = self._tables[n + 1, ...]
+        # slots 1..stop hold tables 1..stop, slot 0 table 0 or a level's output
+        # before it is re-laid, the last slot scratch (and a re-layout's index);
+        # slots below `low` are left unwritten until read
+        block = np.empty((self.stop + 2,) + (q,) * self.l)
+        self._tables = block.reshape((self.stop + 2,) + plan.shape)
+        self._flat = block.reshape(self.stop + 2, -1)
+        self._scratch = self._tables[-1, ...]
         self._fill_suffix_table(self._flat[self.stop])
         self.low = self.stop
         self._fill_down_to(plan.split)
@@ -336,7 +326,7 @@ class ExactStepper:
             cross = self.plan.cross.get(j)
             self._level(j, self._tables[j if cross is None else 0, ...])
             if cross is not None:   # step j - 1 reads table j in another basis
-                idx = _xor_span(cross, self._flat[self.n + 1].view(np.int64))
+                idx = _xor_span(cross, self._flat[-1].view(np.int64))
                 np.take(self._flat[0], idx, out=self._flat[j], mode="clip")
         self.low = min(self.low, k)
 
@@ -662,12 +652,8 @@ class _ExactEngine:
         """Passes of the step loop `_drive` on target c, one per selector."""
         return _ExactWalker(self, c)
 
-    def walk(self, c, choose) -> GeneratedSample:
-        """One pass of the step loop with the given selector."""
-        return self.walker(c)(choose)
-
     def draw(self, c, rng) -> GeneratedSample:
-        return self.walk(c, partial(sample_pmf, rng))
+        return self.walker(c)(partial(sample_pmf, rng))
 
 
 class _SumProductEngine:
@@ -695,10 +681,6 @@ class _SumProductEngine:
             return sample
         return one_pass
 
-    def walk(self, c, choose) -> GeneratedSample:
-        """One pass of the step loop with the given selector, without restarts."""
-        return self.walker(c)(choose)
-
     def draw(self, c, rng) -> GeneratedSample:
         walk, choose = self.walker(c), partial(sample_pmf, rng)
         for _ in range(RETRIES):
@@ -710,12 +692,6 @@ class _SumProductEngine:
 
 
 _STEPWISE = {"exact": _ExactEngine, "sum-product": _SumProductEngine}
-
-
-def generate(A: SparseMatrix, c, priors, cfg: SamplerConfig,
-             rng: np.random.Generator) -> GeneratedSample:
-    """Steps 1-6: sequential conditional sampling with optional early stop."""
-    return CosetSampler(A).engine(priors, cfg).draw(c, rng)
 
 
 class BitStream:
@@ -769,7 +745,7 @@ class _Interval:
 
 def generate_interval(A: SparseMatrix, c, priors, cfg: SamplerConfig,
                       omega: BitStream):
-    """Nested-interval selection driven by omega; law identical to generate.
+    """Nested-interval selection driven by omega; law identical to `engine.draw`.
 
     Interval endpoints are exact rationals and omega is consumed bit by
     bit, so a fixed omega gives a bit-reproducible deterministic encoder.
@@ -777,7 +753,7 @@ def generate_interval(A: SparseMatrix, c, priors, cfg: SamplerConfig,
     """
     sampler = CosetSampler(A)
     engine = _STEPWISE[cfg.method](sampler, sampler.checked_priors(priors), cfg)
-    return engine.walk(c, _Interval(omega)), omega.consumed
+    return engine.walker(c)(_Interval(omega)), omega.consumed
 
 
 def exact_coset_law(A: SparseMatrix, c, priors):
@@ -824,7 +800,7 @@ def path_tree_law(A: SparseMatrix, c, priors, cfg: SamplerConfig):
     is what one pass of its draw gives, without restarts.  The missing
     mass, 1 - sum(path_probabilities), is the pass's dead-end
     probability, 0 for the exact engine.  Honors cfg.early_stop the same
-    way generate does.  Returns (members, path_probabilities).
+    way `engine.draw` does.  Returns (members, path_probabilities).
     """
     sampler = CosetSampler(A)
     engine = _STEPWISE[cfg.method](sampler, sampler.checked_priors(priors), cfg)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from cosetcode import channel, lossy, sampler
-from cosetcode.fastbp import CosetBP
+from cosetcode.fastbp import CosetBP, CosetGraph
 from cosetcode.gf import GF
 from cosetcode.models import bernoulli_source, bsc, hamming_distortion
 from cosetcode.sparsemat import EnsembleSpec, SparseMatrix
@@ -87,9 +87,9 @@ KEYWORD_REFUSED = "unexpected keyword argument '{}'"
 
 # each call with the TypeError message that names the removed setting
 REMOVED_SETTINGS = {
-    "CosetBP-damping": (lambda ch, lo: CosetBP(ch.A, ch.c, ch.prior.pmfs, damping=0.5),
+    "CosetBP-damping": (lambda ch, lo: CosetBP(CosetGraph(ch.A), ch.c, ch.prior.pmfs, damping=0.5),
                         KEYWORD_REFUSED.format("damping")),
-    "run-tol": (lambda ch, lo: CosetBP(ch.A, ch.c, ch.prior.pmfs).run(5, 1e-3),
+    "run-tol": (lambda ch, lo: CosetBP(CosetGraph(ch.A), ch.c, ch.prior.pmfs).run(5, 1e-3),
                 r"takes 2 positional arguments but 3 were given"),
     "decode-mode": (lambda ch, lo: lossy.decode(lo, [0], mode="bp"),
                     KEYWORD_REFUSED.format("mode")),

@@ -19,8 +19,8 @@ from cosetcode.channel import (
 )
 from cosetcode.gf import GF
 from cosetcode.fastbp import DECODE_ITERS, CosetBP
-from cosetcode.models import (MemorylessSource, bac, bernoulli_source, biawgn, bsc, qsc,
-                              reverse_model, uniform_source)
+from cosetcode.models import (BiAwgnChannel, MemorylessSource, bac, bernoulli_source, bsc,
+                              qsc, reverse_model, uniform_source)
 from cosetcode.sampler import DeadEndError, EncodingError, SamplerConfig
 from cosetcode.sparsemat import SparseMatrix, all_vectors, row_reduce
 from cosetcode.stats import binary_entropy, chi2_quantile, chi_square_stat
@@ -233,7 +233,7 @@ def test_decode_map_matches_per_member_scores(case):
         "bsc-noiseless": (uniform_source(n, 2), bsc(0.0, n)),
         "bac": (bernoulli_source(0.3, n), bac(0.05, 0.2, n)),
         "qsc3": (MemorylessSource(np.tile([0.6, 0.2, 0.2], (n, 1))), qsc(3, 0.1, n)),
-        "biawgn": (bernoulli_source(0.3, n), biawgn(0.8, n)),
+        "biawgn": (bernoulli_source(0.3, n), BiAwgnChannel(0.8, n)),
     }[case]
     for seed in range(6):
         spec = sample_code(n, 3, 3, 2, GF(q), prior, seed)
@@ -260,9 +260,9 @@ def test_decoders_reject_outputs_the_channel_cannot_emit(y):
 def test_decoders_reject_wrong_length_biawgn_output():
     spec = small_spec()
     with pytest.raises(ValueError, match="output"):
-        decode_bp(spec, np.ones(5), biawgn(0.5, 6))
+        decode_bp(spec, np.ones(5), BiAwgnChannel(0.5, 6))
     with pytest.raises(ValueError, match="output"):
-        decode_map(spec, np.ones(5), biawgn(0.5, 6))
+        decode_map(spec, np.ones(5), BiAwgnChannel(0.5, 6))
 
 
 def test_zero_evidence_is_a_failed_decode():
@@ -346,7 +346,7 @@ def test_decode_bp_biawgn_far_outputs():
     spec = small_spec(n=6, l=3, k=3, seed=11)
     x = spec.ech_stacked.random_member(
         np.concatenate([spec.c, spec.random_message(stream(2, 0))]), stream(2, 1))
-    ch = biawgn(0.05, spec.n)
+    ch = BiAwgnChannel(0.05, spec.n)
     out = decode_bp(spec, 5.0 * (1 - 2 * x), ch)
     assert out.success
     assert np.array_equal(out.m_hat, spec.B.mat_vec(x))

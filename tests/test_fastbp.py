@@ -42,7 +42,7 @@ def test_matches_reference_engine_trajectory(q):
         n = int(rng.integers(3, 8))
         l = int(rng.integers(1, 4))
         A, c, priors = random_instance(rng, q, n, l)
-        fast, ref = CosetBP(A, c, priors), FloodingReference(A, c, priors)
+        fast, ref = CosetBP(CosetGraph(A), c, priors), FloodingReference(A, c, priors)
         for _ in range(12):         # twelve iterations whether or not they converge
             fast.run(1)
             ref.run(1)
@@ -66,7 +66,7 @@ def test_exact_on_trees(q):
         x_star = rng.integers(0, q, size=n)
         c = A.mat_vec(x_star)
         priors = rng.dirichlet(np.ones(q), size=n)
-        fast = CosetBP(A, c, priors)
+        fast = CosetBP(CosetGraph(A), c, priors)
         for _ in range(n):
             fast.run(1)
         assert np.max(np.abs(fast.marginals() - coset_marginals(A, c, priors))) < 1e-10
@@ -83,7 +83,7 @@ def test_conditioning_matches_conditioned_exact_marginals():
         if members.shape[0] == 0:
             continue
         v0 = int(members[0, 0])
-        fast = CosetBP(A, c, priors)
+        fast = CosetBP(CosetGraph(A), c, priors)
         assert fast.condition(0, v0)
         for _ in range(30):
             fast.run(1)
@@ -102,7 +102,7 @@ def test_condition_detects_contradiction():
     field = GF(2)
     A = SparseMatrix.from_dense(np.array([[1, 0], [1, 1]]), field)
     c = np.array([1, 0])
-    bp = CosetBP(A, c, np.full((2, 2), 0.5))
+    bp = CosetBP(CosetGraph(A), c, np.full((2, 2), 0.5))
     assert bp.condition(0, 0) is False  # row 0 forces x_0 = 1
     assert bp.failed
 
@@ -110,7 +110,7 @@ def test_condition_detects_contradiction():
 def test_immediate_failure_on_empty_violated_row():
     field = GF(2)
     A = dense([[0, 0]], field)
-    bp = CosetBP(A, [1], np.full((2, 2), 0.5))
+    bp = CosetBP(CosetGraph(A), [1], np.full((2, 2), 0.5))
     assert bp.failed
 
 
@@ -119,7 +119,7 @@ def test_dead_end_surfaces_under_conditioning():
     # x_0 + x_1 = 0 and x_0 + x_1 = 1: no assignment at all, but the
     # uniform fixed point hides it until a symbol gets pinned
     A = SparseMatrix.from_dense(np.array([[1, 1], [1, 1]]), field)
-    bp = CosetBP(A, [0, 1], np.full((2, 2), 0.5))
+    bp = CosetBP(CosetGraph(A), [0, 1], np.full((2, 2), 0.5))
     assert bp.run(iters=10)
     assert bp.condition(0, 0)          # no single row is violated yet
     ok = bp.run(iters=5)
@@ -133,7 +133,7 @@ def test_scaled_instance_runs():
     x_star = stream(5, 1).integers(0, 2, size=96)
     c = A.mat_vec(x_star)
     priors = np.full((96, 2), 0.5)
-    bp = CosetBP(A, c, priors)
+    bp = CosetBP(CosetGraph(A), c, priors)
     assert bp.run(iters=60)
     m = bp.marginals()
     assert np.allclose(m.sum(axis=1), 1.0)
@@ -161,14 +161,14 @@ def test_chain_tree_matches_oracle():
     # chain of 3 vars with 2 pairwise checks: cycle-free
     priors = np.array([[0.6, 0.4], [0.2, 0.8], [0.5, 0.5]])
     A = dense([[1, 1, 0], [0, 1, 1]], GF(2))
-    bp = CosetBP(A, [1, 0], priors)
+    bp = CosetBP(CosetGraph(A), [1, 0], priors)
     assert bp.run(iters=10)
     assert np.max(np.abs(bp.marginals() - coset_marginals(A, [1, 0], priors))) < 1e-12
 
 
 def test_no_checks_marginals_equal_priors():
     priors = np.array([[0.25, 0.75], [0.9, 0.1]])
-    bp = CosetBP(dense(np.zeros((0, 2)), GF(2)), [], priors)
+    bp = CosetBP(CosetGraph(dense(np.zeros((0, 2)), GF(2))), [], priors)
     assert bp.run(iters=3)
     assert np.allclose(bp.marginals(), priors)
 
@@ -176,7 +176,7 @@ def test_no_checks_marginals_equal_priors():
 def test_identity_checks_point_mass():
     for q, c in ((2, [1, 0]), (3, [2, 0, 1])):
         I = dense(np.eye(len(c), dtype=int), GF(q))
-        bp = CosetBP(I, c, np.full((len(c), q), 1 / q))
+        bp = CosetBP(CosetGraph(I), c, np.full((len(c), q), 1 / q))
         bp.run(iters=5)
         assert np.allclose(bp.marginals(), np.eye(q)[c])
 
@@ -184,10 +184,10 @@ def test_identity_checks_point_mass():
 def test_no_checks_and_identity_checks_on_shared_priors():
     # l = 0 leaves the priors; GF(2) identity checks override them
     priors = np.array([[0.2, 0.8], [0.7, 0.3]])
-    bp = CosetBP(dense(np.zeros((0, 2)), GF(2)), [], priors)
+    bp = CosetBP(CosetGraph(dense(np.zeros((0, 2)), GF(2))), [], priors)
     assert bp.run(iters=3)
     assert np.allclose(bp.marginals(), priors)
-    bp = CosetBP(dense(np.eye(2, dtype=int), GF(2)), [1, 0], priors)
+    bp = CosetBP(CosetGraph(dense(np.eye(2, dtype=int), GF(2))), [1, 0], priors)
     bp.run(iters=5)
     assert np.allclose(bp.marginals(), [[0, 1], [1, 0]])
 
@@ -218,7 +218,7 @@ def test_random_trees_exact_within_n_iterations(q):
         if tree is None:
             continue
         A, c, priors = tree
-        bp = CosetBP(A, c, priors)
+        bp = CosetBP(CosetGraph(A), c, priors)
         for _ in range(A.cols):
             bp.run(1)
         assert not bp.failed
@@ -232,11 +232,11 @@ def test_relabeling_invariance():
     priors = rng.dirichlet(np.ones(q), size=5)
     D = np.array([[1, 0, 2, 0, 0], [0, 1, 0, 1, 2]])
     c = [1, 2]
-    base = CosetBP(dense(D, GF(q)), c, priors)
+    base = CosetBP(CosetGraph(dense(D, GF(q))), c, priors)
     perm = np.array([3, 0, 4, 1, 2])  # new index of each old variable
     D_p = np.zeros_like(D)
     D_p[:, perm] = D
-    moved = CosetBP(dense(D_p, GF(q)), c, priors[np.argsort(perm)])
+    moved = CosetBP(CosetGraph(dense(D_p, GF(q))), c, priors[np.argsort(perm)])
     for _ in range(20):
         base.run(1)
         moved.run(1)
@@ -247,7 +247,7 @@ def test_contradictory_checks_zero_the_marginal():
     # x_0 = 0 and x_0 = 1: BP converges with no failure flag, and the
     # contradiction shows as an all-zero belief
     A = dense([[1, 0], [1, 0]], GF(2))
-    bp = CosetBP(A, [0, 1], np.full((2, 2), 0.5))
+    bp = CosetBP(CosetGraph(A), [0, 1], np.full((2, 2), 0.5))
     assert bp.run(iters=5) and not bp.failed
     assert bp.marginal(0) is None
 
@@ -262,7 +262,8 @@ def test_messages_stay_normalized():
     # indirect check: marginals from a loopy graph still sum to one
     rng = np.random.default_rng(7)
     A = dense(rng.integers(0, 2, size=(4, 6)), GF(2))
-    bp = CosetBP(A, A.mat_vec(rng.integers(0, 2, size=6)), rng.dirichlet(np.ones(2), size=6))
+    bp = CosetBP(CosetGraph(A), A.mat_vec(rng.integers(0, 2, size=6)),
+                 rng.dirichlet(np.ones(2), size=6))
     bp.run(iters=50)
     assert np.allclose(bp.marginals().sum(axis=1), 1.0, atol=1e-12)
 
@@ -286,7 +287,7 @@ def test_marginals_reuse_the_last_variable_pass(q):
     rng = np.random.default_rng(60 + q)
     for _ in range(8):
         A, x_star, c, priors = oracle_instance(rng, q, 9, 5, 0.5, pinned=False)
-        bp = CosetBP(A, c, priors)
+        bp = CosetBP(CosetGraph(A), c, priors)
 
         def check(state):
             assert np.array_equal(state.marginals(), products_pass_marginals(state))
@@ -786,7 +787,7 @@ def test_matches_flooding_reference_on_decoder_sized_graph():
 def test_hidden_dead_end_matches_reference():
     # x_0 + x_1 = 0 and x_0 + x_1 = 1: BP hides the contradiction until x_0 is fixed
     A = SparseMatrix.from_dense(np.array([[1, 1], [1, 1]]), GF(2))
-    new = CosetBP(A, [0, 1], np.full((2, 2), 0.5))
+    new = CosetBP(CosetGraph(A), [0, 1], np.full((2, 2), 0.5))
     ref = FloodingReference(A, [0, 1], np.full((2, 2), 0.5))
     for bp in (new, ref):
         assert bp.run(iters=10)

@@ -20,7 +20,6 @@ UNCALLED_BY_DESIGN = {
     "lossy.exact_error": "oracle: exact distortion-excess probability at desk scale",
     "sampler.exact_coset_law": "oracle: the restricted prior on the coset",
     "sampler.path_tree_law": "oracle: a stepwise engine's single-pass law",
-    "sampler.generate": "one-shot draw on a bare matrix for the tests' postcondition, law and error checks",
     "sampler.generate_interval": "the deterministic encoder of omega; the pinned digests use it",
     "channel.simulate": "Monte-Carlo error rate, checked against exact_error",
     "lossy.simulate": "Monte-Carlo distortion excess, checked against exact_error",
@@ -29,7 +28,6 @@ UNCALLED_BY_DESIGN = {
     "channel.encode": "one-shot encode that checks m lies in Im B",
     "lossy.encode": "the encoder's message m = B x",
     "models.bac": "preset channel for the tests' codes",
-    "models.biawgn": "preset channel for the tests' codes",
     "models.uniform_source": "preset source for the tests' codes",
     "models.bernoulli_source": "preset source for the tests' codes",
     "stats.binary_entropy": "the tests' statistical gates",
@@ -41,6 +39,7 @@ UNCALLED_MEMBERS_BY_DESIGN = {
     "channel.ErrorStats.as_dict": "a channel run's record in ROADMAP item 8's run report",
     "lossy.DistortionStats.as_dict": "a lossy run's record in ROADMAP item 8's run report",
     "sampler.BitStream.from_bits": "feeds omega to generate_interval in the tests and the pinned digests",
+    "sampler.ExactStepper.table": "tests read the suffix tables through it",
 }
 
 
@@ -150,19 +149,22 @@ def _public_members(tree):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_public_member_has_a_caller(path):
     """A public member of a public class has a caller when some file of src/ or
-    mcbench/ reads an attribute of its name outside the member's own body; by
+    mcbench/ reads an attribute of its name outside the member's own body, and
+    a plain method (no decorator) only where that read is called, `.name(`; by
     name, like the module-level guard.  UNCALLED_MEMBERS_BY_DESIGN lists the rest."""
     if path.stem in NO_CALLER_NEEDED:
         return
     trees = {other: ast.parse(other.read_text(), filename=str(other))
              for other in MODULES + sorted((ROOT / "mcbench").glob("*.py"))}
-    reads = [read for tree in trees.values() for read in ast.walk(tree)
-             if isinstance(read, ast.Attribute)]
+    nodes = [node for tree in trees.values() for node in ast.walk(tree)]
+    reads = [read for read in nodes if isinstance(read, ast.Attribute)]
+    called = {id(call.func) for call in nodes if isinstance(call, ast.Call)}
     members = _public_members(trees[path])      # the same nodes as `reads` holds
     used = set()
     for key, node in members.items():
         name, inside = key.split(".")[1], {id(inner) for inner in ast.walk(node)}
-        if any(read.attr == name and id(read) not in inside for read in reads):
+        if any(read.attr == name and id(read) not in inside
+               and (node.decorator_list or id(read) in called) for read in reads):
             used.add(key)
     uncalled = {f"{path.stem}.{key}" for key in members if key not in used}
     exempt = {key for key in UNCALLED_MEMBERS_BY_DESIGN if key.split(".")[0] == path.stem}

@@ -11,7 +11,6 @@ from cosetcode.models import (
     MemorylessSource,
     bac,
     bernoulli_source,
-    biawgn,
     bsc,
     hamming_distortion,
     qsc,
@@ -379,6 +378,5 @@ def test_presets():
     assert np.allclose(qsc(3, 0.2, 4).kernels[0, 0], [0.8, 0.1, 0.1])
     assert qsc(2, 0.1, 1).kernels[0, 0, 1] == pytest.approx(0.1)
     assert bac(0.1, 0.3, 1).kernels[0, 1, 0] == pytest.approx(0.3)
-    assert isinstance(biawgn(1.0, 4), BiAwgnChannel)
     assert bernoulli_source(0.3, 5).pmfs[0, 1] == pytest.approx(0.3)
     assert np.array_equal(uniform_source(2, 3).pmfs, np.full((2, 3), 1 / 3))

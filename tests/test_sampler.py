@@ -1,5 +1,6 @@
 import hashlib
 import math
+import weakref
 from fractions import Fraction
 from functools import partial
 from types import SimpleNamespace
@@ -24,11 +25,9 @@ from cosetcode.sampler import (
     GeneratedSample,
     SamplerConfig,
     TablePlan,
-    _SPARE_BLOCKS,
     _ExactWalker,
     _ForcedPath,
     exact_coset_law,
-    generate,
     generate_interval,
     member_law,
     path_tree_law,
@@ -134,7 +133,7 @@ def test_all_zero_priors_have_zero_mass(method, early_stop):
     cfg = SamplerConfig(method=method, early_stop=early_stop)
     for priors in (np.zeros((3, 2)), np.array([[0.5, 0.5], [0.0, 0.0], [0.5, 0.5]])):
         with pytest.raises(EncodingError, match="zero prior mass"):
-            generate(A, [1, 0], priors, cfg, stream(0))
+            CosetSampler(A).engine(priors, cfg).draw([1, 0], stream(0))
 
 
 # ---------------------------------------------------------------------------
@@ -192,24 +191,24 @@ def test_step_conditional_error_taxonomy():
     A = dense([[1, 1], [1, 1]], GF2)
     assert not stepper_pmf(A, [0, 1], priors, []).any()    # an empty coset has no mass
     with pytest.raises(EncodingError):
-        CosetSampler(A).engine(priors, NO_EARLY).walk([0, 1], lambda pmf: 0)
+        CosetSampler(A).engine(priors, NO_EARLY).walker([0, 1])(lambda pmf: 0)
     # dead prefix (only reachable by forcing an off-coset symbol)
     B = dense([[1, 0]], GF2)
     assert not stepper_pmf(B, [1], priors, [0]).any()
     path = iter([0, 0])
     with pytest.raises(DeadEndError, match="step 2"):
-        CosetSampler(B).engine(priors, NO_EARLY).walk([1], lambda pmf: next(path))
+        CosetSampler(B).engine(priors, NO_EARLY).walker([1])(lambda pmf: next(path))
 
 
 # ---------------------------------------------------------------------------
-# generate
+# one draw: engine.draw
 # ---------------------------------------------------------------------------
 
 def test_generate_identity_matrix_is_deterministic():
     I = dense(np.eye(4, dtype=int), GF2)
     c = np.array([1, 0, 1, 1])
     priors = np.array([[0.6, 0.4]] * 4)      # non-uniform: the exact engine runs
-    out = generate(I, c, priors, NO_EARLY, stream(0, 0))
+    out = CosetSampler(I).engine(priors, NO_EARLY).draw(c, stream(0, 0))
     assert np.array_equal(out.x, c)
 
 
@@ -217,7 +216,7 @@ def test_generate_full_rank_early_stops():
     A = dense([[1, 0, 1], [0, 1, 1], [1, 1, 1]], GF2)  # rank 3
     priors = np.array([[0.3, 0.7]] * 3)
     c = A.mat_vec(np.array([1, 0, 1]))
-    out = generate(A, c, priors, EXACT, stream(1, 0))
+    out = CosetSampler(A).engine(priors, EXACT).draw(c, stream(1, 0))
     assert out.termination == "early"
     assert np.array_equal(A.mat_vec(out.x), c)
 
@@ -247,13 +246,13 @@ def test_generate_postcondition_and_encoding_error():
         x_star = rng_master.integers(0, 2, size=n)
         c = A.mat_vec(x_star)
         priors = rng_master.dirichlet(np.ones(2), size=n)
-        out = generate(A, c, priors, EXACT, stream(1000 + t, 0))
+        out = CosetSampler(A).engine(priors, EXACT).draw(c, stream(1000 + t, 0))
         assert np.array_equal(A.mat_vec(out.x), c)
     A = dense([[1, 1], [1, 1]], GF2)
     for priors in (np.array([[0.6, 0.4]] * 2),       # the exact engine
                    np.full((2, 2), 0.5)):            # the uniform engine
         with pytest.raises(EncodingError):
-            generate(A, [0, 1], priors, EXACT, stream(0, 0))
+            CosetSampler(A).engine(priors, EXACT).draw([0, 1], stream(0, 0))
 
 
 def test_generate_uniform_shortcut_law():
@@ -282,7 +281,7 @@ def test_generate_sum_product_respects_constraint():
         A = SparseMatrix.from_dense(D, GF2)
         c = A.mat_vec(rng_master.integers(0, 2, size=n))
         priors = rng_master.dirichlet(np.ones(2), size=n)
-        out = generate(A, c, priors, cfg, stream(40 + t, 0))
+        out = CosetSampler(A).engine(priors, cfg).draw(c, stream(40 + t, 0))
         assert np.array_equal(A.mat_vec(out.x), c)
 
 
@@ -392,7 +391,7 @@ def test_sum_product_pivot_steps_are_point_masses(q, early_stop):
 
         m = spec.random_message(rng)
         try:
-            out = engine.walk(np.concatenate([spec.c, m]), choose)
+            out = engine.walker(np.concatenate([spec.c, m]))(choose)
         except DeadEndError:                    # BP zeroed the forced symbol: no choice made
             pass
         else:
@@ -434,7 +433,7 @@ def test_sum_product_schedule(q, monkeypatch):
             runs.clear()
             reads = []
             try:
-                out = engine.walk(target, lambda pmf: reads.append(pmf) or sample_pmf(rng, pmf))
+                out = engine.walker(target)(lambda pmf: reads.append(pmf) or sample_pmf(rng, pmf))
             except DeadEndError:
                 out = None
             assert runs[0][0] == INIT_ITERS and 1 <= runs[0][1] <= INIT_ITERS
@@ -525,7 +524,7 @@ def test_sum_product_path_tree_differs_from_the_law_on_a_loopy_code():
 
 
 def per_member_walks(A, c, priors, cfg):
-    """path_tree_law's probabilities by one `walk` per coset member, each from
+    """path_tree_law's probabilities by one pass per coset member, each from
     scratch (for sum-product, its own initial BP run)."""
     sampler = CosetSampler(A)
     engine = sampler.engine(priors, cfg)
@@ -534,7 +533,7 @@ def per_member_walks(A, c, priors, cfg):
     for row, x in enumerate(members):
         path = _ForcedPath(x)
         try:
-            engine.walk(c, path)
+            engine.walker(c)(path)
         except DeadEndError:
             continue
         probs[row] = path.prob
@@ -577,7 +576,7 @@ def test_path_tree_law_counts_a_failed_initial_run_as_dead_end(monkeypatch):
     members, probs = path_tree_law(A, [0, 0], priors, SUM_PRODUCT)
     assert members.shape[0] == 2 and not probs.any()
     with pytest.raises(DeadEndError, match="initial BP run failed"):
-        generate(A, [0, 0], priors, SUM_PRODUCT, stream(0, 0))
+        CosetSampler(A).engine(priors, SUM_PRODUCT).draw([0, 0], stream(0, 0))
 
 
 def test_path_tree_refuses_an_empty_or_massless_coset():
@@ -764,21 +763,6 @@ def test_stepper_refuses_a_stop_with_dependent_suffix_columns(q):
     assert ExactStepper(TablePlan(A, 3), priors).table(3).shape == (q, q)
 
 
-def test_stepper_keeps_one_block_per_shape_whatever_the_stop():
-    D1 = np.array([[1, 1, 0, 1, 0], [0, 1, 1, 0, 1]])
-    D2 = np.array([[1, 0, 1, 1, 1], [0, 1, 1, 1, 1]])  # equal last columns
-    A1, A2 = (SparseMatrix.from_dense(D, GF2) for D in (D1, D2))
-    s1, s2 = CosetSampler(A1), CosetSampler(A2)
-    assert (s1.early_stop_index, s2.early_stop_index) == (3, 4)
-    priors = np.full((5, 2), 0.5)
-    shape, before, blocks = (7, 2, 2), set(_SPARE_BLOCKS), set()
-    for sampler in (s1, s2, s1):
-        st = ExactStepper(TablePlan(sampler.A, sampler.early_stop_index), priors)
-        del st                                        # hands its block back
-        blocks.add(id(_SPARE_BLOCKS[shape]))
-    assert len(blocks) == 1 and set(_SPARE_BLOCKS) - before <= {shape}
-
-
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_step_pmf_matches_the_per_symbol_loop(q):
     rng = np.random.default_rng(q + 20)
@@ -817,7 +801,7 @@ def test_engine_refuses_bad_priors(bad, match):
         generate_interval(A, [0, 0], bad, EXACT, BitStream.from_bits([0] * 64))
 
 
-def test_stepper_blocks_are_reused_without_aliasing():
+def test_live_steppers_never_alias():
     rng = np.random.default_rng(56)
     A = SparseMatrix.from_dense(rng.integers(0, 3, size=(3, 6)), GF3)
     p1, p2 = (rng.dirichlet(np.ones(3), size=6) for _ in range(2))
@@ -825,10 +809,33 @@ def test_stepper_blocks_are_reused_without_aliasing():
     assert not np.shares_memory(st1._tables, st2._tables)
     want1, want2 = ([st.table(k) for k in range(7)] for st in (st1, st2))
     del st1
-    st3 = ExactStepper(TablePlan(A), p1)              # takes the block st1 gave back
+    st3 = ExactStepper(TablePlan(A), p1)
     for k in range(7):
         assert np.array_equal(st3.table(k), want1[k])
         assert np.array_equal(st2.table(k), want2[k])
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_stepper_owns_a_block_of_stop_plus_two_slots_freed_with_it(q):
+    """Slots 0..stop hold the tables and the last one is scratch; nothing keeps
+    the block once its stepper is collected."""
+    rng = np.random.default_rng(q + 90)
+    n, l = 10, 4
+    D = rng.integers(0, q, size=(l, n))
+    D[:, n - l:] = np.eye(l, dtype=int)               # independent last columns: an early stop
+    A = SparseMatrix.from_dense(D, GF(q))
+    priors = rng.dirichlet(np.ones(q), size=n)
+    early = CosetSampler(A).early_stop_index
+    assert early <= n - l
+    for stop in (early, n):
+        st = ExactStepper(TablePlan(A, stop), priors)
+        st.table(0)                                   # fills every table, re-laying GF(2) ones
+        assert bool(st.plan.cross) == (q == 2)
+        block = st._flat.base
+        assert block.shape == (stop + 2,) + (q,) * l
+        freed = weakref.ref(block)
+        del st, block
+        assert freed() is None
 
 
 def test_stepper_cap_refused():
