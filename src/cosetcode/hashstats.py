@@ -7,9 +7,11 @@ the collision-resistance bound and the balanced-coloring bound.
 
 Exact ensembles carry integer weights over a common denominator, so
 every probability here is a Fraction and the strict inequalities are
-decided without floating point.  Monte-Carlo paths exist for sampled
-ensembles where estimation is well posed (spectrum, pairwise collision);
-tail checks demand exact ensembles.
+decided without floating point.  An ensemble is exact when it has at most
+`sparsemat.DENSE_CAP` matrices to enumerate.  Monte-Carlo paths exist for
+sampled ensembles where estimation is well posed (spectrum, pairwise
+collision); tail checks demand exact ensembles.  Every word handed in is
+checked to be a length-n word over GF(q).
 """
 
 import itertools
@@ -20,6 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .gf import GF
+from .models import checked_words
 from .sparsemat import (
     DENSE_CAP,
     EnsembleSpec,
@@ -30,8 +33,6 @@ from .sparsemat import (
 )
 from .stats import wilson_interval
 
-ENSEMBLE_CAP = 2 ** 24
-
 
 # -- types (compositions) -------------------------------------------------------
 
@@ -41,10 +42,6 @@ def type_of(u, q: int) -> tuple:
     u = np.asarray(u, dtype=np.int64)
     counts = np.bincount(u, minlength=q)
     return tuple(int(c) for c in counts[1:])
-
-
-def type_weight(t: tuple) -> int:
-    return sum(t)
 
 
 def all_types(n: int, q: int) -> list:
@@ -58,7 +55,7 @@ def all_types(n: int, q: int) -> list:
 
 
 def type_class_size(t: tuple, n: int) -> int:
-    w = type_weight(t)
+    w = sum(t)
     if w > n:
         return 0
     size = math.factorial(n) // math.factorial(n - w)
@@ -73,12 +70,10 @@ def type_class_size(t: tuple, n: int) -> int:
 class AllLinearEnsemble:
     """Uniform distribution over all l x n matrices (two-universal)."""
 
-    kind = "all-linear"
-
     def __init__(self, n: int, l: int, field: GF):
         self.n, self.l, self.field = n, l, field
         count = field.q ** (l * n)
-        self.exact = count <= ENSEMBLE_CAP
+        self.exact = count <= DENSE_CAP
         self.total_weight = count
 
     def matrices(self):
@@ -96,8 +91,6 @@ class AllLinearEnsemble:
 class SparseTauEnsemble:
     """The tau-addition ensemble; columns are i.i.d. with an exact law."""
 
-    kind = "sparse-tau"
-
     def __init__(self, spec: EnsembleSpec):
         self.spec = spec
         self.n, self.l, self.field = spec.n, spec.l, spec.field
@@ -106,7 +99,7 @@ class SparseTauEnsemble:
         self.col_weights = weights       # integer weights over denom
         self.col_denom = denom
         count = len(cols) ** spec.n
-        self.exact = count <= ENSEMBLE_CAP
+        self.exact = count <= DENSE_CAP
         self.total_weight = denom ** spec.n
 
     def matrices(self):
@@ -132,25 +125,15 @@ class SparseTauEnsemble:
         q, l = self.field.q, self.l
         diff = np.asarray(diff, dtype=np.int64) % q
         dist = {(0,) * l: 1}
-        denom = 1
-        for i, d in enumerate(diff):
-            if d == 0:
-                continue
-            step = {}
-            for vec, w in zip(self.col_vectors, self.col_weights):
-                shift = tuple((d * vec) % q)
-                for t, tw in dist.items():
-                    key = tuple((a + b) % q for a, b in zip(t, shift))
-                    step[key] = step.get(key, 0) + tw * w
-            dist = step
-            denom *= self.col_denom
+        for d in diff[diff != 0]:
+            dist = _convolve(dist, [((d * vec) % q, w) for vec, w in
+                                    zip(self.col_vectors, self.col_weights)], q)
+        denom = self.col_denom ** int(np.count_nonzero(diff))
         return Fraction(dist.get((0,) * l, 0), denom)
 
 
 class ExplicitEnsemble:
     """A finite list of (matrix, weight) pairs; always exact."""
-
-    kind = "explicit-list"
 
     def __init__(self, items, field: GF):
         if not items:
@@ -175,8 +158,6 @@ class ExplicitEnsemble:
 class ProductEnsemble:
     """Independent product: stacked maps u -> (A u, B u)."""
 
-    kind = "product"
-
     def __init__(self, ens_a, ens_b):
         if ens_a.n != ens_b.n or ens_a.field != ens_b.field:
             raise ValueError("product requires a common domain")
@@ -195,21 +176,26 @@ class ProductEnsemble:
         return self.a.sample(rng).stack(self.b.sample(rng))
 
 
+def _convolve(dist: dict, steps, q: int) -> dict:
+    """Law of t + s for independent t ~ dist and s ~ steps: dist maps vectors
+    of GF(q)^l (tuples) to integer weights, steps is (vector, weight) pairs,
+    and the result's weights are the products' sums."""
+    out = {}
+    for vec, w in steps:
+        for t, tw in dist.items():
+            key = tuple((a + b) % q for a, b in zip(t, vec))
+            out[key] = out.get(key, 0) + tw * w
+    return out
+
+
 def _column_law(l: int, q: int, tau: int):
     """Exact law of one column after tau uniform (row, nonzero) additions."""
-    shape = (q,) * l
     # integer weights; denominator multiplies by l*(q-1) per addition
+    units = [(tuple(a if i == j else 0 for i in range(l)), 1)
+             for j in range(l) for a in range(1, q)]
     dist = {(0,) * l: 1}
     for _ in range(tau):
-        step = {}
-        for t, w in dist.items():
-            for j in range(l):
-                for a in range(1, q):
-                    key = list(t)
-                    key[j] = (key[j] + a) % q
-                    key = tuple(key)
-                    step[key] = step.get(key, 0) + w
-        dist = step
+        dist = _convolve(dist, units, q)
     denom = (l * (q - 1)) ** tau
     vectors = [np.array(k, dtype=np.int64) for k in sorted(dist)]
     weights = [dist[tuple(v)] for v in vectors]
@@ -222,8 +208,8 @@ def _column_law(l: int, q: int, tau: int):
 class ExactScan:
     """Per-matrix hash values of every input, for exhaustive checks.
 
-    Weights are int64 (the exactness cap keeps totals far below 2**62),
-    so event probabilities come out as exact integer ratios.
+    Weights are int64 (totals of 2**62 or more are refused), so event
+    probabilities come out as exact integer ratios.
     """
 
     def __init__(self, ens):
@@ -246,7 +232,6 @@ class ExactScan:
         self.weights = np.asarray(weights, dtype=np.int64)
         self.total = int(ens.total_weight)
         self.cells = np.unique(self.codes)       # Im of the ensemble
-        self._cellmap = {int(v): i for i, v in enumerate(self.cells)}
 
     def im_size(self) -> int:
         """|Im| of the ensemble: size of the union of the per-matrix images."""
@@ -290,35 +275,29 @@ def avg_spectrum(ens, sample_budget: int | None = None,
     types = all_types(n, q)
     sizes = {t: type_class_size(t, n) for t in types}
     U = all_vectors(q, n)
-    u_types = [type_of(u, q) for u in U]
+    # symbol counts read as base-(n + 1) digits rise in all_types order, so a
+    # word ranks 0 among the codes if it is zero, else 1 + its type's position
+    code = sum(np.count_nonzero(U == a, axis=1) * (n + 1) ** (q - 1 - a) for a in range(1, q))
+    pos = np.unique(code, return_inverse=True)[1]
+
+    def per_type(images):
+        """Kernel vectors of each type, given the images of U."""
+        return np.bincount(pos[~np.any(images, axis=1)], minlength=len(types) + 1)[1:]
+
     if ens.exact:
-        sums = {t: 0 for t in types}
+        sums = [0] * len(types)                 # Python ints: totals may pass 2**63
         for D, w in ens.matrices():
-            in_kernel = ~np.any(U @ D.T % q, axis=1)
-            for idx in np.nonzero(in_kernel)[0]:
-                t = u_types[idx]
-                if t in sums:
-                    sums[t] += w
-        values = {t: Fraction(sums[t], ens.total_weight) for t in types}
+            sums = [s + w * int(k) for s, k in zip(sums, per_type(U @ D.T % q))]
+        values = {t: Fraction(s, ens.total_weight) for t, s in zip(types, sums)}
         return SpectrumTable(n, q, ens.l, types, sizes, values, None, True)
     if not sample_budget or rng is None:
         raise ValueError("sampled ensembles need a sample budget and an rng")
-    counts = {t: [] for t in types}
-    for _ in range(sample_budget):
-        A = ens.sample(rng)
-        in_kernel = ~np.any(A.mat_mat(U), axis=1)
-        per = {t: 0 for t in types}
-        for idx in np.nonzero(in_kernel)[0]:
-            t = u_types[idx]
-            if t in per:
-                per[t] += 1
-        for t in types:
-            counts[t].append(per[t])
-    values, err = {}, {}
-    for t in types:
-        arr = np.asarray(counts[t], dtype=float)
-        values[t] = float(arr.mean())
-        err[t] = float(arr.std(ddof=1) / np.sqrt(sample_budget)) if sample_budget > 1 else 0.0
+    counts = np.empty((len(types), sample_budget))   # a type's stats reduce one contiguous row
+    for j in range(sample_budget):
+        counts[:, j] = per_type(ens.sample(rng).mat_mat(U))
+    values = {t: float(row.mean()) for t, row in zip(types, counts)}
+    err = {t: float(row.std(ddof=1) / np.sqrt(sample_budget)) if sample_budget > 1 else 0.0
+           for t, row in zip(types, counts)}
     return SpectrumTable(n, q, ens.l, types, sizes, values, err, False)
 
 
@@ -331,7 +310,7 @@ class AlphaBeta:
 
 def default_h_hat(n: int, q: int, rho: float = 0.1) -> frozenset:
     """Types whose weight exceeds rho*n: the high-weight part of the spectrum."""
-    return frozenset(t for t in all_types(n, q) if type_weight(t) > rho * n)
+    return frozenset(t for t in all_types(n, q) if sum(t) > rho * n)
 
 
 def alpha_beta(table: SpectrumTable, h_hat, im_size: int) -> AlphaBeta:
@@ -387,6 +366,14 @@ def _representative(t: tuple, n: int) -> np.ndarray:
 # -- pairwise collision API --------------------------------------------------------
 
 
+def _word_indices(ens, words, batch: bool = False):
+    """all_vectors index of one word, or with batch the 1-D array of indices of
+    one word or a list of them; each is checked to be length n over GF(q)."""
+    q = ens.field.q
+    words = checked_words(words, ens.n, q, "word", batch=batch)
+    return vec_to_index(np.reshape(words, (-1, ens.n)) if batch else words, q)
+
+
 def collision_prob(ens, u, v, rng=None, samples: int = 0):
     """p({A : A u = A u'}).
 
@@ -394,14 +381,11 @@ def collision_prob(ens, u, v, rng=None, samples: int = 0):
     also answers exactly through its column law at any size.  Otherwise a
     Monte-Carlo estimate with a Wilson interval: (estimate, (lo, hi)).
     """
-    u = np.asarray(u, dtype=np.int64)
-    v = np.asarray(v, dtype=np.int64)
+    u, v = (checked_words(w, ens.n, ens.field.q, "word") for w in (u, v))
     if np.array_equal(u, v):
         raise ValueError("collision probability needs two distinct inputs")
     if ens.exact:
-        scan = ExactScan(ens)
-        iu, iv = vec_to_index([u, v], ens.field.q)
-        return scan.collision_prob(iu, iv)
+        return ExactScan(ens).collision_prob(*_word_indices(ens, [u, v], batch=True))
     if isinstance(ens, SparseTauEnsemble):
         return ens.collision_prob_algebraic((u - v) % ens.field.q)
     if not samples or rng is None:
@@ -409,7 +393,7 @@ def collision_prob(ens, u, v, rng=None, samples: int = 0):
     hits = 0
     for _ in range(samples):
         A = ens.sample(rng)
-        if np.array_equal(A.mat_vec(u % ens.field.q), A.mat_vec(v % ens.field.q)):
+        if np.array_equal(A.mat_vec(u), A.mat_vec(v)):
             hits += 1
     return hits / samples, wilson_interval(hits, samples)
 
@@ -429,7 +413,7 @@ def check_h3(ens, u, alpha, beta, scan: ExactScan | None = None,
         raise ValueError("the tail condition is only checkable on exact ensembles")
     scan = scan or ExactScan(ens)
     im = im_size if im_size is not None else scan.im_size()
-    iu = vec_to_index(u, ens.field.q)
+    iu = _word_indices(ens, u)
     nums = scan.collision_row_numerators(iu)
     # strict comparison num/total > alpha/im done in integers
     a = Fraction(alpha)
@@ -444,9 +428,8 @@ def check_h3prime(ens, T, Tp, alpha, beta, scan: ExactScan | None = None):
     """Two-set consequence of the tail condition."""
     scan = scan or ExactScan(ens)
     im = scan.im_size()
-    q = ens.field.q
-    Ti = vec_to_index(np.reshape(T, (-1, ens.n)), q).tolist()
-    Tpi = vec_to_index(np.reshape(Tp, (-1, ens.n)), q)
+    Ti = _word_indices(ens, T, batch=True).tolist()
+    Tpi = _word_indices(ens, Tp, batch=True)
     num = 0
     for iu in Ti:
         num += int(scan.collision_row_numerators(iu)[Tpi].sum())
@@ -461,10 +444,9 @@ def check_h3prime(ens, T, Tp, alpha, beta, scan: ExactScan | None = None):
 def check_crp(ens, G, u, alpha, beta, scan: ExactScan | None = None):
     """Collision-resistance bound: p(G\\{u} meets C_A(Au)) <= |G| alpha/|Im| + beta."""
     scan = scan or ExactScan(ens)
-    q = ens.field.q
     im = scan.im_size()
-    iu = vec_to_index(u, q)
-    Gi = vec_to_index(np.reshape(G, (-1, ens.n)), q)
+    iu = _word_indices(ens, u)
+    Gi = _word_indices(ens, G, batch=True)
     others = Gi[Gi != iu]
     if others.size:
         eq = scan.codes[:, others] == scan.codes[:, iu][:, None]
@@ -485,9 +467,8 @@ def check_bcp(ens, Q, T, alpha, beta, scan: ExactScan | None = None):
     done as lhs**2 <= inner, exactly in rationals.
     """
     scan = scan or ExactScan(ens)
-    q = ens.field.q
     im = scan.im_size()
-    Ti = vec_to_index(np.reshape(T, (-1, ens.n)), q)
+    Ti = _word_indices(ens, T, batch=True)
     if Ti.size == 0:
         raise ValueError("T must be nonempty")
     Qfrac = [Fraction(v) if isinstance(v, (int, np.integer, Fraction))

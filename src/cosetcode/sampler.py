@@ -694,32 +694,12 @@ class _SumProductEngine:
 _STEPWISE = {"exact": _ExactEngine, "sum-product": _SumProductEngine}
 
 
-class BitStream:
-    """Lazy binary expansion of omega in [0, 1)."""
-
-    def __init__(self, next_bit):
-        self._next = next_bit
-        self.consumed = 0
-
-    def bit(self) -> int:
-        b = self._next()
-        if b is None:
-            raise ValueError(
-                f"omega exhausted after {self.consumed} bits; deeper expansion required")
-        self.consumed += 1
-        return int(b)
-
-    @classmethod
-    def from_bits(cls, bits) -> "BitStream":
-        it = iter(bits)
-        return cls(lambda: next(it, None))
-
-
 class _Interval:
-    """Interval-algorithm selector: each symbol narrows [lo, hi) to its share."""
+    """Interval-algorithm selector: each symbol narrows [lo, hi) to its share.
+    omega's binary expansion is read from `bits` one bit at a time, as needed."""
 
-    def __init__(self, omega: BitStream):
-        self.omega = omega
+    def __init__(self, bits):
+        self.bits = iter(bits)
         self.lo, self.hi = Fraction(0), Fraction(1)
         self.w_lo = self.w_depth = 0  # omega lies in [w_lo, w_lo + 1) / 2**w_depth
 
@@ -739,21 +719,26 @@ class _Interval:
                 if bounds[xv] <= om_lo and om_hi <= bounds[xv + 1]:
                     self.lo, self.hi = bounds[xv], bounds[xv + 1]
                     return xv
-            self.w_lo = (self.w_lo << 1) | self.omega.bit()
+            b = next(self.bits, None)
+            if b is None:
+                raise ValueError(
+                    f"omega exhausted after {self.w_depth} bits; deeper expansion required")
+            self.w_lo = (self.w_lo << 1) | int(b)
             self.w_depth += 1
 
 
-def generate_interval(A: SparseMatrix, c, priors, cfg: SamplerConfig,
-                      omega: BitStream):
+def generate_interval(A: SparseMatrix, c, priors, cfg: SamplerConfig, bits):
     """Nested-interval selection driven by omega; law identical to `engine.draw`.
 
-    Interval endpoints are exact rationals and omega is consumed bit by
-    bit, so a fixed omega gives a bit-reproducible deterministic encoder.
+    Interval endpoints are exact rationals and omega's binary expansion is
+    read bit by bit from the iterable `bits`, so a fixed omega gives a
+    bit-reproducible deterministic encoder.
     Returns (GeneratedSample, bits_consumed).
     """
     sampler = CosetSampler(A)
     engine = _STEPWISE[cfg.method](sampler, sampler.checked_priors(priors), cfg)
-    return engine.walker(c)(_Interval(omega)), omega.consumed
+    selector = _Interval(bits)
+    return engine.walker(c)(selector), selector.w_depth
 
 
 def exact_coset_law(A: SparseMatrix, c, priors):

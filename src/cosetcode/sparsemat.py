@@ -12,8 +12,8 @@ its words.  Over GF(q > 2) elimination works on the dense mirror `to_dense`.
 DENSE_CAP = 2**20 is the library's one desk-scale budget, read by every
 refusal where it happens: dense mirror entries (l*n), packed words of
 [A | I] in `row_reduce`, coset members, enumerated channel outputs and
-source words, exact-engine states, factor-graph assignments and hash-scan
-inputs.
+source words, exact-engine states, factor-graph assignments, hash-scan
+inputs and the matrices of an enumerated (exact) hash ensemble.
 
 `row_reduce` eliminates a matrix once and returns an `EchelonForm`, the
 one object that solves A x = t, holds the kernel and enumerates or

@@ -1,8 +1,10 @@
 """Budget hygiene of the library: `sparsemat.DENSE_CAP` is the one
-desk-scale budget, so no function takes a cap of its own and no module but
-`sparsemat` spells out its value.  Likewise the sum-product schedule is
-constants (`sampler.INIT_ITERS`, `STEP_ITERS`, `RETRIES`, `fastbp.TOL`)
-and no setting exists that only tests would turn."""
+desk-scale budget, so no function takes a cap of its own, and no module but
+`sparsemat` spells out its value or assigns a module-level name with CAP in
+it (importing DENSE_CAP reads the one budget; assigning would make a second).
+Likewise the sum-product schedule is constants (`sampler.INIT_ITERS`,
+`STEP_ITERS`, `RETRIES`, `fastbp.TOL`) and no setting exists that only tests
+would turn."""
 
 import ast
 from pathlib import Path
@@ -60,6 +62,30 @@ def test_the_budget_is_spelled_out_only_in_sparsemat(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     found = [f"line {node.lineno}" for node in ast.walk(tree) if _is_two_to_the_twenty(node)]
     assert not found, f"{path.name} spells out 2 ** 20 instead of DENSE_CAP: {found}"
+
+
+def _module_level_bindings(tree):
+    """(line, name) of every name a module-level assignment binds."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign):
+            targets = stmt.targets
+        elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
+            targets = [stmt.target]
+        else:
+            continue
+        for target in targets:
+            for node in ast.walk(target):
+                if isinstance(node, ast.Name):
+                    yield node.lineno, node.id
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "sparsemat.py"],
+                         ids=lambda p: p.name)
+def test_no_module_but_sparsemat_binds_a_cap(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [f"line {line}: {name}" for line, name in _module_level_bindings(tree)
+             if "CAP" in name]
+    assert not found, f"{path.name} binds a budget of its own instead of reading DENSE_CAP: {found}"
 
 
 # parameter names of settings that only tests turned: BP damping and

@@ -83,6 +83,21 @@ def test_sparse_tau_collision_algebraic_vs_exhaustive():
         assert got == want
 
 
+@pytest.mark.parametrize("q, n, l, tau", [(3, 4, 2, 2), (2, 4, 4, 4)])
+def test_sparse_tau_algebraic_and_spectrum_match_the_scan(q, n, l, tau):
+    ens = SparseTauEnsemble(EnsembleSpec(n=n, l=l, field=GF(q), tau=tau))
+    scan = ExactScan(ens)
+    V = all_vectors(q, n)
+    for iu, iv in itertools.combinations(range(q ** n), 2):
+        assert ens.collision_prob_algebraic((V[iu] - V[iv]) % q) == scan.collision_prob(iu, iv)
+    table = avg_spectrum(ens)
+    hits = scan.weights @ (scan.codes == 0)      # weight of {A : A u = 0}, per input u
+    u_types = [type_of(u, q) for u in V]
+    for t in table.types:
+        members = [i for i, ut in enumerate(u_types) if ut == t]
+        assert table.values[t] == Fraction(int(hits[members].sum()), scan.total)
+
+
 def test_sparse_tau_single_nonzero_diff_closed_form():
     # d = e_1: P(col_1 law sums to zero) with l=2, q=2, tau=2 is 1/2
     spec = EnsembleSpec(n=3, l=2, field=GF2, tau=2)
@@ -329,6 +344,37 @@ def test_bcp_rejects_zero_mass():
     V = all_vectors(2, 3)
     with pytest.raises(ValueError):
         check_bcp(ens, [0] * 8, [V[1]], Fraction(1), Fraction(0))
+
+
+GOOD = [0, 0, 0, 1]
+
+# every word input of the five functions, fed the word w
+WORD_INPUTS = {
+    "collision_prob-u": lambda ens, w: collision_prob(ens, w, GOOD),
+    "collision_prob-v": lambda ens, w: collision_prob(ens, GOOD, w),
+    "check_h3-u": lambda ens, w: check_h3(ens, w, 1, 0),
+    "check_h3prime-T": lambda ens, w: check_h3prime(ens, [w], [GOOD], 1, 0),
+    "check_h3prime-Tp": lambda ens, w: check_h3prime(ens, [GOOD], [w], 1, 0),
+    "check_crp-G": lambda ens, w: check_crp(ens, [w], GOOD, 1, 0),
+    "check_crp-u": lambda ens, w: check_crp(ens, [GOOD], w, 1, 0),
+    "check_bcp-T": lambda ens, w: check_bcp(ens, [1] * 16, [w], 1, 0),
+}
+BAD_WORDS = {
+    "short": ([1, 0], "length mismatch"),
+    "long": ([1, 0, 0, 0, 0], "length mismatch"),
+    "symbol": ([0, 3, 0, 0], "symbol outside the alphabet"),
+    "negative": ([0, -1, 0, 0], "symbol outside the alphabet"),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_WORDS.values(), ids=BAD_WORDS.keys())
+@pytest.mark.parametrize("call", WORD_INPUTS.values(), ids=WORD_INPUTS.keys())
+def test_word_inputs_are_checked(call, bad):
+    ens = AllLinearEnsemble(4, 1, GF2)
+    word, message = bad
+    call(ens, [1, 0, 1, 0])                      # a well-formed word is accepted
+    with pytest.raises(ValueError, match=f"word {message}"):
+        call(ens, word)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,6 @@ UNCALLED_BY_DESIGN = {
 UNCALLED_MEMBERS_BY_DESIGN = {
     "channel.ErrorStats.as_dict": "a channel run's record in ROADMAP item 8's run report",
     "lossy.DistortionStats.as_dict": "a lossy run's record in ROADMAP item 8's run report",
-    "sampler.BitStream.from_bits": "feeds omega to generate_interval in the tests and the pinned digests",
     "sampler.ExactStepper.table": "tests read the suffix tables through it",
 }
 

@@ -17,7 +17,6 @@ from cosetcode.sampler import (
     INIT_ITERS,
     RETRIES,
     STEP_ITERS,
-    BitStream,
     DeadEndError,
     EncodingError,
     CosetSampler,
@@ -599,7 +598,7 @@ def test_path_tree_refuses_an_empty_or_massless_coset():
 def test_interval_all_zero_bits_selects_leftmost():
     A = dense([[1, 1]], GF2)
     priors = np.array([[0.7, 0.3], [0.7, 0.3]])
-    omega = BitStream.from_bits([0] * 64)
+    omega = [0] * 64
     out, used = generate_interval(A, [0], priors, NO_EARLY, omega)
     assert np.array_equal(out.x, [0, 0])
 
@@ -610,8 +609,7 @@ def test_interval_deterministic_given_omega():
     bits = stream(9, 0).integers(0, 2, size=128).tolist()
     outs = set()
     for _ in range(3):
-        out, _ = generate_interval(A, [1, 0], priors, NO_EARLY,
-                                   BitStream.from_bits(bits))
+        out, _ = generate_interval(A, [1, 0], priors, NO_EARLY, bits)
         outs.add(tuple(out.x))
     assert len(outs) == 1
 
@@ -624,8 +622,7 @@ def test_interval_widths_match_law_two_point():
     boundary = Fraction(float(0.49 / 0.58))
 
     def outcome(om_bits):
-        out, _ = generate_interval(A, c, priors, NO_EARLY,
-                                   BitStream.from_bits(om_bits))
+        out, _ = generate_interval(A, c, priors, NO_EARLY, om_bits)
         return tuple(out.x)
 
     depth = 20
@@ -642,7 +639,7 @@ def _int_to_bits(v, depth):
 def test_interval_exhaustion_reports_depth():
     A = dense([[1, 1]], GF2)
     priors = np.array([[0.7, 0.3], [0.7, 0.3]])
-    omega = BitStream.from_bits([1])  # nowhere near enough
+    omega = [1]  # nowhere near enough
     with pytest.raises(ValueError, match="exhausted"):
         generate_interval(A, [0], priors, NO_EARLY, omega)
 
@@ -654,7 +651,7 @@ def test_interval_matches_generate_law_via_rng_omega():
     counts = np.zeros(2)
     trials = 8000
     for _ in range(trials):
-        omega = BitStream(lambda: int(rng.integers(0, 2)))
+        omega = iter(lambda: int(rng.integers(0, 2)), None)
         out, _ = generate_interval(A, [0], priors, NO_EARLY, omega)
         counts[out.x[0]] += 1
     expected = np.array([49 / 58, 9 / 58]) * trials
@@ -798,7 +795,7 @@ def test_engine_refuses_bad_priors(bad, match):
         with pytest.raises(ValueError, match=match):
             sampler.engine(bad, SamplerConfig(method=method))
     with pytest.raises(ValueError, match=match):
-        generate_interval(A, [0, 0], bad, EXACT, BitStream.from_bits([0] * 64))
+        generate_interval(A, [0, 0], bad, EXACT, [0] * 64)
 
 
 def test_live_steppers_never_alias():
@@ -1264,8 +1261,7 @@ def _pinned_outputs(q, case):
             for cfg in (EXACT, NO_EARLY, SamplerConfig(method="sum-product")):
                 if case == "interval":
                     bits = rng.integers(0, 2, size=256).tolist()
-                    out, used = generate_interval(A, c, priors, cfg,
-                                                  BitStream.from_bits(bits))
+                    out, used = generate_interval(A, c, priors, cfg, bits)
                     got.append((out.x, out.termination, out.steps, used))
                 elif cfg.method == "exact":
                     got.append(path_tree_law(A, c, priors, cfg))
