@@ -123,7 +123,7 @@ class SparseTauEnsemble:
         type-invariance hypothesis behind the (alpha, beta) machinery.
         """
         q, l = self.field.q, self.l
-        diff = np.asarray(diff, dtype=np.int64) % q
+        diff = checked_words(diff, self.n, q, "word")
         dist = {(0,) * l: 1}
         for d in diff[diff != 0]:
             dist = _convolve(dist, [((d * vec) % q, w) for vec, w in

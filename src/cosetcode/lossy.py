@@ -6,6 +6,11 @@ image m under B; the decoder returns the highest-prior member of the
 joint coset C_AB(c, m) = {x : Ax = c, Bx = m}.  When the stacked map has
 full column rank the joint coset is a single point and decoding is a
 linear solve through the stacked map's echelon.
+
+An additive test channel, x = y + z with z drawn from a noise prior w (as
+BSC(D) and the q-ary symmetric channel are), makes each word's posterior a
+shift of w, so the exact encoder draws z ~ w on C_A(c - A y) through one
+engine per code and early stop, built on the first encode.
 """
 
 import math
@@ -16,7 +21,8 @@ import numpy as np
 from .fastbp import DECODE_ITERS, CosetBP, hard_decision
 from .models import (DiscreteChannel, DistortionSpec, MemorylessSource, checked_words,
                      rate_quantities)
-from .sampler import CosetPair, DeadEndError, EncodingError, SamplerConfig, member_law
+from .sampler import (CosetPair, DeadEndError, EncodingError, SamplerConfig, is_uniform,
+                      member_law)
 from .sparsemat import DENSE_CAP, all_vectors
 from .stats import entropy_bits, wilson_interval
 from .streams import stream
@@ -45,6 +51,22 @@ class LossyCodeSpec(CosetPair):
         self.x_marginals = np.einsum("iy,iyx->ix", self.source.pmfs,
                                      self.test_channel.kernels)
         self.rate_R = self.rank_b / n * math.log2(q)
+        # kernels[i, y, x] = w_i(x - y): the noise prior w, else None
+        w = self.test_channel.kernels[:, 0, :]
+        additive = np.array_equal(self.test_channel.kernels,
+                                  w[:, (np.arange(q) - np.arange(q)[:, None]) % q])
+        self._noise = w if additive and not is_uniform(w) else None
+        self._engines = {}                # early_stop -> the exact engine of w
+
+    def noise_engine(self, cfg: SamplerConfig):
+        """The exact engine of the noise prior for cfg's early stop, built on first
+        use; None unless the test channel is additive, w is not uniform and cfg
+        asks for the exact method."""
+        if self._noise is None or cfg.method != "exact":
+            return None
+        if cfg.early_stop not in self._engines:
+            self._engines[cfg.early_stop] = self.coset_a.engine(self._noise, cfg)
+        return self._engines[cfg.early_stop]
 
     def posteriors(self, y) -> np.ndarray:
         """(n, q) per-index reproduction posteriors for the observed word."""
@@ -59,7 +81,12 @@ def encode(spec: LossyCodeSpec, y, cfg: SamplerConfig, rng) -> np.ndarray:
 
 
 def encode_reproduction(spec: LossyCodeSpec, y, cfg: SamplerConfig, rng) -> np.ndarray:
-    return spec.coset_a.engine(spec.posteriors(y), cfg).draw(spec.c, rng).x
+    """x from the word's posteriors restricted to C_A(c), through the code's
+    noise engine where it has one."""
+    engine = spec.noise_engine(cfg)
+    if engine is None:
+        return spec.coset_a.engine(spec.posteriors(y), cfg).draw(spec.c, rng).x
+    return engine.draw(spec.c, rng, shift=checked_words(y, spec.n, spec.q, "source word")).x
 
 
 def decode(spec: LossyCodeSpec, m) -> np.ndarray | None:

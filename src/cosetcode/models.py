@@ -32,6 +32,8 @@ def _check_pmfs(pmfs: np.ndarray, what: str) -> np.ndarray:
 def checked_words(v, n: int, size: int, what: str, batch: bool = False) -> np.ndarray:
     """v as int64, checked to be one length-n word over range(size), or with
     batch an (M, n) array of them."""
+    if isinstance(v, (list, tuple)) and len({np.shape(w) for w in v}) > 1:
+        raise ValueError(f"{what} length mismatch")     # ragged: words of several lengths
     v = np.asarray(v, dtype=np.int64)
     if v.ndim not in ((1, 2) if batch else (1,)) or v.shape[-1] != n:
         raise ValueError(f"{what} length mismatch")

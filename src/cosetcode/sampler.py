@@ -11,20 +11,24 @@ read off (the early stop).  The work has three lifetimes:
   per prior   `CosetSampler.engine(priors, cfg)`, which refuses priors
               that are not an (n, q) array of finite non-negative
               numbers: exact (`ExactStepper` suffix-mass tables on Im A,
-              q**rank entries while that fits DENSE_CAP, tables split..stop
-              for a draw that stops early at `stop`, split = min(rank, stop),
-              the rest when read, as steps before split read a per-target
-              prefix tree; M_stop comes from the one completion of each
-              syndrome, the others from the backward recursion; over GF(2)
-              tables keep a per-block syndrome basis in which every shift
-              flips only leading axes; never dead-ends after a positive start),
+              q**rank entries while that fits DENSE_CAP, kept only at the
+              ends of the plan's segments: [0, split), split = min(rank, stop),
+              then runs of at most rank columns up to the draw's `stop`;
+              M_stop comes from the one completion of each syndrome, the
+              others from the backward recursion; over GF(2) tables keep a
+              per-block syndrome basis in which every shift flips only
+              leading axes; never dead-ends after a positive start; a lossy
+              code with an additive test channel holds one per code, for its
+              noise prior, and shifts it to each source word),
               sum-product (BP conditionals, the scaled path: INIT_ITERS
               iterations on the target, then at most STEP_ITERS after each
               commit before the next read; approximate on loopy graphs, so a
               dead end restarts the draw, up to RETRIES passes) or uniform
               (uniform priors make the law uniform on the coset: a solution
               plus a random kernel combination, with no sequential work);
-  per target  `engine.draw(c, rng)`, or `engine.walker(c)` for many passes.
+  per target  `engine.draw(c, rng)`, or `engine.walker(c)` for many passes;
+              an exact walker reads one tree per segment, rooted at the residual
+              where it starts: the first once per target, the others per pass.
 `_drive` is the one step loop.  A per-draw state gives the step pmf
 (`pmf(k)`), which the driver narrows to a point mass wherever the prefix
 forces x_k, and takes the chosen symbol (`commit(k, v)`); a selector
@@ -149,9 +153,12 @@ class TablePlan:
     layout, the shifts, the split and each suffix's syndrome.  Its l coordinates
     are the matrix's rows; an engine's (`CosetSampler.table_plan`) span Im A alone.
 
-    Before column split = min(l, stop) (1 if l = 0 < stop) the residual
-    t - A_<k x_<k takes at most q**k values, the prefix half of the minimal
-    trellis bound, so a draw reads a prefix tree there (`prefix_index`).
+    Columns 0..stop are cut into segments: [0, split) with split = min(l, stop)
+    (1 if l = 0 < stop), then runs of at most max(l, 1) columns up to stop
+    (`starts`, `ends`).  Inside segment [a, b) the residual t - A x over
+    columns a..k-1 takes at most q**(k - a) <= q**l values, the trellis state
+    bound, so a draw reads each segment off a tree whose leaves index table b
+    (`leaf_index`) at the residual where the segment starts.
 
     Over GF(2) a syndrome is a flat index (axis 0 most significant) and
     column k shifts a table by XOR with its image.  The columns stop - 1,
@@ -178,12 +185,15 @@ class TablePlan:
         if not 0 <= self.stop <= self.n:
             raise ValueError(f"stop {self.stop} lies outside 0..{self.n}")
         self.split = min(max(self.l, 1), self.stop)
+        self.ends = list(range(self.split, self.stop, max(self.l, 1))) + [self.stop]
+        self.starts = [0] + self.ends[:-1]
         dense = A.to_dense()
         self.cols = [dense[:, k] for k in range(self.n)]
         # the flat index of syndrome t is t @ weights, axis 0 most significant
         self.weights = q ** np.arange(self.l - 1, -1, -1, dtype=np.int64)
         if q == 2:
-            self._plan_blocks([int(col @ self.weights) for col in self.cols])
+            self.flat_cols = [int(col @ self.weights) for col in self.cols]
+            self._plan_blocks(self.flat_cols)
         else:                               # syndrome coordinates throughout
             self.shape, self.cross = (q,) * self.l, {}
             # _digit_weights[i, s, d] = weight of digit d - s on axis i
@@ -197,7 +207,7 @@ class TablePlan:
 
     def _plan_blocks(self, flat_cols: list) -> None:
         """The GF(2) blocks, their bases and each column's shift in its block."""
-        l, stop, split = self.l, self.stop, self.split
+        l, stop = self.l, self.stop
         # more leading axes give fewer re-layouts but shorter contiguous runs;
         # at lossy-exact's rank l = 15, d = 8 leaves runs of 128 values
         d = min(8, (l + 1) // 2)
@@ -230,8 +240,9 @@ class TablePlan:
         # the suffix columns in the basis of table stop, that of column stop - 1
         fill_basis = self.to_u[self.block_of[stop - 1] if stop else 0]
         self.fill_shifts = [_apply(fill_basis, col) for col in flat_cols[stop:]]
-        # the prefix columns in the basis of table split, read by the prefix tree's leaves
-        self.prefix_shifts = [_apply(self.table_basis(split), v) for v in flat_cols[:split]]
+        # each segment's columns in the basis of its end table, read by its tree's leaves
+        self.leaf_shifts = [[_apply(self.table_basis(b), v) for v in flat_cols[a:b]]
+                            for a, b in zip(self.starts, self.ends)]
 
     def table_basis(self, k: int) -> list:
         """to_u of the basis that table k is kept in (that of column k - 1)."""
@@ -244,19 +255,29 @@ class TablePlan:
             src = (self._digit_weights[i, shift[i], :, None] + src).ravel()
         return src
 
-    def prefix_index(self, t) -> np.ndarray:
-        """idx[p] = the flat index, in table split's basis, of t - A_<split x_<split
-        for each prefix, where p = sum_i x_i q**i: the newest symbol leads."""
-        q, idx = self.q, np.empty(self.q ** self.split, dtype=np.int64)
-        flat = int(np.asarray(t, dtype=np.int64) % q @ self.weights)
+    def leaf_index(self, i: int, flat: int) -> np.ndarray:
+        """idx[p] = the flat index, in the basis of table b, of t - sum_j x_j col_j over
+        segment i = [a, b), where flat is t's flat index and p = sum_j x_j q**(j - a):
+        the newest symbol leads."""
+        q, a, b = self.q, self.starts[i], self.ends[i]
+        idx = np.empty(q ** (b - a), dtype=np.int64)
         if q == 2:
-            return _xor_span(self.prefix_shifts, idx, _apply(self.table_basis(self.split), flat))
+            return _xor_span(self.leaf_shifts[i], idx, _apply(self.table_basis(b), flat))
         idx[0] = flat
-        for i, step in enumerate(self.shift_index[:self.split]):
-            rows = idx[:q ** (i + 1)].reshape(q, -1)     # rows[xv]: prefixes with x_i = xv
+        for j, step in enumerate(self.shift_index[a:b]):
+            rows = idx[:q ** (j + 1)].reshape(q, -1)     # rows[xv]: prefixes with x_j = xv
             for xv in range(1, q):
                 rows[xv] = rows[xv - 1] if step is None else step[rows[xv - 1]]
         return idx
+
+    def shifted(self, k: int, flat: int, v: int) -> int:
+        """The flat index of t - v col_k, where flat is t's."""
+        if self.q == 2:
+            return flat ^ self.flat_cols[k] if v else flat
+        step = self.shift_index[k]
+        for _ in range(v if step is not None else 0):
+            flat = int(step[flat])
+        return flat
 
     def _suffix_index(self) -> np.ndarray:
         """Each suffix x_stop..x_{n-1}'s flat syndrome in table stop's basis, in
@@ -285,50 +306,47 @@ class ExactStepper:
     defining suffix sum evaluated exactly.  The tables do not depend on
     the target, so one stepper serves every c.
 
-    A build fills tables split..stop of the plan (stop = n by default): a draw
-    that stops early never reads past M_stop, and reads its walker's prefix
-    tree before step split.  Columns stop..n-1 must be independent: then
-    each syndrome in their span is hit by exactly one suffix, so M_stop is
-    that suffix's prior product and 0 off the span, put where the plan's
-    `suffix_index` says.  The recursion
-    M_k(t) = sum_x mu_k(x) M_{k+1}(t - x col_k) gives the rest down to table
-    split, and tables 0..split-1 into their slots when first read.  Over GF(2)
-    each table is kept in its block's basis (see `TablePlan`), where the
-    shift by col_k flips leading axes of a view of M_{k+1}; GF(q > 2)
-    gathers the shift into a scratch table.  Both give the tables the full
-    recursion gives, bit for bit; `table(k)` reads one in syndrome
-    coordinates.  A draw's residual target is held in the coordinates of
-    its step: `locate` gives it, `advance` moves it past a symbol.
-
-    The tables are views of one block that the stepper owns and that is freed
-    with it.
+    A stepper keeps one table per segment of its plan, the one at the
+    segment's end, in one block that is freed with it.  Columns stop..n-1
+    must be independent: then each syndrome in their span is hit by exactly
+    one suffix, so M_stop is that suffix's prior product and 0 off the span,
+    put where the plan's `suffix_index` says.  The build runs the recursion
+    M_k(t) = sum_x mu_k(x) M_{k+1}(t - x col_k) from stop down to split in
+    two working slots and keeps the segment ends it passes.  A draw reads
+    `segment_tree`s, whose levels sum by `_mix` as the recursion does, and
+    `table(k)` fills any other table when read.  Over GF(2) each table is
+    kept in its block's basis (see `TablePlan`), where the shift by col_k
+    flips leading axes of a view of M_{k+1}; GF(q > 2) gathers the shift into
+    scratch.  Both give the tables the full recursion gives, bit for bit.
     """
 
     def __init__(self, plan: TablePlan, priors):
         self.plan = plan
-        q, n, self.stop = plan.q, plan.n, plan.stop
-        self.q, self.n, self.l = q, n, plan.l
+        self.q, self.n, self.l, self.stop = plan.q, plan.n, plan.l, plan.stop
         self.priors = np.asarray(priors, dtype=float)
-        # slots 1..stop hold tables 1..stop, slot 0 table 0 or a level's output
-        # before it is re-laid, the last slot scratch (and a re-layout's index);
-        # slots below `low` are left unwritten until read
-        block = np.empty((self.stop + 2,) + (q,) * self.l)
-        self._tables = block.reshape((self.stop + 2,) + plan.shape)
-        self._flat = block.reshape(self.stop + 2, -1)
-        self._scratch = self._tables[-1, ...]
-        self._fill_suffix_table(self._flat[self.stop])
-        self.low = self.stop
-        self._fill_down_to(plan.split)
+        block = np.empty((len(plan.ends),) + (self.q,) * self.l)
+        self._tables = block.reshape((len(plan.ends),) + plan.shape)
+        self._flat = block.reshape(len(plan.ends), -1)
+        self._fill_suffix_table(self._flat[-1])
+        self._descend(len(plan.ends) - 1, plan.split)
 
-    def _fill_down_to(self, k: int) -> None:
-        """Tables low - 1 down to k, each by `_level` from the one above."""
-        for j in range(self.low - 1, k - 1, -1):
+    def _descend(self, e: int, k: int) -> np.ndarray:
+        """M_k in a working slot, by `_level` down from the table kept at segment
+        end e; keeps each segment end it passes on the way."""
+        work = np.empty((3,) + self.plan.shape)       # two working slots and scratch
+        cur, nxt, scratch = work[0, ...], work[1, ...], work[2, ...]
+        cur[...] = self._tables[e, ...]
+        for j in range(self.plan.ends[e] - 1, k - 1, -1):
+            self._level(j, cur, nxt, scratch)
+            cur, nxt = nxt, cur
             cross = self.plan.cross.get(j)
-            self._level(j, self._tables[j if cross is None else 0, ...])
             if cross is not None:   # step j - 1 reads table j in another basis
-                idx = _xor_span(cross, self._flat[-1].view(np.int64))
-                np.take(self._flat[0], idx, out=self._flat[j], mode="clip")
-        self.low = min(self.low, k)
+                idx = _xor_span(cross, scratch.reshape(-1).view(np.int64))
+                np.take(cur.reshape(-1), idx, out=nxt.reshape(-1), mode="clip")
+                cur, nxt = nxt, cur
+            if j in self.plan.ends:
+                self._tables[self.plan.ends.index(j), ...] = cur
+        return cur
 
     def _fill_suffix_table(self, flat: np.ndarray) -> None:
         """flat = M_stop, from the one suffix x_stop..x_{n-1} per syndrome.
@@ -341,12 +359,11 @@ class ExactStepper:
         flat.fill(0.0)
         flat[self.plan.suffix_index] = mass
 
-    def _level(self, k: int, acc: np.ndarray) -> None:
-        """acc = M_k from M_{k+1}, summed by `_mix`."""
-        nxt = self._tables[k + 1, ...]
-        _mix(self.priors[k], partial(self._shifted, nxt, k), acc, self._scratch)
+    def _level(self, k: int, nxt: np.ndarray, acc: np.ndarray, scratch: np.ndarray) -> None:
+        """acc = M_k from nxt = M_{k+1}, summed by `_mix`."""
+        _mix(self.priors[k], partial(self._shifted, nxt, k, scratch), acc, scratch)
 
-    def _shifted(self, nxt: np.ndarray, k: int, xv: int) -> np.ndarray:
+    def _shifted(self, nxt: np.ndarray, k: int, scratch: np.ndarray, xv: int) -> np.ndarray:
         """M_{k+1} shifted by xv * col_k: over GF(2) a view of it that flips leading
         axes, over GF(q > 2) gathered into scratch through the plan's shift by
         col_k composed xv times."""
@@ -357,48 +374,33 @@ class ExactStepper:
             return nxt
         for _ in range(xv - 1):
             src = step[src]
-        np.take(nxt.reshape(-1), src, out=self._scratch.reshape(-1), mode="clip")
-        return self._scratch
+        np.take(nxt.reshape(-1), src, out=scratch.reshape(-1), mode="clip")
+        return scratch
 
     def table(self, k: int) -> np.ndarray:
         """A copy of M_k in syndrome coordinates, for k in 0..stop."""
         if not 0 <= k <= self.stop:
             raise ValueError(f"table {k} lies outside 0..{self.stop}")
-        self._fill_down_to(k)
+        e = next(e for e, end in enumerate(self.plan.ends) if end >= k)
+        flat = self._descend(e, k).reshape(-1)
         if self.q != 2:
-            return self._tables[k, ...].copy()
+            return flat.reshape((self.q,) * self.l).copy()
         idx = _xor_span(self.plan.table_basis(k), np.empty(1 << self.l, dtype=np.int64))
-        return self._flat[k][idx].reshape((2,) * self.l)
+        return flat[idx].reshape((2,) * self.l)
 
-    def locate(self, k: int, t):
-        """The residual that step k reads for the syndrome t: over GF(2) its flat
-        index in the basis of column k, else t itself."""
-        t = np.asarray(t, dtype=np.int64) % self.q
-        if self.q != 2:
-            return t
-        return _apply(self.plan.table_basis(k + 1), int(t @ self.plan.weights))
-
-    def advance(self, k: int, residual, v: int):
-        """The residual after x_k = v, in the coordinates of step k + 1."""
-        if self.q != 2:
-            return (residual - v * self.plan.cols[k]) % self.q
-        if v:
-            residual ^= self.plan.shifts[k]
-        cross = self.plan.cross.get(k + 1)
-        return residual if cross is None else _apply(cross, residual)
-
-    def _terms(self, k: int, residual):
-        """mu_k(x) M_{k+1}(residual - x col_k) for each symbol x."""
-        self._fill_down_to(k + 1)
-        if self.q == 2:
-            flat, (p0, p1) = self._flat[k + 1], self.priors[k]
-            return np.array((p0 * flat[residual], p1 * flat[residual ^ self.plan.shifts[k]]))
-        t = (residual - np.arange(self.q)[:, None] * self.plan.cols[k]) % self.q
-        return self.priors[k] * self._tables[k + 1, ...][tuple(t.T)]    # one gather
-
-    def step_pmf(self, k: int, residual) -> np.ndarray:
-        """Conditional of x_k given the residual target, normalized unless massless."""
-        return _normalized(self._terms(k, residual))
+    def segment_tree(self, i: int, flat: int) -> list:
+        """Levels 0..b-a of segment i = [a, b) rooted at the residual with flat index
+        flat: level j holds M_{a+j} at the residual less the symbols x_a..x_{a+j-1},
+        at p = sum x_{a+h} q**h; the leaves read table b, each level above sums the
+        slices x_{a+j} = v of the one below by `_mix`, and level 0 is None."""
+        q, a, b = self.q, self.plan.starts[i], self.plan.ends[i]
+        tree = [None] + [np.empty(q ** j) for j in range(1, b - a)]
+        tree += [self._flat[i][self.plan.leaf_index(i, flat)]] if b > a else []
+        scratch = np.empty(q ** (b - a) // q)
+        for j in range(b - a - 1, 0, -1):
+            nxt, m = tree[j + 1], q ** j
+            _mix(self.priors[a + j], lambda v: nxt[v * m:(v + 1) * m], tree[j], scratch[:m])
+        return tree
 
 
 def is_uniform(priors: np.ndarray) -> bool:
@@ -605,38 +607,46 @@ class _UniformEngine:
 
 class _ExactWalker:
     """Passes of the step loop `_drive` on one target, and the state of the pass
-    under way: the prefix's index p = sum_i x_i q**i and the residual target.
-    Steps before split read the target's prefix tree, whose level k holds
-    M_k(t - A_<k x_<k) at p: the leaves read table split at `prefix_index(t)`,
-    each level above sums the slices x_k = v of the one below by `_mix`."""
+    under way: its segment i of the stepper's plan, that segment's tree, the
+    index p = sum x_k q**(k - a) of the symbols drawn since the segment began at
+    a, and the flat index of the residual target.  The first segment's tree is
+    built once per target, each later one when a pass enters it.
 
-    def __init__(self, engine: "_ExactEngine", c):
+    With a shift y, the walker draws z = x - y from the stepper's prior on the
+    target c - A y and shows `_drive` x: each step pmf rolled by y_k.  Under an
+    additive test channel this is the source word's posterior draw (`lossy`)."""
+
+    def __init__(self, engine: "_ExactEngine", c, shift=None):
         st = self.stepper = engine.stepper
-        self.engine, self.c = engine, engine.sampler.target(c)
-        self.s = engine.sampler.reduced_target(self.c)
-        self.t = self.s[:engine.sampler.reverse.rank]     # in the stepper's rows
-        q, split = st.q, st.plan.split
-        self.tree = [None] + [np.empty(q ** k) for k in range(1, split)]
-        self.tree += [st._flat[split][st.plan.prefix_index(self.t)]] if split else []
-        scratch = np.empty(q ** split // q)
-        for k in range(split - 1, 0, -1):
-            nxt, m = self.tree[k + 1], q ** k
-            _mix(st.priors[k], lambda v: nxt[v * m:(v + 1) * m], self.tree[k], scratch[:m])
+        sampler, q = engine.sampler, st.q
+        self.engine, self.c = engine, sampler.target(c)
+        self.s = sampler.reduced_target(self.c)
+        s, self.unshift = self.s, None      # unshift[k][v] = v - y_k, the z of x_k = v
+        if shift is not None:
+            self.unshift = (np.arange(q) - np.asarray(shift)[:, None]) % q
+            s = sampler.reduced_target((self.c - sampler.A.mat_vec(shift)) % q)
+        self.root = int(s[:sampler.reverse.rank] @ st.plan.weights)
+        self.first = st.segment_tree(0, self.root)
 
     def __call__(self, choose) -> GeneratedSample:
-        self.prefix, self.residual = 0, self.stepper.locate(0, self.t)
+        self.i, self.tree, self.prefix, self.residual = 0, self.first, 0, self.root
         return _drive(self.engine.sampler, self.c, self.s, self, choose,
                       self.engine.cfg.early_stop)
 
     def pmf(self, k: int) -> np.ndarray:
         st = self.stepper
-        if k < st.plan.split:       # mu_k(x) tree[k + 1][p + x q**k] for each symbol x
-            return _normalized(st.priors[k] * self.tree[k + 1][self.prefix::st.q ** k])
-        return st.step_pmf(k, self.residual)
+        if k == st.plan.ends[self.i]:       # the pass enters the next segment
+            self.i, self.prefix = self.i + 1, 0
+            self.tree = st.segment_tree(self.i, self.residual)
+        j = k - st.plan.starts[self.i]      # mu_k(z) tree[j + 1][p + z q**j] for each z
+        pmf = _normalized(st.priors[k] * self.tree[j + 1][self.prefix::st.q ** j])
+        return pmf if self.unshift is None else pmf[self.unshift[k]]
 
     def commit(self, k: int, v: int) -> None:
-        self.prefix += v * self.stepper.q ** k
-        self.residual = self.stepper.advance(k, self.residual, v)
+        st = self.stepper
+        z = v if self.unshift is None else int(self.unshift[k][v])
+        self.prefix += z * st.q ** (k - st.plan.starts[self.i])
+        self.residual = st.plan.shifted(k, self.residual, z)
 
 
 class _ExactEngine:
@@ -648,12 +658,12 @@ class _ExactEngine:
         stop = sampler.early_stop_index if cfg.early_stop else sampler.A.cols
         self.stepper = ExactStepper(sampler.table_plan(stop), priors)
 
-    def walker(self, c) -> _ExactWalker:
-        """Passes of the step loop `_drive` on target c, one per selector."""
-        return _ExactWalker(self, c)
+    def walker(self, c, shift=None) -> _ExactWalker:
+        """Passes of `_drive` on target c, one per selector; with a shift y, of y + z."""
+        return _ExactWalker(self, c, shift)
 
-    def draw(self, c, rng) -> GeneratedSample:
-        return self.walker(c)(partial(sample_pmf, rng))
+    def draw(self, c, rng, shift=None) -> GeneratedSample:
+        return self.walker(c, shift)(partial(sample_pmf, rng))
 
 
 class _SumProductEngine:

@@ -377,6 +377,37 @@ def test_word_inputs_are_checked(call, bad):
         call(ens, word)
 
 
+# batched word inputs, fed the list of words ws
+BATCH_INPUTS = {
+    "check_h3prime-T": lambda ens, ws: check_h3prime(ens, ws, [GOOD], 1, 0),
+    "check_h3prime-Tp": lambda ens, ws: check_h3prime(ens, [GOOD], ws, 1, 0),
+    "check_crp-G": lambda ens, ws: check_crp(ens, ws, GOOD, 1, 0),
+    "check_bcp-T": lambda ens, ws: check_bcp(ens, [1] * 16, ws, 1, 0),
+}
+
+
+@pytest.mark.parametrize("call", BATCH_INPUTS.values(), ids=BATCH_INPUTS.keys())
+def test_ragged_word_lists_are_a_length_mismatch(call):
+    """Words of several lengths in one list are refused as such, not by numpy."""
+    ens = AllLinearEnsemble(4, 1, GF2)
+    call(ens, [GOOD, [1, 0, 1, 0]])
+    for ragged in ([GOOD, [1, 0]], [[1, 0], GOOD], [GOOD, [1, 0, 0, 0, 0]]):
+        with pytest.raises(ValueError, match="word length mismatch"):
+            call(ens, ragged)
+
+
+@pytest.mark.parametrize("bad", BAD_WORDS.values(), ids=BAD_WORDS.keys())
+def test_algebraic_collision_prob_checks_its_word(bad):
+    """diff must be a length-n word over GF(q), as every other word input is."""
+    ens = SparseTauEnsemble(EnsembleSpec(n=4, l=2, field=GF2, tau=2))
+    word, message = bad
+    assert ens.collision_prob_algebraic([1, 0, 0, 0]) == Fraction(1, 2)
+    with pytest.raises(ValueError, match=f"word {message}"):
+        ens.collision_prob_algebraic(word)
+    with pytest.raises(ValueError, match="word length mismatch"):
+        ens.collision_prob_algebraic([1, 0, 0, 0, 0, 0, 1])
+
+
 # ---------------------------------------------------------------------------
 # products
 # ---------------------------------------------------------------------------

@@ -3,15 +3,17 @@ import json
 import numpy as np
 import pytest
 
-from cosetcode import lossy
+from cosetcode import lossy, sampler
 from cosetcode.gf import GF
 from cosetcode.models import (
     DiscreteChannel,
     DistortionSpec,
     MemorylessSource,
+    bac,
     bernoulli_source,
     bsc,
     hamming_distortion,
+    qsc,
     uniform_source,
 )
 from cosetcode.sampler import DeadEndError, SamplerConfig
@@ -21,6 +23,7 @@ from cosetcode.streams import stream
 
 GF2 = GF(2)
 EXACT = SamplerConfig(method="exact")
+NO_EARLY = SamplerConfig(method="exact", early_stop=False)
 
 
 def small_spec(n=8, l=3, k=4, target_d=0.25, seed=3):
@@ -208,3 +211,76 @@ def test_as_dict_carries_the_histogram(monkeypatch):
     monkeypatch.setattr(lossy, "encode_reproduction", dead_end)
     failed = json.loads(json.dumps(lossy.simulate(spec, 3, EXACT, seed=1).as_dict()))
     assert failed["histogram"] == {"inf": 3}
+
+
+# ---------------------------------------------------------------------------
+# one exact engine per code under an additive test channel
+# ---------------------------------------------------------------------------
+
+def noise_spec(q, n, l, k, tau, seed, channel=None):
+    """A lossy code with a skewed source and a BSC or QSC(0.11) test channel."""
+    field = GF(q)
+    A = sample_sparse_matrix(EnsembleSpec(n=n, l=l, field=field, tau=tau), stream(seed, 1))
+    B = sample_sparse_matrix(EnsembleSpec(n=n, l=k, field=field, tau=tau), stream(seed, 2))
+    c = A.mat_vec(stream(seed, 3).integers(0, q, size=n))
+    source = MemorylessSource(stream(seed, 4).dirichlet(np.full(q, 2.0), size=n))
+    channel = channel or (bsc(0.11, n) if q == 2 else qsc(q, 0.11, n))
+    return lossy.LossyCodeSpec(A, B, c, source, channel, hamming_distortion(q), 0.2)
+
+
+@pytest.mark.parametrize("q, shape, codes, words", [
+    (2, (40, 16, 26, 6), 2, 100),                     # the lossy-exact shape
+    (3, (16, 6, 8, 4), 2, 100),
+])
+def test_noise_engine_draws_what_the_per_word_engine_draws(q, shape, codes, words):
+    """x = y + z with z drawn on c - A y from the code's one engine is the per-word
+    posterior draw: the same x and the same rng state after it, with and without
+    early stop."""
+    draws = 0
+    for seed in range(codes):
+        spec = noise_spec(q, *shape, seed=seed + 10 * q)
+        rng = stream(q, 150, seed)
+        for _ in range(words):
+            y = spec.source.sample(rng)
+            for cfg in (EXACT, NO_EARLY):
+                shared, per_word = stream(q, 151, draws), stream(q, 151, draws)
+                x = lossy.encode_reproduction(spec, y, cfg, shared)
+                want = spec.coset_a.engine(spec.posteriors(y), cfg).draw(spec.c, per_word).x
+                assert np.array_equal(x, want)
+                assert repr(shared.bit_generator.state) == repr(per_word.bit_generator.state)
+                draws += 1
+        assert set(spec._engines) == {True, False}
+    assert draws >= 400
+
+
+def count_builds(monkeypatch):
+    builds = []
+    real = sampler.ExactStepper.__init__
+    monkeypatch.setattr(sampler.ExactStepper, "__init__",
+                        lambda st, plan, priors: builds.append(plan.stop) or real(st, plan, priors))
+    return builds
+
+
+def test_noise_engine_is_built_on_first_use_once_per_code_and_early_stop(monkeypatch):
+    builds = count_builds(monkeypatch)
+    specs = [noise_spec(2, 16, 6, 8, 4, seed) for seed in (1, 2)]
+    assert builds == []                               # set-up builds no stepper
+    rng = stream(2, 160)
+    for cfg in (EXACT, NO_EARLY, SamplerConfig(method="sum-product")):
+        for _ in range(5):
+            for spec in specs:
+                lossy.encode_reproduction(spec, spec.source.sample(rng), cfg, rng)
+    assert len(builds) == 4                           # (code, early_stop): one engine each
+    assert sorted(builds) == sorted(spec.coset_a.early_stop_index for spec in specs) + [16, 16]
+
+
+def test_a_test_channel_that_is_not_additive_builds_one_stepper_per_word(monkeypatch):
+    builds = count_builds(monkeypatch)
+    spec = noise_spec(2, 16, 6, 8, 4, 3, channel=bac(0.1, 0.3, 16))
+    assert spec.noise_engine(EXACT) is None and builds == []
+    rng = stream(2, 170)
+    for _ in range(5):
+        lossy.encode_reproduction(spec, spec.source.sample(rng), EXACT, rng)
+    assert len(builds) == 5
+    uniform = noise_spec(2, 16, 6, 8, 4, 3, channel=bsc(0.5, 16))   # w uniform: no tables
+    assert uniform.noise_engine(EXACT) is None

@@ -12,6 +12,7 @@ from cosetcode.models import (
     bac,
     bernoulli_source,
     bsc,
+    checked_words,
     hamming_distortion,
     qsc,
     rate_quantities,
@@ -356,6 +357,15 @@ def test_hamming_distortion():
 def test_distortion_total_checks_both_words(x, y, what):
     with pytest.raises(ValueError, match=what):
         hamming_distortion(2).total(x, y)
+
+
+@pytest.mark.parametrize("batch", [True, False])
+def test_checked_words_refuses_ragged_input_as_a_length_mismatch(batch):
+    """Rows of several lengths raise the module's error, not numpy's."""
+    for ragged in ([[0, 0, 0, 1], [1, 0]], [[1, 0], [0, 0, 0, 1]], ([0, 1], [0, 1, 1, 0])):
+        with pytest.raises(ValueError, match="word length mismatch"):
+            checked_words(ragged, 4, 2, "word", batch=batch)
+    assert checked_words([[0, 0, 0, 1], [1, 0, 1, 0]], 4, 2, "word", batch=True).shape == (2, 4)
 
 
 def test_weighted_distortion_table():

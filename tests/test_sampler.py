@@ -139,13 +139,26 @@ def test_all_zero_priors_have_zero_mass(method, early_stop):
 # step conditionals, read off the exact stepper
 # ---------------------------------------------------------------------------
 
+def flat_index(plan, t) -> int:
+    return int(np.asarray(t, dtype=np.int64) % plan.q @ plan.weights)
+
+
+def tree_pmf(st, t, prefix):
+    """Step k = len(prefix)'s pmf on target t as a walker reads it: off the tree
+    of k's segment, rooted at the residual where that segment starts."""
+    plan, k, q = st.plan, len(prefix), st.q
+    i = next(i for i, end in enumerate(plan.ends) if k < end)
+    a, flat = plan.starts[i], flat_index(plan, t)
+    for j, v in enumerate(prefix[:a]):
+        flat = plan.shifted(j, flat, int(v))
+    p = sum(int(v) * q ** h for h, v in enumerate(prefix[a:]))
+    terms = st.priors[k] * st.segment_tree(i, flat)[k - a + 1][p::q ** (k - a)]
+    return terms / s if (s := terms.sum()) > 0 else terms
+
+
 def stepper_pmf(A, c, priors, prefix):
     """The exact conditional of x_k given the prefix x_0..x_{k-1}, k = len(prefix)."""
-    st = ExactStepper(TablePlan(A), priors)
-    residual = st.locate(0, c)
-    for j, v in enumerate(prefix):
-        residual = st.advance(j, residual, int(v))
-    return st.step_pmf(len(prefix), residual)
+    return tree_pmf(ExactStepper(TablePlan(A), priors), c, prefix)
 
 
 def test_step_conditional_first_step_hand_value():
@@ -768,6 +781,7 @@ def test_step_pmf_matches_the_per_symbol_loop(q):
     priors = rng.dirichlet(np.ones(q), size=n)
     priors[2, 1] = 0                                  # a symbol the prior excludes
     st = ExactStepper(TablePlan(SparseMatrix.from_dense(D, GF(q))), priors)
+    assert st.plan.ends == [3, 6]                     # segments [0, 3) and [3, 6)
     tables = [st.table(k) for k in range(n + 1)]
     for k in range(n):
         for residual in all_vectors(q, l):
@@ -778,7 +792,7 @@ def test_step_pmf_matches_the_per_symbol_loop(q):
                     priors[k, xv] * tables[k + 1][tuple(t)]
             s = want.sum()
             want = want / s if s > 0 else want
-            got = st.step_pmf(k, st.locate(k, residual))
+            got = tree_pmf(st, residual, [0] * k)     # the residual at k is t itself
             assert got.tobytes() == want.tobytes()
 
 
@@ -813,26 +827,32 @@ def test_live_steppers_never_alias():
 
 
 @pytest.mark.parametrize("q", [2, 3])
-def test_stepper_owns_a_block_of_stop_plus_two_slots_freed_with_it(q):
-    """Slots 0..stop hold the tables and the last one is scratch; nothing keeps
-    the block once its stepper is collected."""
+def test_stepper_owns_one_block_of_segment_end_tables_freed_with_it(q):
+    """A stepper keeps one table per segment, that at its end, in one block, and
+    no other array but its priors: its working slots live only while it fills a
+    table.  Nothing keeps the block once the stepper is collected."""
     rng = np.random.default_rng(q + 90)
-    n, l = 10, 4
+    n, l = 10, 3
     D = rng.integers(0, q, size=(l, n))
     D[:, n - l:] = np.eye(l, dtype=int)               # independent last columns: an early stop
     A = SparseMatrix.from_dense(D, GF(q))
     priors = rng.dirichlet(np.ones(q), size=n)
     early = CosetSampler(A).early_stop_index
     assert early <= n - l
+    segments = set()
     for stop in (early, n):
         st = ExactStepper(TablePlan(A, stop), priors)
-        st.table(0)                                   # fills every table, re-laying GF(2) ones
+        st.table(0)                                   # fills a table below split on demand
         assert bool(st.plan.cross) == (q == 2)
+        segments.add(len(st.plan.ends))
         block = st._flat.base
-        assert block.shape == (stop + 2,) + (q,) * l
+        assert block.shape == (len(st.plan.ends),) + (q,) * l
+        arrays = [v for v in vars(st).values() if isinstance(v, np.ndarray)]
+        assert all(v is st.priors or v.base is block for v in arrays)
         freed = weakref.ref(block)
-        del st, block
+        del st, block, arrays
         assert freed() is None
+    assert max(segments) >= 3                         # stop - split > rank at the full stop
 
 
 def test_stepper_cap_refused():
@@ -869,18 +889,17 @@ def test_gf2_block_bases_keep_tables_and_step_pmfs_across_basis_changes():
     want = per_axis_roll_tables(D, priors, 2)
     for k in range(n + 1):
         assert np.array_equal(st.table(k), want[k])
-    for _ in range(5):      # a residual carried by `advance` through every basis change
+    assert st.plan.ends == [10, 20, 28]
+    for _ in range(5):      # a residual carried by `shifted` through every segment and basis
         x = rng.integers(0, 2, size=n)
         x[5] = 0
-        t = A.mat_vec(x)
-        residual = st.locate(0, t)
+        t0 = t = A.mat_vec(x)
         for k in range(n):
             ref = np.array([priors[k, xv] * want[k + 1][tuple((t - xv * D[:, k]) % 2)]
                             for xv in range(2)])
             ref = ref / ref.sum()
-            assert st.step_pmf(k, residual).tobytes() == ref.tobytes()
+            assert tree_pmf(st, t0, x[:k]).tobytes() == ref.tobytes()
             t = (t - x[k] * D[:, k]) % 2
-            residual = st.advance(k, residual, x[k])
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -991,25 +1010,34 @@ def test_exact_engine_takes_a_matrix_whose_rank_fits_the_cap():
         CosetSampler(wide).engine(np.full((22, 2), [0.6, 0.4]), EXACT)
 
 
-def prefix_residual(plan, t, k, p):
-    """t - A_<k x_<k for the prefix whose index is p = sum_i x_i q**i."""
+def segment_residual(plan, t, a, j, p):
+    """t - sum x_i col_i over columns a..a+j-1, for the symbols whose index is
+    p = sum x_{a+h} q**h."""
     q = plan.q
-    x = [p // q ** i % q for i in range(k)]
-    return (t - sum((xi * plan.cols[i] for i, xi in enumerate(x)), np.zeros_like(t))) % q
+    x = [p // q ** h % q for h in range(j)]
+    return (t - sum((xh * plan.cols[a + h] for h, xh in enumerate(x)), np.zeros_like(t))) % q
+
+
+def syndrome(plan, flat):
+    """The syndrome whose flat index is flat, axis 0 most significant."""
+    return np.array([flat // w % plan.q for w in plan.weights], dtype=np.int64)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_walker_trees_hold_the_tables_bits_at_each_prefix_residual(q):
-    """Every level k of a walker's prefix tree, at every prefix, is table(k) read
-    at that prefix's residual, bit for bit, whatever the stop and the split."""
+    """Every level j of every segment's tree, at every index p, is table(a + j)
+    read at the residual of p below the tree's root, bit for bit, whatever the
+    stop, the split and the number of segments; a walker's first tree is the
+    first segment's at its target."""
     rng = np.random.default_rng(q + 120)
     l, n = (4, 7) if q < 5 else (3, 6)
     deficient = rng.integers(0, q, size=(l, n))
     deficient[-1] = (deficient[0] + deficient[1]) % q     # rank < l
     square = np.eye(l, dtype=np.int64) + np.triu(rng.integers(0, q, size=(l, l)), 1)
     zero = np.zeros((2, 4), dtype=np.int64)
+    wide = rng.integers(0, q, size=(2, 8))            # stop - split > rank: 3 or more segments
     seen = set()
-    for D in (deficient, rng.integers(0, q, size=(l, n)), square, zero):
+    for D in (deficient, rng.integers(0, q, size=(l, n)), square, zero, wide):
         A = dense(D, GF(q))
         sampler = CosetSampler(A)
         rank, cols = sampler.reverse.rank, A.cols
@@ -1023,22 +1051,30 @@ def test_walker_trees_hold_the_tables_bits_at_each_prefix_residual(q):
                 plan = sampler.table_plan(stop)
             except ValueError:                        # columns stop.. are dependent
                 continue
-            assert plan.split == min(max(rank, 1), stop)
+            assert plan.split == min(max(rank, 1), stop) == plan.ends[0]
+            assert plan.ends[-1] == stop and plan.starts == [0] + plan.ends[:-1]
+            assert all(0 < b - a <= max(rank, 1) for a, b in zip(plan.starts[1:], plan.ends[1:]))
             cases = {"below rank": stop < rank, "zero": stop == 0, "n": stop == cols,
                      "split = stop": plan.split == stop, "deficient": rank < A.rows,
-                     "rank 0": rank == 0}
+                     "rank 0": rank == 0, "3 segments": len(plan.ends) >= 3}
             seen.update(name for name, hit in cases.items() if hit)
             for pri in (priors, zero_row):
                 st = ExactStepper(plan, pri)
                 walker = _ExactWalker(SimpleNamespace(sampler=sampler, stepper=st, cfg=EXACT), c)
-                assert len(walker.tree) == plan.split + 1 and walker.tree[0] is None
-                for k in range(1, plan.split + 1):
-                    table = st.table(k)              # below split: filled on this read
-                    assert walker.tree[k].shape == (q ** k,)
-                    for p in range(q ** k):
-                        t = prefix_residual(plan, walker.t, k, p)
-                        assert walker.tree[k][p].tobytes() == table[tuple(t)].tobytes()
-    assert seen == {"below rank", "zero", "n", "split = stop", "deficient", "rank 0"}
+                tables = [st.table(k) for k in range(stop + 1)]   # below split: filled on read
+                for i, (a, b) in enumerate(zip(plan.starts, plan.ends)):
+                    roots = [walker.root] if i == 0 else rng.integers(0, q ** rank, size=2)
+                    for root in roots:
+                        tree = walker.first if i == 0 else st.segment_tree(i, int(root))
+                        assert len(tree) == b - a + 1 and tree[0] is None
+                        t = syndrome(plan, int(root))
+                        for j in range(1, b - a + 1):
+                            assert tree[j].shape == (q ** j,)
+                            for p in range(q ** j):
+                                r = segment_residual(plan, t, a, j, p)
+                                assert tree[j][p].tobytes() == tables[a + j][tuple(r)].tobytes()
+    assert seen == {"below rank", "zero", "n", "split = stop", "deficient", "rank 0",
+                    "3 segments"}
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -1071,34 +1107,37 @@ def test_interleaved_walkers_on_one_encoder_draw_as_fresh_engines(q):
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_exact_builds_fill_stop_minus_split_tables_and_walkers_one_tree(q, monkeypatch):
-    """A build runs `_level` once per table split..stop-1 and a walker builds one
-    tree, however many passes it runs; steps before split read the tree."""
+    """A build runs `_level` once per table split..stop-1 and a draw none; a
+    walker builds the first segment's tree once, however many passes it runs,
+    and each pass one tree per later segment it reaches."""
     if q == 2:                                        # the lossy-exact shape
         A = sample_sparse_matrix(EnsembleSpec(n=40, l=16, field=GF2, tau=6), stream(q, 140))
     else:
         A = sample_sparse_matrix(EnsembleSpec(n=24, l=8, field=GF3, tau=4), stream(q, 140))
-    calls = {"_level": 0, "prefix_index": 0, "step_pmf": 0}
-    for owner, name in ((ExactStepper, "_level"), (TablePlan, "prefix_index"),
-                        (ExactStepper, "step_pmf")):
-        def counted(*args, _real=getattr(owner, name), _name=name):
+    calls = {"_level": 0, "segment_tree": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(ExactStepper, name), _name=name):
             calls[_name] += 1
             return _real(*args)
-        monkeypatch.setattr(owner, name, counted)
+        monkeypatch.setattr(ExactStepper, name, counted)
     rng = np.random.default_rng(q + 141)
     c = A.mat_vec(rng.integers(0, q, size=A.cols))
     sampler = CosetSampler(A)
+    segments = set()
     for cfg in (EXACT, NO_EARLY):
         for _ in range(2):
             calls.update(dict.fromkeys(calls, 0))
             engine = sampler.engine(rng.dirichlet(np.ones(q), size=A.cols), cfg)
             plan = engine.stepper.plan
             assert 0 < plan.split == sampler.reverse.rank < plan.stop
-            assert calls == {"_level": plan.stop - plan.split, "prefix_index": 0, "step_pmf": 0}
+            assert calls == {"_level": plan.stop - plan.split, "segment_tree": 0}
             walker = engine.walker(c)
             for _ in range(3):
                 walker(partial(sample_pmf, rng))
-            assert calls == {"_level": plan.stop - plan.split, "prefix_index": 1,
-                             "step_pmf": 3 * (plan.stop - plan.split)}
+            assert calls == {"_level": plan.stop - plan.split,
+                             "segment_tree": 1 + 3 * (len(plan.ends) - 1)}
+            segments.add(len(plan.ends))
+    assert max(segments) >= 3
 
 
 # ---------------------------------------------------------------------------
