@@ -32,9 +32,10 @@ def _check_pmfs(pmfs: np.ndarray, what: str) -> np.ndarray:
 def checked_words(v, n: int, size: int, what: str, batch: bool = False) -> np.ndarray:
     """v as int64, checked to be one length-n word over range(size), or with
     batch an (M, n) array of them."""
-    if isinstance(v, (list, tuple)) and len({np.shape(w) for w in v}) > 1:
-        raise ValueError(f"{what} length mismatch")     # ragged: words of several lengths
-    v = np.asarray(v, dtype=np.int64)
+    try:
+        v = np.asarray(v, dtype=np.int64)
+    except (TypeError, ValueError):     # ragged words, or a symbol that is not an integer
+        raise ValueError(f"{what} length mismatch or symbol not an integer") from None
     if v.ndim not in ((1, 2) if batch else (1,)) or v.shape[-1] != n:
         raise ValueError(f"{what} length mismatch")
     if v.size and (v.min() < 0 or v.max() >= size):

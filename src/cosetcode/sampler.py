@@ -15,11 +15,10 @@ read off (the early stop).  The work has three lifetimes:
               ends of the plan's segments: [0, split), split = min(rank, stop),
               then runs of at most rank columns up to the draw's `stop`;
               M_stop comes from the one completion of each syndrome, the
-              others from the backward recursion; over GF(2) tables keep a
-              per-block syndrome basis in which every shift flips only
-              leading axes; never dead-ends after a positive start; a lossy
-              code with an additive test channel holds one per code, for its
-              noise prior, and shifts it to each source word),
+              others from the backward recursion; never dead-ends after a
+              positive start; a lossy code with an additive test channel
+              holds one per code, for its noise prior, and shifts it to each
+              source word),
               sum-product (BP conditionals, the scaled path: INIT_ITERS
               iterations on the target, then at most STEP_ITERS after each
               commit before the next read; approximate on loopy graphs, so a
@@ -104,54 +103,19 @@ def _normalized(terms: np.ndarray) -> np.ndarray:
     return terms / s if (s := terms.sum()) > 0 else terms
 
 
-def _apply(images, x: int) -> int:
-    """The GF(2) linear map with images[j] the image of bit j, applied to x."""
-    y = 0
-    for img in images:
-        if x & 1:
-            y ^= img
-        x >>= 1
-    return y
-
-
-def _xor_span(images, out: np.ndarray, start: int = 0) -> np.ndarray:
-    """out[w] = start ^ _apply(images, w) for every w < 2**len(images), by doubling."""
+def _xor_span(images, out: np.ndarray, start: int) -> np.ndarray:
+    """out[w] = start ^ (XOR of images[j] over the set bits j of w) for every
+    w < 2**len(images), by doubling."""
     out[0] = start
     for j, img in enumerate(images):
         np.bitwise_xor(out[:1 << j], img, out=out[1 << j:2 << j])
     return out
 
 
-def _coordinates(span: dict, l: int):
-    """A basis of GF(2)^l led by an echelon `span` {leading bit: vector}.
-
-    Returns (to_t, to_u): the images of each bit of u = B t under B^-1 and
-    of each bit of t under B.  The span vectors take the leading axes of u
-    (its top bits), in the order of their leading bits; the unit vectors of
-    the other bits follow, so a vector of the span has only leading axes."""
-    pivots = sorted(span, reverse=True)
-    rest = [j for j in range(l - 1, -1, -1) if j not in span]
-    axis_bits = [1 << (l - 1 - a) for a in range(l)]
-
-    def coords(t: int) -> int:
-        u = 0
-        for a, p in enumerate(pivots):
-            if t >> p & 1:
-                t ^= span[p]
-                u |= axis_bits[a]
-        for a, j in enumerate(rest, start=len(pivots)):
-            if t >> j & 1:
-                u |= axis_bits[a]
-        return u
-
-    to_t = ([span[p] for p in pivots] + [1 << j for j in rest])[::-1]
-    return to_t, [coords(1 << j) for j in range(l)]
-
-
 class TablePlan:
     """What the suffix tables of one matrix and stop share across priors: the
-    layout, the shifts, the split and each suffix's syndrome.  Its l coordinates
-    are the matrix's rows; an engine's (`CosetSampler.table_plan`) span Im A alone.
+    shifts, the split and each suffix's syndrome.  Its l coordinates are the
+    matrix's rows; an engine's (`CosetSampler.table_plan`) span Im A alone.
 
     Columns 0..stop are cut into segments: [0, split) with split = min(l, stop)
     (1 if l = 0 < stop), then runs of at most max(l, 1) columns up to stop
@@ -160,19 +124,10 @@ class TablePlan:
     bound, so a draw reads each segment off a tree whose leaves index table b
     (`leaf_index`) at the residual where the segment starts.
 
-    Over GF(2) a syndrome is a flat index (axis 0 most significant) and
-    column k shifts a table by XOR with its image.  The columns stop - 1,
-    stop - 2, ..., 0 are cut into blocks of consecutive columns whose span
-    has rank at most d = min(8, ceil(l / 2)).  Each block has a basis
-    u = B t in which its columns touch only the first d axes, so that
-    inside the block a shift flips leading axes of a (2,)*d + (2**(l-d),)
-    view and numpy runs over 2**(l - d) contiguous values.  Table k is kept
-    in the basis of column k - 1, whose step reads it.  Where the bases of
-    columns k - 1 and k differ, `cross[k]` maps coordinates in the first to
-    coordinates in the second: table k is re-laid to hold at u what it held
-    at cross u, and a draw's residual moves to cross u after step k - 1.
-    Over GF(q > 2) the tables stay in syndrome coordinates, and the shift
-    by xv * col_k gathers through `shift_index[k]` composed xv times.
+    A table holds syndrome t at its flat index t @ weights, axis 0 most
+    significant.  Over GF(2) column k shifts a flat index by XOR with its
+    image `flat_cols[k]`; over GF(q > 2) the shift by xv * col_k gathers
+    through `shift_index[k]` composed xv times.
     """
 
     def __init__(self, A: SparseMatrix, stop: int | None = None):
@@ -193,9 +148,7 @@ class TablePlan:
         self.weights = q ** np.arange(self.l - 1, -1, -1, dtype=np.int64)
         if q == 2:
             self.flat_cols = [int(col @ self.weights) for col in self.cols]
-            self._plan_blocks(self.flat_cols)
-        else:                               # syndrome coordinates throughout
-            self.shape, self.cross = (q,) * self.l, {}
+        else:
             # _digit_weights[i, s, d] = weight of digit d - s on axis i
             digits = np.arange(q)
             self._digit_weights = ((digits - digits[:, None]) % q
@@ -205,49 +158,6 @@ class TablePlan:
                                 for col in self.cols[:self.stop]]
         self.suffix_index = self._suffix_index()
 
-    def _plan_blocks(self, flat_cols: list) -> None:
-        """The GF(2) blocks, their bases and each column's shift in its block."""
-        l, stop = self.l, self.stop
-        # more leading axes give fewer re-layouts but shorter contiguous runs;
-        # at lossy-exact's rank l = 15, d = 8 leaves runs of 128 values
-        d = min(8, (l + 1) // 2)
-        self.shape = (2,) * d + (1 << (l - d),)
-        spans, lows, k = [], [], stop - 1
-        while k >= 0:                      # greedy blocks from column stop - 1 down
-            span = {}                      # leading bit -> vector: the block's span
-            while k >= 0:
-                v = flat_cols[k]
-                for p in sorted(span, reverse=True):
-                    if v >> p & 1:
-                        v ^= span[p]
-                if v:
-                    if len(span) == d:
-                        break
-                    span[v.bit_length() - 1] = v
-                k -= 1
-            spans.append(span)
-            lows.append(k + 1)
-        bases = [_coordinates(span, l) for span in spans] or [_coordinates({}, l)]
-        self.to_u = [to_u for _, to_u in bases]    # per block: bit j of t -> u
-        self.block_of = [0] * max(stop, 1)         # column -> block; basis 0 if stop = 0
-        for b, (lo, hi) in enumerate(zip(lows, [stop] + lows[:-1])):
-            self.block_of[lo:hi] = [b] * (hi - lo)
-        self.cross = {lo: [_apply(self.to_u[b], t) for t in bases[b + 1][0]]
-                      for b, lo in enumerate(lows[:-1])}
-        self.shifts = [_apply(self.to_u[self.block_of[k]], flat_cols[k]) for k in range(stop)]
-        self.flips = [tuple(slice(None, None, -1) if s >> (l - 1 - a) & 1 else slice(None)
-                            for a in range(d)) for s in self.shifts]
-        # the suffix columns in the basis of table stop, that of column stop - 1
-        fill_basis = self.to_u[self.block_of[stop - 1] if stop else 0]
-        self.fill_shifts = [_apply(fill_basis, col) for col in flat_cols[stop:]]
-        # each segment's columns in the basis of its end table, read by its tree's leaves
-        self.leaf_shifts = [[_apply(self.table_basis(b), v) for v in flat_cols[a:b]]
-                            for a, b in zip(self.starts, self.ends)]
-
-    def table_basis(self, k: int) -> list:
-        """to_u of the basis that table k is kept in (that of column k - 1)."""
-        return self.to_u[self.block_of[max(k - 1, 0)]]
-
     def source_index(self, shift: np.ndarray) -> np.ndarray:
         """src[flat t] = flat index of t - shift, for every syndrome t; GF(q > 2)."""
         src = np.zeros(1, dtype=np.int32)
@@ -256,13 +166,13 @@ class TablePlan:
         return src
 
     def leaf_index(self, i: int, flat: int) -> np.ndarray:
-        """idx[p] = the flat index, in the basis of table b, of t - sum_j x_j col_j over
-        segment i = [a, b), where flat is t's flat index and p = sum_j x_j q**(j - a):
-        the newest symbol leads."""
+        """idx[p] = the flat index of t - sum_j x_j col_j over segment i = [a, b),
+        where flat is t's flat index and p = sum_j x_j q**(j - a): the newest
+        symbol leads."""
         q, a, b = self.q, self.starts[i], self.ends[i]
         idx = np.empty(q ** (b - a), dtype=np.int64)
         if q == 2:
-            return _xor_span(self.leaf_shifts[i], idx, _apply(self.table_basis(b), flat))
+            return _xor_span(self.flat_cols[a:b], idx, flat)
         idx[0] = flat
         for j, step in enumerate(self.shift_index[a:b]):
             rows = idx[:q ** (j + 1)].reshape(q, -1)     # rows[xv]: prefixes with x_j = xv
@@ -280,13 +190,13 @@ class TablePlan:
         return flat
 
     def _suffix_index(self) -> np.ndarray:
-        """Each suffix x_stop..x_{n-1}'s flat syndrome in table stop's basis, in
-        the order `ExactStepper` forms their masses; refuses dependent columns."""
+        """Each suffix x_stop..x_{n-1}'s flat syndrome, in the order
+        `ExactStepper` forms their masses; refuses dependent columns."""
         q, stop = self.q, self.stop
         idx = np.zeros(1, dtype=np.intp)      # intp, so no build's scatter converts it
         for j in range(self.n - 1, stop - 1, -1):
             if q == 2:
-                shifted = [idx, idx ^ self.fill_shifts[j - stop]]
+                shifted = [idx, idx ^ self.flat_cols[j]]
             else:                   # t + x col_j = t - (-x col_j)
                 shifted = [idx] + [self.source_index(-xv * self.cols[j] % q)[idx]
                                    for xv in range(1, q)]
@@ -314,38 +224,31 @@ class ExactStepper:
     M_k(t) = sum_x mu_k(x) M_{k+1}(t - x col_k) from stop down to split in
     two working slots and keeps the segment ends it passes.  A draw reads
     `segment_tree`s, whose levels sum by `_mix` as the recursion does, and
-    `table(k)` fills any other table when read.  Over GF(2) each table is
-    kept in its block's basis (see `TablePlan`), where the shift by col_k
-    flips leading axes of a view of M_{k+1}; GF(q > 2) gathers the shift into
-    scratch.  Both give the tables the full recursion gives, bit for bit.
+    `table(k)` fills any other table when read.  Over GF(2) the shift by
+    col_k is a view of M_{k+1} that reverses the axes where col_k is 1;
+    GF(q > 2) gathers it into scratch.  Both give the tables the full
+    recursion gives, bit for bit.
     """
 
     def __init__(self, plan: TablePlan, priors):
         self.plan = plan
         self.q, self.n, self.l, self.stop = plan.q, plan.n, plan.l, plan.stop
         self.priors = np.asarray(priors, dtype=float)
-        block = np.empty((len(plan.ends),) + (self.q,) * self.l)
-        self._tables = block.reshape((len(plan.ends),) + plan.shape)
-        self._flat = block.reshape(len(plan.ends), -1)
-        self._fill_suffix_table(self._flat[-1])
+        self._tables = np.empty((len(plan.ends), self.q ** self.l))
+        self._fill_suffix_table(self._tables[-1])
         self._descend(len(plan.ends) - 1, plan.split)
 
     def _descend(self, e: int, k: int) -> np.ndarray:
         """M_k in a working slot, by `_level` down from the table kept at segment
         end e; keeps each segment end it passes on the way."""
-        work = np.empty((3,) + self.plan.shape)       # two working slots and scratch
+        work = np.empty((3,) + (self.q,) * self.l)    # two working slots and scratch
         cur, nxt, scratch = work[0, ...], work[1, ...], work[2, ...]
-        cur[...] = self._tables[e, ...]
+        cur[...] = self._tables[e].reshape(cur.shape)
         for j in range(self.plan.ends[e] - 1, k - 1, -1):
             self._level(j, cur, nxt, scratch)
             cur, nxt = nxt, cur
-            cross = self.plan.cross.get(j)
-            if cross is not None:   # step j - 1 reads table j in another basis
-                idx = _xor_span(cross, scratch.reshape(-1).view(np.int64))
-                np.take(cur.reshape(-1), idx, out=nxt.reshape(-1), mode="clip")
-                cur, nxt = nxt, cur
             if j in self.plan.ends:
-                self._tables[self.plan.ends.index(j), ...] = cur
+                self._tables[self.plan.ends.index(j)] = cur.reshape(-1)
         return cur
 
     def _fill_suffix_table(self, flat: np.ndarray) -> None:
@@ -364,13 +267,17 @@ class ExactStepper:
         _mix(self.priors[k], partial(self._shifted, nxt, k, scratch), acc, scratch)
 
     def _shifted(self, nxt: np.ndarray, k: int, scratch: np.ndarray, xv: int) -> np.ndarray:
-        """M_{k+1} shifted by xv * col_k: over GF(2) a view of it that flips leading
-        axes, over GF(q > 2) gathered into scratch through the plan's shift by
-        col_k composed xv times."""
+        """M_{k+1} shifted by xv * col_k: over GF(2) a view of it that reverses
+        the axes where col_k is 1, over GF(q > 2) gathered into scratch through
+        the plan's shift by col_k composed xv times."""
+        if not xv:
+            return nxt
         if self.q == 2:
-            return nxt[self.plan.flips[k]] if xv else nxt
+            col = self.plan.flat_cols[k]
+            return nxt[tuple(slice(None, None, -1) if col >> (self.l - 1 - a) & 1 else slice(None)
+                             for a in range(self.l))]
         src = step = self.plan.shift_index[k]
-        if step is None or not xv:
+        if step is None:
             return nxt
         for _ in range(xv - 1):
             src = step[src]
@@ -382,11 +289,7 @@ class ExactStepper:
         if not 0 <= k <= self.stop:
             raise ValueError(f"table {k} lies outside 0..{self.stop}")
         e = next(e for e, end in enumerate(self.plan.ends) if end >= k)
-        flat = self._descend(e, k).reshape(-1)
-        if self.q != 2:
-            return flat.reshape((self.q,) * self.l).copy()
-        idx = _xor_span(self.plan.table_basis(k), np.empty(1 << self.l, dtype=np.int64))
-        return flat[idx].reshape((2,) * self.l)
+        return self._descend(e, k).copy()
 
     def segment_tree(self, i: int, flat: int) -> list:
         """Levels 0..b-a of segment i = [a, b) rooted at the residual with flat index
@@ -395,7 +298,7 @@ class ExactStepper:
         slices x_{a+j} = v of the one below by `_mix`, and level 0 is None."""
         q, a, b = self.q, self.plan.starts[i], self.plan.ends[i]
         tree = [None] + [np.empty(q ** j) for j in range(1, b - a)]
-        tree += [self._flat[i][self.plan.leaf_index(i, flat)]] if b > a else []
+        tree += [self._tables[i][self.plan.leaf_index(i, flat)]] if b > a else []
         scratch = np.empty(q ** (b - a) // q)
         for j in range(b - a - 1, 0, -1):
             nxt, m = tree[j + 1], q ** j

@@ -368,6 +368,15 @@ def test_checked_words_refuses_ragged_input_as_a_length_mismatch(batch):
     assert checked_words([[0, 0, 0, 1], [1, 0, 1, 0]], 4, 2, "word", batch=True).shape == (2, 4)
 
 
+@pytest.mark.parametrize("batch", [True, False])
+def test_checked_words_refuses_a_symbol_that_is_a_sequence(batch):
+    """A nested symbol raises the module's error naming the input, not numpy's."""
+    nested = [0, [1, 0], 0, 1]
+    for v in ([nested, [1, 0, 0, 1]], [[1, 0, 0, 1], nested]) if batch else (nested,):
+        with pytest.raises(ValueError, match="word length mismatch or symbol not an integer"):
+            checked_words(v, 4, 2, "word", batch=batch)
+
+
 def test_weighted_distortion_table():
     d = DistortionSpec([[0.0, 2.0], [1.0, 0.0]])
     assert d.total([0], [1]) == 2.0

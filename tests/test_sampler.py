@@ -713,7 +713,6 @@ def per_axis_roll_tables(D, priors, q):
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_stepper_tables_match_per_axis_rolls(q):
     rng = np.random.default_rng(q)
-    crossings = 0
     for _ in range(4):
         n, l = 7, 4 if q < 5 else 3
         D = rng.integers(0, q, size=(l, n)) * (rng.random((l, n)) < 0.5)
@@ -725,14 +724,12 @@ def test_stepper_tables_match_per_axis_rolls(q):
         got = [st.table(k) for k in range(st.stop + 1)]
         for got_k, want in zip(got, per_axis_roll_tables(D, priors, q), strict=True):
             assert np.array_equal(got_k, want)
-        crossings += len(st.plan.cross)
-    assert crossings > 0 if q == 2 else crossings == 0    # GF(2) re-lays some table
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_stepper_tables_from_the_early_stop_match_per_axis_rolls(q):
     rng = np.random.default_rng(q + 10)
-    stops, crossings = set(), 0
+    stops = set()
     for _ in range(6):
         n, l = 7, 4 if q < 5 else 3
         D = rng.integers(0, q, size=(l, n)) * (rng.random((l, n)) < 0.5)
@@ -754,9 +751,7 @@ def test_stepper_tables_from_the_early_stop_match_per_axis_rolls(q):
             for got, ref in zip([st.table(k) for k in range(stop + 1)], want, strict=True):
                 assert np.array_equal(got, ref)
         stops.add(stop)
-        crossings += len(st.plan.cross)
     assert min(stops) < 7                             # some draws do stop early
-    assert crossings > 0 if q == 2 else crossings == 0
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -843,12 +838,11 @@ def test_stepper_owns_one_block_of_segment_end_tables_freed_with_it(q):
     for stop in (early, n):
         st = ExactStepper(TablePlan(A, stop), priors)
         st.table(0)                                   # fills a table below split on demand
-        assert bool(st.plan.cross) == (q == 2)
         segments.add(len(st.plan.ends))
-        block = st._flat.base
-        assert block.shape == (len(st.plan.ends),) + (q,) * l
+        block = st._tables
+        assert block.shape == (len(st.plan.ends), q ** l)
         arrays = [v for v in vars(st).values() if isinstance(v, np.ndarray)]
-        assert all(v is st.priors or v.base is block for v in arrays)
+        assert all(v is st.priors or v is block for v in arrays)
         freed = weakref.ref(block)
         del st, block, arrays
         assert freed() is None
@@ -877,7 +871,7 @@ def test_mass_of_is_m0_for_massless_and_unnormalised_priors(q):
         assert not ExactStepper(TablePlan(A), massless).table(0).any()
 
 
-def test_gf2_block_bases_keep_tables_and_step_pmfs_across_basis_changes():
+def test_gf2_tables_and_step_pmfs_hold_across_three_segments():
     rng = np.random.default_rng(58)
     n, l = 28, 10
     D = (rng.random((l, n)) < 0.3).astype(np.int64)
@@ -885,12 +879,11 @@ def test_gf2_block_bases_keep_tables_and_step_pmfs_across_basis_changes():
     priors = rng.dirichlet(np.ones(2), size=n)
     priors[5, 1] = 0                                  # a symbol the prior excludes
     st = ExactStepper(TablePlan(A), priors)
-    assert len(st.plan.cross) >= 2
     want = per_axis_roll_tables(D, priors, 2)
     for k in range(n + 1):
         assert np.array_equal(st.table(k), want[k])
     assert st.plan.ends == [10, 20, 28]
-    for _ in range(5):      # a residual carried by `shifted` through every segment and basis
+    for _ in range(5):      # a residual carried by `shifted` through every segment
         x = rng.integers(0, 2, size=n)
         x[5] = 0
         t0 = t = A.mat_vec(x)
@@ -902,22 +895,25 @@ def test_gf2_block_bases_keep_tables_and_step_pmfs_across_basis_changes():
             t = (t - x[k] * D[:, k]) % 2
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_gf2_shifts_flip_only_leading_axes_at_the_lossy_exact_shape(seed):
-    n, l, d = 40, 16, 8
-    A = sample_sparse_matrix(EnsembleSpec(n=n, l=l, field=GF2, tau=6), stream(seed, 1))
-    sampler = CosetSampler(A)
-    rank = sampler.reverse.rank
-    assert rank == l - 1                              # even tau: the rows sum to zero
-    stop = sampler.early_stop_index
-    plan = sampler.table_plan(stop)
-    assert sampler.table_plan(stop) is plan           # built once per matrix and stop
-    assert plan.shape == (2,) * d + (1 << (rank - d),)   # runs of 128 contiguous values
-    assert len(plan.shifts) == stop and plan.cross
-    for shift, flips in zip(plan.shifts, plan.flips, strict=True):
-        assert shift % (1 << (rank - d)) == 0         # only the leading d axes move
-        assert len(flips) == d
-        assert sum(f.step == -1 for f in flips) == bin(shift).count("1")
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_kept_end_tables_are_the_tables_in_syndrome_coordinates(q):
+    """The block holds each segment's end table flat, axis 0 most significant,
+    byte for byte as `table(end)` gives it: one layout for every field."""
+    rng = np.random.default_rng(q + 150)
+    l, n = (4, 12) if q < 5 else (3, 10)
+    D = rng.integers(0, q, size=(l, n))
+    D[-1] = (D[0] + D[1]) % q                         # rank < l: the engine's plan is on Im A
+    priors = rng.dirichlet(np.ones(q), size=n)
+    priors[3, 0] = 0                                  # a symbol the prior excludes
+    A = dense(D, GF(q))
+    engines = [CosetSampler(A).engine(priors, cfg).stepper for cfg in (EXACT, NO_EARLY)]
+    segments = 0
+    for st in engines + [ExactStepper(TablePlan(A), priors)]:
+        assert st._tables.shape == (len(st.plan.ends), q ** st.plan.l)
+        for end, kept in zip(st.plan.ends, st._tables, strict=True):
+            assert kept.tobytes() == st.table(end).ravel().tobytes()
+        segments = max(segments, len(st.plan.ends))
+    assert segments >= 3
 
 
 @pytest.mark.parametrize("q", [3, 5])
@@ -956,7 +952,7 @@ def test_exact_draws_ignore_a_dependent_row(q):
         runs = []
         for M, t in cases:
             engine = CosetSampler(dense(M, GF(q))).engine(priors, cfg)
-            assert math.prod(engine.stepper.plan.shape) == q ** rank   # entries per table
+            assert engine.stepper._tables.shape[1] == q ** rank   # entries per table
             draw_rng = stream(q, 81)
             xs = [engine.draw(t, draw_rng).x for _ in range(6)]
             runs.append((xs, repr(draw_rng.bit_generator.state)))
@@ -1112,6 +1108,7 @@ def test_exact_builds_fill_stop_minus_split_tables_and_walkers_one_tree(q, monke
     and each pass one tree per later segment it reaches."""
     if q == 2:                                        # the lossy-exact shape
         A = sample_sparse_matrix(EnsembleSpec(n=40, l=16, field=GF2, tau=6), stream(q, 140))
+        assert CosetSampler(A).reverse.rank == 15     # even tau: the rows sum to zero
     else:
         A = sample_sparse_matrix(EnsembleSpec(n=24, l=8, field=GF3, tau=4), stream(q, 140))
     calls = {"_level": 0, "segment_tree": 0}
@@ -1129,6 +1126,7 @@ def test_exact_builds_fill_stop_minus_split_tables_and_walkers_one_tree(q, monke
             calls.update(dict.fromkeys(calls, 0))
             engine = sampler.engine(rng.dirichlet(np.ones(q), size=A.cols), cfg)
             plan = engine.stepper.plan
+            assert sampler.table_plan(plan.stop) is plan  # built once per matrix and stop
             assert 0 < plan.split == sampler.reverse.rank < plan.stop
             assert calls == {"_level": plan.stop - plan.split, "segment_tree": 0}
             walker = engine.walker(c)
