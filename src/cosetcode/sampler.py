@@ -12,8 +12,8 @@ read off (the early stop).  The work has three lifetimes:
               that are not an (n, q) array of finite non-negative
               numbers: exact (`ExactStepper` suffix-mass tables on Im A,
               q**rank entries while that fits DENSE_CAP, kept only at the
-              ends of the plan's segments: [0, split), split = min(rank, stop),
-              then runs of at most rank columns up to the draw's `stop`;
+              ends of the plan's segments: ceil(stop / rank) + 1 runs of
+              columns up to the draw's `stop`, their lengths within 1;
               M_stop comes from the one completion of each syndrome, the
               others from the backward recursion; never dead-ends after a
               positive start; a lossy code with an additive test channel
@@ -114,15 +114,16 @@ def _xor_span(images, out: np.ndarray, start: int) -> np.ndarray:
 
 class TablePlan:
     """What the suffix tables of one matrix and stop share across priors: the
-    shifts, the split and each suffix's syndrome.  Its l coordinates are the
+    shifts, the segments and each suffix's syndrome.  Its l coordinates are the
     matrix's rows; an engine's (`CosetSampler.table_plan`) span Im A alone.
 
-    Columns 0..stop are cut into segments: [0, split) with split = min(l, stop)
-    (1 if l = 0 < stop), then runs of at most max(l, 1) columns up to stop
-    (`starts`, `ends`).  Inside segment [a, b) the residual t - A x over
-    columns a..k-1 takes at most q**(k - a) <= q**l values, the trellis state
-    bound, so a draw reads each segment off a tree whose leaves index table b
-    (`leaf_index`) at the residual where the segment starts.
+    Columns 0..stop are cut into T = min(ceil(stop / max(l, 1)) + 1, stop)
+    segments (T = 1 at stop 0) ending at ends[i] = (i + 1) stop // T
+    (`starts`, `ends`): their lengths differ by at most 1 and none exceeds
+    max(l, 1).  Inside segment [a, b) the residual t - A x over columns
+    a..k-1 takes at most q**(k - a) values, the trellis state bound, so a
+    draw reads each segment off a tree of q**(b - a) leaves, which index
+    table b (`leaf_index`) at the residual where the segment starts.
 
     A table holds syndrome t at its flat index t @ weights, axis 0 most
     significant.  Over GF(2) column k shifts a flat index by XOR with its
@@ -139,8 +140,8 @@ class TablePlan:
         self.stop = self.n if stop is None else stop
         if not 0 <= self.stop <= self.n:
             raise ValueError(f"stop {self.stop} lies outside 0..{self.n}")
-        self.split = min(max(self.l, 1), self.stop)
-        self.ends = list(range(self.split, self.stop, max(self.l, 1))) + [self.stop]
+        segments = min(self.stop, -(-self.stop // max(self.l, 1)) + 1) or 1
+        self.ends = [(i + 1) * self.stop // segments for i in range(segments)]
         self.starts = [0] + self.ends[:-1]
         dense = A.to_dense()
         self.cols = [dense[:, k] for k in range(self.n)]
@@ -221,7 +222,7 @@ class ExactStepper:
     must be independent: then each syndrome in their span is hit by exactly
     one suffix, so M_stop is that suffix's prior product and 0 off the span,
     put where the plan's `suffix_index` says.  The build runs the recursion
-    M_k(t) = sum_x mu_k(x) M_{k+1}(t - x col_k) from stop down to split in
+    M_k(t) = sum_x mu_k(x) M_{k+1}(t - x col_k) from stop down to ends[0] in
     two working slots and keeps the segment ends it passes.  A draw reads
     `segment_tree`s, whose levels sum by `_mix` as the recursion does, and
     `table(k)` fills any other table when read.  Over GF(2) the shift by
@@ -236,7 +237,7 @@ class ExactStepper:
         self.priors = np.asarray(priors, dtype=float)
         self._tables = np.empty((len(plan.ends), self.q ** self.l))
         self._fill_suffix_table(self._tables[-1])
-        self._descend(len(plan.ends) - 1, plan.split)
+        self._descend(len(plan.ends) - 1, plan.ends[0])
 
     def _descend(self, e: int, k: int) -> np.ndarray:
         """M_k in a working slot, by `_level` down from the table kept at segment
@@ -513,7 +514,8 @@ class _ExactWalker:
     under way: its segment i of the stepper's plan, that segment's tree, the
     index p = sum x_k q**(k - a) of the symbols drawn since the segment began at
     a, and the flat index of the residual target.  The first segment's tree is
-    built once per target, each later one when a pass enters it.
+    built once per target, each later one when a pass enters it; no tree has
+    more than q**ceil(stop / T) leaves for the plan's T segments.
 
     With a shift y, the walker draws z = x - y from the stepper's prior on the
     target c - A y and shows `_drive` x: each step pmf rolled by y_k.  Under an

@@ -19,19 +19,22 @@ def binary_entropy(p: float) -> float:
 
 def wilson_interval(successes: int, trials: int):
     """Two-sided 99% Wilson score interval for successes out of trials."""
-    if trials <= 0:
-        raise ValueError("trials must be positive")
+    if not 0 <= successes <= trials or trials <= 0:
+        raise ValueError(f"need 0 <= successes <= trials, trials > 0: got {successes}, {trials}")
     z = 2.5758293035489004      # the two-sided 99% normal quantile
     phat = successes / trials
     z2 = z * z
     denom = 1 + z2 / trials
     center = (phat + z2 / (2 * trials)) / denom
     half = z * math.sqrt(phat * (1 - phat) / trials + z2 / (4 * trials * trials)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    return (max(0.0, center - half) if successes else 0.0,      # exact at the ends, where
+            min(1.0, center + half) if successes < trials else 1.0)   # rounding misses 0 and 1
 
 
 def chi2_quantile(df: int, p: float) -> float:
     """Wilson-Hilferty approximation, adequate for goodness-of-fit gates."""
+    if df < 1:
+        raise ValueError(f"df must be at least 1, got {df}")
     z = _normal_quantile(p)
     a = 2.0 / (9.0 * df)
     return df * (1 - a + z * math.sqrt(a)) ** 3

@@ -139,6 +139,13 @@ def test_all_zero_priors_have_zero_mass(method, early_stop):
 # step conditionals, read off the exact stepper
 # ---------------------------------------------------------------------------
 
+def balanced_ends(rank, stop) -> list:
+    """The plan's cut of columns 0..stop: T = ceil(stop / max(rank, 1)) + 1
+    segments, at most stop of them and 1 at stop 0, ending at (i + 1) stop // T."""
+    T = max(1, min(stop, -(-stop // max(rank, 1)) + 1))
+    return [(i + 1) * stop // T for i in range(T)]
+
+
 def flat_index(plan, t) -> int:
     return int(np.asarray(t, dtype=np.int64) % plan.q @ plan.weights)
 
@@ -776,7 +783,7 @@ def test_step_pmf_matches_the_per_symbol_loop(q):
     priors = rng.dirichlet(np.ones(q), size=n)
     priors[2, 1] = 0                                  # a symbol the prior excludes
     st = ExactStepper(TablePlan(SparseMatrix.from_dense(D, GF(q))), priors)
-    assert st.plan.ends == [3, 6]                     # segments [0, 3) and [3, 6)
+    assert st.plan.ends == [2, 4, 6]                  # ceil(6 / 3) + 1 segments of 2
     tables = [st.table(k) for k in range(n + 1)]
     for k in range(n):
         for residual in all_vectors(q, l):
@@ -837,7 +844,7 @@ def test_stepper_owns_one_block_of_segment_end_tables_freed_with_it(q):
     segments = set()
     for stop in (early, n):
         st = ExactStepper(TablePlan(A, stop), priors)
-        st.table(0)                                   # fills a table below split on demand
+        st.table(0)                                   # fills a table below the first end on demand
         segments.add(len(st.plan.ends))
         block = st._tables
         assert block.shape == (len(st.plan.ends), q ** l)
@@ -846,7 +853,7 @@ def test_stepper_owns_one_block_of_segment_end_tables_freed_with_it(q):
         freed = weakref.ref(block)
         del st, block, arrays
         assert freed() is None
-    assert max(segments) >= 3                         # stop - split > rank at the full stop
+    assert max(segments) >= 3                         # stop > rank at the full stop
 
 
 def test_stepper_cap_refused():
@@ -882,7 +889,7 @@ def test_gf2_tables_and_step_pmfs_hold_across_three_segments():
     want = per_axis_roll_tables(D, priors, 2)
     for k in range(n + 1):
         assert np.array_equal(st.table(k), want[k])
-    assert st.plan.ends == [10, 20, 28]
+    assert st.plan.ends == [7, 14, 21, 28]            # ceil(28 / 10) + 1 segments of 7
     for _ in range(5):      # a residual carried by `shifted` through every segment
         x = rng.integers(0, 2, size=n)
         x[5] = 0
@@ -1023,15 +1030,15 @@ def syndrome(plan, flat):
 def test_walker_trees_hold_the_tables_bits_at_each_prefix_residual(q):
     """Every level j of every segment's tree, at every index p, is table(a + j)
     read at the residual of p below the tree's root, bit for bit, whatever the
-    stop, the split and the number of segments; a walker's first tree is the
-    first segment's at its target."""
+    stop and the number of segments; a walker's first tree is the first
+    segment's at its target."""
     rng = np.random.default_rng(q + 120)
     l, n = (4, 7) if q < 5 else (3, 6)
     deficient = rng.integers(0, q, size=(l, n))
     deficient[-1] = (deficient[0] + deficient[1]) % q     # rank < l
     square = np.eye(l, dtype=np.int64) + np.triu(rng.integers(0, q, size=(l, l)), 1)
     zero = np.zeros((2, 4), dtype=np.int64)
-    wide = rng.integers(0, q, size=(2, 8))            # stop - split > rank: 3 or more segments
+    wide = rng.integers(0, q, size=(2, 8))            # stop > rank: 3 or more segments
     seen = set()
     for D in (deficient, rng.integers(0, q, size=(l, n)), square, zero, wide):
         A = dense(D, GF(q))
@@ -1047,17 +1054,16 @@ def test_walker_trees_hold_the_tables_bits_at_each_prefix_residual(q):
                 plan = sampler.table_plan(stop)
             except ValueError:                        # columns stop.. are dependent
                 continue
-            assert plan.split == min(max(rank, 1), stop) == plan.ends[0]
-            assert plan.ends[-1] == stop and plan.starts == [0] + plan.ends[:-1]
-            assert all(0 < b - a <= max(rank, 1) for a, b in zip(plan.starts[1:], plan.ends[1:]))
+            assert plan.ends == balanced_ends(rank, stop)
+            assert plan.starts == [0] + plan.ends[:-1]
             cases = {"below rank": stop < rank, "zero": stop == 0, "n": stop == cols,
-                     "split = stop": plan.split == stop, "deficient": rank < A.rows,
+                     "one segment": plan.ends == [stop], "deficient": rank < A.rows,
                      "rank 0": rank == 0, "3 segments": len(plan.ends) >= 3}
             seen.update(name for name, hit in cases.items() if hit)
             for pri in (priors, zero_row):
                 st = ExactStepper(plan, pri)
                 walker = _ExactWalker(SimpleNamespace(sampler=sampler, stepper=st, cfg=EXACT), c)
-                tables = [st.table(k) for k in range(stop + 1)]   # below split: filled on read
+                tables = [st.table(k) for k in range(stop + 1)]   # unkept ones: filled on read
                 for i, (a, b) in enumerate(zip(plan.starts, plan.ends)):
                     roots = [walker.root] if i == 0 else rng.integers(0, q ** rank, size=2)
                     for root in roots:
@@ -1069,8 +1075,62 @@ def test_walker_trees_hold_the_tables_bits_at_each_prefix_residual(q):
                             for p in range(q ** j):
                                 r = segment_residual(plan, t, a, j, p)
                                 assert tree[j][p].tobytes() == tables[a + j][tuple(r)].tobytes()
-    assert seen == {"below rank", "zero", "n", "split = stop", "deficient", "rank 0",
+    assert seen == {"below rank", "zero", "n", "one segment", "deficient", "rank 0",
                     "3 segments"}
+
+
+def test_plan_cuts_stop_into_balanced_segments():
+    """Over every l <= 5 and stop <= 13, with 0 to 2 independent columns after
+    the stop, the plan cuts columns 0..stop into one segment more than runs
+    of max(l, 1) columns need (at most stop, and one at stop 0), whose
+    lengths differ by at most 1 and none exceeds max(l, 1)."""
+    seen = set()
+    for l in range(6):
+        for stop in range(14):
+            for m in sorted({0, min(l, 2)}):
+                D = np.zeros((l, stop + m), dtype=np.int64)
+                D[np.arange(m), stop + np.arange(m)] = 1   # the suffix: unit columns
+                plan = TablePlan(dense(D, GF2), stop)
+                T, lengths = len(plan.ends), np.diff([0] + plan.ends)
+                assert plan.ends == balanced_ends(l, stop)
+                assert plan.ends[-1] == stop and plan.starts == [0] + plan.ends[:-1]
+                assert lengths.max() - lengths.min() <= 1 and lengths.max() <= max(l, 1)
+                assert stop == 0 or lengths.min() >= 1     # no empty segment
+                seen.update(name for name, hit in {
+                    "rank 0": l == 0, "stop 0": stop == 0, "stop <= rank": 0 < stop <= l,
+                    "stop = n": m == 0, "stop < n": m > 0, "capped": T == stop > 1,
+                    "3+ segments": T >= 3}.items() if hit)
+    assert seen == {"rank 0", "stop 0", "stop <= rank", "stop = n", "stop < n", "capped",
+                    "3+ segments"}
+
+
+def test_lossy_exact_walks_read_no_leaf_index_past_the_longest_segment(monkeypatch):
+    """At the lossy-exact shape (rank 15), every leaf index a shifted walk reads,
+    one per segment and draw, has at most q**ceil(stop / T) entries for the
+    plan's T segments: 2**11 or fewer, where a tree spanning the rank has 2**15."""
+    A = sample_sparse_matrix(EnsembleSpec(n=40, l=16, field=GF2, tau=6), stream(2, 160))
+    sampler = CosetSampler(A)
+    assert sampler.reverse.rank == 15
+    sizes, real = [], TablePlan.leaf_index
+
+    def counted(plan, i, flat):
+        idx = real(plan, i, flat)
+        sizes.append(idx.size)
+        return idx
+    monkeypatch.setattr(TablePlan, "leaf_index", counted)
+    rng = np.random.default_rng(161)
+    noise = np.tile([0.89, 0.11], (A.cols, 1))      # the lossy-exact test channel's noise prior
+    for cfg in (EXACT, NO_EARLY):
+        engine = sampler.engine(noise, cfg)
+        plan = engine.stepper.plan
+        longest = math.ceil(plan.stop / len(plan.ends))
+        assert longest <= 11
+        sizes.clear()
+        for _ in range(4):
+            c = A.mat_vec(rng.integers(0, 2, size=A.cols))
+            y = rng.integers(0, 2, size=A.cols)       # a source word
+            engine.draw(c, rng, shift=y)
+        assert len(sizes) == 4 * len(plan.ends) and max(sizes) <= 2 ** longest
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -1103,7 +1163,7 @@ def test_interleaved_walkers_on_one_encoder_draw_as_fresh_engines(q):
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_exact_builds_fill_stop_minus_split_tables_and_walkers_one_tree(q, monkeypatch):
-    """A build runs `_level` once per table split..stop-1 and a draw none; a
+    """A build runs `_level` once per table ends[0]..stop-1 and a draw none; a
     walker builds the first segment's tree once, however many passes it runs,
     and each pass one tree per later segment it reaches."""
     if q == 2:                                        # the lossy-exact shape
@@ -1127,12 +1187,13 @@ def test_exact_builds_fill_stop_minus_split_tables_and_walkers_one_tree(q, monke
             engine = sampler.engine(rng.dirichlet(np.ones(q), size=A.cols), cfg)
             plan = engine.stepper.plan
             assert sampler.table_plan(plan.stop) is plan  # built once per matrix and stop
-            assert 0 < plan.split == sampler.reverse.rank < plan.stop
-            assert calls == {"_level": plan.stop - plan.split, "segment_tree": 0}
+            assert plan.ends == balanced_ends(sampler.reverse.rank, plan.stop)
+            assert 0 < plan.ends[0] < sampler.reverse.rank < plan.stop
+            assert calls == {"_level": plan.stop - plan.ends[0], "segment_tree": 0}
             walker = engine.walker(c)
             for _ in range(3):
                 walker(partial(sample_pmf, rng))
-            assert calls == {"_level": plan.stop - plan.split,
+            assert calls == {"_level": plan.stop - plan.ends[0],
                              "segment_tree": 1 + 3 * (len(plan.ends) - 1)}
             segments.add(len(plan.ends))
     assert max(segments) >= 3

@@ -1,0 +1,31 @@
+import math
+
+import pytest
+
+from cosetcode.stats import chi2_quantile, wilson_interval
+
+
+@pytest.mark.parametrize("successes, trials", [(3, 2), (-1, 5), (6, 5), (1, 0), (0, -3)])
+def test_wilson_interval_refuses_impossible_counts(successes, trials):
+    with pytest.raises(ValueError):
+        wilson_interval(successes, trials)
+
+
+@pytest.mark.parametrize("trials", [1, 7, 1000])
+def test_wilson_interval_covers_the_rate_at_every_possible_count(trials):
+    for successes in range(trials + 1):
+        lo, hi = wilson_interval(successes, trials)
+        assert 0.0 <= lo <= successes / trials <= hi <= 1.0
+    assert wilson_interval(0, trials)[0] == 0.0 and wilson_interval(trials, trials)[1] == 1.0
+
+
+@pytest.mark.parametrize("df", [0, -1])
+def test_chi2_quantile_refuses_df_below_one(df):
+    with pytest.raises(ValueError, match="df"):
+        chi2_quantile(df, 0.999)
+
+
+def test_chi2_quantile_is_near_the_tabled_values():
+    # upper 0.1% points of the chi-square law, to four figures
+    for df, want in [(1, 10.83), (5, 20.52), (30, 59.70)]:
+        assert math.isclose(chi2_quantile(df, 0.999), want, rel_tol=0.05)
