@@ -11,14 +11,13 @@ read off (the early stop).  The work has three lifetimes:
   per prior   `CosetSampler.engine(priors, cfg)`, which refuses priors
               that are not an (n, q) array of finite non-negative
               numbers: exact (`ExactStepper` suffix-mass tables on Im A,
-              q**rank entries while that fits DENSE_CAP, kept only at the
-              ends of the plan's segments: ceil(stop / rank) + 1 runs of
-              columns up to the draw's `stop`, their lengths within 1;
-              M_stop comes from the one completion of each syndrome, the
-              others from the backward recursion; never dead-ends after a
-              positive start; a lossy code with an additive test channel
-              holds one per code, for its noise prior, and shifts it to each
-              source word),
+              q**rank entries while that fits DENSE_CAP, built by the
+              backward recursion from M_n = delta_0 and kept only at the ends
+              of the plan's segments: ceil(stop / rank) + 1 runs of columns up
+              to the draw's `stop`, their lengths within 1; never dead-ends
+              after a positive start; a lossy code with an additive test
+              channel holds one per code, for its noise prior, and shifts it
+              to each source word),
               sum-product (BP conditionals, the scaled path: INIT_ITERS
               iterations on the target, then at most STEP_ITERS after each
               commit before the next read; approximate on loopy graphs, so a
@@ -27,7 +26,8 @@ read off (the early stop).  The work has three lifetimes:
               plus a random kernel combination, with no sequential work);
   per target  `engine.draw(c, rng)`, or `engine.walker(c)` for many passes;
               an exact walker reads one tree per segment, rooted at the residual
-              where it starts: the first once per target, the others per pass.
+              where it starts, which the leaf index of the segment before holds:
+              the first once per target, the others per pass.
 `_drive` is the one step loop.  A per-draw state gives the step pmf
 (`pmf(k)`), which the driver narrows to a point mass wherever the prefix
 forces x_k, and takes the chosen symbol (`commit(k, v)`); a selector
@@ -114,8 +114,8 @@ def _xor_span(images, out: np.ndarray, start: int) -> np.ndarray:
 
 class TablePlan:
     """What the suffix tables of one matrix and stop share across priors: the
-    shifts, the segments and each suffix's syndrome.  Its l coordinates are the
-    matrix's rows; an engine's (`CosetSampler.table_plan`) span Im A alone.
+    shifts and the segments.  Its l coordinates are the matrix's rows; an
+    engine's (`CosetSampler.table_plan`) span Im A alone.
 
     Columns 0..stop are cut into T = min(ceil(stop / max(l, 1)) + 1, stop)
     segments (T = 1 at stop 0) ending at ends[i] = (i + 1) stop // T
@@ -123,7 +123,8 @@ class TablePlan:
     max(l, 1).  Inside segment [a, b) the residual t - A x over columns
     a..k-1 takes at most q**(k - a) values, the trellis state bound, so a
     draw reads each segment off a tree of q**(b - a) leaves, which index
-    table b (`leaf_index`) at the residual where the segment starts.
+    table b (`leaf_index`) at the residual where the segment starts; the
+    leaf a pass reaches is the residual where the next segment starts.
 
     A table holds syndrome t at its flat index t @ weights, axis 0 most
     significant.  Over GF(2) column k shifts a flat index by XOR with its
@@ -156,8 +157,7 @@ class TablePlan:
                                    * self.weights[:, None, None]).astype(np.int32)
             # gathering at t - col_k shifts a table by col_k; None for a zero column
             self.shift_index = [self.source_index(col) if col.any() else None
-                                for col in self.cols[:self.stop]]
-        self.suffix_index = self._suffix_index()
+                                for col in self.cols]
 
     def source_index(self, shift: np.ndarray) -> np.ndarray:
         """src[flat t] = flat index of t - shift, for every syndrome t; GF(q > 2)."""
@@ -181,32 +181,6 @@ class TablePlan:
                 rows[xv] = rows[xv - 1] if step is None else step[rows[xv - 1]]
         return idx
 
-    def shifted(self, k: int, flat: int, v: int) -> int:
-        """The flat index of t - v col_k, where flat is t's."""
-        if self.q == 2:
-            return flat ^ self.flat_cols[k] if v else flat
-        step = self.shift_index[k]
-        for _ in range(v if step is not None else 0):
-            flat = int(step[flat])
-        return flat
-
-    def _suffix_index(self) -> np.ndarray:
-        """Each suffix x_stop..x_{n-1}'s flat syndrome, in the order
-        `ExactStepper` forms their masses; refuses dependent columns."""
-        q, stop = self.q, self.stop
-        idx = np.zeros(1, dtype=np.intp)      # intp, so no build's scatter converts it
-        for j in range(self.n - 1, stop - 1, -1):
-            if q == 2:
-                shifted = [idx, idx ^ self.flat_cols[j]]
-            else:                   # t + x col_j = t - (-x col_j)
-                shifted = [idx] + [self.source_index(-xv * self.cols[j] % q)[idx]
-                                   for xv in range(1, q)]
-            idx = np.concatenate(shifted)
-        if np.bincount(idx).max() > 1:
-            raise ValueError(f"columns {stop}..{self.n - 1} are dependent: "
-                             f"stop {stop} does not pin the suffix")
-        return idx
-
 
 class ExactStepper:
     """Backward suffix-mass tables M_k(t) = mass of suffixes hitting syndrome t.
@@ -218,17 +192,13 @@ class ExactStepper:
     the target, so one stepper serves every c.
 
     A stepper keeps one table per segment of its plan, the one at the
-    segment's end, in one block that is freed with it.  Columns stop..n-1
-    must be independent: then each syndrome in their span is hit by exactly
-    one suffix, so M_stop is that suffix's prior product and 0 off the span,
-    put where the plan's `suffix_index` says.  The build runs the recursion
-    M_k(t) = sum_x mu_k(x) M_{k+1}(t - x col_k) from stop down to ends[0] in
-    two working slots and keeps the segment ends it passes.  A draw reads
-    `segment_tree`s, whose levels sum by `_mix` as the recursion does, and
-    `table(k)` fills any other table when read.  Over GF(2) the shift by
-    col_k is a view of M_{k+1} that reverses the axes where col_k is 1;
-    GF(q > 2) gathers it into scratch.  Both give the tables the full
-    recursion gives, bit for bit.
+    segment's end, in one block that is freed with it.  The build runs the
+    recursion M_k(t) = sum_x mu_k(x) M_{k+1}(t - x col_k) from M_n = delta_0
+    (1 at syndrome 0) down to ends[0] in two working slots and keeps the
+    segment ends it passes; at stop = n the last is M_n itself.  A draw reads
+    `segment_tree`s, whose levels sum by `_mix` as the recursion does.  Over
+    GF(2) the shift by col_k is a view of M_{k+1} that reverses the axes where
+    col_k is 1; GF(q > 2) gathers it into scratch.
     """
 
     def __init__(self, plan: TablePlan, priors):
@@ -236,32 +206,16 @@ class ExactStepper:
         self.q, self.n, self.l, self.stop = plan.q, plan.n, plan.l, plan.stop
         self.priors = np.asarray(priors, dtype=float)
         self._tables = np.empty((len(plan.ends), self.q ** self.l))
-        self._fill_suffix_table(self._tables[-1])
-        self._descend(len(plan.ends) - 1, plan.ends[0])
-
-    def _descend(self, e: int, k: int) -> np.ndarray:
-        """M_k in a working slot, by `_level` down from the table kept at segment
-        end e; keeps each segment end it passes on the way."""
-        work = np.empty((3,) + (self.q,) * self.l)    # two working slots and scratch
-        cur, nxt, scratch = work[0, ...], work[1, ...], work[2, ...]
-        cur[...] = self._tables[e].reshape(cur.shape)
-        for j in range(self.plan.ends[e] - 1, k - 1, -1):
-            self._level(j, cur, nxt, scratch)
-            cur, nxt = nxt, cur
-            if j in self.plan.ends:
-                self._tables[self.plan.ends.index(j)] = cur.reshape(-1)
-        return cur
-
-    def _fill_suffix_table(self, flat: np.ndarray) -> None:
-        """flat = M_stop, from the one suffix x_stop..x_{n-1} per syndrome.
-
-        Each mass is mu_j(x_j) times the mass of the suffix after j, the
-        product the recursion forms; its other terms are exact zeros."""
-        mass = np.ones(1)
-        for j in range(self.n - 1, self.stop - 1, -1):
-            mass = np.multiply.outer(self.priors[j], mass).ravel()
-        flat.fill(0.0)
-        flat[self.plan.suffix_index] = mass
+        kept = dict(zip(plan.ends, self._tables))
+        work = np.zeros((3,) + (self.q,) * self.l)    # two working slots and scratch
+        nxt, cur, scratch = work[0, ...], work[1, ...], work[2, ...]
+        cur[(0,) * self.l] = 1.0                      # M_n = delta_0
+        for k in range(self.n, plan.ends[0] - 1, -1):     # cur = M_k
+            if k < self.n:
+                nxt, cur = cur, nxt
+                self._level(k, nxt, cur, scratch)
+            if k in kept:
+                kept[k][:] = cur.reshape(-1)
 
     def _level(self, k: int, nxt: np.ndarray, acc: np.ndarray, scratch: np.ndarray) -> None:
         """acc = M_k from nxt = M_{k+1}, summed by `_mix`."""
@@ -285,26 +239,22 @@ class ExactStepper:
         np.take(nxt.reshape(-1), src, out=scratch.reshape(-1), mode="clip")
         return scratch
 
-    def table(self, k: int) -> np.ndarray:
-        """A copy of M_k in syndrome coordinates, for k in 0..stop."""
-        if not 0 <= k <= self.stop:
-            raise ValueError(f"table {k} lies outside 0..{self.stop}")
-        e = next(e for e, end in enumerate(self.plan.ends) if end >= k)
-        return self._descend(e, k).copy()
-
-    def segment_tree(self, i: int, flat: int) -> list:
-        """Levels 0..b-a of segment i = [a, b) rooted at the residual with flat index
-        flat: level j holds M_{a+j} at the residual less the symbols x_a..x_{a+j-1},
-        at p = sum x_{a+h} q**h; the leaves read table b, each level above sums the
-        slices x_{a+j} = v of the one below by `_mix`, and level 0 is None."""
+    def segment_tree(self, i: int, flat: int) -> tuple:
+        """(leaves, levels) of segment i = [a, b) rooted at the residual with flat
+        index flat.  At p = sum x_{a+h} q**h, leaves[p] is the flat index of the
+        residual less the segment's symbols, and level j holds M_{a+j} at the
+        residual less x_a..x_{a+j-1}; the last level reads table b at the leaves,
+        each level above sums the slices x_{a+j} = v of the one below by `_mix`,
+        and level 0 is None."""
         q, a, b = self.q, self.plan.starts[i], self.plan.ends[i]
+        leaves = self.plan.leaf_index(i, flat)
         tree = [None] + [np.empty(q ** j) for j in range(1, b - a)]
-        tree += [self._tables[i][self.plan.leaf_index(i, flat)]] if b > a else []
+        tree += [self._tables[i][leaves]] if b > a else []
         scratch = np.empty(q ** (b - a) // q)
         for j in range(b - a - 1, 0, -1):
             nxt, m = tree[j + 1], q ** j
             _mix(self.priors[a + j], lambda v: nxt[v * m:(v + 1) * m], tree[j], scratch[:m])
-        return tree
+        return leaves, tree
 
 
 def is_uniform(priors: np.ndarray) -> bool:
@@ -511,11 +461,11 @@ class _UniformEngine:
 
 class _ExactWalker:
     """Passes of the step loop `_drive` on one target, and the state of the pass
-    under way: its segment i of the stepper's plan, that segment's tree, the
-    index p = sum x_k q**(k - a) of the symbols drawn since the segment began at
-    a, and the flat index of the residual target.  The first segment's tree is
-    built once per target, each later one when a pass enters it; no tree has
-    more than q**ceil(stop / T) leaves for the plan's T segments.
+    under way: its segment i of the stepper's plan, that segment's leaf index and
+    tree, and the index p = sum x_k q**(k - a) of the symbols drawn since the
+    segment began at a.  The first segment's tree is built once per target; when
+    a pass enters a later one, its tree is rooted at the leaf p of the one before.
+    No tree has more than q**ceil(stop / T) leaves for the plan's T segments.
 
     With a shift y, the walker draws z = x - y from the stepper's prior on the
     target c - A y and shows `_drive` x: each step pmf rolled by y_k.  Under an
@@ -530,19 +480,18 @@ class _ExactWalker:
         if shift is not None:
             self.unshift = (np.arange(q) - np.asarray(shift)[:, None]) % q
             s = sampler.reduced_target((self.c - sampler.A.mat_vec(shift)) % q)
-        self.root = int(s[:sampler.reverse.rank] @ st.plan.weights)
-        self.first = st.segment_tree(0, self.root)
+        self.first = st.segment_tree(0, int(s[:sampler.reverse.rank] @ st.plan.weights))
 
     def __call__(self, choose) -> GeneratedSample:
-        self.i, self.tree, self.prefix, self.residual = 0, self.first, 0, self.root
+        self.i, (self.leaves, self.tree), self.prefix = 0, self.first, 0
         return _drive(self.engine.sampler, self.c, self.s, self, choose,
                       self.engine.cfg.early_stop)
 
     def pmf(self, k: int) -> np.ndarray:
         st = self.stepper
         if k == st.plan.ends[self.i]:       # the pass enters the next segment
-            self.i, self.prefix = self.i + 1, 0
-            self.tree = st.segment_tree(self.i, self.residual)
+            self.i, root, self.prefix = self.i + 1, int(self.leaves[self.prefix]), 0
+            self.leaves, self.tree = st.segment_tree(self.i, root)
         j = k - st.plan.starts[self.i]      # mu_k(z) tree[j + 1][p + z q**j] for each z
         pmf = _normalized(st.priors[k] * self.tree[j + 1][self.prefix::st.q ** j])
         return pmf if self.unshift is None else pmf[self.unshift[k]]
@@ -551,7 +500,6 @@ class _ExactWalker:
         st = self.stepper
         z = v if self.unshift is None else int(self.unshift[k][v])
         self.prefix += z * st.q ** (k - st.plan.starts[self.i])
-        self.residual = st.plan.shifted(k, self.residual, z)
 
 
 class _ExactEngine:
@@ -682,7 +630,8 @@ class _ForcedPath:
         self.prob = 1.0
 
     def __call__(self, pmf) -> int:
-        assert abs(pmf.sum() - 1.0) < 1e-12
+        if not abs(pmf.sum() - 1.0) < 1e-12:
+            raise RuntimeError(f"step pmf sums to {pmf.sum()!r}, not 1")
         v = int(next(self.path))
         self.prob *= pmf[v]
         return v
@@ -718,6 +667,7 @@ def path_tree_law(A: SparseMatrix, c, priors, cfg: SamplerConfig):
             sample = walk(path)
         except DeadEndError:      # a zero-probability prefix ran out of mass
             continue
-        assert np.array_equal(sample.x, x)
+        if not np.array_equal(sample.x, x):
+            raise RuntimeError(f"the forced path {x} drew {sample.x}")
         probs[row] = path.prob
     return members, probs

@@ -12,7 +12,10 @@ def entropy_bits(pmf) -> float:
 
 
 def binary_entropy(p: float) -> float:
-    if p <= 0.0 or p >= 1.0:
+    """h(p) in bits; ValueError unless 0 <= p <= 1, which refuses NaN."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"need 0 <= p <= 1: got {p}")
+    if p in (0.0, 1.0):
         return 0.0
     return -p * math.log2(p) - (1 - p) * math.log2(1 - p)
 

@@ -29,6 +29,8 @@ UNCALLED_BY_DESIGN = {
     "channel.encode": "one-shot encode that checks m lies in Im B",
     "lossy.encode": "the encoder's message m = B x",
     "models.bac": "preset channel for the tests' codes",
+    "models.BiAwgnChannel": "the continuous-output channel of the paper's general channels, "
+                            "whose outputs the tests decode",
     "models.uniform_source": "preset source for the tests' codes",
     "models.bernoulli_source": "preset source for the tests' codes",
     "stats.binary_entropy": "the tests' statistical gates",
@@ -53,7 +55,6 @@ UNCALLED_BY_DESIGN = {
 UNCALLED_MEMBERS_BY_DESIGN = {
     "channel.ErrorStats.as_dict": "a channel run's record in ROADMAP item 8's run report",
     "lossy.DistortionStats.as_dict": "a lossy run's record in ROADMAP item 8's run report",
-    "sampler.ExactStepper.table": "tests read the suffix tables through it",
 }
 
 
@@ -73,6 +74,14 @@ def test_no_private_or_function_local_imports(path):
              for inner in ast.walk(node) if isinstance(inner, (ast.Import, ast.ImportFrom))]
     assert not private, f"{path.name} imports private names: {private}"
     assert not local, f"{path.name} imports inside a function: {local}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    """`python -O` strips assert statements, so every check of the library raises."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    asserts = [f"line {node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not asserts, f"{path.name} asserts: {asserts}"
 
 
 def _imported_modules(path):
@@ -116,6 +125,15 @@ def _defined_names(tree):
     return {name: node for name, node in out.items() if not name.startswith("_")}
 
 
+def _annotation_nodes(tree) -> set:
+    """ids of the nodes inside the type annotations of a module: a name read
+    there types a value and calls nothing."""
+    notes = [node.annotation for node in ast.walk(tree) if isinstance(node, (ast.arg, ast.AnnAssign))]
+    notes += [node.returns for node in ast.walk(tree)
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return {id(inner) for note in notes if note is not None for inner in ast.walk(note)}
+
+
 def _names_read_from(path, stem):
     """Names the file takes from cosetcode module `stem`: `from ... stem import
     name`, or `stem.name` read as an attribute."""
@@ -131,11 +149,13 @@ def _names_read_from(path, stem):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_public_name_has_a_caller(path):
     """A module-level public name has a caller when its own module uses it
-    outside its own definition, or another file of src/ or mcbench/ imports
-    it or reads it as `module.name`; UNCALLED_BY_DESIGN lists the rest."""
+    outside its own definition and outside type annotations, or another file of
+    src/ or mcbench/ imports it or reads it as `module.name`; UNCALLED_BY_DESIGN
+    lists the rest."""
     tree = ast.parse(path.read_text(), filename=str(path))
     defined = _defined_names(tree)
-    reads = [node for node in ast.walk(tree) if isinstance(node, ast.Name)]
+    notes = _annotation_nodes(tree)
+    reads = [node for node in ast.walk(tree) if isinstance(node, ast.Name) and id(node) not in notes]
     used = set()
     for name, node in defined.items():
         inside = {id(inner) for inner in ast.walk(node)}

@@ -155,11 +155,12 @@ def tree_pmf(st, t, prefix):
     of k's segment, rooted at the residual where that segment starts."""
     plan, k, q = st.plan, len(prefix), st.q
     i = next(i for i, end in enumerate(plan.ends) if k < end)
-    a, flat = plan.starts[i], flat_index(plan, t)
-    for j, v in enumerate(prefix[:a]):
-        flat = plan.shifted(j, flat, int(v))
+    a = plan.starts[i]
+    residual = np.asarray(t, dtype=np.int64) - sum(int(v) * plan.cols[j]
+                                                   for j, v in enumerate(prefix[:a]))
     p = sum(int(v) * q ** h for h, v in enumerate(prefix[a:]))
-    terms = st.priors[k] * st.segment_tree(i, flat)[k - a + 1][p::q ** (k - a)]
+    _, tree = st.segment_tree(i, flat_index(plan, residual))
+    terms = st.priors[k] * tree[k - a + 1][p::q ** (k - a)]
     return terms / s if (s := terms.sum()) > 0 else terms
 
 
@@ -559,6 +560,15 @@ def per_member_walks(A, c, priors, cfg):
     return members, probs
 
 
+def test_forced_path_refuses_an_unnormalized_step_pmf():
+    # an explicit raise, which `python -O` keeps
+    path = _ForcedPath([1, 0])
+    assert path(np.array([0.25, 0.75])) == 1 and path.prob == 0.75
+    for pmf in ([0.5, 0.4], [np.nan, 1.0]):
+        with pytest.raises(RuntimeError, match="sums to"):
+            path(np.array(pmf))
+
+
 @pytest.mark.parametrize("cfg", [SUM_PRODUCT, EXACT, NO_EARLY], ids=["sum-product", "exact",
                                                                       "exact-full"])
 def test_path_tree_law_runs_one_initial_bp_per_call(monkeypatch, cfg):
@@ -689,12 +699,12 @@ def test_stepper_total_mass_matches_enumeration():
         A = SparseMatrix.from_dense(rng.integers(0, q, size=(l, n)), GF3)
         c = A.mat_vec(rng.integers(0, q, size=n))
         priors = rng.dirichlet(np.ones(q), size=n)
-        st = ExactStepper(TablePlan(A), priors)
+        st = ExactStepper(TablePlan(A, 0), priors)    # at stop 0 the one kept table is M_0
         members = row_reduce(A).members(c)
         want = sum(
             np.prod(priors[np.arange(n), m]) for m in members
         )
-        assert st.table(0)[tuple(c)] == pytest.approx(float(want), abs=1e-12)
+        assert st._tables[0][flat_index(st.plan, c)] == pytest.approx(float(want), abs=1e-12)
 
 
 def per_axis_roll_tables(D, priors, q):
@@ -717,6 +727,64 @@ def per_axis_roll_tables(D, priors, q):
     return tables[::-1]
 
 
+def plan_matrix(plan) -> np.ndarray:
+    """The dense matrix whose columns the plan shifts by: A, or R[:rank] on an
+    engine's plan."""
+    return np.array(plan.cols, dtype=np.int64).reshape(plan.n, plan.l).T
+
+
+def read_on_im_a(tables, rev, q) -> list:
+    """Tables in A's coordinates read on Im A, at s = (T t)[:rank]; each must be
+    0 off Im A."""
+    out = []
+    for table in tables:
+        on = np.zeros((q,) * rev.rank)
+        for t in all_vectors(q, table.ndim):
+            s = rev.transformed(t)                    # t lies in Im A iff s[rank:] = 0
+            if s[rev.rank:].any():
+                assert table[tuple(t)] == 0.0
+            else:
+                on[tuple(s[:rev.rank])] = table[tuple(t)]
+        out.append(on)
+    return out
+
+
+def segment_residual(plan, t, a, j, p):
+    """t - sum x_i col_i over columns a..a+j-1, for the symbols whose index is
+    p = sum x_{a+h} q**h."""
+    q = plan.q
+    x = [p // q ** h % q for h in range(j)]
+    return (t - sum((xh * plan.cols[a + h] for h, xh in enumerate(x)), np.zeros_like(t))) % q
+
+
+def syndrome(plan, flat):
+    """The syndrome whose flat index is flat, axis 0 most significant."""
+    return np.array([flat // w % plan.q for w in plan.weights], dtype=np.int64)
+
+
+def assert_stepper_holds(st, want, roots=None):
+    """The stepper keeps want[b] at each segment end b, and the tree of each
+    segment [a, b) at each root given (every syndrome by default) holds want's
+    bits: level j at index p is want[a + j] at the residual of p below the root,
+    and leaf p is that residual's flat index at j = b - a."""
+    plan, q = st.plan, st.q
+    assert st._tables.shape == (len(plan.ends), q ** plan.l)
+    for end, kept in zip(plan.ends, st._tables, strict=True):
+        assert kept.tobytes() == want[end].tobytes()
+    for i, (a, b) in enumerate(zip(plan.starts, plan.ends)):
+        for root in range(q ** plan.l) if roots is None else roots:
+            leaves, tree = st.segment_tree(i, int(root))
+            assert len(tree) == b - a + 1 and tree[0] is None
+            t = syndrome(plan, int(root))
+            for p in range(q ** (b - a)):
+                assert leaves[p] == flat_index(plan, segment_residual(plan, t, a, b - a, p))
+            for j in range(1, b - a + 1):
+                assert tree[j].shape == (q ** j,)
+                for p in range(q ** j):
+                    r = segment_residual(plan, t, a, j, p)
+                    assert tree[j][p].tobytes() == want[a + j][tuple(r)].tobytes()
+
+
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_stepper_tables_match_per_axis_rolls(q):
     rng = np.random.default_rng(q)
@@ -728,9 +796,7 @@ def test_stepper_tables_match_per_axis_rolls(q):
         priors[1, 0] = 0                              # a symbol the prior excludes
         priors[1] /= priors[1].sum()
         st = ExactStepper(TablePlan(SparseMatrix.from_dense(D, GF(q))), priors)
-        got = [st.table(k) for k in range(st.stop + 1)]
-        for got_k, want in zip(got, per_axis_roll_tables(D, priors, q), strict=True):
-            assert np.array_equal(got_k, want)
+        assert_stepper_holds(st, per_axis_roll_tables(D, priors, q))
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
@@ -751,28 +817,55 @@ def test_stepper_tables_from_the_early_stop_match_per_axis_rolls(q):
         massless[0] = 0                               # no symbol at all: M_0 = 0
         for pri in (priors, massless):
             st = ExactStepper(TablePlan(A, stop), pri)
-            want = per_axis_roll_tables(D, pri, q)[:stop + 1]
             assert st.stop == stop
-            with pytest.raises(ValueError, match="outside"):
-                st.table(stop + 1)
-            for got, ref in zip([st.table(k) for k in range(stop + 1)], want, strict=True):
-                assert np.array_equal(got, ref)
+            assert_stepper_holds(st, per_axis_roll_tables(D, pri, q))
         stops.add(stop)
     assert min(stops) < 7                             # some draws do stop early
 
 
 @pytest.mark.parametrize("q", [2, 3])
-def test_stepper_refuses_a_stop_with_dependent_suffix_columns(q):
-    D = np.array([[1, 0, 1, q - 1], [0, 1, 1, q - 1]])   # col 3 = (q - 1) col 2
-    A = SparseMatrix.from_dense(D, GF(q))
+def test_stepper_refuses_a_stop_outside_0_to_n(q):
+    A = SparseMatrix.from_dense(np.array([[1, 0, 1, q - 1], [0, 1, 1, q - 1]]), GF(q))
     priors = np.full((4, q), 1 / q)
-    assert CosetSampler(A).early_stop_index == 3
-    with pytest.raises(ValueError, match="dependent"):
-        ExactStepper(TablePlan(A, 2), priors)
     for stop in (-1, 5):
         with pytest.raises(ValueError, match="outside"):
             ExactStepper(TablePlan(A, stop), priors)
-    assert ExactStepper(TablePlan(A, 3), priors).table(3).shape == (q, q)
+    for stop in range(5):
+        assert ExactStepper(TablePlan(A, stop), priors)._tables[-1].shape == (q * q,)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_tables_at_a_stop_with_dependent_suffix_columns_match_per_axis_rolls(q):
+    """Columns 2 and 3 are dependent, so stop 2 does not pin the suffix: M_2 is
+    positive on the q multiples of column 2 alone, each hit by q suffixes.  The
+    recursion gives it, and every table before it, as at any other stop."""
+    rng = np.random.default_rng(q + 30)
+    D = np.array([[1, 0, 1, q - 1], [0, 1, 1, q - 1]])   # col 3 = (q - 1) col 2
+    A = SparseMatrix.from_dense(D, GF(q))
+    assert CosetSampler(A).early_stop_index == 3
+    priors = rng.dirichlet(np.ones(q), size=4)
+    want = per_axis_roll_tables(D, priors, q)
+    assert np.count_nonzero(want[2]) == q
+    for stop in range(5):
+        assert_stepper_holds(ExactStepper(TablePlan(A, stop), priors), want)
+    st = CosetSampler(A).engine(priors, NO_EARLY).stepper   # the engine's plan, on Im A
+    assert_stepper_holds(st, per_axis_roll_tables(plan_matrix(st.plan), priors, q))
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_a_plan_to_n_keeps_delta_0_as_its_last_table(q):
+    rng = np.random.default_rng(q + 170)
+    n = 5
+    for l in (0, 2):
+        A = dense(rng.integers(0, q, size=(l, n)), GF(q))
+        priors = rng.dirichlet(np.ones(q), size=n)
+        steppers = [ExactStepper(TablePlan(A), priors),
+                    CosetSampler(A).engine(priors, NO_EARLY).stepper]
+        for st in steppers:
+            assert st.plan.ends[-1] == st.stop == n
+            delta = np.zeros(q ** st.plan.l)
+            delta[0] = 1.0                            # M_n = delta_0: only the empty suffix
+            assert st._tables[-1].tobytes() == delta.tobytes()
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
@@ -784,7 +877,7 @@ def test_step_pmf_matches_the_per_symbol_loop(q):
     priors[2, 1] = 0                                  # a symbol the prior excludes
     st = ExactStepper(TablePlan(SparseMatrix.from_dense(D, GF(q))), priors)
     assert st.plan.ends == [2, 4, 6]                  # ceil(6 / 3) + 1 segments of 2
-    tables = [st.table(k) for k in range(n + 1)]
+    tables = per_axis_roll_tables(D, priors, q)       # the recursion's bits
     for k in range(n):
         for residual in all_vectors(q, l):
             want = np.empty(q)
@@ -820,19 +913,18 @@ def test_live_steppers_never_alias():
     p1, p2 = (rng.dirichlet(np.ones(3), size=6) for _ in range(2))
     st1, st2 = ExactStepper(TablePlan(A), p1), ExactStepper(TablePlan(A), p2)
     assert not np.shares_memory(st1._tables, st2._tables)
-    want1, want2 = ([st.table(k) for k in range(7)] for st in (st1, st2))
+    want1, want2 = (st._tables.copy() for st in (st1, st2))
     del st1
     st3 = ExactStepper(TablePlan(A), p1)
-    for k in range(7):
-        assert np.array_equal(st3.table(k), want1[k])
-        assert np.array_equal(st2.table(k), want2[k])
+    assert np.array_equal(st3._tables, want1) and np.array_equal(st2._tables, want2)
 
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_stepper_owns_one_block_of_segment_end_tables_freed_with_it(q):
     """A stepper keeps one table per segment, that at its end, in one block, and
-    no other array but its priors: its working slots live only while it fills a
-    table.  Nothing keeps the block once the stepper is collected."""
+    no other array but its priors: its working slots live only while it builds,
+    and a segment's tree only with its reader.  Nothing keeps the block once the
+    stepper is collected."""
     rng = np.random.default_rng(q + 90)
     n, l = 10, 3
     D = rng.integers(0, q, size=(l, n))
@@ -844,7 +936,7 @@ def test_stepper_owns_one_block_of_segment_end_tables_freed_with_it(q):
     segments = set()
     for stop in (early, n):
         st = ExactStepper(TablePlan(A, stop), priors)
-        st.table(0)                                   # fills a table below the first end on demand
+        st.segment_tree(0, 0)
         segments.add(len(st.plan.ends))
         block = st._tables
         assert block.shape == (len(st.plan.ends), q ** l)
@@ -872,10 +964,10 @@ def test_mass_of_is_m0_for_massless_and_unnormalised_priors(q):
         massless[1] = 0                               # no symbol at all: M_0 = 0
         unnormalised = rng.random((4, q)) * 3
         for priors in (massless, unnormalised):
-            st = ExactStepper(TablePlan(A), priors)
+            st = ExactStepper(TablePlan(A, 0), priors)     # at stop 0 the kept table is M_0
             want = per_axis_roll_tables(D, priors, q)[0]
-            assert np.array_equal(st.table(0), want)     # summed in the recursion's order
-        assert not ExactStepper(TablePlan(A), massless).table(0).any()
+            assert st._tables[0].tobytes() == want.tobytes()   # summed in the recursion's order
+        assert not ExactStepper(TablePlan(A, 0), massless)._tables.any()
 
 
 def test_gf2_tables_and_step_pmfs_hold_across_three_segments():
@@ -887,10 +979,9 @@ def test_gf2_tables_and_step_pmfs_hold_across_three_segments():
     priors[5, 1] = 0                                  # a symbol the prior excludes
     st = ExactStepper(TablePlan(A), priors)
     want = per_axis_roll_tables(D, priors, 2)
-    for k in range(n + 1):
-        assert np.array_equal(st.table(k), want[k])
     assert st.plan.ends == [7, 14, 21, 28]            # ceil(28 / 10) + 1 segments of 7
-    for _ in range(5):      # a residual carried by `shifted` through every segment
+    assert_stepper_holds(st, want, roots=[0, 1, 341, 2 ** l - 1])
+    for _ in range(5):      # a residual carried through every segment
         x = rng.integers(0, 2, size=n)
         x[5] = 0
         t0 = t = A.mat_vec(x)
@@ -905,7 +996,8 @@ def test_gf2_tables_and_step_pmfs_hold_across_three_segments():
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_kept_end_tables_are_the_tables_in_syndrome_coordinates(q):
     """The block holds each segment's end table flat, axis 0 most significant,
-    byte for byte as `table(end)` gives it: one layout for every field."""
+    byte for byte as the reference tables of the plan's own matrix give it: one
+    layout for every field."""
     rng = np.random.default_rng(q + 150)
     l, n = (4, 12) if q < 5 else (3, 10)
     D = rng.integers(0, q, size=(l, n))
@@ -917,8 +1009,9 @@ def test_kept_end_tables_are_the_tables_in_syndrome_coordinates(q):
     segments = 0
     for st in engines + [ExactStepper(TablePlan(A), priors)]:
         assert st._tables.shape == (len(st.plan.ends), q ** st.plan.l)
+        want = per_axis_roll_tables(plan_matrix(st.plan), priors, q)
         for end, kept in zip(st.plan.ends, st._tables, strict=True):
-            assert kept.tobytes() == st.table(end).ravel().tobytes()
+            assert kept.tobytes() == want[end].ravel().tobytes()
         segments = max(segments, len(st.plan.ends))
     assert segments >= 3
 
@@ -939,10 +1032,8 @@ def test_gfq_builds_on_a_kept_plan_make_no_source_index_calls(q, monkeypatch):
         calls.clear()
         priors = rng.dirichlet(np.ones(q), size=7)
         st = ExactStepper(plan, priors)
-        assert calls == []
-        for got, want in zip([st.table(k) for k in range(8)],
-                             per_axis_roll_tables(D, priors, q), strict=True):
-            assert np.array_equal(got, want)
+        assert_stepper_holds(st, per_axis_roll_tables(D, priors, q))
+        assert calls == []                            # nor do its trees
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -980,18 +1071,11 @@ def test_engine_tables_are_the_direct_tables_read_on_im_a(q):
     priors[2, 1] = 0                                  # a symbol the prior excludes
     sampler = CosetSampler(A)
     rev = sampler.reverse
+    direct = per_axis_roll_tables(D, priors, q)       # in A's own coordinates
     for cfg in (EXACT, NO_EARLY):
         st = sampler.engine(priors, cfg).stepper
-        direct = ExactStepper(TablePlan(A, st.stop), priors)   # in A's own coordinates
         assert st.plan.l == rev.rank < l
-        for k in range(st.stop + 1):
-            got, want = st.table(k), direct.table(k)
-            for t in all_vectors(q, l):
-                s = rev.transformed(t)                # t lies in Im A iff s[rank:] = 0
-                if s[rev.rank:].any():
-                    assert want[tuple(t)] == 0.0
-                else:                                 # the same bytes, moved
-                    assert got[tuple(s[:rev.rank])].tobytes() == want[tuple(t)].tobytes()
+        assert_stepper_holds(st, read_on_im_a(direct, rev, q))   # the same bytes, moved
 
 
 def test_exact_engine_takes_a_matrix_whose_rank_fits_the_cap():
@@ -1013,25 +1097,12 @@ def test_exact_engine_takes_a_matrix_whose_rank_fits_the_cap():
         CosetSampler(wide).engine(np.full((22, 2), [0.6, 0.4]), EXACT)
 
 
-def segment_residual(plan, t, a, j, p):
-    """t - sum x_i col_i over columns a..a+j-1, for the symbols whose index is
-    p = sum x_{a+h} q**h."""
-    q = plan.q
-    x = [p // q ** h % q for h in range(j)]
-    return (t - sum((xh * plan.cols[a + h] for h, xh in enumerate(x)), np.zeros_like(t))) % q
-
-
-def syndrome(plan, flat):
-    """The syndrome whose flat index is flat, axis 0 most significant."""
-    return np.array([flat // w % plan.q for w in plan.weights], dtype=np.int64)
-
-
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_walker_trees_hold_the_tables_bits_at_each_prefix_residual(q):
-    """Every level j of every segment's tree, at every index p, is table(a + j)
-    read at the residual of p below the tree's root, bit for bit, whatever the
-    stop and the number of segments; a walker's first tree is the first
-    segment's at its target."""
+    """Every level j of every segment's tree, at every index p, is M_{a+j} read at
+    the residual of p below the tree's root, bit for bit, and every leaf is that
+    residual's index, whatever the stop and the number of segments; a walker's
+    first tree is the first segment's at its target."""
     rng = np.random.default_rng(q + 120)
     l, n = (4, 7) if q < 5 else (3, 6)
     deficient = rng.integers(0, q, size=(l, n))
@@ -1050,33 +1121,26 @@ def test_walker_trees_hold_the_tables_bits_at_each_prefix_residual(q):
         zero_row = priors.copy()
         zero_row[2] = 0                               # no symbol at all: M_k = 0 for k <= 2
         for stop in range(cols + 1):
-            try:
-                plan = sampler.table_plan(stop)
-            except ValueError:                        # columns stop.. are dependent
-                continue
+            plan = sampler.table_plan(stop)
             assert plan.ends == balanced_ends(rank, stop)
             assert plan.starts == [0] + plan.ends[:-1]
             cases = {"below rank": stop < rank, "zero": stop == 0, "n": stop == cols,
                      "one segment": plan.ends == [stop], "deficient": rank < A.rows,
-                     "rank 0": rank == 0, "3 segments": len(plan.ends) >= 3}
+                     "rank 0": rank == 0, "3 segments": len(plan.ends) >= 3,
+                     "dependent suffix": stop < sampler.early_stop_index}
             seen.update(name for name, hit in cases.items() if hit)
+            root = flat_index(plan, sampler.reduced_target(c)[:rank])
             for pri in (priors, zero_row):
                 st = ExactStepper(plan, pri)
                 walker = _ExactWalker(SimpleNamespace(sampler=sampler, stepper=st, cfg=EXACT), c)
-                tables = [st.table(k) for k in range(stop + 1)]   # unkept ones: filled on read
-                for i, (a, b) in enumerate(zip(plan.starts, plan.ends)):
-                    roots = [walker.root] if i == 0 else rng.integers(0, q ** rank, size=2)
-                    for root in roots:
-                        tree = walker.first if i == 0 else st.segment_tree(i, int(root))
-                        assert len(tree) == b - a + 1 and tree[0] is None
-                        t = syndrome(plan, int(root))
-                        for j in range(1, b - a + 1):
-                            assert tree[j].shape == (q ** j,)
-                            for p in range(q ** j):
-                                r = segment_residual(plan, t, a, j, p)
-                                assert tree[j][p].tobytes() == tables[a + j][tuple(r)].tobytes()
+                (leaves, tree), (want_leaves, want_tree) = walker.first, st.segment_tree(0, root)
+                assert np.array_equal(leaves, want_leaves) and tree[0] is None
+                for got, want in zip(tree[1:], want_tree[1:], strict=True):
+                    assert got.tobytes() == want.tobytes()
+                assert_stepper_holds(st, per_axis_roll_tables(plan_matrix(plan), pri, q),
+                                     roots=[root, *rng.integers(0, q ** rank, size=2)])
     assert seen == {"below rank", "zero", "n", "one segment", "deficient", "rank 0",
-                    "3 segments"}
+                    "3 segments", "dependent suffix"}
 
 
 def test_plan_cuts_stop_into_balanced_segments():
@@ -1162,8 +1226,8 @@ def test_interleaved_walkers_on_one_encoder_draw_as_fresh_engines(q):
 
 
 @pytest.mark.parametrize("q", [2, 3])
-def test_exact_builds_fill_stop_minus_split_tables_and_walkers_one_tree(q, monkeypatch):
-    """A build runs `_level` once per table ends[0]..stop-1 and a draw none; a
+def test_exact_builds_level_from_n_to_the_first_end_and_walkers_one_tree(q, monkeypatch):
+    """A build runs `_level` once per column ends[0]..n-1 and a draw none; a
     walker builds the first segment's tree once, however many passes it runs,
     and each pass one tree per later segment it reaches."""
     if q == 2:                                        # the lossy-exact shape
@@ -1189,14 +1253,53 @@ def test_exact_builds_fill_stop_minus_split_tables_and_walkers_one_tree(q, monke
             assert sampler.table_plan(plan.stop) is plan  # built once per matrix and stop
             assert plan.ends == balanced_ends(sampler.reverse.rank, plan.stop)
             assert 0 < plan.ends[0] < sampler.reverse.rank < plan.stop
-            assert calls == {"_level": plan.stop - plan.ends[0], "segment_tree": 0}
+            assert calls == {"_level": A.cols - plan.ends[0], "segment_tree": 0}
             walker = engine.walker(c)
             for _ in range(3):
                 walker(partial(sample_pmf, rng))
-            assert calls == {"_level": plan.stop - plan.ends[0],
+            assert calls == {"_level": A.cols - plan.ends[0],
                              "segment_tree": 1 + 3 * (len(plan.ends) - 1)}
             segments.add(len(plan.ends))
     assert max(segments) >= 3
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_walker_roots_are_the_reduced_residual_targets(q, monkeypatch):
+    """Every segment root a walker reads, the first per target and each later one
+    off the leaf index of the segment before, is the flat index of
+    T(c - A y - A z_<a)[:rank] at the segment's start a, where z = x - y is what
+    the stepper draws: y = 0 without a shift."""
+    rng = np.random.default_rng(q + 180)
+    n = 14
+    D = rng.integers(0, q, size=(4, n)) * (rng.random((4, n)) < 0.5)
+    D[-1] = (D[0] + D[1]) % q                         # rank < l: T and [:rank] differ from A's
+    A = dense(D, GF(q))
+    sampler = CosetSampler(A)
+    rev, rank = sampler.reverse, sampler.reverse.rank
+    roots, real = [], ExactStepper.segment_tree
+    monkeypatch.setattr(ExactStepper, "segment_tree",
+                        lambda st, i, flat: roots.append((i, flat)) or real(st, i, flat))
+    segments = set()
+    for cfg in (EXACT, NO_EARLY):
+        engine = sampler.engine(rng.dirichlet(np.ones(q), size=n), cfg)
+        plan = engine.stepper.plan
+        segments.add(len(plan.ends))
+        for shift in (None, rng.integers(0, q, size=n)):
+            y = np.zeros(n, dtype=np.int64) if shift is None else shift
+            c = A.mat_vec(rng.integers(0, q, size=n))
+            roots.clear()
+            walker = engine.walker(c, shift)
+            first = roots.pop()
+            for _ in range(3):
+                z = (walker(partial(sample_pmf, rng)).x - y) % q
+                read = [first] + roots
+                roots.clear()
+                assert [i for i, _ in read] == list(range(len(plan.ends)))
+                for i, root in read:
+                    a = plan.starts[i]
+                    t = rev.transformed((c - D @ y - D[:, :a] @ z[:a]) % q)
+                    assert root == flat_index(plan, t[:rank])
+    assert rank < A.rows and max(segments) >= 3
 
 
 # ---------------------------------------------------------------------------

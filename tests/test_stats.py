@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from cosetcode.stats import chi2_quantile, wilson_interval
+from cosetcode.stats import binary_entropy, chi2_quantile, wilson_interval
 
 
 @pytest.mark.parametrize("successes, trials", [(3, 2), (-1, 5), (6, 5), (1, 0), (0, -3)])
@@ -29,3 +29,15 @@ def test_chi2_quantile_is_near_the_tabled_values():
     # upper 0.1% points of the chi-square law, to four figures
     for df, want in [(1, 10.83), (5, 20.52), (30, 59.70)]:
         assert math.isclose(chi2_quantile(df, 0.999), want, rel_tol=0.05)
+
+
+@pytest.mark.parametrize("p", [1.5, -0.2, math.nan, math.inf])
+def test_binary_entropy_refuses_p_outside_0_1(p):
+    with pytest.raises(ValueError, match="0 <= p <= 1"):
+        binary_entropy(p)
+
+
+def test_binary_entropy_is_0_at_the_ends_and_1_at_a_half():
+    assert binary_entropy(0.0) == binary_entropy(1.0) == 0.0
+    assert binary_entropy(0.5) == 1.0
+    assert binary_entropy(0.11) == pytest.approx(0.4999, abs=1e-4)
