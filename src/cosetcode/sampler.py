@@ -25,10 +25,10 @@ read off (the early stop).  The work has three lifetimes:
               (uniform priors make the law uniform on the coset: a solution
               plus a random kernel combination, with no sequential work);
   per target  `engine.draw(c, rng)`, or `engine.walker(c)` for many passes;
-              an exact walker reads one tree per segment, rooted at the residual
-              where it starts, which the leaf index of the segment before holds:
-              the first once per target, the others per pass.
-`_drive` is the one step loop.  A per-draw state gives the step pmf
+              an exact walker reads one tree per segment, rooted at the leaf the
+              segment before reached, the first once per target; a step reads
+              q of its entries as floats, with no numpy call.
+`_drive` is the one step loop.  A per-draw state gives the step pmf, q floats
 (`pmf(k)`), which the driver narrows to a point mass wherever the prefix
 forces x_k, and takes the chosen symbol (`commit(k, v)`); a selector
 `choose(pmf)` picks it: a PRNG (`draw`), the interval algorithm over a
@@ -41,7 +41,8 @@ suffix off the reverse echelon at the early stop and checks A x = c.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
+from operator import add
 
 import numpy as np
 
@@ -87,8 +88,8 @@ class GeneratedSample:
 
 
 def _mix(prior, term, acc: np.ndarray, scratch: np.ndarray) -> None:
-    """acc = sum_x prior[x] term(x), x = 0 first and zero priors skipped: the one
-    order of every table and tree level, so that both hold the recursion's bits."""
+    """acc = sum_x prior[x] term(x), x = 0 first and zero priors skipped: the build's
+    order, which each `ExactStepper.segment_tree` level repeats in one reduce."""
     live = [(xv, p) for xv, p in enumerate(prior) if p != 0]
     for i, (xv, p) in enumerate(live):  # 0 + p M == p M exactly: the first term fills acc
         np.multiply(term(xv), p, out=scratch if i else acc)
@@ -96,11 +97,6 @@ def _mix(prior, term, acc: np.ndarray, scratch: np.ndarray) -> None:
             acc += scratch
     if not live:
         acc.fill(0.0)
-
-
-def _normalized(terms: np.ndarray) -> np.ndarray:
-    """A step's terms scaled to sum to 1, unless massless."""
-    return terms / s if (s := terms.sum()) > 0 else terms
 
 
 def _xor_span(images, out: np.ndarray, start: int) -> np.ndarray:
@@ -166,14 +162,20 @@ class TablePlan:
             src = (self._digit_weights[i, shift[i], :, None] + src).ravel()
         return src
 
+    @cached_property
+    def _spans(self) -> list:
+        """Over GF(2), each segment's XOR span of its columns started from 0."""
+        return [_xor_span(self.flat_cols[a:b], np.empty(1 << (b - a), dtype=np.int64), 0)
+                for a, b in zip(self.starts, self.ends)]
+
     def leaf_index(self, i: int, flat: int) -> np.ndarray:
         """idx[p] = the flat index of t - sum_j x_j col_j over segment i = [a, b),
         where flat is t's flat index and p = sum_j x_j q**(j - a): the newest
-        symbol leads."""
+        symbol leads.  Over GF(2) it is the segment's cached span XOR flat."""
         q, a, b = self.q, self.starts[i], self.ends[i]
-        idx = np.empty(q ** (b - a), dtype=np.int64)
         if q == 2:
-            return _xor_span(self.flat_cols[a:b], idx, flat)
+            return self._spans[i] ^ flat
+        idx = np.empty(q ** (b - a), dtype=np.int64)
         idx[0] = flat
         for j, step in enumerate(self.shift_index[a:b]):
             rows = idx[:q ** (j + 1)].reshape(q, -1)     # rows[xv]: prefixes with x_j = xv
@@ -196,7 +198,7 @@ class ExactStepper:
     recursion M_k(t) = sum_x mu_k(x) M_{k+1}(t - x col_k) from M_n = delta_0
     (1 at syndrome 0) down to ends[0] in two working slots and keeps the
     segment ends it passes; at stop = n the last is M_n itself.  A draw reads
-    `segment_tree`s, whose levels sum by `_mix` as the recursion does.  Over
+    `segment_tree`s, whose levels sum in `_mix`'s order as the recursion does.  Over
     GF(2) the shift by col_k is a view of M_{k+1} that reverses the axes where
     col_k is 1; GF(q > 2) gathers it into scratch.
     """
@@ -244,22 +246,19 @@ class ExactStepper:
         index flat.  At p = sum x_{a+h} q**h, leaves[p] is the flat index of the
         residual less the segment's symbols, and level j holds M_{a+j} at the
         residual less x_a..x_{a+j-1}; the last level reads table b at the leaves,
-        each level above sums the slices x_{a+j} = v of the one below by `_mix`,
-        and level 0 is None."""
+        and level 0 is None.  Level j sums level j + 1 viewed as (q, q**j), row v
+        times mu_{a+j}(v), over its rows in order: `_mix`'s sum, a zero row adds 0."""
         q, a, b = self.q, self.plan.starts[i], self.plan.ends[i]
         leaves = self.plan.leaf_index(i, flat)
-        tree = [None] + [np.empty(q ** j) for j in range(1, b - a)]
-        tree += [self._tables[i][leaves]] if b > a else []
-        scratch = np.empty(q ** (b - a) // q)
+        tree, col = [self._tables[i][leaves]] if b > a else [], self.priors[a:b, :, None]
         for j in range(b - a - 1, 0, -1):
-            nxt, m = tree[j + 1], q ** j
-            _mix(self.priors[a + j], lambda v: nxt[v * m:(v + 1) * m], tree[j], scratch[:m])
-        return leaves, tree
+            tree.append(np.add.reduce(tree[-1].reshape(q, -1) * col[j], axis=0))
+        return leaves, [None] + tree[::-1]
 
 
 def is_uniform(priors: np.ndarray) -> bool:
-    """True when every index has the same uniform pmf of positive mass."""
-    return bool(priors[0, 0] > 0 and np.all(priors == priors[0, 0]))
+    """True when every index's pmf is flat with positive mass: the law is uniform."""
+    return bool(np.all(priors[:, :1] > 0) and np.all(priors == priors[:, :1]))
 
 
 class CosetSampler:
@@ -329,14 +328,21 @@ class CosetSampler:
         return np.asarray(c, dtype=np.int64) % self.A.field.q
 
     def checked_priors(self, priors) -> np.ndarray:
-        """priors as an (n, q) float array; ValueError unless finite and non-negative."""
+        """priors as an (n, q) float array; ValueError unless finite and non-negative.
+        Where a product of the sums of rows k..n-1 leaves 2**±64, row k is scaled by
+        2**(R_{k+1} - R_k), R_k that product's rounded log2 and R_n = 0: exact, so each
+        step pmf and draw holds, while every such product lies within 2**(1/2) of 1."""
         priors = np.asarray(priors, dtype=float)
         want = (self.A.cols, self.A.field.q)
         if priors.shape != want:
             raise ValueError(f"priors have shape {priors.shape}, expected {want}")
         if not np.all(np.isfinite(priors)) or np.any(priors < 0):
             raise ValueError("priors must be finite and non-negative")
-        return priors
+        with np.errstate(divide="ignore"):      # a zero row counts as a sum of 1
+            logs = np.nan_to_num(np.logaddexp2.reduce(np.log2(priors), axis=1), neginf=0.0)
+        R = np.round(np.append(np.cumsum(logs[::-1])[::-1], 0.0))
+        return priors if np.all(np.abs(R) <= 64) else \
+            np.ldexp(priors, np.diff(R).astype(int)[:, None])
 
     def engine(self, priors, cfg: SamplerConfig):
         """Sampling engine for one prior; its `draw(c, rng)` serves every target."""
@@ -392,8 +398,11 @@ class CosetPair:
 # -- the driver -------------------------------------------------------------------
 
 
-def _require_mass(pmf: np.ndarray, k: int) -> np.ndarray:
-    if pmf.sum() <= 0:
+def _require_mass(pmf, k: int):
+    """pmf, any sequence of q floats, once its mass is finite and positive."""
+    if not math.isfinite(mass := sum(pmf)):
+        raise FloatingPointError(f"step {k + 1} pmf has mass {mass!r}")
+    if mass <= 0:
         if k == 0:
             raise EncodingError("coset has zero prior mass")
         raise DeadEndError(f"zero continuation mass at step {k + 1}")
@@ -407,17 +416,17 @@ def _drive(sampler: CosetSampler, c: np.ndarray, s: np.ndarray, state, choose,
     A, n, q = sampler.A, sampler.A.cols, sampler.A.field.q
     rows, rev = sampler.pivot_row, sampler.reverse
     stop = sampler.early_stop_index if early_stop else n
-    x = np.zeros(n, dtype=np.int64)
-    for k in range(stop):
-        pmf = state.pmf(k)
-        if rows[k] >= 0:    # a point mass on the one feasible symbol, if pmf gives it mass
-            v = s[rows[k]]
-            pmf = float(pmf[v] > 0) * (np.arange(q) == v)
-        x[k] = v = choose(_require_mass(pmf, k))
+    x = []
+    for k, row in enumerate(rows[:stop].tolist()):
+        pmf = _require_mass(state.pmf(k), k)
+        if row >= 0:        # a point mass on the one feasible symbol, if pmf gives it mass
+            v = int(s[row])
+            pmf = _require_mass([float(u == v and pmf[v] > 0) for u in range(q)], k)
+        x.append(v := choose(pmf))
         state.commit(k, v)
         if v:
             s = (s - v * rev.column(n - 1 - k)) % q
-    x[stop:] = s[rows[stop:]]
+    x = np.array(x + s[rows[stop:]].tolist(), dtype=np.int64)
     if not np.array_equal(A.mat_vec(x), c):
         raise DeadEndError("generated sequence violates the constraint")
     return GeneratedSample(x, "early" if stop < n else "full", stop)
@@ -474,11 +483,11 @@ class _ExactWalker:
     def __init__(self, engine: "_ExactEngine", c, shift=None):
         st = self.stepper = engine.stepper
         sampler, q = engine.sampler, st.q
-        self.engine, self.c = engine, sampler.target(c)
+        self.engine, self.c, self.prior_rows = engine, sampler.target(c), st.priors.tolist()
         self.s = sampler.reduced_target(self.c)
-        s, self.unshift = self.s, None      # unshift[k][v] = v - y_k, the z of x_k = v
+        s, self.shift = self.s, [0] * st.n      # x_k = z_k + shift[k]
         if shift is not None:
-            self.unshift = (np.arange(q) - np.asarray(shift)[:, None]) % q
+            self.shift = (np.asarray(shift) % q).tolist()
             s = sampler.reduced_target((self.c - sampler.A.mat_vec(shift)) % q)
         self.first = st.segment_tree(0, int(s[:sampler.reverse.rank] @ st.plan.weights))
 
@@ -487,19 +496,21 @@ class _ExactWalker:
         return _drive(self.engine.sampler, self.c, self.s, self, choose,
                       self.engine.cfg.early_stop)
 
-    def pmf(self, k: int) -> np.ndarray:
+    def pmf(self, k: int) -> list:
         st = self.stepper
         if k == st.plan.ends[self.i]:       # the pass enters the next segment
-            self.i, root, self.prefix = self.i + 1, int(self.leaves[self.prefix]), 0
+            self.i, root, self.prefix = self.i + 1, self.leaves.item(self.prefix), 0
             self.leaves, self.tree = st.segment_tree(self.i, root)
         j = k - st.plan.starts[self.i]      # mu_k(z) tree[j + 1][p + z q**j] for each z
-        pmf = _normalized(st.priors[k] * self.tree[j + 1][self.prefix::st.q ** j])
-        return pmf if self.unshift is None else pmf[self.unshift[k]]
+        level, m = self.tree[j + 1], st.q ** j
+        terms = [mu * level.item(self.prefix + z * m) for z, mu in enumerate(self.prior_rows[k])]
+        mass = reduce(add, terms)           # left to right, as numpy sums q floats
+        pmf = [t / mass for t in terms] if 0 < mass < math.inf else terms
+        return pmf[-y:] + pmf[:-y] if (y := self.shift[k]) else pmf   # x_k = z + y_k
 
     def commit(self, k: int, v: int) -> None:
         st = self.stepper
-        z = v if self.unshift is None else int(self.unshift[k][v])
-        self.prefix += z * st.q ** (k - st.plan.starts[self.i])
+        self.prefix += (v - self.shift[k]) % st.q * st.q ** (k - st.plan.starts[self.i])
 
 
 class _ExactEngine:
@@ -630,8 +641,8 @@ class _ForcedPath:
         self.prob = 1.0
 
     def __call__(self, pmf) -> int:
-        if not abs(pmf.sum() - 1.0) < 1e-12:
-            raise RuntimeError(f"step pmf sums to {pmf.sum()!r}, not 1")
+        if not abs(sum(pmf) - 1.0) < 1e-12:
+            raise RuntimeError(f"step pmf sums to {sum(pmf)!r}, not 1")
         v = int(next(self.path))
         self.prob *= pmf[v]
         return v

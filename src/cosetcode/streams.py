@@ -31,14 +31,13 @@ def stream(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def sample_pmf(rng: np.random.Generator, pmf: np.ndarray) -> int:
-    """Draw an index from a normalized pmf using a single uniform."""
+def sample_pmf(rng: np.random.Generator, pmf) -> int:
+    """The first index where one uniform falls below a pmf's running sum; any sequence."""
     u = rng.random()
     acc = 0.0
     for i, p in enumerate(pmf):
         acc += p
         if u < acc:
             return i
-    # guard against accumulated rounding at the top end
-    nz = np.nonzero(pmf)[0]
-    return int(nz[-1]) if nz.size else len(pmf) - 1
+    # rounding left u at or above the total: the last index with positive mass
+    return max((i for i, p in enumerate(pmf) if p > 0), default=len(pmf) - 1)

@@ -26,6 +26,9 @@ from cosetcode.sampler import (
     TablePlan,
     _ExactWalker,
     _ForcedPath,
+    _UniformEngine,
+    _drive,
+    _xor_span,
     exact_coset_law,
     generate_interval,
     member_law,
@@ -421,7 +424,7 @@ def test_sum_product_pivot_steps_are_point_masses(q, early_stop):
         assert pivots[:len(pmfs)].any()
         for k, pmf in enumerate(pmfs):
             if pivots[k]:
-                assert np.count_nonzero(pmf) == 1 and pmf.max() == 1.0
+                assert np.count_nonzero(pmf) == 1 and np.asarray(pmf).max() == 1.0
     assert passes >= 4
     for _ in range(8):                          # restarts absorb the rest
         m = spec.random_message(rng)
@@ -907,6 +910,86 @@ def test_engine_refuses_bad_priors(bad, match):
         generate_interval(A, [0, 0], bad, EXACT, [0] * 64)
 
 
+def extreme_scale_case(q):
+    """A desk code, a target in its image and unnormalised prior rows."""
+    n, l = (12, 6) if q == 2 else (9, 4)
+    A = sample_sparse_matrix(EnsembleSpec(n=n, l=l, field=GF(q), tau=2), stream(1, 1))
+    c = A.mat_vec(stream(2, 2).integers(0, q, size=n))
+    return A, c, stream(4, q).random((n, q)) + 0.05
+
+
+def rng_state(rng) -> str:
+    return str(rng.bit_generator.state)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("method", ["exact", "sum-product"])
+def test_priors_scaled_by_a_power_of_two_draw_as_the_unscaled_prior(q, method):
+    """Past 2**64 the rows are rescaled by powers of two, differently per row
+    here; draws and rng states stay bit for bit those of the unscaled prior."""
+    A, c, priors = extreme_scale_case(q)
+    sampler = CosetSampler(A)
+    for scale in (2.0 ** 200, 2.0 ** -200):
+        assert len(np.unique(sampler.checked_priors(priors * scale) / priors)) > 1
+        for early_stop in (True, False):
+            cfg = SamplerConfig(method, early_stop)
+            base, scaled = sampler.engine(priors, cfg), sampler.engine(priors * scale, cfg)
+            rng_base, rng_scaled = stream(9, q), stream(9, q)
+            for _ in range(12):
+                assert np.array_equal(base.draw(c, rng_base).x, scaled.draw(c, rng_scaled).x)
+                assert rng_state(rng_base) == rng_state(rng_scaled)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_priors_of_extreme_scale_keep_the_law(q):
+    """At 1e30 and 1e-300 the products of the rows leave float range: the exact
+    law still is the restricted prior, and one sum-product pass's law is the
+    unscaled prior's, with no overflow or underflow warning."""
+    A, c, priors = extreme_scale_case(q)
+    members = row_reduce(A).members(c)
+    law = member_law(members, priors)
+    for scale in (1e30, 1e-300):
+        for early_stop in (True, False):
+            cfg = SamplerConfig("exact", early_stop)
+            got_members, probs = path_tree_law(A, c, priors * scale, cfg)
+            assert np.array_equal(got_members, members)
+            assert np.max(np.abs(probs - law)) <= 1e-12
+            cfg = SamplerConfig("sum-product", early_stop)
+            _, probs = path_tree_law(A, c, priors * scale, cfg)
+            assert np.max(np.abs(probs - path_tree_law(A, c, priors, cfg)[1])) <= 1e-12
+
+
+def test_checked_priors_pass_in_range_priors_through():
+    """Rows whose products stay within 2**64 are the caller's, unscaled; others
+    are scaled per row by a power of two, their products within 2**(1/2) of 1."""
+    A, _, priors = extreme_scale_case(2)
+    sampler = CosetSampler(A)
+    for kept in (priors, priors * 4, stream(5, 5).dirichlet([1, 1], size=A.cols)):
+        assert sampler.checked_priors(kept).tobytes() == kept.tobytes()
+    for scale in (1e30, 1e300, 1e-300, 2.0 ** 200):
+        scaled = sampler.checked_priors(priors * scale)
+        mantissa, exponent = np.frexp(scaled / (priors * scale))
+        assert np.all(mantissa == 0.5) and np.all(exponent == exponent[:, :1])
+        suffix = np.cumsum(np.log2(scaled.sum(axis=1))[::-1])
+        assert np.all(np.abs(suffix) <= 0.5 + 1e-9)
+    flat = np.full_like(priors, 1e-300)               # rows rescaled apart, each still flat
+    assert sampler.checked_priors(flat).tobytes() != flat.tobytes()
+    assert isinstance(sampler.engine(flat, EXACT), _UniformEngine)
+
+
+def test_driver_refuses_a_step_pmf_of_non_finite_mass():
+    """A step whose mass is nan or inf raises before any symbol is chosen."""
+    A = dense([[1, 1, 0], [0, 1, 1]], GF2)
+    sampler = CosetSampler(A)
+    c = sampler.target([1, 0])
+    for bad in ([np.nan, 0.5], [math.inf, 0.0], np.array([0.5, np.inf])):
+        state = SimpleNamespace(pmf=lambda k, bad=bad: bad, commit=None)
+        chosen = []
+        with pytest.raises(FloatingPointError, match="step 1 pmf has mass"):
+            _drive(sampler, c, sampler.reduced_target(c), state, chosen.append, True)
+        assert chosen == []
+
+
 def test_live_steppers_never_alias():
     rng = np.random.default_rng(56)
     A = SparseMatrix.from_dense(rng.integers(0, 3, size=(3, 6)), GF3)
@@ -1141,6 +1224,60 @@ def test_walker_trees_hold_the_tables_bits_at_each_prefix_residual(q):
                                      roots=[root, *rng.integers(0, q ** rank, size=2)])
     assert seen == {"below rank", "zero", "n", "one segment", "deficient", "rank 0",
                     "3 segments", "dependent suffix"}
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_walker_step_pmfs_are_the_per_symbol_formula(q):
+    """Every step pmf that real passes hand their selector is, byte for byte, the
+    per-symbol formula over the reference tables: mu_k(z) M_{k+1}(t_k - z col_k),
+    normalised and rolled by the shift y_k, narrowed to a point mass at a pivot
+    column.  Over GF(2) each segment's leaf index is its columns' XOR span from
+    the root."""
+    n, l = {2: (12, 6), 3: (9, 4), 5: (6, 3)}[q]
+    rng = np.random.default_rng(q + 180)
+    seen = set()
+    for trial in range(3):
+        A = sample_sparse_matrix(EnsembleSpec(n=n, l=l, field=GF(q), tau=2), stream(q, 180, trial))
+        c = A.mat_vec(rng.integers(0, q, size=n))
+        priors = rng.dirichlet(np.ones(q), size=n)
+        priors[1, 0] = 0                              # a symbol the prior excludes
+        sampler = CosetSampler(A)
+        pivots = sampler.pivot_row >= 0
+        for cfg in (EXACT, NO_EARLY):
+            engine = sampler.engine(priors, cfg)
+            plan = engine.stepper.plan
+            tables = per_axis_roll_tables(plan_matrix(plan), priors, q)
+            for y in (None, rng.integers(0, q, size=n)):
+                shift = np.zeros(n, dtype=np.int64) if y is None else y
+                z_coset = row_reduce(A).members((c - A.mat_vec(shift)) % q)
+                if not priors[np.arange(n), z_coset].prod(axis=1).any():
+                    continue                          # the excluded symbol leaves z no mass
+                root = sampler.reduced_target((c - A.mat_vec(shift)) % q)[:plan.l]
+                walker = engine.walker(c, y)
+                for _ in range(4):
+                    reads = []
+                    x = walker(lambda pmf: reads.append(pmf) or sample_pmf(rng, pmf)).x
+                    assert len(reads) == plan.stop
+                    t = root
+                    for k, got in enumerate(reads):
+                        nxt = [tables[k + 1][tuple((t - z * plan.cols[k]) % q)] for z in range(q)]
+                        want = np.array([0.0 if priors[k, z] == 0 else priors[k, z] * nxt[z]
+                                         for z in range(q)])
+                        want = (want / want.sum())[(np.arange(q) - shift[k]) % q]
+                        if pivots[k]:
+                            assert want[x[k]] > 0
+                            want = (np.arange(q) == x[k]).astype(float)
+                        assert np.array(got).tobytes() == want.tobytes()
+                        t = (t - (x[k] - shift[k]) * plan.cols[k]) % q
+                    seen.update({"shift": shift.any(), "early": plan.stop < n,
+                                 "segments": len(plan.ends) > 2}.items())
+            if q == 2:
+                for i, (a, b) in enumerate(zip(plan.starts, plan.ends)):
+                    for flat in range(2 ** plan.l):
+                        span = np.empty(2 ** (b - a), dtype=np.int64)
+                        _xor_span(plan.flat_cols[a:b], span, flat)
+                        assert plan.leaf_index(i, flat).tobytes() == span.tobytes()
+    assert {(name, True) for name in ("shift", "early", "segments")} <= seen
 
 
 def test_plan_cuts_stop_into_balanced_segments():
