@@ -41,14 +41,15 @@ class ChannelCodeSpec(CosetPair):
             raise ValueError("prior shape must match the code domain")
         self.msg_rank = self.ech_stacked.rank - self.rank_a
         self.rate_R = self.msg_rank / self.n * math.log2(self.q)
+        self._msg_free = np.ones(self.B.rows, dtype=bool)     # G's free coordinates
+        self._msg_free[self.msg_pivots] = False
 
     def random_message(self, rng) -> np.ndarray:
         """Uniform draw from Im B = {m : G m = 0}: z on G's free coordinates, each
         pivot solved from them, inline so that a trial calls nothing in `sampler`."""
         z = rng.integers(0, self.q, size=self.rank_b)
-        m, free = np.zeros(self.B.rows, dtype=np.int64), np.ones(self.B.rows, dtype=bool)
-        free[self.msg_pivots] = False
-        m[free] = z
+        m = np.zeros(self.B.rows, dtype=np.int64)
+        m[self._msg_free] = z
         m[self.msg_pivots] = -(self.msg_constraints @ m) % self.q   # m is 0 at the pivots
         return m
 

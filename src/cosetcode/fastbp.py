@@ -38,11 +38,11 @@ Every run floods undamped until its messages settle to within `TOL`.
 The decoders run `DECODE_ITERS` iterations at most and also stop at the
 first iteration whose hard decision lies in the coset (`run(...,
 until_member=True)`), read from the variable pass the iteration already
-ran; that member test keeps its syndrome across iterations, and
-`marginals()` reuses the products it formed.  The member test and both
-decoders read the hard decision by `hard_decision`.  The sampler sets
-its own schedule (`sampler.INIT_ITERS`, `sampler.STEP_ITERS`) and runs
-until its messages settle.
+ran; that member test forms the syndrome A x_hat - c in one pass over
+the edges, and `marginals()` reuses the products it formed.  The member
+test and both decoders read the hard decision by `hard_decision`.  The
+sampler sets its own schedule (`sampler.INIT_ITERS`, `sampler.STEP_ITERS`)
+and runs until its messages settle.
 """
 
 import numpy as np
@@ -160,14 +160,7 @@ class CosetGraph:
 
         self.checks = _GroupProducts(self.e_factor, l, q, self.cdtype)
         self.variables = _GroupProducts(self.e_var, n, q, np.float64)
-        var = self.variables
-        self.bare = var.has_edges.size < n      # some variable has no edges
-        deg, of = np.diff(var.start), self.e_var[var.order]
-        # each variable's edges, padded with the index E; each edge's check
-        # among the checks with edges, and 0 for the padding
-        self.var_edges = np.full((n, int(deg.max(initial=0))), E, dtype=np.int64)
-        self.var_edges[of, np.arange(E) - var.start[of]] = var.order
-        self.e_check = np.append((np.cumsum(self.f_deg > 0) - 1).take(self.e_factor), 0)
+        self.bare = self.variables.has_edges.size < n      # some variable has no edges
         self.uniform, self.diff = np.full((q, E), 1.0 / q), np.empty((q, E))
         self._target = None     # (target, its target_state)
 
@@ -218,10 +211,9 @@ class CosetBP:
 
     States on one target share the graph's output index for it until
     `condition()` copies it, and pi starts as the prior itself.  The
-    member test of `run(..., until_member=True)` keeps the syndrome of
-    the hard decision, updated only at the checks of the variables whose
-    decision flipped (as Gallager's bit-flipping decoders do), and
-    `marginals()` reuses the products that test formed.
+    member test of `run(..., until_member=True)` sums the syndrome of the
+    hard decision by one `reduceat` over the edges, and `marginals()`
+    reuses the products that test formed.
     """
 
     def __init__(self, graph: CosetGraph, c, priors):
@@ -326,11 +318,7 @@ class CosetBP:
                 return False
             if idle is not None:
                 sig_new[:, idle] = 1.0 / q
-            diff = np.abs(np.subtract(sig_new, self.sigma, out=g.diff), out=g.diff)
-            if idle is not None:
-                diff[:, idle] = 0.0
-            delta = float(diff.max())
-            self.sigma = sig_new
+            sig_old, self.sigma = self.sigma, sig_new
 
             # variable side: pi from sigma
             incoming = sig_new if idle is None else np.where(self.active, sig_new, 1.0)
@@ -343,7 +331,12 @@ class CosetBP:
             if idle is not None:
                 pi_new[:, idle] = self.pi[:, idle]
             self.pi = pi_new
-            if in_coset is not None and in_coset(*self.kept) or delta < TOL:
+            if in_coset is not None and in_coset(*self.kept):
+                return True
+            diff = np.abs(np.subtract(sig_new, sig_old, out=g.diff), out=g.diff)
+            if idle is not None:
+                diff[:, idle] = 0.0
+            if diff.max() < TOL:
                 return True
         return False
 
@@ -352,43 +345,27 @@ class CosetBP:
         argmax of prior times full product, satisfies every check; a
         variable without edges enters no check.  A fixed variable keeps its
         value: its edges are idle and the value is in the targets, so the
-        test sums the active edges alone.  The first call forms the syndrome
-        A x_hat - c over the checks with edges, by one `reduceat`; later
-        calls add in the checks of the variables whose decision flipped.
-        Each call leaves the syndrome in `syndrome` and the (q, n) prior
-        times full product in `belief`."""
+        test sums the active edges alone.  Each call forms the syndrome
+        A x_hat - c over the checks with edges by one `reduceat`, and leaves
+        it in `syndrome` and the (q, n) prior times full product in `belief`."""
         g, q = self.graph, self.q
         has, last, prior = g.variables.has_edges, g.variables.last, self.priors.T
         if idle is None:
             coeff, want = g.e_coeff, self.want
         else:
             coeff, want = np.where(self.active, g.e_coeff, 0), self.targets[g.f_deg > 0]
-        coeff = np.append(coeff, 0)     # the padding edge E adds nothing
-        top = syndrome = None
 
         def in_coset(incoming, excl) -> bool:
-            nonlocal top, syndrome
             full = excl.take(last, axis=1) * incoming.take(last, axis=1)
             if g.bare:                  # a variable without edges keeps its prior
                 a = prior.copy()
                 a[:, has] = prior[:, has] * full
             else:
                 a = prior * full
-            new = hard_decision(a)
-            if syndrome is None:
-                terms = new.take(g.e_var) * coeff[:-1]
-                syndrome = (np.add.reduceat(terms, g.check_start) - want) % q
-            else:
-                moved = new - top
-                flips = np.flatnonzero(moved)
-                if flips.size:
-                    edges = g.var_edges.take(flips, axis=0)
-                    step = moved.take(flips)[:, None] * coeff.take(edges) % q
-                    checks = np.repeat(g.e_check.take(edges).ravel(), step.ravel())
-                    syndrome = (syndrome + np.bincount(checks, minlength=syndrome.size)) % q
-            top = new
-            self.belief, self.syndrome = a, syndrome
-            return not syndrome.any()
+            terms = hard_decision(a).take(g.e_var) * coeff
+            self.belief = a
+            self.syndrome = (np.add.reduceat(terms, g.check_start) - want) % q
+            return not self.syndrome.any()
         return in_coset
 
     # -- readout -------------------------------------------------------------

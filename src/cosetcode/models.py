@@ -92,11 +92,15 @@ class DiscreteChannel:
             raise ValueError(f"kernel rows must be finite pmfs within {_PMF_TOL}")
         self.kernels = kernels
         self.n, self.q, self.ny = kernels.shape
-        self._cdf = np.cumsum(kernels, axis=2)
+        # flat row tables: index i's CDF given input x at row i * q + x, and
+        # its likelihoods of output y at row i * ny + y
+        self._cdf = np.cumsum(kernels, axis=2).reshape(-1, self.ny)
+        self._lik = kernels.transpose(0, 2, 1).reshape(-1, self.q)
+        self._x_row, self._y_row = np.arange(self.n) * self.q, np.arange(self.n) * self.ny
 
     def sample(self, x, rng: np.random.Generator) -> np.ndarray:
         x = checked_words(x, self.n, self.q, "input")
-        return _inverse_cdf(rng.random(self.n), self._cdf[np.arange(self.n), x])
+        return _inverse_cdf(rng.random(self.n), self._cdf.take(self._x_row + x, axis=0))
 
     def log_lik(self, y, x):
         """log2 mu(y|x); an (M, n) batch of inputs gives one value per row."""
@@ -107,7 +111,7 @@ class DiscreteChannel:
     def lik_rows(self, y) -> np.ndarray:
         """(n, q) array of mu_{Y_i|X_i}(y_i|.) for an observed y."""
         y = checked_words(y, self.n, self.ny, "output")
-        return self.kernels[np.arange(self.n), :, y]
+        return self._lik.take(self._y_row + y, axis=0)
 
 
 class BiAwgnChannel:

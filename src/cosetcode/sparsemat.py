@@ -105,9 +105,21 @@ class SparseMatrix:
         x = np.asarray(x, dtype=np.int64)
         if x.shape != (self.cols,):
             raise ValueError(f"vector length {x.shape} does not match n={self.cols}")
+        filled, starts, unit = self._row_segments
+        terms = x.take(self.col_idx)
+        if not unit:
+            terms *= self.coeffs
         y = np.zeros(self.rows, dtype=np.int64)
-        np.add.at(y, self.row_of, self.coeffs * x[self.col_idx])
+        y[filled] = np.add.reduceat(terms, starts)
         return y % self.field.q
+
+    @cached_property
+    def _row_segments(self):
+        """(the rows with entries, each one's first entry, whether every
+        coefficient is 1): `reduceat` over those starts sums each such row,
+        where an empty row would read its successor's first entry."""
+        filled = np.flatnonzero(self.indptr[1:] > self.indptr[:-1])
+        return filled, self.indptr[filled], bool((self.coeffs == 1).all())
 
     def mat_mat(self, xs) -> np.ndarray:
         """Apply to many vectors at once; xs has shape (k, n), returns (k, l)."""

@@ -590,6 +590,19 @@ def test_failed_initial_bp_on_a_nonempty_coset_is_a_dead_end():
     assert np.array_equal(spec.B.mat_vec(x), m)
 
 
+@pytest.mark.xfail(strict=True, raises=DeadEndError,
+                   reason="ROADMAP item 4: the check side cancels the unlikely symbol's mass to 0")
+def test_sum_product_encodes_the_bp_zero_repro():
+    """ROADMAP item 4's repro: once BP forms no zeros of its own, the
+    sum-product encoder draws a member of this 256-member joint coset."""
+    prior = MemorylessSource(np.tile([0.95, 0.05], (24, 1)))
+    spec = sample_code(24, 10, 8, 4, GF2, prior, seed=2)
+    m = np.array([1, 1, 0, 1, 0, 0, 1, 0])
+    x = ChannelEncoder(spec, SamplerConfig(method="sum-product")).encode(
+        m, np.random.default_rng(2))
+    assert np.array_equal(spec.stacked.mat_vec(x), np.concatenate([spec.c, m]))
+
+
 # ---------------------------------------------------------------------------
 # the uniform prior: the generator-matrix code
 # ---------------------------------------------------------------------------

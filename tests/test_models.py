@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -154,6 +155,21 @@ def test_channel_sampling_frequencies():
     y = ch.sample(x, stream(5, 0))
     sigma = math.sqrt(0.2 * 0.8 / 4000)
     assert abs(y.mean() - 0.2) < 4 * sigma
+
+
+def test_channel_draws_and_likelihood_rows_pinned():
+    """Fixed-seed outputs of `sample` and `lik_rows` for BSC(0.025) at the
+    size of the benchmark's bsc-bp code and for a GF(3) q-ary symmetric
+    channel, recorded before their gathers were rewritten."""
+    h = hashlib.sha256()
+    for ch, seed in [(bsc(0.025, 1024), 1), (qsc(3, 0.1, 200), 2)]:
+        rng = stream(seed, 0)
+        for _ in range(5):
+            y = ch.sample(rng.integers(0, ch.q, size=ch.n), rng)
+            for a in (y, ch.lik_rows(y)):
+                h.update(f"{a.dtype.str}{a.shape}".encode())
+                h.update(a.tobytes())
+    assert h.hexdigest() == "7359fa1f2d2ffe08a06fe454ea833bc2812173fbd465c5a464fb925655ee9947"
 
 
 @pytest.mark.parametrize("n", [3, 20, 300])

@@ -262,6 +262,31 @@ def test_mat_vec_linearity_randomized():
             assert np.array_equal(A.mat_vec(a * x % q), a * A.mat_vec(x) % q)
 
 
+@pytest.mark.parametrize("field", [GF2, GF3, GF5])
+def test_mat_vec_matches_the_dense_product(field):
+    """A x over GF(q) as the dense product M x % q, with empty first, last
+    and inner rows (a segment sum must not read a neighbour's entries), a
+    matrix with no entries, and unit-only and non-unit coefficients."""
+    q, rng = field.q, np.random.default_rng(90 + field.q)
+    for trial in range(30):
+        rows, cols = int(rng.integers(1, 9)), int(rng.integers(1, 12))
+        D = rng.integers(0, q, size=(rows, cols)) * (rng.random((rows, cols)) < 0.4)
+        if trial % 3 == 0:
+            D[0] = 0
+        if trial % 3 == 1:
+            D[-1] = 0
+        if trial % 5 == 0:
+            D[rows // 2] = 0
+        if trial % 2:
+            D = np.minimum(D, 1)
+        for M in (D, np.zeros_like(D)):
+            A = dense(M, field)
+            for _ in range(4):
+                x = rng.integers(0, q, size=cols)
+                got = A.mat_vec(x)
+                assert got.dtype == np.int64 and np.array_equal(got, M @ x % q)
+
+
 def test_mat_vec_dimension_mismatch():
     A = dense([[1, 0], [0, 1]], GF2)
     with pytest.raises(ValueError):
