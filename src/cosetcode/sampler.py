@@ -34,8 +34,9 @@ forces x_k, and takes the chosen symbol (`commit(k, v)`); a selector
 `choose(pmf)` picks it: a PRNG (`draw`), the interval algorithm over a
 lazily expanded binary omega, which makes the encoder a deterministic
 function of omega (`generate_interval`), or a forced path that multiplies
-its step probabilities (`path_tree_law`).  The driver then reads the
-suffix off the reverse echelon at the early stop and checks A x = c.
+its step probabilities (`path_tree_law`).  The driver reads the symbol of
+each pivot column, and at the early stop the suffix, off T(c - A x) from the
+reverse echelon, and checks A x = c.
 """
 
 import math
@@ -108,6 +109,11 @@ def _xor_span(images, out: np.ndarray, start: int) -> np.ndarray:
     return out
 
 
+def _refuse_states(q: int, l: int) -> None:
+    if q ** l > DENSE_CAP:          # the entries of one exact table
+        raise ValueError(f"exact engine refused: {q}**{l} syndromes exceed state cap {DENSE_CAP}")
+
+
 class TablePlan:
     """What the suffix tables of one matrix and stop share across priors: the
     shifts and the segments.  Its l coordinates are the matrix's rows; an
@@ -131,9 +137,7 @@ class TablePlan:
     def __init__(self, A: SparseMatrix, stop: int | None = None):
         q = self.q = A.field.q
         self.l, self.n = A.rows, A.cols
-        if q ** self.l > DENSE_CAP:
-            raise ValueError(f"exact engine refused: {q}**{self.l} syndromes "
-                             f"exceed state cap {DENSE_CAP}")
+        _refuse_states(q, self.l)
         self.stop = self.n if stop is None else stop
         if not 0 <= self.stop <= self.n:
             raise ValueError(f"stop {self.stop} lies outside 0..{self.n}")
@@ -270,7 +274,8 @@ class CosetSampler:
     With s = T (c - A[:, :k] x) for a prefix x of length k, the coset is
     empty iff s[rank:] != 0, the only feasible symbol at a pivot column
     k = e_i is s[i], every symbol is feasible at a free column, and once
-    no free column is left x[e_i] = s[i] completes the member.
+    no free column is left x[e_i] = s[i] completes the member.  `_drive`
+    forms s at pivot columns and at the stop, anew after a nonzero free symbol.
     """
 
     def __init__(self, A: SparseMatrix):
@@ -282,6 +287,7 @@ class CosetSampler:
         over R[:rank], not A: t in Im A is held as (T t)[:rank], one-to-one there."""
         if stop not in self._plans:
             rev = self.reverse
+            _refuse_states(self.A.field.q, rev.rank)     # before R is unpacked
             R = SparseMatrix.from_dense(rev.reduced[:rev.rank, ::-1], self.A.field)
             self._plans[stop] = TablePlan(R, stop)
         return self._plans[stop]
@@ -308,9 +314,8 @@ class CosetSampler:
 
     def reduced_target(self, c) -> np.ndarray:
         """s = T c for the empty prefix; EncodingError when C_A(c) is empty."""
-        rev = self.reverse
-        s = rev.transformed(c)
-        if np.any(s[rev.rank:]):
+        s = self.reverse.transformed(c)
+        if np.any(s[self.reverse.rank:]):
             raise EncodingError("coset is empty: c is outside Im A")
         return s
 
@@ -409,24 +414,30 @@ def _require_mass(pmf, k: int):
     return pmf
 
 
-def _drive(sampler: CosetSampler, c: np.ndarray, s: np.ndarray, state, choose,
+def _drive(sampler: CosetSampler, c: np.ndarray, state, choose,
            early_stop: bool) -> GeneratedSample:
-    """The step loop: x_k = choose(pmf_k) until the prefix pins the suffix;
-    s is c's reduced target, `sampler.reduced_target(c)`."""
+    """The step loop: x_k = choose(pmf_k) until the prefix pins the suffix.
+    Pivot symbols and the suffix are read off s = T(c - A x), x zero past the
+    prefix, formed anew only after a nonzero free symbol: R's pivot columns are
+    unit vectors, so a pivot symbol moves s only at its own row, read no more."""
     A, n, q = sampler.A, sampler.A.cols, sampler.A.field.q
     rows, rev = sampler.pivot_row, sampler.reverse
     stop = sampler.early_stop_index if early_stop else n
-    x = []
-    for k, row in enumerate(rows[:stop].tolist()):
+    x, s = np.zeros(n, dtype=np.int64), None      # s is None when stale
+    for k, row in enumerate(rows.tolist()):
+        if row >= 0 and s is None:
+            s = rev.transformed(c - A.mat_vec(x))
+        if k == stop:       # only pivot columns are left
+            x[stop:] = s[rows[stop:]]
+            break
         pmf = _require_mass(state.pmf(k), k)
         if row >= 0:        # a point mass on the one feasible symbol, if pmf gives it mass
             v = int(s[row])
             pmf = _require_mass([float(u == v and pmf[v] > 0) for u in range(q)], k)
-        x.append(v := choose(pmf))
+        x[k] = v = choose(pmf)
         state.commit(k, v)
-        if v:
-            s = (s - v * rev.column(n - 1 - k)) % q
-    x = np.array(x + s[rows[stop:]].tolist(), dtype=np.int64)
+        if v and row < 0:
+            s = None
     if not np.array_equal(A.mat_vec(x), c):
         raise DeadEndError("generated sequence violates the constraint")
     return GeneratedSample(x, "early" if stop < n else "full", stop)
@@ -484,17 +495,13 @@ class _ExactWalker:
         st = self.stepper = engine.stepper
         sampler, q = engine.sampler, st.q
         self.engine, self.c, self.prior_rows = engine, sampler.target(c), st.priors.tolist()
-        self.s = sampler.reduced_target(self.c)
-        s, self.shift = self.s, [0] * st.n      # x_k = z_k + shift[k]
-        if shift is not None:
-            self.shift = (np.asarray(shift) % q).tolist()
-            s = sampler.reduced_target((self.c - sampler.A.mat_vec(shift)) % q)
+        self.shift = [0] * st.n if shift is None else (np.asarray(shift) % q).tolist()
+        s = sampler.reduced_target(self.c - sampler.A.mat_vec(self.shift))   # empty iff c's is
         self.first = st.segment_tree(0, int(s[:sampler.reverse.rank] @ st.plan.weights))
 
     def __call__(self, choose) -> GeneratedSample:
         self.i, (self.leaves, self.tree), self.prefix = 0, self.first, 0
-        return _drive(self.engine.sampler, self.c, self.s, self, choose,
-                      self.engine.cfg.early_stop)
+        return _drive(self.engine.sampler, self.c, self, choose, self.engine.cfg.early_stop)
 
     def pmf(self, k: int) -> list:
         st = self.stepper
@@ -540,7 +547,7 @@ class _SumProductEngine:
         """Passes of the step loop on target c, one per selector, without restarts: each
         runs on a clone of BP after its initial run and carries that run's flag."""
         c = self.sampler.target(c)
-        s = self.sampler.reduced_target(c)
+        self.sampler.reduced_target(c)      # EncodingError on an empty coset
         base = CosetBP(self.sampler.graph, c, self.priors)
         converged = base.run(INIT_ITERS)
         if base.failed:
@@ -550,7 +557,7 @@ class _SumProductEngine:
 
         def one_pass(choose) -> GeneratedSample:
             state = _BeliefState(base.clone())
-            sample = _drive(self.sampler, c, s, state, choose, self.cfg.early_stop)
+            sample = _drive(self.sampler, c, state, choose, self.cfg.early_stop)
             sample.converged = converged
             return sample
         return one_pass

@@ -67,7 +67,6 @@ class SparseMatrix:
         self.coeffs = coeffs[keep]
         self.indptr = np.zeros(rows + 1, dtype=np.int64)
         np.cumsum(np.bincount(self.row_of, minlength=rows), out=self.indptr[1:])
-        self._dense = None
 
     # -- construction helpers ----------------------------------------------
 
@@ -84,15 +83,13 @@ class SparseMatrix:
         return int(self.indptr[-1])
 
     def to_dense(self) -> np.ndarray:
-        """The l x n int64 mirror, refused above DENSE_CAP entries."""
-        if self._dense is None:
-            if self.rows * self.cols > DENSE_CAP:
-                raise ValueError(f"dense mirror refused: {self.rows}x{self.cols} "
-                                 f"exceeds cap {DENSE_CAP}")
-            d = np.zeros((self.rows, self.cols), dtype=np.int64)
-            d[self.row_of, self.col_idx] = self.coeffs
-            self._dense = d
-        return self._dense
+        """A new l x n int64 mirror, refused above DENSE_CAP entries; none is kept."""
+        if self.rows * self.cols > DENSE_CAP:
+            raise ValueError(f"dense mirror refused: {self.rows}x{self.cols} "
+                             f"exceeds cap {DENSE_CAP}")
+        d = np.zeros((self.rows, self.cols), dtype=np.int64)
+        d[self.row_of, self.col_idx] = self.coeffs
+        return d
 
     def reversed(self) -> "SparseMatrix":
         """The same matrix with its columns in reverse order."""
@@ -134,7 +131,6 @@ class SparseMatrix:
             raise ValueError("stack requires same column count and field")
         out = SparseMatrix.__new__(SparseMatrix)    # both canonical CSR: no sort, no check
         out.rows, out.cols, out.field = self.rows + other.rows, self.cols, self.field
-        out._dense = None
         out.row_of, out.col_idx, out.coeffs, out.indptr = (np.concatenate(pair) for pair in [
             (self.row_of, other.row_of + self.rows), (self.col_idx, other.col_idx),
             (self.coeffs, other.coeffs), (self.indptr, other.indptr[1:] + self.nnz)])
@@ -259,12 +255,6 @@ class EchelonForm:
         if t.shape != (self.rt.shape[0],):
             raise ValueError("target length does not match row count")
         return self._product(self.n, t)
-
-    def column(self, j: int) -> np.ndarray:
-        """Column j of R, read straight from its word over GF(2)."""
-        if self.field.q != 2:
-            return self.rt[:, j].copy()
-        return ((self.rt[:, j >> 6] >> (j & 63)) & 1).astype(np.int64)
 
     def solve(self, target):
         """Any x with A x = target, free variables set to 0; None when target is not in Im A."""

@@ -22,7 +22,7 @@ from cosetcode.fastbp import DECODE_ITERS, CosetBP
 from cosetcode.models import (BiAwgnChannel, MemorylessSource, bac, bernoulli_source, bsc,
                               qsc, reverse_model, uniform_source)
 from cosetcode.sampler import DeadEndError, EncodingError, SamplerConfig
-from cosetcode.sparsemat import SparseMatrix, all_vectors, row_reduce
+from cosetcode.sparsemat import DENSE_CAP, SparseMatrix, all_vectors, row_reduce
 from cosetcode.stats import binary_entropy, chi2_quantile, chi_square_stat
 from cosetcode.streams import stream
 
@@ -282,6 +282,18 @@ def test_decoders_reject_a_channel_of_another_length():
         decode_bp(spec, y, bsc(0.1, 5))
     with pytest.raises(ValueError, match="length mismatch"):
         decode_map(spec, y, bsc(0.1, 5))
+
+
+def test_a_refused_exact_engine_unpacks_no_reverse_echelon():
+    """A joint rank past the state cap is refused from the rank alone, before
+    the reverse echelon is unpacked: it keeps no dense copy of R or T."""
+    spec = sample_code(256, 64, 32, 6, GF2, bernoulli_source(0.2, 256), seed=1)
+    with pytest.raises(ValueError, match=r"exact engine refused: 2\*\*\d+ syndromes"):
+        ChannelEncoder(spec, EXACT)
+    rev = spec.joint.reverse
+    assert 2 ** rev.rank > DENSE_CAP
+    assert not {"reduced", "transform", "kernel"} & set(vars(rev))
+    assert rev.rt.dtype == np.uint64
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Import hygiene of the library: modules import each other's public names
-only, every import sits at module level where a cycle would show, and every
-module, public name and public member of a public class has a caller in the
-library or the benchmark."""
+only and touch no other object's private attributes, every import sits at
+module level where a cycle would show, and every module, public name and
+public member of a public class has a caller in the library or the benchmark."""
 
 import ast
 from pathlib import Path
@@ -74,6 +74,19 @@ def test_no_private_or_function_local_imports(path):
              for inner in ast.walk(node) if isinstance(inner, (ast.Import, ast.ImportFrom))]
     assert not private, f"{path.name} imports private names: {private}"
     assert not local, f"{path.name} imports inside a function: {local}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_attributes_off_other_objects(path):
+    """An attribute whose name starts with _ (dunders aside) is read or set on
+    `self` or `cls` alone: `obj._name` reaches past another object's interface,
+    as a private import would."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    private = [f"line {node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+               and not (node.attr.startswith("__") and node.attr.endswith("__"))
+               and getattr(node.value, "id", None) not in ("self", "cls")]
+    assert not private, f"{path.name} touches private attributes of other objects: {private}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

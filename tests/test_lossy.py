@@ -17,7 +17,8 @@ from cosetcode.models import (
     uniform_source,
 )
 from cosetcode.sampler import DeadEndError, SamplerConfig
-from cosetcode.sparsemat import EnsembleSpec, SparseMatrix, all_vectors, sample_sparse_matrix
+from cosetcode.sparsemat import (EchelonForm, EnsembleSpec, SparseMatrix, all_vectors,
+                                 sample_sparse_matrix)
 from cosetcode.stats import entropy_bits
 from cosetcode.streams import stream
 
@@ -284,3 +285,28 @@ def test_a_test_channel_that_is_not_additive_builds_one_stepper_per_word(monkeyp
     assert len(builds) == 5
     uniform = noise_spec(2, 16, 6, 8, 4, 3, channel=bsc(0.5, 16))   # w uniform: no tables
     assert uniform.noise_engine(EXACT) is None
+
+
+def test_a_word_reduces_one_target_and_a_pass_reads_t_c_minus_ax_at_pivots(monkeypatch):
+    """Through the noise engine a source word reduces one target, c - A y, whose
+    membership in Im A is c's; a pass of the driver forms T(c - A x) at most once
+    per pivot column before the stop and once at the stop, and no more."""
+    calls = {"reduced_target": 0, "transformed": 0}
+    for cls, name in ((sampler.CosetSampler, "reduced_target"), (EchelonForm, "transformed")):
+        def counted(*args, _real=getattr(cls, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(cls, name, counted)
+    spec = noise_spec(2, 40, 16, 26, 6, seed=5)      # the lossy-exact shape
+    coset, rng, reads = spec.coset_a, stream(2, 190), []
+    for cfg in (EXACT, NO_EARLY):
+        stop = coset.early_stop_index if cfg.early_stop else spec.n
+        pivots = int(np.count_nonzero(coset.pivot_row[:stop] >= 0))
+        for _ in range(40):
+            calls.update(dict.fromkeys(calls, 0))
+            lossy.encode_reproduction(spec, spec.source.sample(rng), cfg, rng)
+            assert calls["reduced_target"] == 1
+            reads.append(calls["transformed"] - 1)   # reduced_target transforms once
+            assert reads[-1] <= pivots + (stop < spec.n)
+    assert spec.noise_engine(EXACT) is not None and coset.early_stop_index < spec.n
+    assert max(reads) >= 2

@@ -986,7 +986,7 @@ def test_driver_refuses_a_step_pmf_of_non_finite_mass():
         state = SimpleNamespace(pmf=lambda k, bad=bad: bad, commit=None)
         chosen = []
         with pytest.raises(FloatingPointError, match="step 1 pmf has mass"):
-            _drive(sampler, c, sampler.reduced_target(c), state, chosen.append, True)
+            _drive(sampler, c, state, chosen.append, True)
         assert chosen == []
 
 
