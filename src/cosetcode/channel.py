@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fastbp import DECODE_ITERS, CosetBP, hard_decision
+from .fastbp import DECODE_ITERS, CosetBP
 from .models import MemorylessSource, rate_quantities, reverse_model
 from .sampler import (CosetPair, DeadEndError, EncodingError, SamplerConfig, is_uniform,
                       member_law)
@@ -80,7 +80,9 @@ class ChannelEncoder:
         self.spec = spec
         self.q = spec.q
         self.uniform = is_uniform(spec.prior.pmfs)
-        if not self.uniform:
+        if self.uniform:    # T (c, 0) of the stacked echelon; a draw adds T (0, m)
+            self._t_c = spec.ech_stacked.product(spec.n, spec.c)
+        else:
             self._engine = spec.joint.engine(spec.prior.pmfs, cfg)
 
     def encode(self, m, rng) -> np.ndarray:
@@ -88,13 +90,13 @@ class ChannelEncoder:
         m = np.asarray(m, dtype=np.int64) % q
         if m.shape != (spec.B.rows,):
             raise ValueError("message length mismatch")
-        target = np.concatenate([spec.c, m])
         if self.uniform:
-            x = spec.ech_stacked.random_member(target, rng)
+            ech = spec.ech_stacked
+            x = ech.random_lift((self._t_c + ech.product(ech.n + spec.A.rows, m)) % q, rng)
             if x is None:
                 raise EncodingError("C_AB(c, m) is empty")
             return x
-        return self._engine.draw(target, rng).x
+        return self._engine.draw(np.concatenate([spec.c, m]), rng).x
 
 
 def encode(spec: ChannelCodeSpec, m, cfg: SamplerConfig, rng) -> np.ndarray:
@@ -142,8 +144,8 @@ def decode_map(spec: ChannelCodeSpec, y, channel) -> DecodeOutcome:
 
 
 def decode_bp(spec: ChannelCodeSpec, y, channel) -> DecodeOutcome:
-    """BP marginals on the coset graph with per-index posteriors as priors;
-    BP stops at the first iteration whose hard decision lies in C_A(c)."""
+    """BP on the coset graph with per-index posteriors as priors, stopped at the
+    first iteration whose hard decision x_hat lies in C_A(c)."""
     if channel.n != spec.n:
         raise ValueError("input length mismatch: the channel and the code differ in length")
     try:
@@ -156,7 +158,7 @@ def decode_bp(spec: ChannelCodeSpec, y, channel) -> DecodeOutcome:
     if bp.failed:
         return DecodeOutcome(None, "bp-then-B", converged=False,
                              iterations=bp.iterations)
-    x_hat = hard_decision(bp.marginals().T)
+    x_hat = bp.decision()
     if not np.array_equal(spec.A.mat_vec(x_hat), spec.c):
         return DecodeOutcome(None, "bp-then-B", converged=converged,
                              iterations=bp.iterations)

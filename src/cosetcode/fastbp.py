@@ -14,8 +14,8 @@ sides, the DFT matrices and scratch buffers.  A code builds it once per
 matrix, and every decode or draw on that matrix reuses it.  `CosetBP`
 holds one run's state: targets, priors, messages and what conditioning
 has fixed.  States that share a graph share its scratch, so they run one
-at a time, and states on one target share its output index until
-`condition()` copies it.
+at a time; until its first `condition()` a state shares the graph's
+read-only conditioning arrays and its target's output index.
 
 Messages are stored symbol-major, as (q, E) arrays over the edges in CSR
 order, so every per-symbol operation reads a contiguous row of E values.
@@ -39,10 +39,9 @@ The decoders run `DECODE_ITERS` iterations at most and also stop at the
 first iteration whose hard decision lies in the coset (`run(...,
 until_member=True)`), read from the variable pass the iteration already
 ran; that member test forms the syndrome A x_hat - c in one pass over
-the edges, and `marginals()` reuses the products it formed.  The member
-test and both decoders read the hard decision by `hard_decision`.  The
-sampler sets its own schedule (`sampler.INIT_ITERS`, `sampler.STEP_ITERS`)
-and runs until its messages settle.
+the edges, and both decoders read x_hat off the belief it formed
+(`decision()`).  The sampler sets its own schedule (`sampler.INIT_ITERS`,
+`sampler.STEP_ITERS`) and runs until its messages settle.
 """
 
 import numpy as np
@@ -161,6 +160,8 @@ class CosetGraph:
         self.checks = _GroupProducts(self.e_factor, l, q, self.cdtype)
         self.variables = _GroupProducts(self.e_var, n, q, np.float64)
         self.bare = self.variables.has_edges.size < n      # some variable has no edges
+        self.all_active, self.unfixed = np.broadcast_to(True, E), np.broadcast_to(-1, n)
+        self.f_deg.flags.writeable = False
         self.uniform, self.diff = np.full((q, E), 1.0 / q), np.empty((q, E))
         self._target = None     # (target, its target_state)
 
@@ -191,12 +192,11 @@ def hard_decision(beliefs: np.ndarray) -> np.ndarray:
     """Per column of the (q, n) beliefs, the first symbol of largest belief,
     as np.argmax(beliefs, axis=0) reads it, by one comparison per symbol
     where np.argmax pays per column."""
-    q = beliefs.shape[0]
-    best, x = beliefs[0], np.zeros(beliefs.shape[1], dtype=np.int64)
-    for k in range(1, q):
-        x[beliefs[k] > best] = k
-        if k + 1 < q:
-            best = np.maximum(best, beliefs[k])
+    x = (beliefs[1] > beliefs[0]).astype(np.int64)
+    best = np.maximum(beliefs[0], beliefs[1]) if beliefs.shape[0] > 2 else None
+    for k in range(2, beliefs.shape[0]):
+        np.putmask(x, beliefs[k] > best, k)
+        np.maximum(best, beliefs[k], out=best)
     return x
 
 
@@ -209,12 +209,13 @@ class CosetBP:
     until they settle to within TOL; `iterations` counts every
     iteration this state and the state it was cloned from have run.
 
-    States on one target share the graph's output index for it until
-    `condition()` copies it, and pi starts as the prior itself.  The
-    member test of `run(..., until_member=True)` sums the syndrome of the
-    hard decision by one `reduceat` over the edges, and `marginals()`
-    reuses the products that test formed.
+    Until its first `condition()` a state shares the `_OWNED` arrays: the
+    graph's read-only `active`, `active_deg` and `fixed`, its output index for
+    the target, and pi, which starts as the prior itself; `condition()` copies
+    them, and so does `clone()` of a conditioned state.  A state keeps the
+    caller's priors, never written, and a contiguous (q, n) copy `prior_t`.
     """
+    _OWNED = ("targets", "pi", "out_idx", "active", "active_deg", "fixed")
 
     def __init__(self, graph: CosetGraph, c, priors):
         g = self.graph = graph
@@ -223,17 +224,15 @@ class CosetBP:
         priors = np.asarray(priors, dtype=float)
         if priors.shape != (self.n, q):
             raise ValueError("priors must be (n, q)")
-        self.priors = priors.copy()
+        self.priors, self.prior_t = priors, np.ascontiguousarray(priors.T)
         c = np.asarray(c, dtype=np.int64) % q
         if c.shape != (self.l,):
             raise ValueError("target length mismatch")
         self.targets = c
 
-        self.active = np.ones(self.E, dtype=bool)
-        self.active_deg = g.f_deg.copy()
-        self.fixed = np.full(self.n, -1, dtype=np.int64)
-        self.conditioned = False    # until then pi and out_idx may be shared
-        self.prior_e = self.pi = priors.T.take(g.e_var, axis=1)
+        self.active, self.active_deg, self.fixed = g.all_active, g.f_deg, g.unfixed
+        self.conditioned = False
+        self.prior_e = self.pi = self.prior_t.take(g.e_var, axis=1)
         self.sigma = g.uniform
         self.out_idx, self.want, self.failed = g.target_state(c)
         self.iterations = 0
@@ -242,11 +241,10 @@ class CosetBP:
 
     def clone(self) -> "CosetBP":
         """Copy of the mutable state; the graph, priors and messages are
-        shared, and so are pi and out_idx while this state is unconditioned."""
+        shared, and so are the _OWNED arrays while this state is unconditioned."""
         other = object.__new__(CosetBP)
         other.__dict__.update(self.__dict__)
-        owned = ("pi", "out_idx") if self.conditioned else ()
-        for name in ("targets", "active", "active_deg", "fixed") + owned:
+        for name in self._OWNED if self.conditioned else ():
             setattr(other, name, getattr(self, name).copy())
         return other
 
@@ -257,7 +255,8 @@ class CosetBP:
         if self.fixed[v] >= 0:
             raise ValueError(f"variable {v} already fixed")
         if not self.conditioned:
-            self.pi, self.out_idx, self.conditioned = self.pi.copy(), self.out_idx.copy(), True
+            self.__dict__.update({name: getattr(self, name).copy() for name in self._OWNED})
+            self.conditioned = True
         self.fixed[v] = value
         g, q = self.graph, self.q
         ok = True
@@ -349,9 +348,9 @@ class CosetBP:
         A x_hat - c over the checks with edges by one `reduceat`, and leaves
         it in `syndrome` and the (q, n) prior times full product in `belief`."""
         g, q = self.graph, self.q
-        has, last, prior = g.variables.has_edges, g.variables.last, self.priors.T
+        has, last, prior = g.variables.has_edges, g.variables.last, self.prior_t
         if idle is None:
-            coeff, want = g.e_coeff, self.want
+            coeff, want = None if g.in_idx is None else g.e_coeff, self.want
         else:
             coeff, want = np.where(self.active, g.e_coeff, 0), self.targets[g.f_deg > 0]
 
@@ -361,11 +360,14 @@ class CosetBP:
                 a = prior.copy()
                 a[:, has] = prior[:, has] * full
             else:
-                a = prior * full
-            terms = hard_decision(a).take(g.e_var) * coeff
+                a = np.multiply(prior, full, out=full)
+            terms = hard_decision(a).take(g.e_var)
+            if coeff is not None:       # None: every coefficient is 1
+                terms *= coeff
             self.belief = a
-            self.syndrome = (np.add.reduceat(terms, g.check_start) - want) % q
-            return not self.syndrome.any()
+            s = self.syndrome = np.add.reduceat(terms, g.check_start)
+            np.remainder(np.subtract(s, want, out=s), q, out=s)
+            return not s.any()
         return in_coset
 
     # -- readout -------------------------------------------------------------
@@ -385,15 +387,19 @@ class CosetBP:
             return None
         return g / s
 
+    def decision(self) -> np.ndarray:
+        """hard_decision(marginals().T), off the member test's belief, normalised in place."""
+        if self.belief is None or self.conditioned:
+            return hard_decision(self.marginals().T)
+        g, self.belief = self.belief, None
+        sums = g.sum(axis=0)
+        return hard_decision(np.divide(g, sums, out=g, where=sums > 0))
+
     def marginals(self) -> np.ndarray:
         """(n, q) beliefs; an all-zero belief reads as uniform.  After a run,
-        the products come from its last variable pass, or with `until_member`
-        from the beliefs the member test formed on it."""
-        if self.belief is not None:
-            g = self.belief
-        else:
-            incoming, excl = self.kept or (np.where(self.active, self.sigma, 1.0), None)
-            g = self.priors.T * self.graph.variables.products(incoming, excl)
+        the products come from its last variable pass."""
+        incoming, excl = self.kept or (np.where(self.active, self.sigma, 1.0), None)
+        g = self.prior_t * self.graph.variables.products(incoming, excl)
         sums = g.sum(axis=0)
         zero = sums <= 0
         sums[zero] = 1.0

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fastbp import DECODE_ITERS, CosetBP, hard_decision
+from .fastbp import DECODE_ITERS, CosetBP
 from .models import (DiscreteChannel, DistortionSpec, MemorylessSource, checked_words,
                      rate_quantities)
 from .sampler import (CosetPair, DeadEndError, EncodingError, SamplerConfig, is_uniform,
@@ -50,6 +50,8 @@ class LossyCodeSpec(CosetPair):
         # mu_{X_i}(x) = sum_y mu_{Y_i}(y) mu_{X_i|Y_i}(x|y)
         self.x_marginals = np.einsum("iy,iyx->ix", self.source.pmfs,
                                      self.test_channel.kernels)
+        with np.errstate(divide="ignore"):          # -inf where a marginal is 0
+            self.log_marginals = np.log2(self.x_marginals)
         self.rate_R = self.rank_b / n * math.log2(q)
         # kernels[i, y, x] = w_i(x - y): the noise prior w, else None
         w = self.test_channel.kernels[:, 0, :]
@@ -104,20 +106,16 @@ def decode(spec: LossyCodeSpec, m) -> np.ndarray | None:
         raise ValueError("message length mismatch")
     target = np.concatenate([spec.c, m])
     ech = spec.ech_stacked
+    if ech.rank < spec.n and q ** (spec.n - ech.rank) <= DENSE_CAP:
+        members = ech.members(target)
+        logp = spec.log_marginals[np.arange(spec.n), members].sum(axis=1)
+        return members[int(np.argmax(logp))] if logp.size else None
     x = ech.solve(target)
     if x is None or ech.rank == spec.n:
         return x
-    if q ** (spec.n - ech.rank) > DENSE_CAP:
-        bp = CosetBP(spec.joint.graph, target, spec.x_marginals)
-        bp.run(DECODE_ITERS, until_member=True)
-        if bp.failed:
-            return None
-        return ech.member_like(target, hard_decision(bp.marginals().T))
-    members = ech.members(target)
-    with np.errstate(divide="ignore"):
-        lp = np.log2(spec.x_marginals)
-    logp = lp[np.arange(spec.n), members].sum(axis=1)
-    return members[int(np.argmax(logp))]
+    bp = CosetBP(spec.joint.graph, target, spec.x_marginals)
+    bp.run(DECODE_ITERS, until_member=True)
+    return None if bp.failed else ech.member_like(target, bp.decision())
 
 
 @dataclass

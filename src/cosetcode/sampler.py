@@ -202,47 +202,50 @@ class ExactStepper:
     recursion M_k(t) = sum_x mu_k(x) M_{k+1}(t - x col_k) from M_n = delta_0
     (1 at syndrome 0) down to ends[0] in two working slots and keeps the
     segment ends it passes; at stop = n the last is M_n itself.  A draw reads
-    `segment_tree`s, whose levels sum in `_mix`'s order as the recursion does.  Over
-    GF(2) the shift by col_k is a view of M_{k+1} that reverses the axes where
-    col_k is 1; GF(q > 2) gathers it into scratch.
+    `segment_tree`s, whose levels sum in `_mix`'s order as the recursion does.  The
+    shift by col_k gathers M_{k+1} into contiguous scratch: over GF(2) at each
+    flat index XOR col_k's, over GF(q > 2) through the plan's shift index.
     """
 
     def __init__(self, plan: TablePlan, priors):
         self.plan = plan
         self.q, self.n, self.l, self.stop = plan.q, plan.n, plan.l, plan.stop
         self.priors = np.asarray(priors, dtype=float)
-        self._tables = np.empty((len(plan.ends), self.q ** self.l))
+        size = self.q ** self.l
+        self._tables = np.empty((len(plan.ends), size))
         kept = dict(zip(plan.ends, self._tables))
-        work = np.zeros((3,) + (self.q,) * self.l)    # two working slots and scratch
-        nxt, cur, scratch = work[0, ...], work[1, ...], work[2, ...]
-        cur[(0,) * self.l] = 1.0                      # M_n = delta_0
+        nxt, cur, scratch = np.zeros((3, size))       # two working slots and scratch
+        cur[0] = 1.0                                  # M_n = delta_0
         for k in range(self.n, plan.ends[0] - 1, -1):     # cur = M_k
             if k < self.n:
                 nxt, cur = cur, nxt
                 self._level(k, nxt, cur, scratch)
             if k in kept:
-                kept[k][:] = cur.reshape(-1)
+                kept[k][:] = cur
 
     def _level(self, k: int, nxt: np.ndarray, acc: np.ndarray, scratch: np.ndarray) -> None:
         """acc = M_k from nxt = M_{k+1}, summed by `_mix`."""
         _mix(self.priors[k], partial(self._shifted, nxt, k, scratch), acc, scratch)
 
     def _shifted(self, nxt: np.ndarray, k: int, scratch: np.ndarray, xv: int) -> np.ndarray:
-        """M_{k+1} shifted by xv * col_k: over GF(2) a view of it that reverses
-        the axes where col_k is 1, over GF(q > 2) gathered into scratch through
-        the plan's shift by col_k composed xv times."""
+        """M_{k+1} shifted by xv * col_k, gathered into scratch: over GF(2) at t ^ col_k by
+        blocks of up to 8192 flat indices t (high bits pick the block read, so the index is
+        one block long), over GF(q > 2) through the plan's shift by col_k composed xv times."""
         if not xv:
             return nxt
         if self.q == 2:
-            col = self.plan.flat_cols[k]
-            return nxt[tuple(slice(None, None, -1) if col >> (self.l - 1 - a) & 1 else slice(None)
-                             for a in range(self.l))]
+            col, block = self.plan.flat_cols[k], min(nxt.size, 8192)
+            low = np.arange(block) ^ (col % block)
+            for lo in range(0, nxt.size, block):
+                base = lo ^ (col - col % block)
+                np.take(nxt[base:base + block], low, out=scratch[lo:lo + block], mode="clip")
+            return scratch
         src = step = self.plan.shift_index[k]
         if step is None:
             return nxt
         for _ in range(xv - 1):
             src = step[src]
-        np.take(nxt.reshape(-1), src, out=scratch.reshape(-1), mode="clip")
+        np.take(nxt, src, out=scratch, mode="clip")
         return scratch
 
     def segment_tree(self, i: int, flat: int) -> tuple:

@@ -449,9 +449,10 @@ def test_member_stop_reads_non_unit_coefficients(monkeypatch):
     n = 48
     spec = sample_code(n, 24, 8, 4, GF(3), uniform_source(n, 3), seed=5)
     assert np.any(spec.A.coeffs == 2)
-    read = []
-    real = fastbp.CosetBP.marginals
-    monkeypatch.setattr(fastbp.CosetBP, "marginals", lambda bp: read.append(real(bp)) or read[-1])
+    read = []                 # the (n, q) beliefs decode_bp reads its x_hat off
+    real = fastbp.CosetBP.decision
+    monkeypatch.setattr(fastbp.CosetBP, "decision",
+                        lambda bp: read.append(bp.belief.T.copy()) or real(bp))
     ch, encoder = qsc(3, 0.06, n), ChannelEncoder(spec, EXACT)
     early = successes = 0
     for t in range(40):
@@ -463,7 +464,7 @@ def test_member_stop_reads_non_unit_coefficients(monkeypatch):
         _, full_iters = full_run_decode(spec, y, ch)
         if bp.iterations < full_iters:
             early += 1
-            assert np.array_equal(spec.A.mat_vec(np.argmax(real(bp), axis=1)), spec.c)
+            assert np.array_equal(spec.A.mat_vec(np.argmax(bp.marginals(), axis=1)), spec.c)
         read.clear()
         if decode_bp(spec, y, ch).success:
             successes += 1

@@ -400,6 +400,36 @@ def test_member_test_keeps_the_fresh_syndrome(q, monkeypatch):
     assert updates > 20 and 0 < members < 16
 
 
+@pytest.mark.parametrize("q", [2, 3])
+def test_a_decode_allocates_no_conditioning_arrays(q):
+    """A decoder's state shares the graph's read-only active, degree and
+    fixed arrays and keeps the caller's priors; its decision is the first
+    argmax of its marginals.  The first condition() copies the shared
+    arrays, and a clone of a conditioned state owns copies of its own."""
+    rng = np.random.default_rng(90 + q)
+    A, x_star, c, priors = noisy_instance(rng, q, 40, 20, 0.1)
+    graph = CosetGraph(A)
+    bp = CosetBP(graph, c, priors)
+    shared = {"active": graph.all_active, "active_deg": graph.f_deg, "fixed": graph.unfixed}
+    assert all(getattr(bp, name) is array for name, array in shared.items())
+    assert not any(array.flags.writeable for array in shared.values())
+    assert bp.priors is priors and bp.prior_t.flags.c_contiguous
+    bp.run(fastbp.DECODE_ITERS, until_member=True)
+    assert all(getattr(bp, name) is array for name, array in shared.items())
+    assert np.array_equal(bp.decision(), np.argmax(bp.marginals(), axis=1))
+
+    state = CosetBP(graph, c, priors)
+    assert state.condition(3, int(x_star[3]))
+    copy = state.clone()
+    for name in CosetBP._OWNED:
+        assert getattr(state, name) is not getattr(bp, name)
+        assert getattr(copy, name) is not getattr(state, name)
+        assert np.array_equal(getattr(copy, name), getattr(state, name))
+    assert copy.condition(5, int(x_star[5]))
+    assert state.fixed[5] == -1 and bp.fixed[5] == -1 and graph.unfixed[5] == -1
+    assert state.active_deg.sum() > copy.active_deg.sum()
+
+
 def test_states_on_one_target_write_only_their_own_arrays():
     """Two decodes and a sampler's states on one graph and one target share
     the graph's output index, and pi starts as the state's prior; no

@@ -258,6 +258,25 @@ def test_reverse_model_bayes_arithmetic():
     assert post[0, 0] == pytest.approx(1 / 22)
 
 
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11])
+def test_reverse_model_is_the_row_sum_posterior_bit_for_bit(q):
+    """The column-by-column evidence below 8 symbols gives the bits of
+    numpy's row sum, priors with zero entries included."""
+    rng = np.random.default_rng(300 + q)
+    n = 2000
+    pmfs = rng.dirichlet(np.ones(q), size=n)
+    pmfs[rng.random((n, q)) < 0.3] = 0.0
+    pmfs[np.arange(n), rng.integers(0, q, size=n)] += 0.5
+    pmfs /= pmfs.sum(axis=1, keepdims=True)
+    source = MemorylessSource(pmfs)
+    assert np.any(source.pmfs == 0)
+    ch = DiscreteChannel(rng.dirichlet(np.ones(q), size=(n, q)))
+    y = rng.integers(0, q, size=n)
+    unnorm = source.pmfs * ch.lik_rows(y)
+    want = unnorm / unnorm.sum(axis=1)[:, None]
+    assert reverse_model(source, ch, y).tobytes() == want.tobytes()
+
+
 def test_reverse_model_zero_evidence_names_index():
     ch = DiscreteChannel(np.broadcast_to(np.eye(2), (2, 2, 2)).copy())
     with pytest.raises(ValueError, match="index 1"):

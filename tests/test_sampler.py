@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 from cosetcode import lossy
-from cosetcode.channel import ChannelCodeSpec, ChannelEncoder, sample_code
+from cosetcode.channel import ChannelCodeSpec, ChannelEncoder, decode_bp, sample_code
 from cosetcode.fastbp import CosetBP
 from cosetcode.gf import GF
-from cosetcode.models import MemorylessSource, hamming_distortion, qsc, uniform_source
+from cosetcode.models import (BiAwgnChannel, MemorylessSource, bac, bernoulli_source, bsc,
+                              hamming_distortion, qsc, uniform_source)
 from cosetcode.sampler import (
     INIT_ITERS,
     RETRIES,
@@ -1629,3 +1630,83 @@ PINNED_DIGESTS = {
     (3, 'interval'): "f71103e0d38edacb09a87064383f5b9a5a8cf8047fcfcb70e566b5ab906abf78",
     (3, 'path-tree'): "8e37a73b3252b26d87043ec86305db14cca2c85b4a10adc4af1aeeacc9d9efc0",
 }
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("case", ["decode-bp", "lossy-decode"])
+def test_decoder_outputs_pinned(q, case):
+    """Decoder outputs for fixed seeds, recorded before the decoders' read-out
+    and state set-up were trimmed."""
+    assert _digest(_pinned_decodes(q, case)) == PINNED_DIGESTS[(q, case)]
+
+
+def _pinned_bp_codes(q):
+    """(spec, channels) pairs: over GF(2) an ensemble code and a copy of its A
+    with the last column emptied, over GF(3) one with coefficients 2."""
+    if q == 2:
+        n, prior = 64, bernoulli_source(0.3, 64)
+        spec = sample_code(n, 32, 12, 4, GF2, prior, seed=4)
+        D = spec.A.to_dense()
+        D[:, -1] = 0
+        A = SparseMatrix.from_dense(D, GF2)
+        bare = ChannelCodeSpec(A, spec.B, A.mat_vec(stream(4, 9).integers(0, 2, size=n)), prior)
+        return [(spec, [bsc(0.03, n), bsc(0.09, n), bac(0.02, 0.12, n), BiAwgnChannel(0.7, n)]),
+                (bare, [bsc(0.05, n)])]
+    n, prior = 48, MemorylessSource(np.tile([0.6, 0.25, 0.15], (48, 1)))
+    spec = sample_code(n, 24, 8, 4, GF3, prior, seed=5)
+    assert np.any(spec.A.coeffs == 2)
+    return [(spec, [qsc(3, 0.04, n), qsc(3, 0.12, n)])]
+
+
+def _pinned_lossy_decode_specs(q):
+    """Lossy codes whose decode solves, enumerates (a uniform source, so every
+    member ties, and one with zero marginals) and runs BP."""
+    field = GF(q)
+
+    def spec(n, l, k, seed, source, p):
+        A = sample_sparse_matrix(EnsembleSpec(n=n, l=l, field=field, tau=2), stream(seed, 1))
+        B = sample_sparse_matrix(EnsembleSpec(n=n, l=k, field=field, tau=2), stream(seed, 2))
+        c = A.mat_vec(stream(seed, 3).integers(0, q, size=n))
+        return lossy.LossyCodeSpec(A, B, c, source, qsc(q, p, n), hamming_distortion(q), 0.2)
+
+    solved = next(s for s in (spec(8, 4, 6, seed, uniform_source(8, q), 0.15)
+                              for seed in range(50)) if s.ech_stacked.rank == s.n)
+    pmfs = stream(q, 5).dirichlet(np.full(q, 0.7), size=10)
+    pmfs[::3] = np.eye(q)[np.arange(10)[::3] % q]          # zero marginals under qsc(q, 0)
+    big_n = 48 if q == 2 else 30
+    specs = [solved, spec(10, 4, 4, 1, uniform_source(10, q), 0.15),
+             spec(10, 4, 4, 2, MemorylessSource(pmfs), 0.0),
+             spec(big_n, big_n // 4, big_n // 4, 0, uniform_source(big_n, q), 0.15)]
+    paths = [s.ech_stacked.rank == s.n or q ** (s.n - s.ech_stacked.rank) > DENSE_CAP
+             for s in specs]
+    assert paths == [True, False, False, True] and specs[-1].ech_stacked.rank < big_n
+    return specs
+
+
+def _pinned_decodes(q, case):
+    got = []
+    if case == "decode-bp":
+        rng = stream(40 + q, 0)
+        for spec, channels in _pinned_bp_codes(q):
+            for ch in channels:
+                for _ in range(6):
+                    x = spec.coset_a.echelon.random_member(spec.c, rng)
+                    out = decode_bp(spec, ch.sample(x, rng), ch)
+                    got.append((out.m_hat, out.method, out.converged, out.iterations,
+                                out.tie))
+        return got
+    rng = stream(50 + q, 0)
+    for spec in _pinned_lossy_decode_specs(q):
+        messages = [spec.B.mat_vec(spec.coset_a.echelon.random_member(spec.c, rng))
+                    for _ in range(4)] + [rng.integers(0, q, size=spec.B.rows)]
+        got.extend(lossy.decode(spec, m) for m in messages)
+    return got
+
+
+PINNED_DIGESTS.update({
+    # recorded before the BP decode's state set-up, member test and read-out were trimmed
+    (2, 'decode-bp'): "6ef08725a72b148e283cc05656b92bb3da7ee0c02d26d55b8fbc70e85d86ffb1",
+    (3, 'decode-bp'): "04e4cdb5448bb7c24d9ea6b62cbfc353803cb315dce09f69d81972e84fe9d060",
+    (2, 'lossy-decode'): "c54028d1fdedb1922a0c12736cc352be5bd46e4cceeb6902e5098a423f66949f",
+    (3, 'lossy-decode'): "6e5d669f589b223c330526e53419072f12030349deea73b7ead87ccb4ed589f4",
+})
