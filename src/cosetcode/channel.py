@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fastbp import DECODE_ITERS, CosetBP
+from .fastbp import DECODE_ITERS, CosetBP, hard_decision
 from .models import MemorylessSource, rate_quantities, reverse_model
 from .sampler import (CosetPair, DeadEndError, EncodingError, SamplerConfig, is_uniform,
                       member_law)
@@ -80,8 +80,8 @@ class ChannelEncoder:
         self.spec = spec
         self.q = spec.q
         self.uniform = is_uniform(spec.prior.pmfs)
-        if self.uniform:    # T (c, 0) of the stacked echelon; a draw adds T (0, m)
-            self._t_c = spec.ech_stacked.product(spec.n, spec.c)
+        if self.uniform:    # T (c, 0), formed once: a draw adds T (0, m)
+            self._t_c = spec.ech_stacked.transformed(np.r_[spec.c, np.zeros(spec.B.rows, int)])
         else:
             self._engine = spec.joint.engine(spec.prior.pmfs, cfg)
 
@@ -91,8 +91,7 @@ class ChannelEncoder:
         if m.shape != (spec.B.rows,):
             raise ValueError("message length mismatch")
         if self.uniform:
-            ech = spec.ech_stacked
-            x = ech.random_lift((self._t_c + ech.product(ech.n + spec.A.rows, m)) % q, rng)
+            x = spec.ech_stacked.random_member_after(self._t_c, m, rng)
             if x is None:
                 raise EncodingError("C_AB(c, m) is empty")
             return x
@@ -158,7 +157,7 @@ def decode_bp(spec: ChannelCodeSpec, y, channel) -> DecodeOutcome:
     if bp.failed:
         return DecodeOutcome(None, "bp-then-B", converged=False,
                              iterations=bp.iterations)
-    x_hat = bp.decision()
+    x_hat = hard_decision(bp.marginals().T)
     if not np.array_equal(spec.A.mat_vec(x_hat), spec.c):
         return DecodeOutcome(None, "bp-then-B", converged=converged,
                              iterations=bp.iterations)

@@ -39,9 +39,10 @@ The decoders run `DECODE_ITERS` iterations at most and also stop at the
 first iteration whose hard decision lies in the coset (`run(...,
 until_member=True)`), read from the variable pass the iteration already
 ran; that member test forms the syndrome A x_hat - c in one pass over
-the edges, and both decoders read x_hat off the belief it formed
-(`decision()`).  The sampler sets its own schedule (`sampler.INIT_ITERS`,
-`sampler.STEP_ITERS`) and runs until its messages settle.
+the edges, and `marginals()` reuses the products it formed.  The member
+test and both decoders read the hard decision by `hard_decision`.  The
+sampler sets its own schedule (`sampler.INIT_ITERS`, `sampler.STEP_ITERS`)
+and runs until its messages settle.
 """
 
 import numpy as np
@@ -212,8 +213,8 @@ class CosetBP:
     Until its first `condition()` a state shares the `_OWNED` arrays: the
     graph's read-only `active`, `active_deg` and `fixed`, its output index for
     the target, and pi, which starts as the prior itself; `condition()` copies
-    them, and so does `clone()` of a conditioned state.  A state keeps the
-    caller's priors, never written, and a contiguous (q, n) copy `prior_t`.
+    them, and so does `clone()` of a conditioned state.  Its priors are kept
+    once, as the contiguous (q, n) `prior_t` that pi and the member test read.
     """
     _OWNED = ("targets", "pi", "out_idx", "active", "active_deg", "fixed")
 
@@ -224,7 +225,7 @@ class CosetBP:
         priors = np.asarray(priors, dtype=float)
         if priors.shape != (self.n, q):
             raise ValueError("priors must be (n, q)")
-        self.priors, self.prior_t = priors, np.ascontiguousarray(priors.T)
+        self.prior_t = np.ascontiguousarray(priors.T)
         c = np.asarray(c, dtype=np.int64) % q
         if c.shape != (self.l,):
             raise ValueError("target length mismatch")
@@ -378,7 +379,7 @@ class CosetBP:
             out = np.zeros(self.q)
             out[self.fixed[v]] = 1.0
             return out
-        g = self.priors[v].copy()
+        g = self.prior_t[:, v].copy()
         for e in self.graph.variables.members(v):
             if self.active[e]:
                 g = g * self.sigma[:, e]
@@ -387,25 +388,21 @@ class CosetBP:
             return None
         return g / s
 
-    def decision(self) -> np.ndarray:
-        """hard_decision(marginals().T), off the member test's belief, normalised in place."""
-        if self.belief is None or self.conditioned:
-            return hard_decision(self.marginals().T)
-        g, self.belief = self.belief, None
-        sums = g.sum(axis=0)
-        return hard_decision(np.divide(g, sums, out=g, where=sums > 0))
-
     def marginals(self) -> np.ndarray:
-        """(n, q) beliefs; an all-zero belief reads as uniform.  After a run,
-        the products come from its last variable pass."""
-        incoming, excl = self.kept or (np.where(self.active, self.sigma, 1.0), None)
-        g = self.prior_t * self.graph.variables.products(incoming, excl)
+        """(n, q) beliefs, a view of a (q, n) array; an all-zero belief reads as
+        uniform.  After a run, the products come from its last variable pass,
+        or with `until_member` from the belief the member test formed on it."""
+        if self.belief is not None:
+            g = self.belief
+        else:
+            incoming, excl = self.kept or (np.where(self.active, self.sigma, 1.0), None)
+            g = self.prior_t * self.graph.variables.products(incoming, excl)
         sums = g.sum(axis=0)
         zero = sums <= 0
         sums[zero] = 1.0
-        out = (g / sums).T.copy()
-        out[zero] = 1.0 / self.q
+        out = g / sums
+        out[:, zero] = 1.0 / self.q
         if self.conditioned:
             pinned = np.flatnonzero(self.fixed >= 0)
-            out[pinned] = np.eye(self.q)[self.fixed[pinned]]
-        return out
+            out[:, pinned] = np.eye(self.q)[:, self.fixed[pinned]]
+        return out.T

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fastbp import DECODE_ITERS, CosetBP
+from .fastbp import DECODE_ITERS, CosetBP, hard_decision
 from .models import (DiscreteChannel, DistortionSpec, MemorylessSource, checked_words,
                      rate_quantities)
 from .sampler import (CosetPair, DeadEndError, EncodingError, SamplerConfig, is_uniform,
@@ -115,7 +115,7 @@ def decode(spec: LossyCodeSpec, m) -> np.ndarray | None:
         return x
     bp = CosetBP(spec.joint.graph, target, spec.x_marginals)
     bp.run(DECODE_ITERS, until_member=True)
-    return None if bp.failed else ech.member_like(target, bp.decision())
+    return None if bp.failed else ech.member_like(target, hard_decision(bp.marginals().T))
 
 
 @dataclass

@@ -158,13 +158,13 @@ class BiAwgnChannel:
 def reverse_model(source: MemorylessSource, channel, y) -> np.ndarray:
     """(n, q) per-index Bayes posteriors mu_{X_i|Y_i}(.|y_i), prop. to
     mu_{X_i} * mu_{Y_i|X_i}(y_i|.); the source's pmfs were checked when it
-    was built.  A row of under 8 symbols sums column by column, to numpy's row-sum bits."""
+    was built.  The evidence sums the symbols' columns left to right."""
     priors = source.pmfs
     lik = channel.lik_rows(y)
     if lik.shape != priors.shape:
         raise ValueError("prior and channel kernel shapes disagree")
     unnorm = priors * lik
-    evid = sum(unnorm.T[1:], unnorm.T[0]) if unnorm.shape[1] < 8 else unnorm.sum(axis=1)
+    evid = sum(unnorm.T[1:], unnorm.T[0])
     if not evid.all():
         raise ValueError(f"zero evidence at index {int(np.argmin(evid))}: all-zero posterior")
     return unnorm / evid[:, None]

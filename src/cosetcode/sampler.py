@@ -211,10 +211,9 @@ class ExactStepper:
         self.plan = plan
         self.q, self.n, self.l, self.stop = plan.q, plan.n, plan.l, plan.stop
         self.priors = np.asarray(priors, dtype=float)
-        size = self.q ** self.l
-        self._tables = np.empty((len(plan.ends), size))
+        self._tables = np.empty((len(plan.ends), self.q ** self.l))
         kept = dict(zip(plan.ends, self._tables))
-        nxt, cur, scratch = np.zeros((3, size))       # two working slots and scratch
+        nxt, cur, scratch = np.zeros((3, self.q ** self.l))   # two working slots and scratch
         cur[0] = 1.0                                  # M_n = delta_0
         for k in range(self.n, plan.ends[0] - 1, -1):     # cur = M_k
             if k < self.n:

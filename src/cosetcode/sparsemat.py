@@ -237,9 +237,9 @@ class EchelonForm:
         rt = self.rt[rows]
         return _unpack(rt, lo, hi) if self.field.q == 2 else rt[:, lo:hi].copy()
 
-    def product(self, lo: int, v: np.ndarray) -> np.ndarray:
+    def _product(self, lo: int, v: np.ndarray) -> np.ndarray:
         """Columns lo..lo+len(v)-1 of [R | T] times v over GF(q): R x from lo = 0,
-        T t from lo = n, and T (0, v) for a v on the target's last rows."""
+        T t from lo = n."""
         if self.field.q != 2:
             return self.rt[:, lo:lo + v.size] @ v % self.field.q
         w0, w1 = lo >> 6, (lo + v.size + 63) >> 6
@@ -254,13 +254,13 @@ class EchelonForm:
         t = np.asarray(target, dtype=np.int64) % self.field.q
         if t.shape != (self.rt.shape[0],):
             raise ValueError("target length does not match row count")
-        return self.product(self.n, t)
+        return self._product(self.n, t)
 
     def solve(self, target):
         """Any x with A x = target, free variables set to 0; None when target is not in Im A."""
-        return self.lift(self.transformed(target))
+        return self._lifted(self.transformed(target))
 
-    def lift(self, d):
+    def _lifted(self, d):
         """`solve`'s x from d = T target."""
         if np.any(d[self.rank:]):
             return None
@@ -310,11 +310,16 @@ class EchelonForm:
 
     def random_member(self, target, rng: np.random.Generator):
         """Uniform draw x0 + z K from C_A(target); None when target is not in Im A."""
-        return self.random_lift(self.transformed(target), rng)
+        return self._drawn(self.transformed(target), rng)
 
-    def random_lift(self, d, rng: np.random.Generator):
+    def random_member_after(self, t_head, tail, rng: np.random.Generator):
+        """random_member((head, tail), rng) from a kept t_head = T (head, 0); T is linear."""
+        lo = self.n + self.rt.shape[0] - tail.size
+        return self._drawn((t_head + self._product(lo, tail)) % self.field.q, rng)
+
+    def _drawn(self, d, rng: np.random.Generator):
         """`random_member`'s draw from d = T target."""
-        x = self.lift(d)
+        x = self._lifted(d)
         if x is None or self.rank == self.n:
             return x
         return self._completed(x, rng.integers(0, self.field.q, size=self.n - self.rank))
@@ -329,7 +334,7 @@ class EchelonForm:
         kernel basis is built."""
         zk = np.zeros(self.n, dtype=np.int64)
         zk[self.free] = z
-        zk[self.pivots] = -self.product(0, zk)[: self.rank]
+        zk[self.pivots] = -self._product(0, zk)[: self.rank]
         return (x0 + zk) % self.field.q
 
 

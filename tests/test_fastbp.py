@@ -270,7 +270,7 @@ def test_messages_stay_normalized():
 
 def products_pass_marginals(bp) -> np.ndarray:
     """marginals() from a fresh variables.products pass over the current messages."""
-    full = bp.priors.T * bp.graph.variables.products(np.where(bp.active, bp.sigma, 1.0))
+    full = bp.prior_t * bp.graph.variables.products(np.where(bp.active, bp.sigma, 1.0))
     sums = full.sum(axis=0)
     full[:, sums <= 0] = 1.0 / bp.q
     out = (full / np.where(sums > 0, sums, 1.0)).T.copy()
@@ -327,7 +327,7 @@ def noisy_instance(rng, q, n, l, p, bare=True):
 def fresh_decision(bp, kept):
     """The hard decision of a variable pass of bp, recomputed: the first
     argmax of prior times full product, fixed variables at their value."""
-    x_hat = np.argmax(bp.priors.T * bp.graph.variables.products(*kept), axis=0)
+    x_hat = np.argmax(bp.prior_t * bp.graph.variables.products(*kept), axis=0)
     pinned = bp.fixed >= 0
     x_hat[pinned] = bp.fixed[pinned]
     return x_hat
@@ -403,9 +403,10 @@ def test_member_test_keeps_the_fresh_syndrome(q, monkeypatch):
 @pytest.mark.parametrize("q", [2, 3])
 def test_a_decode_allocates_no_conditioning_arrays(q):
     """A decoder's state shares the graph's read-only active, degree and
-    fixed arrays and keeps the caller's priors; its decision is the first
-    argmax of its marginals.  The first condition() copies the shared
-    arrays, and a clone of a conditioned state owns copies of its own."""
+    fixed arrays and keeps its priors once, in (q, n) layout; after a member
+    stop its marginals are the member test's belief, normalised.  The first
+    condition() copies the shared arrays, and a clone of a conditioned state
+    owns copies of its own."""
     rng = np.random.default_rng(90 + q)
     A, x_star, c, priors = noisy_instance(rng, q, 40, 20, 0.1)
     graph = CosetGraph(A)
@@ -413,10 +414,11 @@ def test_a_decode_allocates_no_conditioning_arrays(q):
     shared = {"active": graph.all_active, "active_deg": graph.f_deg, "fixed": graph.unfixed}
     assert all(getattr(bp, name) is array for name, array in shared.items())
     assert not any(array.flags.writeable for array in shared.values())
-    assert bp.priors is priors and bp.prior_t.flags.c_contiguous
+    assert bp.prior_t.flags.c_contiguous and np.array_equal(bp.prior_t, priors.T)
     bp.run(fastbp.DECODE_ITERS, until_member=True)
     assert all(getattr(bp, name) is array for name, array in shared.items())
-    assert np.array_equal(bp.decision(), np.argmax(bp.marginals(), axis=1))
+    assert bp.belief is not None
+    assert np.array_equal(bp.marginals(), products_pass_marginals(bp))
 
     state = CosetBP(graph, c, priors)
     assert state.condition(3, int(x_star[3]))

@@ -259,9 +259,9 @@ def test_reverse_model_bayes_arithmetic():
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7, 11])
-def test_reverse_model_is_the_row_sum_posterior_bit_for_bit(q):
-    """The column-by-column evidence below 8 symbols gives the bits of
-    numpy's row sum, priors with zero entries included."""
+def test_reverse_model_sums_the_evidence_left_to_right(q):
+    """The posterior is unnorm divided by its columns summed left to right,
+    bit for bit, priors with zero entries included, and its rows sum to 1."""
     rng = np.random.default_rng(300 + q)
     n = 2000
     pmfs = rng.dirichlet(np.ones(q), size=n)
@@ -273,8 +273,12 @@ def test_reverse_model_is_the_row_sum_posterior_bit_for_bit(q):
     ch = DiscreteChannel(rng.dirichlet(np.ones(q), size=(n, q)))
     y = rng.integers(0, q, size=n)
     unnorm = source.pmfs * ch.lik_rows(y)
-    want = unnorm / unnorm.sum(axis=1)[:, None]
-    assert reverse_model(source, ch, y).tobytes() == want.tobytes()
+    evidence = unnorm[:, 0].copy()
+    for k in range(1, q):
+        evidence += unnorm[:, k]
+    post = reverse_model(source, ch, y)
+    assert post.tobytes() == (unnorm / evidence[:, None]).tobytes()
+    assert np.allclose(post.sum(axis=1), 1.0)
 
 
 def test_reverse_model_zero_evidence_names_index():

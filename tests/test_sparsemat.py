@@ -517,14 +517,18 @@ def test_packed_solve_and_draw_match_int64_formulas(shape, kind):
         empty += want is None
         if want is not None:
             assert got.dtype == np.int64 and np.array_equal(got, want)
-        r1, r2 = np.random.default_rng(trial), np.random.default_rng(trial)
+        r1, r2, r3 = (np.random.default_rng(trial) for _ in range(3))
+        h = trial % (l + 1)         # T (head, 0) kept, the tail multiplied per draw
+        t_head = ech.transformed(np.r_[t[:h], 0 * t[h:]])
         for _ in range(3):
             want = dense_random_member(ref, t, 2, r1)
             got = ech.random_member(t, r2)
-            assert r1.bit_generator.state == r2.bit_generator.state
-            assert (got is None) == (want is None)
+            after = ech.random_member_after(t_head, t[h:], r3)
+            assert r1.bit_generator.state == r2.bit_generator.state == r3.bit_generator.state
+            assert (got is None) == (want is None) == (after is None)
             if want is not None:
                 assert got.dtype == np.int64 and np.array_equal(got, want)
+                assert np.array_equal(after, want)
                 assert np.array_equal(D @ got % 2, t)
     assert empty == (6 if ref[3] < l else 0)
     assert "reduced" not in vars(ech) and "transform" not in vars(ech) \
@@ -542,11 +546,13 @@ def test_gfq_solve_and_draw_match_int64_formulas(field):
         for trial in range(6):
             t = rng.integers(0, q, size=shape[0]) if trial % 2 else \
                 D @ rng.integers(0, q, size=shape[1]) % q
-            r1, r2 = np.random.default_rng(trial), np.random.default_rng(trial)
+            r1, r2, r3 = (np.random.default_rng(trial) for _ in range(3))
             want, got = dense_random_member(ref, t, q, r1), ech.random_member(t, r2)
-            assert r1.bit_generator.state == r2.bit_generator.state
-            assert (got is None) == (want is None)
-            assert want is None or np.array_equal(got, want)
+            h = trial % (shape[0] + 1)
+            after = ech.random_member_after(ech.transformed(np.r_[t[:h], 0 * t[h:]]), t[h:], r3)
+            assert r1.bit_generator.state == r2.bit_generator.state == r3.bit_generator.state
+            assert (got is None) == (want is None) == (after is None)
+            assert want is None or np.array_equal(got, want) and np.array_equal(after, want)
 
 
 @pytest.mark.parametrize("field", [GF2, GF3])
