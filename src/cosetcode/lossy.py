@@ -47,6 +47,8 @@ class LossyCodeSpec(CosetPair):
             raise ValueError("source and test channel disagree on the Y alphabet")
         if self.distortion.table.shape != (q, self.source.q):
             raise ValueError("distortion table must be X x Y")
+        if not 0 <= self.target_d < math.inf:      # NaN would make "d > nD" false on every word
+            raise ValueError(f"target_d must be finite and non-negative: got {self.target_d}")
         # mu_{X_i}(x) = sum_y mu_{Y_i}(y) mu_{X_i|Y_i}(x|y)
         self.x_marginals = np.einsum("iy,iyx->ix", self.source.pmfs,
                                      self.test_channel.kernels)

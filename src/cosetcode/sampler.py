@@ -12,12 +12,12 @@ read off (the early stop).  The work has three lifetimes:
               that are not an (n, q) array of finite non-negative
               numbers: exact (`ExactStepper` suffix-mass tables on Im A,
               q**rank entries while that fits DENSE_CAP, built by the
-              backward recursion from M_n = delta_0 and kept only at the ends
-              of the plan's segments: ceil(stop / rank) + 1 runs of columns up
-              to the draw's `stop`, their lengths within 1; never dead-ends
-              after a positive start; a lossy code with an additive test
-              channel holds one per code, for its noise prior, and shifts it
-              to each source word),
+              backward recursion from M_n = delta_0, every shift one flat-index
+              subtraction for every field (`TablePlan.minus`), and kept at the
+              ends of the plan's ceil(stop / rank) + 1 segments up to `stop`;
+              never dead-ends after a positive start; a lossy code with an
+              additive test channel holds one per code, for its noise prior,
+              and shifts it to each source word),
               sum-product (BP conditionals, the scaled path: INIT_ITERS
               iterations on the target, then at most STEP_ITERS after each
               commit before the next read; approximate on loopy graphs, so a
@@ -88,27 +88,6 @@ class GeneratedSample:
     converged: bool | None = None    # initial BP run's flag; None for other engines
 
 
-def _mix(prior, term, acc: np.ndarray, scratch: np.ndarray) -> None:
-    """acc = sum_x prior[x] term(x), x = 0 first and zero priors skipped: the build's
-    order, which each `ExactStepper.segment_tree` level repeats in one reduce."""
-    live = [(xv, p) for xv, p in enumerate(prior) if p != 0]
-    for i, (xv, p) in enumerate(live):  # 0 + p M == p M exactly: the first term fills acc
-        np.multiply(term(xv), p, out=scratch if i else acc)
-        if i:
-            acc += scratch
-    if not live:
-        acc.fill(0.0)
-
-
-def _xor_span(images, out: np.ndarray, start: int) -> np.ndarray:
-    """out[w] = start ^ (XOR of images[j] over the set bits j of w) for every
-    w < 2**len(images), by doubling."""
-    out[0] = start
-    for j, img in enumerate(images):
-        np.bitwise_xor(out[:1 << j], img, out=out[1 << j:2 << j])
-    return out
-
-
 def _refuse_states(q: int, l: int) -> None:
     if q ** l > DENSE_CAP:          # the entries of one exact table
         raise ValueError(f"exact engine refused: {q}**{l} syndromes exceed state cap {DENSE_CAP}")
@@ -129,9 +108,11 @@ class TablePlan:
     leaf a pass reaches is the residual where the next segment starts.
 
     A table holds syndrome t at its flat index t @ weights, axis 0 most
-    significant.  Over GF(2) column k shifts a flat index by XOR with its
-    image `flat_cols[k]`; over GF(q > 2) the shift by xv * col_k gathers
-    through `shift_index[k]` composed xv times.
+    significant; `flat_cols[k][xv]` is xv col_k's.  Every shift goes through
+    `minus`, the flat index of t - v digit by digit: t XOR v over GF(2); over
+    GF(q > 2) t is held as its `split` parts, the halves of base q**(l // 2),
+    which read row v's halves of one table of digitwise differences (at most
+    q**l entries, built on first use), and for odd l the top digit.
     """
 
     def __init__(self, A: SparseMatrix, stop: int | None = None):
@@ -146,46 +127,70 @@ class TablePlan:
         self.starts = [0] + self.ends[:-1]
         dense = A.to_dense()
         self.cols = [dense[:, k] for k in range(self.n)]
-        # the flat index of syndrome t is t @ weights, axis 0 most significant
         self.weights = q ** np.arange(self.l - 1, -1, -1, dtype=np.int64)
-        if q == 2:
-            self.flat_cols = [int(col @ self.weights) for col in self.cols]
-        else:
-            # _digit_weights[i, s, d] = weight of digit d - s on axis i
-            digits = np.arange(q)
-            self._digit_weights = ((digits - digits[:, None]) % q
-                                   * self.weights[:, None, None]).astype(np.int32)
-            # gathering at t - col_k shifts a table by col_k; None for a zero column
-            self.shift_index = [self.source_index(col) if col.any() else None
-                                for col in self.cols]
+        self.flat_cols = (dense.T[:, None] * np.arange(q)[:, None] % q @ self.weights).tolist()
+        self._half = q ** (self.l // 2)
+        self._zero = self.split(0)
 
-    def source_index(self, shift: np.ndarray) -> np.ndarray:
-        """src[flat t] = flat index of t - shift, for every syndrome t; GF(q > 2)."""
-        src = np.zeros(1, dtype=np.int32)
-        for i in range(self.l - 1, -1, -1):
-            src = (self._digit_weights[i, shift[i], :, None] + src).ravel()
-        return src
+    def split(self, t):
+        """t, an int or an array of flat indexes, as `minus` reads it: over GF(2)
+        t itself, else its parts (top digit, None for even l; high half; low half)."""
+        if self.q == 2:
+            return t
+        high, low = divmod(t, self._half)
+        return (divmod(high, self._half) if self.l % 2 else (None, high)) + (low,)
+
+    def minus(self, t, v: int):
+        """The flat index of t - v, t given by its `split` parts."""
+        if self.q == 2:
+            return t ^ v
+        q, P, D = self.q, self._half, self._diff
+        top, high = divmod(v // P, P)
+        out = (D[high] * P).take(t[1]) + D[v % P].take(t[2])
+        if self.l % 2:
+            out += ((np.arange(q) - top) % q * P * P).take(t[0])
+        return out
+
+    def gather(self, table: np.ndarray, v: int, out: np.ndarray) -> np.ndarray:
+        """out[t] = table[t - v] at every flat t, by blocks of q**m indexes (m digits, the
+        most that keep 8192 or fewer, one at least): the block's indexes minus v's low
+        digits, read from the block at its start minus v's high digits."""
+        block, starts = self._blocks
+        low = self.minus(self.split(np.arange(block)), v % block)
+        for t, base in zip(range(0, table.size, block), self.minus(starts, v - v % block).tolist()):
+            np.take(table[base:base + block], low, out=out[t:t + block], mode="clip")
+        return out
+
+    @cached_property
+    def _diff(self) -> np.ndarray:
+        """D[v, t] = the flat index of t - v over l // 2 digits, built digit by digit."""
+        q, D = self.q, np.zeros((1, 1), dtype=np.int64)
+        one = (np.arange(q) - np.arange(q)[:, None]) % q
+        for _ in range(self.l // 2):
+            D = (D[:, None, :, None] * q + one[None, :, None, :]).reshape(D.shape[0] * q, -1)
+        return D
+
+    @cached_property
+    def _blocks(self) -> tuple:
+        """`gather`'s block length and the split starts of the blocks."""
+        b = self.q ** min(self.l, max([1] + [m for m in range(2, 14) if self.q ** m <= 8192]))
+        return b, self.split(np.arange(0, self.q ** self.l, b))
 
     @cached_property
     def _spans(self) -> list:
-        """Over GF(2), each segment's XOR span of its columns started from 0."""
-        return [_xor_span(self.flat_cols[a:b], np.empty(1 << (b - a), dtype=np.int64), 0)
+        """Per segment [a, b), its split leaves from root 0, the flat indexes of
+        -sum_j x_j col_j: each column stacks the leaves so far less xv col_j, xv = 0 first."""
+        def grow(span, images):
+            parts = self.split(span)
+            return np.concatenate([span] + [self.minus(parts, v) for v in images[1:]])
+        return [self.split(reduce(grow, self.flat_cols[a:b], np.zeros(1, dtype=np.int64)))
                 for a, b in zip(self.starts, self.ends)]
 
     def leaf_index(self, i: int, flat: int) -> np.ndarray:
         """idx[p] = the flat index of t - sum_j x_j col_j over segment i = [a, b),
         where flat is t's flat index and p = sum_j x_j q**(j - a): the newest
-        symbol leads.  Over GF(2) it is the segment's cached span XOR flat."""
-        q, a, b = self.q, self.starts[i], self.ends[i]
-        if q == 2:
-            return self._spans[i] ^ flat
-        idx = np.empty(q ** (b - a), dtype=np.int64)
-        idx[0] = flat
-        for j, step in enumerate(self.shift_index[a:b]):
-            rows = idx[:q ** (j + 1)].reshape(q, -1)     # rows[xv]: prefixes with x_j = xv
-            for xv in range(1, q):
-                rows[xv] = rows[xv - 1] if step is None else step[rows[xv - 1]]
-        return idx
+        symbol leads.  It is the segment's leaves from root 0 minus -t."""
+        return self.minus(self._spans[i], self.minus(self._zero, flat))
 
 
 class ExactStepper:
@@ -202,9 +207,8 @@ class ExactStepper:
     recursion M_k(t) = sum_x mu_k(x) M_{k+1}(t - x col_k) from M_n = delta_0
     (1 at syndrome 0) down to ends[0] in two working slots and keeps the
     segment ends it passes; at stop = n the last is M_n itself.  A draw reads
-    `segment_tree`s, whose levels sum in `_mix`'s order as the recursion does.  The
-    shift by col_k gathers M_{k+1} into contiguous scratch: over GF(2) at each
-    flat index XOR col_k's, over GF(q > 2) through the plan's shift index.
+    `segment_tree`s, whose levels sum in `_level`'s order as the recursion does; a
+    shift by x col_k is the plan's `gather` of M_{k+1} into contiguous scratch.
     """
 
     def __init__(self, plan: TablePlan, priors):
@@ -223,29 +227,17 @@ class ExactStepper:
                 kept[k][:] = cur
 
     def _level(self, k: int, nxt: np.ndarray, acc: np.ndarray, scratch: np.ndarray) -> None:
-        """acc = M_k from nxt = M_{k+1}, summed by `_mix`."""
-        _mix(self.priors[k], partial(self._shifted, nxt, k, scratch), acc, scratch)
-
-    def _shifted(self, nxt: np.ndarray, k: int, scratch: np.ndarray, xv: int) -> np.ndarray:
-        """M_{k+1} shifted by xv * col_k, gathered into scratch: over GF(2) at t ^ col_k by
-        blocks of up to 8192 flat indices t (high bits pick the block read, so the index is
-        one block long), over GF(q > 2) through the plan's shift by col_k composed xv times."""
-        if not xv:
-            return nxt
-        if self.q == 2:
-            col, block = self.plan.flat_cols[k], min(nxt.size, 8192)
-            low = np.arange(block) ^ (col % block)
-            for lo in range(0, nxt.size, block):
-                base = lo ^ (col - col % block)
-                np.take(nxt[base:base + block], low, out=scratch[lo:lo + block], mode="clip")
-            return scratch
-        src = step = self.plan.shift_index[k]
-        if step is None:
-            return nxt
-        for _ in range(xv - 1):
-            src = step[src]
-        np.take(nxt, src, out=scratch, mode="clip")
-        return scratch
+        """acc = M_k from nxt = M_{k+1}: the sum over x of mu_k(x) times nxt shifted by
+        x col_k (the plan's gather into scratch, or nxt itself where x col_k = 0), x = 0
+        first and zero priors skipped, the order each `segment_tree` level repeats."""
+        v, live = self.plan.flat_cols[k], [(x, p) for x, p in enumerate(self.priors[k]) if p]
+        for i, (x, p) in enumerate(live):  # 0 + p M == p M exactly: the first term fills acc
+            np.multiply(self.plan.gather(nxt, v[x], scratch) if v[x] else nxt, p,
+                        out=scratch if i else acc)
+            if i:
+                acc += scratch
+        if not live:
+            acc.fill(0.0)
 
     def segment_tree(self, i: int, flat: int) -> tuple:
         """(leaves, levels) of segment i = [a, b) rooted at the residual with flat
@@ -253,7 +245,7 @@ class ExactStepper:
         residual less the segment's symbols, and level j holds M_{a+j} at the
         residual less x_a..x_{a+j-1}; the last level reads table b at the leaves,
         and level 0 is None.  Level j sums level j + 1 viewed as (q, q**j), row v
-        times mu_{a+j}(v), over its rows in order: `_mix`'s sum, a zero row adds 0."""
+        times mu_{a+j}(v), over its rows in order: `_level`'s sum, a zero row adds 0."""
         q, a, b = self.q, self.plan.starts[i], self.plan.ends[i]
         leaves = self.plan.leaf_index(i, flat)
         tree, col = [self._tables[i][leaves]] if b > a else [], self.priors[a:b, :, None]

@@ -71,7 +71,11 @@ def _normal_quantile(p: float) -> float:
 
 
 def chi_square_stat(counts, expected) -> float:
+    """Pearson's statistic over the cells with positive expectation; inf when a
+    cell expected to stay empty holds counts, which no sample of the law can do."""
     counts = np.asarray(counts, dtype=float)
     expected = np.asarray(expected, dtype=float)
     mask = expected > 0
+    if np.any(counts[~mask]):
+        return math.inf
     return float(((counts[mask] - expected[mask]) ** 2 / expected[mask]).sum())

@@ -7,6 +7,7 @@ Likewise the sum-product schedule is constants (`sampler.INIT_ITERS`,
 would turn."""
 
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -132,3 +133,25 @@ def test_removed_settings_are_refused(call, message):
     codes = _tiny_codes()
     with pytest.raises(TypeError, match=message):
         call(*codes)
+
+
+def test_a_gf3_plan_at_rank_12_keeps_at_most_10_mib():
+    """Once a stepper has been built on it and its trees read, a GF(3) plan of
+    rank 12 over n = 40 columns keeps at most 10 MiB: no shift index of
+    q**rank entries per column (81 MiB), only one table of digitwise
+    differences over half the digits and the segments' leaves from root 0."""
+    rng = np.random.default_rng(12)
+    A = SparseMatrix.from_dense(rng.integers(0, 3, size=(12, 40)), GF(3))
+    priors = rng.dirichlet(np.ones(3), size=40)
+    tracemalloc.start()
+    try:
+        plan = sampler.TablePlan(A)
+        stepper = sampler.ExactStepper(plan, priors)
+        for i in range(len(plan.ends)):
+            stepper.segment_tree(i, 0)
+        del stepper
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert plan.l == 12 and len(plan.ends) >= 3
+    assert kept <= 10 * 2 ** 20, f"the plan keeps {kept / 2 ** 20:.1f} MiB"

@@ -77,6 +77,12 @@ def test_decode_matches_bruteforce_on_rank_deficient_stack(source):
             assert np.array_equal(got, best)
 
 
+@pytest.mark.parametrize("target_d", [float("nan"), float("inf"), -0.1])
+def test_spec_refuses_a_target_that_is_not_finite_or_is_negative(target_d):
+    with pytest.raises(ValueError, match="target_d"):
+        small_spec(target_d=target_d)
+
+
 @pytest.mark.parametrize("y, what", [
     ([-1, 0, 0, 0, 0, 0, 0, 0], "symbol outside"),        # would read the last symbol's row
     ([0, 0, 0, 0, 0, 0, 0, 2], "symbol outside"),

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import weakref
 from fractions import Fraction
@@ -29,7 +30,6 @@ from cosetcode.sampler import (
     _ForcedPath,
     _UniformEngine,
     _drive,
-    _xor_span,
     exact_coset_law,
     generate_interval,
     member_law,
@@ -761,6 +761,15 @@ def segment_residual(plan, t, a, j, p):
     return (t - sum((xh * plan.cols[a + h] for h, xh in enumerate(x)), np.zeros_like(t))) % q
 
 
+def digit_leaves(plan, i, t) -> np.ndarray:
+    """Segment i = [a, b)'s leaf index at root syndrome t, digit by digit: at
+    p = sum_h x_h q**h, the flat index of (t - sum_h x_h col_{a+h}) mod q."""
+    a, b, q = plan.starts[i], plan.ends[i], plan.q
+    x = np.array(list(itertools.product(range(q), repeat=b - a)), dtype=np.int64)[:, ::-1]
+    cols = np.array(plan.cols[a:b], dtype=np.int64).reshape(b - a, plan.l)
+    return (t - x @ cols) % q @ plan.weights
+
+
 def syndrome(plan, flat):
     """The syndrome whose flat index is flat, axis 0 most significant."""
     return np.array([flat // w % plan.q for w in plan.weights], dtype=np.int64)
@@ -1101,23 +1110,32 @@ def test_kept_end_tables_are_the_tables_in_syndrome_coordinates(q):
 
 
 @pytest.mark.parametrize("q", [3, 5])
-def test_gfq_builds_on_a_kept_plan_make_no_source_index_calls(q, monkeypatch):
+def test_gfq_kept_plan_builds_its_index_state_once(q, monkeypatch):
+    """A kept plan builds its difference table, block starts and spans while its
+    first stepper and trees run; later steppers and trees read the same kept
+    objects, a later build splits only one block's indexes per shift and a tree
+    splits nothing."""
     rng = np.random.default_rng(q + 70)
     D = rng.integers(0, q, size=(3, 7))
     D[:, 4] = 0                                       # an all-zero column
     A = SparseMatrix.from_dense(D, GF(q))
-    calls = []
-    real = TablePlan.source_index
-    monkeypatch.setattr(TablePlan, "source_index",
-                        lambda plan, shift: calls.append(shift) or real(plan, shift))
-    plan = TablePlan(A)
-    assert calls                                      # the plan builds its indices once
-    for _ in range(2):
-        calls.clear()
+    plan, calls, kept = TablePlan(A), [], None
+    real = TablePlan.split
+    monkeypatch.setattr(TablePlan, "split",
+                        lambda plan, t: calls.append(np.size(t)) or real(plan, t))
+    for build in range(3):
         priors = rng.dirichlet(np.ones(q), size=7)
+        calls.clear()
         st = ExactStepper(plan, priors)
+        build_calls = list(calls)
+        calls.clear()
         assert_stepper_holds(st, per_axis_roll_tables(D, priors, q))
-        assert calls == []                            # nor do its trees
+        state = {name: plan.__dict__[name] for name in ("_diff", "_blocks", "_spans")}
+        if build == 0:
+            kept = state                              # the plan builds its state once
+        else:
+            assert all(state[name] is kept[name] for name in kept)
+            assert build_calls and set(build_calls) == {plan._blocks[0]} and calls == []
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -1232,8 +1250,8 @@ def test_walker_step_pmfs_are_the_per_symbol_formula(q):
     """Every step pmf that real passes hand their selector is, byte for byte, the
     per-symbol formula over the reference tables: mu_k(z) M_{k+1}(t_k - z col_k),
     normalised and rolled by the shift y_k, narrowed to a point mass at a pivot
-    column.  Over GF(2) each segment's leaf index is its columns' XOR span from
-    the root."""
+    column.  Over every field each segment's leaf index at every root is, byte for
+    byte, the residuals' flat indexes formed digit by digit from the plan's columns."""
     n, l = {2: (12, 6), 3: (9, 4), 5: (6, 3)}[q]
     rng = np.random.default_rng(q + 180)
     seen = set()
@@ -1272,12 +1290,10 @@ def test_walker_step_pmfs_are_the_per_symbol_formula(q):
                         t = (t - (x[k] - shift[k]) * plan.cols[k]) % q
                     seen.update({"shift": shift.any(), "early": plan.stop < n,
                                  "segments": len(plan.ends) > 2}.items())
-            if q == 2:
-                for i, (a, b) in enumerate(zip(plan.starts, plan.ends)):
-                    for flat in range(2 ** plan.l):
-                        span = np.empty(2 ** (b - a), dtype=np.int64)
-                        _xor_span(plan.flat_cols[a:b], span, flat)
-                        assert plan.leaf_index(i, flat).tobytes() == span.tobytes()
+            for i in range(len(plan.ends)):
+                for flat in range(q ** plan.l):
+                    want = digit_leaves(plan, i, syndrome(plan, flat))
+                    assert plan.leaf_index(i, flat).tobytes() == want.tobytes()
     assert {(name, True) for name in ("shift", "early", "segments")} <= seen
 
 

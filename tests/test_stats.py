@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from cosetcode.stats import binary_entropy, chi2_quantile, wilson_interval
+from cosetcode.stats import binary_entropy, chi2_quantile, chi_square_stat, wilson_interval
 
 
 @pytest.mark.parametrize("successes, trials", [(3, 2), (-1, 5), (6, 5), (1, 0), (0, -3)])
@@ -41,3 +41,10 @@ def test_binary_entropy_is_0_at_the_ends_and_1_at_a_half():
     assert binary_entropy(0.0) == binary_entropy(1.0) == 0.0
     assert binary_entropy(0.5) == 1.0
     assert binary_entropy(0.11) == pytest.approx(0.4999, abs=1e-4)
+
+
+def test_chi_square_stat_is_inf_on_counts_in_a_zero_probability_cell():
+    """Mass on an impossible outcome fails any gate; an empty zero cell adds nothing."""
+    assert chi_square_stat([50, 50, 1], [50.0, 50.0, 0.0]) == math.inf
+    assert chi_square_stat([50, 50, 0], [50.0, 50.0, 0.0]) == 0.0
+    assert chi_square_stat([40, 60], [50.0, 50.0]) == pytest.approx(4.0)
