@@ -158,7 +158,11 @@ def decode_bp(spec: ChannelCodeSpec, y, channel) -> DecodeOutcome:
         return DecodeOutcome(None, "bp-then-B", converged=False,
                              iterations=bp.iterations)
     x_hat = hard_decision(bp.marginals().T)
-    if not np.array_equal(spec.A.mat_vec(x_hat), spec.c):
+    if bp.belief is not None and np.array_equal(x_hat, hard_decision(bp.belief)):
+        in_coset = not bp.syndrome.any()     # the member test's A x_hat - c
+    else:                                    # no test ran, or normalising split a tie
+        in_coset = np.array_equal(spec.A.mat_vec(x_hat), spec.c)
+    if not in_coset:
         return DecodeOutcome(None, "bp-then-B", converged=converged,
                              iterations=bp.iterations)
     return DecodeOutcome(spec.B.mat_vec(x_hat), "bp-then-B",

@@ -1,21 +1,23 @@
 """Vectorized sum-product for coset-shaped graphs.
 
 Flooding sum-product on graphs made of per-index priors plus affine
-checks over GF(q), with all factor updates run as batched array ops:
-check messages go through a DFT over Z_q so the per-factor convolutions
-become products, and exclusive products come from prefix/suffix
-products.  The tests hold it to an edge-major flooding kernel
-(`FloodingReference`, message for message) and, on trees, to the coset
-marginals of `sampler.exact_coset_law`.
+checks over GF(q), with all factor updates run as batched array ops.
+Over GF(2) a check reads one plane, d = pi_0 - pi_1 of normalised pi,
+and sends sigma[v] = 1/2 + (-1)^(t_f + v) P / 2, P the product of its
+other edges' d (Gallager's rule).  Over GF(q > 2) messages go through a
+DFT over Z_q, so the per-factor convolutions become products.  Exclusive
+products come from prefix/suffix products.  The tests hold it to an
+edge-major flooding kernel (`FloodingReference`, message for message)
+and, on trees, to the coset marginals of `sampler.exact_coset_law`.
 
 The work is split in two.  `CosetGraph` holds what depends on the matrix
 alone: the edges in CSR (check-major) order, the gather indices of both
-sides, the DFT matrices and scratch buffers.  A code builds it once per
-matrix, and every decode or draw on that matrix reuses it.  `CosetBP`
-holds one run's state: targets, priors, messages and what conditioning
-has fixed.  States that share a graph share its scratch, so they run one
-at a time; until its first `condition()` a state shares the graph's
-read-only conditioning arrays and its target's output index.
+sides, the GF(q > 2) DFT matrices and scratch buffers.  A code builds it
+once per matrix, and every decode or draw on that matrix reuses it.
+`CosetBP` holds one run's state: targets, priors, messages and what
+conditioning has fixed.  States that share a graph share its scratch, so
+they run one at a time; until its first `condition()` a state shares the
+graph's read-only conditioning arrays and its target's output index.
 
 Messages are stored symbol-major, as (q, E) arrays over the edges in CSR
 order, so every per-symbol operation reads a contiguous row of E values.
@@ -25,14 +27,14 @@ sits in plane j; each step of the prefix and of the suffix scan then
 multiplies one contiguous run, and one more `take` reads each edge's
 exclusive product back in CSR order (see `_GroupProducts`).  Products
 are taken in the order of a per-group left-to-right and right-to-left
-scan, so over GF(2) the messages are the same bit for bit as with any
-other layout.
+scan, so over GF(2) the messages are the same bit for bit as the
+one-plane rule gives in any other layout.
 
 Supports in-place conditioning (fix x_i = v): the symbol is folded into
 the residual targets and the variable's edges go inactive, which is what
 the sequential sampler needs.  An inactive edge sends delta_0 to its
-check, whose transform is all-ones, and a neutral message to its
-variable.
+check, whose transform is all-ones (d = 1 over GF(2)), and a neutral
+message to its variable.
 
 Every run floods undamped until its messages settle to within `TOL`.
 The decoders run `DECODE_ITERS` iterations at most and also stop at the
@@ -138,17 +140,13 @@ class CosetGraph:
         self.f_deg = np.diff(A.indptr)
         self.check_start = A.indptr[:-1][self.f_deg > 0]    # first edge of each check with edges
 
-        # DFT matrices; real Hadamard for q = 2, complex roots of unity otherwise
-        if q == 2:
-            self.W = np.array([[1.0, 1.0], [1.0, -1.0]])
-            self.Winv = self.W / 2.0
-            self.cdtype = np.float64
-        else:
+        # DFT matrices of GF(q > 2); GF(2) checks take the products of one
+        # plane, d = pi_0 - pi_1, and no transform
+        if q > 2:
             j, k = np.meshgrid(np.arange(q), np.arange(q), indexing="ij")
             w = np.exp(-2j * np.pi / q)
             self.W = w ** (j * k)
             self.Winv = np.conj(self.W) / q
-            self.cdtype = np.complex128
         sym = np.arange(q)[:, None]
         # scaled[v, e] = pi[coeff_e^-1 * v, e], read at flat index in_idx[v, e];
         # None when every coefficient is 1 (always for q = 2)
@@ -158,7 +156,8 @@ class CosetGraph:
         self.neg_cx = (-self.e_coeff * sym) % q
         self.residue = np.arange(2 * q - 1) % q      # t + neg_cx lies in 0..2q-2
 
-        self.checks = _GroupProducts(self.e_factor, l, q, self.cdtype)
+        self.checks = _GroupProducts(self.e_factor, l, 1, np.float64) if q == 2 else \
+            _GroupProducts(self.e_factor, l, q, np.complex128)
         self.variables = _GroupProducts(self.e_var, n, q, np.float64)
         self.bare = self.variables.has_edges.size < n      # some variable has no edges
         self.all_active, self.unfixed = np.broadcast_to(True, E), np.broadcast_to(-1, n)
@@ -176,11 +175,12 @@ class CosetGraph:
         return self._target[1]
 
     def out_index(self, targets, lo: int = 0, hi: int | None = None) -> np.ndarray:
-        """Flat index into conv of sigma[v, e] = conv[t_f - a_e v, e], edges lo..hi."""
+        """Where sigma[v, e] = conv[t_f - a_e v, e] is read, edges lo..hi: the flat
+        index into conv, or over GF(2) the sign (-1)^(t_f + v) / 2 that the
+        product of the other edges' d carries."""
         hi = self.E if hi is None else hi
-        cols = np.arange(lo, hi)
         sym = self.residue.take(targets[self.e_factor[lo:hi]] + self.neg_cx[:, lo:hi])
-        return sym * self.E + cols
+        return 0.5 - sym if self.q == 2 else sym * self.E + np.arange(lo, hi)
 
 
 # messages have settled once no check-to-variable message moves by TOL or more
@@ -212,9 +212,10 @@ class CosetBP:
 
     Until its first `condition()` a state shares the `_OWNED` arrays: the
     graph's read-only `active`, `active_deg` and `fixed`, its output index for
-    the target, and pi, which starts as the prior itself; `condition()` copies
-    them, and so does `clone()` of a conditioned state.  Its priors are kept
-    once, as the contiguous (q, n) `prior_t` that pi and the member test read.
+    the target, and pi, which starts as the prior itself (over GF(2), scaled
+    to mass 1); `condition()` copies them, and so does `clone()` of a
+    conditioned state.  Its priors are kept once, as the contiguous (q, n)
+    `prior_t` that pi and the member test read.
     """
     _OWNED = ("targets", "pi", "out_idx", "active", "active_deg", "fixed")
 
@@ -234,6 +235,9 @@ class CosetBP:
         self.active, self.active_deg, self.fixed = g.all_active, g.f_deg, g.unfixed
         self.conditioned = False
         self.prior_e = self.pi = self.prior_t.take(g.e_var, axis=1)
+        if q == 2:          # the one-plane rule reads pi of mass 1; a massless column stays 0
+            mass = self.prior_t.sum(axis=0)
+            self.pi = (self.prior_t / np.where(mass > 0, mass, 1.0)).take(g.e_var, axis=1)
         self.sigma = g.uniform
         self.out_idx, self.want, self.failed = g.target_state(c)
         self.iterations = 0
@@ -304,18 +308,23 @@ class CosetBP:
         for _ in range(iters):
             self.iterations += 1
             # factor side: sigma from pi
-            scaled = self.pi if g.in_idx is None else self.pi.take(g.in_idx)
-            F = g.W @ scaled.astype(g.cdtype, copy=False)
-            if idle is not None:
-                F[:, idle] = 1.0                # delta_0 transforms to all-ones
-            conv = g.Winv @ g.checks(F)
-            if g.cdtype is not np.float64:
-                conv = conv.real
-            np.maximum(conv, 0.0, out=conv)      # np.clip(conv, 0.0, None) without its wrapper
-            sig_new = conv.take(self.out_idx)
-            if not normalize(sig_new):
-                self.failed = True
-                return False
+            if q == 2:                          # |d| <= 1: sigma needs no clamp, no normalising
+                d = self.pi[0] - self.pi[1]
+                if idle is not None:
+                    d[idle] = 1.0               # delta_0
+                sig_new = g.checks(d) * self.out_idx
+                sig_new += 0.5
+            else:
+                scaled = self.pi if g.in_idx is None else self.pi.take(g.in_idx)
+                F = g.W @ scaled.astype(np.complex128)
+                if idle is not None:
+                    F[:, idle] = 1.0            # delta_0 transforms to all-ones
+                conv = (g.Winv @ g.checks(F)).real
+                np.maximum(conv, 0.0, out=conv)  # np.clip(conv, 0.0, None) without its wrapper
+                sig_new = conv.take(self.out_idx)
+                if not normalize(sig_new):
+                    self.failed = True
+                    return False
             if idle is not None:
                 sig_new[:, idle] = 1.0 / q
             sig_old, self.sigma = self.sigma, sig_new

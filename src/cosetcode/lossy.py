@@ -100,7 +100,8 @@ def decode(spec: LossyCodeSpec, m) -> np.ndarray | None:
     size of the joint coset picks the search: up to DENSE_CAP members, an
     exhaustive argmax under the marginal prior (lexicographic ties); above
     it, the member that agrees with the BP argmax on the stacked graph at the
-    free columns of the stacked echelon.
+    free columns of the stacked echelon, whose one solve also finds a target
+    outside the image (after BP has run on it).
     """
     q = spec.q
     m = np.asarray(m, dtype=np.int64) % q
@@ -112,9 +113,8 @@ def decode(spec: LossyCodeSpec, m) -> np.ndarray | None:
         members = ech.members(target)
         logp = spec.log_marginals[np.arange(spec.n), members].sum(axis=1)
         return members[int(np.argmax(logp))] if logp.size else None
-    x = ech.solve(target)
-    if x is None or ech.rank == spec.n:
-        return x
+    if ech.rank == spec.n:
+        return ech.solve(target)
     bp = CosetBP(spec.joint.graph, target, spec.x_marginals)
     bp.run(DECODE_ITERS, until_member=True)
     return None if bp.failed else ech.member_like(target, hard_decision(bp.marginals().T))

@@ -17,7 +17,7 @@ from cosetcode import channel, lossy, sampler
 from cosetcode.fastbp import CosetBP, CosetGraph
 from cosetcode.gf import GF
 from cosetcode.models import bernoulli_source, bsc, hamming_distortion
-from cosetcode.sparsemat import EnsembleSpec, SparseMatrix
+from cosetcode.sparsemat import EnsembleSpec, SparseMatrix, sample_sparse_matrix
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "cosetcode"
 MODULES = sorted(SRC.glob("*.py"))
@@ -155,3 +155,16 @@ def test_a_gf3_plan_at_rank_12_keeps_at_most_10_mib():
         tracemalloc.stop()
     assert plan.l == 12 and len(plan.ends) >= 3
     assert kept <= 10 * 2 ** 20, f"the plan keeps {kept / 2 ** 20:.1f} MiB"
+
+
+def test_a_gf2_graph_keeps_one_check_plane():
+    """Over GF(2) the checks take products of d = pi_0 - pi_1 alone, so the
+    check side's table and prefix/suffix buffers hold E entries each, not
+    one per symbol; the variable side keeps both symbols."""
+    A = sample_sparse_matrix(EnsembleSpec(n=96, l=48, field=GF(2), tau=4),
+                             np.random.default_rng(3))
+    graph = CosetGraph(A)
+    assert graph.E == A.nnz > 0
+    for name in ("table", "before", "after"):
+        assert getattr(graph.checks, name).shape == (graph.E,)
+        assert getattr(graph.variables, name).shape == (2 * graph.E,)

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cosetcode import fastbp
+from cosetcode import channel, fastbp
 from cosetcode.channel import (
     ChannelCodeSpec,
     ChannelEncoder,
@@ -469,6 +469,43 @@ def test_member_stop_reads_non_unit_coefficients(monkeypatch):
             successes += 1
             assert np.array_equal(spec.A.mat_vec(np.argmax(read[0], axis=1)), spec.c)
     assert early > 0 and successes > 0
+
+
+def test_decode_bp_reads_a_in_coset_off_the_member_tests_syndrome(bsc_bp_words,
+                                                                  bsc_bp_decodes, monkeypatch):
+    """When x_hat, read through marginals(), is the member test's own decision,
+    its syndrome is A x_hat - c, and decode_bp forms no A x_hat; when the two
+    differ (a tie that normalising split apart, forced here), it does, once."""
+    spec, ch, ys = bsc_bp_words
+    formed = []
+    real_mat_vec = SparseMatrix.mat_vec
+    monkeypatch.setattr(SparseMatrix, "mat_vec",
+                        lambda M, x: formed.append(M is spec.A) or real_mat_vec(M, x))
+    for y, (want, _, _) in zip(ys, bsc_bp_decodes):
+        formed.clear()
+        out = decode_bp(spec, y, ch)
+        assert out.converged and out.iterations < DECODE_ITERS
+        assert out.success and np.array_equal(out.m_hat, want.m_hat)
+        assert formed.count(True) == 0
+
+    decisions = []
+    real_decision = channel.hard_decision
+
+    def split(beliefs):
+        """The second read of a decode, the member test's, differs at symbol 0."""
+        x = real_decision(beliefs)
+        decisions.append(x)
+        if len(decisions) % 2 == 0:
+            x = x.copy()
+            x[0] ^= 1
+        return x
+
+    monkeypatch.setattr(channel, "hard_decision", split)
+    for y, (want, _, _) in zip(ys[:4], bsc_bp_decodes):
+        formed.clear()
+        out = decode_bp(spec, y, ch)
+        assert out.success and np.array_equal(out.m_hat, want.m_hat)
+        assert formed.count(True) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ from cosetcode.fastbp import CosetBP, CosetGraph
 from cosetcode.gf import GF
 from cosetcode.models import MemorylessSource, bernoulli_source, bsc, hamming_distortion
 from cosetcode.sampler import EncodingError, exact_coset_law
-from cosetcode.sparsemat import (DENSE_CAP, EnsembleSpec, SparseMatrix, row_reduce,
-                                 sample_sparse_matrix)
+from cosetcode.sparsemat import (DENSE_CAP, EchelonForm, EnsembleSpec, SparseMatrix,
+                                 row_reduce, sample_sparse_matrix)
 from cosetcode.streams import stream
 
 
@@ -518,17 +518,12 @@ class FloodingReference:
         bounds = np.concatenate([[0], np.cumsum(self.v_deg)])
         self.var_edge_list = [order[bounds[v]:bounds[v + 1]] for v in range(self.n)]
 
-        # DFT matrices; real Hadamard for q = 2, complex roots of unity otherwise
-        if q == 2:
-            self.W = np.array([[1.0, 1.0], [1.0, -1.0]])
-            self.Winv = self.W / 2.0
-            self._cdtype = np.float64
-        else:
+        # DFT matrices of GF(q > 2); GF(2) checks read the one plane pi_0 - pi_1
+        if q > 2:
             j, k = np.meshgrid(np.arange(q), np.arange(q), indexing="ij")
             w = np.exp(-2j * np.pi / q)
             self.W = w ** (j * k)
             self.Winv = np.conj(self.W) / q
-            self._cdtype = np.complex128
         inv_table = GF(q).inv_table
         # IDX_IN[e, v] = coeff^-1 * v: scaled[e, a*x] = pi[e, x]
         invc = inv_table[self.e_coeff]
@@ -538,6 +533,9 @@ class FloodingReference:
         self.active = np.ones(self.E, dtype=bool)
         self.fixed = np.full(self.n, -1, dtype=np.int64)
         self.pi = self.priors[self.e_var].copy()
+        if q == 2:      # the one-plane check rule reads pi of mass 1; a massless row stays 0
+            mass = self.pi.sum(axis=1)
+            self.pi /= np.where(mass > 0, mass, 1.0)[:, None]
         self.sigma = np.full((self.E, q), 1.0 / q)
         self.failed = False
         self.iterations = 0
@@ -589,11 +587,16 @@ class FloodingReference:
         for _ in range(iters):
             self.iterations += 1
             # factor side: sigma from pi
-            scaled = np.take_along_axis(self.pi, self.idx_in, axis=1)
-            scaled[~self.active] = 0.0
-            scaled[~self.active, 0] = 1.0
-            F = scaled.astype(self._cdtype) @ self.W.T
-            P = np.ones((self.l, self.D, q), dtype=self._cdtype)
+            idx_out = (self.targets[self.e_factor][:, None] + self.neg_cx) % q
+            if q == 2:      # one plane, d = pi_0 - pi_1; delta_0 has d = 1
+                F = (self.pi[:, 0] - self.pi[:, 1])[:, None]
+                F[~self.active] = 1.0
+            else:
+                scaled = np.take_along_axis(self.pi, self.idx_in, axis=1)
+                scaled[~self.active] = 0.0
+                scaled[~self.active, 0] = 1.0
+                F = scaled.astype(np.complex128) @ self.W.T
+            P = np.ones((self.l, self.D, F.shape[1]), dtype=F.dtype)
             P[self.e_factor, self.e_pos] = F
             cp = np.cumprod(P, axis=1)
             prefix = np.ones_like(P)
@@ -603,17 +606,19 @@ class FloodingReference:
             suffix[:, :-1] = rcp[:, 1:]
             excl = prefix * suffix
             G = excl[self.e_factor, self.e_pos]
-            conv = (G @ self.Winv).real if self._cdtype is np.complex128 else G @ self.Winv
-            np.clip(conv, 0.0, None, out=conv)
-            idx_out = (self.targets[self.e_factor][:, None] + self.neg_cx) % q
-            sig_new = np.take_along_axis(conv, idx_out, axis=1)
-            sums = sig_new.sum(axis=1)
-            dead = (sums <= 0) & self.active
-            if np.any(dead):
-                self.failed = True
-                return False
-            safe = np.where(sums > 0, sums, 1.0)
-            sig_new = sig_new / safe[:, None]
+            if q == 2:      # sigma[e, v] = 1/2 + (-1)^(t + v) prod_others d / 2
+                sig_new = G * (0.5 - idx_out) + 0.5
+            else:
+                conv = (G @ self.Winv).real
+                np.clip(conv, 0.0, None, out=conv)
+                sig_new = np.take_along_axis(conv, idx_out, axis=1)
+                sums = sig_new.sum(axis=1)
+                dead = (sums <= 0) & self.active
+                if np.any(dead):
+                    self.failed = True
+                    return False
+                safe = np.where(sums > 0, sums, 1.0)
+                sig_new = sig_new / safe[:, None]
             sig_new[~self.active] = 1.0 / q
             delta = float(np.abs(sig_new - self.sigma)[self.active].max()) \
                 if np.any(self.active) else 0.0
@@ -816,6 +821,71 @@ def test_matches_flooding_reference_on_decoder_sized_graph():
         assert np.array_equal(new.marginals(), ref.marginals())
 
 
+def hadamard_check_pass(A, targets, pi, active) -> np.ndarray:
+    """The two-plane GF(2) check rule, edge by edge: per check, the products
+    of the other edges' F = H pi, H = [[1, 1], [1, -1]] (delta_0 for an idle
+    edge), back through H / 2, clamped at 0, read at t_f - v and normalised;
+    (2, E) like CosetBP's sigma, 1/2 on idle edges."""
+    H = np.array([[1.0, 1.0], [1.0, -1.0]])
+    F = H @ pi
+    F[:, ~active] = 1.0
+    sigma = np.full(pi.shape, 0.5)
+    for f in range(A.rows):
+        edges = np.arange(A.indptr[f], A.indptr[f + 1])
+        for e in edges[active[edges]]:
+            conv = np.maximum(H @ F[:, edges[edges != e]].prod(axis=1) / 2, 0.0)
+            read = conv[[targets[f], (targets[f] + 1) % 2]]
+            sigma[:, e] = read / read.sum()
+    return sigma
+
+
+def test_one_plane_check_rule_is_the_hadamard_rule():
+    """Over GF(2) one check pass, sigma[v] = 1/2 + (-1)^(t_f + v) prod_others d / 2
+    with d = pi_0 - pi_1, is the two-plane Hadamard pass within 8 eps per entry,
+    on checks of degree 0 to ~24, with idle edges, and with priors of scale
+    2**60 and 2**-60, whose pi (the prior of mass 1) is the unscaled prior's."""
+    rng = np.random.default_rng(36)
+    worst, degrees, idle = 0.0, set(), 0
+    for trial in range(40):
+        n, l = int(rng.integers(2, 30)), int(rng.integers(1, 10))
+        A, x_star, c, priors = oracle_instance(rng, 2, n, l, rng.choice([0.2, 0.5, 0.9]),
+                                               pinned=trial % 2 == 1)
+        scale = 2.0 ** rng.choice([-60, 0, 60], size=(n, 1))
+        graph = CosetGraph(A)
+        bp, unscaled = CosetBP(graph, c, priors * scale), CosetBP(graph, c, priors)
+        assert np.array_equal(bp.pi, unscaled.pi)
+        assert np.allclose(bp.pi.sum(axis=0), 1.0, rtol=0, atol=2 ** -52)
+        for v in rng.permutation(n)[: int(rng.integers(0, n // 2 + 1))]:
+            assert bp.condition(int(v), int(x_star[v]))
+        pi, active = bp.pi.copy(), bp.active.copy()
+        bp.run(1)
+        assert bp.iterations == (graph.E > 0)
+        want = hadamard_check_pass(A, bp.targets, pi, active)
+        worst = max(worst, float(np.abs(bp.sigma - want).max(initial=0.0)))
+        degrees |= set(np.diff(A.indptr).tolist())
+        idle += int((~active).sum())
+    assert worst <= 8 * np.finfo(float).eps, worst
+    assert {0, 1} <= degrees and max(degrees) >= 20 and idle > 0
+
+
+def test_a_massless_gf2_prior_column_fails_the_first_run():
+    """A prior column of zero mass stays 0 in pi (no 0/0) and fails the first
+    run, at a check of degree 1 too, unless its variable is fixed or has no
+    edges; the scale of the other columns does not matter."""
+    A = dense([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 0]], GF(2))   # x_3 has no edges
+    x = np.array([1, 0, 1, 0])
+    for v, fixed, fails in ((0, False, True), (2, False, True), (1, True, False),
+                            (3, False, False)):
+        priors = np.array([[0.3, 0.7], [2.0 ** 60, 1.0], [0.5, 0.5], [1.0, 2.0 ** -60]])
+        priors[v] = 0.0
+        bp = CosetBP(CosetGraph(A), A.mat_vec(x), priors)
+        assert np.all(np.isfinite(bp.pi)) and not bp.pi[:, A.col_idx == v].any()
+        if fixed:
+            assert bp.condition(v, x[v])
+        bp.run(5)
+        assert bp.failed == fails and (bp.iterations == 1 or not fails)
+
+
 def test_hidden_dead_end_matches_reference():
     # x_0 + x_1 = 0 and x_0 + x_1 = 1: BP hides the contradiction until x_0 is fixed
     A = SparseMatrix.from_dense(np.array([[1, 1], [1, 1]]), GF(2))
@@ -926,6 +996,28 @@ def test_lossy_decode_above_the_cap_completes_the_bp_argmax_to_a_member():
         argmax = np.argmax(bp.marginals(), axis=1)
         assert not np.array_equal(big.stacked.mat_vec(argmax), target)   # not a member
         assert np.array_equal(x_hat[ech.free], argmax[ech.free])
+
+
+def test_lossy_decode_above_the_cap_solves_the_joint_target_once(monkeypatch):
+    """One solve per decode: it completes the BP argmax to a member, and it
+    finds a target outside the stacked map's image (rank 22 of 24 rows)."""
+    big = lossy_spec(48, 12, 12, seed=0)
+    ech = big.ech_stacked
+    assert big.q ** (big.n - ech.rank) > DENSE_CAP and ech.rank < big.stacked.rows
+    rng = stream(3, 2)
+    outside = next(m for m in (rng.integers(0, 2, size=12) for _ in range(100))
+                   if ech.solve(np.concatenate([big.c, m])) is None)
+    solves = []
+    real = EchelonForm.solve
+    monkeypatch.setattr(EchelonForm, "solve", lambda e, t: solves.append(e) or real(e, t))
+    for _ in range(3):
+        m = big.B.mat_vec(row_reduce(big.A).random_member(big.c, rng))
+        solves.clear()
+        assert lossy.decode(big, m) is not None
+        assert solves == [ech]
+    solves.clear()
+    assert lossy.decode(big, outside) is None
+    assert solves == [ech]
 
 
 def test_sum_product_encoder_reuses_its_graph_and_early_stop(graph_builds, monkeypatch):
