@@ -14,10 +14,9 @@ The work is split in two.  `CosetGraph` holds what depends on the matrix
 alone: the edges in CSR (check-major) order, the gather indices of both
 sides, the GF(q > 2) DFT matrices and scratch buffers.  A code builds it
 once per matrix, and every decode or draw on that matrix reuses it.
-`CosetBP` holds one run's state: targets, priors, messages and what
-conditioning has fixed.  States that share a graph share its scratch, so
-they run one at a time; until its first `condition()` a state shares the
-graph's read-only conditioning arrays and its target's output index.
+`CosetBP` holds one run's state: priors and messages.  States that share
+a graph share its scratch and its last target's output index, so they run
+one at a time.
 
 Messages are stored symbol-major, as (q, E) arrays over the edges in CSR
 order, so every per-symbol operation reads a contiguous row of E values.
@@ -30,12 +29,6 @@ are taken in the order of a per-group left-to-right and right-to-left
 scan, so over GF(2) the messages are the same bit for bit as the
 one-plane rule gives in any other layout.
 
-Supports in-place conditioning (fix x_i = v): the symbol is folded into
-the residual targets and the variable's edges go inactive, which is what
-the sequential sampler needs.  An inactive edge sends delta_0 to its
-check, whose transform is all-ones (d = 1 over GF(2)), and a neutral
-message to its variable.
-
 Every run floods undamped until its messages settle to within `TOL`.
 The decoders run `DECODE_ITERS` iterations at most and also stop at the
 first iteration whose hard decision lies in the coset (`run(...,
@@ -43,8 +36,7 @@ until_member=True)`), read from the variable pass the iteration already
 ran; that member test forms the syndrome A x_hat - c in one pass over
 the edges, and `marginals()` reuses the products it formed.  The member
 test and both decoders read the hard decision by `hard_decision`.  The
-sampler sets its own schedule (`sampler.INIT_ITERS`, `sampler.STEP_ITERS`)
-and runs until its messages settle.
+sampler runs `sampler.INIT_ITERS` iterations at most and reads `marginals()`.
 """
 
 import numpy as np
@@ -87,7 +79,7 @@ class _GroupProducts:
         self.at = offset[slot] + rank[groups] * q + np.arange(q)[:, None]
         self.src = np.empty(q * E, dtype=np.int64)      # table entry -> flat message index
         self.src[self.at] = np.arange(q)[:, None] * E + np.arange(E)
-        self.order, self.start, self.size = order, start, size
+        self.size = size
         self.last = order[start[1:][deg > 0] - 1]       # each group's last edge
         self.has_edges = np.flatnonzero(deg > 0)
         self.table = np.empty(q * E, dtype=dtype)
@@ -114,10 +106,6 @@ class _GroupProducts:
             np.multiply(run, here, out=out)
         return (self.before * self.after).take(self.at)
 
-    def members(self, group: int) -> np.ndarray:
-        """The group's edges, in increasing edge order."""
-        return self.order[self.start[group]:self.start[group + 1]]
-
     def products(self, messages, excl=None) -> np.ndarray:
         """(q, groups): the product of all of each group's messages, left to
         right; one for a group without edges.  `excl`: `self(messages)`, if known."""
@@ -135,7 +123,6 @@ class CosetGraph:
         self.q, self.l, self.n = q, l, n
         # edges in CSR (check-major) order; A is not modified after construction
         self.e_var, self.e_factor, self.e_coeff = A.col_idx, A.row_of, A.coeffs
-        self.indptr = A.indptr
         E = self.E = int(self.e_var.size)
         self.f_deg = np.diff(A.indptr)
         self.check_start = A.indptr[:-1][self.f_deg > 0]    # first edge of each check with edges
@@ -160,27 +147,24 @@ class CosetGraph:
             _GroupProducts(self.e_factor, l, q, np.complex128)
         self.variables = _GroupProducts(self.e_var, n, q, np.float64)
         self.bare = self.variables.has_edges.size < n      # some variable has no edges
-        self.all_active, self.unfixed = np.broadcast_to(True, E), np.broadcast_to(-1, n)
-        self.f_deg.flags.writeable = False
         self.uniform, self.diff = np.full((q, E), 1.0 / q), np.empty((q, E))
         self._target = None     # (target, its target_state)
 
     def target_state(self, c):
         """(out_index(c), c at the checks with edges, whether a check without
         edges wants a nonzero value); the graph keeps the last target's, and
-        every state on that target shares its arrays."""
+        every state on that target shares its arrays, which none writes."""
         if self._target is None or not np.array_equal(self._target[0], c):
             self._target = c.copy(), (self.out_index(c), c[self.f_deg > 0],
                                       bool(np.any((self.f_deg == 0) & (c != 0))))
         return self._target[1]
 
-    def out_index(self, targets, lo: int = 0, hi: int | None = None) -> np.ndarray:
-        """Where sigma[v, e] = conv[t_f - a_e v, e] is read, edges lo..hi: the flat
-        index into conv, or over GF(2) the sign (-1)^(t_f + v) / 2 that the
-        product of the other edges' d carries."""
-        hi = self.E if hi is None else hi
-        sym = self.residue.take(targets[self.e_factor[lo:hi]] + self.neg_cx[:, lo:hi])
-        return 0.5 - sym if self.q == 2 else sym * self.E + np.arange(lo, hi)
+    def out_index(self, targets) -> np.ndarray:
+        """Where sigma[v, e] = conv[t_f - a_e v, e] is read: the flat index into
+        conv, or over GF(2) the sign (-1)^(t_f + v) / 2 that the product of the
+        other edges' d carries."""
+        sym = self.residue.take(targets[self.e_factor] + self.neg_cx)
+        return 0.5 - sym if self.q == 2 else sym * self.E + np.arange(self.E)
 
 
 # messages have settled once no check-to-variable message moves by TOL or more
@@ -202,22 +186,16 @@ def hard_decision(beliefs: np.ndarray) -> np.ndarray:
 
 
 class CosetBP:
-    """One sum-product run on a coset graph: targets, priors and messages.
+    """One sum-product run on a coset graph: priors and messages.
 
     `graph` may be shared with other runs on the same matrix.  Messages are
     (q, E) arrays over the graph's edges in CSR order: pi from variables to
     checks, sigma from checks to variables.  `run(iters)` floods them
-    until they settle to within TOL; `iterations` counts every
-    iteration this state and the state it was cloned from have run.
-
-    Until its first `condition()` a state shares the `_OWNED` arrays: the
-    graph's read-only `active`, `active_deg` and `fixed`, its output index for
-    the target, and pi, which starts as the prior itself (over GF(2), scaled
-    to mass 1); `condition()` copies them, and so does `clone()` of a
-    conditioned state.  Its priors are kept once, as the contiguous (q, n)
-    `prior_t` that pi and the member test read.
+    until they settle to within TOL; `iterations` counts every iteration
+    run.  pi starts as the prior itself (over GF(2), scaled to mass 1), and
+    the priors are kept once, as the contiguous (q, n) `prior_t` that pi
+    and the member test read.
     """
-    _OWNED = ("targets", "pi", "out_idx", "active", "active_deg", "fixed")
 
     def __init__(self, graph: CosetGraph, c, priors):
         g = self.graph = graph
@@ -230,10 +208,7 @@ class CosetBP:
         c = np.asarray(c, dtype=np.int64) % q
         if c.shape != (self.l,):
             raise ValueError("target length mismatch")
-        self.targets = c
 
-        self.active, self.active_deg, self.fixed = g.all_active, g.f_deg, g.unfixed
-        self.conditioned = False
         self.prior_e = self.pi = self.prior_t.take(g.e_var, axis=1)
         if q == 2:          # the one-plane rule reads pi of mass 1; a massless column stays 0
             mass = self.prior_t.sum(axis=0)
@@ -243,43 +218,6 @@ class CosetBP:
         self.iterations = 0
         self.kept = None    # (incoming, exclusive products) of the last variable pass
         self.belief = self.syndrome = None    # the member test's, on that pass
-
-    def clone(self) -> "CosetBP":
-        """Copy of the mutable state; the graph, priors and messages are
-        shared, and so are the _OWNED arrays while this state is unconditioned."""
-        other = object.__new__(CosetBP)
-        other.__dict__.update(self.__dict__)
-        for name in self._OWNED if self.conditioned else ():
-            setattr(other, name, getattr(self, name).copy())
-        return other
-
-    # -- conditioning ------------------------------------------------------
-
-    def condition(self, v: int, value: int) -> bool:
-        """Fix x_v = value; returns False on an immediate contradiction."""
-        if self.fixed[v] >= 0:
-            raise ValueError(f"variable {v} already fixed")
-        if not self.conditioned:
-            self.__dict__.update({name: getattr(self, name).copy() for name in self._OWNED})
-            self.conditioned = True
-        self.fixed[v] = value
-        g, q = self.graph, self.q
-        ok = True
-        for e in g.variables.members(v):
-            f = g.e_factor[e]
-            self.targets[f] = (self.targets[f] - g.e_coeff[e] * value) % q
-            self.active[e] = False
-            self.pi[:, e] = 0.0
-            self.pi[value, e] = 1.0
-            self.active_deg[f] -= 1
-            if self.active_deg[f] == 0 and self.targets[f] != 0:
-                ok = False
-            lo, hi = g.indptr[f], g.indptr[f + 1]
-            self.out_idx[:, lo:hi] = g.out_index(self.targets, lo, hi)
-        if not ok:
-            self.failed = True
-        self.kept = self.belief = self.syndrome = None
-        return ok
 
     # -- message passing ---------------------------------------------------
 
@@ -291,15 +229,11 @@ class CosetBP:
         if self.E == 0:
             return True
         g, q = self.graph, self.q
-        idle = np.flatnonzero(~self.active) if self.conditioned else None
-        in_coset = self._member_test(idle) if until_member else None
+        in_coset = self._member_test() if until_member else None
 
         def normalize(msg) -> bool:
-            """Scale msg's columns to sum 1; False when an active one sums to 0.
-            Idle columns are left to the caller, which overwrites them."""
+            """Scale msg's columns to sum 1; False when one sums to 0."""
             sums = msg.sum(axis=0)
-            if idle is not None:
-                sums[idle] = 1.0
             if sums.min() <= 0:
                 return False
             msg /= sums
@@ -309,60 +243,41 @@ class CosetBP:
             self.iterations += 1
             # factor side: sigma from pi
             if q == 2:                          # |d| <= 1: sigma needs no clamp, no normalising
-                d = self.pi[0] - self.pi[1]
-                if idle is not None:
-                    d[idle] = 1.0               # delta_0
-                sig_new = g.checks(d) * self.out_idx
+                sig_new = g.checks(self.pi[0] - self.pi[1]) * self.out_idx
                 sig_new += 0.5
             else:
                 scaled = self.pi if g.in_idx is None else self.pi.take(g.in_idx)
-                F = g.W @ scaled.astype(np.complex128)
-                if idle is not None:
-                    F[:, idle] = 1.0            # delta_0 transforms to all-ones
-                conv = (g.Winv @ g.checks(F)).real
+                conv = (g.Winv @ g.checks(g.W @ scaled.astype(np.complex128))).real
                 np.maximum(conv, 0.0, out=conv)  # np.clip(conv, 0.0, None) without its wrapper
                 sig_new = conv.take(self.out_idx)
                 if not normalize(sig_new):
                     self.failed = True
                     return False
-            if idle is not None:
-                sig_new[:, idle] = 1.0 / q
             sig_old, self.sigma = self.sigma, sig_new
 
             # variable side: pi from sigma
-            incoming = sig_new if idle is None else np.where(self.active, sig_new, 1.0)
-            self.kept = incoming, g.variables(incoming)
+            self.kept = sig_new, g.variables(sig_new)
             self.belief = self.syndrome = None
             pi_new = self.prior_e * self.kept[1]
             if not normalize(pi_new):
                 self.failed = True
                 return False
-            if idle is not None:
-                pi_new[:, idle] = self.pi[:, idle]
             self.pi = pi_new
             if in_coset is not None and in_coset(*self.kept):
                 return True
-            diff = np.abs(np.subtract(sig_new, sig_old, out=g.diff), out=g.diff)
-            if idle is not None:
-                diff[:, idle] = 0.0
-            if diff.max() < TOL:
+            if np.abs(np.subtract(sig_new, sig_old, out=g.diff), out=g.diff).max() < TOL:
                 return True
         return False
 
-    def _member_test(self, idle):
+    def _member_test(self):
         """in_coset(incoming, excl): whether the hard decision x_hat, the
         argmax of prior times full product, satisfies every check; a
-        variable without edges enters no check.  A fixed variable keeps its
-        value: its edges are idle and the value is in the targets, so the
-        test sums the active edges alone.  Each call forms the syndrome
+        variable without edges enters no check.  Each call forms the syndrome
         A x_hat - c over the checks with edges by one `reduceat`, and leaves
         it in `syndrome` and the (q, n) prior times full product in `belief`."""
         g, q = self.graph, self.q
         has, last, prior = g.variables.has_edges, g.variables.last, self.prior_t
-        if idle is None:
-            coeff, want = None if g.in_idx is None else g.e_coeff, self.want
-        else:
-            coeff, want = np.where(self.active, g.e_coeff, 0), self.targets[g.f_deg > 0]
+        coeff, want = None if g.in_idx is None else g.e_coeff, self.want
 
         def in_coset(incoming, excl) -> bool:
             full = excl.take(last, axis=1) * incoming.take(last, axis=1)
@@ -382,36 +297,13 @@ class CosetBP:
 
     # -- readout -------------------------------------------------------------
 
-    def marginal(self, v: int):
-        """Belief for x_v, or None when it is all zero (dead end)."""
-        if self.fixed[v] >= 0:
-            out = np.zeros(self.q)
-            out[self.fixed[v]] = 1.0
-            return out
-        g = self.prior_t[:, v].copy()
-        for e in self.graph.variables.members(v):
-            if self.active[e]:
-                g = g * self.sigma[:, e]
-        s = g.sum()
-        if s <= 0:
-            return None
-        return g / s
-
     def marginals(self) -> np.ndarray:
-        """(n, q) beliefs, a view of a (q, n) array; an all-zero belief reads as
-        uniform.  After a run, the products come from its last variable pass,
+        """(n, q) beliefs, a view of a (q, n) array; an all-zero belief stays
+        zero.  After a run, the products come from its last variable pass,
         or with `until_member` from the belief the member test formed on it."""
         if self.belief is not None:
             g = self.belief
         else:
-            incoming, excl = self.kept or (np.where(self.active, self.sigma, 1.0), None)
-            g = self.prior_t * self.graph.variables.products(incoming, excl)
+            g = self.prior_t * self.graph.variables.products(*(self.kept or (self.sigma,)))
         sums = g.sum(axis=0)
-        zero = sums <= 0
-        sums[zero] = 1.0
-        out = g / sums
-        out[:, zero] = 1.0 / self.q
-        if self.conditioned:
-            pinned = np.flatnonzero(self.fixed >= 0)
-            out[:, pinned] = np.eye(self.q)[:, self.fixed[pinned]]
-        return out.T
+        return (g / np.where(sums > 0, sums, 1.0)).T

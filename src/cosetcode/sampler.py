@@ -18,16 +18,17 @@ read off (the early stop).  The work has three lifetimes:
               never dead-ends after a positive start; a lossy code with an
               additive test channel holds one per code, for its noise prior,
               and shifts it to each source word),
-              sum-product (BP conditionals, the scaled path: INIT_ITERS
-              iterations on the target, then at most STEP_ITERS after each
-              commit before the next read; approximate on loopy graphs, so a
-              dead end restarts the draw, up to RETRIES passes) or uniform
+              sum-product (each step pmf is its column's marginal from one
+              BP run on the target, at most INIT_ITERS iterations, so the
+              free columns are drawn independently; a step BP gives no mass
+              is a dead end) or uniform
               (uniform priors make the law uniform on the coset: a solution
               plus a random kernel combination, with no sequential work);
   per target  `engine.draw(c, rng)`, or `engine.walker(c)` for many passes;
               an exact walker reads one tree per segment, rooted at the leaf the
               segment before reached, the first once per target; a step reads
-              q of its entries as floats, with no numpy call.
+              q of its entries as floats, with no numpy call; a sum-product
+              walker runs BP once, and its passes run none.
 `_drive` is the one step loop.  A per-draw state gives the step pmf, q floats
 (`pmf(k)`), which the driver narrows to a point mass wherever the prefix
 forces x_k, and takes the chosen symbol (`commit(k, v)`); a selector
@@ -61,16 +62,16 @@ class DeadEndError(RuntimeError):
     mid-sequence, or a failed initial BP run under positive priors."""
 
 
-# the sum-product schedule: BP iterations on the target before the first
-# step, BP iterations before each read after a commit, and passes per draw
-INIT_ITERS, STEP_ITERS, RETRIES = 50, 2, 16
+# the sum-product schedule: BP iterations on the target, which stop early
+# once the messages settle within fastbp.TOL
+INIT_ITERS = 50
 
 
 @dataclass
 class SamplerConfig:
     """Which stepwise engine draws, and whether it stops early; uniform
     priors take the uniform engine whatever the method.  The sum-product
-    schedule is INIT_ITERS, STEP_ITERS and RETRIES."""
+    schedule is INIT_ITERS and fastbp.TOL."""
 
     method: str = "exact"            # "exact" | "sum-product"
     early_stop: bool = True          # Step-5 unique-completion shortcut
@@ -437,27 +438,18 @@ def _drive(sampler: CosetSampler, c: np.ndarray, state, choose,
     return GeneratedSample(x, "early" if stop < n else "full", stop)
 
 
-class _BeliefState:
-    """Per-draw state of the sum-product engine: BP conditioned on the prefix.
+class _Flooded:
+    """Per-target state of the sum-product engine: step k reads column k's
+    marginal from the one BP run, and a commit changes nothing."""
 
-    A commit fixes the symbol; the next pmf read first runs STEP_ITERS
-    iterations, so a draw that stops early runs no wasted BP.
-    """
+    def __init__(self, marginals: np.ndarray):
+        self.rows = marginals.tolist()
 
-    def __init__(self, bp: CosetBP):
-        self.bp, self.stale = bp, False
-
-    def pmf(self, k: int) -> np.ndarray:
-        if self.stale:
-            self.bp.run(STEP_ITERS)
-            self.stale = False
-        belief = self.bp.marginal(k)
-        return belief if belief is not None else np.zeros(self.bp.q)
+    def pmf(self, k: int) -> list:
+        return self.rows[k]
 
     def commit(self, k: int, v: int) -> None:
-        if not self.bp.condition(k, v):
-            raise DeadEndError(f"contradiction after fixing step {k + 1}")
-        self.stale = True
+        pass
 
 
 class _UniformEngine:
@@ -532,38 +524,32 @@ class _ExactEngine:
 
 
 class _SumProductEngine:
-    """BP conditionals on the matrix's graph; a dead end restarts the draw."""
+    """Step pmfs from the marginals of one BP run per target."""
 
     def __init__(self, sampler: CosetSampler, priors, cfg: SamplerConfig):
         self.sampler, self.priors, self.cfg = sampler, priors, cfg
 
     def walker(self, c):
-        """Passes of the step loop on target c, one per selector, without restarts: each
-        runs on a clone of BP after its initial run and carries that run's flag."""
+        """Passes of the step loop on target c, one per selector: each reads the
+        marginals of one BP run on c and carries that run's flag."""
         c = self.sampler.target(c)
         self.sampler.reduced_target(c)      # EncodingError on an empty coset
-        base = CosetBP(self.sampler.graph, c, self.priors)
-        converged = base.run(INIT_ITERS)
-        if base.failed:
+        bp = CosetBP(self.sampler.graph, c, self.priors)
+        converged = bp.run(INIT_ITERS)
+        if bp.failed:
             if np.all(self.priors > 0):      # the coset is nonempty, so it has mass
                 raise DeadEndError("initial BP run failed on a nonempty coset")
             raise EncodingError("initial BP run failed: the coset may have zero prior mass")
+        state = _Flooded(bp.marginals())
 
         def one_pass(choose) -> GeneratedSample:
-            state = _BeliefState(base.clone())
             sample = _drive(self.sampler, c, state, choose, self.cfg.early_stop)
             sample.converged = converged
             return sample
         return one_pass
 
     def draw(self, c, rng) -> GeneratedSample:
-        walk, choose = self.walker(c), partial(sample_pmf, rng)
-        for _ in range(RETRIES):
-            try:
-                return walk(choose)
-            except DeadEndError:
-                continue
-        raise DeadEndError(f"sum-product engine failed after {RETRIES} restarts")
+        return self.walker(c)(partial(sample_pmf, rng))
 
 
 _STEPWISE = {"exact": _ExactEngine, "sum-product": _SumProductEngine}
@@ -658,10 +644,10 @@ def path_tree_law(A: SparseMatrix, c, priors, cfg: SamplerConfig):
     normalized, and a pivot column is a point mass on its one feasible
     symbol), so expanding the members' paths covers the whole tree.  The
     exact engine's law is the restricted prior; the sum-product engine's
-    is what one pass of its draw gives, without restarts.  The missing
-    mass, 1 - sum(path_probabilities), is the pass's dead-end
-    probability, 0 for the exact engine.  Honors cfg.early_stop the same
-    way `engine.draw` does.  Returns (members, path_probabilities).
+    is the product of BP's marginals over the free columns before the
+    stop.  The missing mass, 1 - sum(path_probabilities), is the pass's
+    dead-end probability, 0 for the exact engine.  Honors cfg.early_stop
+    the same way `engine.draw` does.  Returns (members, path_probabilities).
     """
     sampler = CosetSampler(A)
     engine = _STEPWISE[cfg.method](sampler, sampler.checked_priors(priors), cfg)

@@ -3,8 +3,7 @@ desk-scale budget, so no function takes a cap of its own, and no module but
 `sparsemat` spells out its value or assigns a module-level name with CAP in
 it (importing DENSE_CAP reads the one budget; assigning would make a second).
 Likewise the sum-product schedule is constants (`sampler.INIT_ITERS`,
-`STEP_ITERS`, `RETRIES`, `fastbp.TOL`) and no setting exists that only tests
-would turn."""
+`fastbp.TOL`) and no setting exists that only tests would turn."""
 
 import ast
 import tracemalloc

@@ -17,8 +17,6 @@ from cosetcode.models import (BiAwgnChannel, MemorylessSource, bac, bernoulli_so
                               hamming_distortion, qsc, uniform_source)
 from cosetcode.sampler import (
     INIT_ITERS,
-    RETRIES,
-    STEP_ITERS,
     DeadEndError,
     EncodingError,
     CosetSampler,
@@ -86,8 +84,8 @@ def test_config_validation():
     with pytest.raises(ValueError, match="method"):
         SamplerConfig(method="gibbs")
     # not fields: the state budget is DENSE_CAP, uniform priors pick their
-    # own engine, and the sum-product schedule is INIT_ITERS, STEP_ITERS,
-    # RETRIES and fastbp.TOL, without damping
+    # own engine, and the sum-product schedule is INIT_ITERS and fastbp.TOL,
+    # without damping
     for removed in ("exact_cap", "exact_cap_states", "uniform_shortcut", "sp_init_iters",
                     "sp_step_iters", "sp_damping", "sp_tol", "retries"):
         with pytest.raises(TypeError):
@@ -427,21 +425,22 @@ def test_sum_product_pivot_steps_are_point_masses(q, early_stop):
             if pivots[k]:
                 assert np.count_nonzero(pmf) == 1 and np.asarray(pmf).max() == 1.0
     assert passes >= 4
-    for _ in range(8):                          # restarts absorb the rest
+    for _ in range(8):                          # every draw encodes
         m = spec.random_message(rng)
         assert np.array_equal(spec.B.mat_vec(engine.draw(np.concatenate([spec.c, m]), rng).x), m)
 
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_sum_product_schedule(q, monkeypatch):
-    """A draw runs INIT_ITERS on its target once, then at most STEP_ITERS
-    before each read that follows a commit, over at most RETRIES passes."""
+    """A draw and a `path_tree_law` call each make exactly one BP run, of
+    INIT_ITERS iterations at most, on their target; the passes of a walker
+    make none of their own."""
     runs = []                                   # (iters asked, iterations run)
     real = CosetBP.run
 
-    def counting(bp, iters):
+    def counting(bp, iters, **kwargs):
         before = bp.iterations
-        flag = real(bp, iters)
+        flag = real(bp, iters, **kwargs)
         runs.append((iters, bp.iterations - before))
         return flag
 
@@ -449,34 +448,28 @@ def test_sum_product_schedule(q, monkeypatch):
     prior = MemorylessSource(np.tile([0.7, 0.3] if q == 2 else [0.7, 0.15, 0.15], (24, 1)))
     spec = sample_code(24, 8, 4, 4, GF(q), prior, seed=0)
     rng = stream(70 + q, 0)
+    A = dense([[1, 1, 0, 1, 0], [0, 1, 1, 0, 1]], GF(q))
+    desk_priors = np.tile(prior.pmfs[0], (5, 1))
     for early_stop in (True, False):
-        engine = spec.joint.engine(prior.pmfs, SamplerConfig("sum-product", early_stop))
-        walked = 0
+        cfg = SamplerConfig("sum-product", early_stop)
+        engine = spec.joint.engine(prior.pmfs, cfg)
         for _ in range(6):
             target = np.concatenate([spec.c, spec.random_message(rng)])
             runs.clear()
-            reads = []
-            try:
-                out = engine.walker(target)(lambda pmf: reads.append(pmf) or sample_pmf(rng, pmf))
-            except DeadEndError:
-                out = None
-            assert runs[0][0] == INIT_ITERS and 1 <= runs[0][1] <= INIT_ITERS
-            # one run per read after a commit; a dead end may come at a read
-            # that reaches no choice
-            assert len(reads) <= len(runs) <= len(reads) + (out is None)
-            assert all(it == STEP_ITERS and ran <= STEP_ITERS for it, ran in runs[1:])
-            if out is not None:
-                walked += 1
-                assert len(reads) == out.steps
+            walk = engine.walker(target)
+            assert len(runs) == 1 and runs[0][0] == INIT_ITERS
+            assert 1 <= runs[0][1] <= INIT_ITERS
+            for _ in range(3):
+                out = walk(partial(sample_pmf, rng))
+                assert np.array_equal(spec.stacked.mat_vec(out.x), target)
+            assert len(runs) == 1
             runs.clear()
-            try:
-                engine.draw(target, rng)
-            except DeadEndError:
-                pass
-            assert [it for it, _ in runs].count(INIT_ITERS) == 1
-            assert runs[0][0] == INIT_ITERS     # the initial run is shared by every pass
-            assert len(runs) <= 1 + RETRIES * (spec.n - 1)
-        assert walked > 0
+            engine.draw(target, rng)
+            assert [it for it, _ in runs] == [INIT_ITERS]
+        runs.clear()
+        members, probs = path_tree_law(A, [1, 0], desk_priors, cfg)
+        assert [it for it, _ in runs] == [INIT_ITERS] and members.shape[0] == q ** 3
+        assert probs.sum() == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -518,8 +511,9 @@ SUM_PRODUCT = SamplerConfig(method="sum-product")
 
 
 @pytest.mark.parametrize("q", [2, 3])
-def test_sum_product_path_tree_is_exact_on_a_star(q):
-    # one check is a tree: BP's conditionals are exact, so its pass never dead-ends
+def test_sum_product_path_tree_on_a_star_is_the_product_of_its_marginals(q):
+    # one check is a tree, so BP's marginals are the coset's own, and one pass
+    # draws every free column from its marginal alone: its law is their product
     rng = np.random.default_rng(70 + q)
     for n in (3, 5, 6):
         A = SparseMatrix.from_dense(rng.integers(1, q, size=(1, n)), GF(q))
@@ -527,7 +521,13 @@ def test_sum_product_path_tree_is_exact_on_a_star(q):
         priors = rng.dirichlet(np.full(q, 1.5), size=n)
         members, probs = path_tree_law(A, c, priors, SUM_PRODUCT)
         _, law = exact_coset_law(A, c, priors)
-        assert np.abs(probs - law).max() <= 1e-12
+        marginals = np.stack([np.bincount(members[:, k], weights=law, minlength=q)
+                              for k in range(n)])
+        free = np.flatnonzero(CosetSampler(A).pivot_row < 0)
+        assert free.size == n - 1
+        want = marginals[free, members[:, free]].prod(axis=1)
+        assert np.abs(probs - want).max() <= 1e-12
+        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sum_product_path_tree_differs_from_the_law_on_a_loopy_code():
@@ -576,7 +576,7 @@ def test_forced_path_refuses_an_unnormalized_step_pmf():
 @pytest.mark.parametrize("cfg", [SUM_PRODUCT, EXACT, NO_EARLY], ids=["sum-product", "exact",
                                                                       "exact-full"])
 def test_path_tree_law_runs_one_initial_bp_per_call(monkeypatch, cfg):
-    # each member's pass runs on a clone of one initial run: the probabilities
+    # every member's pass reads the marginals of one initial run: the probabilities
     # are those of a walk per member, bit for bit, at one INIT_ITERS run per call
     rng = np.random.default_rng(77)
     A = SparseMatrix.from_dense(rng.integers(0, 2, size=(6, 12)), GF2)
@@ -1627,23 +1627,26 @@ def _pinned_outputs(q, case):
 PINNED_DIGESTS = {
     (2, 'exact'): "6f8af57c94d10bc24589f13f6202663265cce57626f27849486f27ed75e02d79",
     (2, 'exact-no-early'): "4e209032769aa47fe55e02a9573752d630dbf5953021f5a8d5a766389ca5b8da",
-    # re-pinned when pivot columns became point masses: the earlier BP put
-    # mass on the symbol the prefix rules out at step 11 of every draw
-    (2, 'sum-product'): "78ea4b244c7dd0e2b51c1b3d7565586c8a4fd2be51e986b60d057074abe72bde",
+    # re-pinned when the sum-product engine came to draw every column from the
+    # marginals of one BP run, with no re-run after each commit and no restarts
+    (2, 'sum-product'): "41af3767aaf95382734566556cd20f0df71daafe5557ff66c8ad2f13718fa50f",
     (2, 'uniform'): "928e40fed37843ebbda5e41874ba226b5be0d5dca68593d554feefc3ac086b31",
     (2, 'lossy-exact'): "e1fb555866e5db047125dc4bb6d763e58a6e40bb36df0d5767c958fd5b7b5d53",
-    (2, 'lossy-sum-product'): "636893a0fe97753584357b0203baaeacf6dcc7ac732babd1acb1a53a2e59366b",
-    (2, 'interval'): "fab91722865c4acf5d4bd39f8c9a03f5c4b70ab16443eefcb480ca94c8ce8df5",
+    # re-pinned likewise
+    (2, 'lossy-sum-product'): "0bdf79f00f094802c94eb0b158c9a0465109bdc8c9234355fd20b0d56b628cda",
+    # re-pinned likewise: its sum-product entries moved, its exact ones hash as before
+    (2, 'interval'): "188d0563d98445ea8f714985f731da10ae327c2cf1c968a86290fc349d1bed07",
     (2, 'path-tree'): "dedc75b6261c36e884349a25ef3ec632b915866f3ec491a369c32e750467310e",
     (3, 'exact'): "4ac2e2845caf1f6074f43280c829a0eb1ed5f680241a07fe97f98171517bd54e",
     (3, 'exact-no-early'): "b241509f2581c5c55eb9cf9c0b1e4cc4af7ae104064260be4e19647c6076538d",
-    (3, 'sum-product'): "2a7264806b9aea6c0d88a19148fe56b9b795f225c821f1abf346f03743c11e34",
+    # re-pinned likewise
+    (3, 'sum-product'): "f47fc4746f525d25fb7db4b8b1fb0a94f6480ea7b9eac4160c75935487cce1fd",
     (3, 'uniform'): "29186aaa156519420eeb1571f2e780ad8797d91732c3bdc2a48cdff714c5ae5e",
     (3, 'lossy-exact'): "272abbb0d8bb3f8c8a63055fd21a9780652a0ea62b78d92e04dbc01de742c456",
-    # re-pinned likewise (step 2 of every draw); two draws that dead-ended
-    # after 16 restarts now encode
-    (3, 'lossy-sum-product'): "a7eb293afa20a7d8b7fd8a7074d53bcefb6b39b850813787a4e04dc6afca85cb",
-    (3, 'interval'): "f71103e0d38edacb09a87064383f5b9a5a8cf8047fcfcb70e566b5ab906abf78",
+    # re-pinned likewise
+    (3, 'lossy-sum-product'): "3b5dc4d4f09b90d0f52c8a90944fd08088463c1783847a81cd06bb6f70ced98a",
+    # re-pinned likewise: its sum-product entries moved, its exact ones hash as before
+    (3, 'interval'): "88b228d98e3b2d0f299a63fcca28f35a8f710a3151d5484399d7aa903b144e3c",
     (3, 'path-tree'): "8e37a73b3252b26d87043ec86305db14cca2c85b4a10adc4af1aeeacc9d9efc0",
 }
 
